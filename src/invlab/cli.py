@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import construct, digraph, f2, solver
-from .errors import ParseError, ResourceLimitError
+from .errors import CriterionViolationError, ParseError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,7 +47,6 @@ def _options_from_args(args) -> solver.SearchOptions:
         max_k=args.max_k,
         budget=args.budget,
         even_weight_only=getattr(args, "even_weight_only", False),
-        deterministic=args.deterministic,
     )
 
 
@@ -106,18 +106,12 @@ class InstanceResult:
     detail: str
 
 
-def _opts(payload_opts: dict) -> solver.SearchOptions:
-    return solver.SearchOptions(**payload_opts)
-
-
 def _inv(D: digraph.Digraph, opts: solver.SearchOptions) -> int | None:
-    r = solver.inv_exact(D, opts)
-    return r.value
+    return solver.inv_exact(D, opts).value
 
 
-def _check_thm13(inst: str, payload_opts: dict) -> InstanceResult:
+def _check_thm13(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     D = digraph.decode_digraph(inst)
-    opts = _opts(payload_opts)
     k = _inv(D, opts)
     if k is None:
         return InstanceResult(inst, "UNKNOWN", "base value unresolved")
@@ -129,9 +123,8 @@ def _check_thm13(inst: str, payload_opts: dict) -> InstanceResult:
     return InstanceResult(inst, "PASS" if got == k + 1 else "FAIL", detail)
 
 
-def _check_direction(inst: str, payload_opts: dict) -> InstanceResult:
+def _check_direction(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     D = digraph.decode_digraph(inst)
-    opts = _opts(payload_opts)
     ahead = _inv(construct.dijoin(construct.c3(), D), opts)
     behind = _inv(construct.dijoin(D, construct.c3()), opts)
     if ahead is None or behind is None:
@@ -140,8 +133,7 @@ def _check_direction(inst: str, payload_opts: dict) -> InstanceResult:
     return InstanceResult(inst, "PASS" if ahead == behind else "FAIL", detail)
 
 
-def _check_abnormal(inst: str, payload_opts: dict) -> InstanceResult:
-    opts = _opts(payload_opts)
+def _check_abnormal(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     D = construct.graph_from_expr(inst)
     triple = construct.k_join([construct.c3(), construct.c3(), D])
     joined = construct.dijoin(construct.c3(), D)
@@ -153,8 +145,7 @@ def _check_abnormal(inst: str, payload_opts: dict) -> InstanceResult:
     return InstanceResult(inst, "PASS" if left == right + 1 else "FAIL", detail)
 
 
-def _check_kjoin(inst: str, payload_opts: dict) -> InstanceResult:
-    opts = _opts(payload_opts)
+def _check_kjoin(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     tree = construct.parse_expr(inst)
     if not isinstance(tree, construct.JoinExpr):
         return InstanceResult(inst, "UNKNOWN", "instance must be a join expression")
@@ -175,9 +166,8 @@ def _check_kjoin(inst: str, payload_opts: dict) -> InstanceResult:
     return InstanceResult(inst, "PASS" if got == expect else "FAIL", detail)
 
 
-def _check_thm15(inst: str, payload_opts: dict) -> InstanceResult:
+def _check_thm15(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     D = digraph.decode_digraph(inst)
-    opts = _opts(payload_opts)
     blown = construct.blow_up(D, [construct.c3()] * D.n)
     got = _inv(blown, opts)
     if got is None:
@@ -187,9 +177,8 @@ def _check_thm15(inst: str, payload_opts: dict) -> InstanceResult:
     return InstanceResult(inst, "PASS" if got == expect else "FAIL", detail)
 
 
-def _check_qn(inst: str, payload_opts: dict) -> InstanceResult:
+def _check_qn(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     n, exact = (int(tok) for tok in inst.split(","))
-    opts = _opts(payload_opts)
     Q = construct.qn(n)
     F = construct.qn_family(n)
     bound = (n - 1) // 2
@@ -206,9 +195,8 @@ def _check_qn(inst: str, payload_opts: dict) -> InstanceResult:
     return InstanceResult(inst, "PASS" if value <= bound else "FAIL", detail)
 
 
-def _check_bounds(inst: str, payload_opts: dict) -> InstanceResult:
+def _check_bounds(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     n = int(inst)
-    opts = _opts(payload_opts)
     worst = 0
     for T in digraph.nonisomorphic_tournaments(n):
         v = _inv(T, opts)
@@ -224,11 +212,10 @@ def _check_bounds(inst: str, payload_opts: dict) -> InstanceResult:
     return InstanceResult(inst, "PASS", detail)
 
 
-def _check_conj_direction(inst: str, payload_opts: dict) -> InstanceResult:
+def _check_conj_direction(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     left_enc, right_enc = inst.split("|")
     L = digraph.decode_digraph(left_enc)
     R = digraph.decode_digraph(right_enc)
-    opts = _opts(payload_opts)
     lr = _inv(construct.dijoin(L, R), opts)
     rl = _inv(construct.dijoin(R, L), opts)
     if lr is None or rl is None:
@@ -237,9 +224,17 @@ def _check_conj_direction(inst: str, payload_opts: dict) -> InstanceResult:
     return InstanceResult(inst, "PASS" if lr == rl else "FAIL", detail)
 
 
+def _enumerable(n: int, flag: str) -> int:
+    # refuse before any work: enumeration only fails once it reaches n
+    if n > digraph.MAX_ENUM_VERTICES:
+        raise ValueError(f"{flag} {n} exceeds the tournament enumeration"
+                         f" limit {digraph.MAX_ENUM_VERTICES}")
+    return n
+
+
 def _build_thm13(args, opts: solver.SearchOptions) -> list[str]:
     instances = []
-    for n in range(1, args.n_max + 1):
+    for n in range(1, _enumerable(args.n_max, "--n-max") + 1):
         for T in digraph.nonisomorphic_tournaments(n):
             v = solver.inv_exact(T, opts).value
             if v is not None and v >= 2 and v % 2 == 0:
@@ -250,7 +245,7 @@ def _build_thm13(args, opts: solver.SearchOptions) -> list[str]:
 def _build_direction(args, opts) -> list[str]:
     return [
         digraph.encode_digraph(T)
-        for n in range(1, args.n_max + 1)
+        for n in range(1, _enumerable(args.n_max, "--n-max") + 1)
         for T in digraph.nonisomorphic_tournaments(n)
     ]
 
@@ -282,12 +277,14 @@ def _build_qn(args, opts) -> list[str]:
 
 
 def _build_bounds(args, opts) -> list[str]:
-    return [str(n) for n in range(1, args.n_max + 1)]
+    return [str(n) for n in range(1, _enumerable(args.n_max, "--n-max") + 1)]
 
 
 def _build_conj_direction(args, opts) -> list[str]:
-    lefts = digraph.nonisomorphic_tournaments(args.left_n)
-    rights = digraph.nonisomorphic_tournaments(args.right_n)
+    left_n = _enumerable(args.left_n, "--left-n")
+    right_n = _enumerable(args.right_n, "--right-n")
+    lefts = digraph.nonisomorphic_tournaments(left_n)
+    rights = digraph.nonisomorphic_tournaments(right_n)
     return [
         digraph.encode_digraph(L) + "|" + digraph.encode_digraph(R)
         for L in lefts
@@ -347,13 +344,15 @@ EXPERIMENTS = {
 }
 
 
-def _run_one(task: tuple[str, str, dict]) -> InstanceResult:
-    name, inst, payload_opts = task
+def _run_one(task: tuple[str, str, solver.SearchOptions]) -> InstanceResult:
+    name, inst, opts = task
     checker = EXPERIMENTS[name][1]
     try:
-        return checker(inst, payload_opts)
+        return checker(inst, opts)
     except ResourceLimitError as exc:
         return InstanceResult(inst, "UNKNOWN", f"budget: {exc}")
+    except CriterionViolationError as exc:
+        return InstanceResult(inst, "FAIL", f"criterion: {exc}")
 
 
 def cmd_experiment(args) -> int:
@@ -361,20 +360,16 @@ def cmd_experiment(args) -> int:
         print(f"unknown experiment {args.name!r}; choices: "
               + " ".join(sorted(EXPERIMENTS)), file=sys.stderr)
         return EXIT_USAGE
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     build, _, param_names, _ = EXPERIMENTS[args.name]
-    opts = solver.SearchOptions(
-        max_k=args.max_k, budget=args.budget, deterministic=args.deterministic
-    )
-    payload_opts = {
-        "max_k": args.max_k,
-        "budget": args.budget,
-        "deterministic": args.deterministic,
-    }
+    opts = _options_from_args(args)
     start = time.perf_counter()
     instances = build(args, opts)
-    tasks = [(args.name, inst, payload_opts) for inst in instances]
-    if args.jobs > 1 and len(tasks) > 1:
-        with Pool(args.jobs) as pool:
+    tasks = [(args.name, inst, opts) for inst in instances]
+    if jobs > 1 and len(tasks) > 1:
+        with Pool(jobs) as pool:
             results = pool.map(_run_one, tasks)
     else:
         results = [_run_one(t) for t in tasks]

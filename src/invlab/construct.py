@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .digraph import (
     Digraph,
     InversionFamily,
-    VectorAssignment,
     apply_family,
     family_to_assignment,
     is_acyclic,
@@ -245,6 +244,9 @@ def pretty(expr: Expr) -> str:
     raise TypeError(f"not a constructor expression: {expr!r}")
 
 
+# deepest nesting of constructor calls; deeper input is refused, not recursed
+MAX_EXPR_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[a-z_][a-z0-9_]*)|(?P<int>\d+)|(?P<sym>[(),;]))")
 
 
@@ -252,6 +254,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -311,6 +314,9 @@ class _Parser:
                 self.expect_sym(")")
             return C3Expr()
         self.expect_sym("(")
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH}", start)
         try:
             node = self._parse_call(name)
         except ValueError as exc:
@@ -318,6 +324,7 @@ class _Parser:
                 raise
             raise ParseError(str(exc), start) from None
         self.expect_sym(")")
+        self.depth -= 1
         return node
 
     def _parse_call(self, name: str) -> Expr:

@@ -12,7 +12,8 @@ Three independent backends:
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
   Branch and bound over order prefixes; exact for tournaments, where
-  every pair is constrained.
+  every pair is constrained.  Only the value is its own: the witness
+  comes from the assignment search at that value.
 
 * ``subset``: raw enumeration of subset sequences, the ground-truth
   oracle at tiny sizes.
@@ -25,6 +26,7 @@ are identical run to run.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 from itertools import product
@@ -42,7 +44,7 @@ from .digraph import (
     is_acyclic,
 )
 from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
-from .f2 import BitVec, SymMatrix, min_gram_dim_free_diag, rank_of_rows, realize_oracle
+from .f2 import BitVec, SymMatrix, min_gram_dim_free_diag
 
 MAX_K = 12
 
@@ -60,7 +62,6 @@ class SearchOptions:
     max_k: int = MAX_K
     budget: int | None = None
     even_weight_only: bool = False
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -261,17 +262,10 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     )
 
 
-# memo for order-backend bounds: off-diagonal rows -> (dimension, diagonal)
-_ORDER_MEMO: dict[tuple[int, ...], tuple[int, int]] = {}
-
-
-def _order_bound(rows: tuple[int, ...]) -> tuple[int, int]:
-    cached = _ORDER_MEMO.get(rows)
-    if cached is None:
-        k, diag = min_gram_dim_free_diag(SymMatrix(len(rows), rows))
-        cached = (k, diag.bits)
-        _ORDER_MEMO[rows] = cached
-    return cached
+# prefix flip pattern -> least free-diagonal width; bounded, shared by calls
+@functools.lru_cache(maxsize=1 << 16)
+def _order_bound(rows: tuple[int, ...]) -> int:
+    return min_gram_dim_free_diag(SymMatrix(len(rows), rows))[0]
 
 
 def _prefix_rows(D: Digraph, seq: list[int]) -> tuple[int, ...]:
@@ -295,8 +289,11 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     whose vectors must have odd overlap, and the least width realizing
     those constraints (diagonal free) is computed in closed form; the
     minimum over orders is the inversion number.  Tournaments only: a
-    missing pair would wrongly be constrained to "no flip".  Independent
-    of the assignment backend, for cross-validation.
+    missing pair would wrongly be constrained to "no flip".  The value is
+    independent of the assignment backend, for cross-validation; the
+    witness comes from the assignment search at that value (its own node
+    budget, not counted in ``nodes_explored``), and finding none there
+    raises CriterionViolationError.
     """
     if opts is None:
         opts = SearchOptions()
@@ -312,27 +309,25 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         return InvResult(0, InversionFamily(0, ()), "order", 0, 0.0, -1)
 
     best_k: int | None = None
-    best_seq: list[int] = []
-    best_diag = 0
     nodes = 0
     budget = opts.budget
 
     def walk(seq: list[int], used: int) -> None:
-        nonlocal nodes, best_k, best_seq, best_diag
+        nonlocal nodes, best_k
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"order search exceeded {budget} nodes")
         m = len(seq)
         if m >= 2:
-            k, diag = _order_bound(_prefix_rows(D, seq))
+            k = _order_bound(_prefix_rows(D, seq))
             # the prefix bound never decreases along a completion
             if best_k is not None and k >= best_k:
                 return
             if m == n:
-                best_k, best_seq, best_diag = k, list(seq), diag
+                best_k = k
                 return
         elif m == n:  # a single vertex needs no inversion
-            best_k, best_seq, best_diag = 0, list(seq), 0
+            best_k = 0
             return
         for v in range(n):
             if not used >> v & 1:
@@ -341,15 +336,14 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
                 seq.pop()
 
     walk([], 0)
-    k, seq = best_k, best_seq
+    k = best_k
     assert k is not None
-    target = SymMatrix(n, _prefix_rows(D, seq)).with_diagonal(best_diag)
-    vectors = realize_oracle(target, k, node_budget=max(1 << 22, 1 << (n * k)))
-    assert vectors is not None, "closed-form dimension must be realizable"
-    vecs = [BitVec(k, 0)] * n
-    for t, v in enumerate(seq):
-        vecs[v] = vectors[t]
-    family = assignment_to_family(VectorAssignment(k, tuple(vecs)))
+    found, _ = _search_assignment(D, k, replace(opts, even_weight_only=False))
+    if found is None:
+        raise CriterionViolationError(
+            f"order search gives {k} but no width-{k} assignment decycles the graph"
+        )
+    family = assignment_to_family(found)
     _certify(D, family)
     return InvResult(
         value=k,

@@ -2,7 +2,9 @@
 
 import pytest
 
-from invlab import cli
+from invlab import cli, digraph, solver
+from invlab.construct import MAX_EXPR_DEPTH
+from invlab.errors import CriterionViolationError
 from invlab.construct import qn, qn_family
 from invlab.digraph import dump_digraph, dump_family
 from invlab.f2 import SymMatrix, dump_matrix
@@ -67,6 +69,22 @@ class TestInvCommand:
         assert code == 0 and out.startswith("inv=2 ")
         code, out2, _ = run(capsys, "inv", "enc:3:2.4.1", "--deterministic")
         assert code == 0 and out2.startswith("inv=1 ")
+
+
+class TestInvLimits:
+    def test_order_backend_ignores_even_weight_for_its_witness(self, capsys):
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(5)", "--backend", "order", "--even-weight-only",
+            "--deterministic",
+        )
+        assert code == 0 and out.startswith("inv=2 ") and "backend=order" in out
+
+    def test_deep_nesting_exit_one(self, capsys):
+        deep = "rev(" * 3000 + "c3" + ")" * 3000
+        code, out, err = run(capsys, "inv", "expr:" + deep)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nested deeper" in err
+        assert str(MAX_EXPR_DEPTH) in err
 
 
 class TestVerifyCommand:
@@ -214,3 +232,88 @@ class TestExperiments:
         )
         code, replay, _ = run(capsys, "inv", enc, "--deterministic")
         assert code == 0 and replay.startswith("inv=2 ")
+
+
+class TestExperimentLimits:
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("enumeration started before the limits were checked")
+
+        monkeypatch.setattr(digraph, "nonisomorphic_tournaments", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thm13", "--n-max", "8"),
+            ("direction", "--n-max", "8"),
+            ("bounds", "--n-max", "8"),
+            ("conj-direction", "--left-n", "8"),
+            ("conj-direction", "--right-n", "8"),
+        ],
+    )
+    def test_order_above_enumeration_limit_exit_one(self, capsys, no_enumeration, argv):
+        code, out, err = run(capsys, "experiment", *argv, "--deterministic")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(digraph.MAX_ENUM_VERTICES) in lines[0]
+
+    def test_criterion_violation_is_a_fail_line(self, capsys, monkeypatch):
+        def disagree(D, opts=None):
+            raise CriterionViolationError("routes disagree")
+
+        monkeypatch.setattr(solver, "is_c3_tight", disagree)
+        code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert code == 3
+        fails = [line for line in out.splitlines() if line.endswith(": FAIL")]
+        assert fails and all("routes disagree" in line for line in fails)
+        assert "total=4 pass=0 fail=4" in out
+
+
+class TestJobs:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        return sizes
+
+    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch, pools):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        code, out, _ = run(
+            capsys, "experiment", "direction", "--n-max", "3", "--jobs", "64",
+            "--deterministic",
+        )
+        assert code == 0 and pools == [3]
+        _, serial, _ = run(
+            capsys, "experiment", "direction", "--n-max", "3", "--deterministic"
+        )
+        assert out == serial
+
+    def test_unknown_cpu_count_runs_serially(self, capsys, monkeypatch, pools):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        code, _, _ = run(
+            capsys, "experiment", "direction", "--n-max", "3", "--jobs", "2",
+            "--deterministic",
+        )
+        assert code == 0 and pools == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_one(self, capsys, pools, jobs):
+        code, out, err = run(capsys, "experiment", "direction", "--jobs", jobs)
+        assert code == 1 and out == "" and pools == []
+        assert err.startswith("error:") and "--jobs" in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab.construct import (
+    MAX_EXPR_DEPTH,
     BlowupExpr,
     BlowupUniformExpr,
     C3Expr,
@@ -172,6 +173,15 @@ class TestGrammar:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expr("c3 c3")
+
+    def test_nesting_depth_bounded(self):
+        def nested(depth):
+            return "rev(" * depth + "c3" + ")" * depth
+
+        assert parse_expr(nested(MAX_EXPR_DEPTH)) is not None
+        for depth in (MAX_EXPR_DEPTH + 1, 3000):
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_expr(nested(depth))
 
     @given(exprs())
     @settings(max_examples=80, deadline=None)

@@ -1,10 +1,12 @@
 """Solver backends, tightness criterion, and rank law checks."""
 
+import dataclasses
 import random
 
 import pytest
 
-from invlab.construct import c3, dijoin, k_join, transitive
+from invlab import f2, solver
+from invlab.construct import c3, dijoin, k_join, qn, transitive
 from invlab.digraph import (
     InversionFamily,
     apply_family,
@@ -14,7 +16,11 @@ from invlab.digraph import (
     nonisomorphic_tournaments,
     reverse,
 )
-from invlab.errors import BudgetExceededError, ResourceLimitError
+from invlab.errors import (
+    BudgetExceededError,
+    CriterionViolationError,
+    ResourceLimitError,
+)
 from invlab.solver import (
     SearchOptions,
     exists_family,
@@ -111,6 +117,55 @@ class TestOrderBackend:
     def test_rejects_large(self):
         with pytest.raises(ResourceLimitError):
             inv_order_backend(transitive(11))
+
+
+class TestOrderBackendWitness:
+    """The order backend's witness comes from the assignment search."""
+
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("realize_oracle is a test oracle only")
+
+        monkeypatch.setattr(solver, "realize_oracle", refuse, raising=False)
+        monkeypatch.setattr(f2, "realize_oracle", refuse, raising=False)
+
+    def test_witness_without_realize_oracle(self, no_oracle):
+        for T in list(enumerate_tournaments(4)) + [qn(7)]:
+            r = inv_order_backend(T)
+            assert r.value == inv_exact(T).value
+            assert r.max_k_exhausted == r.value - 1
+            assert len(r.witness.sets) == r.value
+            assert is_acyclic(apply_family(T, r.witness)) is not None
+
+    def test_witness_search_gets_value_and_budget(self, monkeypatch):
+        seen = []
+        search = solver._search_assignment
+
+        def spy(D, k, opts):
+            seen.append((k, opts))
+            return search(D, k, opts)
+
+        monkeypatch.setattr(solver, "_search_assignment", spy)
+        opts = SearchOptions(budget=10_000, even_weight_only=True)
+        r = inv_order_backend(qn(5), opts)
+        assert [(k, o.budget, o.even_weight_only) for k, o in seen] == [
+            (2, 10_000, False)
+        ]
+        # the order search's own nodes only
+        assert r.nodes_explored == inv_order_backend(qn(5)).nodes_explored
+
+    def test_missing_witness_is_a_disagreement(self, monkeypatch):
+        monkeypatch.setattr(solver, "_search_assignment", lambda D, k, opts: (None, 0))
+        with pytest.raises(CriterionViolationError):
+            inv_order_backend(qn(5))
+
+    def test_bound_cache_is_bounded(self):
+        assert solver._order_bound.cache_info().maxsize == 1 << 16
+
+    def test_search_options_fields(self):
+        names = [f.name for f in dataclasses.fields(SearchOptions)]
+        assert names == ["backend", "max_k", "budget", "even_weight_only"]
 
 
 class TestSubsetOracle:
