@@ -232,9 +232,16 @@ def _enumerable(n: int, flag: str) -> int:
     return n
 
 
+def _orders(n_max: int) -> range:
+    # a sweep over no order checks nothing, so refuse it instead of passing it
+    if n_max < 1:
+        raise ValueError(f"--n-max {n_max} selects no order; it must be at least 1")
+    return range(1, n_max + 1)
+
+
 def _build_thm13(args, opts: solver.SearchOptions) -> list[str]:
     instances = []
-    for n in range(1, _enumerable(args.n_max, "--n-max") + 1):
+    for n in _orders(_enumerable(args.n_max, "--n-max")):
         for T in digraph.nonisomorphic_tournaments(n):
             v = solver.inv_exact(T, opts).value
             if v is not None and v >= 2 and v % 2 == 0:
@@ -245,7 +252,7 @@ def _build_thm13(args, opts: solver.SearchOptions) -> list[str]:
 def _build_direction(args, opts) -> list[str]:
     return [
         digraph.encode_digraph(T)
-        for n in range(1, _enumerable(args.n_max, "--n-max") + 1)
+        for n in _orders(_enumerable(args.n_max, "--n-max"))
         for T in digraph.nonisomorphic_tournaments(n)
     ]
 
@@ -273,11 +280,11 @@ def _build_thm15(args, opts) -> list[str]:
 
 def _build_qn(args, opts) -> list[str]:
     exact_limit = min(args.n_max, args.n_exact)
-    return [f"{n},{int(n <= exact_limit)}" for n in range(1, args.n_max + 1)]
+    return [f"{n},{int(n <= exact_limit)}" for n in _orders(args.n_max)]
 
 
 def _build_bounds(args, opts) -> list[str]:
-    return [str(n) for n in range(1, _enumerable(args.n_max, "--n-max") + 1)]
+    return [str(n) for n in _orders(_enumerable(args.n_max, "--n-max"))]
 
 
 def _build_conj_direction(args, opts) -> list[str]:

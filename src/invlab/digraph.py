@@ -17,6 +17,7 @@ All values are immutable and every function is pure.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -25,7 +26,9 @@ from .f2 import BitVec, SymMatrix, rank_of_rows
 
 MAX_VERTICES = 64
 
-# Labelled enumeration is 2^(n(n-1)/2) tournaments; 7 is the last sane order.
+# Enumeration walks all 2^(n(n-1)/2) labelled tournaments; the class
+# generator takes seconds at n=7.  n=8 would need a 2^28-entry seen map and
+# 40,320 relabellings per class, so 7 is the cap.
 MAX_ENUM_VERTICES = 7
 
 # A subset of vertices is a plain bitmask.
@@ -336,36 +339,55 @@ def extend_to_tournament(D: Digraph, F: InversionFamily) -> Digraph:
 
 
 def enumerate_tournaments(n: int) -> Iterator[Digraph]:
-    """All labelled tournaments on n vertices, each exactly once."""
+    """All labelled tournaments on n vertices, each exactly once.
+
+    Tournament number ``code`` sets pair (i, j), i < j, to i->j exactly
+    when bit ``idx`` of ``code`` is set, ``idx`` counting the pairs in
+    lexicographic order; codes are listed in ascending order.
+    """
+    _require_enumerable(n)
+    pairs = _pairs(n)
+    for code in range(1 << len(pairs)):
+        yield _tournament(n, pairs, code)
+
+
+def _require_enumerable(n: int) -> None:
     if n > MAX_ENUM_VERTICES:
         raise ResourceLimitError(
             f"labelled enumeration is capped at {MAX_ENUM_VERTICES} vertices"
         )
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for bits in range(1 << len(pairs)):
-        rows = [0] * n
-        for idx, (i, j) in enumerate(pairs):
-            if bits >> idx & 1:
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-        yield Digraph(n, tuple(rows))
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _tournament(n: int, pairs: list[tuple[int, int]], code: int) -> Digraph:
+    rows = [0] * n
+    for idx, (i, j) in enumerate(pairs):
+        if code >> idx & 1:
+            rows[i] |= 1 << j
+        else:
+            rows[j] |= 1 << i
+    return Digraph(n, tuple(rows))
 
 
 def canonical_key(D: Digraph) -> tuple[int, int]:
-    """Isomorphism-invariant key: minimum relabelled encoding.
+    """Isomorphism-invariant key of an oriented graph: minimum relabelled encoding.
 
-    Minimizes the upper-triangle arc encoding over the permutations that
-    sort vertices by descending out-degree; equal keys hold exactly for
-    isomorphic tournaments (and for general digraphs with equal degree
-    profiles, a conservative refinement).
+    The encoding gives each pair i < j two bits, one for i->j and one for
+    j->i, so it tells all three pair states apart and determines the
+    graph.  It is minimized over the relabellings that sort vertices by
+    descending (out-degree, in-degree), a set every isomorphism carries
+    onto the other graph's; equal keys therefore hold exactly for
+    isomorphic oriented graphs, tournaments or not.
     """
     n = D.n
     rows = D.out_rows
-    degs = [r.bit_count() for r in rows]
-    groups: dict[int, list[int]] = {}
+    cols = _columns(rows, n)
+    groups: dict[tuple[int, int], list[int]] = {}
     for v in range(n):
-        groups.setdefault(degs[v], []).append(v)
+        groups.setdefault((rows[v].bit_count(), cols[v].bit_count()), []).append(v)
     ordered = [groups[d] for d in sorted(groups, reverse=True)]
     best = None
     for arrangement in itertools.product(
@@ -377,23 +399,64 @@ def canonical_key(D: Digraph) -> tuple[int, int]:
         for i in range(n):
             ri = rows[perm[i]]
             for j in range(i + 1, n):
-                if ri >> perm[j] & 1:
+                pj = perm[j]
+                if ri >> pj & 1:
                     key |= bit
-                bit <<= 1
+                elif rows[pj] >> perm[i] & 1:
+                    key |= bit << 1
+                bit <<= 2
         if best is None or key < best:
             best = key
     return (n, best if best is not None else 0)
 
 
 def nonisomorphic_tournaments(n: int) -> list[Digraph]:
-    """One representative per isomorphism class, in labelled order."""
-    seen = set()
+    """One representative per isomorphism class of n-vertex tournaments.
+
+    The representative of a class is its member with the smallest
+    ``enumerate_tournaments`` code, and representatives are listed in
+    ascending code order, so the list is the first member of each class
+    in labelled order.
+
+    The walk visits the codes in ascending order, keeping one byte per
+    code that says whether the code was seen.  The first unseen code
+    starts a new class, and its whole orbit is marked at once: under a
+    relabelling p, pair bit ``idx`` moves to one fixed destination bit and
+    is inverted when p reverses the pair, so an image code is a flip mask
+    XOR the destination bits of the set bits.  Both are tabulated for all
+    n! relabellings once per call.
+    """
+    _require_enumerable(n)
+    pairs = _pairs(n)
+    m = len(pairs)
+    index = {pair: idx for idx, pair in enumerate(pairs)}
+    # dests[idx][k]: destination bit of pair idx under relabelling k.
+    # flips[k]: destination bits of the pairs relabelling k reverses.
+    # Sharing the m power objects keeps each table entry one pointer.
+    powers = [1 << idx for idx in range(m)]
+    dests: list[list[int]] = [[] for _ in range(m)]
+    flips = []
+    for perm in itertools.permutations(range(n)):
+        flip = 0
+        for idx, (i, j) in enumerate(pairs):
+            a, b = perm[i], perm[j]
+            dest = powers[index[min(a, b), max(a, b)]]
+            dests[idx].append(dest)
+            if a > b:
+                flip |= dest
+        flips.append(flip)
+    seen = bytearray(1 << m)
     reps = []
-    for T in enumerate_tournaments(n):
-        key = canonical_key(T)
-        if key not in seen:
-            seen.add(key)
-            reps.append(T)
+    code = seen.find(0)
+    while code >= 0:
+        reps.append(_tournament(n, pairs, code))
+        images = flips
+        for idx in range(m):
+            if code >> idx & 1:
+                images = list(map(operator.xor, images, dests[idx]))
+        for image in images:
+            seen[image] = 1
+        code = seen.find(0, code + 1)
     return reps
 
 

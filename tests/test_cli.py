@@ -1,6 +1,13 @@
 """Command-line behaviour: sources, formats, exit codes, experiments."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
+
+import invlab
 
 from invlab import cli, digraph, solver
 from invlab.construct import MAX_EXPR_DEPTH
@@ -259,6 +266,22 @@ class TestExperimentLimits:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert str(digraph.MAX_ENUM_VERTICES) in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thm13", "--n-max", "-5"),
+            ("direction", "--n-max", "0"),
+            ("bounds", "--n-max", "0"),
+            ("qn", "--n-max", "-2"),
+        ],
+    )
+    def test_empty_sweep_exit_one(self, capsys, no_enumeration, argv):
+        code, out, err = run(capsys, "experiment", *argv, "--deterministic")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--n-max" in lines[0]
+
     def test_criterion_violation_is_a_fail_line(self, capsys, monkeypatch):
         def disagree(D, opts=None):
             raise CriterionViolationError("routes disagree")
@@ -317,3 +340,24 @@ class TestJobs:
         code, out, err = run(capsys, "experiment", "direction", "--jobs", jobs)
         assert code == 1 and out == "" and pools == []
         assert err.startswith("error:") and "--jobs" in err
+
+
+class TestSweepDigests:
+    # stdout digests of the module entry point: a change in the tournament
+    # classes, their order or any report line changes them
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("direction", "30a30f6f9d0a4e4255cf7661f7b50c48332bed688dc6d8db924d28e071040ce3"),
+            ("thm13", "56ca4513f53db40b5629201105463e8898ecfbc5235b9bf3ea4a160ad4682084"),
+        ],
+    )
+    def test_stdout_digest(self, name, digest):
+        src = os.path.dirname(os.path.dirname(invlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "invlab.cli", "experiment", name,
+             "--n-max", "5", "--deterministic"],
+            capture_output=True, env=env, timeout=120, check=True,
+        )
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest

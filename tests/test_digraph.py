@@ -1,5 +1,6 @@
 """Digraph values, inversions, families, assignments, and text formats."""
 
+import itertools
 import random
 
 import pytest
@@ -35,7 +36,15 @@ from invlab.digraph import (
 from invlab.errors import ResourceLimitError
 from invlab.f2 import BitVec
 
-from helpers import random_family, random_oriented, random_tournament
+from helpers import (
+    all_oriented,
+    nonisomorphic_by_key,
+    random_family,
+    random_oriented,
+    random_tournament,
+    relabel,
+    tournament_code,
+)
 
 
 class TestDigraphValue:
@@ -200,6 +209,38 @@ class TestReverse:
         assert canonical_key(reverse(c3())) == canonical_key(c3())
 
 
+class TestCanonicalKey:
+    def test_path_and_triangle_differ(self):
+        path = Digraph.from_arcs(3, [(0, 2), (2, 1)])
+        assert canonical_key(path) != canonical_key(c3())
+
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 7), (4, 42)])
+    def test_exact_on_oriented_graphs(self, n, classes):
+        # A001174: oriented graphs on n unlabelled vertices
+        nx = pytest.importorskip("networkx")
+
+        def as_nx(D):
+            G = nx.DiGraph()
+            G.add_nodes_from(range(D.n))
+            G.add_edges_from(D.arcs())
+            return G
+
+        groups: dict = {}
+        for D in all_oriented(n):
+            groups.setdefault(canonical_key(D), []).append(as_nx(D))
+        assert len(groups) == classes
+        for first, *rest in groups.values():
+            assert all(nx.is_isomorphic(first, G) for G in rest)
+
+    def test_invariant_under_relabelling(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            D = random_oriented(rng, rng.randint(1, 6))
+            perm = list(range(D.n))
+            rng.shuffle(perm)
+            assert canonical_key(relabel(D, perm)) == canonical_key(D)
+
+
 class TestFamilyRank:
     def test_all_zero(self):
         F = InversionFamily(3, (0, 0))
@@ -279,6 +320,29 @@ class TestEnumeration:
     def test_too_large_rejected(self):
         with pytest.raises(ResourceLimitError):
             next(enumerate_tournaments(8))
+
+
+class TestNonisomorphicTournaments:
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_key_dedup(self, n):
+        assert nonisomorphic_tournaments(n) == nonisomorphic_by_key(n)
+
+    def test_class_counts(self):
+        # A000568: tournaments on n unlabelled vertices
+        counts = [len(nonisomorphic_tournaments(n)) for n in range(1, 8)]
+        assert counts == [1, 1, 2, 4, 12, 56, 456]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_representatives_are_orbit_minima(self, n):
+        perms = list(itertools.permutations(range(n)))
+        codes = [tournament_code(T) for T in nonisomorphic_tournaments(n)]
+        assert codes == sorted(codes)
+        for T, code in zip(nonisomorphic_tournaments(n), codes):
+            assert code == min(tournament_code(relabel(T, p)) for p in perms)
+
+    def test_order_eight_refused(self):
+        with pytest.raises(ResourceLimitError):
+            nonisomorphic_tournaments(8)
 
 
 class TestTextFormats:
