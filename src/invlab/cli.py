@@ -110,11 +110,13 @@ def _inv(D: digraph.Digraph, opts: solver.SearchOptions) -> int | None:
     return solver.inv_exact(D, opts).value
 
 
-def _check_thm13(inst: str, opts: solver.SearchOptions) -> InstanceResult:
+def _check_thm13(inst: str, opts: solver.SearchOptions) -> InstanceResult | None:
     D = digraph.decode_digraph(inst)
     k = _inv(D, opts)
     if k is None:
         return InstanceResult(inst, "UNKNOWN", "base value unresolved")
+    if k < 2 or k % 2:
+        return None  # outside the theorem: even values of at least 2
     joined = construct.dijoin(construct.c3(), D)
     got = _inv(joined, opts)
     if got is None:
@@ -166,8 +168,13 @@ def _check_kjoin(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     return InstanceResult(inst, "PASS" if got == expect else "FAIL", detail)
 
 
-def _check_thm15(inst: str, opts: solver.SearchOptions) -> InstanceResult:
+def _check_thm15(inst: str, opts: solver.SearchOptions) -> InstanceResult | None:
     D = digraph.decode_digraph(inst)
+    base = _inv(D, opts)
+    if base is None:
+        return InstanceResult(inst, "UNKNOWN", "base value unresolved")
+    if base != 1:
+        return None  # outside the theorem: value-1 tournaments only
     blown = construct.blow_up(D, [construct.c3()] * D.n)
     got = _inv(blown, opts)
     if got is None:
@@ -226,9 +233,9 @@ def _check_conj_direction(inst: str, opts: solver.SearchOptions) -> InstanceResu
 
 def _enumerable(n: int, flag: str) -> int:
     # refuse before any work: enumeration only fails once it reaches n
-    if n > digraph.MAX_ENUM_VERTICES:
-        raise ValueError(f"{flag} {n} exceeds the tournament enumeration"
-                         f" limit {digraph.MAX_ENUM_VERTICES}")
+    if not 0 <= n <= digraph.MAX_ENUM_VERTICES:
+        raise ValueError(f"{flag} {n} is outside the tournament enumeration"
+                         f" range 0..{digraph.MAX_ENUM_VERTICES}")
     return n
 
 
@@ -239,17 +246,7 @@ def _orders(n_max: int) -> range:
     return range(1, n_max + 1)
 
 
-def _build_thm13(args, opts: solver.SearchOptions) -> list[str]:
-    instances = []
-    for n in _orders(_enumerable(args.n_max, "--n-max")):
-        for T in digraph.nonisomorphic_tournaments(n):
-            v = solver.inv_exact(T, opts).value
-            if v is not None and v >= 2 and v % 2 == 0:
-                instances.append(digraph.encode_digraph(T))
-    return instances
-
-
-def _build_direction(args, opts) -> list[str]:
+def _build_tournaments(args) -> list[str]:
     return [
         digraph.encode_digraph(T)
         for n in _orders(_enumerable(args.n_max, "--n-max"))
@@ -257,11 +254,11 @@ def _build_direction(args, opts) -> list[str]:
     ]
 
 
-def _build_abnormal(args, opts) -> list[str]:
+def _build_abnormal(args) -> list[str]:
     return ["tt(1)", "tt(3)", "c3"]
 
 
-def _build_kjoin(args, opts) -> list[str]:
+def _build_kjoin(args) -> list[str]:
     return [
         "join(c3, c3)",
         "join(c3, c3, c3)",
@@ -270,24 +267,24 @@ def _build_kjoin(args, opts) -> list[str]:
     ]
 
 
-def _build_thm15(args, opts) -> list[str]:
-    instances = []
-    for T in digraph.nonisomorphic_tournaments(3):
-        if solver.inv_exact(T, opts).value == 1:
-            instances.append(digraph.encode_digraph(T))
-    return instances
+def _build_thm15(args) -> list[str]:
+    return [digraph.encode_digraph(T) for T in digraph.nonisomorphic_tournaments(3)]
 
 
-def _build_qn(args, opts) -> list[str]:
+def _build_qn(args) -> list[str]:
+    # refuse before any work: construction only fails once it reaches n
+    if args.n_max > digraph.MAX_VERTICES:
+        raise ValueError(f"--n-max {args.n_max} exceeds the vertex limit"
+                         f" {digraph.MAX_VERTICES}")
     exact_limit = min(args.n_max, args.n_exact)
     return [f"{n},{int(n <= exact_limit)}" for n in _orders(args.n_max)]
 
 
-def _build_bounds(args, opts) -> list[str]:
+def _build_bounds(args) -> list[str]:
     return [str(n) for n in _orders(_enumerable(args.n_max, "--n-max"))]
 
 
-def _build_conj_direction(args, opts) -> list[str]:
+def _build_conj_direction(args) -> list[str]:
     left_n = _enumerable(args.left_n, "--left-n")
     right_n = _enumerable(args.right_n, "--right-n")
     lefts = digraph.nonisomorphic_tournaments(left_n)
@@ -301,13 +298,13 @@ def _build_conj_direction(args, opts) -> list[str]:
 
 EXPERIMENTS = {
     "thm13": (
-        _build_thm13,
+        _build_tournaments,
         _check_thm13,
         ("n_max",),
         "dijoining a triangle onto any even-value tournament adds exactly one",
     ),
     "direction": (
-        _build_direction,
+        _build_tournaments,
         _check_direction,
         ("n_max",),
         "triangle dijoins have the same value from either side",
@@ -351,7 +348,7 @@ EXPERIMENTS = {
 }
 
 
-def _run_one(task: tuple[str, str, solver.SearchOptions]) -> InstanceResult:
+def _run_one(task: tuple[str, str, solver.SearchOptions]) -> InstanceResult | None:
     name, inst, opts = task
     checker = EXPERIMENTS[name][1]
     try:
@@ -373,13 +370,15 @@ def cmd_experiment(args) -> int:
     build, _, param_names, _ = EXPERIMENTS[args.name]
     opts = _options_from_args(args)
     start = time.perf_counter()
-    instances = build(args, opts)
+    instances = build(args)
     tasks = [(args.name, inst, opts) for inst in instances]
     if jobs > 1 and len(tasks) > 1:
         with Pool(jobs) as pool:
             results = pool.map(_run_one, tasks)
     else:
         results = [_run_one(t) for t in tasks]
+    # a checker returns None for an instance outside its identity's scope
+    results = [r for r in results if r is not None]
 
     params = [f"experiment={args.name}"]
     for attr in param_names:

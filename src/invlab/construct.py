@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .digraph import (
+    MAX_VERTICES,
     Digraph,
     InversionFamily,
     apply_family,
@@ -43,8 +44,8 @@ def c3() -> Digraph:
 
 def transitive(n: int) -> Digraph:
     """Transitive tournament: arc i -> j exactly when i < j."""
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
     full = (1 << n) - 1
     return Digraph(n, tuple((full >> (i + 1)) << (i + 1) for i in range(n)))
 
@@ -55,8 +56,8 @@ def qn(n: int) -> Digraph:
     The path of the transitive tournament visits 0,1,...,n-1 in order, so
     each consecutive arc i -> i+1 becomes i+1 -> i while longer arcs stay.
     """
-    if n < 1:
-        raise ValueError("vertex count must be positive")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}")
     rows = []
     for i in range(n):
         row = 0

@@ -6,12 +6,15 @@ capped at 64 so every vector fits a machine word; desk-scale work never
 needs more than a dozen coordinates.
 
 The centrepiece is :func:`gram_factor`, which writes a symmetric matrix M
-as U^t U with U square.  For odd order this always succeeds; for even
-order it succeeds exactly when M has a nonzero diagonal entry or is
-singular, and returns ``None`` otherwise.  :func:`min_gram_dim` gives the
-least dimension in which prescribed pairwise products are realizable, and
-:func:`realize_oracle` is the independent brute-force check it is
-validated against.
+as U^t U with U square.  It peels rank-one terms u u^t off M in one
+elimination loop, one row per diagonal pivot and two per off-diagonal
+pivot, so the witness uses exactly :func:`min_gram_dim` coordinates: rank(M)
+with a nonzero diagonal, rank(M)+1 without (Lempel, "Matrix factorization
+over GF(2) and trace-orthogonal bases", SIAM J. Comput. 1975).  Odd order
+therefore always factors; even order factors exactly when M has a nonzero
+diagonal entry or is singular, and returns ``None`` otherwise.
+:func:`realize_oracle` is the independent brute-force check the width
+rule is validated against.
 
 Everything here is a pure function on immutable values and safe to call
 from any number of threads.
@@ -176,204 +179,56 @@ def _diag_mask(rows: Sequence[int]) -> int:
     return d
 
 
-def _null_vector(rows: Sequence[int]) -> int | None:
-    """Nonzero x with the rows indexed by x summing to zero, or None.
+def _peel(rows: Sequence[int]) -> list[int]:
+    """Rows u_1..u_r with M = u_1 u_1^t + ... + u_r u_r^t, r = min_gram_dim(M).
 
-    For a symmetric matrix the rows equal the columns, so x is a kernel
-    vector: M x = 0.
+    A diagonal step (m_ii = 1) adds u u^t with u = row i to M, clearing
+    row and column i: rank -1, one row.  Otherwise some m_ij = 1; with
+    a = row i and b = row j, adding a b^t + b a^t clears rows i and j:
+    rank -2.  That term and the last row u emitted (0 if none) become the
+    three rows u+a, u+b, u+a+b, whose squares sum to u u^t + a b^t + b a^t:
+    two rows more, or three when M has a zero diagonal to begin with.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    for j, row in enumerate(rows):
-        v, combo = row, 1 << j
-        while v:
-            low = v & -v
-            if low in pivots:
-                pv, pc = pivots[low]
-                v ^= pv
-                combo ^= pc
-            else:
-                pivots[low] = (v, combo)
-                break
-        if v == 0:
-            return combo
-    return None
-
-
-def _swap_sym(rows: Sequence[int], a: int, b: int) -> list[int]:
-    """Simultaneous row and column swap (congruence by a transposition)."""
-    out = list(rows)
-    if a == b:
-        return out
-    for i, r in enumerate(out):
-        ba, bb = r >> a & 1, r >> b & 1
-        if ba != bb:
-            out[i] = r ^ (1 << a) ^ (1 << b)
-    out[a], out[b] = out[b], out[a]
+    m = list(rows)
+    out: list[int] = []
+    while any(m):
+        diag = _diag_mask(m)
+        if diag:
+            u = m[(diag & -diag).bit_length() - 1]
+            m = [r ^ u if u >> t & 1 else r for t, r in enumerate(m)]
+            out.append(u)
+            continue
+        a = next(r for r in m if r)
+        b = m[(a & -a).bit_length() - 1]
+        m = [
+            r ^ (b if a >> t & 1 else 0) ^ (a if b >> t & 1 else 0)
+            for t, r in enumerate(m)
+        ]
+        u = out.pop() if out else 0
+        out += [u ^ a, u ^ b, u ^ a ^ b]
     return out
-
-
-def _shear(rows: Sequence[int], src: int, dst: int) -> list[int]:
-    """Congruence adding coordinate ``src`` into ``dst`` (column op then row op)."""
-    out = list(rows)
-    for i in range(len(out)):
-        if out[i] >> src & 1:
-            out[i] ^= 1 << dst
-    out[dst] ^= out[src]
-    return out
-
-
-def _mat2_vec(cols: tuple[int, int], v: int) -> int:
-    r = 0
-    if v & 1:
-        r ^= cols[0]
-    if v & 2:
-        r ^= cols[1]
-    return r
-
-
-def _factor_square(rows: list[int], n: int) -> list[int] | None:
-    if n == 0:
-        return []
-    if n % 2:
-        return _factor_odd(rows, n)
-    return _factor_even(rows, n)
-
-
-def _factor_odd(rows: list[int], n: int) -> list[int]:
-    """Factor any symmetric matrix of odd order (always possible)."""
-    if n == 1:
-        return [rows[0] & 1]
-    diag = _diag_mask(rows)
-    if diag:
-        i = (diag & -diag).bit_length() - 1
-        cols = _factor_leading_one(_swap_sym(rows, 0, i), n)
-        cols[0], cols[i] = cols[i], cols[0]
-        return cols
-    # All-zero diagonal: factor with the (0,0) entry flipped, then add the
-    # all-ones vector to the first column.  Odd width makes 1.1 = 1, and
-    # every other column has even weight, so only the (0,0) product moves.
-    flipped = list(rows)
-    flipped[0] ^= 1
-    cols = _factor_leading_one(flipped, n)
-    cols[0] ^= (1 << n) - 1
-    return cols
-
-
-def _factor_leading_one(rows: list[int], n: int) -> list[int]:
-    """Factor for odd n >= 3 with m_00 = 1."""
-    for j in range(1, n):
-        if (rows[0] >> j & 1) != (rows[j] >> j & 1):
-            # the 2x2 block on coordinates (0, j) is invertible
-            cols = _factor_pivot_block(_swap_sym(rows, 1, j), n)
-            cols[1], cols[j] = cols[j], cols[1]
-            return cols
-    # Every block on (0, j) is singular, i.e. m_0j = m_jj for all j.  Clear
-    # row/column 0 by shears, flip the (1,1) entry so an invertible block
-    # appears, factor, then rebuild: column 0 becomes all-ones, column 1
-    # absorbs column 0 of the sub-witness, and the shears are undone.
-    targets = [j for j in range(1, n) if rows[0] >> j & 1]
-    sheared = list(rows)
-    for j in targets:
-        sheared = _shear(sheared, 0, j)
-    sheared[1] ^= 2
-    cols = _factor_pivot_block(sheared, n)
-    ones = (1 << n) - 1
-    cols[1] ^= cols[0]
-    cols[0] = ones
-    for j in targets:
-        cols[j] ^= ones
-    return cols
-
-
-# Column pairs of the two invertible symmetric 2x2 blocks with m_00 = 1,
-# their inverses, and preselected 2x2 witnesses.
-_PIVOT_TABLE = {
-    0: ((1, 2), (1, 2)),  # identity block: inverse and witness are both I
-    1: ((2, 3), (1, 3)),  # [[1,1],[1,0]]: inverse [[0,1],[1,1]], witness cols (1,0),(1,1)
-}
-
-
-def _factor_pivot_block(rows: list[int], n: int) -> list[int]:
-    """Factor via the Schur complement of an invertible leading 2x2 block."""
-    a01 = rows[0] >> 1 & 1
-    assert rows[0] & 1 and a01 != (rows[1] >> 1 & 1), "pivot block must be invertible"
-    ainv, ua = _PIVOT_TABLE[a01]
-    m = n - 2
-    bcols = [((rows[0] >> j & 1) | ((rows[1] >> j & 1) << 1)) for j in range(2, n)]
-    ainv_b = [_mat2_vec(ainv, b) for b in bcols]
-    srows = []
-    for i in range(m):
-        r = rows[i + 2] >> 2
-        bi = bcols[i]
-        for j in range(m):
-            if (bi & ainv_b[j]).bit_count() & 1:
-                r ^= 1 << j
-        srows.append(r)
-    sub = _factor_square(srows, m)
-    assert sub is not None  # odd recursion cannot fail
-    cols = [ua[0], ua[1]]
-    for j in range(m):
-        cols.append(_mat2_vec(ua, ainv_b[j]) | (sub[j] << 2))
-    return cols
-
-
-def _factor_even(rows: list[int], n: int) -> list[int] | None:
-    """Factor a symmetric matrix of even order, or None when impossible.
-
-    Possible exactly when some diagonal entry is 1 or the matrix is
-    singular; a nonsingular matrix with zero diagonal forces every witness
-    column into the even-weight hyperplane, which cannot carry full rank.
-    """
-    diag = _diag_mask(rows)
-    if diag:
-        i = (diag & -diag).bit_length() - 1
-        work = _swap_sym(rows, 0, i)
-        b = work[0] >> 1
-        srows = []
-        for j in range(n - 1):
-            r = work[j + 1] >> 1
-            if b >> j & 1:
-                r ^= b
-            srows.append(r)
-        sub = _factor_odd(srows, n - 1)
-        cols = [1] + [(b >> j & 1) | (sub[j] << 1) for j in range(n - 1)]
-        cols[0], cols[i] = cols[i], cols[0]
-        return cols
-    x = _null_vector(rows)
-    if x is None:
-        return None
-    # Change basis so a kernel vector becomes coordinate 0: its row and
-    # column vanish, the rest has odd order.
-    p = (x & -x).bit_length() - 1
-    work = _swap_sym(rows, 0, p)
-    b0, bp = x & 1, x >> p & 1
-    xs = x ^ ((b0 ^ bp) | ((b0 ^ bp) << p))
-    targets = [q for q in range(1, n) if xs >> q & 1]
-    for q in targets:
-        work = _shear(work, q, 0)
-    assert work[0] == 0, "kernel reduction must clear row 0"
-    sub = _factor_odd([r >> 1 for r in work[1:]], n - 1)
-    cols = [0] + [c << 1 for c in sub]
-    c0 = 0
-    for q in targets:
-        c0 ^= cols[q]
-    cols[0] = c0
-    cols[0], cols[p] = cols[p], cols[0]
-    return cols
 
 
 def gram_factor(M: SymMatrix) -> GramFactorization | None:
-    """Factor M = U^t U with U square over GF(2).
+    """Factor M = U^t U over GF(2) with U square and fewest nonzero rows.
 
-    Odd order always factors.  Even order factors exactly when M has a
-    nonzero diagonal entry or is singular; otherwise returns None (a
-    value, not a fault).
+    The columns of U are the witness vectors.  Exactly their first
+    ``min_gram_dim(M)`` coordinates are used (:func:`_peel`); the rest are
+    zero padding up to width n.  So odd order always factors, and even
+    order factors exactly when M has a nonzero diagonal entry or is
+    singular; otherwise the return is None (a value, not a fault).
     """
-    cols = _factor_square(list(M.rows), M.n)
-    if cols is None:
+    n = M.n
+    peeled = _peel(M.rows)
+    if len(peeled) > n:
         return None
+    cols = [0] * n
+    for t, u in enumerate(peeled):
+        for j in range(n):
+            if u >> j & 1:
+                cols[j] |= 1 << t
     return GramFactorization(
-        k=M.n, columns=tuple(BitVec(M.n, c) for c in cols), target=M
+        k=n, columns=tuple(BitVec(n, c) for c in cols), target=M
     )
 
 

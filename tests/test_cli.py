@@ -9,7 +9,7 @@ import pytest
 
 import invlab
 
-from invlab import cli, digraph, solver
+from invlab import cli, construct, digraph, solver
 from invlab.construct import MAX_EXPR_DEPTH
 from invlab.errors import CriterionViolationError
 from invlab.construct import qn, qn_family
@@ -85,6 +85,12 @@ class TestInvLimits:
             "--deterministic",
         )
         assert code == 0 and out.startswith("inv=2 ") and "backend=order" in out
+
+    @pytest.mark.parametrize("expr", ["tt(1000000000)", "qn(1000000000)"])
+    def test_above_vertex_limit_exit_one(self, capsys, expr):
+        code, out, err = run(capsys, "inv", "expr:" + expr)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(digraph.MAX_VERTICES) in err
 
     def test_deep_nesting_exit_one(self, capsys):
         deep = "rev(" * 3000 + "c3" + ")" * 3000
@@ -219,6 +225,24 @@ class TestExperiments:
         )
         assert code == 2 and "unknown=0" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thm13", "--n-max", "5", "--budget", "5"),
+            ("thm15", "--budget", "5"),
+            ("thm13", "--n-max", "5", "--max-k", "1"),
+            ("thm15", "--max-k", "0"),
+        ],
+    )
+    def test_unresolved_base_is_unknown_exit_two(self, capsys, argv):
+        # base values are solved by the checker, so an exhausted budget or
+        # max-k is an UNKNOWN line, not a traceback or a dropped instance
+        code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
+        assert code == 2
+        instances = [line for line in out.splitlines() if line.startswith("instance")]
+        assert instances and all(line.endswith(": UNKNOWN") for line in instances)
+        assert f"total={len(instances)} pass=0 fail=0 unknown={len(instances)}" in out
+
     def test_deterministic_reports_identical_across_jobs(self, capsys):
         _, serial, _ = run(
             capsys, "experiment", "direction", "--n-max", "3", "--deterministic"
@@ -281,6 +305,30 @@ class TestExperimentLimits:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "--n-max" in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("conj-direction", "--left-n", "-1"), ("conj-direction", "--right-n", "-2")],
+    )
+    def test_negative_tournament_order_names_flag(self, capsys, no_enumeration, argv):
+        code, out, err = run(capsys, "experiment", *argv, "--deterministic")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert argv[1] in lines[0]
+
+    def test_qn_above_vertex_limit_exit_one(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("qn built before --n-max was checked")
+
+        monkeypatch.setattr(construct, "qn", refuse)
+        code, out, err = run(
+            capsys, "experiment", "qn", "--n-max", "70", "--deterministic"
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--n-max" in lines[0] and str(digraph.MAX_VERTICES) in lines[0]
 
     def test_criterion_violation_is_a_fail_line(self, capsys, monkeypatch):
         def disagree(D, opts=None):

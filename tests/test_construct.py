@@ -31,6 +31,7 @@ from invlab.construct import (
     transitive,
 )
 from invlab.digraph import (
+    MAX_VERTICES,
     InversionFamily,
     apply_family,
     canonical_key,
@@ -65,6 +66,30 @@ class TestBasicGraphs:
             F = qn_family(n)
             assert F.k == (n - 1) // 2
             assert is_acyclic(apply_family(qn(n), F)) is not None
+
+
+class TestSizeLimits:
+    @pytest.fixture
+    def no_construction(self, monkeypatch):
+        import invlab.construct as construct
+
+        def refuse(n, rows):
+            raise AssertionError("graph built before its size was checked")
+
+        monkeypatch.setattr(construct, "Digraph", refuse)
+
+    @pytest.mark.parametrize("build", [transitive, qn])
+    def test_above_vertex_limit_refused_before_building(self, no_construction, build):
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            build(MAX_VERTICES + 1)
+
+    @pytest.mark.parametrize("text", ["tt(1000000000)", "qn(1000000000)"])
+    def test_huge_expression_refused(self, text):
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            graph_from_expr(text)
+
+    def test_largest_sizes_still_build(self):
+        assert transitive(MAX_VERTICES).n == qn(MAX_VERTICES).n == MAX_VERTICES
 
 
 class TestDijoinAndJoin:

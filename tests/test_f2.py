@@ -1,5 +1,7 @@
 """GF(2) vector/matrix operations and the Gram factorization machinery."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -122,6 +124,30 @@ class TestGramFactor:
             assert (f is not None) == feasible
             if f is not None:
                 assert gram_of(f.columns) == M
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_width_is_min_gram_dim_exhaustive(self, n):
+        # the witness fills exactly the first min_gram_dim(M) coordinates
+        for M in all_symmetric(n):
+            f = gram_factor(M)
+            if f is not None:
+                used = functools.reduce(operator.or_, (c.bits for c in f.columns), 0)
+                assert used == (1 << min_gram_dim(M)) - 1
+
+    def test_random_none_exactly_on_even_nonsingular_zero_diagonal(self):
+        rng = random.Random(2026)
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randint(1, 30)
+            M = random_symmetric(rng, n)
+            if rng.getrandbits(1):
+                M = M.with_diagonal(0)
+            f = gram_factor(M)
+            infeasible = n % 2 == 0 and not M.diagonal() and rank(M) == n
+            assert (f is None) == infeasible
+            assert f is None or f.verify()
+            outcomes.add(infeasible)
+        assert outcomes == {False, True}
 
 
 class TestGramOf:
