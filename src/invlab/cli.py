@@ -403,7 +403,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-k", type=int, default=solver.MAX_K,
                    help="largest family size to try")
     p.add_argument("--budget", type=int, default=None,
-                   help="search node budget (reproducible, not wall time)")
+                   help="search nodes allowed per solve, over all k levels "
+                   "(reproducible, not wall time)")
     p.add_argument("--deterministic", action="store_true",
                    help="suppress timings so output is bit-identical across runs")
 

@@ -7,7 +7,16 @@ Three independent backends:
   assignment is pruned as soon as the flipped subgraph on the assigned
   vertices contains a cycle.  The only symmetry broken is permutation of
   family positions (coordinate permutation of all vectors at once), which
-  maps decycling families to decycling families and is therefore sound.
+  maps decycling families to decycling families and is therefore sound:
+  coordinates whose columns agree so far form blocks of consecutive
+  coordinates, and a vertex may only set a prefix of each block.  The
+  list of block lengths (the shape) thus fixes a vertex's candidate
+  list, which each search call builds once per shape and keeps in a
+  dict local to the call, up to ``_MEMO_CAP`` entries in all; a shape
+  past the cap is rebuilt at each node that needs it.  Per coordinate
+  c the search keeps a column mask of the earlier positions whose
+  vector sets c, so the pattern of arcs a candidate reverses is the XOR
+  of the masks of its set coordinates.
 
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
@@ -20,8 +29,9 @@ Three independent backends:
 
 Every returned witness is checked to decycle its graph before it leaves
 this module.  Budgets are counted in search nodes, not wall time, so runs
-are reproducible; searches are single-threaded, so results (and witnesses)
-are identical run to run.
+are reproducible; ``inv_exact`` counts all its k levels against one
+budget.  Searches are single-threaded, so results (and witnesses) are
+identical run to run.
 """
 
 from __future__ import annotations
@@ -122,10 +132,44 @@ def _vertex_order(D: Digraph) -> list[int]:
     )
 
 
+# entries of candidate lists one search call may keep; a shape whose list
+# would pass this is rebuilt at each node that needs it instead of stored
+_MEMO_CAP = 1 << 16
+
+
+def _candidates(
+    shape: tuple[int, ...], even_only: bool
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Canonical vectors for a vertex whose blocks have lengths ``shape``.
+
+    Entries are ``(w, coordinates set in w, shape after w)``, the last
+    block's prefix length varying fastest; ``even_only`` drops odd weights.
+    """
+    out = []
+    for counts in product(*(range(m + 1) for m in shape)):
+        coords: list[int] = []
+        nxt = []
+        start = 0
+        for m, c in zip(shape, counts):
+            coords.extend(range(start, start + c))
+            if 0 < c:
+                nxt.append(c)
+            if c < m:
+                nxt.append(m - c)
+            start += m
+        if even_only and len(coords) & 1:
+            continue
+        out.append((sum(1 << c for c in coords), tuple(coords), tuple(nxt)))
+    return out
+
+
 def _search_assignment(
-    D: Digraph, k: int, opts: SearchOptions
+    D: Digraph, k: int, opts: SearchOptions, spent: int = 0
 ) -> tuple[VectorAssignment | None, int]:
-    """Complete DFS for a decycling assignment of width k; (witness, nodes)."""
+    """Complete DFS for a decycling assignment of width k; (witness, nodes).
+
+    ``spent`` nodes of ``opts.budget`` are already used by the caller.
+    """
     n = D.n
     if n == 0:
         return VectorAssignment(k, ()), 0
@@ -143,66 +187,71 @@ def _search_assignment(
                 bwd[t] |= 1 << s
 
     budget = opts.budget
+    limit = None if budget is None else budget - spent
     even_only = opts.even_weight_only
+    memo: dict[tuple[int, ...], list] = {}
+    stored = 0
     vec = [0] * n
+    cols = [0] * k  # cols[c] bit s: vec[s] sets coordinate c
     reach = [0] * n  # transitive closure of the flipped prefix graph
     nodes = 0
 
-    def candidates(blocks: list[tuple[int, ...]]):
-        # Coordinates with identical columns so far are interchangeable;
-        # within each block only prefixes of ones are canonical.
-        for counts in product(*(range(len(b) + 1) for b in blocks)):
-            w = 0
-            nb = []
-            for b, c in zip(blocks, counts):
-                for idx in b[:c]:
-                    w |= 1 << idx
-                if 0 < c:
-                    nb.append(b[:c])
-                if c < len(b):
-                    nb.append(b[c:])
-            yield w, nb
-
-    def dfs(t: int, blocks: list[tuple[int, ...]]) -> bool:
-        nonlocal nodes
-        for w, nb in candidates(blocks):
-            if even_only and w.bit_count() & 1:
-                continue
+    def dfs(t: int, shape: tuple[int, ...]) -> bool:
+        nonlocal nodes, stored
+        cands = memo.get(shape)
+        if cands is None:
+            cands = _candidates(shape, even_only)
+            if stored + len(cands) <= _MEMO_CAP:
+                memo[shape] = cands
+                stored += len(cands)
+        bit = 1 << t
+        ft = fwd[t]
+        bt = bwd[t]
+        for w, coords, nxt in cands:
             nodes += 1
-            if budget is not None and nodes > budget:
+            if limit is not None and nodes > limit:
                 raise BudgetExceededError(
                     f"assignment search exceeded {budget} nodes"
                 )
+            # bit s of flip: parity of vec[s] & w
             flip = 0
-            for s in range(t):
-                if (vec[s] & w).bit_count() & 1:
-                    flip |= 1 << s
-            out_t = (bwd[t] & ~flip) | (fwd[t] & flip)
-            in_t = (fwd[t] & ~flip) | (bwd[t] & flip)
+            for c in coords:
+                flip ^= cols[c]
+            swap = (ft | bt) & flip  # arcs the prefix vectors reverse
+            out_t = bt ^ swap
+            in_t = ft ^ swap
+            # out_t and in_t are disjoint, so a cycle through t is a path
+            # from a head in out_t back to a tail in in_t; stop at the first
             acc = out_t
             tmp = out_t
             while tmp:
-                y = (tmp & -tmp).bit_length() - 1
-                acc |= reach[y]
-                tmp &= tmp - 1
-            if acc & in_t:
+                low = tmp & -tmp
+                r = reach[low.bit_length() - 1]
+                if r & in_t:
+                    break
+                acc |= r
+                tmp ^= low
+            if tmp:
                 continue  # a cycle through this vertex already exists
             vec[t] = w
             if t + 1 == n:
                 return True
             saved = reach[:t]
             reach[t] = acc
-            add = (1 << t) | acc
+            add = bit | acc
             for s in range(t):
                 if (in_t >> s & 1) or (reach[s] & in_t):
                     reach[s] |= add
-            if dfs(t + 1, nb):
+            for c in coords:
+                cols[c] |= bit
+            if dfs(t + 1, nxt):
                 return True
+            for c in coords:
+                cols[c] ^= bit
             reach[:t] = saved
         return False
 
-    blocks = [tuple(range(k))] if k else []
-    if not dfs(0, blocks):
+    if not dfs(0, (k,) if k else ()):
         return None, nodes
     vecs = [BitVec(k, 0)] * n
     for t, v in enumerate(order):
@@ -233,13 +282,17 @@ def _certify(D: Digraph, family: InversionFamily) -> None:
 
 
 def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
-    """Inversion number by iterative deepening over the family size."""
+    """Inversion number by iterative deepening over the family size.
+
+    ``opts.budget`` caps the nodes of all levels together, so
+    ``nodes_explored`` never exceeds it.
+    """
     if opts is None:
         opts = SearchOptions()
     start = time.perf_counter()
     total = 0
     for k in range(opts.max_k + 1):
-        found, nodes = _search_assignment(D, k, opts)
+        found, nodes = _search_assignment(D, k, opts, total)
         total += nodes
         if found is not None:
             family = assignment_to_family(found)

@@ -98,3 +98,22 @@ def nonisomorphic_by_key(n: int) -> list[Digraph]:
             seen.add(key)
             reps.append(T)
     return reps
+
+
+def candidates_by_product(blocks: list[tuple[int, ...]]):
+    """Reference candidate generator of the assignment search.
+
+    ``blocks`` are groups of interchangeable coordinates; each candidate
+    sets a prefix of every block, and yields ``(w, blocks after w)``.
+    """
+    for counts in itertools.product(*(range(len(b) + 1) for b in blocks)):
+        w = 0
+        nb = []
+        for b, c in zip(blocks, counts):
+            for idx in b[:c]:
+                w |= 1 << idx
+            if 0 < c:
+                nb.append(b[:c])
+            if c < len(b):
+                nb.append(b[c:])
+        yield w, nb

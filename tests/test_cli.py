@@ -61,6 +61,17 @@ class TestInvCommand:
         )
         assert code == 2 and out.startswith("inv=unknown")
 
+    def test_budget_counts_the_whole_solve(self, capsys):
+        # qn(10) needs 27768 nodes over its five k levels
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(10)", "--budget", "27000", "--deterministic"
+        )
+        assert code == 2 and out.startswith("inv=unknown reason=")
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(10)", "--budget", "27768", "--deterministic"
+        )
+        assert code == 0 and out.startswith("inv=4 ") and "nodes=27768" in out
+
     def test_parse_error_exit_one(self, capsys):
         code, _, err = run(capsys, "inv", "expr:qn(")
         assert code == 1 and "offset 3" in err

@@ -6,10 +6,12 @@ import random
 import pytest
 
 from invlab import f2, solver
-from invlab.construct import c3, dijoin, k_join, qn, transitive
+from invlab.construct import c3, dijoin, graph_from_expr, k_join, qn, transitive
 from invlab.digraph import (
     InversionFamily,
     apply_family,
+    assignment_to_family,
+    dump_family,
     enumerate_tournaments,
     family_to_assignment,
     is_acyclic,
@@ -32,7 +34,7 @@ from invlab.solver import (
     rank_lower_bound_check,
 )
 
-from helpers import random_oriented, random_tournament
+from helpers import candidates_by_product, random_oriented, random_tournament
 
 
 class TestExistsFamily:
@@ -314,3 +316,122 @@ def _reindex(F: InversionFamily, mask: int) -> InversionFamily:
     for s in F.sets:
         sets.append(sum(1 << i for i, v in enumerate(verts) if s >> v & 1))
     return InversionFamily(len(verts), tuple(sets))
+
+
+def compositions(k):
+    """Every tuple of positive parts summing to k (the block shapes of width k)."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in compositions(k - first):
+            yield (first,) + rest
+
+
+def blocks_of(shape):
+    blocks, start = [], 0
+    for m in shape:
+        blocks.append(tuple(range(start, start + m)))
+        start += m
+    return blocks
+
+
+class TestCandidateLists:
+    def test_matches_product_oracle(self):
+        for k in range(8):
+            for shape in compositions(k):
+                for even_only in (False, True):
+                    got = [
+                        (w, coords, blocks_of(nxt))
+                        for w, coords, nxt in solver._candidates(shape, even_only)
+                    ]
+                    want = [
+                        (w, tuple(c for c in range(k) if w >> c & 1), nb)
+                        for w, nb in candidates_by_product(blocks_of(shape))
+                        if not (even_only and w.bit_count() & 1)
+                    ]
+                    assert got == want, (shape, even_only)
+
+
+# node counts per k level and the witness of the search before the shape
+# memo and the column-mask flip; the search tree must not change
+PINNED_TREES = [
+    ("qn(9)", [5, 56, 785, 25342, 515], "1 2\n5 6 8\n3 4\n4 5\n"),
+    ("qn(10)", [5, 56, 785, 26374, 548], "1 2\n6 7 9\n3 4\n5 6\n"),
+    ("join(c3,c3,c3,c3)", [3, 32, 601, 22686, 67], "1 2\n10 11\n4 5\n7 8\n"),
+    (
+        "blowup_uniform(c3;c3,3)",
+        [3, 32, 529, 17718, 251],
+        "1 2\n3 6 7 8\n4 5 6 7 8\n7 8\n",
+    ),
+    ("dijoin(c3,c3)", [3, 32, 18], "1 2\n4 5\n"),
+]
+PINNED_EVEN_QN9 = [5, 5, 62, 244, 2588, 235]
+PINNED_EVEN_QN9_WITNESS = "1 2 6\n1 6\n3 5 6 8\n5 8\n2 3 6\n"
+
+
+def level_counts(D, opts):
+    counts = []
+    for k in range(solver.MAX_K + 1):
+        found, nodes = solver._search_assignment(D, k, opts)
+        counts.append(nodes)
+        if found is not None:
+            return counts, dump_family(assignment_to_family(found))
+    raise AssertionError("no witness up to MAX_K")
+
+
+class TestSearchTreePinned:
+    @pytest.fixture(params=["memo", "uncached"])
+    def memo_cap(self, request, monkeypatch):
+        if request.param == "uncached":
+            monkeypatch.setattr(solver, "_MEMO_CAP", 1)
+
+    @pytest.mark.parametrize(
+        "expr,counts,witness", PINNED_TREES, ids=[e for e, _, _ in PINNED_TREES]
+    )
+    def test_levels_and_witness(self, memo_cap, expr, counts, witness):
+        D = graph_from_expr(expr)
+        assert level_counts(D, SearchOptions()) == (counts, witness)
+        r = inv_exact(D)
+        assert r.nodes_explored == sum(counts)
+        assert dump_family(r.witness) == witness
+
+    def test_even_weight_levels_and_witness(self, memo_cap):
+        opts = SearchOptions(even_weight_only=True)
+        assert level_counts(qn(9), opts) == (PINNED_EVEN_QN9, PINNED_EVEN_QN9_WITNESS)
+
+    def test_memo_is_per_call_and_capped(self, monkeypatch):
+        built = []
+        candidates = solver._candidates
+
+        def spy(shape, even_only):
+            built.append(shape)
+            return candidates(shape, even_only)
+
+        monkeypatch.setattr(solver, "_candidates", spy)
+        D = qn(10)
+        solver._search_assignment(D, 3, SearchOptions())
+        once = list(built)
+        assert len(once) == len(set(once))  # each shape built once per call
+        solver._search_assignment(D, 3, SearchOptions())
+        assert built == once + once  # nothing kept between calls
+        built.clear()
+        monkeypatch.setattr(solver, "_MEMO_CAP", 1)
+        solver._search_assignment(D, 3, SearchOptions())
+        assert len(built) > len(once)  # shapes past the cap are rebuilt
+
+
+class TestBudgetPerSolve:
+    # qn(10) explores 5 + 56 + 785 + 26374 + 548 = 27768 nodes in all
+    def test_budget_caps_the_whole_solve(self):
+        with pytest.raises(BudgetExceededError, match="27000 nodes"):
+            inv_exact(qn(10), SearchOptions(budget=27_000))
+        r = inv_exact(qn(10), SearchOptions(budget=27_768))
+        assert r.value == 4 and r.nodes_explored == 27_768
+
+    def test_budget_spent_before_the_last_level(self):
+        spent = 5 + 56 + 785 + 26374
+        with pytest.raises(BudgetExceededError, match=f"{spent} nodes"):
+            inv_exact(qn(10), SearchOptions(budget=spent))
+        r = inv_exact(qn(10), SearchOptions(budget=spent, max_k=3))
+        assert not r.resolved and r.nodes_explored == spent
