@@ -8,6 +8,14 @@ Graph sources anywhere a file is accepted:
 * ``enc:<n>:<hex rows>``  (the single-line encoding experiment reports
   embed, so any report line can be replayed directly).
 
+An experiment's builder lists instances; its checker is a generator over
+one instance that yields the graphs whose values it needs, receives their
+values in that order, and returns an ``InstanceResult`` (None outside the
+identity's scope).  ``cmd_experiment`` advances every checker in rounds
+and solves each distinct graph (by encoding) once per sweep, one pool map
+per round.  Reading a value whose solve ran out of budget raises
+``ResourceLimitError`` in the checker, which makes the instance UNKNOWN.
+
 Exit codes: 0 all passed / resolved, 1 usage error, 2 unknowns present
 (budget ran out somewhere), 3 a checked identity failed (a finding).
 """
@@ -15,10 +23,12 @@ Exit codes: 0 all passed / resolved, 1 usage error, 2 unknowns present
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 import time
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -106,53 +116,51 @@ class InstanceResult:
     detail: str
 
 
-def _inv(D: digraph.Digraph, opts: solver.SearchOptions) -> int | None:
-    return solver.inv_exact(D, opts).value
+_Checker = Generator[list, Iterator, InstanceResult | None]
 
 
-def _check_thm13(inst: str, opts: solver.SearchOptions) -> InstanceResult | None:
+def _check_thm13(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = digraph.decode_digraph(inst)
-    k = _inv(D, opts)
+    (k,) = yield [D]
     if k is None:
         return InstanceResult(inst, "UNKNOWN", "base value unresolved")
     if k < 2 or k % 2:
         return None  # outside the theorem: even values of at least 2
-    joined = construct.dijoin(construct.c3(), D)
-    got = _inv(joined, opts)
+    (got,) = yield [construct.dijoin(construct.c3(), D)]
     if got is None:
         return InstanceResult(inst, "UNKNOWN", f"inv={k} dijoin unresolved")
     detail = f"inv={k} dijoin_inv={got} expect={k + 1}"
     return InstanceResult(inst, "PASS" if got == k + 1 else "FAIL", detail)
 
 
-def _check_direction(inst: str, opts: solver.SearchOptions) -> InstanceResult:
+def _check_direction(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = digraph.decode_digraph(inst)
-    ahead = _inv(construct.dijoin(construct.c3(), D), opts)
-    behind = _inv(construct.dijoin(D, construct.c3()), opts)
+    ahead, behind = yield [
+        construct.dijoin(construct.c3(), D),
+        construct.dijoin(D, construct.c3()),
+    ]
     if ahead is None or behind is None:
         return InstanceResult(inst, "UNKNOWN", "a dijoin value is unresolved")
     detail = f"c3_first={ahead} c3_last={behind}"
     return InstanceResult(inst, "PASS" if ahead == behind else "FAIL", detail)
 
 
-def _check_abnormal(inst: str, opts: solver.SearchOptions) -> InstanceResult:
+def _check_abnormal(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = construct.graph_from_expr(inst)
     triple = construct.k_join([construct.c3(), construct.c3(), D])
-    joined = construct.dijoin(construct.c3(), D)
-    left = _inv(triple, opts)
-    right = _inv(joined, opts)
+    left, right = yield [triple, construct.dijoin(construct.c3(), D)]
     if left is None or right is None:
         return InstanceResult(inst, "UNKNOWN", "a value is unresolved")
     detail = f"triple_join_inv={left} dijoin_inv={right} expect={right + 1}"
     return InstanceResult(inst, "PASS" if left == right + 1 else "FAIL", detail)
 
 
-def _check_kjoin(inst: str, opts: solver.SearchOptions) -> InstanceResult:
+def _check_kjoin(inst: str, opts: solver.SearchOptions) -> _Checker:
     tree = construct.parse_expr(inst)
     if not isinstance(tree, construct.JoinExpr):
         return InstanceResult(inst, "UNKNOWN", "instance must be a join expression")
     parts = [construct.eval_expr(p) for p in tree.parts]
-    invs = [_inv(p, opts) for p in parts]
+    invs = list((yield parts))
     if any(v is None for v in invs):
         return InstanceResult(inst, "UNKNOWN", "a part value is unresolved")
     special = [i for i, v in enumerate(invs) if v != 1]
@@ -161,22 +169,21 @@ def _check_kjoin(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     j = special[0] if special else 0
     tight = solver.is_c3_tight(parts[j], opts)
     expect = sum(invs) - (1 if tight else 0)
-    got = _inv(construct.k_join(parts), opts)
+    (got,) = yield [construct.k_join(parts)]
     if got is None:
         return InstanceResult(inst, "UNKNOWN", "join value unresolved")
     detail = f"parts={invs} tight={int(tight)} join_inv={got} expect={expect}"
     return InstanceResult(inst, "PASS" if got == expect else "FAIL", detail)
 
 
-def _check_thm15(inst: str, opts: solver.SearchOptions) -> InstanceResult | None:
+def _check_thm15(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = digraph.decode_digraph(inst)
-    base = _inv(D, opts)
+    (base,) = yield [D]
     if base is None:
         return InstanceResult(inst, "UNKNOWN", "base value unresolved")
     if base != 1:
         return None  # outside the theorem: value-1 tournaments only
-    blown = construct.blow_up(D, [construct.c3()] * D.n)
-    got = _inv(blown, opts)
+    (got,) = yield [construct.blow_up(D, [construct.c3()] * D.n)]
     if got is None:
         return InstanceResult(inst, "UNKNOWN", "blow-up value unresolved")
     expect = D.n + 1
@@ -184,7 +191,7 @@ def _check_thm15(inst: str, opts: solver.SearchOptions) -> InstanceResult | None
     return InstanceResult(inst, "PASS" if got == expect else "FAIL", detail)
 
 
-def _check_qn(inst: str, opts: solver.SearchOptions) -> InstanceResult:
+def _check_qn(inst: str, opts: solver.SearchOptions) -> _Checker:
     n, exact = (int(tok) for tok in inst.split(","))
     Q = construct.qn(n)
     F = construct.qn_family(n)
@@ -195,18 +202,17 @@ def _check_qn(inst: str, opts: solver.SearchOptions) -> InstanceResult:
         return InstanceResult(inst, "FAIL", f"n={n} family size {len(F.sets)} != {bound}")
     if not exact:
         return InstanceResult(inst, "PASS", f"n={n} family_ok bound={bound}")
-    value = _inv(Q, opts)
+    (value,) = yield [Q]
     if value is None:
         return InstanceResult(inst, "UNKNOWN", f"n={n} exact value unresolved")
     detail = f"n={n} inv={value} bound={bound}"
     return InstanceResult(inst, "PASS" if value <= bound else "FAIL", detail)
 
 
-def _check_bounds(inst: str, opts: solver.SearchOptions) -> InstanceResult:
+def _check_bounds(inst: str, opts: solver.SearchOptions) -> _Checker:
     n = int(inst)
     worst = 0
-    for T in digraph.nonisomorphic_tournaments(n):
-        v = _inv(T, opts)
+    for v in (yield digraph.nonisomorphic_tournaments(n)):
         if v is None:
             return InstanceResult(inst, "UNKNOWN", f"n={n} a tournament unresolved")
         worst = max(worst, v)
@@ -219,12 +225,11 @@ def _check_bounds(inst: str, opts: solver.SearchOptions) -> InstanceResult:
     return InstanceResult(inst, "PASS", detail)
 
 
-def _check_conj_direction(inst: str, opts: solver.SearchOptions) -> InstanceResult:
+def _check_conj_direction(inst: str, opts: solver.SearchOptions) -> _Checker:
     left_enc, right_enc = inst.split("|")
     L = digraph.decode_digraph(left_enc)
     R = digraph.decode_digraph(right_enc)
-    lr = _inv(construct.dijoin(L, R), opts)
-    rl = _inv(construct.dijoin(R, L), opts)
+    lr, rl = yield [construct.dijoin(L, R), construct.dijoin(R, L)]
     if lr is None or rl is None:
         return InstanceResult(inst, "UNKNOWN", "a dijoin value is unresolved")
     detail = f"lr={lr} rl={rl}"
@@ -348,15 +353,33 @@ EXPERIMENTS = {
 }
 
 
-def _run_one(task: tuple[str, str, solver.SearchOptions]) -> InstanceResult | None:
-    name, inst, opts = task
-    checker = EXPERIMENTS[name][1]
+def _run_one(task: tuple[digraph.Digraph, solver.SearchOptions]) -> int | None | str:
+    """Pool task: one graph's value, None past max_k, or why its budget ran out."""
+    D, opts = task
     try:
-        return checker(inst, opts)
+        return solver.inv_exact(D, opts).value
     except ResourceLimitError as exc:
-        return InstanceResult(inst, "UNKNOWN", f"budget: {exc}")
+        return str(exc)
+
+
+def _read(value: int | None | str) -> int | None:
+    if isinstance(value, str):
+        raise ResourceLimitError(value)
+    return value
+
+
+def _step(
+    inst: str, checker: _Checker, values: Iterator | None
+) -> tuple[list | None, InstanceResult | None]:
+    """Send ``values`` to a checker: (graphs it asks for next, None) or (None, result)."""
+    try:
+        return checker.send(values), None
+    except StopIteration as stop:
+        return None, stop.value
+    except ResourceLimitError as exc:
+        return None, InstanceResult(inst, "UNKNOWN", f"budget: {exc}")
     except CriterionViolationError as exc:
-        return InstanceResult(inst, "FAIL", f"criterion: {exc}")
+        return None, InstanceResult(inst, "FAIL", f"criterion: {exc}")
 
 
 def cmd_experiment(args) -> int:
@@ -367,16 +390,29 @@ def cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     jobs = min(args.jobs, os.cpu_count() or 1)
-    build, _, param_names, _ = EXPERIMENTS[args.name]
+    build, check, param_names, _ = EXPERIMENTS[args.name]
     opts = _options_from_args(args)
     start = time.perf_counter()
     instances = build(args)
-    tasks = [(args.name, inst, opts) for inst in instances]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
-            results = pool.map(_run_one, tasks)
-    else:
-        results = [_run_one(t) for t in tasks]
+    table: dict[str, int | None | str] = {}  # encoding -> _run_one's answer
+    results: list[InstanceResult | None] = [None] * len(instances)
+    # (instance index, checker, encodings of the graphs it waits for)
+    waiting = [(i, check(inst, opts), None) for i, inst in enumerate(instances)]
+    with Pool(jobs) if jobs > 1 and len(instances) > 1 else contextlib.nullcontext() as pool:
+        solve_all = map if pool is None else pool.map
+        while waiting:  # one round: advance every checker, then solve what they ask
+            asked = []
+            todo: dict[str, digraph.Digraph] = {}  # graphs not in the table yet
+            for i, checker, keys in waiting:
+                # lazily, so a value that ran out of budget raises where it is read
+                values = None if keys is None else (_read(table[key]) for key in keys)
+                graphs, results[i] = _step(instances[i], checker, values)
+                if graphs is not None:
+                    keys = [digraph.encode_digraph(G) for G in graphs]
+                    todo.update((k, G) for k, G in zip(keys, graphs) if k not in table)
+                    asked.append((i, checker, keys))
+            table.update(zip(todo, solve_all(_run_one, [(G, opts) for G in todo.values()])))
+            waiting = asked
     # a checker returns None for an instance outside its identity's scope
     results = [r for r in results if r is not None]
 
@@ -451,8 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad usage, but 2 here means unknowns are present
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:

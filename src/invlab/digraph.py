@@ -499,10 +499,10 @@ def decode_digraph(text: str) -> Digraph:
     try:
         head, _, rest = body.partition(":")
         n = int(head)
-        rows = tuple(int(part, 16) for part in rest.split(".")) if n else ()
+        rows = tuple(int(part, 16) for part in rest.split(".")) if rest else ()
     except ValueError:
         raise ValueError(f"malformed digraph encoding {text!r}") from None
-    if n and len(rows) != n:
+    if len(rows) != n:
         raise ValueError(f"encoding declares {n} vertices but has {len(rows)} rows")
     return Digraph(n, rows)
 

@@ -13,8 +13,8 @@ with a nonzero diagonal, rank(M)+1 without (Lempel, "Matrix factorization
 over GF(2) and trace-orthogonal bases", SIAM J. Comput. 1975).  Odd order
 therefore always factors; even order factors exactly when M has a nonzero
 diagonal entry or is singular, and returns ``None`` otherwise.
-:func:`realize_oracle` is the independent brute-force check the width
-rule is validated against.
+The width rule is validated against an independent brute-force
+realization search, a test oracle in ``tests/helpers.py``.
 
 Everything here is a pure function on immutable values and safe to call
 from any number of threads.
@@ -28,10 +28,6 @@ from typing import Sequence
 from .errors import ResourceLimitError
 
 MAX_WIDTH = 64
-
-# Exhaustive realization search refuses instances with more than this many
-# raw assignments (2^(n*k)); override per call for bigger sweeps.
-DEFAULT_ORACLE_BUDGET = 1 << 22
 
 # min_gram_dim_free_diag enumerates all 2^n diagonals.
 FREE_DIAG_LIMIT = 20
@@ -238,52 +234,13 @@ def min_gram_dim(M: SymMatrix) -> int:
     Closed rule: 0 for the zero matrix, rank(M) when some diagonal entry
     is 1, rank(M)+1 for a nonzero matrix with zero diagonal (all witness
     vectors are then even-weight and span at most a hyperplane).  The rule
-    is cross-validated against :func:`realize_oracle` in the test suite.
+    is cross-validated against a brute-force realization search in the
+    test suite.
     """
     if not any(M.rows):
         return 0
     r = rank(M)
     return r if _diag_mask(M.rows) else r + 1
-
-
-def realize_oracle(
-    M: SymMatrix, k: int, node_budget: int = DEFAULT_ORACLE_BUDGET
-) -> list[BitVec] | None:
-    """Exhaustively search for vectors in GF(2)^k whose Gram matrix is M.
-
-    Sound and complete: returns a witness list or None.  Refuses instances
-    whose raw assignment space 2^(n*k) exceeds ``node_budget`` rather than
-    ever returning a wrong answer.
-    """
-    n = M.n
-    if n * k > 0 and (1 << (n * k)) > node_budget:
-        raise ResourceLimitError(
-            f"2^({n}*{k}) assignments exceed the oracle budget {node_budget}"
-        )
-    vecs = [0] * n
-    rows = M.rows
-
-    def fits(t: int, w: int) -> bool:
-        if w.bit_count() & 1 != rows[t] >> t & 1:
-            return False
-        for s in range(t):
-            if (vecs[s] & w).bit_count() & 1 != (rows[s] >> t & 1):
-                return False
-        return True
-
-    def search(t: int) -> bool:
-        if t == n:
-            return True
-        for w in range(1 << k):
-            if fits(t, w):
-                vecs[t] = w
-                if search(t + 1):
-                    return True
-        return False
-
-    if not search(0):
-        return None
-    return [BitVec(k, w) for w in vecs]
 
 
 def min_gram_dim_free_diag(

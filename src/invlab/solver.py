@@ -1,6 +1,6 @@
 """Exact inversion-number solvers with certified witnesses.
 
-Three independent backends:
+Two independent backends:
 
 * ``assign``: iterative deepening over the family size k, searching
   characteristic-vector assignments vertex by vertex.  A partial
@@ -24,8 +24,8 @@ Three independent backends:
   every pair is constrained.  Only the value is its own: the witness
   comes from the assignment search at that value.
 
-* ``subset``: raw enumeration of subset sequences, the ground-truth
-  oracle at tiny sizes.
+The brute-force subset enumeration both are checked against is a test
+oracle and lives in ``tests/helpers.py``.
 
 Every returned witness is checked to decycle its graph before it leaves
 this module.  Budgets are counted in search nodes, not wall time, so runs
@@ -50,7 +50,6 @@ from .digraph import (
     assignment_to_family,
     dump_family,
     family_rank,
-    invert,
     is_acyclic,
 )
 from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
@@ -58,10 +57,7 @@ from .f2 import BitVec, SymMatrix, min_gram_dim_free_diag
 
 MAX_K = 12
 
-BACKENDS = ("assign", "order", "subset")
-
-# subset backend: total number of subset sequences it may enumerate
-DEFAULT_SUBSET_BUDGET = 1 << 21
+BACKENDS = ("assign", "order")
 
 ORDER_BACKEND_MAX_N = 10
 
@@ -408,85 +404,11 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     )
 
 
-def _subset_search(
-    D: Digraph, max_k: int, subset_budget: int
-) -> tuple[int | None, InversionFamily | None, int]:
-    n = D.n
-    per_level = 1 << n
-    total = sum(per_level**k for k in range(max_k + 1))
-    if total > subset_budget:
-        raise ResourceLimitError(
-            f"{total} subset sequences exceed the budget {subset_budget}"
-        )
-    tried = 0
-
-    def level(G: Digraph, chosen: list[int], depth: int) -> list[int] | None:
-        nonlocal tried
-        if depth == 0:
-            tried += 1
-            return list(chosen) if is_acyclic(G) is not None else None
-        for x in range(per_level):
-            chosen.append(x)
-            hit = level(invert(G, x), chosen, depth - 1)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    for k in range(max_k + 1):
-        hit = level(D, [], k)
-        if hit is not None:
-            return k, InversionFamily(n, tuple(hit)), tried
-    return None, None, tried
-
-
-def inv_subset_oracle(
-    D: Digraph, max_k: int = 2, subset_budget: int = DEFAULT_SUBSET_BUDGET
-) -> int | None:
-    """Ground-truth oracle: enumerate all subset sequences up to length max_k.
-
-    Returns the inversion number when it is at most max_k, else None.
-    Refuses instances whose sequence count exceeds ``subset_budget``.
-    """
-    value, _, _ = _subset_search(D, max_k, subset_budget)
-    return value
-
-
-def inv_subset_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
-    """InvResult wrapper around the subset oracle (witness included).
-
-    The depth is clipped to the deepest level whose sequence count fits
-    the budget, so the result may be a bounded unknown.
-    """
-    if opts is None:
-        opts = SearchOptions()
-    budget = opts.budget if opts.budget is not None else DEFAULT_SUBSET_BUDGET
-    per_level = 1 << D.n
-    max_k = -1
-    total = 0
-    while max_k < opts.max_k and total + per_level ** (max_k + 1) <= budget:
-        max_k += 1
-        total += per_level**max_k
-    if max_k < 0:
-        raise ResourceLimitError("subset budget does not even cover the empty family")
-    start = time.perf_counter()
-    value, family, tried = _subset_search(D, max_k, budget)
-    elapsed = time.perf_counter() - start
-    if value is None:
-        return InvResult(None, None, "subset", tried, elapsed, max_k)
-    _certify(D, family)
-    return InvResult(value, family, "subset", tried, elapsed, value - 1)
-
-
 def solve(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     """Dispatch on ``opts.backend``."""
-    if opts is None:
-        opts = SearchOptions()
-    if opts.backend == "assign":
-        return inv_exact(D, opts)
-    if opts.backend == "order":
+    if opts is not None and opts.backend == "order":
         return inv_order_backend(D, opts)
-    return inv_subset_backend(D, opts)
+    return inv_exact(D, opts)
 
 
 def is_c3_tight(D: Digraph, opts: SearchOptions | None = None) -> bool:

@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests (seeded, reproducible)."""
+"""Shared generators for randomized tests (seeded, reproducible), and the
+brute-force oracles the library is checked against."""
 
 from __future__ import annotations
 
@@ -10,8 +11,11 @@ from invlab.digraph import (
     InversionFamily,
     canonical_key,
     enumerate_tournaments,
+    invert,
+    is_acyclic,
 )
-from invlab.f2 import SymMatrix
+from invlab.errors import ResourceLimitError
+from invlab.f2 import BitVec, SymMatrix
 
 
 def random_symmetric(rng: random.Random, n: int) -> SymMatrix:
@@ -117,3 +121,60 @@ def candidates_by_product(blocks: list[tuple[int, ...]]):
             if c < len(b):
                 nb.append(b[c:])
         yield w, nb
+
+
+def inv_subset_oracle(D: Digraph, max_k: int = 2, subset_budget: int = 1 << 21) -> int | None:
+    """Ground-truth inversion number: try every subset sequence up to length max_k.
+
+    Returns the inversion number when it is at most max_k, else None.
+    Refuses instances whose sequence count exceeds ``subset_budget``.
+    """
+    per_level = 1 << D.n
+    total = sum(per_level**k for k in range(max_k + 1))
+    if total > subset_budget:
+        raise ResourceLimitError(f"{total} subset sequences exceed the budget {subset_budget}")
+
+    def decyclable(G: Digraph, depth: int) -> bool:
+        if depth == 0:
+            return is_acyclic(G) is not None
+        return any(decyclable(invert(G, x), depth - 1) for x in range(per_level))
+
+    return next((k for k in range(max_k + 1) if decyclable(D, k)), None)
+
+
+def realize_oracle(M: SymMatrix, k: int, node_budget: int = 1 << 22) -> list[BitVec] | None:
+    """Exhaustively search for vectors in GF(2)^k whose Gram matrix is M.
+
+    Sound and complete: returns a witness list or None.  Refuses instances
+    whose raw assignment space 2^(n*k) exceeds ``node_budget`` rather than
+    ever returning a wrong answer.
+    """
+    n = M.n
+    if n * k > 0 and (1 << (n * k)) > node_budget:
+        raise ResourceLimitError(
+            f"2^({n}*{k}) assignments exceed the oracle budget {node_budget}"
+        )
+    vecs = [0] * n
+    rows = M.rows
+
+    def fits(t: int, w: int) -> bool:
+        if w.bit_count() & 1 != rows[t] >> t & 1:
+            return False
+        for s in range(t):
+            if (vecs[s] & w).bit_count() & 1 != (rows[s] >> t & 1):
+                return False
+        return True
+
+    def search(t: int) -> bool:
+        if t == n:
+            return True
+        for w in range(1 << k):
+            if fits(t, w):
+                vecs[t] = w
+                if search(t + 1):
+                    return True
+        return False
+
+    if not search(0):
+        return None
+    return [BitVec(k, w) for w in vecs]

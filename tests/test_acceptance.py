@@ -28,19 +28,20 @@ from invlab.digraph import (
     nonisomorphic_tournaments,
     reverse,
 )
-from invlab.f2 import SymMatrix, gram_factor, gram_of, min_gram_dim, rank, realize_oracle
+from invlab.f2 import SymMatrix, gram_factor, gram_of, min_gram_dim, rank
 from invlab.solver import (
     inv_exact,
     inv_order_backend,
-    inv_subset_oracle,
     rank_lower_bound_check,
 )
 
 from helpers import (
     all_symmetric,
+    inv_subset_oracle,
     random_family,
     random_oriented,
     random_symmetric,
+    realize_oracle,
 )
 
 

@@ -43,12 +43,6 @@ class TestInvCommand:
         )
         assert code == 0 and out.startswith("inv=2 ") and "backend=order" in out
 
-    def test_subset_backend(self, capsys):
-        code, out, _ = run(
-            capsys, "inv", "expr:c3", "--backend", "subset", "--deterministic"
-        )
-        assert code == 0 and out.startswith("inv=1 ") and "backend=subset" in out
-
     def test_bounded_unknown_exit_two(self, capsys):
         code, out, _ = run(
             capsys, "inv", "expr:c3", "--max-k", "0", "--deterministic"
@@ -71,6 +65,25 @@ class TestInvCommand:
             capsys, "inv", "expr:qn(10)", "--budget", "27768", "--deterministic"
         )
         assert code == 0 and out.startswith("inv=4 ") and "nodes=27768" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("experiment", "thm13", "--n-max", "x"),  # not an int
+            ("inv", "expr:c3", "--backend", "subset"),  # not a backend
+            ("inv",),  # no graph
+            ("experiment",),  # no experiment name
+            (),  # no command
+        ],
+    )
+    def test_argparse_usage_error_exit_one(self, capsys, argv):
+        # argparse's own exit status 2 would read as "unknowns present"
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "error:" in err
+
+    def test_help_exit_zero(self, capsys):
+        code, out, _ = run(capsys, "inv", "--help")
+        assert code == 0 and "--backend {assign,order}" in out
 
     def test_parse_error_exit_one(self, capsys):
         code, _, err = run(capsys, "inv", "expr:qn(")
@@ -276,6 +289,57 @@ class TestExperiments:
         assert code == 0 and replay.startswith("inv=2 ")
 
 
+class TestValueTable:
+    """Checkers ask for graphs; each distinct graph is solved once per sweep."""
+
+    # stdout sha256 of the checker-solves-its-own-graphs code, recorded
+    # before the value table replaced it
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("kjoin", "--budget", "40"),
+             "6e883c1dce735d73506647879a0cf1ba2624502bbb96eaf513d6e5d7f5b28d97"),
+            (("direction", "--n-max", "4", "--budget", "5"),
+             "9c19ec9a3d1615028ce4f1c57f75a2e4cad7ff871d09e3cd2f1b4339cb6e77e7"),
+            (("conj-direction", "--left-n", "4", "--right-n", "4", "--budget", "60"),
+             "d12f9b1a4e649fac9e9f3f17b820b6923caceb4902810258a88b2fc2ebc0e868"),
+            # at n=6 a class past max-k comes before one past the budget, and
+            # the line names the first, as a solve-as-you-read checker would
+            (("bounds", "--n-max", "6", "--max-k", "1", "--budget", "50"),
+             "c9b91b82a1d083abe866f20268302c3bc4dca13e67ab9dd91c0399f980116373"),
+        ],
+    )
+    def test_budget_stdout_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_each_distinct_graph_solved_once(self, capsys, monkeypatch):
+        solved = []
+        inv_exact = solver.inv_exact
+
+        def spy(D, opts=None):
+            solved.append(digraph.encode_digraph(D))
+            return inv_exact(D, opts)
+
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        code, out, _ = run(
+            capsys,
+            "experiment", "conj-direction", "--left-n", "4", "--right-n", "4",
+            "--deterministic",
+        )
+        assert code == 0 and "total=16 pass=16" in out
+        classes = digraph.nonisomorphic_tournaments(4)
+        asked = {
+            digraph.encode_digraph(construct.dijoin(A, B))
+            for L in classes
+            for R in classes
+            for A, B in ((L, R), (R, L))
+        }
+        assert len(solved) == len(set(solved)) == len(asked) < 2 * 16
+        assert set(solved) == asked
+
+
 class TestExperimentLimits:
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
@@ -393,6 +457,19 @@ class TestJobs:
             "--deterministic",
         )
         assert code == 0 and pools == []
+
+    def test_one_pool_across_rounds(self, capsys, monkeypatch, pools):
+        # thm13 asks for the bases, then for the dijoins of the even ones
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, parallel, _ = run(
+            capsys, "experiment", "thm13", "--n-max", "5", "--jobs", "2",
+            "--deterministic",
+        )
+        assert code == 0 and pools == [2] and "dijoin_inv=" in parallel
+        _, serial, _ = run(
+            capsys, "experiment", "thm13", "--n-max", "5", "--deterministic"
+        )
+        assert parallel == serial
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_one(self, capsys, pools, jobs):

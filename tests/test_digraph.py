@@ -369,3 +369,12 @@ class TestTextFormats:
     def test_encoding_round_trip(self):
         D = qn(5)
         assert decode_digraph(encode_digraph(D)) == D
+
+    def test_empty_encoding_round_trip(self):
+        assert encode_digraph(Digraph(0, ())) == "enc:0:"
+        assert decode_digraph("enc:0:") == Digraph(0, ())
+
+    @pytest.mark.parametrize("text", ["enc:0:zz", "enc:0:0", "enc:00:not.hex.at.all"])
+    def test_empty_encoding_rejects_trailing_text(self, text):
+        with pytest.raises(ValueError):
+            decode_digraph(text)

@@ -20,10 +20,9 @@ from invlab.f2 import (
     min_gram_dim,
     min_gram_dim_free_diag,
     rank,
-    realize_oracle,
 )
 
-from helpers import all_symmetric, random_symmetric
+from helpers import all_symmetric, random_symmetric, realize_oracle
 
 
 def bv(s: str) -> BitVec:

@@ -28,13 +28,16 @@ from invlab.solver import (
     exists_family,
     inv_exact,
     inv_order_backend,
-    inv_subset_backend,
-    inv_subset_oracle,
     is_c3_tight,
     rank_lower_bound_check,
 )
 
-from helpers import candidates_by_product, random_oriented, random_tournament
+from helpers import (
+    candidates_by_product,
+    inv_subset_oracle,
+    random_oriented,
+    random_tournament,
+)
 
 
 class TestExistsFamily:
@@ -183,10 +186,6 @@ class TestSubsetOracle:
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             inv_subset_oracle(transitive(5), max_k=2, subset_budget=10)
-
-    def test_backend_wrapper_bounded_unknown(self):
-        r = inv_subset_backend(k_join([c3(), c3(), c3()]), SearchOptions(budget=600))
-        assert not r.resolved and r.backend == "subset"
 
     def test_agreement_on_small_tournaments(self):
         rng = random.Random(6)
