@@ -29,7 +29,7 @@ from .errors import ResourceLimitError
 
 MAX_WIDTH = 64
 
-# min_gram_dim_free_diag enumerates all 2^n diagonals.
+# min_gram_dim_free_diag's branch and bound may still visit all 2^n diagonals.
 FREE_DIAG_LIMIT = 20
 
 
@@ -251,25 +251,45 @@ def min_gram_dim_free_diag(
     Pairwise products constrain only distinct pairs; self-products are
     free.  Minimizes :func:`min_gram_dim` over all 2^n diagonals and
     returns the minimum with the smallest achieving diagonal.
+
+    Depth-first branch and bound over the diagonal bits: rows are placed
+    from n-1 down to 0, bit 0 before bit 1, so leaves arrive in ascending
+    diagonal order and the first strict improvement is the smallest
+    diagonal reaching the minimum.  Each placed row is reduced against
+    low-bit pivots shared along the path; the rank so far bounds every
+    completion from below, and a subtree whose rank reaches the best
+    width found is pruned.
     """
     n = M.n
     if n > limit:
         raise ResourceLimitError(f"order {n} exceeds the free-diagonal limit {limit}")
     base = [r & ~(1 << i) for i, r in enumerate(M.rows)]
-    best_k = None
-    best_d = 0
-    for d in range(1 << n):
-        rows = [base[i] | ((d >> i & 1) << i) for i in range(n)]
-        if not any(rows):
-            kd = 0
-        else:
-            r = rank_of_rows(rows)
-            kd = r if d else r + 1
-        if best_k is None or kd < best_k:
-            best_k, best_d = kd, d
-            if kd == 0:
-                break
-    assert best_k is not None
+    pivots: dict[int, int] = {}
+    best_k, best_d = n + 2, 0  # above every width, so the first leaf is taken
+
+    def place(i: int, d: int, r: int) -> None:
+        nonlocal best_k, best_d
+        if i < 0:  # r < best_k here, so this leaf improves on the best
+            # a zero diagonal costs one coordinate more, unless M is zero
+            best_k, best_d = (r + 1 if r and not d else r), d
+            return
+        for bit in (0, 1 << i):
+            v = base[i] | bit
+            while v:
+                low = v & -v
+                p = pivots.get(low)
+                if p is None:
+                    if r + 1 < best_k:
+                        pivots[low] = v
+                        place(i - 1, d | bit, r + 1)
+                        del pivots[low]
+                    break
+                v ^= p
+            else:
+                if r < best_k:
+                    place(i - 1, d | bit, r)
+
+    place(n - 1, 0, 0)
     return best_k, BitVec(n, best_d)
 
 

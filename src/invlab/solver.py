@@ -21,8 +21,10 @@ Two independent backends:
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
   Branch and bound over order prefixes; exact for tournaments, where
-  every pair is constrained.  Only the value is its own: the witness
-  comes from the assignment search at that value.
+  every pair is constrained.  A prefix's bound is itself a branch and
+  bound over the diagonal bits, pruned by the rank of the rows placed
+  so far (``f2.min_gram_dim_free_diag``).  Only the value is its own:
+  the witness comes from the assignment search at that value.
 
 The brute-force subset enumeration both are checked against is a test
 oracle and lives in ``tests/helpers.py``.
@@ -336,13 +338,13 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
 
     For each order, the arcs pointing against it are exactly the pairs
     whose vectors must have odd overlap, and the least width realizing
-    those constraints (diagonal free) is computed in closed form; the
-    minimum over orders is the inversion number.  Tournaments only: a
-    missing pair would wrongly be constrained to "no flip".  The value is
-    independent of the assignment backend, for cross-validation; the
-    witness comes from the assignment search at that value (its own node
-    budget, not counted in ``nodes_explored``), and finding none there
-    raises CriterionViolationError.
+    those constraints (diagonal free) is Lempel's rank rule minimized
+    over the diagonal; the minimum over orders is the inversion number.
+    Tournaments only: a missing pair would wrongly be constrained to "no
+    flip".  The value is independent of the assignment backend, for
+    cross-validation; the witness comes from the assignment search at
+    that value (its own node budget, not counted in ``nodes_explored``),
+    and finding none there raises CriterionViolationError.
     """
     if opts is None:
         opts = SearchOptions()

@@ -15,7 +15,7 @@ from invlab.digraph import (
     is_acyclic,
 )
 from invlab.errors import ResourceLimitError
-from invlab.f2 import BitVec, SymMatrix
+from invlab.f2 import BitVec, SymMatrix, rank_of_rows
 
 
 def random_symmetric(rng: random.Random, n: int) -> SymMatrix:
@@ -178,3 +178,22 @@ def realize_oracle(M: SymMatrix, k: int, node_budget: int = 1 << 22) -> list[Bit
     if not search(0):
         return None
     return [BitVec(k, w) for w in vecs]
+
+
+def free_diag_by_loop(M: SymMatrix) -> tuple[int, int]:
+    """Reference free-diagonal minimum: a fresh rank for each of the 2^n diagonals.
+
+    Returns ``(k, d_bits)`` with the smallest diagonal reaching the least
+    width k (Lempel's rule per diagonal: rank, plus one for a zero
+    diagonal on a nonzero matrix).  M's own diagonal is ignored.
+    """
+    n = M.n
+    base = [r & ~(1 << i) for i, r in enumerate(M.rows)]
+    best_k, best_d = None, 0
+    for d in range(1 << n):
+        rows = [base[i] | (d >> i & 1) << i for i in range(n)]
+        r = rank_of_rows(rows)
+        kd = r + 1 if r and not d else r
+        if best_k is None or kd < best_k:
+            best_k, best_d = kd, d
+    return best_k, best_d

@@ -116,6 +116,25 @@ class TestInvLimits:
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(digraph.MAX_VERTICES) in err
 
+    def test_order_backend_non_tournament_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "path.dg"
+        path.write_text(dump_digraph(digraph.Digraph.from_arcs(3, [(0, 1), (1, 2)])))
+        code, out, err = run(capsys, "inv", str(path), "--backend", "order")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_order_backend_above_its_cap_exit_two(self, capsys):
+        code, out, _ = run(capsys, "inv", "expr:qn(11)", "--backend", "order")
+        assert code == 2 and out.startswith("inv=unknown reason=")
+        assert str(solver.ORDER_BACKEND_MAX_N) in out
+
+    def test_order_backend_budget_exit_two(self, capsys):
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(8)", "--backend", "order", "--budget", "100"
+        )
+        assert code == 2 and out.startswith("inv=unknown reason=")
+        assert "100 nodes" in out
+
     def test_deep_nesting_exit_one(self, capsys):
         deep = "rev(" * 3000 + "c3" + ")" * 3000
         code, out, err = run(capsys, "inv", "expr:" + deep)

@@ -22,7 +22,7 @@ from invlab.f2 import (
     rank,
 )
 
-from helpers import all_symmetric, random_symmetric, realize_oracle
+from helpers import all_symmetric, free_diag_by_loop, random_symmetric, realize_oracle
 
 
 def bv(s: str) -> BitVec:
@@ -222,6 +222,25 @@ class TestMinGramDimFreeDiag:
     def test_limit_guard(self):
         with pytest.raises(ResourceLimitError):
             min_gram_dim_free_diag(SymMatrix.zeros(22), limit=21)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_loop_oracle_exhaustively(self, n):
+        # the oracle ignores M's diagonal, so it runs once per off-diagonal pattern
+        expected = {}
+        for M in all_symmetric(n):
+            off = M.with_diagonal(0)
+            if off not in expected:
+                expected[off] = free_diag_by_loop(off)
+            k, d = min_gram_dim_free_diag(M)
+            assert (k, d.width, d.bits) == (expected[off][0], n, expected[off][1])
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_matches_loop_oracle_random(self, n):
+        rng = random.Random(n)
+        for _ in range(10):
+            M = random_symmetric(rng, n)
+            k, d = min_gram_dim_free_diag(M)
+            assert (k, d.bits) == free_diag_by_loop(M)
 
     def test_agrees_with_direct_oracle_minimization(self):
         rng = random.Random(11)

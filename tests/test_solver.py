@@ -12,6 +12,7 @@ from invlab.digraph import (
     apply_family,
     assignment_to_family,
     dump_family,
+    encode_digraph,
     enumerate_tournaments,
     family_to_assignment,
     is_acyclic,
@@ -32,6 +33,7 @@ from invlab.solver import (
     rank_lower_bound_check,
 )
 
+import helpers
 from helpers import (
     candidates_by_product,
     inv_subset_oracle,
@@ -129,11 +131,14 @@ class TestOrderBackendWitness:
 
     @pytest.fixture
     def no_oracle(self, monkeypatch):
+        # the library has no realize_oracle; the test helpers' one must stay unused
+        assert not hasattr(solver, "realize_oracle")
+        assert not hasattr(f2, "realize_oracle")
+
         def refuse(*args, **kwargs):
             raise AssertionError("realize_oracle is a test oracle only")
 
-        monkeypatch.setattr(solver, "realize_oracle", refuse, raising=False)
-        monkeypatch.setattr(f2, "realize_oracle", refuse, raising=False)
+        monkeypatch.setattr(helpers, "realize_oracle", refuse)
 
     def test_witness_without_realize_oracle(self, no_oracle):
         for T in list(enumerate_tournaments(4)) + [qn(7)]:
@@ -418,6 +423,34 @@ class TestSearchTreePinned:
         monkeypatch.setattr(solver, "_MEMO_CAP", 1)
         solver._search_assignment(D, 3, SearchOptions())
         assert len(built) > len(once)  # shapes past the cap are rebuilt
+
+
+# inv_order_backend trees, recorded from the exhaustive-loop bound: the
+# bound's value, not how it is computed, decides which prefixes are cut
+PINNED_ORDER_TREES = [
+    ("qn(7)", "enc:7:7c.79.72.64.48.10.20", 3, 5121),
+    ("qn(8)", "enc:8:fc.f9.f2.e4.c8.90.20.40", 3, 21731),
+    ("random 0", "enc:8:24.4d.18.1.4b.9e.ad.1f", 3, 16402),
+    ("random 1", "enc:8:f4.99.62.85.4c.da.8a.14", 2, 6373),
+    ("random 2", "enc:8:38.59.cb.20.6c.6.29.7b", 3, 18408),
+]
+
+
+def order_pin_graphs():
+    rng = random.Random(7)
+    return [qn(7), qn(8)] + [random_tournament(rng, 8) for _ in range(3)]
+
+
+class TestOrderTreePinned:
+    @pytest.mark.parametrize(
+        "idx", range(len(PINNED_ORDER_TREES)), ids=[p[0] for p in PINNED_ORDER_TREES]
+    )
+    def test_value_and_nodes(self, idx):
+        _, enc, value, nodes = PINNED_ORDER_TREES[idx]
+        T = order_pin_graphs()[idx]
+        assert encode_digraph(T) == enc
+        r = inv_order_backend(T)
+        assert (r.value, r.nodes_explored) == (value, nodes)
 
 
 class TestBudgetPerSolve:
