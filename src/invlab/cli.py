@@ -53,7 +53,6 @@ def resolve_graph_source(source: str) -> digraph.Digraph:
 
 def _options_from_args(args) -> solver.SearchOptions:
     return solver.SearchOptions(
-        backend=getattr(args, "backend", "assign"),
         max_k=args.max_k,
         budget=args.budget,
         even_weight_only=getattr(args, "even_weight_only", False),
@@ -63,8 +62,9 @@ def _options_from_args(args) -> solver.SearchOptions:
 def cmd_inv(args) -> int:
     D = resolve_graph_source(args.graph)
     opts = _options_from_args(args)
+    solve = solver.inv_order_backend if args.backend == "order" else solver.inv_exact
     try:
-        result = solver.solve(D, opts)
+        result = solve(D, opts)
     except ResourceLimitError as exc:
         print(f"inv=unknown reason={exc}")
         return EXIT_UNKNOWN
@@ -167,7 +167,10 @@ def _check_kjoin(inst: str, opts: solver.SearchOptions) -> _Checker:
     if len(special) > 1 or not all(v >= 1 for v in invs):
         return InstanceResult(inst, "UNKNOWN", "instance outside the rule's scope")
     j = special[0] if special else 0
-    tight = solver.is_c3_tight(parts[j], opts)
+    (dijoin_k,) = yield [construct.dijoin(construct.c3(), parts[j])]
+    if dijoin_k is None:
+        raise ResourceLimitError("inversion number of the dijoin unresolved")
+    tight = solver.is_c3_tight(parts[j], invs[j], dijoin_k, opts)
     expect = sum(invs) - (1 if tight else 0)
     (got,) = yield [construct.k_join(parts)]
     if got is None:

@@ -243,9 +243,7 @@ def min_gram_dim(M: SymMatrix) -> int:
     return r if _diag_mask(M.rows) else r + 1
 
 
-def min_gram_dim_free_diag(
-    M: SymMatrix, limit: int = FREE_DIAG_LIMIT
-) -> tuple[int, BitVec]:
+def min_gram_dim_free_diag(M: SymMatrix) -> tuple[int, BitVec]:
     """Minimum Gram dimension when the diagonal is ours to choose.
 
     Pairwise products constrain only distinct pairs; self-products are
@@ -261,8 +259,10 @@ def min_gram_dim_free_diag(
     width found is pruned.
     """
     n = M.n
-    if n > limit:
-        raise ResourceLimitError(f"order {n} exceeds the free-diagonal limit {limit}")
+    if n > FREE_DIAG_LIMIT:
+        raise ResourceLimitError(
+            f"order {n} exceeds the free-diagonal limit {FREE_DIAG_LIMIT}"
+        )
     base = [r & ~(1 << i) for i, r in enumerate(M.rows)]
     pivots: dict[int, int] = {}
     best_k, best_d = n + 2, 0  # above every width, so the first leaf is taken

@@ -29,6 +29,11 @@ Two independent backends:
 The brute-force subset enumeration both are checked against is a test
 oracle and lives in ``tests/helpers.py``.
 
+The solver builds no graphs.  Its identity checks (``is_c3_tight``,
+``rank_lower_bound_check``) take the inversion numbers they compare as
+arguments, so a caller that already holds them, such as a sweep's value
+table, never solves the same graph twice.
+
 Every returned witness is checked to decycle its graph before it leaves
 this module.  Budgets are counted in search nodes, not wall time, so runs
 are reproducible; ``inv_exact`` counts all its k levels against one
@@ -43,7 +48,6 @@ import time
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .construct import c3, dijoin
 from .digraph import (
     Digraph,
     InversionFamily,
@@ -66,14 +70,11 @@ ORDER_BACKEND_MAX_N = 10
 
 @dataclass(frozen=True)
 class SearchOptions:
-    backend: str = "assign"
     max_k: int = MAX_K
     budget: int | None = None
     even_weight_only: bool = False
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
         if not 0 <= self.max_k <= MAX_K:
             raise ValueError(f"max_k must be in 0..{MAX_K}")
         if self.budget is not None and self.budget <= 0:
@@ -344,7 +345,9 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     flip".  The value is independent of the assignment backend, for
     cross-validation; the witness comes from the assignment search at
     that value (its own node budget, not counted in ``nodes_explored``),
-    and finding none there raises CriterionViolationError.
+    and finding none there raises CriterionViolationError.  Orders wider
+    than ``opts.max_k`` are pruned, so when none fits the result is
+    unresolved with ``max_k`` exhausted, as from ``inv_exact``.
     """
     if opts is None:
         opts = SearchOptions()
@@ -359,7 +362,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     if n == 0:
         return InvResult(0, InversionFamily(0, ()), "order", 0, 0.0, -1)
 
-    best_k: int | None = None
+    best_k = opts.max_k + 1  # prunes every order wider than max_k
     nodes = 0
     budget = opts.budget
 
@@ -372,7 +375,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         if m >= 2:
             k = _order_bound(_prefix_rows(D, seq))
             # the prefix bound never decreases along a completion
-            if best_k is not None and k >= best_k:
+            if k >= best_k:
                 return
             if m == n:
                 best_k = k
@@ -388,7 +391,10 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
 
     walk([], 0)
     k = best_k
-    assert k is not None
+    if k > opts.max_k:
+        return InvResult(
+            None, None, "order", nodes, time.perf_counter() - start, opts.max_k
+        )
     found, _ = _search_assignment(D, k, replace(opts, even_weight_only=False))
     if found is None:
         raise CriterionViolationError(
@@ -406,43 +412,30 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     )
 
 
-def solve(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
-    """Dispatch on ``opts.backend``."""
-    if opts is not None and opts.backend == "order":
-        return inv_order_backend(D, opts)
-    return inv_exact(D, opts)
-
-
-def is_c3_tight(D: Digraph, opts: SearchOptions | None = None) -> bool:
+def is_c3_tight(
+    D: Digraph, k: int, dijoin_k: int, opts: SearchOptions | None = None
+) -> bool:
     """Whether dijoining a triangle onto D leaves the inversion number flat.
 
-    Evaluates the direct route (solve the dijoin) and, when the value is
-    odd and at least 3, the even-weight-family criterion; disagreement
-    between the two routes raises instead of being swallowed.  For even
-    values at least 2 the dijoin must grow the value by one, and that too
-    is enforced.
+    ``k`` is inv(D) and ``dijoin_k`` is inv(c3 => D), both solved by the
+    caller.  When k is odd and at least 3, the even-weight-family
+    criterion decides the same question from D alone (a search within
+    ``opts.budget``); disagreement between the two raises instead of being
+    swallowed.  For even k at least 2 the dijoin must grow the value by
+    one, and that too is enforced.
     """
-    if opts is None:
-        opts = SearchOptions()
-    base = inv_exact(D, opts)
-    if not base.resolved:
-        raise ResourceLimitError("inversion number of the base graph unresolved")
-    k = base.value
-    direct = inv_exact(dijoin(c3(), D), opts)
-    if not direct.resolved:
-        raise ResourceLimitError("inversion number of the dijoin unresolved")
-    tight = direct.value == k
+    tight = dijoin_k == k
     if k >= 3 and k % 2 == 1:
-        crit_opts = replace(opts, even_weight_only=True)
+        crit_opts = replace(opts or SearchOptions(), even_weight_only=True)
         criterion = exists_family(D, k, crit_opts) is not None
         if criterion != tight:
             raise CriterionViolationError(
                 f"even-weight criterion says {criterion} but the dijoin"
-                f" computes {direct.value} against base {k}"
+                f" computes {dijoin_k} against base {k}"
             )
     elif k >= 2 and k % 2 == 0 and tight:
         raise CriterionViolationError(
-            f"dijoin value {direct.value} equals even base value {k}"
+            f"dijoin value {dijoin_k} equals even base value {k}"
         )
     return tight
 
@@ -457,10 +450,8 @@ class RankBoundReport:
     required: int
 
 
-def rank_lower_bound_check(
-    D: Digraph, A: VectorAssignment, opts: SearchOptions | None = None
-) -> RankBoundReport:
-    """Check the rank law for a decycling assignment of D.
+def rank_lower_bound_check(D: Digraph, A: VectorAssignment, inv: int) -> RankBoundReport:
+    """Check the rank law for a decycling assignment of D, given inv(D).
 
     The distinct characteristic vectors of any decycling family span at
     least inv(D) dimensions when inv(D) is even, and at least inv(D)-1
@@ -468,10 +459,6 @@ def rank_lower_bound_check(
     """
     if is_acyclic(apply_family(D, assignment_to_family(A))) is None:
         raise ValueError("assignment does not decycle the graph")
-    result = inv_exact(D, opts)
-    if not result.resolved:
-        raise ResourceLimitError("inversion number unresolved")
-    inv = result.value
     required = inv if inv % 2 == 0 else inv - 1
     r = family_rank(A)
     return RankBoundReport(

@@ -183,7 +183,7 @@ def test_criterion_10_rank_laws_for_minimal_witnesses():
         for T in enumerate_tournaments(n):
             res = inv_exact(T)
             A = family_to_assignment(res.witness)
-            rep = rank_lower_bound_check(T, A)
+            rep = rank_lower_bound_check(T, A, res.value)
             if not rep.ok:
                 bad.append((T.out_rows, rep))
             if res.value % 2 == 0 and rep.rank != res.value:

@@ -128,6 +128,18 @@ class TestInvLimits:
         assert code == 2 and out.startswith("inv=unknown reason=")
         assert str(solver.ORDER_BACKEND_MAX_N) in out
 
+    @pytest.mark.parametrize("max_k", range(4))
+    def test_order_backend_honors_max_k(self, capsys, max_k):
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(7)", "--backend", "order",
+            "--max-k", str(max_k), "--deterministic",
+        )
+        if max_k < 3:  # inv(qn(7)) = 3
+            assert code == 2
+            assert out.startswith(f"inv=unknown k_exhausted={max_k} backend=order ")
+        else:
+            assert code == 0 and out.startswith("inv=3 k_proof=2_exhausted backend=order ")
+
     def test_order_backend_budget_exit_two(self, capsys):
         code, out, _ = run(
             capsys, "inv", "expr:qn(8)", "--backend", "order", "--budget", "100"
@@ -333,7 +345,18 @@ class TestValueTable:
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_each_distinct_graph_solved_once(self, capsys, monkeypatch):
+    # recorded while the tightness check solved the part's triangle dijoin
+    # itself; at max-k 2 that dijoin (value 3) is unresolved
+    def test_kjoin_dijoin_unresolved_pinned(self, capsys):
+        code, out, _ = run(capsys, "experiment", "kjoin", "--max-k", "2", "--deterministic")
+        assert code == 2
+        assert "budget: inversion number of the dijoin unresolved : UNKNOWN" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d363471166cbfe3523876730e8d62cb77e5481ca1127a41f8536afb780f12149"
+        )
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
         solved = []
         inv_exact = solver.inv_exact
 
@@ -342,6 +365,22 @@ class TestValueTable:
             return inv_exact(D, opts)
 
         monkeypatch.setattr(solver, "inv_exact", spy)
+        return solved
+
+    def test_kjoin_solves_each_distinct_graph_once(self, capsys, solved):
+        code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert code == 0 and "total=4 pass=4" in out
+        t = construct.c3()
+        # every join of the instances is c3 => c3 or c3 => c3 => c3, and
+        # so is every tightness dijoin
+        asked = {
+            digraph.encode_digraph(G)
+            for G in (t, construct.dijoin(t, t), construct.k_join([t, t, t]))
+        }
+        assert len(solved) == len(set(solved)) == 3
+        assert set(solved) == asked
+
+    def test_each_distinct_graph_solved_once(self, capsys, solved):
         code, out, _ = run(
             capsys,
             "experiment", "conj-direction", "--left-n", "4", "--right-n", "4",
@@ -425,7 +464,7 @@ class TestExperimentLimits:
         assert "--n-max" in lines[0] and str(digraph.MAX_VERTICES) in lines[0]
 
     def test_criterion_violation_is_a_fail_line(self, capsys, monkeypatch):
-        def disagree(D, opts=None):
+        def disagree(D, k, dijoin_k, opts=None):
             raise CriterionViolationError("routes disagree")
 
         monkeypatch.setattr(solver, "is_c3_tight", disagree)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from invlab.errors import ResourceLimitError
 from invlab.f2 import (
+    FREE_DIAG_LIMIT,
     BitVec,
     SymMatrix,
     dot,
@@ -221,7 +222,7 @@ class TestMinGramDimFreeDiag:
 
     def test_limit_guard(self):
         with pytest.raises(ResourceLimitError):
-            min_gram_dim_free_diag(SymMatrix.zeros(22), limit=21)
+            min_gram_dim_free_diag(SymMatrix.zeros(FREE_DIAG_LIMIT + 1))
 
     @pytest.mark.parametrize("n", range(6))
     def test_matches_loop_oracle_exhaustively(self, n):

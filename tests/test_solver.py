@@ -125,6 +125,24 @@ class TestOrderBackend:
         with pytest.raises(ResourceLimitError):
             inv_order_backend(transitive(11))
 
+    @pytest.mark.parametrize("max_k", range(4))
+    def test_honors_max_k(self, max_k):
+        # inv(qn(7)) = 3: below that the order search must not resolve it
+        r = inv_order_backend(qn(7), SearchOptions(max_k=max_k))
+        if max_k < 3:
+            assert (r.value, r.witness, r.max_k_exhausted) == (None, None, max_k)
+        else:
+            assert r.value == 3 and r.max_k_exhausted == 2
+        assert r.resolved == inv_exact(qn(7), SearchOptions(max_k=max_k)).resolved
+
+    @pytest.mark.parametrize("max_k", range(4))
+    def test_backends_agree_under_max_k(self, max_k):
+        opts = SearchOptions(max_k=max_k)
+        for n in range(7):
+            for T in nonisomorphic_tournaments(n):
+                a, o = inv_exact(T, opts), inv_order_backend(T, opts)
+                assert (o.value, o.max_k_exhausted) == (a.value, a.max_k_exhausted)
+
 
 class TestOrderBackendWitness:
     """The order backend's witness comes from the assignment search."""
@@ -175,7 +193,7 @@ class TestOrderBackendWitness:
 
     def test_search_options_fields(self):
         names = [f.name for f in dataclasses.fields(SearchOptions)]
-        assert names == ["backend", "max_k", "budget", "even_weight_only"]
+        assert names == ["max_k", "budget", "even_weight_only"]
 
 
 class TestSubsetOracle:
@@ -235,27 +253,32 @@ class TestSymmetryBreakingCompleteness:
             assert (exists_family(D, k, opts) is not None) == naive(D, k, even_only)
 
 
+def c3_tight(D):
+    """is_c3_tight on the values of D and of its triangle dijoin."""
+    return is_c3_tight(D, inv_exact(D).value, inv_exact(dijoin(c3(), D)).value)
+
+
 class TestIsC3Tight:
     def test_even_value_never_tight(self):
-        assert is_c3_tight(dijoin(c3(), c3())) is False
+        assert c3_tight(dijoin(c3(), c3())) is False
 
     def test_triangle_not_tight(self):
-        assert is_c3_tight(c3()) is False
+        assert c3_tight(c3()) is False
 
     def test_acyclic_not_tight(self):
-        assert is_c3_tight(transitive(3)) is False
+        assert c3_tight(transitive(3)) is False
 
     def test_small_class_sweep(self):
         for n in range(1, 5):
             for T in nonisomorphic_tournaments(n):
-                assert is_c3_tight(T) is False  # values here are all <= 1 or even
+                assert c3_tight(T) is False  # values here are all <= 1 or even
 
     def test_odd_value_criterion_agrees_nonvacuously(self):
         # a value-3 instance where the even-weight route must agree with
         # the directly solved 12-vertex dijoin
         D = k_join([c3(), c3(), c3()])
         assert inv_exact(D).value == 3
-        assert is_c3_tight(D) is False
+        assert c3_tight(D) is False
 
     def test_no_odd_value_three_tournaments_up_to_six(self):
         # the criterion's odd branch is vacuous on tournament sweeps here
@@ -263,12 +286,40 @@ class TestIsC3Tight:
             for T in nonisomorphic_tournaments(n):
                 assert inv_exact(T).value <= 2
 
+    @pytest.mark.parametrize(
+        "D, k, dijoin_k, message",
+        [
+            (dijoin(c3(), c3()), 2, 2, "dijoin value 2 equals even base value 2"),
+            (
+                k_join([c3(), c3(), c3()]),
+                3,
+                3,
+                "even-weight criterion says False but the dijoin computes 3"
+                " against base 3",
+            ),
+        ],
+        ids=["even", "odd"],
+    )
+    def test_wrong_dijoin_value_is_a_violation(self, D, k, dijoin_k, message):
+        with pytest.raises(CriterionViolationError) as err:
+            is_c3_tight(D, k, dijoin_k)
+        assert str(err.value) == message
+
+    def test_takes_values_and_solves_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_c3_tight solved a graph")
+
+        monkeypatch.setattr(solver, "inv_exact", refuse)
+        monkeypatch.setattr(solver, "inv_order_backend", refuse)
+        assert is_c3_tight(k_join([c3(), c3(), c3()]), 3, 4) is False
+        assert is_c3_tight(dijoin(c3(), c3()), 2, 3) is False
+
 
 class TestRankLaw:
     def test_minimal_witness_even_value_has_exact_rank(self):
         D = dijoin(c3(), c3())
         r = inv_exact(D)
-        rep = rank_lower_bound_check(D, family_to_assignment(r.witness))
+        rep = rank_lower_bound_check(D, family_to_assignment(r.witness), r.value)
         assert rep.ok and rep.inversion_number == 2 and rep.rank == 2
 
     def test_padded_witness_still_passes(self):
@@ -276,13 +327,13 @@ class TestRankLaw:
         r = inv_exact(D)
         padded = InversionFamily(D.n, r.witness.sets + r.witness.sets[:1] * 2)
         assert is_acyclic(apply_family(D, padded)) is not None
-        rep = rank_lower_bound_check(D, family_to_assignment(padded))
+        rep = rank_lower_bound_check(D, family_to_assignment(padded), r.value)
         assert rep.ok
 
     def test_rejects_non_decycling_assignment(self):
         with pytest.raises(ValueError):
             rank_lower_bound_check(
-                c3(), family_to_assignment(InversionFamily(3, (0,)))
+                c3(), family_to_assignment(InversionFamily(3, (0,))), 1
             )
 
     def test_random_tournament_witnesses(self):
@@ -290,7 +341,7 @@ class TestRankLaw:
         for _ in range(30):
             T = random_tournament(rng, rng.randint(1, 6))
             r = inv_exact(T)
-            rep = rank_lower_bound_check(T, family_to_assignment(r.witness))
+            rep = rank_lower_bound_check(T, family_to_assignment(r.witness), r.value)
             assert rep.ok
             if r.value % 2 == 0:
                 assert rep.rank == r.value
