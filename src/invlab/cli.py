@@ -16,8 +16,9 @@ and solves each distinct graph (by encoding) once per sweep, one pool map
 per round.  Reading a value whose solve ran out of budget raises
 ``ResourceLimitError`` in the checker, which makes the instance UNKNOWN.
 
-Exit codes: 0 all passed / resolved, 1 usage error, 2 unknowns present
-(budget ran out somewhere), 3 a checked identity failed (a finding).
+Exit codes: 0 all passed / resolved, 1 usage error or stdout closed by
+its reader, 2 unknowns present (budget ran out somewhere), 3 a checked
+identity failed (a finding).
 """
 
 from __future__ import annotations
@@ -496,7 +497,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage, but 2 here means unknowns are present
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: nothing to report, and the interpreter's
+        # final flush of what is still buffered must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

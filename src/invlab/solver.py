@@ -5,15 +5,19 @@ Two independent backends:
 * ``assign``: iterative deepening over the family size k, searching
   characteristic-vector assignments vertex by vertex.  A partial
   assignment is pruned as soon as the flipped subgraph on the assigned
-  vertices contains a cycle.  The only symmetry broken is permutation of
-  family positions (coordinate permutation of all vectors at once), which
-  maps decycling families to decycling families and is therefore sound:
-  coordinates whose columns agree so far form blocks of consecutive
-  coordinates, and a vertex may only set a prefix of each block.  The
-  list of block lengths (the shape) thus fixes a vertex's candidate
-  list, which each search call builds once per shape and keeps in a
-  dict local to the call, up to ``_MEMO_CAP`` entries in all; a shape
-  past the cap is rebuilt at each node that needs it.  Per coordinate
+  vertices contains a cycle.  The flips depend only on the dot products
+  of the vectors, so any isometry of GF(2)^k maps decycling families to
+  decycling families, and two are broken.  Permutation of family
+  positions (coordinate permutation of all vectors at once): coordinates
+  whose columns agree so far form blocks of consecutive coordinates, and
+  a vertex may only set a prefix of each block.  And, for even k, the map
+  complementing every odd-weight vector: the first odd-weight vector in
+  search order weighs at most k/2 (see ``_search_assignment``).  The
+  list of block lengths (the shape), with whether an odd-weight vector
+  is placed yet, fixes a vertex's candidate list, which each search call
+  builds once and keeps in a dict local to the call, up to ``_MEMO_CAP``
+  entries in all; a list past the cap is rebuilt at each node that needs
+  it.  Per coordinate
   c the search keeps a column mask of the earlier positions whose
   vector sets c, so the pattern of arcs a candidate reverses is the XOR
   of the masks of its set coordinates.
@@ -167,7 +171,14 @@ def _search_assignment(
 ) -> tuple[VectorAssignment | None, int]:
     """Complete DFS for a decycling assignment of width k; (witness, nodes).
 
-    ``spent`` nodes of ``opts.budget`` are already used by the caller.
+    For even k the all-ones vector j has j.j = 0, so x -> x + (x.j) j keeps
+    every dot product: it fixes even-weight vectors and complements
+    odd-weight ones.  It fixes every vertex before the first odd-weight
+    one and commutes with the block-prefix rule, which keeps weights, so
+    that first odd-weight vector may skip weights above k/2 and lose no
+    orbit; skipped vectors are not nodes.  For odd k, j.j = 1 and the map
+    is no isometry.  ``spent`` nodes of ``opts.budget`` are already used
+    by the caller.
     """
     n = D.n
     if n == 0:
@@ -188,21 +199,39 @@ def _search_assignment(
     budget = opts.budget
     limit = None if budget is None else budget - spent
     even_only = opts.even_weight_only
-    memo: dict[tuple[int, ...], list] = {}
+    half = k // 2
+    # key (shape, first): first while no odd-weight vector is placed and k
+    # is even; entries carry their child's key, so descending tests nothing
+    memo: dict[tuple[tuple[int, ...], bool], list] = {}
     stored = 0
     vec = [0] * n
     cols = [0] * k  # cols[c] bit s: vec[s] sets coordinate c
     reach = [0] * n  # transitive closure of the flipped prefix graph
     nodes = 0
 
-    def dfs(t: int, shape: tuple[int, ...]) -> bool:
-        nonlocal nodes, stored
-        cands = memo.get(shape)
+    def candidates(key: tuple[tuple[int, ...], bool]) -> list:
+        nonlocal stored
+        shape, first = key
+        if first:
+            # an odd vector heavier than k/2 here has its complement in the tree
+            full = memo.get((shape, False)) or candidates((shape, False))
+            cands = [
+                (w, c, (nxt, len(c) % 2 == 0))
+                for w, c, (nxt, _) in full
+                if len(c) % 2 == 0 or len(c) <= half
+            ]
+        else:
+            cands = [(w, c, (nxt, False)) for w, c, nxt in _candidates(shape, even_only)]
+        if stored + len(cands) <= _MEMO_CAP:
+            memo[key] = cands
+            stored += len(cands)
+        return cands
+
+    def dfs(t: int, key: tuple[tuple[int, ...], bool]) -> bool:
+        nonlocal nodes
+        cands = memo.get(key)
         if cands is None:
-            cands = _candidates(shape, even_only)
-            if stored + len(cands) <= _MEMO_CAP:
-                memo[shape] = cands
-                stored += len(cands)
+            cands = candidates(key)
         bit = 1 << t
         ft = fwd[t]
         bt = bwd[t]
@@ -250,7 +279,8 @@ def _search_assignment(
             reach[:t] = saved
         return False
 
-    if not dfs(0, (k,) if k else ()):
+    # with even_only no odd vector comes, so no list needs the filter
+    if not dfs(0, ((k,) if k else (), k % 2 == 0 and not even_only)):
         return None, nodes
     vecs = [BitVec(k, 0)] * n
     for t, v in enumerate(order):
@@ -342,15 +372,19 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     those constraints (diagonal free) is Lempel's rank rule minimized
     over the diagonal; the minimum over orders is the inversion number.
     Tournaments only: a missing pair would wrongly be constrained to "no
-    flip".  The value is independent of the assignment backend, for
-    cross-validation; the witness comes from the assignment search at
-    that value (its own node budget, not counted in ``nodes_explored``),
-    and finding none there raises CriterionViolationError.  Orders wider
+    flip".  ``opts.even_weight_only`` is refused with ValueError: the order
+    rule has no even-weight form.  The value is independent of the
+    assignment backend, for cross-validation; the witness comes from the
+    assignment search at that value (its own node budget, not counted in
+    ``nodes_explored``), and finding none there raises
+    CriterionViolationError.  Orders wider
     than ``opts.max_k`` are pruned, so when none fits the result is
     unresolved with ``max_k`` exhausted, as from ``inv_exact``.
     """
     if opts is None:
         opts = SearchOptions()
+    if opts.even_weight_only:
+        raise ValueError("the order backend has no even-weight restriction")
     if not D.is_tournament():
         raise ValueError("the order backend is only exact on tournaments")
     if D.n > ORDER_BACKEND_MAX_N:
@@ -395,7 +429,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         return InvResult(
             None, None, "order", nodes, time.perf_counter() - start, opts.max_k
         )
-    found, _ = _search_assignment(D, k, replace(opts, even_weight_only=False))
+    found, _ = _search_assignment(D, k, opts)
     if found is None:
         raise CriterionViolationError(
             f"order search gives {k} but no width-{k} assignment decycles the graph"

@@ -9,13 +9,15 @@ import random
 from invlab.digraph import (
     Digraph,
     InversionFamily,
+    VectorAssignment,
     canonical_key,
     enumerate_tournaments,
     invert,
     is_acyclic,
 )
-from invlab.errors import ResourceLimitError
+from invlab.errors import BudgetExceededError, ResourceLimitError
 from invlab.f2 import BitVec, SymMatrix, rank_of_rows
+from invlab.solver import _candidates
 
 
 def random_symmetric(rng: random.Random, n: int) -> SymMatrix:
@@ -197,3 +199,95 @@ def free_diag_by_loop(M: SymMatrix) -> tuple[int, int]:
         if best_k is None or kd < best_k:
             best_k, best_d = kd, d
     return best_k, best_d
+
+
+def reference_search(D: Digraph, k: int, opts, spent: int = 0):
+    """Reference assignment search: (witness, nodes) as ``_search_assignment``.
+
+    The search before it broke the odd-weight complement isometry, kept
+    whole so its trees stay pinned: the same vertex order and candidate
+    lists, with the only symmetry broken being permutation of family
+    positions.  Its memo is per call and uncapped.
+    """
+    n = D.n
+    if n == 0:
+        return VectorAssignment(k, ()), 0
+    cols_in = D.in_rows()
+    order = sorted(
+        range(n),
+        key=lambda v: (-abs(D.out_rows[v].bit_count() - cols_in[v].bit_count()), v),
+    )
+    # arcs between position t and earlier positions s
+    fwd = [0] * n  # bit s: arc order[s] -> order[t]
+    bwd = [0] * n  # bit s: arc order[t] -> order[s]
+    for t in range(n):
+        vt = order[t]
+        for s in range(t):
+            vs = order[s]
+            if D.out_rows[vs] >> vt & 1:
+                fwd[t] |= 1 << s
+            elif D.out_rows[vt] >> vs & 1:
+                bwd[t] |= 1 << s
+
+    budget = opts.budget
+    limit = None if budget is None else budget - spent
+    even_only = opts.even_weight_only
+    memo: dict[tuple[int, ...], list] = {}
+    vec = [0] * n
+    cols = [0] * k  # cols[c] bit s: vec[s] sets coordinate c
+    reach = [0] * n  # transitive closure of the flipped prefix graph
+    nodes = 0
+
+    def dfs(t: int, shape: tuple[int, ...]) -> bool:
+        nonlocal nodes
+        cands = memo.get(shape)
+        if cands is None:
+            cands = memo[shape] = _candidates(shape, even_only)
+        bit = 1 << t
+        ft = fwd[t]
+        bt = bwd[t]
+        for w, coords, nxt in cands:
+            nodes += 1
+            if limit is not None and nodes > limit:
+                raise BudgetExceededError(f"assignment search exceeded {budget} nodes")
+            flip = 0
+            for c in coords:
+                flip ^= cols[c]
+            swap = (ft | bt) & flip
+            out_t = bt ^ swap
+            in_t = ft ^ swap
+            acc = out_t
+            tmp = out_t
+            while tmp:
+                low = tmp & -tmp
+                r = reach[low.bit_length() - 1]
+                if r & in_t:
+                    break
+                acc |= r
+                tmp ^= low
+            if tmp:
+                continue
+            vec[t] = w
+            if t + 1 == n:
+                return True
+            saved = reach[:t]
+            reach[t] = acc
+            add = bit | acc
+            for s in range(t):
+                if (in_t >> s & 1) or (reach[s] & in_t):
+                    reach[s] |= add
+            for c in coords:
+                cols[c] |= bit
+            if dfs(t + 1, nxt):
+                return True
+            for c in coords:
+                cols[c] ^= bit
+            reach[:t] = saved
+        return False
+
+    if not dfs(0, (k,) if k else ()):
+        return None, nodes
+    vecs = [BitVec(k, 0)] * n
+    for t, v in enumerate(order):
+        vecs[v] = BitVec(k, vec[t])
+    return VectorAssignment(k, tuple(vecs)), nodes

@@ -56,15 +56,15 @@ class TestInvCommand:
         assert code == 2 and out.startswith("inv=unknown")
 
     def test_budget_counts_the_whole_solve(self, capsys):
-        # qn(10) needs 27768 nodes over its five k levels
+        # qn(10) needs 27615 nodes over its five k levels
         code, out, _ = run(
             capsys, "inv", "expr:qn(10)", "--budget", "27000", "--deterministic"
         )
         assert code == 2 and out.startswith("inv=unknown reason=")
         code, out, _ = run(
-            capsys, "inv", "expr:qn(10)", "--budget", "27768", "--deterministic"
+            capsys, "inv", "expr:qn(10)", "--budget", "27615", "--deterministic"
         )
-        assert code == 0 and out.startswith("inv=4 ") and "nodes=27768" in out
+        assert code == 0 and out.startswith("inv=4 ") and "nodes=27615" in out
 
     @pytest.mark.parametrize(
         "argv",
@@ -103,12 +103,18 @@ class TestInvCommand:
 
 
 class TestInvLimits:
-    def test_order_backend_ignores_even_weight_for_its_witness(self, capsys):
-        code, out, _ = run(
+    def test_order_backend_refuses_even_weight_only(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the order backend searched")
+
+        monkeypatch.setattr(solver, "_order_bound", refuse)
+        monkeypatch.setattr(solver, "_search_assignment", refuse)
+        code, out, err = run(
             capsys, "inv", "expr:qn(5)", "--backend", "order", "--even-weight-only",
             "--deterministic",
         )
-        assert code == 0 and out.startswith("inv=2 ") and "backend=order" in out
+        assert code == 1 and out == ""
+        assert err == "error: the order backend has no even-weight restriction\n"
 
     @pytest.mark.parametrize("expr", ["tt(1000000000)", "qn(1000000000)"])
     def test_above_vertex_limit_exit_one(self, capsys, expr):
@@ -555,3 +561,23 @@ class TestSweepDigests:
             capture_output=True, env=env, timeout=120, check=True,
         )
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_closing_stdout_exits_one_quietly(self, unbuffered):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails, whether that is a print or the last flush
+        src = os.path.dirname(os.path.dirname(invlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "invlab.cli", "experiment", "direction",
+                 "--n-max", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1 and proc.stderr == b""

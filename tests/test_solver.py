@@ -9,6 +9,8 @@ from invlab import f2, solver
 from invlab.construct import c3, dijoin, graph_from_expr, k_join, qn, transitive
 from invlab.digraph import (
     InversionFamily,
+    VectorAssignment,
+    apply_assignment,
     apply_family,
     assignment_to_family,
     dump_family,
@@ -24,6 +26,7 @@ from invlab.errors import (
     CriterionViolationError,
     ResourceLimitError,
 )
+from invlab.f2 import BitVec
 from invlab.solver import (
     SearchOptions,
     exists_family,
@@ -175,13 +178,17 @@ class TestOrderBackendWitness:
             return search(D, k, opts)
 
         monkeypatch.setattr(solver, "_search_assignment", spy)
-        opts = SearchOptions(budget=10_000, even_weight_only=True)
+        opts = SearchOptions(budget=10_000)
         r = inv_order_backend(qn(5), opts)
         assert [(k, o.budget, o.even_weight_only) for k, o in seen] == [
             (2, 10_000, False)
         ]
         # the order search's own nodes only
         assert r.nodes_explored == inv_order_backend(qn(5)).nodes_explored
+
+    def test_even_weight_only_is_refused(self):
+        with pytest.raises(ValueError, match="no even-weight restriction"):
+            inv_order_backend(qn(5), SearchOptions(even_weight_only=True))
 
     def test_missing_witness_is_a_disagreement(self, monkeypatch):
         monkeypatch.setattr(solver, "_search_assignment", lambda D, k, opts: (None, 0))
@@ -226,14 +233,25 @@ class TestThreeBackendAgreement:
             assert inv_subset_oracle(T, 2) == a
 
 
+def agree_with_reference(D, ks):
+    """Existence matches the reference at each width; no level grows."""
+    opts = SearchOptions()
+    for k in ks:
+        found, nodes = solver._search_assignment(D, k, opts)
+        ref, ref_nodes = helpers.reference_search(D, k, opts)
+        assert (found is None) == (ref is None), (encode_digraph(D), k)
+        assert nodes <= ref_nodes, (encode_digraph(D), k)
+        if found is not None:
+            assert is_acyclic(apply_assignment(D, found)) is not None
+
+
 class TestSymmetryBreakingCompleteness:
     def test_pruned_search_matches_naive_enumeration(self):
-        # the only symmetry broken is permutation of family positions;
-        # a raw product enumeration must agree on existence
+        # the symmetries broken are permutation of family positions and, at
+        # even k, complementing every odd-weight vector (an isometry of the
+        # dot product, see the next test); a raw product enumeration must
+        # agree on existence
         from itertools import product as iproduct
-
-        from invlab.digraph import VectorAssignment, apply_assignment
-        from invlab.f2 import BitVec
 
         def naive(D, k, even_only):
             for combo in iproduct(range(1 << k), repeat=D.n):
@@ -251,6 +269,45 @@ class TestSymmetryBreakingCompleteness:
             even_only = rng.random() < 0.4
             opts = SearchOptions(even_weight_only=even_only)
             assert (exists_family(D, k, opts) is not None) == naive(D, k, even_only)
+
+    def test_complementing_odd_vectors_keeps_every_flip(self):
+        # for even k the all-ones j has j.j = 0, so x -> x + (x.j) j keeps
+        # every dot product: it fixes even-weight vectors and complements
+        # odd-weight ones
+        rng = random.Random(41)
+        for _ in range(200):
+            D = random_oriented(rng, rng.randint(1, 9))
+            k = rng.choice([2, 4, 6, 8])
+            ones = (1 << k) - 1
+            vecs = [rng.getrandbits(k) for _ in range(D.n)]
+            flipped = [w ^ ones if w.bit_count() & 1 else w for w in vecs]
+            A = VectorAssignment(k, tuple(BitVec(k, w) for w in vecs))
+            B = VectorAssignment(k, tuple(BitVec(k, w) for w in flipped))
+            assert apply_assignment(D, A) == apply_assignment(D, B)
+
+    def test_agrees_with_reference_on_small_tournaments(self):
+        # every labelled tournament up to 5 vertices and every class of 6
+        tournaments = [T for n in range(6) for T in enumerate_tournaments(n)]
+        for T in tournaments + nonisomorphic_tournaments(6):
+            agree_with_reference(T, range(5))
+
+    def test_agrees_with_reference_on_random_oriented_graphs(self):
+        rng = random.Random(57)
+        for _ in range(150):
+            agree_with_reference(random_oriented(rng, rng.randint(1, 8)), range(5))
+
+    @pytest.mark.parametrize(
+        "expr,value",
+        [
+            ("qn(9)", 4),
+            ("qn(10)", 4),
+            ("qn(11)", 5),
+            ("join(c3,c3,c3,c3)", 4),
+            ("blowup_uniform(c3;c3,3)", 4),
+        ],
+    )
+    def test_agrees_with_reference_around_the_value(self, expr, value):
+        agree_with_reference(graph_from_expr(expr), (value - 1, value))
 
 
 def c3_tight(D):
@@ -408,8 +465,9 @@ class TestCandidateLists:
                     assert got == want, (shape, even_only)
 
 
-# node counts per k level and the witness of the search before the shape
-# memo and the column-mask flip; the search tree must not change
+# node counts per k level and the witness of the reference search (the
+# search before the odd-weight complement rule, whose tree the shape memo
+# and the column-mask flip did not change)
 PINNED_TREES = [
     ("qn(9)", [5, 56, 785, 25342, 515], "1 2\n5 6 8\n3 4\n4 5\n"),
     ("qn(10)", [5, 56, 785, 26374, 548], "1 2\n6 7 9\n3 4\n5 6\n"),
@@ -421,14 +479,25 @@ PINNED_TREES = [
     ),
     ("dijoin(c3,c3)", [3, 32, 18], "1 2\n4 5\n"),
 ]
+# the same graphs under _search_assignment, which at even k drops the first
+# odd-weight vector heavier than k/2; the witnesses are those above
+ISOMETRY_TREES = {
+    "qn(9)": [5, 56, 785, 25342, 362],
+    "qn(10)": [5, 56, 785, 26374, 395],
+    "join(c3,c3,c3,c3)": [3, 32, 601, 22686, 66],
+    "blowup_uniform(c3;c3,3)": [3, 32, 529, 17718, 250],
+    "dijoin(c3,c3)": [3, 32, 18],
+}
+# even-weight vectors only: the rule never applies, so both searches agree
 PINNED_EVEN_QN9 = [5, 5, 62, 244, 2588, 235]
 PINNED_EVEN_QN9_WITNESS = "1 2 6\n1 6\n3 5 6 8\n5 8\n2 3 6\n"
 
 
-def level_counts(D, opts):
+def level_counts(D, opts, search=None):
+    search = search or solver._search_assignment
     counts = []
     for k in range(solver.MAX_K + 1):
-        found, nodes = solver._search_assignment(D, k, opts)
+        found, nodes = search(D, k, opts)
         counts.append(nodes)
         if found is not None:
             return counts, dump_family(assignment_to_family(found))
@@ -446,16 +515,22 @@ class TestSearchTreePinned:
     )
     def test_levels_and_witness(self, memo_cap, expr, counts, witness):
         D = graph_from_expr(expr)
-        assert level_counts(D, SearchOptions()) == (counts, witness)
+        opts = SearchOptions()
+        assert level_counts(D, opts, helpers.reference_search) == (counts, witness)
+        assert level_counts(D, opts) == (ISOMETRY_TREES[expr], witness)
         r = inv_exact(D)
-        assert r.nodes_explored == sum(counts)
+        assert r.nodes_explored == sum(ISOMETRY_TREES[expr])
         assert dump_family(r.witness) == witness
 
     def test_even_weight_levels_and_witness(self, memo_cap):
         opts = SearchOptions(even_weight_only=True)
-        assert level_counts(qn(9), opts) == (PINNED_EVEN_QN9, PINNED_EVEN_QN9_WITNESS)
+        want = (PINNED_EVEN_QN9, PINNED_EVEN_QN9_WITNESS)
+        assert level_counts(qn(9), opts, helpers.reference_search) == want
+        assert level_counts(qn(9), opts) == want
 
     def test_memo_is_per_call_and_capped(self, monkeypatch):
+        # at even k a shape has two lists, with and without the odd-weight
+        # rule, and both come from one _candidates call
         built = []
         candidates = solver._candidates
 
@@ -465,14 +540,16 @@ class TestSearchTreePinned:
 
         monkeypatch.setattr(solver, "_candidates", spy)
         D = qn(10)
-        solver._search_assignment(D, 3, SearchOptions())
-        once = list(built)
-        assert len(once) == len(set(once))  # each shape built once per call
-        solver._search_assignment(D, 3, SearchOptions())
-        assert built == once + once  # nothing kept between calls
+        for k in (3, 4):
+            built.clear()
+            solver._search_assignment(D, k, SearchOptions())
+            once = list(built)
+            assert len(once) == len(set(once))  # each shape built once per call
+            solver._search_assignment(D, k, SearchOptions())
+            assert built == once + once  # nothing kept between calls
         built.clear()
         monkeypatch.setattr(solver, "_MEMO_CAP", 1)
-        solver._search_assignment(D, 3, SearchOptions())
+        solver._search_assignment(D, 4, SearchOptions())
         assert len(built) > len(once)  # shapes past the cap are rebuilt
 
 
@@ -505,12 +582,12 @@ class TestOrderTreePinned:
 
 
 class TestBudgetPerSolve:
-    # qn(10) explores 5 + 56 + 785 + 26374 + 548 = 27768 nodes in all
+    # qn(10) explores 5 + 56 + 785 + 26374 + 395 = 27615 nodes in all
     def test_budget_caps_the_whole_solve(self):
         with pytest.raises(BudgetExceededError, match="27000 nodes"):
             inv_exact(qn(10), SearchOptions(budget=27_000))
-        r = inv_exact(qn(10), SearchOptions(budget=27_768))
-        assert r.value == 4 and r.nodes_explored == 27_768
+        r = inv_exact(qn(10), SearchOptions(budget=27_615))
+        assert r.value == 4 and r.nodes_explored == 27_615
 
     def test_budget_spent_before_the_last_level(self):
         spent = 5 + 56 + 785 + 26374
