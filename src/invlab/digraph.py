@@ -89,6 +89,8 @@ class Digraph:
 
     def induced(self, mask: VertexSet) -> "Digraph":
         """Subgraph on the masked vertices, renumbered in ascending order."""
+        if mask < 0 or mask >> self.n:
+            raise ValueError("vertex set outside the graph")
         verts = [v for v in range(self.n) if mask >> v & 1]
         index = {v: i for i, v in enumerate(verts)}
         rows = []

@@ -27,8 +27,11 @@ Two independent backends:
   Branch and bound over order prefixes; exact for tournaments, where
   every pair is constrained.  A prefix's bound is itself a branch and
   bound over the diagonal bits, pruned by the rank of the rows placed
-  so far (``f2.min_gram_dim_free_diag``).  Only the value is its own:
-  the witness comes from the assignment search at that value.
+  so far (``f2.min_gram_dim_free_diag``).  The prefix's flip rows grow by
+  one vertex per step, and each call keeps its bounds in a dict local to
+  the call, up to ``_MEMO_CAP`` entries; a bound past the cap is
+  recomputed.  Only the value is its own: the witness comes from the
+  assignment search at that value.
 
 The brute-force subset enumeration both are checked against is a test
 oracle and lives in ``tests/helpers.py``.
@@ -47,7 +50,6 @@ identical run to run.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, replace
 from itertools import product
@@ -135,8 +137,8 @@ def _vertex_order(D: Digraph) -> list[int]:
     )
 
 
-# entries of candidate lists one search call may keep; a shape whose list
-# would pass this is rebuilt at each node that needs it instead of stored
+# entries one search call may keep in its memo (candidate list entries, or
+# order bounds); what would pass this is rebuilt each time it is needed
 _MEMO_CAP = 1 << 16
 
 
@@ -344,26 +346,6 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     )
 
 
-# prefix flip pattern -> least free-diagonal width; bounded, shared by calls
-@functools.lru_cache(maxsize=1 << 16)
-def _order_bound(rows: tuple[int, ...]) -> int:
-    return min_gram_dim_free_diag(SymMatrix(len(rows), rows))[0]
-
-
-def _prefix_rows(D: Digraph, seq: list[int]) -> tuple[int, ...]:
-    m = len(seq)
-    rows = [0] * m
-    for i in range(m):
-        ri = D.out_rows[seq[i]]
-        for j in range(i + 1, m):
-            if ri >> seq[j] & 1:
-                continue  # agrees with the prefix order
-            if D.out_rows[seq[j]] >> seq[i] & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
-
-
 def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     """Inversion number as a minimum over linear orders of the vertices.
 
@@ -400,14 +382,22 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     nodes = 0
     budget = opts.budget
 
-    def walk(seq: list[int], used: int) -> None:
+    # prefix flip rows -> least free-diagonal width, up to _MEMO_CAP entries
+    memo: dict[tuple[int, ...], int] = {}
+
+    def walk(seq: tuple[int, ...], rows: tuple[int, ...], used: int) -> None:
+        # rows[i] bit j: the arc between seq[i] and seq[j] points against seq
         nonlocal nodes, best_k
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"order search exceeded {budget} nodes")
         m = len(seq)
         if m >= 2:
-            k = _order_bound(_prefix_rows(D, seq))
+            k = memo.get(rows)
+            if k is None:
+                k = min_gram_dim_free_diag(SymMatrix(m, rows))[0]
+                if len(memo) < _MEMO_CAP:
+                    memo[rows] = k
             # the prefix bound never decreases along a completion
             if k >= best_k:
                 return
@@ -417,13 +407,20 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         elif m == n:  # a single vertex needs no inversion
             best_k = 0
             return
+        bit = 1 << m
         for v in range(n):
             if not used >> v & 1:
-                seq.append(v)
-                walk(seq, used | (1 << v))
-                seq.pop()
+                out_v = D.out_rows[v]
+                grown = list(rows)
+                row = 0
+                for i, u in enumerate(seq):
+                    if out_v >> u & 1:  # v comes after u but points to it
+                        grown[i] |= bit
+                        row |= 1 << i
+                grown.append(row)
+                walk(seq + (v,), tuple(grown), used | (1 << v))
 
-    walk([], 0)
+    walk((), (), 0)
     k = best_k
     if k > opts.max_k:
         return InvResult(

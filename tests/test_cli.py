@@ -107,7 +107,7 @@ class TestInvLimits:
         def refuse(*args, **kwargs):
             raise AssertionError("the order backend searched")
 
-        monkeypatch.setattr(solver, "_order_bound", refuse)
+        monkeypatch.setattr(solver, "min_gram_dim_free_diag", refuse)
         monkeypatch.setattr(solver, "_search_assignment", refuse)
         code, out, err = run(
             capsys, "inv", "expr:qn(5)", "--backend", "order", "--even-weight-only",
@@ -115,6 +115,21 @@ class TestInvLimits:
         )
         assert code == 1 and out == ""
         assert err == "error: the order backend has no even-weight restriction\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--max-k", "13"), ("--max-k", "-1"), ("--budget", "0")],
+        ids=["max-k-13", "max-k-negative", "budget-0"],
+    )
+    def test_search_flag_out_of_range_exit_one(self, capsys, monkeypatch, flags):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver ran before the flags were checked")
+
+        monkeypatch.setattr(solver, "inv_exact", refuse)
+        code, out, err = run(capsys, "inv", "expr:c3", *flags, "--deterministic")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     @pytest.mark.parametrize("expr", ["tt(1000000000)", "qn(1000000000)"])
     def test_above_vertex_limit_exit_one(self, capsys, expr):
@@ -455,6 +470,17 @@ class TestExperimentLimits:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert argv[1] in lines[0]
+
+    @pytest.mark.parametrize(
+        "flags", [("--budget", "0"), ("--max-k", "13")], ids=["budget", "max-k"]
+    )
+    def test_search_flag_out_of_range_exit_one(self, capsys, no_enumeration, flags):
+        code, out, err = run(
+            capsys, "experiment", "thm13", "--n-max", "7", *flags, "--deterministic"
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_qn_above_vertex_limit_exit_one(self, capsys, monkeypatch):
         def refuse(n):

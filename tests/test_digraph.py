@@ -61,6 +61,13 @@ class TestDigraphValue:
         sub = D.induced(0b101)  # vertices 0 and 2, arc 2->0
         assert sub.n == 2 and sub.out_rows == (0, 0b01)
 
+    @pytest.mark.parametrize("mask", [-1, 0b1101])
+    def test_induced_refuses_vertices_outside_the_graph(self, mask):
+        with pytest.raises(ValueError, match="vertex set outside the graph"):
+            c3().induced(mask)
+        with pytest.raises(ValueError, match="vertex set outside the graph"):
+            invert(c3(), mask)
+
 
 class TestInvert:
     def test_empty_set_is_identity(self):

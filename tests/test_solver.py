@@ -195,12 +195,21 @@ class TestOrderBackendWitness:
         with pytest.raises(CriterionViolationError):
             inv_order_backend(qn(5))
 
-    def test_bound_cache_is_bounded(self):
-        assert solver._order_bound.cache_info().maxsize == 1 << 16
-
     def test_search_options_fields(self):
         names = [f.name for f in dataclasses.fields(SearchOptions)]
         assert names == ["max_k", "budget", "even_weight_only"]
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"max_k": 13}, "max_k must be in 0..12"),
+            ({"max_k": -1}, "max_k must be in 0..12"),
+            ({"budget": 0}, "budget must be positive"),
+        ],
+    )
+    def test_search_options_refuse_out_of_range(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SearchOptions(**fields)
 
 
 class TestSubsetOracle:
@@ -569,16 +578,47 @@ def order_pin_graphs():
     return [qn(7), qn(8)] + [random_tournament(rng, 8) for _ in range(3)]
 
 
+order_pins = pytest.mark.parametrize(
+    "idx", range(len(PINNED_ORDER_TREES)), ids=[p[0] for p in PINNED_ORDER_TREES]
+)
+
+
 class TestOrderTreePinned:
-    @pytest.mark.parametrize(
-        "idx", range(len(PINNED_ORDER_TREES)), ids=[p[0] for p in PINNED_ORDER_TREES]
-    )
+    @order_pins
     def test_value_and_nodes(self, idx):
         _, enc, value, nodes = PINNED_ORDER_TREES[idx]
         T = order_pin_graphs()[idx]
         assert encode_digraph(T) == enc
         r = inv_order_backend(T)
         assert (r.value, r.nodes_explored) == (value, nodes)
+
+    @order_pins
+    def test_value_and_nodes_uncached(self, monkeypatch, idx):
+        # with the memo full at once, the bounds are recomputed: same tree
+        monkeypatch.setattr(solver, "_MEMO_CAP", 1)
+        self.test_value_and_nodes(idx)
+
+    def test_order_memo_is_per_call_and_capped(self, monkeypatch):
+        bounds = []
+        free_diag = solver.min_gram_dim_free_diag
+
+        def spy(M):
+            bounds.append(M.n)
+            return free_diag(M)
+
+        monkeypatch.setattr(solver, "min_gram_dim_free_diag", spy)
+        D = qn(7)
+        first = inv_order_backend(D)
+        once = len(bounds)
+        assert once > 0
+        second = inv_order_backend(D)
+        assert len(bounds) == 2 * once  # nothing kept between calls
+        assert (second.value, second.nodes_explored) == (first.value, first.nodes_explored)
+        bounds.clear()
+        monkeypatch.setattr(solver, "_MEMO_CAP", 1)
+        capped = inv_order_backend(D)
+        assert len(bounds) > once  # bounds past the cap are recomputed
+        assert (capped.value, capped.nodes_explored) == (first.value, first.nodes_explored)
 
 
 class TestBudgetPerSolve:
