@@ -9,14 +9,9 @@ from .digraph import (
     Digraph,
     InversionFamily,
     VectorAssignment,
-    apply_assignment,
     apply_family,
     assignment_to_family,
-    enumerate_tournaments,
-    extend_to_tournament,
-    family_rank,
     family_to_assignment,
-    flip_matrix,
     invert,
     is_acyclic,
     is_even_weight_assignment,
@@ -40,7 +35,6 @@ from .f2 import (
     BitVec,
     GramFactorization,
     SymMatrix,
-    dot,
     gram_factor,
     gram_of,
     min_gram_dim,
@@ -54,7 +48,6 @@ from .solver import (
     inv_exact,
     inv_order_backend,
     is_c3_tight,
-    rank_lower_bound_check,
 )
 
 __version__ = "0.1.0"
@@ -68,21 +61,15 @@ __all__ = [
     "SearchOptions",
     "SymMatrix",
     "VectorAssignment",
-    "apply_assignment",
     "apply_family",
     "assignment_to_family",
     "blow_up",
     "c3",
     "compose_blowup_family",
     "dijoin",
-    "dot",
-    "enumerate_tournaments",
     "exists_family",
     "extend_family_to_c3_dijoin",
-    "extend_to_tournament",
-    "family_rank",
     "family_to_assignment",
-    "flip_matrix",
     "gram_factor",
     "gram_of",
     "graph_from_expr",
@@ -100,7 +87,6 @@ __all__ = [
     "qn",
     "qn_family",
     "rank",
-    "rank_lower_bound_check",
     "reverse",
     "transitive",
 ]

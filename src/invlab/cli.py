@@ -53,11 +53,7 @@ def resolve_graph_source(source: str) -> digraph.Digraph:
 
 
 def _options_from_args(args) -> solver.SearchOptions:
-    return solver.SearchOptions(
-        max_k=args.max_k,
-        budget=args.budget,
-        even_weight_only=getattr(args, "even_weight_only", False),
-    )
+    return solver.SearchOptions(max_k=args.max_k, budget=args.budget)
 
 
 def cmd_inv(args) -> int:
@@ -460,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("inv", help="compute the inversion number of a graph")
     p_inv.add_argument("graph", help="graph file, expr:<expression>, or enc:<...>")
     p_inv.add_argument("--backend", choices=solver.BACKENDS, default="assign")
-    p_inv.add_argument("--even-weight-only", action="store_true",
-                       help="restrict vertex vectors to even weight")
     _add_search_flags(p_inv)
     p_inv.set_defaults(func=cmd_inv)
 

@@ -8,8 +8,9 @@ is the least length of such a family.
 
 Families correspond to per-vertex characteristic vectors: bit i of a
 vertex's vector says whether the vertex lies in set i, and an arc ends up
-reversed exactly when its endpoints' vectors have odd overlap.  Both
-views are implemented and must agree; tests enforce it.
+reversed exactly when its endpoints' vectors have odd overlap.  The
+solver searches vectors and certifies witnesses as sets; the two
+converters between the views live here.
 
 All values are immutable and every function is pure.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .f2 import BitVec, SymMatrix, rank_of_rows
+from .f2 import BitVec
 
 MAX_VERTICES = 64
 
@@ -64,6 +65,8 @@ class Digraph:
     def from_arcs(cls, n: int, arcs: Sequence[tuple[int, int]]) -> "Digraph":
         rows = [0] * n
         for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
             rows[u] |= 1 << v
         return cls(n, tuple(rows))
 
@@ -265,92 +268,9 @@ def assignment_to_family(A: VectorAssignment) -> InversionFamily:
     return InversionFamily(A.n, tuple(sets))
 
 
-def apply_assignment(D: Digraph, A: VectorAssignment) -> Digraph:
-    """Reverse each arc whose endpoint vectors have odd overlap.
-
-    Agrees with ``apply_family`` on the transposed family by construction;
-    the equivalence is exercised on randomized inputs in the tests.
-    """
-    if A.n != D.n:
-        raise ValueError("assignment must cover every vertex")
-    bits = [v.bits for v in A.vecs]
-    rows = [0] * D.n
-    for u, v in D.arcs():
-        if (bits[u] & bits[v]).bit_count() & 1:
-            rows[v] |= 1 << u
-        else:
-            rows[u] |= 1 << v
-    return Digraph(D.n, tuple(rows))
-
-
-def flip_matrix(D: Digraph, order: Sequence[int]) -> SymMatrix:
-    """Which unordered pairs must flip for D to be sorted by ``order``.
-
-    Entry (u,v) is 1 when the arc between u and v points against the
-    order.  Pairs without an arc stay 0, and the diagonal is left zero;
-    self-products are unconstrained by arcs.
-    """
-    if sorted(order) != list(range(D.n)):
-        raise ValueError("order must be a permutation of the vertices")
-    pos = [0] * D.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = [0] * D.n
-    for u, v in D.arcs():
-        if pos[v] < pos[u]:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return SymMatrix(D.n, tuple(rows))
-
-
-def family_rank(A: VectorAssignment) -> int:
-    """Rank over GF(2) of the set of distinct vertex vectors."""
-    return rank_of_rows(sorted({v.bits for v in A.vecs}))
-
-
 def is_even_weight_assignment(A: VectorAssignment) -> bool:
     """True when every vertex vector has even weight (orthogonal to all-ones)."""
     return all(v.weight() % 2 == 0 for v in A.vecs)
-
-
-def extend_to_tournament(D: Digraph, F: InversionFamily) -> Digraph:
-    """Complete D to a tournament that F still decycles.
-
-    Each missing pair is oriented so that, after the family flips it (or
-    not), it agrees with a fixed topological order of the decycled graph.
-    """
-    post = apply_family(D, F)
-    topo = is_acyclic(post)
-    if topo is None:
-        raise ValueError("family does not decycle the graph")
-    pos = [0] * D.n
-    for i, v in enumerate(topo):
-        pos[v] = i
-    bits = [vec.bits for vec in family_to_assignment(F).vecs]
-    rows = list(D.out_rows)
-    for u in range(D.n):
-        for v in range(u + 1, D.n):
-            if rows[u] >> v & 1 or rows[v] >> u & 1:
-                continue
-            lo, hi = (u, v) if pos[u] < pos[v] else (v, u)
-            if (bits[u] & bits[v]).bit_count() & 1:
-                rows[hi] |= 1 << lo
-            else:
-                rows[lo] |= 1 << hi
-    return Digraph(D.n, tuple(rows))
-
-
-def enumerate_tournaments(n: int) -> Iterator[Digraph]:
-    """All labelled tournaments on n vertices, each exactly once.
-
-    Tournament number ``code`` sets pair (i, j), i < j, to i->j exactly
-    when bit ``idx`` of ``code`` is set, ``idx`` counting the pairs in
-    lexicographic order; codes are listed in ascending order.
-    """
-    _require_enumerable(n)
-    pairs = _pairs(n)
-    for code in range(1 << len(pairs)):
-        yield _tournament(n, pairs, code)
 
 
 def _require_enumerable(n: int) -> None:
@@ -374,51 +294,13 @@ def _tournament(n: int, pairs: list[tuple[int, int]], code: int) -> Digraph:
     return Digraph(n, tuple(rows))
 
 
-def canonical_key(D: Digraph) -> tuple[int, int]:
-    """Isomorphism-invariant key of an oriented graph: minimum relabelled encoding.
-
-    The encoding gives each pair i < j two bits, one for i->j and one for
-    j->i, so it tells all three pair states apart and determines the
-    graph.  It is minimized over the relabellings that sort vertices by
-    descending (out-degree, in-degree), a set every isomorphism carries
-    onto the other graph's; equal keys therefore hold exactly for
-    isomorphic oriented graphs, tournaments or not.
-    """
-    n = D.n
-    rows = D.out_rows
-    cols = _columns(rows, n)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        groups.setdefault((rows[v].bit_count(), cols[v].bit_count()), []).append(v)
-    ordered = [groups[d] for d in sorted(groups, reverse=True)]
-    best = None
-    for arrangement in itertools.product(
-        *(itertools.permutations(g) for g in ordered)
-    ):
-        perm = [v for part in arrangement for v in part]
-        key = 0
-        bit = 1
-        for i in range(n):
-            ri = rows[perm[i]]
-            for j in range(i + 1, n):
-                pj = perm[j]
-                if ri >> pj & 1:
-                    key |= bit
-                elif rows[pj] >> perm[i] & 1:
-                    key |= bit << 1
-                bit <<= 2
-        if best is None or key < best:
-            best = key
-    return (n, best if best is not None else 0)
-
-
 def nonisomorphic_tournaments(n: int) -> list[Digraph]:
     """One representative per isomorphism class of n-vertex tournaments.
 
-    The representative of a class is its member with the smallest
-    ``enumerate_tournaments`` code, and representatives are listed in
-    ascending code order, so the list is the first member of each class
-    in labelled order.
+    A labelled tournament's code has bit ``idx`` set exactly when pair
+    (i, j), i < j, number ``idx`` in lexicographic pair order, is the arc
+    i->j.  The representative of a class is its member with the smallest
+    code, and representatives are listed in ascending code order.
 
     The walk visits the codes in ascending order, keeping one byte per
     code that says whether the code was seen.  The first unseen code

@@ -53,13 +53,6 @@ class BitVec:
         return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.width))
 
 
-def dot(u: BitVec, v: BitVec) -> int:
-    """Scalar product over GF(2): parity of the AND of the two bitmasks."""
-    if u.width != v.width:
-        raise ValueError(f"width mismatch: {u.width} != {v.width}")
-    return (u.bits & v.bits).bit_count() & 1
-
-
 @dataclass(frozen=True)
 class SymMatrix:
     """Symmetric n-by-n matrix over GF(2), one row bitmask per row."""

@@ -36,10 +36,10 @@ Two independent backends:
 The brute-force subset enumeration both are checked against is a test
 oracle and lives in ``tests/helpers.py``.
 
-The solver builds no graphs.  Its identity checks (``is_c3_tight``,
-``rank_lower_bound_check``) take the inversion numbers they compare as
-arguments, so a caller that already holds them, such as a sweep's value
-table, never solves the same graph twice.
+The solver builds no graphs.  Its identity check, ``is_c3_tight``, takes
+the inversion numbers it compares as arguments, so a caller that already
+holds them, such as a sweep's value table, never solves the same graph
+twice.
 
 Every returned witness is checked to decycle its graph before it leaves
 this module.  Budgets are counted in search nodes, not wall time, so runs
@@ -61,7 +61,6 @@ from .digraph import (
     apply_family,
     assignment_to_family,
     dump_family,
-    family_rank,
     is_acyclic,
 )
 from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
@@ -470,28 +469,3 @@ def is_c3_tight(
         )
     return tight
 
-
-@dataclass(frozen=True)
-class RankBoundReport:
-    """Outcome of the rank law check for one decycling assignment."""
-
-    ok: bool
-    rank: int
-    inversion_number: int
-    required: int
-
-
-def rank_lower_bound_check(D: Digraph, A: VectorAssignment, inv: int) -> RankBoundReport:
-    """Check the rank law for a decycling assignment of D, given inv(D).
-
-    The distinct characteristic vectors of any decycling family span at
-    least inv(D) dimensions when inv(D) is even, and at least inv(D)-1
-    when odd.  A violation is reported, not raised; it would be a finding.
-    """
-    if is_acyclic(apply_family(D, assignment_to_family(A))) is None:
-        raise ValueError("assignment does not decycle the graph")
-    required = inv if inv % 2 == 0 else inv - 1
-    r = family_rank(A)
-    return RankBoundReport(
-        ok=r >= required, rank=r, inversion_number=inv, required=required
-    )

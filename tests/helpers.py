@@ -5,13 +5,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from invlab.digraph import (
     Digraph,
     InversionFamily,
     VectorAssignment,
-    canonical_key,
-    enumerate_tournaments,
+    _columns,
+    _pairs,
+    _require_enumerable,
+    _tournament,
+    apply_family,
+    assignment_to_family,
     invert,
     is_acyclic,
 )
@@ -81,6 +87,138 @@ def all_oriented(n: int):
             elif state == 2:
                 rows[j] |= 1 << i
         yield Digraph(n, tuple(rows))
+
+
+# Reference forms and law checks no run needs: the solver flips arcs from
+# vectors inline, the class walk marks orbits instead of keying graphs, and
+# the rank law is checked against the paper, never used in a solve.
+
+
+def dot(u: BitVec, v: BitVec) -> int:
+    """Scalar product over GF(2): parity of the AND of the two bitmasks."""
+    if u.width != v.width:
+        raise ValueError(f"width mismatch: {u.width} != {v.width}")
+    return (u.bits & v.bits).bit_count() & 1
+
+
+def apply_assignment(D: Digraph, A: VectorAssignment) -> Digraph:
+    """Reverse each arc whose endpoint vectors have odd overlap.
+
+    Agrees with ``apply_family`` on the transposed family by construction;
+    the equivalence is exercised on randomized inputs in the tests.
+    """
+    if A.n != D.n:
+        raise ValueError("assignment must cover every vertex")
+    bits = [v.bits for v in A.vecs]
+    rows = [0] * D.n
+    for u, v in D.arcs():
+        if (bits[u] & bits[v]).bit_count() & 1:
+            rows[v] |= 1 << u
+        else:
+            rows[u] |= 1 << v
+    return Digraph(D.n, tuple(rows))
+
+
+def flip_matrix(D: Digraph, order: Sequence[int]) -> SymMatrix:
+    """Which unordered pairs must flip for D to be sorted by ``order``.
+
+    Entry (u,v) is 1 when the arc between u and v points against the
+    order.  Pairs without an arc stay 0, and the diagonal is left zero;
+    self-products are unconstrained by arcs.
+    """
+    if sorted(order) != list(range(D.n)):
+        raise ValueError("order must be a permutation of the vertices")
+    pos = [0] * D.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    rows = [0] * D.n
+    for u, v in D.arcs():
+        if pos[v] < pos[u]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return SymMatrix(D.n, tuple(rows))
+
+
+def family_rank(A: VectorAssignment) -> int:
+    """Rank over GF(2) of the set of distinct vertex vectors."""
+    return rank_of_rows(sorted({v.bits for v in A.vecs}))
+
+
+def enumerate_tournaments(n: int) -> Iterator[Digraph]:
+    """All labelled tournaments on n vertices, each exactly once.
+
+    Tournament number ``code`` sets pair (i, j), i < j, to i->j exactly
+    when bit ``idx`` of ``code`` is set, ``idx`` counting the pairs in
+    lexicographic order; codes are listed in ascending order.
+    """
+    _require_enumerable(n)
+    pairs = _pairs(n)
+    for code in range(1 << len(pairs)):
+        yield _tournament(n, pairs, code)
+
+
+def canonical_key(D: Digraph) -> tuple[int, int]:
+    """Isomorphism-invariant key of an oriented graph: minimum relabelled encoding.
+
+    The encoding gives each pair i < j two bits, one for i->j and one for
+    j->i, so it tells all three pair states apart and determines the
+    graph.  It is minimized over the relabellings that sort vertices by
+    descending (out-degree, in-degree), a set every isomorphism carries
+    onto the other graph's; equal keys therefore hold exactly for
+    isomorphic oriented graphs, tournaments or not.
+    """
+    n = D.n
+    rows = D.out_rows
+    cols = _columns(rows, n)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        groups.setdefault((rows[v].bit_count(), cols[v].bit_count()), []).append(v)
+    ordered = [groups[d] for d in sorted(groups, reverse=True)]
+    best = None
+    for arrangement in itertools.product(
+        *(itertools.permutations(g) for g in ordered)
+    ):
+        perm = [v for part in arrangement for v in part]
+        key = 0
+        bit = 1
+        for i in range(n):
+            ri = rows[perm[i]]
+            for j in range(i + 1, n):
+                pj = perm[j]
+                if ri >> pj & 1:
+                    key |= bit
+                elif rows[pj] >> perm[i] & 1:
+                    key |= bit << 1
+                bit <<= 2
+        if best is None or key < best:
+            best = key
+    return (n, best if best is not None else 0)
+
+
+@dataclass(frozen=True)
+class RankBoundReport:
+    """Outcome of the rank law check for one decycling assignment."""
+
+    ok: bool
+    rank: int
+    inversion_number: int
+    required: int
+
+
+def rank_lower_bound_check(D: Digraph, A: VectorAssignment, inv: int) -> RankBoundReport:
+    """Check the rank law for a decycling assignment of D, given inv(D).
+
+    The distinct characteristic vectors of any decycling family span at
+    least inv(D) dimensions when inv(D) is even, and at least inv(D)-1
+    when odd.  A violation is reported, not raised; it would be a finding.
+    """
+    if is_acyclic(apply_family(D, assignment_to_family(A))) is None:
+        raise ValueError("assignment does not decycle the graph")
+    required = inv if inv % 2 == 0 else inv - 1
+    r = family_rank(A)
+    return RankBoundReport(
+        ok=r >= required, rank=r, inversion_number=inv, required=required
+    )
 
 
 def tournament_code(T: Digraph) -> int:

@@ -19,9 +19,7 @@ from invlab.construct import (
 )
 from invlab.digraph import (
     InversionFamily,
-    apply_assignment,
     apply_family,
-    enumerate_tournaments,
     family_to_assignment,
     invert,
     is_acyclic,
@@ -29,18 +27,17 @@ from invlab.digraph import (
     reverse,
 )
 from invlab.f2 import SymMatrix, gram_factor, gram_of, min_gram_dim, rank
-from invlab.solver import (
-    inv_exact,
-    inv_order_backend,
-    rank_lower_bound_check,
-)
+from invlab.solver import inv_exact, inv_order_backend
 
 from helpers import (
     all_symmetric,
+    apply_assignment,
+    enumerate_tournaments,
     inv_subset_oracle,
     random_family,
     random_oriented,
     random_symmetric,
+    rank_lower_bound_check,
     realize_oracle,
 )
 

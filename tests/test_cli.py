@@ -103,18 +103,21 @@ class TestInvCommand:
 
 
 class TestInvLimits:
-    def test_order_backend_refuses_even_weight_only(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("backend", solver.BACKENDS)
+    def test_even_weight_only_is_not_an_option(self, capsys, monkeypatch, backend):
+        # a restricted search reports a value that is not inv (inv(c3) = 1,
+        # even-weight vectors need 3), so inv offers no such flag
         def refuse(*args, **kwargs):
-            raise AssertionError("the order backend searched")
+            raise AssertionError("the solver ran")
 
-        monkeypatch.setattr(solver, "min_gram_dim_free_diag", refuse)
-        monkeypatch.setattr(solver, "_search_assignment", refuse)
+        monkeypatch.setattr(solver, "inv_exact", refuse)
+        monkeypatch.setattr(solver, "inv_order_backend", refuse)
         code, out, err = run(
-            capsys, "inv", "expr:qn(5)", "--backend", "order", "--even-weight-only",
+            capsys, "inv", "expr:c3", "--backend", backend, "--even-weight-only",
             "--deterministic",
         )
         assert code == 1 and out == ""
-        assert err == "error: the order backend has no even-weight restriction\n"
+        assert "unrecognized arguments: --even-weight-only" in err
 
     @pytest.mark.parametrize(
         "flags",

@@ -34,12 +34,13 @@ from invlab.digraph import (
     MAX_VERTICES,
     InversionFamily,
     apply_family,
-    canonical_key,
     invert,
     is_acyclic,
     reverse,
 )
 from invlab.errors import ParseError, VerificationError
+
+from helpers import canonical_key
 
 
 class TestBasicGraphs:

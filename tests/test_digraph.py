@@ -11,19 +11,13 @@ from invlab.construct import c3, qn, qn_family, transitive
 from invlab.digraph import (
     Digraph,
     InversionFamily,
-    apply_assignment,
     apply_family,
     assignment_to_family,
-    canonical_key,
     decode_digraph,
     dump_digraph,
     dump_family,
     encode_digraph,
-    enumerate_tournaments,
-    extend_to_tournament,
-    family_rank,
     family_to_assignment,
-    flip_matrix,
     invert,
     is_acyclic,
     is_even_weight_assignment,
@@ -38,10 +32,14 @@ from invlab.f2 import BitVec
 
 from helpers import (
     all_oriented,
+    apply_assignment,
+    canonical_key,
+    enumerate_tournaments,
+    family_rank,
+    flip_matrix,
     nonisomorphic_by_key,
     random_family,
     random_oriented,
-    random_tournament,
     relabel,
     tournament_code,
 )
@@ -67,6 +65,11 @@ class TestDigraphValue:
             c3().induced(mask)
         with pytest.raises(ValueError, match="vertex set outside the graph"):
             invert(c3(), mask)
+
+    @pytest.mark.parametrize("arc", [(-1, 0), (3, 0)])
+    def test_from_arcs_refuses_endpoints_outside_the_graph(self, arc):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            Digraph.from_arcs(3, [arc])
 
 
 class TestInvert:
@@ -278,39 +281,6 @@ class TestEvenWeight:
         ones = BitVec(k, (1 << k) - 1)
         A = VectorAssignment(k, (BitVec(k, 0), ones, ones))
         assert not is_even_weight_assignment(A)
-
-
-class TestExtendToTournament:
-    def test_already_tournament(self):
-        T = random_tournament(random.Random(1), 5)
-        F = InversionFamily(5, ())
-        if is_acyclic(T) is None:
-            F = InversionFamily(5, (0b11,))
-        if is_acyclic(apply_family(T, F)) is not None:
-            assert extend_to_tournament(T, F) == T
-
-    def test_empty_graph_empty_family(self):
-        D = Digraph(4, (0, 0, 0, 0))
-        T = extend_to_tournament(D, InversionFamily(4, ()))
-        assert T == transitive(4)
-
-    def test_postcondition_on_randoms(self):
-        rng = random.Random(17)
-        done = 0
-        while done < 40:
-            D = random_oriented(rng, rng.randint(1, 7))
-            F = random_family(rng, D.n, rng.randint(0, 3))
-            if is_acyclic(apply_family(D, F)) is None:
-                continue
-            T = extend_to_tournament(D, F)
-            assert T.is_tournament()
-            assert all(T.has_arc(u, v) for u, v in D.arcs())
-            assert is_acyclic(apply_family(T, F)) is not None
-            done += 1
-
-    def test_rejects_non_decycling_family(self):
-        with pytest.raises(ValueError):
-            extend_to_tournament(c3(), InversionFamily(3, ()))
 
 
 class TestEnumeration:

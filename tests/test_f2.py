@@ -13,7 +13,6 @@ from invlab.f2 import (
     FREE_DIAG_LIMIT,
     BitVec,
     SymMatrix,
-    dot,
     dump_matrix,
     gram_factor,
     gram_of,
@@ -23,7 +22,7 @@ from invlab.f2 import (
     rank,
 )
 
-from helpers import all_symmetric, free_diag_by_loop, random_symmetric, realize_oracle
+from helpers import all_symmetric, dot, free_diag_by_loop, random_symmetric, realize_oracle
 
 
 def bv(s: str) -> BitVec:

@@ -16,3 +16,31 @@ def test_no_module_global_caches():
             if hasattr(value, "cache_info") or hasattr(value, "cache_clear"):
                 found.append(f"{info.name}.{name}")
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in invlab.__all__ if not hasattr(invlab, name)]
+    assert missing == []
+
+
+# test oracles and law checks that no run reaches; they live in tests/helpers.py
+TEST_ONLY = {
+    "apply_assignment",
+    "canonical_key",
+    "dot",
+    "enumerate_tournaments",
+    "extend_to_tournament",
+    "family_rank",
+    "flip_matrix",
+    "RankBoundReport",
+    "rank_lower_bound_check",
+}
+
+
+def test_test_oracles_stay_out_of_the_package():
+    found = []
+    for info in pkgutil.iter_modules(invlab.__path__):
+        module = importlib.import_module(f"invlab.{info.name}")
+        found.extend(f"{info.name}.{name}" for name in TEST_ONLY if hasattr(module, name))
+    found.extend(name for name in TEST_ONLY if hasattr(invlab, name))
+    assert found == []

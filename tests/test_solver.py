@@ -10,12 +10,10 @@ from invlab.construct import c3, dijoin, graph_from_expr, k_join, qn, transitive
 from invlab.digraph import (
     InversionFamily,
     VectorAssignment,
-    apply_assignment,
     apply_family,
     assignment_to_family,
     dump_family,
     encode_digraph,
-    enumerate_tournaments,
     family_to_assignment,
     is_acyclic,
     nonisomorphic_tournaments,
@@ -26,22 +24,25 @@ from invlab.errors import (
     CriterionViolationError,
     ResourceLimitError,
 )
-from invlab.f2 import BitVec
+from invlab.f2 import BitVec, SymMatrix
 from invlab.solver import (
     SearchOptions,
     exists_family,
     inv_exact,
     inv_order_backend,
     is_c3_tight,
-    rank_lower_bound_check,
 )
 
 import helpers
 from helpers import (
+    apply_assignment,
     candidates_by_product,
+    enumerate_tournaments,
+    flip_matrix,
     inv_subset_oracle,
     random_oriented,
     random_tournament,
+    rank_lower_bound_check,
 )
 
 
@@ -619,6 +620,53 @@ class TestOrderTreePinned:
         capped = inv_order_backend(D)
         assert len(bounds) > once  # bounds past the cap are recomputed
         assert (capped.value, capped.nodes_explored) == (first.value, first.nodes_explored)
+
+
+    @pytest.mark.parametrize("seed", [None, 1, 2], ids=["qn6", "random1", "random2"])
+    def test_walk_bounds_the_flip_matrix_of_each_prefix(self, monkeypatch, seed):
+        # the walk grows its prefix rows one vertex at a time; a plain walk
+        # reading each prefix off flip_matrix must bound the same matrices
+        D = qn(6) if seed is None else random_tournament(random.Random(seed), 6)
+        seen = []
+        free_diag = solver.min_gram_dim_free_diag
+
+        def spy(M):
+            seen.append(M)
+            return free_diag(M)
+
+        monkeypatch.setattr(solver, "_MEMO_CAP", 0)
+        monkeypatch.setattr(solver, "min_gram_dim_free_diag", spy)
+        r = inv_order_backend(D)
+
+        expected = []
+        best_k = solver.MAX_K + 1
+
+        def walk(seq):
+            nonlocal best_k
+            m = len(seq)
+            if m >= 2:
+                rest = [v for v in range(D.n) if v not in seq]
+                flips = flip_matrix(D, list(seq) + rest).rows
+                M = SymMatrix(m, tuple(
+                    sum((flips[u] >> w & 1) << j for j, w in enumerate(seq)) for u in seq
+                ))
+                expected.append(M)
+                k = free_diag(M)[0]
+                if k >= best_k:
+                    return
+                if m == D.n:
+                    best_k = k
+                    return
+            elif m == D.n:
+                best_k = 0
+                return
+            for v in range(D.n):
+                if v not in seq:
+                    walk(seq + (v,))
+
+        walk(())
+        assert seen == expected
+        assert r.value == best_k
 
 
 class TestBudgetPerSolve:
