@@ -35,6 +35,7 @@ from .f2 import (
     BitVec,
     GramFactorization,
     SymMatrix,
+    free_diag_bound,
     gram_factor,
     gram_of,
     min_gram_dim,
@@ -70,6 +71,7 @@ __all__ = [
     "exists_family",
     "extend_family_to_c3_dijoin",
     "family_to_assignment",
+    "free_diag_bound",
     "gram_factor",
     "gram_of",
     "graph_from_expr",

@@ -29,7 +29,7 @@ from .errors import ResourceLimitError
 
 MAX_WIDTH = 64
 
-# min_gram_dim_free_diag's branch and bound may still visit all 2^n diagonals.
+# free_diag_bound's branch and bound may still visit all 2^m diagonals.
 FREE_DIAG_LIMIT = 20
 
 
@@ -241,32 +241,71 @@ def min_gram_dim_free_diag(M: SymMatrix) -> tuple[int, BitVec]:
 
     Pairwise products constrain only distinct pairs; self-products are
     free.  Minimizes :func:`min_gram_dim` over all 2^n diagonals and
-    returns the minimum with the smallest achieving diagonal.
-
-    Depth-first branch and bound over the diagonal bits: rows are placed
-    from n-1 down to 0, bit 0 before bit 1, so leaves arrive in ascending
-    diagonal order and the first strict improvement is the smallest
-    diagonal reaching the minimum.  Each placed row is reduced against
-    low-bit pivots shared along the path; the rank so far bounds every
-    completion from below, and a subtree whose rank reaches the best
-    width found is pruned.
+    returns the minimum with the smallest achieving diagonal: the square,
+    uncapped case of :func:`free_diag_bound`.
     """
-    n = M.n
-    if n > FREE_DIAG_LIMIT:
+    k, d = free_diag_bound(M.rows, range(M.n), M.n)
+    return k, BitVec(M.n, d)
+
+
+def free_diag_bound(
+    rows: Sequence[int], cols: Sequence[int], width: int, cap: int | None = None
+) -> tuple[int, int]:
+    """Least rank of a row block whose bit (i, cols[i]) is free in each row i.
+
+    Rows have ``width`` columns, and ``cols`` names distinct columns.  The
+    rank is minimized over the 2^m settings of the free bits, written as a
+    column mask d (bit cols[i] = the bit chosen in row i).  When the block
+    is square, the rows are a whole matrix and d its diagonal, so a zero
+    diagonal on a nonzero matrix costs one more (Lempel's rule): for a
+    symmetric matrix that is its least Gram dimension.  A block of fewer
+    rows gets no +1, and then bounds the least Gram dimension of every
+    symmetric matrix holding those rows, whatever its other rows and its
+    other diagonal bits.  Returns ``(k, d)`` with d the first setting
+    reaching k, settings counted as binary numbers with row i's bit as bit
+    i (for a matrix, the smallest diagonal), or ``(cap, 0)`` when no
+    setting gets below ``cap``.
+
+    Depth-first branch and bound over the free bits: rows are placed from
+    m-1 down to 0, bit 0 before bit 1, so leaves arrive in that counting
+    order and the first strict improvement is the first setting reaching
+    the minimum.  Each placed row is reduced against low-bit pivots
+    shared along the path; the rank so far bounds every completion from
+    below, and a subtree whose rank reaches the best width found (at
+    first ``cap``) is pruned.
+    """
+    m = len(rows)
+    if m > FREE_DIAG_LIMIT:
         raise ResourceLimitError(
-            f"order {n} exceeds the free-diagonal limit {FREE_DIAG_LIMIT}"
+            f"{m} rows exceed the free-diagonal limit {FREE_DIAG_LIMIT}"
         )
-    base = [r & ~(1 << i) for i, r in enumerate(M.rows)]
+    if not 0 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 0..{MAX_WIDTH}, got {width}")
+    if len(cols) != m:
+        raise ValueError("need one free column per row")
+    seen = 0
+    for c in cols:
+        if not 0 <= c < width or seen >> c & 1:
+            raise ValueError("free columns must be distinct and inside the width")
+        seen |= 1 << c
+    if any(r < 0 or r >> width for r in rows):
+        raise ValueError("row has bits beyond the width")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must not be negative")
+    base = [r & ~(1 << c) for r, c in zip(rows, cols)]
+    free = [1 << c for c in cols]
+    square = m == width
     pivots: dict[int, int] = {}
-    best_k, best_d = n + 2, 0  # above every width, so the first leaf is taken
+    # without a cap, above every width, so the first leaf is taken
+    best_k, best_d = width + 2 if cap is None else cap, 0
 
     def place(i: int, d: int, r: int) -> None:
         nonlocal best_k, best_d
         if i < 0:  # r < best_k here, so this leaf improves on the best
             # a zero diagonal costs one coordinate more, unless M is zero
-            best_k, best_d = (r + 1 if r and not d else r), d
+            best_k, best_d = (r + 1 if square and r and not d else r), d
             return
-        for bit in (0, 1 << i):
+        for bit in (0, free[i]):
             v = base[i] | bit
             while v:
                 low = v & -v
@@ -282,8 +321,8 @@ def min_gram_dim_free_diag(M: SymMatrix) -> tuple[int, BitVec]:
                 if r < best_k:
                     place(i - 1, d | bit, r)
 
-    place(n - 1, 0, 0)
-    return best_k, BitVec(n, best_d)
+    place(m - 1, 0, 0)
+    return best_k, best_d
 
 
 def dump_matrix(M: SymMatrix) -> str:

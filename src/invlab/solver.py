@@ -25,12 +25,17 @@ Two independent backends:
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
   Branch and bound over order prefixes; exact for tournaments, where
-  every pair is constrained.  A prefix's bound is itself a branch and
-  bound over the diagonal bits, pruned by the rank of the rows placed
-  so far (``f2.min_gram_dim_free_diag``).  The prefix's flip rows grow by
-  one vertex per step, and each call keeps its bounds in a dict local to
-  the call, up to ``_MEMO_CAP`` entries; a bound past the cap is
-  recomputed.  Only the value is its own: the witness comes from the
+  every pair is constrained.  Once a prefix P is fixed, every vertex
+  outside it comes later, so each of P's rows of the flip matrix is
+  known in every column: a pair (u in P, r) flips exactly when r -> u.
+  A prefix is bounded by the least rank of that row block over P's
+  diagonal bits (``f2.free_diag_bound``, itself a branch and bound over
+  those bits, capped at the best width found), with Lempel's +1 for a
+  zero diagonal only once P is the whole order.  Columns are indexed by
+  vertex, so appending a vertex adds its row and leaves the others as
+  they are.  A block fixes its prefix's order, which the walk visits
+  once, so bounds are not memoized.  Capped at ``ORDER_BACKEND_MAX_N``
+  vertices.  Only the value is its own: the witness comes from the
   assignment search at that value.
 
 The brute-force subset enumeration both are checked against is a test
@@ -64,13 +69,13 @@ from .digraph import (
     is_acyclic,
 )
 from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
-from .f2 import BitVec, SymMatrix, min_gram_dim_free_diag
+from .f2 import BitVec, free_diag_bound
 
 MAX_K = 12
 
 BACKENDS = ("assign", "order")
 
-ORDER_BACKEND_MAX_N = 10
+ORDER_BACKEND_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,8 @@ def _vertex_order(D: Digraph) -> list[int]:
     )
 
 
-# entries one search call may keep in its memo (candidate list entries, or
-# order bounds); what would pass this is rebuilt each time it is needed
+# candidate list entries one search call may keep in its memo; what would
+# pass this is rebuilt each time it is needed
 _MEMO_CAP = 1 << 16
 
 
@@ -352,15 +357,19 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     whose vectors must have odd overlap, and the least width realizing
     those constraints (diagonal free) is Lempel's rank rule minimized
     over the diagonal; the minimum over orders is the inversion number.
-    Tournaments only: a missing pair would wrongly be constrained to "no
-    flip".  ``opts.even_weight_only`` is refused with ValueError: the order
-    rule has no even-weight form.  The value is independent of the
-    assignment backend, for cross-validation; the witness comes from the
-    assignment search at that value (its own node budget, not counted in
-    ``nodes_explored``), and finding none there raises
-    CriterionViolationError.  Orders wider
-    than ``opts.max_k`` are pruned, so when none fits the result is
-    unresolved with ``max_k`` exhausted, as from ``inv_exact``.
+    Orders are built vertex by vertex, and a prefix is cut when the rows
+    its vertices have in every completion's flip matrix already need the
+    best width found (see the module docstring).  Tournaments only: a
+    missing pair would wrongly be constrained to "no flip".  Graphs above
+    ``ORDER_BACKEND_MAX_N`` vertices are refused with ResourceLimitError
+    before any search.  ``opts.even_weight_only`` is refused with
+    ValueError: the order rule has no even-weight form.  The value is
+    independent of the assignment backend, for cross-validation; the
+    witness comes from the assignment search at that value (its own node
+    budget, not counted in ``nodes_explored``), and finding none there
+    raises CriterionViolationError.  Orders wider than ``opts.max_k`` are
+    pruned, so when none fits the result is unresolved with ``max_k``
+    exhausted, as from ``inv_exact``.
     """
     if opts is None:
         opts = SearchOptions()
@@ -380,44 +389,27 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     best_k = opts.max_k + 1  # prunes every order wider than max_k
     nodes = 0
     budget = opts.budget
+    ins = D.in_rows()
 
-    # prefix flip rows -> least free-diagonal width, up to _MEMO_CAP entries
-    memo: dict[tuple[int, ...], int] = {}
-
-    def walk(seq: tuple[int, ...], rows: tuple[int, ...], used: int) -> None:
-        # rows[i] bit j: the arc between seq[i] and seq[j] points against seq
+    def walk(seq: tuple[int, ...], block: tuple[int, ...], used: int) -> None:
+        # block[i] bit w: the arc between seq[i] and w points against an
+        # order that starts with seq; every later vertex w counts as after
         nonlocal nodes, best_k
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"order search exceeded {budget} nodes")
-        m = len(seq)
-        if m >= 2:
-            k = memo.get(rows)
-            if k is None:
-                k = min_gram_dim_free_diag(SymMatrix(m, rows))[0]
-                if len(memo) < _MEMO_CAP:
-                    memo[rows] = k
-            # the prefix bound never decreases along a completion
-            if k >= best_k:
-                return
-            if m == n:
-                best_k = k
-                return
-        elif m == n:  # a single vertex needs no inversion
-            best_k = 0
+        # the prefix's rows bound every completion, and only grow along it
+        k = free_diag_bound(block, seq, n, best_k)[0]
+        if k >= best_k:
             return
-        bit = 1 << m
+        if len(seq) == n:
+            best_k = k
+            return
         for v in range(n):
             if not used >> v & 1:
-                out_v = D.out_rows[v]
-                grown = list(rows)
-                row = 0
-                for i, u in enumerate(seq):
-                    if out_v >> u & 1:  # v comes after u but points to it
-                        grown[i] |= bit
-                        row |= 1 << i
-                grown.append(row)
-                walk(seq + (v,), tuple(grown), used | (1 << v))
+                # earlier u flips when v -> u, later w when w -> v
+                row = D.out_rows[v] & used | ins[v] & ~used
+                walk(seq + (v,), block + (row,), used | 1 << v)
 
     walk((), (), 0)
     k = best_k

@@ -21,8 +21,9 @@ from invlab.digraph import (
     invert,
     is_acyclic,
 )
+from invlab import solver
 from invlab.errors import BudgetExceededError, ResourceLimitError
-from invlab.f2 import BitVec, SymMatrix, rank_of_rows
+from invlab.f2 import BitVec, SymMatrix, min_gram_dim_free_diag, rank_of_rows
 from invlab.solver import _candidates
 
 
@@ -320,20 +321,28 @@ def realize_oracle(M: SymMatrix, k: int, node_budget: int = 1 << 22) -> list[Bit
     return [BitVec(k, w) for w in vecs]
 
 
-def free_diag_by_loop(M: SymMatrix) -> tuple[int, int]:
-    """Reference free-diagonal minimum: a fresh rank for each of the 2^n diagonals.
+def free_diag_by_loop(M, cols: Sequence[int] | None = None, width: int | None = None):
+    """Reference free-diagonal minimum: a fresh rank for each of the 2^m diagonals.
 
-    Returns ``(k, d_bits)`` with the smallest diagonal reaching the least
-    width k (Lempel's rule per diagonal: rank, plus one for a zero
-    diagonal on a nonzero matrix).  M's own diagonal is ignored.
+    ``M`` is a SymMatrix, whose own diagonal is ignored, or a row block:
+    rows of ``width`` columns whose bit (i, cols[i]) is free.  Settings are
+    tried as binary numbers x, bit i of x the bit of row i; returns
+    ``(k, d_bits)`` with the first setting reaching the least width k, as
+    a column mask (for a matrix, the smallest diagonal).  Lempel's +1 for
+    a zero diagonal on a nonzero matrix applies only when the block is
+    square.
     """
-    n = M.n
-    base = [r & ~(1 << i) for i, r in enumerate(M.rows)]
+    if isinstance(M, SymMatrix):
+        rows, cols, width = M.rows, range(M.n), M.n
+    else:
+        rows = M
+    m = len(rows)
+    base = [r & ~(1 << c) for r, c in zip(rows, cols)]
     best_k, best_d = None, 0
-    for d in range(1 << n):
-        rows = [base[i] | (d >> i & 1) << i for i in range(n)]
-        r = rank_of_rows(rows)
-        kd = r + 1 if r and not d else r
+    for x in range(1 << m):
+        d = sum((x >> i & 1) << c for i, c in enumerate(cols))
+        r = rank_of_rows([b | (d & 1 << c) for b, c in zip(base, cols)])
+        kd = r + 1 if m == width and r and not d else r
         if best_k is None or kd < best_k:
             best_k, best_d = kd, d
     return best_k, best_d
@@ -429,3 +438,62 @@ def reference_search(D: Digraph, k: int, opts, spent: int = 0):
     for t, v in enumerate(order):
         vecs[v] = BitVec(k, vec[t])
     return VectorAssignment(k, tuple(vecs)), nodes
+
+
+def reference_order_search(D: Digraph, opts) -> tuple[int, int]:
+    """Reference order walk: (least width, nodes) as the order backend had it.
+
+    The walk before the row-block lookahead, kept whole so its trees stay
+    pinned: each prefix is bounded by its square flip matrix alone, grown
+    by one row per step, with a per-call memo of up to
+    ``solver._MEMO_CAP`` bounds.  The width is ``opts.max_k + 1`` when no
+    order fits.
+    """
+    n = D.n
+    best_k = opts.max_k + 1  # prunes every order wider than max_k
+    nodes = 0
+    budget = opts.budget
+
+    # prefix flip rows -> least free-diagonal width, up to _MEMO_CAP entries
+    memo: dict[tuple[int, ...], int] = {}
+
+    def walk(seq: tuple[int, ...], rows: tuple[int, ...], used: int) -> None:
+        # rows[i] bit j: the arc between seq[i] and seq[j] points against seq
+        nonlocal nodes, best_k
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(f"order search exceeded {budget} nodes")
+        m = len(seq)
+        if m >= 2:
+            k = memo.get(rows)
+            if k is None:
+                k = min_gram_dim_free_diag(SymMatrix(m, rows))[0]
+                if len(memo) < solver._MEMO_CAP:
+                    memo[rows] = k
+            # the prefix bound never decreases along a completion
+            if k >= best_k:
+                return
+            if m == n:
+                best_k = k
+                return
+        elif m == n:  # a single vertex needs no inversion
+            best_k = 0
+            return
+        bit = 1 << m
+        for v in range(n):
+            if not used >> v & 1:
+                out_v = D.out_rows[v]
+                grown = list(rows)
+                row = 0
+                for i, u in enumerate(seq):
+                    if out_v >> u & 1:  # v comes after u but points to it
+                        grown[i] |= bit
+                        row |= 1 << i
+                grown.append(row)
+                walk(seq + (v,), tuple(grown), used | (1 << v))
+
+    if n:
+        walk((), (), 0)
+    else:
+        best_k = 0
+    return best_k, nodes

@@ -147,8 +147,12 @@ class TestInvLimits:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
-    def test_order_backend_above_its_cap_exit_two(self, capsys):
-        code, out, _ = run(capsys, "inv", "expr:qn(11)", "--backend", "order")
+    def test_order_backend_above_its_cap_exit_two(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the order search ran before the cap was checked")
+
+        monkeypatch.setattr(solver, "free_diag_bound", refuse)
+        code, out, _ = run(capsys, "inv", "expr:qn(13)", "--backend", "order")
         assert code == 2 and out.startswith("inv=unknown reason=")
         assert str(solver.ORDER_BACKEND_MAX_N) in out
 

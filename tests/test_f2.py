@@ -14,6 +14,7 @@ from invlab.f2 import (
     BitVec,
     SymMatrix,
     dump_matrix,
+    free_diag_bound,
     gram_factor,
     gram_of,
     load_matrix,
@@ -257,3 +258,86 @@ class TestMinGramDimFreeDiag:
                         break
             assert k == best
             assert realize_oracle(M.with_diagonal(d.bits), k) is not None
+
+
+def capped(expected, cap):
+    """What free_diag_bound owes under ``cap``, given the uncapped answer."""
+    return expected if expected[0] < cap else (cap, 0)
+
+
+class TestFreeDiagBound:
+    def test_zero_diagonal_costs_one_only_when_square(self):
+        # one row, one column of R: rank 1 with either bit, no +1
+        assert free_diag_bound([0b10], [0], 2) == (1, 0)
+        # the same pair as a whole matrix: a zero diagonal needs two
+        assert free_diag_bound([0b10, 0b01], [0, 1], 2) == (1, 0b11)
+        assert free_diag_bound([0b10, 0b01], [0, 1], 2, cap=1) == (1, 0)
+
+    def test_free_bits_follow_their_columns(self):
+        # row 0 is free at column 2 and row 1 at column 0: only setting
+        # both makes the rows equal
+        assert free_diag_bound([0b011, 0b110], [2, 0], 3) == (1, 0b101)
+        assert free_diag_bound([0b011, 0b110], [1, 0], 3) == (2, 0)
+
+    @pytest.mark.parametrize("width", range(5))
+    def test_matches_loop_oracle_exhaustively(self, width):
+        # every block of up to 12 bits, free columns ascending from 0 or
+        # descending from the last, every cap up to width + 1
+        for m in range(width + 1):
+            if m * width > 12:
+                continue
+            for cols in (list(range(m)), list(range(width - 1, width - 1 - m, -1))):
+                for bits in range(1 << (m * width)):
+                    rows = [bits >> (i * width) & ((1 << width) - 1) for i in range(m)]
+                    want = free_diag_by_loop(rows, cols, width)
+                    assert free_diag_bound(rows, cols, width) == want
+                    for cap in range(width + 2):
+                        assert free_diag_bound(rows, cols, width, cap) == capped(want, cap)
+
+    @pytest.mark.parametrize("width", range(5, 13))
+    def test_matches_loop_oracle_random(self, width):
+        rng = random.Random(width)
+        for _ in range(20):
+            m = rng.randint(1, min(width, 10))
+            cols = rng.sample(range(width), m)
+            rows = [rng.getrandbits(width) for _ in range(m)]
+            want = free_diag_by_loop(rows, cols, width)
+            assert free_diag_bound(rows, cols, width) == want
+            cap = rng.randint(0, width + 1)
+            assert free_diag_bound(rows, cols, width, cap) == capped(want, cap)
+
+    def test_square_case_is_min_gram_dim_free_diag(self):
+        rng = random.Random(3)
+        for n in range(8):
+            M = random_symmetric(rng, n)
+            k, d = min_gram_dim_free_diag(M)
+            assert free_diag_bound(M.rows, range(n), n) == (k, d.bits)
+            # rows listed in another order, each with its own free column:
+            # the same width, though another setting may come first
+            perm = rng.sample(range(n), n)
+            assert free_diag_bound([M.rows[i] for i in perm], perm, n)[0] == k
+
+    def test_limit_guard(self):
+        rows = [0] * (FREE_DIAG_LIMIT + 1)
+        with pytest.raises(ResourceLimitError):
+            free_diag_bound(rows, range(len(rows)), len(rows))
+
+    @pytest.mark.parametrize(
+        "rows,cols,width,cap",
+        [
+            ([0, 0], [1, 1], 2, None),
+            ([0], [2], 2, None),
+            ([0], [-1], 2, None),
+            ([0b100], [0], 2, None),
+            ([-1], [0], 2, None),
+            ([0, 0], [0], 2, None),
+            ([0], [0], 65, None),
+            ([0], [0], 2, -1),
+        ],
+        ids=["repeated-column", "column-past-width", "negative-column",
+             "row-past-width", "negative-row", "fewer-columns", "width-65",
+             "negative-cap"],
+    )
+    def test_refuses_malformed_blocks(self, rows, cols, width, cap):
+        with pytest.raises(ValueError):
+            free_diag_bound(rows, cols, width, cap)

@@ -24,7 +24,7 @@ from invlab.errors import (
     CriterionViolationError,
     ResourceLimitError,
 )
-from invlab.f2 import BitVec, SymMatrix
+from invlab.f2 import BitVec
 from invlab.solver import (
     SearchOptions,
     exists_family,
@@ -106,6 +106,20 @@ class TestInvExact:
         assert a.witness == b.witness and a.nodes_explored == b.nodes_explored
 
 
+@pytest.fixture
+def bound_calls(monkeypatch):
+    """The argument tuples of every order-backend call of free_diag_bound."""
+    calls = []
+    free_diag = solver.free_diag_bound
+
+    def spy(*args):
+        calls.append(args)
+        return free_diag(*args)
+
+    monkeypatch.setattr(solver, "free_diag_bound", spy)
+    return calls
+
+
 class TestOrderBackend:
     def test_transitive(self):
         assert inv_order_backend(transitive(6)).value == 0
@@ -125,9 +139,13 @@ class TestOrderBackend:
         with pytest.raises(ValueError):
             inv_order_backend(Digraph(2, (0, 0)))
 
-    def test_rejects_large(self):
-        with pytest.raises(ResourceLimitError):
-            inv_order_backend(transitive(11))
+    def test_rejects_large(self, bound_calls):
+        inv_order_backend(transitive(12))
+        assert bound_calls  # the cap admits 12 vertices
+        bound_calls.clear()
+        with pytest.raises(ResourceLimitError, match="capped at 12 vertices"):
+            inv_order_backend(transitive(13))
+        assert bound_calls == []  # refused before any bound
 
     @pytest.mark.parametrize("max_k", range(4))
     def test_honors_max_k(self, max_k):
@@ -146,6 +164,31 @@ class TestOrderBackend:
             for T in nonisomorphic_tournaments(n):
                 a, o = inv_exact(T, opts), inv_order_backend(T, opts)
                 assert (o.value, o.max_k_exhausted) == (a.value, a.max_k_exhausted)
+
+
+class TestOrderBackendValues:
+    def test_every_order_seven_class_matches_inv_exact(self):
+        classes = nonisomorphic_tournaments(7)
+        assert len(classes) == 456
+        for T in classes:
+            r = inv_order_backend(T)
+            assert r.value == inv_exact(T).value
+            assert is_acyclic(apply_family(T, r.witness)) is not None
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_random_tournaments_match_inv_exact(self, n):
+        rng = random.Random(f"order-values:{n}")
+        for _ in range(2):
+            T = random_tournament(rng, n)
+            r = inv_order_backend(T)
+            assert r.value == inv_exact(T).value
+            assert is_acyclic(apply_family(T, r.witness)) is not None
+
+    def test_qn10_by_both_backends(self):
+        a, o = inv_exact(qn(10)), inv_order_backend(qn(10))
+        assert (a.value, o.value) == (4, 4)
+        assert o.witness == a.witness  # the witness comes from the assignment search
+        assert is_acyclic(apply_family(qn(10), o.witness)) is not None
 
 
 class TestOrderBackendWitness:
@@ -563,8 +606,9 @@ class TestSearchTreePinned:
         assert len(built) > len(once)  # shapes past the cap are rebuilt
 
 
-# inv_order_backend trees, recorded from the exhaustive-loop bound: the
-# bound's value, not how it is computed, decides which prefixes are cut
+# reference order-walk trees (helpers.reference_order_search), recorded
+# from the exhaustive-loop bound: the bound's value, not how it is
+# computed, decides which prefixes are cut
 PINNED_ORDER_TREES = [
     ("qn(7)", "enc:7:7c.79.72.64.48.10.20", 3, 5121),
     ("qn(8)", "enc:8:fc.f9.f2.e4.c8.90.20.40", 3, 21731),
@@ -572,6 +616,9 @@ PINNED_ORDER_TREES = [
     ("random 1", "enc:8:f4.99.62.85.4c.da.8a.14", 2, 6373),
     ("random 2", "enc:8:38.59.cb.20.6c.6.29.7b", 3, 18408),
 ]
+# inv_order_backend trees on the same graphs: each prefix is bounded by
+# its whole row block, so the trees are cut sooner
+PINNED_LOOKAHEAD_NODES = [496, 1230, 666, 260, 747]
 
 
 def order_pin_graphs():
@@ -590,8 +637,7 @@ class TestOrderTreePinned:
         _, enc, value, nodes = PINNED_ORDER_TREES[idx]
         T = order_pin_graphs()[idx]
         assert encode_digraph(T) == enc
-        r = inv_order_backend(T)
-        assert (r.value, r.nodes_explored) == (value, nodes)
+        assert helpers.reference_order_search(T, SearchOptions()) == (value, nodes)
 
     @order_pins
     def test_value_and_nodes_uncached(self, monkeypatch, idx):
@@ -599,43 +645,32 @@ class TestOrderTreePinned:
         monkeypatch.setattr(solver, "_MEMO_CAP", 1)
         self.test_value_and_nodes(idx)
 
-    def test_order_memo_is_per_call_and_capped(self, monkeypatch):
-        bounds = []
-        free_diag = solver.min_gram_dim_free_diag
+    @order_pins
+    def test_lookahead_value_and_nodes(self, idx):
+        _, enc, value, reference_nodes = PINNED_ORDER_TREES[idx]
+        nodes = PINNED_LOOKAHEAD_NODES[idx]
+        assert nodes <= reference_nodes
+        T = order_pin_graphs()[idx]
+        r = inv_order_backend(T)
+        assert (r.value, r.nodes_explored) == (value, nodes)
 
-        def spy(M):
-            bounds.append(M.n)
-            return free_diag(M)
-
-        monkeypatch.setattr(solver, "min_gram_dim_free_diag", spy)
+    def test_order_search_keeps_nothing_between_calls(self, bound_calls):
+        # a prefix's block fixes its order, which the walk visits once, so
+        # a memo could never hit: every node computes its bound
         D = qn(7)
         first = inv_order_backend(D)
-        once = len(bounds)
-        assert once > 0
+        assert len(bound_calls) == first.nodes_explored
         second = inv_order_backend(D)
-        assert len(bounds) == 2 * once  # nothing kept between calls
+        assert len(bound_calls) == 2 * first.nodes_explored
         assert (second.value, second.nodes_explored) == (first.value, first.nodes_explored)
-        bounds.clear()
-        monkeypatch.setattr(solver, "_MEMO_CAP", 1)
-        capped = inv_order_backend(D)
-        assert len(bounds) > once  # bounds past the cap are recomputed
-        assert (capped.value, capped.nodes_explored) == (first.value, first.nodes_explored)
-
 
     @pytest.mark.parametrize("seed", [None, 1, 2], ids=["qn6", "random1", "random2"])
-    def test_walk_bounds_the_flip_matrix_of_each_prefix(self, monkeypatch, seed):
-        # the walk grows its prefix rows one vertex at a time; a plain walk
-        # reading each prefix off flip_matrix must bound the same matrices
+    def test_walk_bounds_the_flip_matrix_of_each_prefix(self, bound_calls, seed):
+        # the walk adds one row per step and never edits the rows before
+        # it; a plain walk reading each prefix's rows, over all columns,
+        # off flip_matrix, with the loop oracle's widths, must bound the
+        # same blocks under the same caps
         D = qn(6) if seed is None else random_tournament(random.Random(seed), 6)
-        seen = []
-        free_diag = solver.min_gram_dim_free_diag
-
-        def spy(M):
-            seen.append(M)
-            return free_diag(M)
-
-        monkeypatch.setattr(solver, "_MEMO_CAP", 0)
-        monkeypatch.setattr(solver, "min_gram_dim_free_diag", spy)
         r = inv_order_backend(D)
 
         expected = []
@@ -643,29 +678,21 @@ class TestOrderTreePinned:
 
         def walk(seq):
             nonlocal best_k
-            m = len(seq)
-            if m >= 2:
-                rest = [v for v in range(D.n) if v not in seq]
-                flips = flip_matrix(D, list(seq) + rest).rows
-                M = SymMatrix(m, tuple(
-                    sum((flips[u] >> w & 1) << j for j, w in enumerate(seq)) for u in seq
-                ))
-                expected.append(M)
-                k = free_diag(M)[0]
-                if k >= best_k:
-                    return
-                if m == D.n:
-                    best_k = k
-                    return
-            elif m == D.n:
-                best_k = 0
+            rest = [v for v in range(D.n) if v not in seq]
+            flips = flip_matrix(D, list(seq) + rest).rows
+            rows = tuple(flips[u] for u in seq)
+            expected.append((rows, seq, D.n, best_k))
+            k = helpers.free_diag_by_loop(rows, seq, D.n)[0]
+            if k >= best_k:
                 return
-            for v in range(D.n):
-                if v not in seq:
-                    walk(seq + (v,))
+            if len(seq) == D.n:
+                best_k = k
+                return
+            for v in rest:
+                walk(seq + (v,))
 
         walk(())
-        assert seen == expected
+        assert bound_calls == expected
         assert r.value == best_k
 
 
