@@ -166,7 +166,7 @@ def _check_kjoin(inst: str, opts: solver.SearchOptions) -> _Checker:
     j = special[0] if special else 0
     (dijoin_k,) = yield [construct.dijoin(construct.c3(), parts[j])]
     if dijoin_k is None:
-        raise ResourceLimitError("inversion number of the dijoin unresolved")
+        return InstanceResult(inst, "UNKNOWN", "dijoin value unresolved")
     tight = solver.is_c3_tight(parts[j], invs[j], dijoin_k, opts)
     expect = sum(invs) - (1 if tight else 0)
     (got,) = yield [construct.k_join(parts)]

@@ -3,24 +3,30 @@
 Two independent backends:
 
 * ``assign``: iterative deepening over the family size k, searching
-  characteristic-vector assignments vertex by vertex.  A partial
-  assignment is pruned as soon as the flipped subgraph on the assigned
-  vertices contains a cycle.  The flips depend only on the dot products
-  of the vectors, so any isometry of GF(2)^k maps decycling families to
-  decycling families, and two are broken.  Permutation of family
-  positions (coordinate permutation of all vectors at once): coordinates
-  whose columns agree so far form blocks of consecutive coordinates, and
-  a vertex may only set a prefix of each block.  And, for even k, the map
-  complementing every odd-weight vector: the first odd-weight vector in
-  search order weighs at most k/2 (see ``_search_assignment``).  The
-  list of block lengths (the shape), with whether an odd-weight vector
-  is placed yet, fixes a vertex's candidate list, which each search call
-  builds once and keeps in a dict local to the call, up to ``_MEMO_CAP``
-  entries in all; a list past the cap is rebuilt at each node that needs
-  it.  Per coordinate
-  c the search keeps a column mask of the earlier positions whose
-  vector sets c, so the pattern of arcs a candidate reverses is the XOR
-  of the masks of its set coordinates.
+  characteristic-vector assignments vertex by vertex with forward
+  checking.  Each unplaced vertex keeps a 2^k-bit mask of the vectors
+  that close no cycle with the placed prefix; placing a vertex removes
+  from every mask the vectors that now close one through it, a branch is
+  cut as soon as a mask empties, and the next vertex is the one with the
+  fewest vectors left (fail first).  A node is one canonical candidate
+  examined, and one outside its vertex's mask costs a bit test.  The
+  flips depend only on the dot products of the vectors, so any isometry
+  of GF(2)^k maps decycling families to decycling families, and two are
+  broken.  Permutation of family positions (coordinate permutation of
+  all vectors at once): coordinates whose columns agree so far form
+  blocks of consecutive coordinates, and a vertex may only set a prefix
+  of each block.  And, for even k, the map complementing every
+  odd-weight vector: the first odd-weight vector in search order weighs
+  at most k/2.  Mask sizes are isometry invariants, so the vertex
+  sequence is the same along every member of an orbit, and both rules
+  stay sound (see ``_search_assignment``).  The list of block lengths
+  (the shape), with whether an odd-weight vector is placed yet, fixes a
+  vertex's candidate list, which each search call builds once and keeps
+  in a dict local to the call, up to ``_MEMO_CAP`` entries in all; a
+  list past the cap is rebuilt at each node that needs it.  Per
+  coordinate c the search keeps a column mask of the placed vertices
+  whose vector sets c, so the pattern of arcs a candidate reverses is
+  the XOR of the masks of its set coordinates.
 
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
@@ -131,13 +137,13 @@ class InvResult:
         return "\n".join(lines)
 
 
-def _vertex_order(D: Digraph) -> list[int]:
-    # Descending degree imbalance first: imbalanced vertices force flips
-    # early, so cycles among assigned vertices appear sooner.
-    cols = D.in_rows()
+def _vertex_order(D: Digraph, ins: tuple[int, ...]) -> list[int]:
+    # The assignment search's first vertex and tie-break: descending degree
+    # imbalance first, since imbalanced vertices force flips early, so
+    # cycles among assigned vertices appear sooner.  ins is D.in_rows().
     return sorted(
         range(D.n),
-        key=lambda v: (-abs(D.out_rows[v].bit_count() - cols[v].bit_count()), v),
+        key=lambda v: (-abs(D.out_rows[v].bit_count() - ins[v].bit_count()), v),
     )
 
 
@@ -177,8 +183,31 @@ def _search_assignment(
 ) -> tuple[VectorAssignment | None, int]:
     """Complete DFS for a decycling assignment of width k; (witness, nodes).
 
-    For even k the all-ones vector j has j.j = 0, so x -> x + (x.j) j keeps
-    every dot product: it fixes even-weight vectors and complements
+    Forward checking with a fail-first order (Haralick and Elliott, AIJ
+    1980).  Each unplaced vertex r keeps a 2^k-bit mask, bit x set while
+    vector x closes no cycle through r with the placed prefix; masks start
+    full, or even-weight only under ``even_weight_only``.  Placing v can
+    only add cycles r -> a ~> v ~> b -> r, with a in the set A of v and
+    its ancestors and b in the set B of v and its descendants in the
+    flipped prefix.  With F[x] the placed vertices u where x.vec[u] is
+    odd, x closes one when (out[r] ^ adj[r] & F[x]) meets A and
+    (in[r] ^ adj[r] & F[x]) meets B.  Each side is a union, over r's
+    neighbours u in A (or B), of the vectors x that put the arc between r
+    and u on that side: odd[vec[u]] or its complement, from a parity
+    table built per call.  The masks are blocks of one int, so one update
+    serves every vertex.  A branch is cut when a mask empties, and the
+    next vertex is the unplaced one with the fewest vectors left, ties
+    going to ``_vertex_order``.  A node is one canonical candidate
+    examined, in or out of its vertex's mask (out costs one bit test),
+    and ``opts.budget`` counts nodes.
+
+    Mask sizes depend only on dot products, so every member of an
+    isometry orbit is searched in the same vertex sequence, and both
+    symmetry rules hold along it.  The block-prefix rule: sorting a
+    solution's coordinates by their columns in that sequence gives a
+    member of its orbit that sets a prefix of each block at each vertex.
+    And for even k the all-ones vector j has j.j = 0, so x -> x + (x.j) j
+    keeps every dot product: it fixes even-weight vectors and complements
     odd-weight ones.  It fixes every vertex before the first odd-weight
     one and commutes with the block-prefix rule, which keeps weights, so
     that first odd-weight vector may skip weights above k/2 and lose no
@@ -189,18 +218,40 @@ def _search_assignment(
     n = D.n
     if n == 0:
         return VectorAssignment(k, ()), 0
-    order = _vertex_order(D)
-    # arcs between position t and earlier positions s
-    fwd = [0] * n  # bit s: arc order[s] -> order[t]
-    bwd = [0] * n  # bit s: arc order[t] -> order[s]
-    for t in range(n):
-        vt = order[t]
-        for s in range(t):
-            vs = order[s]
-            if D.out_rows[vs] >> vt & 1:
-                fwd[t] |= 1 << s
-            elif D.out_rows[vt] >> vs & 1:
-                bwd[t] |= 1 << s
+    outs = D.out_rows
+    ins = D.in_rows()
+    order = _vertex_order(D, ins)
+    adj = [o | i for o, i in zip(outs, ins)]
+    size = 1 << k
+    full = (1 << size) - 1
+    # all masks live in one int, vertex r's in the block of bits from
+    # r*size, so each update acts on every vertex at once
+    rep = sum(1 << r * size for r in range(n))  # the low bit of each block
+    high = rep << size - 1  # the high bit of each block
+    low_bits = high - rep  # the other bits of each block
+
+    spread = str.maketrans({"0": "0" * size, "1": "0" * (size - 1) + "1"})
+
+    def blocks(vertices: int) -> int:
+        # bit r of vertices becomes block r, all ones
+        return full * int(bin(vertices)[2:].translate(spread), 2)
+
+    near = [blocks(a) for a in adj]  # the blocks of each vertex's neighbours
+    tails = [blocks(i) for i in ins]  # the blocks of r with an arc r -> u
+    # odd[w] bit x: x.w is odd; linear in w, so built from the unit vectors
+    odd = [0] * size
+    for c in range(k):
+        run = 1 << c
+        m = ((1 << run) - 1) << run  # in each 2^(c+1) vectors, the last half set c
+        span = 2 * run
+        while span < size:
+            m |= m << span
+            span *= 2
+        odd[run] = m
+    for w in range(3, size):
+        low = w & -w
+        if low != w:
+            odd[w] = odd[low] ^ odd[w ^ low]
 
     budget = opts.budget
     limit = None if budget is None else budget - spent
@@ -211,8 +262,12 @@ def _search_assignment(
     memo: dict[tuple[tuple[int, ...], bool], list] = {}
     stored = 0
     vec = [0] * n
-    cols = [0] * k  # cols[c] bit s: vec[s] sets coordinate c
-    reach = [0] * n  # transitive closure of the flipped prefix graph
+    cols = [0] * k  # cols[c] bit u: placed vec[u] sets coordinate c
+    # block r of to_at[u]: vectors of r that give an arc r -> u, placed u;
+    # of from_at[u], those giving u -> r
+    to_at = [0] * n
+    from_at = [0] * n
+    prefix: list[int] = []  # placed vertices
     nodes = 0
 
     def candidates(key: tuple[tuple[int, ...], bool]) -> list:
@@ -220,10 +275,10 @@ def _search_assignment(
         shape, first = key
         if first:
             # an odd vector heavier than k/2 here has its complement in the tree
-            full = memo.get((shape, False)) or candidates((shape, False))
+            base = memo.get((shape, False)) or candidates((shape, False))
             cands = [
                 (w, c, (nxt, len(c) % 2 == 0))
-                for w, c, (nxt, _) in full
+                for w, c, (nxt, _) in base
                 if len(c) % 2 == 0 or len(c) <= half
             ]
         else:
@@ -233,65 +288,106 @@ def _search_assignment(
             stored += len(cands)
         return cands
 
-    def dfs(t: int, key: tuple[tuple[int, ...], bool]) -> bool:
+    def dfs(
+        v: int,
+        key: tuple[tuple[int, ...], bool],
+        masks: int,
+        desc: list[int],
+        placed: int,
+        rest: list[int],
+        live: int,
+    ) -> bool:
+        # masks: block r the vectors unplaced r may take; desc[u]: placed u
+        # and what it reaches in the flipped prefix; rest: unplaced but v,
+        # by order; live: the high bits of rest's blocks
         nonlocal nodes
         cands = memo.get(key)
         if cands is None:
             cands = candidates(key)
-        bit = 1 << t
-        ft = fwd[t]
-        bt = bwd[t]
+        mv = masks >> v * size & full
+        bit = 1 << v
+        av = adj[v] & placed
+        ov = outs[v] & placed
+        iv = ins[v] & placed
+        nv = near[v]
+        tv = tails[v]
         for w, coords, nxt in cands:
             nodes += 1
             if limit is not None and nodes > limit:
                 raise BudgetExceededError(
                     f"assignment search exceeded {budget} nodes"
                 )
-            # bit s of flip: parity of vec[s] & w
+            if not mv >> w & 1:
+                continue  # closes a cycle through v
+            vec[v] = w
+            if not rest:
+                return True
+            # bit u of flip: parity of vec[u] & w
             flip = 0
             for c in coords:
                 flip ^= cols[c]
-            swap = (ft | bt) & flip  # arcs the prefix vectors reverse
-            out_t = bt ^ swap
-            in_t = ft ^ swap
-            # out_t and in_t are disjoint, so a cycle through t is a path
-            # from a head in out_t back to a tail in in_t; stop at the first
-            acc = out_t
-            tmp = out_t
+            swap = av & flip
+            heads = ov ^ swap  # arcs v -> u once flipped
+            back = iv ^ swap  # arcs u -> v once flipped
+            to_v = odd[w] * rep & nv ^ tv
+            to_at[v] = to_v
+            from_at[v] = to_v ^ nv
+            # r -> a for some a that reaches v, and b -> r for some b that
+            # v reaches, close a cycle
+            below = bit
+            tmp = heads
             while tmp:
                 low = tmp & -tmp
-                r = reach[low.bit_length() - 1]
-                if r & in_t:
-                    break
-                acc |= r
+                below |= desc[low.bit_length() - 1]
                 tmp ^= low
-            if tmp:
-                continue  # a cycle through this vertex already exists
-            vec[t] = w
-            if t + 1 == n:
-                return True
-            saved = reach[:t]
-            reach[t] = acc
-            add = bit | acc
-            for s in range(t):
-                if (in_t >> s & 1) or (reach[s] & in_t):
-                    reach[s] |= add
+            up = to_v
+            grown = desc[:]
+            grown[v] = below
+            for u in prefix:
+                if desc[u] & back:
+                    up |= to_at[u]
+                    grown[u] |= below
+            down = 0
+            tmp = below
+            while tmp:
+                low = tmp & -tmp
+                down |= from_at[low.bit_length() - 1]
+                tmp ^= low
+            new = masks & ~(up & down)
+            if ((new & low_bits) + low_bits | new) & live != live:
+                continue  # some vertex has no vector left
+            least = size + 1
+            for r in rest:
+                size_r = (new >> r * size & full).bit_count()
+                if size_r < least:
+                    least = size_r
+                    nxt_v = r
             for c in coords:
                 cols[c] |= bit
-            if dfs(t + 1, nxt):
+            prefix.append(v)
+            if dfs(
+                nxt_v,
+                nxt,
+                new,
+                grown,
+                placed | bit,
+                [r for r in rest if r != nxt_v],
+                live ^ 1 << nxt_v * size + size - 1,
+            ):
                 return True
+            prefix.pop()
             for c in coords:
                 cols[c] ^= bit
-            reach[:t] = saved
         return False
 
+    start = full ^ odd[size - 1] if even_only else full
     # with even_only no odd vector comes, so no list needs the filter
-    if not dfs(0, ((k,) if k else (), k % 2 == 0 and not even_only)):
+    key = ((k,) if k else (), k % 2 == 0 and not even_only)
+    root = order[0]
+    live = high ^ 1 << root * size + size - 1
+    if not dfs(root, key, start * rep, [0] * n, 0, order[1:], live):
         return None, nodes
-    vecs = [BitVec(k, 0)] * n
-    for t, v in enumerate(order):
-        vecs[v] = BitVec(k, vec[t])
-    return VectorAssignment(k, tuple(vecs)), nodes
+    return VectorAssignment(k, tuple(BitVec(k, w) for w in vec)), nodes
 
 
 def exists_family(

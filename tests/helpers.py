@@ -3,6 +3,7 @@ brute-force oracles the library is checked against."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -348,13 +349,16 @@ def free_diag_by_loop(M, cols: Sequence[int] | None = None, width: int | None = 
     return best_k, best_d
 
 
-def reference_search(D: Digraph, k: int, opts, spent: int = 0):
+def reference_search(D: Digraph, k: int, opts, spent: int = 0, complement: bool = False):
     """Reference assignment search: (witness, nodes) as ``_search_assignment``.
 
-    The search before it broke the odd-weight complement isometry, kept
-    whole so its trees stay pinned: the same vertex order and candidate
-    lists, with the only symmetry broken being permutation of family
-    positions.  Its memo is per call and uncapped.
+    The search before forward checking, kept whole so its trees stay
+    pinned: a fixed vertex order (``_vertex_order``), each candidate
+    tested by a walk of the flipped prefix's reach sets, and the block
+    rule on family positions.  With ``complement``, at even k the first
+    odd-weight vector skips weights above k/2 (skipped vectors are not
+    nodes), as the search did before forward checking; without it, as
+    before that rule.  Its memo is per call and uncapped.
     """
     n = D.n
     if n == 0:
@@ -385,7 +389,10 @@ def reference_search(D: Digraph, k: int, opts, spent: int = 0):
     reach = [0] * n  # transitive closure of the flipped prefix graph
     nodes = 0
 
-    def dfs(t: int, shape: tuple[int, ...]) -> bool:
+    half = k // 2
+
+    def dfs(t: int, shape: tuple[int, ...], first: bool) -> bool:
+        # first: no odd-weight vector placed yet, under the complement rule
         nonlocal nodes
         cands = memo.get(shape)
         if cands is None:
@@ -394,6 +401,9 @@ def reference_search(D: Digraph, k: int, opts, spent: int = 0):
         ft = fwd[t]
         bt = bwd[t]
         for w, coords, nxt in cands:
+            odd = len(coords) & 1
+            if first and odd and len(coords) > half:
+                continue
             nodes += 1
             if limit is not None and nodes > limit:
                 raise BudgetExceededError(f"assignment search exceeded {budget} nodes")
@@ -425,19 +435,30 @@ def reference_search(D: Digraph, k: int, opts, spent: int = 0):
                     reach[s] |= add
             for c in coords:
                 cols[c] |= bit
-            if dfs(t + 1, nxt):
+            if dfs(t + 1, nxt, first and not odd):
                 return True
             for c in coords:
                 cols[c] ^= bit
             reach[:t] = saved
         return False
 
-    if not dfs(0, (k,) if k else ()):
+    if not dfs(0, (k,) if k else (), complement and k % 2 == 0 and not even_only):
         return None, nodes
     vecs = [BitVec(k, 0)] * n
     for t, v in enumerate(order):
         vecs[v] = BitVec(k, vec[t])
     return VectorAssignment(k, tuple(vecs)), nodes
+
+
+def use_reference_search(monkeypatch) -> None:
+    """Make ``inv_exact`` run the search before forward checking.
+
+    That is ``reference_search`` with the complement rule, whose node
+    counts the older budget and stdout pins record.
+    """
+    monkeypatch.setattr(
+        solver, "_search_assignment", functools.partial(reference_search, complement=True)
+    )
 
 
 def reference_order_search(D: Digraph, opts) -> tuple[int, int]:

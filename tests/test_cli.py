@@ -9,6 +9,8 @@ import pytest
 
 import invlab
 
+import helpers
+
 from invlab import cli, construct, digraph, solver
 from invlab.construct import MAX_EXPR_DEPTH
 from invlab.errors import CriterionViolationError
@@ -23,11 +25,23 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.fixture
+def reference_solver(monkeypatch):
+    # the search before forward checking, whose node counts older pins record
+    helpers.use_reference_search(monkeypatch)
+
+
 class TestInvCommand:
-    def test_triangle(self, capsys):
+    def test_triangle(self, capsys, reference_solver):
         code, out, _ = run(capsys, "inv", "expr:c3", "--deterministic")
         assert code == 0
         assert out.splitlines()[0] == "inv=1 k_proof=0_exhausted backend=assign nodes=10"
+
+    def test_triangle_forward_checked(self, capsys):
+        # k=0: the third vertex's mask empties after two nodes
+        code, out, _ = run(capsys, "inv", "expr:c3", "--deterministic")
+        assert code == 0
+        assert out.splitlines()[0] == "inv=1 k_proof=0_exhausted backend=assign nodes=7"
 
     def test_transitive_six(self, capsys):
         code, out, _ = run(capsys, "inv", "expr:tt(6)", "--deterministic")
@@ -55,7 +69,7 @@ class TestInvCommand:
         )
         assert code == 2 and out.startswith("inv=unknown")
 
-    def test_budget_counts_the_whole_solve(self, capsys):
+    def test_budget_counts_the_whole_solve(self, capsys, reference_solver):
         # qn(10) needs 27615 nodes over its five k levels
         code, out, _ = run(
             capsys, "inv", "expr:qn(10)", "--budget", "27000", "--deterministic"
@@ -65,6 +79,17 @@ class TestInvCommand:
             capsys, "inv", "expr:qn(10)", "--budget", "27615", "--deterministic"
         )
         assert code == 0 and out.startswith("inv=4 ") and "nodes=27615" in out
+
+    def test_budget_counts_the_whole_forward_checked_solve(self, capsys):
+        # qn(10) needs 2 + 22 + 220 + 6918 + 30 = 7192 nodes
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(10)", "--budget", "7191", "--deterministic"
+        )
+        assert code == 2 and out.startswith("inv=unknown reason=")
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(10)", "--budget", "7192", "--deterministic"
+        )
+        assert code == 0 and out.startswith("inv=4 ") and "nodes=7192" in out
 
     @pytest.mark.parametrize(
         "argv",
@@ -368,20 +393,45 @@ class TestValueTable:
              "c9b91b82a1d083abe866f20268302c3bc4dca13e67ab9dd91c0399f980116373"),
         ],
     )
-    def test_budget_stdout_pinned(self, capsys, argv, digest):
+    def test_budget_stdout_pinned(self, capsys, reference_solver, argv, digest):
         code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    # recorded while the tightness check solved the part's triangle dijoin
-    # itself; at max-k 2 that dijoin (value 3) is unresolved
+    # the same sweeps on the forward-checked search, whose smaller trees
+    # resolve more graphs within each budget
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("kjoin", "--budget", "40"),
+             "3caae79f8b8adacd498354f94c0612d358ad809c1ef2128c57ebe17a79871fb6"),
+            (("direction", "--n-max", "4", "--budget", "5"),
+             "9c19ec9a3d1615028ce4f1c57f75a2e4cad7ff871d09e3cd2f1b4339cb6e77e7"),
+            (("conj-direction", "--left-n", "4", "--right-n", "4", "--budget", "60"),
+             "d4a903002cce9d362e07cc6a95268a95fbfac6e489e5c27b412d60da1abce5cf"),
+            # at budget 50 no class runs out any more; at 20, n=5 has a class
+            # past max-k and n=6 one past the budget
+            (("bounds", "--n-max", "6", "--max-k", "1", "--budget", "20"),
+             "2e75d85357ef7c41d3bf32780a0811beccb3df5888471a7283cb896a25a2b46f"),
+        ],
+    )
+    def test_forward_checked_budget_stdout_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # at max-k 2 the part's triangle dijoin (value 3) is unresolved: past
+    # max-k, not past a budget, since none was set
     def test_kjoin_dijoin_unresolved_pinned(self, capsys):
         code, out, _ = run(capsys, "experiment", "kjoin", "--max-k", "2", "--deterministic")
         assert code == 2
-        assert "budget: inversion number of the dijoin unresolved : UNKNOWN" in out
+        assert "dijoin value unresolved : UNKNOWN" in out
+        assert "budget:" not in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d363471166cbfe3523876730e8d62cb77e5481ca1127a41f8536afb780f12149"
+            "403c0ec116f4a291186cd541b57cb74c09ecb735b3fd61d835b80bb1dc58a06e"
         )
+        code, out, _ = run(capsys, "experiment", "kjoin", "--budget", "40", "--deterministic")
+        assert code == 2 and "budget: assignment search exceeded 40 nodes" in out
 
     @pytest.fixture
     def solved(self, monkeypatch):

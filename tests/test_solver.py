@@ -1,6 +1,7 @@
 """Solver backends, tightness criterion, and rank law checks."""
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -286,12 +287,12 @@ class TestThreeBackendAgreement:
             assert inv_subset_oracle(T, 2) == a
 
 
-def agree_with_reference(D, ks):
-    """Existence matches the reference at each width; no level grows."""
-    opts = SearchOptions()
+def agree_with_reference(D, ks, opts=SearchOptions()):
+    """Existence matches the search before forward checking at each width;
+    no level grows, and every witness decycles D."""
     for k in ks:
         found, nodes = solver._search_assignment(D, k, opts)
-        ref, ref_nodes = helpers.reference_search(D, k, opts)
+        ref, ref_nodes = helpers.reference_search(D, k, opts, complement=True)
         assert (found is None) == (ref is None), (encode_digraph(D), k)
         assert nodes <= ref_nodes, (encode_digraph(D), k)
         if found is not None:
@@ -344,10 +345,24 @@ class TestSymmetryBreakingCompleteness:
         for T in tournaments + nonisomorphic_tournaments(6):
             agree_with_reference(T, range(5))
 
+    def test_agrees_with_reference_on_triangle_dijoins(self):
+        # each class up to 6 with a triangle dijoined on either side
+        for n in range(1, 7):
+            for T in nonisomorphic_tournaments(n):
+                agree_with_reference(dijoin(c3(), T), range(5))
+                agree_with_reference(dijoin(T, c3()), range(5))
+
     def test_agrees_with_reference_on_random_oriented_graphs(self):
+        # missing arcs: no bench workload has one, and a non-adjacent pair
+        # must stay out of every cycle the masks test
         rng = random.Random(57)
         for _ in range(150):
-            agree_with_reference(random_oriented(rng, rng.randint(1, 8)), range(5))
+            D = random_oriented(rng, rng.randint(2, 8))
+            while D.is_tournament():
+                D = random_oriented(rng, D.n)
+            for even_only in (False, True):
+                opts = SearchOptions(even_weight_only=even_only)
+                agree_with_reference(D, range(5), opts)
 
     @pytest.mark.parametrize(
         "expr,value",
@@ -532,8 +547,9 @@ PINNED_TREES = [
     ),
     ("dijoin(c3,c3)", [3, 32, 18], "1 2\n4 5\n"),
 ]
-# the same graphs under _search_assignment, which at even k drops the first
-# odd-weight vector heavier than k/2; the witnesses are those above
+# the same graphs under the search before forward checking (isometry_search
+# below), which at even k drops the first odd-weight vector heavier than
+# k/2; the witnesses are those above
 ISOMETRY_TREES = {
     "qn(9)": [5, 56, 785, 25342, 362],
     "qn(10)": [5, 56, 785, 26374, 395],
@@ -544,6 +560,26 @@ ISOMETRY_TREES = {
 # even-weight vectors only: the rule never applies, so both searches agree
 PINNED_EVEN_QN9 = [5, 5, 62, 244, 2588, 235]
 PINNED_EVEN_QN9_WITNESS = "1 2 6\n1 6\n3 5 6 8\n5 8\n2 3 6\n"
+# the same graphs under _search_assignment, which forward-checks each
+# vertex's viable vectors and assigns the vertex with the fewest next
+FORWARD_TREES = {
+    "qn(9)": ([2, 22, 220, 6918, 29], "1 2\n5 6 8\n3 4\n4 5\n"),
+    "qn(10)": ([2, 22, 220, 6918, 30], "1 2\n6 7 9\n3 4\n5 6\n"),
+    "join(c3,c3,c3,c3)": ([2, 24, 370, 14012, 26], "1 2\n10 11\n4 5\n7 8\n"),
+    "blowup_uniform(c3;c3,3)": (
+        [2, 18, 226, 8690, 38],
+        "1 2\n3 4 5 6 7 8\n4 5\n7 8\n",
+    ),
+    "dijoin(c3,c3)": ([2, 24, 11], "1 2\n4 5\n"),
+}
+FORWARD_EVEN_QN9 = (
+    [2, 2, 6, 62, 300, 50],
+    "1 2 4\n1 4\n3 4 6 8\n2 5 8\n3 4 5 6\n",
+)
+
+
+# the search before forward checking: reference_search with the complement rule
+isometry_search = functools.partial(helpers.reference_search, complement=True)
 
 
 def level_counts(D, opts, search=None):
@@ -570,16 +606,21 @@ class TestSearchTreePinned:
         D = graph_from_expr(expr)
         opts = SearchOptions()
         assert level_counts(D, opts, helpers.reference_search) == (counts, witness)
-        assert level_counts(D, opts) == (ISOMETRY_TREES[expr], witness)
+        assert level_counts(D, opts, isometry_search) == (ISOMETRY_TREES[expr], witness)
+        forward, forward_witness = FORWARD_TREES[expr]
+        assert all(f <= i for f, i in zip(forward, ISOMETRY_TREES[expr]))
+        assert level_counts(D, opts) == (forward, forward_witness)
         r = inv_exact(D)
-        assert r.nodes_explored == sum(ISOMETRY_TREES[expr])
-        assert dump_family(r.witness) == witness
+        assert r.nodes_explored == sum(forward)
+        assert dump_family(r.witness) == forward_witness
 
     def test_even_weight_levels_and_witness(self, memo_cap):
         opts = SearchOptions(even_weight_only=True)
         want = (PINNED_EVEN_QN9, PINNED_EVEN_QN9_WITNESS)
         assert level_counts(qn(9), opts, helpers.reference_search) == want
-        assert level_counts(qn(9), opts) == want
+        assert level_counts(qn(9), opts, isometry_search) == want
+        assert all(f <= p for f, p in zip(FORWARD_EVEN_QN9[0], PINNED_EVEN_QN9))
+        assert level_counts(qn(9), opts) == FORWARD_EVEN_QN9
 
     def test_memo_is_per_call_and_capped(self, monkeypatch):
         # at even k a shape has two lists, with and without the odd-weight
@@ -696,6 +737,12 @@ class TestOrderTreePinned:
         assert r.value == best_k
 
 
+@pytest.fixture
+def reference_solver(monkeypatch):
+    helpers.use_reference_search(monkeypatch)
+
+
+@pytest.mark.usefixtures("reference_solver")
 class TestBudgetPerSolve:
     # qn(10) explores 5 + 56 + 785 + 26374 + 395 = 27615 nodes in all
     def test_budget_caps_the_whole_solve(self):
@@ -710,3 +757,36 @@ class TestBudgetPerSolve:
             inv_exact(qn(10), SearchOptions(budget=spent))
         r = inv_exact(qn(10), SearchOptions(budget=spent, max_k=3))
         assert not r.resolved and r.nodes_explored == spent
+
+
+class TestBudgetOnForwardTree:
+    # the forward-checked qn(10) explores 2 + 22 + 220 + 6918 + 30 nodes
+    LEVELS = FORWARD_TREES["qn(10)"][0]
+
+    def test_budget_caps_the_whole_solve(self):
+        # a budget one short of the whole tree fails at the node past it
+        total = sum(self.LEVELS)
+        with pytest.raises(BudgetExceededError, match=f"{total - 1} nodes"):
+            inv_exact(qn(10), SearchOptions(budget=total - 1))
+        r = inv_exact(qn(10), SearchOptions(budget=total))
+        assert r.value == 4 and r.nodes_explored == total
+
+    def test_budget_spent_at_each_level(self):
+        spent = 0
+        for k, nodes in enumerate(self.LEVELS[:-1]):
+            spent += nodes
+            with pytest.raises(BudgetExceededError, match=f"{spent - 1} nodes"):
+                inv_exact(qn(10), SearchOptions(budget=spent - 1, max_k=k))
+            for budget in (spent, spent + 1):
+                r = inv_exact(qn(10), SearchOptions(budget=budget, max_k=k))
+                assert not r.resolved and r.nodes_explored == spent <= budget
+
+    def test_nothing_outlives_a_call(self):
+        # masks, the parity table and the candidate memo live in the call
+        D = qn(10)
+        for k in (3, 4):
+            first = solver._search_assignment(D, k, SearchOptions())
+            assert solver._search_assignment(D, k, SearchOptions()) == first
+        a, b = inv_exact(D), inv_exact(D)
+        assert (a.nodes_explored, a.witness) == (b.nodes_explored, b.witness)
+        assert a.nodes_explored == sum(self.LEVELS)
