@@ -26,7 +26,6 @@ from .construct import (
     extend_family_to_c3_dijoin,
     graph_from_expr,
     k_join,
-    parse_expr,
     qn,
     qn_family,
     transitive,
@@ -39,7 +38,6 @@ from .f2 import (
     gram_factor,
     gram_of,
     min_gram_dim,
-    min_gram_dim_free_diag,
     rank,
 )
 from .solver import (
@@ -83,9 +81,7 @@ __all__ = [
     "is_even_weight_assignment",
     "k_join",
     "min_gram_dim",
-    "min_gram_dim_free_diag",
     "nonisomorphic_tournaments",
-    "parse_expr",
     "qn",
     "qn_family",
     "rank",

@@ -153,10 +153,7 @@ def _check_abnormal(inst: str, opts: solver.SearchOptions) -> _Checker:
 
 
 def _check_kjoin(inst: str, opts: solver.SearchOptions) -> _Checker:
-    tree = construct.parse_expr(inst)
-    if not isinstance(tree, construct.JoinExpr):
-        return InstanceResult(inst, "UNKNOWN", "instance must be a join expression")
-    parts = [construct.eval_expr(p) for p in tree.parts]
+    parts = construct.join_parts(inst)
     invs = list((yield parts))
     if any(v is None for v in invs):
         return InstanceResult(inst, "UNKNOWN", "a part value is unresolved")

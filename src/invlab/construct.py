@@ -14,13 +14,17 @@ bindings) so one line fully reproduces an experiment instance:
     idents: c3, tt, qn, rev, dijoin, join, blowup, blowup_uniform
     blowup takes 'h ; parts', blowup_uniform takes 'h ; part , count'
 
-Parse errors carry byte offsets.
+The parser builds the graph as it reads, with no expression tree: each
+call runs its constructor once its arguments are read.  Errors carry
+byte offsets; a constructor's refusal (a size past the vertex limit, a
+blow-up with the wrong number of parts) is a ParseError at the offset
+of that constructor's name.  ``join_parts`` returns the parts of a
+join instead of the join.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .digraph import (
     MAX_VERTICES,
@@ -123,128 +127,6 @@ def k_join(parts: list[Digraph]) -> Digraph:
 # ---------------------------------------------------------------------------
 # Constructor expressions
 
-
-class Expr:
-    """Base class for constructor expression nodes."""
-
-
-@dataclass(frozen=True)
-class C3Expr(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class TTExpr(Expr):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("tt size must be nonnegative")
-
-
-@dataclass(frozen=True)
-class QnExpr(Expr):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("qn size must be positive")
-
-
-@dataclass(frozen=True)
-class RevExpr(Expr):
-    inner: Expr
-
-
-@dataclass(frozen=True)
-class DijoinExpr(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class JoinExpr(Expr):
-    parts: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("join needs at least one part")
-
-
-@dataclass(frozen=True)
-class BlowupExpr(Expr):
-    base: Expr
-    parts: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("blowup needs at least one part")
-
-
-@dataclass(frozen=True)
-class BlowupUniformExpr(Expr):
-    base: Expr
-    part: Expr
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("blowup count must be at least 1")
-
-
-def eval_expr(expr: Expr) -> Digraph:
-    """Evaluate an expression tree to a digraph."""
-    if isinstance(expr, C3Expr):
-        return c3()
-    if isinstance(expr, TTExpr):
-        return transitive(expr.n)
-    if isinstance(expr, QnExpr):
-        return qn(expr.n)
-    if isinstance(expr, RevExpr):
-        return reverse_digraph(eval_expr(expr.inner))
-    if isinstance(expr, DijoinExpr):
-        return dijoin(eval_expr(expr.left), eval_expr(expr.right))
-    if isinstance(expr, JoinExpr):
-        return k_join([eval_expr(p) for p in expr.parts])
-    if isinstance(expr, BlowupExpr):
-        base = eval_expr(expr.base)
-        if len(expr.parts) != base.n:
-            raise ValueError(
-                f"blowup base has {base.n} vertices but {len(expr.parts)} parts given"
-            )
-        return blow_up(base, [eval_expr(p) for p in expr.parts])
-    if isinstance(expr, BlowupUniformExpr):
-        base = eval_expr(expr.base)
-        if expr.count != base.n:
-            raise ValueError(
-                f"blowup base has {base.n} vertices but count is {expr.count}"
-            )
-        return blow_up(base, [eval_expr(expr.part) for _ in range(expr.count)])
-    raise TypeError(f"not a constructor expression: {expr!r}")
-
-
-def pretty(expr: Expr) -> str:
-    """Canonical text form; ``parse_expr(pretty(e))`` returns an equal tree."""
-    if isinstance(expr, C3Expr):
-        return "c3"
-    if isinstance(expr, TTExpr):
-        return f"tt({expr.n})"
-    if isinstance(expr, QnExpr):
-        return f"qn({expr.n})"
-    if isinstance(expr, RevExpr):
-        return f"rev({pretty(expr.inner)})"
-    if isinstance(expr, DijoinExpr):
-        return f"dijoin({pretty(expr.left)}, {pretty(expr.right)})"
-    if isinstance(expr, JoinExpr):
-        return "join(" + ", ".join(pretty(p) for p in expr.parts) + ")"
-    if isinstance(expr, BlowupExpr):
-        parts = ", ".join(pretty(p) for p in expr.parts)
-        return f"blowup({pretty(expr.base)}; {parts})"
-    if isinstance(expr, BlowupUniformExpr):
-        return f"blowup_uniform({pretty(expr.base)}; {pretty(expr.part)}, {expr.count})"
-    raise TypeError(f"not a constructor expression: {expr!r}")
-
-
 # deepest nesting of constructor calls; deeper input is refused, not recursed
 MAX_EXPR_DEPTH = 100
 
@@ -300,7 +182,7 @@ class _Parser:
 
     _KNOWN = ("c3", "tt", "qn", "rev", "dijoin", "join", "blowup", "blowup_uniform")
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self) -> Digraph:
         kind, value, end = self.peek()
         if kind != "ident":
             raise ParseError("expected a constructor name", self.pos)
@@ -313,68 +195,82 @@ class _Parser:
             if self.at_sym("("):
                 self.take()
                 self.expect_sym(")")
-            return C3Expr()
+            return c3()
         self.expect_sym("(")
         self.depth += 1
         if self.depth > MAX_EXPR_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH}", start)
-        try:
-            node = self._parse_call(name)
+        try:  # a constructor's refusal becomes a ParseError at its name
+            graph = self._parse_call(name)
         except ValueError as exc:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(str(exc), start) from None
         self.expect_sym(")")
         self.depth -= 1
-        return node
+        return graph
 
-    def _parse_call(self, name: str) -> Expr:
+    def parse_parts(self) -> list[Digraph]:
+        parts = [self.parse_expr()]
+        while self.at_sym(","):
+            self.take()
+            parts.append(self.parse_expr())
+        return parts
+
+    def parse_end(self) -> None:
+        kind, value, _ = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {value!r}", self.pos)
+
+    def _parse_call(self, name: str) -> Digraph:
         if name == "tt":
-            return TTExpr(self.parse_int())
+            return transitive(self.parse_int())
         if name == "qn":
-            return QnExpr(self.parse_int())
+            return qn(self.parse_int())
         if name == "rev":
-            return RevExpr(self.parse_expr())
+            return reverse_digraph(self.parse_expr())
         if name == "dijoin":
             left = self.parse_expr()
             self.expect_sym(",")
-            right = self.parse_expr()
-            return DijoinExpr(left, right)
+            return dijoin(left, self.parse_expr())
         if name == "join":
-            parts = [self.parse_expr()]
-            while self.at_sym(","):
-                self.take()
-                parts.append(self.parse_expr())
-            return JoinExpr(tuple(parts))
-        if name == "blowup":
-            base = self.parse_expr()
-            self.expect_sym(";")
-            parts = [self.parse_expr()]
-            while self.at_sym(","):
-                self.take()
-                parts.append(self.parse_expr())
-            return BlowupExpr(base, tuple(parts))
+            return k_join(self.parse_parts())
         base = self.parse_expr()
         self.expect_sym(";")
+        if name == "blowup":
+            return blow_up(base, self.parse_parts())
         part = self.parse_expr()
         self.expect_sym(",")
         count = self.parse_int()
-        return BlowupUniformExpr(base, part, count)
-
-
-def parse_expr(text: str) -> Expr:
-    """Parse a constructor expression; errors carry byte offsets."""
-    p = _Parser(text)
-    node = p.parse_expr()
-    kind, value, _ = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", p.pos)
-    return node
+        if count < 1:
+            raise ValueError("blowup count must be at least 1")
+        if count != base.n:  # before a part list of that length is built
+            raise ValueError(f"blowup base has {base.n} vertices but count is {count}")
+        return blow_up(base, [part] * count)
 
 
 def graph_from_expr(text: str) -> Digraph:
-    """Parse and evaluate in one step."""
-    return eval_expr(parse_expr(text))
+    """The graph a constructor expression builds; errors carry byte offsets."""
+    p = _Parser(text)
+    graph = p.parse_expr()
+    p.parse_end()
+    return graph
+
+
+def join_parts(text: str) -> list[Digraph]:
+    """The parts of a ``join(...)`` expression, in order, each built as
+    ``graph_from_expr`` builds it; any other text is a ParseError."""
+    p = _Parser(text)
+    kind, value, end = p.peek()
+    if value != "join":
+        raise ParseError("expected a join expression", p.pos)
+    p.pos = end
+    p.expect_sym("(")
+    p.depth = 1  # the parts nest inside the join's own call
+    parts = p.parse_parts()
+    p.expect_sym(")")
+    p.parse_end()
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -236,18 +236,6 @@ def min_gram_dim(M: SymMatrix) -> int:
     return r if _diag_mask(M.rows) else r + 1
 
 
-def min_gram_dim_free_diag(M: SymMatrix) -> tuple[int, BitVec]:
-    """Minimum Gram dimension when the diagonal is ours to choose.
-
-    Pairwise products constrain only distinct pairs; self-products are
-    free.  Minimizes :func:`min_gram_dim` over all 2^n diagonals and
-    returns the minimum with the smallest achieving diagonal: the square,
-    uncapped case of :func:`free_diag_bound`.
-    """
-    k, d = free_diag_bound(M.rows, range(M.n), M.n)
-    return k, BitVec(M.n, d)
-
-
 def free_diag_bound(
     rows: Sequence[int], cols: Sequence[int], width: int, cap: int | None = None
 ) -> tuple[int, int]:

@@ -62,7 +62,7 @@ identical run to run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from .digraph import (
@@ -88,7 +88,6 @@ ORDER_BACKEND_MAX_N = 12
 class SearchOptions:
     max_k: int = MAX_K
     budget: int | None = None
-    even_weight_only: bool = False
 
     def __post_init__(self):
         if not 0 <= self.max_k <= MAX_K:
@@ -179,7 +178,7 @@ def _candidates(
 
 
 def _search_assignment(
-    D: Digraph, k: int, opts: SearchOptions, spent: int = 0
+    D: Digraph, k: int, opts: SearchOptions, spent: int = 0, *, even_weight_only: bool = False
 ) -> tuple[VectorAssignment | None, int]:
     """Complete DFS for a decycling assignment of width k; (witness, nodes).
 
@@ -255,7 +254,7 @@ def _search_assignment(
 
     budget = opts.budget
     limit = None if budget is None else budget - spent
-    even_only = opts.even_weight_only
+    even_only = even_weight_only
     half = k // 2
     # key (shape, first): first while no odd-weight vector is placed and k
     # is even; entries carry their child's key, so descending tests nothing
@@ -391,7 +390,7 @@ def _search_assignment(
 
 
 def exists_family(
-    D: Digraph, k: int, opts: SearchOptions | None = None
+    D: Digraph, k: int, opts: SearchOptions | None = None, *, even_weight_only: bool = False
 ) -> VectorAssignment | None:
     """Some width-k decycling assignment of D, or None if there is none.
 
@@ -403,7 +402,7 @@ def exists_family(
         opts = SearchOptions()
     if not 0 <= k <= MAX_K:
         raise ValueError(f"family size must be in 0..{MAX_K}")
-    found, _ = _search_assignment(D, k, opts)
+    found, _ = _search_assignment(D, k, opts, even_weight_only=even_weight_only)
     return found
 
 
@@ -458,8 +457,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     best width found (see the module docstring).  Tournaments only: a
     missing pair would wrongly be constrained to "no flip".  Graphs above
     ``ORDER_BACKEND_MAX_N`` vertices are refused with ResourceLimitError
-    before any search.  ``opts.even_weight_only`` is refused with
-    ValueError: the order rule has no even-weight form.  The value is
+    before any search.  The value is
     independent of the assignment backend, for cross-validation; the
     witness comes from the assignment search at that value (its own node
     budget, not counted in ``nodes_explored``), and finding none there
@@ -469,8 +467,6 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     """
     if opts is None:
         opts = SearchOptions()
-    if opts.even_weight_only:
-        raise ValueError("the order backend has no even-weight restriction")
     if not D.is_tournament():
         raise ValueError("the order backend is only exact on tournaments")
     if D.n > ORDER_BACKEND_MAX_N:
@@ -544,8 +540,7 @@ def is_c3_tight(
     """
     tight = dijoin_k == k
     if k >= 3 and k % 2 == 1:
-        crit_opts = replace(opts or SearchOptions(), even_weight_only=True)
-        criterion = exists_family(D, k, crit_opts) is not None
+        criterion = exists_family(D, k, opts, even_weight_only=True) is not None
         if criterion != tight:
             raise CriterionViolationError(
                 f"even-weight criterion says {criterion} but the dijoin"

@@ -24,7 +24,7 @@ from invlab.digraph import (
 )
 from invlab import solver
 from invlab.errors import BudgetExceededError, ResourceLimitError
-from invlab.f2 import BitVec, SymMatrix, min_gram_dim_free_diag, rank_of_rows
+from invlab.f2 import BitVec, SymMatrix, free_diag_bound, rank_of_rows
 from invlab.solver import _candidates
 
 
@@ -349,7 +349,10 @@ def free_diag_by_loop(M, cols: Sequence[int] | None = None, width: int | None = 
     return best_k, best_d
 
 
-def reference_search(D: Digraph, k: int, opts, spent: int = 0, complement: bool = False):
+def reference_search(
+    D: Digraph, k: int, opts, spent: int = 0, complement: bool = False, *,
+    even_weight_only: bool = False,
+):
     """Reference assignment search: (witness, nodes) as ``_search_assignment``.
 
     The search before forward checking, kept whole so its trees stay
@@ -382,7 +385,7 @@ def reference_search(D: Digraph, k: int, opts, spent: int = 0, complement: bool 
 
     budget = opts.budget
     limit = None if budget is None else budget - spent
-    even_only = opts.even_weight_only
+    even_only = even_weight_only
     memo: dict[tuple[int, ...], list] = {}
     vec = [0] * n
     cols = [0] * k  # cols[c] bit s: vec[s] sets coordinate c
@@ -488,7 +491,7 @@ def reference_order_search(D: Digraph, opts) -> tuple[int, int]:
         if m >= 2:
             k = memo.get(rows)
             if k is None:
-                k = min_gram_dim_free_diag(SymMatrix(m, rows))[0]
+                k = free_diag_bound(rows, range(m), m)[0]
                 if len(memo) < solver._MEMO_CAP:
                     memo[rows] = k
             # the prefix bound never decreases along a completion

@@ -114,6 +114,14 @@ class TestInvCommand:
         code, _, err = run(capsys, "inv", "expr:qn(")
         assert code == 1 and "offset 3" in err
 
+    def test_construction_refusal_names_its_offset(self, capsys):
+        # tt(65) is past the vertex limit: refused at its own offset, 11
+        code, out, err = run(capsys, "inv", "expr:dijoin(c3, tt(65))")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert lines[0].endswith("at offset 11")
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run(capsys, "inv", "/no/such/file")
         assert code == 1 and "error:" in err

@@ -6,26 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invlab import cli
 from invlab.construct import (
     MAX_EXPR_DEPTH,
-    BlowupExpr,
-    BlowupUniformExpr,
-    C3Expr,
-    DijoinExpr,
-    JoinExpr,
-    QnExpr,
-    RevExpr,
-    TTExpr,
     blow_up,
     c3,
     compose_blowup_family,
     dijoin,
-    eval_expr,
     extend_family_to_c3_dijoin,
     graph_from_expr,
+    join_parts,
     k_join,
-    parse_expr,
-    pretty,
     qn,
     qn_family,
     transitive,
@@ -137,29 +128,72 @@ class TestBlowUp:
         assert blow_up(H, [transitive(1)] * 4) == H
 
 
-def exprs(max_leaves=4):
-    base = st.one_of(
-        st.just(C3Expr()),
-        st.integers(0, 4).map(TTExpr),
-        st.integers(1, 4).map(QnExpr),
+# whitespace the grammar allows before, between and after tokens
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+def spaced(*tokens):
+    """The tokens' text with whitespace drawn before each and at the end."""
+    return st.lists(SPACES, min_size=len(tokens) + 1, max_size=len(tokens) + 1).map(
+        lambda gaps: "".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
+    )
+
+
+def call(name, *args, build):
+    """(text, graph) of ``name(args)``: args are (text, graph) pairs or
+    plain tokens, and build gets the graphs among them."""
+    tokens = [name, "("] + [a if isinstance(a, str) else a[0] for a in args] + [")"]
+    graphs = [a[1] for a in args if not isinstance(a, str)]
+    return spaced(*tokens).map(lambda text: (text, build(*graphs)))
+
+
+def listed(parts):
+    """Part texts and graphs interleaved with commas, as call takes them."""
+    out = []
+    for i, part in enumerate(parts):
+        out.extend([","] * (i > 0) + [part])
+    return out
+
+
+def exprs(max_leaves=5):
+    """(expression text, graph built by calling the constructors directly),
+    over every constructor, with whitespace drawn around every token."""
+    leaf = st.one_of(
+        spaced("c3").map(lambda t: (t, c3())),
+        spaced("c3", "(", ")").map(lambda t: (t, c3())),
+        st.integers(0, 4).flatmap(lambda n: call("tt", str(n), build=lambda: transitive(n))),
+        st.integers(1, 4).flatmap(lambda n: call("qn", str(n), build=lambda: qn(n))),
     )
 
     def extend(children):
+        # parts of at most 8 vertices keep every result within the vertex limit
+        small = children.filter(lambda e: e[1].n <= 8)
+        base = small.filter(lambda e: 1 <= e[1].n <= 3)
         return st.one_of(
-            children.map(RevExpr),
-            st.tuples(children, children).map(lambda t: DijoinExpr(*t)),
-            st.lists(children, min_size=1, max_size=3).map(
-                lambda ps: JoinExpr(tuple(ps))
+            small.flatmap(lambda e: call("rev", e, build=reverse)),
+            st.tuples(small, small).flatmap(
+                lambda t: call("dijoin", t[0], ",", t[1], build=dijoin)
             ),
-            st.tuples(children, st.integers(1, 3)).map(
-                lambda t: BlowupUniformExpr(TTExpr(t[1]), t[0], t[1])
+            st.lists(small, min_size=1, max_size=3).flatmap(
+                lambda ps: call("join", *listed(ps), build=lambda *gs: k_join(list(gs)))
             ),
-            st.lists(children, min_size=2, max_size=2).map(
-                lambda ps: BlowupExpr(TTExpr(2), tuple(ps))
+            st.tuples(base, small).flatmap(
+                lambda t: call(
+                    "blowup_uniform", t[0], ";", t[1], ",", str(t[0][1].n),
+                    build=lambda H, part: blow_up(H, [part] * H.n),
+                )
+            ),
+            base.flatmap(
+                lambda h: st.lists(small, min_size=h[1].n, max_size=h[1].n).flatmap(
+                    lambda ps: call(
+                        "blowup", h, ";", *listed(ps),
+                        build=lambda H, *gs: blow_up(H, list(gs)),
+                    )
+                )
             ),
         )
 
-    return st.recursive(base, extend, max_leaves=max_leaves)
+    return st.recursive(leaf, extend, max_leaves=max_leaves)
 
 
 class TestGrammar:
@@ -185,34 +219,69 @@ class TestGrammar:
 
     def test_syntax_error_offset(self):
         with pytest.raises(ParseError) as err:
-            parse_expr("qn(")
+            graph_from_expr("qn(")
         assert err.value.offset == 3
 
     def test_unknown_identifier(self):
         with pytest.raises(ParseError):
-            parse_expr("c4")
+            graph_from_expr("c4")
 
     def test_arity_error_on_blowup(self):
         with pytest.raises(ValueError):
-            eval_expr(parse_expr("blowup(tt(3); c3, c3)"))
+            graph_from_expr("blowup(tt(3); c3, c3)")
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
-            parse_expr("c3 c3")
+            graph_from_expr("c3 c3")
 
     def test_nesting_depth_bounded(self):
         def nested(depth):
             return "rev(" * depth + "c3" + ")" * depth
 
-        assert parse_expr(nested(MAX_EXPR_DEPTH)) is not None
+        assert graph_from_expr(nested(MAX_EXPR_DEPTH)).n == 3
         for depth in (MAX_EXPR_DEPTH + 1, 3000):
             with pytest.raises(ParseError, match="nested deeper"):
-                parse_expr(nested(depth))
+                graph_from_expr(nested(depth))
 
     @given(exprs())
-    @settings(max_examples=80, deadline=None)
-    def test_pretty_print_parse_identity(self, e):
-        assert parse_expr(pretty(e)) == e
+    @settings(max_examples=150, deadline=None)
+    def test_text_builds_the_direct_construction(self, case):
+        text, graph = case
+        assert graph_from_expr(text) == graph
+
+
+class TestConstructionRefusals:
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("dijoin(c3, tt(65))", 11),
+            ("join(c3, qn(0))", 9),
+            ("blowup(tt(3); c3, c3)", 0),
+            ("rev( blowup_uniform(tt(0); c3, 0))", 5),
+            ("blowup_uniform(c3; c3, 2)", 0),
+            # refused before a part list of that length is built
+            ("blowup_uniform(c3; c3, 99999999999999999999)", 0),
+            ("join(qn(40), qn(40))", 0),
+        ],
+    )
+    def test_refusal_is_a_parse_error_at_the_constructor(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            graph_from_expr(text)
+        assert err.value.offset == offset
+
+    def test_join_parts_of_the_kjoin_instances(self):
+        pair = dijoin(c3(), c3())
+        want = [[c3(), c3()], [c3(), c3(), c3()], [c3(), pair], [pair, c3()]]
+        assert [join_parts(inst) for inst in cli._build_kjoin(None)] == want
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [("c3", 0), (" dijoin(c3, c3)", 1), ("join(c3, c3) c3", 13), ("join(c3,", 8)],
+    )
+    def test_join_parts_refuses_other_text(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            join_parts(text)
+        assert err.value.offset == offset
 
 
 def even_weight_triangle_family() -> InversionFamily:

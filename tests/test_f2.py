@@ -19,7 +19,6 @@ from invlab.f2 import (
     gram_of,
     load_matrix,
     min_gram_dim,
-    min_gram_dim_free_diag,
     rank,
 )
 
@@ -205,24 +204,27 @@ class TestRealizeOracle:
             realize_oracle(SymMatrix.zeros(8), 8, node_budget=1 << 10)
 
 
+def free_diag(M: SymMatrix) -> tuple[int, int]:
+    """The least Gram dimension of M over its free diagonal: the square,
+    uncapped free_diag_bound, with the smallest minimizing diagonal."""
+    return free_diag_bound(M.rows, range(M.n), M.n)
+
+
 class TestMinGramDimFreeDiag:
     def test_all_zero(self):
-        k, d = min_gram_dim_free_diag(SymMatrix.zeros(2))
-        assert (k, d.bits) == (0, 0)
+        assert free_diag(SymMatrix.zeros(2)) == (0, 0)
 
     def test_all_ones_off_diagonal(self):
         M = SymMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        k, d = min_gram_dim_free_diag(M)
-        assert k == 1 and d.bits == 0b111
+        assert free_diag(M) == (1, 0b111)
 
     def test_single_pair(self):
         M = SymMatrix.from_entries([[0, 1], [1, 0]])
-        k, d = min_gram_dim_free_diag(M)
-        assert k == 1 and d.bits == 0b11
+        assert free_diag(M) == (1, 0b11)
 
     def test_limit_guard(self):
         with pytest.raises(ResourceLimitError):
-            min_gram_dim_free_diag(SymMatrix.zeros(FREE_DIAG_LIMIT + 1))
+            free_diag(SymMatrix.zeros(FREE_DIAG_LIMIT + 1))
 
     @pytest.mark.parametrize("n", range(6))
     def test_matches_loop_oracle_exhaustively(self, n):
@@ -232,23 +234,21 @@ class TestMinGramDimFreeDiag:
             off = M.with_diagonal(0)
             if off not in expected:
                 expected[off] = free_diag_by_loop(off)
-            k, d = min_gram_dim_free_diag(M)
-            assert (k, d.width, d.bits) == (expected[off][0], n, expected[off][1])
+            assert free_diag(M) == expected[off]
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_matches_loop_oracle_random(self, n):
         rng = random.Random(n)
         for _ in range(10):
             M = random_symmetric(rng, n)
-            k, d = min_gram_dim_free_diag(M)
-            assert (k, d.bits) == free_diag_by_loop(M)
+            assert free_diag(M) == free_diag_by_loop(M)
 
     def test_agrees_with_direct_oracle_minimization(self):
         rng = random.Random(11)
         for _ in range(25):
             n = rng.randint(1, 4)
             M = random_symmetric(rng, n)
-            k, d = min_gram_dim_free_diag(M)
+            k, d = free_diag(M)
             best = None
             for diag in range(1 << n):
                 cand = M.with_diagonal(diag)
@@ -257,7 +257,7 @@ class TestMinGramDimFreeDiag:
                         best = kk if best is None else min(best, kk)
                         break
             assert k == best
-            assert realize_oracle(M.with_diagonal(d.bits), k) is not None
+            assert realize_oracle(M.with_diagonal(d), k) is not None
 
 
 def capped(expected, cap):
@@ -310,8 +310,8 @@ class TestFreeDiagBound:
         rng = random.Random(3)
         for n in range(8):
             M = random_symmetric(rng, n)
-            k, d = min_gram_dim_free_diag(M)
-            assert free_diag_bound(M.rows, range(n), n) == (k, d.bits)
+            k, d = free_diag_by_loop(M)
+            assert free_diag_bound(M.rows, range(n), n) == (k, d)
             # rows listed in another order, each with its own free column:
             # the same width, though another setting may come first
             perm = rng.sample(range(n), n)

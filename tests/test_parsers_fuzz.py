@@ -11,7 +11,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab.construct import graph_from_expr, parse_expr
+from invlab.construct import graph_from_expr
 from invlab.digraph import decode_digraph, parse_digraph, parse_family
 from invlab.f2 import load_matrix
 
@@ -121,9 +121,6 @@ def _family():
 
 
 class TestParsersTotal:
-    def test_parse_expr(self):
-        _check(parse_expr, _expr_text())
-
     def test_graph_from_expr(self):
         _check(graph_from_expr, _expr_text())
 

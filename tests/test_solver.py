@@ -70,10 +70,9 @@ class TestExistsFamily:
 
     def test_even_weight_restriction(self):
         # even-weight vectors of width <= 2 have all-zero pairwise products
-        opts = SearchOptions(even_weight_only=True)
-        assert exists_family(c3(), 1, opts) is None
-        assert exists_family(c3(), 2, opts) is None
-        found = exists_family(c3(), 3, opts)
+        assert exists_family(c3(), 1, even_weight_only=True) is None
+        assert exists_family(c3(), 2, even_weight_only=True) is None
+        found = exists_family(c3(), 3, even_weight_only=True)
         assert found is not None
         assert all(v.weight() % 2 == 0 for v in found.vecs)
 
@@ -225,15 +224,10 @@ class TestOrderBackendWitness:
         monkeypatch.setattr(solver, "_search_assignment", spy)
         opts = SearchOptions(budget=10_000)
         r = inv_order_backend(qn(5), opts)
-        assert [(k, o.budget, o.even_weight_only) for k, o in seen] == [
-            (2, 10_000, False)
-        ]
+        # the spy takes no even_weight_only: the witness search is unrestricted
+        assert [(k, o.budget) for k, o in seen] == [(2, 10_000)]
         # the order search's own nodes only
         assert r.nodes_explored == inv_order_backend(qn(5)).nodes_explored
-
-    def test_even_weight_only_is_refused(self):
-        with pytest.raises(ValueError, match="no even-weight restriction"):
-            inv_order_backend(qn(5), SearchOptions(even_weight_only=True))
 
     def test_missing_witness_is_a_disagreement(self, monkeypatch):
         monkeypatch.setattr(solver, "_search_assignment", lambda D, k, opts: (None, 0))
@@ -242,7 +236,7 @@ class TestOrderBackendWitness:
 
     def test_search_options_fields(self):
         names = [f.name for f in dataclasses.fields(SearchOptions)]
-        assert names == ["max_k", "budget", "even_weight_only"]
+        assert names == ["max_k", "budget"]
 
     @pytest.mark.parametrize(
         "fields,message",
@@ -287,12 +281,17 @@ class TestThreeBackendAgreement:
             assert inv_subset_oracle(T, 2) == a
 
 
-def agree_with_reference(D, ks, opts=SearchOptions()):
+def agree_with_reference(D, ks, even_weight_only=False):
     """Existence matches the search before forward checking at each width;
     no level grows, and every witness decycles D."""
+    opts = SearchOptions()
     for k in ks:
-        found, nodes = solver._search_assignment(D, k, opts)
-        ref, ref_nodes = helpers.reference_search(D, k, opts, complement=True)
+        found, nodes = solver._search_assignment(
+            D, k, opts, even_weight_only=even_weight_only
+        )
+        ref, ref_nodes = helpers.reference_search(
+            D, k, opts, complement=True, even_weight_only=even_weight_only
+        )
         assert (found is None) == (ref is None), (encode_digraph(D), k)
         assert nodes <= ref_nodes, (encode_digraph(D), k)
         if found is not None:
@@ -321,8 +320,8 @@ class TestSymmetryBreakingCompleteness:
             D = random_oriented(rng, rng.randint(1, 5))
             k = rng.randint(0, 3)
             even_only = rng.random() < 0.4
-            opts = SearchOptions(even_weight_only=even_only)
-            assert (exists_family(D, k, opts) is not None) == naive(D, k, even_only)
+            found = exists_family(D, k, even_weight_only=even_only)
+            assert (found is not None) == naive(D, k, even_only)
 
     def test_complementing_odd_vectors_keeps_every_flip(self):
         # for even k the all-ones j has j.j = 0, so x -> x + (x.j) j keeps
@@ -361,8 +360,7 @@ class TestSymmetryBreakingCompleteness:
             while D.is_tournament():
                 D = random_oriented(rng, D.n)
             for even_only in (False, True):
-                opts = SearchOptions(even_weight_only=even_only)
-                agree_with_reference(D, range(5), opts)
+                agree_with_reference(D, range(5), even_only)
 
     @pytest.mark.parametrize(
         "expr,value",
@@ -582,11 +580,11 @@ FORWARD_EVEN_QN9 = (
 isometry_search = functools.partial(helpers.reference_search, complement=True)
 
 
-def level_counts(D, opts, search=None):
+def level_counts(D, opts, search=None, even_weight_only=False):
     search = search or solver._search_assignment
     counts = []
     for k in range(solver.MAX_K + 1):
-        found, nodes = search(D, k, opts)
+        found, nodes = search(D, k, opts, even_weight_only=even_weight_only)
         counts.append(nodes)
         if found is not None:
             return counts, dump_family(assignment_to_family(found))
@@ -615,12 +613,12 @@ class TestSearchTreePinned:
         assert dump_family(r.witness) == forward_witness
 
     def test_even_weight_levels_and_witness(self, memo_cap):
-        opts = SearchOptions(even_weight_only=True)
+        opts = SearchOptions()
         want = (PINNED_EVEN_QN9, PINNED_EVEN_QN9_WITNESS)
-        assert level_counts(qn(9), opts, helpers.reference_search) == want
-        assert level_counts(qn(9), opts, isometry_search) == want
+        assert level_counts(qn(9), opts, helpers.reference_search, True) == want
+        assert level_counts(qn(9), opts, isometry_search, True) == want
         assert all(f <= p for f, p in zip(FORWARD_EVEN_QN9[0], PINNED_EVEN_QN9))
-        assert level_counts(qn(9), opts) == FORWARD_EVEN_QN9
+        assert level_counts(qn(9), opts, None, True) == FORWARD_EVEN_QN9
 
     def test_memo_is_per_call_and_capped(self, monkeypatch):
         # at even k a shape has two lists, with and without the odd-weight
