@@ -8,13 +8,9 @@ solvers with certified witnesses, and a CLI of reproducible sweeps.
 from .digraph import (
     Digraph,
     InversionFamily,
-    VectorAssignment,
     apply_family,
-    assignment_to_family,
-    family_to_assignment,
     invert,
     is_acyclic,
-    is_even_weight_assignment,
     nonisomorphic_tournaments,
     reverse,
 )
@@ -31,7 +27,6 @@ from .construct import (
     transitive,
 )
 from .f2 import (
-    BitVec,
     GramFactorization,
     SymMatrix,
     free_diag_bound,
@@ -52,23 +47,19 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitVec",
     "Digraph",
     "GramFactorization",
     "InvResult",
     "InversionFamily",
     "SearchOptions",
     "SymMatrix",
-    "VectorAssignment",
     "apply_family",
-    "assignment_to_family",
     "blow_up",
     "c3",
     "compose_blowup_family",
     "dijoin",
     "exists_family",
     "extend_family_to_c3_dijoin",
-    "family_to_assignment",
     "free_diag_bound",
     "gram_factor",
     "gram_of",
@@ -78,7 +69,6 @@ __all__ = [
     "invert",
     "is_acyclic",
     "is_c3_tight",
-    "is_even_weight_assignment",
     "k_join",
     "min_gram_dim",
     "nonisomorphic_tournaments",

@@ -96,8 +96,8 @@ def cmd_gram(args) -> int:
         print("error: factorization failed verification", file=sys.stderr)
         return EXIT_VIOLATION
     print(f"factored k={fact.k} verified=1")
-    for col in fact.columns:
-        print(str(col))
+    for col in fact.columns:  # coordinate 0 first
+        print(f"{col:0{fact.k}b}"[::-1])
     print(f"min_gram_dim={dim}")
     return EXIT_OK
 

@@ -25,15 +25,15 @@ join instead of the join.
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import xor
 
 from .digraph import (
     MAX_VERTICES,
     Digraph,
     InversionFamily,
     apply_family,
-    family_to_assignment,
     is_acyclic,
-    is_even_weight_assignment,
     invert,
     residual_cycle,
 )
@@ -130,7 +130,7 @@ def k_join(parts: list[Digraph]) -> Digraph:
 # deepest nesting of constructor calls; deeper input is refused, not recursed
 MAX_EXPR_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[a-z_][a-z0-9_]*)|(?P<int>\d+)|(?P<sym>[(),;]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[a-z_][a-z0-9_]*)|(?P<int>[0-9]+)|(?P<sym>[(),;]))")
 
 
 class _Parser:
@@ -296,7 +296,8 @@ def extend_family_to_c3_dijoin(D: Digraph, F: InversionFamily) -> InversionFamil
     k = F.k
     if k % 2 == 0 or k < 3:
         raise ValueError(f"family length must be odd and at least 3, got {k}")
-    if not is_even_weight_assignment(family_to_assignment(F)):
+    # bit v of the sets' XOR is the weight parity of vertex v's vector
+    if reduce(xor, F.sets, 0):
         raise ValueError("every characteristic vector must have even weight")
     if is_acyclic(apply_family(D, F)) is None:
         raise ValueError("family does not decycle the graph")
@@ -331,7 +332,7 @@ def compose_blowup_family(
             raise ValueError(f"part {j}: inversion set outside the part")
         if is_acyclic(invert(p, y)) is None:
             raise ValueError(f"part {j}: inversion set does not decycle the part")
-    if not is_even_weight_assignment(family_to_assignment(F_T)):
+    if reduce(xor, F_T.sets, 0):
         raise ValueError("every characteristic vector of the base family "
                          "must have even weight")
     if is_acyclic(apply_family(T, F_T)) is None:

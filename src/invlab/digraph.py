@@ -1,4 +1,4 @@
-"""Oriented graphs with bit-packed adjacency, inversions, and GF(2) bridges.
+"""Oriented graphs with bit-packed adjacency, inversions, and text formats.
 
 A digraph here is loop-free and 2-cycle-free on at most 64 vertices, with
 one out-neighbour bitmask per vertex.  Inverting a vertex set reverses
@@ -9,8 +9,8 @@ is the least length of such a family.
 Families correspond to per-vertex characteristic vectors: bit i of a
 vertex's vector says whether the vertex lies in set i, and an arc ends up
 reversed exactly when its endpoints' vectors have odd overlap.  The
-solver searches vectors and certifies witnesses as sets; the two
-converters between the views live here.
+solver searches vectors, each a plain int, and returns its witnesses as
+families; this module only knows families.
 
 All values are immutable and every function is pure.
 """
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .f2 import BitVec
 
 MAX_VERTICES = 64
 
@@ -146,23 +146,6 @@ class InversionFamily:
         return [[v for v in range(self.n) if s >> v & 1] for s in self.sets]
 
 
-@dataclass(frozen=True)
-class VectorAssignment:
-    """One characteristic vector per vertex, all of the same width."""
-
-    width: int
-    vecs: tuple[BitVec, ...]
-
-    def __post_init__(self):
-        for v in self.vecs:
-            if v.width != self.width:
-                raise ValueError("assignment vectors must share the declared width")
-
-    @property
-    def n(self) -> int:
-        return len(self.vecs)
-
-
 def invert(D: Digraph, X: VertexSet) -> Digraph:
     """Reverse every arc with both endpoints in X."""
     if X < 0 or X >> D.n:
@@ -243,34 +226,6 @@ def residual_cycle(D: Digraph) -> list[int] | None:
 def reverse(D: Digraph) -> Digraph:
     """Reverse every arc."""
     return Digraph(D.n, _columns(D.out_rows, D.n))
-
-
-def family_to_assignment(F: InversionFamily) -> VectorAssignment:
-    """Bit i of vertex v's vector says whether v lies in set i."""
-    vecs = []
-    for v in range(F.n):
-        bits = 0
-        for i, s in enumerate(F.sets):
-            if s >> v & 1:
-                bits |= 1 << i
-        vecs.append(BitVec(F.k, bits))
-    return VectorAssignment(F.k, tuple(vecs))
-
-
-def assignment_to_family(A: VectorAssignment) -> InversionFamily:
-    sets = []
-    for i in range(A.width):
-        s = 0
-        for v, vec in enumerate(A.vecs):
-            if vec.bits >> i & 1:
-                s |= 1 << v
-        sets.append(s)
-    return InversionFamily(A.n, tuple(sets))
-
-
-def is_even_weight_assignment(A: VectorAssignment) -> bool:
-    """True when every vertex vector has even weight (orthogonal to all-ones)."""
-    return all(v.weight() % 2 == 0 for v in A.vecs)
 
 
 def _require_enumerable(n: int) -> None:
@@ -359,10 +314,9 @@ def parse_digraph(text: str) -> Digraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty digraph file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the order, got {lines[0]!r}") from None
+    if not (lines[0].isascii() and lines[0].isdigit()):
+        raise ValueError(f"first line must be the order, got {lines[0]!r}")
+    n = int(lines[0])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} adjacency rows, found {len(lines) - 1}")
     rows = []
@@ -378,14 +332,19 @@ def encode_digraph(D: Digraph) -> str:
     return f"enc:{D.n}:" + ".".join(format(r, "x") for r in D.out_rows)
 
 
+# exactly what encode_digraph writes, the prefix optional: no sign, no
+# leading zero, no upper case, no space or underscore, ASCII digits only
+_HEX_ROW = r"(?:0|[1-9a-f][0-9a-f]*)"
+_ENCODING = re.compile(rf"(?:enc:)?(0|[1-9][0-9]*):({_HEX_ROW}(?:\.{_HEX_ROW})*)?")
+
+
 def decode_digraph(text: str) -> Digraph:
-    body = text[4:] if text.startswith("enc:") else text
-    try:
-        head, _, rest = body.partition(":")
-        n = int(head)
-        rows = tuple(int(part, 16) for part in rest.split(".")) if rest else ()
-    except ValueError:
-        raise ValueError(f"malformed digraph encoding {text!r}") from None
+    """Inverse of :func:`encode_digraph`; the ``enc:`` prefix may be left off."""
+    m = _ENCODING.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed digraph encoding {text!r}")
+    n = int(m[1])
+    rows = tuple(int(part, 16) for part in m[2].split(".")) if m[2] else ()
     if len(rows) != n:
         raise ValueError(f"encoding declares {n} vertices but has {len(rows)} rows")
     return Digraph(n, rows)
@@ -409,10 +368,9 @@ def parse_family(text: str, n: int) -> InversionFamily:
     for i, ln in enumerate(lines):
         mask = 0
         for tok in ln.split():
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ValueError(f"set {i}: {tok!r} is not a vertex index") from None
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"set {i}: {tok!r} is not a vertex index")
+            v = int(tok)
             if not 0 <= v < n:
                 raise ValueError(f"set {i}: vertex {v} outside 0..{n - 1}")
             mask |= 1 << v

@@ -1,9 +1,9 @@
 """Linear algebra over GF(2) with bit-packed vectors and symmetric matrices.
 
-Vectors are little-endian bitmasks (bit i = coordinate i) wrapped in
-:class:`BitVec`; a symmetric matrix stores one bitmask per row.  Width is
-capped at 64 so every vector fits a machine word; desk-scale work never
-needs more than a dozen coordinates.
+A vector is a plain int read as a little-endian bitmask (bit i =
+coordinate i), its width given by context; a symmetric matrix stores one
+bitmask per row.  Width is capped at 64 so every vector fits a machine
+word; desk-scale work never needs more than a dozen coordinates.
 
 The centrepiece is :func:`gram_factor`, which writes a symmetric matrix M
 as U^t U with U square.  It peels rank-one terms u u^t off M in one
@@ -31,26 +31,6 @@ MAX_WIDTH = 64
 
 # free_diag_bound's branch and bound may still visit all 2^m diagonals.
 FREE_DIAG_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """Vector over GF(2); ``bits`` holds ``width`` coordinates, bit i = entry i."""
-
-    width: int
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 0..{MAX_WIDTH}, got {self.width}")
-        if self.bits < 0 or self.bits >> self.width:
-            raise ValueError("bits set beyond declared width")
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __str__(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.width))
 
 
 @dataclass(frozen=True)
@@ -111,33 +91,26 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class GramFactorization:
-    """Witness vectors whose pairwise products reproduce ``target``."""
+    """Witness vectors of width ``k`` whose pairwise products reproduce ``target``."""
 
     k: int
-    columns: tuple[BitVec, ...]
+    columns: tuple[int, ...]
     target: SymMatrix
 
     def verify(self) -> bool:
         return gram_of(self.columns) == self.target
 
 
-def gram_of(vectors: Sequence[BitVec]) -> SymMatrix:
-    """Matrix of pairwise scalar products of ``vectors`` (all widths equal)."""
-    vecs = list(vectors)
-    if vecs:
-        w = vecs[0].width
-        for v in vecs:
-            if v.width != w:
-                raise ValueError("gram_of requires equal widths")
-    n = len(vecs)
+def gram_of(vectors: Sequence[int]) -> SymMatrix:
+    """Matrix of pairwise scalar products of ``vectors``."""
     rows = []
-    for i in range(n):
+    for u in vectors:
         r = 0
-        for j in range(n):
-            if (vecs[i].bits & vecs[j].bits).bit_count() & 1:
+        for j, v in enumerate(vectors):
+            if (u & v).bit_count() & 1:
                 r |= 1 << j
         rows.append(r)
-    return SymMatrix(n, tuple(rows))
+    return SymMatrix(len(rows), tuple(rows))
 
 
 def rank(M: SymMatrix) -> int:
@@ -216,9 +189,7 @@ def gram_factor(M: SymMatrix) -> GramFactorization | None:
         for j in range(n):
             if u >> j & 1:
                 cols[j] |= 1 << t
-    return GramFactorization(
-        k=n, columns=tuple(BitVec(n, c) for c in cols), target=M
-    )
+    return GramFactorization(k=n, columns=tuple(cols), target=M)
 
 
 def min_gram_dim(M: SymMatrix) -> int:
@@ -326,10 +297,9 @@ def load_matrix(text: str) -> SymMatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the order, got {lines[0]!r}") from None
+    if not (lines[0].isascii() and lines[0].isdigit()):
+        raise ValueError(f"first line must be the order, got {lines[0]!r}")
+    n = int(lines[0])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []

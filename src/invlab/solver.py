@@ -65,17 +65,9 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .digraph import (
-    Digraph,
-    InversionFamily,
-    VectorAssignment,
-    apply_family,
-    assignment_to_family,
-    dump_family,
-    is_acyclic,
-)
+from .digraph import Digraph, InversionFamily, apply_family, dump_family, is_acyclic
 from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
-from .f2 import BitVec, free_diag_bound
+from .f2 import free_diag_bound
 
 MAX_K = 12
 
@@ -179,8 +171,11 @@ def _candidates(
 
 def _search_assignment(
     D: Digraph, k: int, opts: SearchOptions, spent: int = 0, *, even_weight_only: bool = False
-) -> tuple[VectorAssignment | None, int]:
-    """Complete DFS for a decycling assignment of width k; (witness, nodes).
+) -> tuple[InversionFamily | None, int]:
+    """Complete DFS for a decycling family of k sets; (family or None, nodes).
+
+    Vertex vectors are plain ints of width k, and the family's set c is
+    the column mask of coordinate c once every vertex is placed.
 
     Forward checking with a fail-first order (Haralick and Elliott, AIJ
     1980).  Each unplaced vertex r keeps a 2^k-bit mask, bit x set while
@@ -216,7 +211,7 @@ def _search_assignment(
     """
     n = D.n
     if n == 0:
-        return VectorAssignment(k, ()), 0
+        return InversionFamily(0, (0,) * k), 0
     outs = D.out_rows
     ins = D.in_rows()
     order = _vertex_order(D, ins)
@@ -260,8 +255,7 @@ def _search_assignment(
     # is even; entries carry their child's key, so descending tests nothing
     memo: dict[tuple[tuple[int, ...], bool], list] = {}
     stored = 0
-    vec = [0] * n
-    cols = [0] * k  # cols[c] bit u: placed vec[u] sets coordinate c
+    cols = [0] * k  # cols[c] bit u: placed u's vector sets coordinate c
     # block r of to_at[u]: vectors of r that give an arc r -> u, placed u;
     # of from_at[u], those giving u -> r
     to_at = [0] * n
@@ -318,10 +312,11 @@ def _search_assignment(
                 )
             if not mv >> w & 1:
                 continue  # closes a cycle through v
-            vec[v] = w
             if not rest:
+                for c in coords:
+                    cols[c] |= bit
                 return True
-            # bit u of flip: parity of vec[u] & w
+            # bit u of flip: parity of u's vector & w
             flip = 0
             for c in coords:
                 flip ^= cols[c]
@@ -386,29 +381,47 @@ def _search_assignment(
     live = high ^ 1 << root * size + size - 1
     if not dfs(root, key, start * rep, [0] * n, 0, order[1:], live):
         return None, nodes
-    return VectorAssignment(k, tuple(BitVec(k, w) for w in vec)), nodes
+    return InversionFamily(n, tuple(cols)), nodes
 
 
 def exists_family(
     D: Digraph, k: int, opts: SearchOptions | None = None, *, even_weight_only: bool = False
-) -> VectorAssignment | None:
-    """Some width-k decycling assignment of D, or None if there is none.
+) -> InversionFamily | None:
+    """Some decycling family of k sets for D, checked to decycle it, or None.
 
-    With ``even_weight_only`` the per-vertex domain is restricted to
-    even-weight vectors.  Raises BudgetExceededError when the node budget
-    runs out, which is distinct from a certified None.
+    None means no such family exists.  With ``even_weight_only`` every
+    vertex's characteristic vector has even weight: the XOR of the sets is
+    empty.  Raises BudgetExceededError when the node budget runs out,
+    which is distinct from a certified None.
     """
     if opts is None:
         opts = SearchOptions()
     if not 0 <= k <= MAX_K:
         raise ValueError(f"family size must be in 0..{MAX_K}")
     found, _ = _search_assignment(D, k, opts, even_weight_only=even_weight_only)
+    if found is not None:
+        _certify(D, found)
     return found
 
 
 def _certify(D: Digraph, family: InversionFamily) -> None:
     if is_acyclic(apply_family(D, family)) is None:
         raise RuntimeError("internal witness failed its decycling check; this is a bug")
+
+
+def _certified(
+    D: Digraph, family: InversionFamily, backend: str, nodes: int, start: float
+) -> InvResult:
+    """The resolved result for a witness at its value, once it decycles D."""
+    _certify(D, family)
+    return InvResult(
+        value=family.k,
+        witness=family,
+        backend=backend,
+        nodes_explored=nodes,
+        elapsed=time.perf_counter() - start,
+        max_k_exhausted=family.k - 1,
+    )
 
 
 def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
@@ -425,16 +438,7 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
         found, nodes = _search_assignment(D, k, opts, total)
         total += nodes
         if found is not None:
-            family = assignment_to_family(found)
-            _certify(D, family)
-            return InvResult(
-                value=k,
-                witness=family,
-                backend="assign",
-                nodes_explored=total,
-                elapsed=time.perf_counter() - start,
-                max_k_exhausted=k - 1,
-            )
+            return _certified(D, found, "assign", total, start)
     return InvResult(
         value=None,
         witness=None,
@@ -476,7 +480,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     start = time.perf_counter()
     n = D.n
     if n == 0:
-        return InvResult(0, InversionFamily(0, ()), "order", 0, 0.0, -1)
+        return _certified(D, InversionFamily(0, ()), "order", 0, start)
 
     best_k = opts.max_k + 1  # prunes every order wider than max_k
     nodes = 0
@@ -514,16 +518,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         raise CriterionViolationError(
             f"order search gives {k} but no width-{k} assignment decycles the graph"
         )
-    family = assignment_to_family(found)
-    _certify(D, family)
-    return InvResult(
-        value=k,
-        witness=family,
-        backend="order",
-        nodes_explored=nodes,
-        elapsed=time.perf_counter() - start,
-        max_k_exhausted=k - 1,
-    )
+    return _certified(D, found, "order", nodes, start)
 
 
 def is_c3_tight(

@@ -12,19 +12,17 @@ from typing import Iterator, Sequence
 from invlab.digraph import (
     Digraph,
     InversionFamily,
-    VectorAssignment,
     _columns,
     _pairs,
     _require_enumerable,
     _tournament,
     apply_family,
-    assignment_to_family,
     invert,
     is_acyclic,
 )
 from invlab import solver
 from invlab.errors import BudgetExceededError, ResourceLimitError
-from invlab.f2 import BitVec, SymMatrix, free_diag_bound, rank_of_rows
+from invlab.f2 import SymMatrix, free_diag_bound, rank_of_rows
 from invlab.solver import _candidates
 
 
@@ -93,28 +91,33 @@ def all_oriented(n: int):
 
 # Reference forms and law checks no run needs: the solver flips arcs from
 # vectors inline, the class walk marks orbits instead of keying graphs, and
-# the rank law is checked against the paper, never used in a solve.
+# the rank law is checked against the paper, never used in a solve.  A
+# vector is a plain int, bit i = coordinate i, as in the library.
 
 
-def dot(u: BitVec, v: BitVec) -> int:
+def dot(u: int, v: int) -> int:
     """Scalar product over GF(2): parity of the AND of the two bitmasks."""
-    if u.width != v.width:
-        raise ValueError(f"width mismatch: {u.width} != {v.width}")
-    return (u.bits & v.bits).bit_count() & 1
+    return (u & v).bit_count() & 1
 
 
-def apply_assignment(D: Digraph, A: VectorAssignment) -> Digraph:
+def family_vectors(F: InversionFamily) -> tuple[int, ...]:
+    """Characteristic vectors of F: bit i of vertex v's says v lies in set i."""
+    return tuple(
+        sum((s >> v & 1) << i for i, s in enumerate(F.sets)) for v in range(F.n)
+    )
+
+
+def apply_assignment(D: Digraph, vecs: Sequence[int]) -> Digraph:
     """Reverse each arc whose endpoint vectors have odd overlap.
 
     Agrees with ``apply_family`` on the transposed family by construction;
     the equivalence is exercised on randomized inputs in the tests.
     """
-    if A.n != D.n:
+    if len(vecs) != D.n:
         raise ValueError("assignment must cover every vertex")
-    bits = [v.bits for v in A.vecs]
     rows = [0] * D.n
     for u, v in D.arcs():
-        if (bits[u] & bits[v]).bit_count() & 1:
+        if (vecs[u] & vecs[v]).bit_count() & 1:
             rows[v] |= 1 << u
         else:
             rows[u] |= 1 << v
@@ -141,9 +144,9 @@ def flip_matrix(D: Digraph, order: Sequence[int]) -> SymMatrix:
     return SymMatrix(D.n, tuple(rows))
 
 
-def family_rank(A: VectorAssignment) -> int:
+def family_rank(vecs: Sequence[int]) -> int:
     """Rank over GF(2) of the set of distinct vertex vectors."""
-    return rank_of_rows(sorted({v.bits for v in A.vecs}))
+    return rank_of_rows(sorted(set(vecs)))
 
 
 def enumerate_tournaments(n: int) -> Iterator[Digraph]:
@@ -207,17 +210,17 @@ class RankBoundReport:
     required: int
 
 
-def rank_lower_bound_check(D: Digraph, A: VectorAssignment, inv: int) -> RankBoundReport:
-    """Check the rank law for a decycling assignment of D, given inv(D).
+def rank_lower_bound_check(D: Digraph, vecs: Sequence[int], inv: int) -> RankBoundReport:
+    """Check the rank law for decycling vectors of D, given inv(D).
 
     The distinct characteristic vectors of any decycling family span at
     least inv(D) dimensions when inv(D) is even, and at least inv(D)-1
     when odd.  A violation is reported, not raised; it would be a finding.
     """
-    if is_acyclic(apply_family(D, assignment_to_family(A))) is None:
+    if is_acyclic(apply_assignment(D, vecs)) is None:
         raise ValueError("assignment does not decycle the graph")
     required = inv if inv % 2 == 0 else inv - 1
-    r = family_rank(A)
+    r = family_rank(vecs)
     return RankBoundReport(
         ok=r >= required, rank=r, inversion_number=inv, required=required
     )
@@ -284,7 +287,7 @@ def inv_subset_oracle(D: Digraph, max_k: int = 2, subset_budget: int = 1 << 21) 
     return next((k for k in range(max_k + 1) if decyclable(D, k)), None)
 
 
-def realize_oracle(M: SymMatrix, k: int, node_budget: int = 1 << 22) -> list[BitVec] | None:
+def realize_oracle(M: SymMatrix, k: int, node_budget: int = 1 << 22) -> tuple[int, ...] | None:
     """Exhaustively search for vectors in GF(2)^k whose Gram matrix is M.
 
     Sound and complete: returns a witness list or None.  Refuses instances
@@ -319,7 +322,7 @@ def realize_oracle(M: SymMatrix, k: int, node_budget: int = 1 << 22) -> list[Bit
 
     if not search(0):
         return None
-    return [BitVec(k, w) for w in vecs]
+    return tuple(vecs)
 
 
 def free_diag_by_loop(M, cols: Sequence[int] | None = None, width: int | None = None):
@@ -353,7 +356,7 @@ def reference_search(
     D: Digraph, k: int, opts, spent: int = 0, complement: bool = False, *,
     even_weight_only: bool = False,
 ):
-    """Reference assignment search: (witness, nodes) as ``_search_assignment``.
+    """Reference assignment search: (family, nodes) as ``_search_assignment``.
 
     The search before forward checking, kept whole so its trees stay
     pinned: a fixed vertex order (``_vertex_order``), each candidate
@@ -365,7 +368,7 @@ def reference_search(
     """
     n = D.n
     if n == 0:
-        return VectorAssignment(k, ()), 0
+        return InversionFamily(0, (0,) * k), 0
     cols_in = D.in_rows()
     order = sorted(
         range(n),
@@ -447,10 +450,11 @@ def reference_search(
 
     if not dfs(0, (k,) if k else (), complement and k % 2 == 0 and not even_only):
         return None, nodes
-    vecs = [BitVec(k, 0)] * n
+    sets = [0] * k
     for t, v in enumerate(order):
-        vecs[v] = BitVec(k, vec[t])
-    return VectorAssignment(k, tuple(vecs)), nodes
+        for c in range(k):
+            sets[c] |= (vec[t] >> c & 1) << v
+    return InversionFamily(n, tuple(sets)), nodes
 
 
 def use_reference_search(monkeypatch) -> None:

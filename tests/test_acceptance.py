@@ -20,7 +20,6 @@ from invlab.construct import (
 from invlab.digraph import (
     InversionFamily,
     apply_family,
-    family_to_assignment,
     invert,
     is_acyclic,
     nonisomorphic_tournaments,
@@ -33,6 +32,7 @@ from helpers import (
     all_symmetric,
     apply_assignment,
     enumerate_tournaments,
+    family_vectors,
     inv_subset_oracle,
     random_family,
     random_oriented,
@@ -179,8 +179,7 @@ def test_criterion_10_rank_laws_for_minimal_witnesses():
     for n in range(1, 6):
         for T in enumerate_tournaments(n):
             res = inv_exact(T)
-            A = family_to_assignment(res.witness)
-            rep = rank_lower_bound_check(T, A, res.value)
+            rep = rank_lower_bound_check(T, family_vectors(res.witness), res.value)
             if not rep.ok:
                 bad.append((T.out_rows, rep))
             if res.value % 2 == 0 and rep.rank != res.value:
@@ -213,7 +212,7 @@ def test_criterion_11_property_suite():
     for _ in range(1000):
         D = random_oriented(rng, rng.randint(1, 8))
         F = random_family(rng, D.n, rng.randint(0, 4))
-        if apply_assignment(D, family_to_assignment(F)) != apply_family(D, F):
+        if apply_assignment(D, family_vectors(F)) != apply_family(D, F):
             bad.append(("paths", D.out_rows, F.sets))
 
     for _ in range(500):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -254,6 +255,29 @@ class TestGramCommand:
         assert code == 0
         assert out.splitlines()[0] == "factored k=3 verified=1"
         assert "min_gram_dim=3" in out
+
+    @pytest.mark.parametrize(
+        "make,want",
+        [
+            (
+                lambda: SymMatrix.identity(3),
+                "factored k=3 verified=1\n100\n010\n001\nmin_gram_dim=3\n",
+            ),
+            (
+                # 10101 / 01111 / 11111 / 01101 / 11110
+                lambda: helpers.random_symmetric(random.Random(5), 5),
+                "factored k=5 verified=1\n10000\n01000\n11100\n01010\n11101\n"
+                "min_gram_dim=5\n",
+            ),
+        ],
+        ids=["identity3", "random5"],
+    )
+    def test_columns_are_pinned(self, capsys, tmp_path, make, want):
+        # each column prints as its n coordinates, coordinate 0 first
+        m = tmp_path / "m.mat"
+        m.write_text(dump_matrix(make()))
+        code, out, _ = run(capsys, "gram", str(m))
+        assert (code, out) == (0, want)
 
     def test_infeasible_pair(self, capsys, tmp_path):
         m = tmp_path / "alt.mat"

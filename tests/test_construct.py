@@ -222,6 +222,12 @@ class TestGrammar:
             graph_from_expr("qn(")
         assert err.value.offset == 3
 
+    @pytest.mark.parametrize("text", ["qn(٣)", "tt(３)"])
+    def test_sizes_take_ascii_digits_only(self, text):
+        with pytest.raises(ParseError) as err:
+            graph_from_expr(text)
+        assert err.value.offset == 3
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError):
             graph_from_expr("c4")

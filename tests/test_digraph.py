@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,12 @@ from invlab.digraph import (
     Digraph,
     InversionFamily,
     apply_family,
-    assignment_to_family,
     decode_digraph,
     dump_digraph,
     dump_family,
     encode_digraph,
-    family_to_assignment,
     invert,
     is_acyclic,
-    is_even_weight_assignment,
     nonisomorphic_tournaments,
     parse_digraph,
     parse_family,
@@ -28,7 +27,7 @@ from invlab.digraph import (
     reverse,
 )
 from invlab.errors import ResourceLimitError
-from invlab.f2 import BitVec
+from invlab.f2 import SymMatrix, load_matrix
 
 from helpers import (
     all_oriented,
@@ -36,6 +35,7 @@ from helpers import (
     canonical_key,
     enumerate_tournaments,
     family_rank,
+    family_vectors,
     flip_matrix,
     nonisomorphic_by_key,
     random_family,
@@ -135,40 +135,21 @@ class TestIsAcyclic:
 
 class TestAssignments:
     def test_empty_family_round_trip(self):
-        F = InversionFamily(3, ())
-        A = family_to_assignment(F)
-        assert A.width == 0 and all(v.bits == 0 for v in A.vecs)
-        assert assignment_to_family(A) == F
+        assert family_vectors(InversionFamily(3, ())) == (0, 0, 0)
 
     def test_single_set(self):
-        F = InversionFamily(3, (0b011,))
-        A = family_to_assignment(F)
-        assert [v.bits for v in A.vecs] == [1, 1, 0]
-
-    @given(
-        st.integers(1, 7),
-        st.integers(0, 4),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_random(self, n, k, rnd):
-        rng = random.Random(rnd.getrandbits(32))
-        F = random_family(rng, n, k)
-        assert assignment_to_family(family_to_assignment(F)) == F
+        assert family_vectors(InversionFamily(3, (0b011,))) == (1, 1, 0)
 
     def test_all_zero_assignment_is_identity(self):
-        from invlab.digraph import VectorAssignment
-
         D = c3()
-        A = VectorAssignment(2, (BitVec(2, 0),) * 3)
-        assert apply_assignment(D, A) == D
+        assert apply_assignment(D, (0, 0, 0)) == D
 
     def test_matches_family_application_on_randoms(self):
         rng = random.Random(21)
         for _ in range(200):
             D = random_oriented(rng, rng.randint(1, 8))
             F = random_family(rng, D.n, rng.randint(0, 4))
-            assert apply_assignment(D, family_to_assignment(F)) == apply_family(D, F)
+            assert apply_assignment(D, family_vectors(F)) == apply_family(D, F)
 
 
 class TestFlipMatrix:
@@ -254,33 +235,46 @@ class TestCanonicalKey:
 class TestFamilyRank:
     def test_all_zero(self):
         F = InversionFamily(3, (0, 0))
-        assert family_rank(family_to_assignment(F)) == 0
+        assert family_rank(family_vectors(F)) == 0
 
     def test_duplicates_do_not_change_rank(self):
         F = InversionFamily(3, (0b011, 0b001))
         G = InversionFamily(3, F.sets + F.sets)
-        assert family_rank(family_to_assignment(F)) >= 1
+        assert family_rank(family_vectors(F)) >= 1
         # duplicated positions double vector width but not the span of rows
-        a, b = family_to_assignment(F), family_to_assignment(G)
+        a, b = family_vectors(F), family_vectors(G)
         assert family_rank(b) == family_rank(a)
 
 
+def odd_weight_vertices(F: InversionFamily) -> int:
+    """The mask of vertices whose characteristic vectors have odd weight."""
+    return sum((w.bit_count() & 1) << v for v, w in enumerate(family_vectors(F)))
+
+
 class TestEvenWeight:
+    # the even-weight test construct applies: the XOR of the family's sets
     def test_all_zero_true(self):
         F = InversionFamily(3, (0, 0))
-        assert is_even_weight_assignment(family_to_assignment(F))
+        assert reduce(xor, F.sets, 0) == odd_weight_vertices(F) == 0
 
     def test_odd_vector_false(self):
         F = InversionFamily(2, (0b01,))
-        assert not is_even_weight_assignment(family_to_assignment(F))
+        assert reduce(xor, F.sets, 0) == odd_weight_vertices(F) == 0b01
 
     def test_triangle_lift_vectors_are_odd(self):
-        from invlab.digraph import VectorAssignment
+        # vertex 0 joins no set, vertices 1 and 2 all three: (000, 111, 111)
+        F = InversionFamily(3, (0b110,) * 3)
+        assert reduce(xor, F.sets, 0) == odd_weight_vertices(F) == 0b110
 
-        k = 3
-        ones = BitVec(k, (1 << k) - 1)
-        A = VectorAssignment(k, (BitVec(k, 0), ones, ones))
-        assert not is_even_weight_assignment(A)
+    @given(
+        st.integers(1, 7),
+        st.integers(0, 5),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_xor_of_sets_marks_odd_weight_vectors(self, n, k, rnd):
+        F = random_family(random.Random(rnd.getrandbits(32)), n, k)
+        assert reduce(xor, F.sets, 0) == odd_weight_vertices(F)
 
 
 class TestEnumeration:
@@ -350,6 +344,41 @@ class TestTextFormats:
     def test_empty_encoding_round_trip(self):
         assert encode_digraph(Digraph(0, ())) == "enc:0:"
         assert decode_digraph("enc:0:") == Digraph(0, ())
+
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (decode_digraph, "enc:3:0x2.4.1"),
+            (decode_digraph, "enc:3:0_2.4.1"),
+            (decode_digraph, "enc:3:2.4. 1"),
+            (decode_digraph, "enc:+3:2.4.1"),
+            (decode_digraph, "enc: 3:2.4.1"),
+            (decode_digraph, "enc:３:2.4.1"),
+            (decode_digraph, "3:02.4.1"),
+            (decode_digraph, "enc:3:2.4.1\n"),
+            (parse_digraph, "٢\n01\n00\n"),
+            (parse_digraph, "0_2\n01\n00\n"),
+            (parse_digraph, "+2\n01\n00\n"),
+            (load_matrix, "٢\n01\n10\n"),
+            (load_matrix, "0_2\n01\n10\n"),
+            (load_matrix, "+2\n01\n10\n"),
+            (lambda text: parse_family(text, 3), "0_1 +2"),
+            (lambda text: parse_family(text, 3), "٢"),
+            (lambda text: parse_family(text, 3), "-0"),
+        ],
+    )
+    def test_numeric_fields_take_ascii_digits_only(self, parse, text):
+        # each of these would parse by int(); the fields take what the
+        # writers write, so a mangled line is refused, not read as another
+        with pytest.raises(ValueError):
+            parse(text)
+
+    def test_unmangled_fields_parse(self):
+        D = Digraph(3, (2, 4, 1))
+        assert decode_digraph("enc:3:2.4.1") == decode_digraph("3:2.4.1") == D
+        assert parse_digraph("2\n01\n00\n") == Digraph(2, (2, 0))
+        assert load_matrix("02\n01\n10\n") == SymMatrix(2, (2, 1))
+        assert parse_family("1 2", 3) == InversionFamily(3, (0b110,))
 
     @pytest.mark.parametrize("text", ["enc:0:zz", "enc:0:0", "enc:00:not.hex.at.all"])
     def test_empty_encoding_rejects_trailing_text(self, text):

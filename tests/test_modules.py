@@ -31,6 +31,7 @@ TEST_ONLY = {
     "enumerate_tournaments",
     "extend_to_tournament",
     "family_rank",
+    "family_vectors",
     "flip_matrix",
     "RankBoundReport",
     "rank_lower_bound_check",
@@ -38,7 +39,9 @@ TEST_ONLY = {
 
 
 # deleted: expressions parse straight to digraphs, with no tree to
-# evaluate or print, and free_diag_bound is the one free-diagonal bound
+# evaluate or print, free_diag_bound is the one free-diagonal bound, and a
+# GF(2) vector is a plain int that the assignment search turns into the
+# family it returns
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -53,6 +56,11 @@ REMOVED = {
     "pretty",
     "parse_expr",
     "min_gram_dim_free_diag",
+    "BitVec",
+    "VectorAssignment",
+    "assignment_to_family",
+    "family_to_assignment",
+    "is_even_weight_assignment",
 }
 
 

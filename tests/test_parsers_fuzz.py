@@ -6,14 +6,17 @@ test also asserts that both outcomes occurred.  ``ParseError`` is a
 ``ValueError``, so a refused expression counts as refused.
 """
 
+import random
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab.construct import graph_from_expr
-from invlab.digraph import decode_digraph, parse_digraph, parse_family
+from invlab.digraph import decode_digraph, encode_digraph, parse_digraph, parse_family
 from invlab.f2 import load_matrix
+
+from helpers import random_oriented
 
 FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
@@ -111,6 +114,41 @@ def _encoding():
     return st.one_of(shaped, noise)
 
 
+# ways to spoil one field of an encoding that int() would still read
+_MANGLES = [
+    lambda f: "0" + f,
+    lambda f: "+" + f,
+    lambda f: " " + f,
+    lambda f: f + "\n",
+    lambda f: "0_" + f,
+    lambda f: f.upper(),
+    lambda f: "0x" + f,
+    lambda f: f.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+]
+
+
+def _near_encoding():
+    """encode_digraph outputs, the prefix sometimes left off, and sometimes
+    one field spoiled by a mangle."""
+
+    def text(n, seed, prefix, mangle, where):
+        D = random_oriented(random.Random(seed), n)
+        fields = [str(n)] + [format(r, "x") for r in D.out_rows]
+        if mangle is not None:
+            where %= len(fields)
+            fields[where] = mangle(fields[where])
+        return ("enc:" if prefix else "") + fields[0] + ":" + ".".join(fields[1:])
+
+    return st.builds(
+        text,
+        st.integers(0, 4),
+        st.integers(0, 1 << 32),
+        st.booleans(),
+        st.one_of(st.none(), st.sampled_from(_MANGLES)),
+        st.integers(0, 4),
+    )
+
+
 def _family():
     lines = st.lists(
         st.lists(st.sampled_from(["0", "1", "2", "3", "4", "9", "-1"] + _ODD),
@@ -132,6 +170,25 @@ class TestParsersTotal:
 
     def test_decode_digraph(self):
         _check(decode_digraph, _encoding())
+
+    def test_decode_digraph_accepts_only_what_encode_writes(self):
+        # every accepted text is an encode_digraph output, prefix optional
+        outcomes = Counter()
+
+        @FUZZ
+        @given(st.one_of(_encoding(), _near_encoding()))
+        def fuzz(text):
+            try:
+                D = decode_digraph(text)
+            except ValueError:
+                outcomes["refused"] += 1
+                return
+            outcomes["parsed"] += 1
+            prefixed = text if text.startswith("enc:") else "enc:" + text
+            assert encode_digraph(D) == prefixed
+
+        fuzz()
+        assert outcomes["parsed"] and outcomes["refused"], outcomes
 
     def test_parse_family(self):
         _check(lambda args: parse_family(*args), _family())

@@ -10,12 +10,9 @@ from invlab import f2, solver
 from invlab.construct import c3, dijoin, graph_from_expr, k_join, qn, transitive
 from invlab.digraph import (
     InversionFamily,
-    VectorAssignment,
     apply_family,
-    assignment_to_family,
     dump_family,
     encode_digraph,
-    family_to_assignment,
     is_acyclic,
     nonisomorphic_tournaments,
     reverse,
@@ -25,7 +22,6 @@ from invlab.errors import (
     CriterionViolationError,
     ResourceLimitError,
 )
-from invlab.f2 import BitVec
 from invlab.solver import (
     SearchOptions,
     exists_family,
@@ -39,6 +35,7 @@ from helpers import (
     apply_assignment,
     candidates_by_product,
     enumerate_tournaments,
+    family_vectors,
     flip_matrix,
     inv_subset_oracle,
     random_oriented,
@@ -49,15 +46,13 @@ from helpers import (
 
 class TestExistsFamily:
     def test_transitive_needs_nothing(self):
-        A = exists_family(transitive(5), 0)
-        assert A is not None and A.width == 0
+        F = exists_family(transitive(5), 0)
+        assert F == InversionFamily(5, ())
 
     def test_triangle_witness_is_a_pair(self):
-        from invlab.digraph import assignment_to_family
-
-        A = exists_family(c3(), 1)
-        assert A is not None
-        (only_set,) = assignment_to_family(A).sets
+        F = exists_family(c3(), 1)
+        assert F is not None
+        (only_set,) = F.sets
         assert only_set.bit_count() == 2
 
     def test_double_triangle_needs_two(self):
@@ -74,11 +69,21 @@ class TestExistsFamily:
         assert exists_family(c3(), 2, even_weight_only=True) is None
         found = exists_family(c3(), 3, even_weight_only=True)
         assert found is not None
-        assert all(v.weight() % 2 == 0 for v in found.vecs)
+        assert all(w.bit_count() % 2 == 0 for w in family_vectors(found))
 
     def test_k_cap(self):
         with pytest.raises(ValueError):
             exists_family(c3(), 13)
+
+    def test_witness_is_certified(self, monkeypatch):
+        # a search that hands back a family leaving the triangle whole
+        def wrong(D, k, opts, spent=0, *, even_weight_only=False):
+            return InversionFamily(D.n, (0,) * k), 1
+
+        monkeypatch.setattr(solver, "_search_assignment", wrong)
+        with pytest.raises(RuntimeError, match="decycling check"):
+            exists_family(c3(), 1)
+        assert exists_family(transitive(3), 1) == InversionFamily(3, (0,))
 
 
 class TestInvExact:
@@ -295,7 +300,7 @@ def agree_with_reference(D, ks, even_weight_only=False):
         assert (found is None) == (ref is None), (encode_digraph(D), k)
         assert nodes <= ref_nodes, (encode_digraph(D), k)
         if found is not None:
-            assert is_acyclic(apply_assignment(D, found)) is not None
+            assert is_acyclic(apply_family(D, found)) is not None
 
 
 class TestSymmetryBreakingCompleteness:
@@ -310,8 +315,7 @@ class TestSymmetryBreakingCompleteness:
             for combo in iproduct(range(1 << k), repeat=D.n):
                 if even_only and any(w.bit_count() % 2 for w in combo):
                     continue
-                A = VectorAssignment(k, tuple(BitVec(k, w) for w in combo))
-                if is_acyclic(apply_assignment(D, A)) is not None:
+                if is_acyclic(apply_assignment(D, combo)) is not None:
                     return True
             return False
 
@@ -334,9 +338,7 @@ class TestSymmetryBreakingCompleteness:
             ones = (1 << k) - 1
             vecs = [rng.getrandbits(k) for _ in range(D.n)]
             flipped = [w ^ ones if w.bit_count() & 1 else w for w in vecs]
-            A = VectorAssignment(k, tuple(BitVec(k, w) for w in vecs))
-            B = VectorAssignment(k, tuple(BitVec(k, w) for w in flipped))
-            assert apply_assignment(D, A) == apply_assignment(D, B)
+            assert apply_assignment(D, vecs) == apply_assignment(D, flipped)
 
     def test_agrees_with_reference_on_small_tournaments(self):
         # every labelled tournament up to 5 vertices and every class of 6
@@ -442,7 +444,7 @@ class TestRankLaw:
     def test_minimal_witness_even_value_has_exact_rank(self):
         D = dijoin(c3(), c3())
         r = inv_exact(D)
-        rep = rank_lower_bound_check(D, family_to_assignment(r.witness), r.value)
+        rep = rank_lower_bound_check(D, family_vectors(r.witness), r.value)
         assert rep.ok and rep.inversion_number == 2 and rep.rank == 2
 
     def test_padded_witness_still_passes(self):
@@ -450,13 +452,13 @@ class TestRankLaw:
         r = inv_exact(D)
         padded = InversionFamily(D.n, r.witness.sets + r.witness.sets[:1] * 2)
         assert is_acyclic(apply_family(D, padded)) is not None
-        rep = rank_lower_bound_check(D, family_to_assignment(padded), r.value)
+        rep = rank_lower_bound_check(D, family_vectors(padded), r.value)
         assert rep.ok
 
     def test_rejects_non_decycling_assignment(self):
         with pytest.raises(ValueError):
             rank_lower_bound_check(
-                c3(), family_to_assignment(InversionFamily(3, (0,))), 1
+                c3(), family_vectors(InversionFamily(3, (0,))), 1
             )
 
     def test_random_tournament_witnesses(self):
@@ -464,7 +466,7 @@ class TestRankLaw:
         for _ in range(30):
             T = random_tournament(rng, rng.randint(1, 6))
             r = inv_exact(T)
-            rep = rank_lower_bound_check(T, family_to_assignment(r.witness), r.value)
+            rep = rank_lower_bound_check(T, family_vectors(r.witness), r.value)
             assert rep.ok
             if r.value % 2 == 0:
                 assert rep.rank == r.value
@@ -587,7 +589,7 @@ def level_counts(D, opts, search=None, even_weight_only=False):
         found, nodes = search(D, k, opts, even_weight_only=even_weight_only)
         counts.append(nodes)
         if found is not None:
-            return counts, dump_family(assignment_to_family(found))
+            return counts, dump_family(found)
     raise AssertionError("no witness up to MAX_K")
 
 
