@@ -30,11 +30,10 @@ import os
 import sys
 import time
 from collections.abc import Generator, Iterator
-from dataclasses import dataclass
-from multiprocessing import Pool
 
 from . import construct, digraph, f2, solver
 from .errors import CriterionViolationError, ParseError, ResourceLimitError
+from .record import Record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,11 +105,14 @@ def cmd_gram(args) -> int:
 # Experiments
 
 
-@dataclass(frozen=True)
-class InstanceResult:
+class InstanceResult(Record):
+    __slots__ = ("encoding", "status", "detail")
     encoding: str
     status: str  # PASS / FAIL / UNKNOWN
     detail: str
+
+    def __init__(self, encoding: str, status: str, detail: str):
+        super().__init__(encoding, status, detail)
 
 
 _Checker = Generator[list, Iterator, InstanceResult | None]
@@ -348,6 +350,13 @@ EXPERIMENTS = {
         "dijoin value is independent of direction (swept, not assumed)",
     ),
 }
+
+
+def Pool(processes: int):
+    """A pool of ``processes`` workers; a serial run never imports multiprocessing."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
 
 
 def _run_one(task: tuple[digraph.Digraph, solver.SearchOptions]) -> int | None | str:

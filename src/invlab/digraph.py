@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import ResourceLimitError
+from .record import Record
 
 MAX_VERTICES = 64
 
@@ -36,30 +36,31 @@ MAX_ENUM_VERTICES = 7
 VertexSet = int
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Loop-free, 2-cycle-free directed graph; ``out_rows[v]`` masks v's heads."""
 
+    __slots__ = ("n", "out_rows")
     n: int
     out_rows: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
+    def __init__(self, n: int, out_rows: tuple[int, ...]):
+        if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
-        if len(self.out_rows) != self.n:
+        if len(out_rows) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        for v, row in enumerate(self.out_rows):
-            if row < 0 or row >> self.n:
+        for v, row in enumerate(out_rows):
+            if row < 0 or row >> n:
                 raise ValueError(f"row {v} points outside the vertex range")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for u in range(self.n):
-            row = self.out_rows[u]
+        for u in range(n):
+            row = out_rows[u]
             while row:
                 v = (row & -row).bit_length() - 1
-                if self.out_rows[v] >> u & 1:
+                if out_rows[v] >> u & 1:
                     raise ValueError(f"2-cycle between {u} and {v}")
                 row &= row - 1
+        super().__init__(n, out_rows)
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Sequence[tuple[int, int]]) -> "Digraph":
@@ -119,18 +120,19 @@ def _columns(rows: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-@dataclass(frozen=True)
-class InversionFamily:
+class InversionFamily(Record):
     """Ordered sequence of vertex subsets of an n-vertex host graph."""
 
+    __slots__ = ("n", "sets")
     n: int
     sets: tuple[VertexSet, ...]
 
-    def __post_init__(self):
-        full = (1 << self.n) - 1
-        for i, s in enumerate(self.sets):
+    def __init__(self, n: int, sets: tuple[VertexSet, ...]):
+        full = (1 << n) - 1
+        for i, s in enumerate(sets):
             if s < 0 or s & ~full:
-                raise ValueError(f"set {i} contains vertices outside 0..{self.n - 1}")
+                raise ValueError(f"set {i} contains vertices outside 0..{n - 1}")
+        super().__init__(n, sets)
 
     @property
     def k(self) -> int:

@@ -22,10 +22,10 @@ from any number of threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ResourceLimitError
+from .record import Record
 
 MAX_WIDTH = 64
 
@@ -33,25 +33,26 @@ MAX_WIDTH = 64
 FREE_DIAG_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(Record):
     """Symmetric n-by-n matrix over GF(2), one row bitmask per row."""
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_WIDTH:
-            raise ValueError(f"order must be in 0..{MAX_WIDTH}, got {self.n}")
-        if len(self.rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        if not 0 <= n <= MAX_WIDTH:
+            raise ValueError(f"order must be in 0..{MAX_WIDTH}, got {n}")
+        if len(rows) != n:
             raise ValueError("row count does not match declared order")
-        for i, r in enumerate(self.rows):
-            if r < 0 or r >> self.n:
-                raise ValueError(f"row {i} has bits beyond column {self.n - 1}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
+        for i, r in enumerate(rows):
+            if r < 0 or r >> n:
+                raise ValueError(f"row {i} has bits beyond column {n - 1}")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (rows[i] >> j & 1) != (rows[j] >> i & 1):
                     raise ValueError(f"not symmetric at ({i},{j})")
+        super().__init__(n, rows)
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatrix":
@@ -89,13 +90,16 @@ class SymMatrix:
         return SymMatrix(self.n, rows)
 
 
-@dataclass(frozen=True)
-class GramFactorization:
+class GramFactorization(Record):
     """Witness vectors of width ``k`` whose pairwise products reproduce ``target``."""
 
+    __slots__ = ("k", "columns", "target")
     k: int
     columns: tuple[int, ...]
     target: SymMatrix
+
+    def __init__(self, k: int, columns: tuple[int, ...], target: SymMatrix):
+        super().__init__(k, columns, target)
 
     def verify(self) -> bool:
         return gram_of(self.columns) == self.target

@@ -62,12 +62,12 @@ identical run to run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import product
 
 from .digraph import Digraph, InversionFamily, apply_family, dump_family, is_acyclic
 from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
 from .f2 import free_diag_bound
+from .record import Record
 
 MAX_K = 12
 
@@ -76,20 +76,29 @@ BACKENDS = ("assign", "order")
 ORDER_BACKEND_MAX_N = 12
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    max_k: int = MAX_K
-    budget: int | None = None
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no node count
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def __post_init__(self):
-        if not 0 <= self.max_k <= MAX_K:
+
+class SearchOptions(Record):
+    __slots__ = ("max_k", "budget")
+    max_k: int
+    budget: int | None
+
+    def __init__(self, max_k: int = MAX_K, budget: int | None = None):
+        if not _is_int(max_k):
+            raise ValueError(f"max_k must be an int, got {max_k!r}")
+        if not 0 <= max_k <= MAX_K:
             raise ValueError(f"max_k must be in 0..{MAX_K}")
-        if self.budget is not None and self.budget <= 0:
+        if budget is not None and not _is_int(budget):
+            raise ValueError(f"budget must be an int or None, got {budget!r}")
+        if budget is not None and budget <= 0:
             raise ValueError("budget must be positive")
+        super().__init__(max_k, budget)
 
 
-@dataclass(frozen=True)
-class InvResult:
+class InvResult(Record):
     """Certified inversion number with witness and search statistics.
 
     ``value`` is None when the search was capped at ``max_k_exhausted``
@@ -98,12 +107,26 @@ class InvResult:
     decycles the graph.
     """
 
+    __slots__ = (
+        "value", "witness", "backend", "nodes_explored", "elapsed", "max_k_exhausted"
+    )
     value: int | None
     witness: InversionFamily | None
     backend: str
     nodes_explored: int
     elapsed: float
     max_k_exhausted: int
+
+    def __init__(
+        self,
+        value: int | None,
+        witness: InversionFamily | None,
+        backend: str,
+        nodes_explored: int,
+        elapsed: float,
+        max_k_exhausted: int,
+    ):
+        super().__init__(value, witness, backend, nodes_explored, elapsed, max_k_exhausted)
 
     @property
     def resolved(self) -> bool:

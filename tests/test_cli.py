@@ -394,6 +394,24 @@ class TestExperiments:
         )
         assert serial == parallel
 
+    def test_real_pool_matches_serial(self, capsys, monkeypatch):
+        # two workers even on a one-core machine, through the real pool
+        opened = []
+        real_pool = cli.Pool
+
+        def counted_pool(processes):
+            opened.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "Pool", counted_pool)
+        argv = ("experiment", "thm13", "--n-max", "5", "--deterministic")
+        code, serial, _ = run(capsys, *argv)
+        assert code == 0 and opened == []
+        code, parallel, _ = run(capsys, *argv, "--jobs", "2")
+        assert code == 0 and opened == [2]
+        assert parallel == serial
+
     def test_replayable_instances(self, capsys):
         _, out, _ = run(
             capsys, "experiment", "thm13", "--n-max", "5", "--deterministic"

@@ -1,7 +1,11 @@
 """Module-level invariants that hold across the whole package."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import invlab
 
@@ -79,3 +83,33 @@ def test_test_oracles_stay_out_of_the_package():
 
 def test_removed_names_stay_out_of_the_package():
     assert in_the_package(REMOVED) == []
+
+
+# what a run does not need: dataclasses loads inspect and ast, typing is
+# replaced by collections.abc, and only a --jobs pool needs multiprocessing
+NOT_IMPORTED = {"dataclasses", "inspect", "multiprocessing", "typing"}
+
+FOOTPRINT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import invlab, invlab.cli
+on_import = sorted(set(sys.modules) - before)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = invlab.cli.main(["experiment", "direction", "--n-max", "3", "--deterministic"])
+print(json.dumps({"on_import": on_import, "after_run": sorted(sys.modules), "code": code}))
+"""
+
+
+def test_import_and_serial_run_load_only_what_they_use():
+    # -S skips site, so no .pth file imports anything first
+    src = os.path.dirname(os.path.dirname(invlab.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    report = json.loads(out)
+    assert "invlab.cli" in report["on_import"]
+    assert NOT_IMPORTED & set(report["on_import"]) == set()
+    assert report["code"] == 0
+    assert "multiprocessing" not in report["after_run"]

@@ -1,7 +1,7 @@
 """Solver backends, tightness criterion, and rank law checks."""
 
-import dataclasses
 import functools
+import inspect
 import random
 
 import pytest
@@ -240,7 +240,8 @@ class TestOrderBackendWitness:
             inv_order_backend(qn(5))
 
     def test_search_options_fields(self):
-        names = [f.name for f in dataclasses.fields(SearchOptions)]
+        # the fields in their positional construction order
+        names = list(inspect.signature(SearchOptions).parameters)
         assert names == ["max_k", "budget"]
 
     @pytest.mark.parametrize(
@@ -249,6 +250,14 @@ class TestOrderBackendWitness:
             ({"max_k": 13}, "max_k must be in 0..12"),
             ({"max_k": -1}, "max_k must be in 0..12"),
             ({"budget": 0}, "budget must be positive"),
+            # not an int: refused here, before a search could trip on it
+            ({"max_k": 2.5}, "max_k must be an int, got 2.5"),
+            ({"max_k": 2.0}, "max_k must be an int, got 2.0"),
+            ({"max_k": "3"}, "max_k must be an int, got '3'"),
+            ({"max_k": True}, "max_k must be an int, got True"),
+            ({"budget": 1.5}, "budget must be an int or None, got 1.5"),
+            ({"budget": 100.0}, "budget must be an int or None, got 100.0"),
+            ({"budget": True}, "budget must be an int or None, got True"),
         ],
     )
     def test_search_options_refuse_out_of_range(self, fields, message):
