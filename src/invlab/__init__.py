@@ -27,13 +27,10 @@ from .construct import (
     transitive,
 )
 from .f2 import (
-    GramFactorization,
-    SymMatrix,
     free_diag_bound,
     gram_factor,
     gram_of,
     min_gram_dim,
-    rank,
 )
 from .solver import (
     InvResult,
@@ -48,11 +45,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Digraph",
-    "GramFactorization",
     "InvResult",
     "InversionFamily",
     "SearchOptions",
-    "SymMatrix",
     "apply_family",
     "blow_up",
     "c3",
@@ -74,7 +69,6 @@ __all__ = [
     "nonisomorphic_tournaments",
     "qn",
     "qn_family",
-    "rank",
     "reverse",
     "transitive",
 ]

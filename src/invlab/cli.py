@@ -85,18 +85,19 @@ def cmd_verify(args) -> int:
 def cmd_gram(args) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         M = f2.load_matrix(fh.read())
-    fact = f2.gram_factor(M)
+    cols = f2.gram_factor(M)
     dim = f2.min_gram_dim(M)
-    if fact is None:
+    if cols is None:
         print("infeasible reason=zero_diagonal_nonsingular")
         print(f"min_gram_dim={dim}")
         return EXIT_OK
-    if not fact.verify():
+    if f2.gram_of(cols) != M:
         print("error: factorization failed verification", file=sys.stderr)
         return EXIT_VIOLATION
-    print(f"factored k={fact.k} verified=1")
-    for col in fact.columns:  # coordinate 0 first
-        print(f"{col:0{fact.k}b}"[::-1])
+    k = len(M)
+    print(f"factored k={k} verified=1")
+    for col in cols:  # coordinate 0 first
+        print(f"{col:0{k}b}"[::-1])
     print(f"min_gram_dim={dim}")
     return EXIT_OK
 

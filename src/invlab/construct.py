@@ -51,7 +51,7 @@ def transitive(n: int) -> Digraph:
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
     full = (1 << n) - 1
-    return Digraph(n, tuple((full >> (i + 1)) << (i + 1) for i in range(n)))
+    return Digraph(n, ((full >> (i + 1)) << (i + 1) for i in range(n)))
 
 
 def qn(n: int) -> Digraph:
@@ -70,7 +70,7 @@ def qn(n: int) -> Digraph:
         if i >= 1:
             row |= 1 << (i - 1)
         rows.append(row)
-    return Digraph(n, tuple(rows))
+    return Digraph(n, rows)
 
 
 def qn_family(n: int) -> InversionFamily:
@@ -80,10 +80,12 @@ def qn_family(n: int) -> InversionFamily:
     decycles ``qn(n)``, giving the standard upper bound on its inversion
     number.
     """
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}")
     sets = []
     for i in range(1, (n - 1) // 2 + 1):
         sets.append((1 << (2 * i - 1)) | (1 << (2 * i)))
-    return InversionFamily(n, tuple(sets))
+    return InversionFamily(n, sets)
 
 
 def dijoin(left: Digraph, right: Digraph) -> Digraph:
@@ -92,7 +94,7 @@ def dijoin(left: Digraph, right: Digraph) -> Digraph:
     rmask = ((1 << right.n) - 1) << off
     rows = [row | rmask for row in left.out_rows]
     rows.extend(row << off for row in right.out_rows)
-    return Digraph(left.n + right.n, tuple(rows))
+    return Digraph(left.n + right.n, rows)
 
 
 def blow_up(H: Digraph, parts: list[Digraph]) -> Digraph:
@@ -116,7 +118,7 @@ def blow_up(H: Digraph, parts: list[Digraph]) -> Digraph:
             hrow &= hrow - 1
         for v in range(p.n):
             rows[off + v] = (p.out_rows[v] << off) | bundle
-    return Digraph(total, tuple(rows))
+    return Digraph(total, rows)
 
 
 def k_join(parts: list[Digraph]) -> Digraph:
@@ -355,6 +357,6 @@ def compose_blowup_family(
                 blownset |= part_masks[j]
         sets.append(global_sets[0] | blownset)
     sets.extend(global_sets[1:])
-    out = InversionFamily(blown.n, tuple(s for s in sets if s))
+    out = InversionFamily(blown.n, (s for s in sets if s))
     _require_decycling(blown, out, "blow-up family")
     return out

@@ -12,6 +12,10 @@ reversed exactly when its endpoints' vectors have odd overlap.  The
 solver searches vectors, each a plain int, and returns its witnesses as
 families; this module only knows families.
 
+The adjacency text form is the 0/1 row form of :mod:`invlab.f2`, read and
+written there; this module adds the digraph checks to it, and owns the
+one-line encoding and the family format.
+
 All values are immutable and every function is pure.
 """
 
@@ -20,9 +24,10 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
+from .f2 import dump_rows, parse_rows
 from .record import Record
 
 MAX_VERTICES = 64
@@ -43,7 +48,8 @@ class Digraph(Record):
     n: int
     out_rows: tuple[int, ...]
 
-    def __init__(self, n: int, out_rows: tuple[int, ...]):
+    def __init__(self, n: int, out_rows: Iterable[int]):
+        out_rows = tuple(out_rows)
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
         if len(out_rows) != n:
@@ -69,7 +75,7 @@ class Digraph(Record):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
             rows[u] |= 1 << v
-        return cls(n, tuple(rows))
+        return cls(n, rows)
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out_rows[u] >> v & 1)
@@ -106,7 +112,7 @@ class Digraph(Record):
                 new |= 1 << index[w]
                 row &= row - 1
             rows.append(new)
-        return Digraph(len(verts), tuple(rows))
+        return Digraph(len(verts), rows)
 
 
 def _columns(rows: Sequence[int], n: int) -> tuple[int, ...]:
@@ -127,7 +133,10 @@ class InversionFamily(Record):
     n: int
     sets: tuple[VertexSet, ...]
 
-    def __init__(self, n: int, sets: tuple[VertexSet, ...]):
+    def __init__(self, n: int, sets: Iterable[VertexSet]):
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"host size must be in 0..{MAX_VERTICES}, got {n}")
+        sets = tuple(sets)
         full = (1 << n) - 1
         for i, s in enumerate(sets):
             if s < 0 or s & ~full:
@@ -142,7 +151,12 @@ class InversionFamily(Record):
     def from_vertex_lists(
         cls, n: int, lists: Sequence[Sequence[int]]
     ) -> "InversionFamily":
-        return cls(n, tuple(sum(1 << v for v in set(vs)) for vs in lists))
+        sets = []
+        for i, vs in enumerate(lists):
+            if any(v < 0 for v in vs):
+                raise ValueError(f"set {i} contains vertices outside 0..{n - 1}")
+            sets.append(sum(1 << v for v in set(vs)))
+        return cls(n, sets)
 
     def vertex_lists(self) -> list[list[int]]:
         return [[v for v in range(self.n) if s >> v & 1] for s in self.sets]
@@ -159,7 +173,7 @@ def invert(D: Digraph, X: VertexSet) -> Digraph:
         if X >> u & 1:
             row = (row & ~X) | (cols[u] & X)
         rows.append(row)
-    return Digraph(D.n, tuple(rows))
+    return Digraph(D.n, rows)
 
 
 def apply_family(D: Digraph, F: InversionFamily) -> Digraph:
@@ -248,7 +262,7 @@ def _tournament(n: int, pairs: list[tuple[int, int]], code: int) -> Digraph:
             rows[i] |= 1 << j
         else:
             rows[j] |= 1 << i
-    return Digraph(n, tuple(rows))
+    return Digraph(n, rows)
 
 
 def nonisomorphic_tournaments(n: int) -> list[Digraph]:
@@ -302,31 +316,14 @@ def nonisomorphic_tournaments(n: int) -> list[Digraph]:
 
 
 def dump_digraph(D: Digraph) -> str:
-    """Text form: first line n, then n rows of n characters, (i,j)=1 for i->j."""
-    lines = [str(D.n)]
-    for u in range(D.n):
-        lines.append(
-            "".join("1" if D.out_rows[u] >> v & 1 else "0" for v in range(D.n))
-        )
-    return "\n".join(lines) + "\n"
+    """Text form (:func:`~invlab.f2.dump_rows`): entry (i,j) = 1 for i->j."""
+    return dump_rows(D.out_rows)
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the digraph text format, rejecting loops and 2-cycles."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty digraph file")
-    if not (lines[0].isascii() and lines[0].isdigit()):
-        raise ValueError(f"first line must be the order, got {lines[0]!r}")
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} adjacency rows, found {len(lines) - 1}")
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        if len(ln) != n or set(ln) - {"0", "1"}:
-            raise ValueError(f"row {i} must be {n} characters of 0/1, got {ln!r}")
-        rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
-    return Digraph(n, tuple(rows))
+    rows = parse_rows(text)
+    return Digraph(len(rows), rows)
 
 
 def encode_digraph(D: Digraph) -> str:
@@ -377,4 +374,4 @@ def parse_family(text: str, n: int) -> InversionFamily:
                 raise ValueError(f"set {i}: vertex {v} outside 0..{n - 1}")
             mask |= 1 << v
         sets.append(mask)
-    return InversionFamily(n, tuple(sets))
+    return InversionFamily(n, sets)

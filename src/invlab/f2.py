@@ -1,9 +1,11 @@
 """Linear algebra over GF(2) with bit-packed vectors and symmetric matrices.
 
 A vector is a plain int read as a little-endian bitmask (bit i =
-coordinate i), its width given by context; a symmetric matrix stores one
-bitmask per row.  Width is capped at 64 so every vector fits a machine
-word; desk-scale work never needs more than a dozen coordinates.
+coordinate i), its width given by context; a symmetric matrix is a tuple
+of row ints, row i holding bit j = entry (i,j).  Width is capped at 64 so
+every vector fits a machine word; desk-scale work never needs more than a
+dozen coordinates.  The functions that take a matrix refuse, with a
+ValueError, rows that are not symmetric or not inside that order.
 
 The centrepiece is :func:`gram_factor`, which writes a symmetric matrix M
 as U^t U with U square.  It peels rank-one terms u u^t off M in one
@@ -16,6 +18,9 @@ diagonal entry or is singular, and returns ``None`` otherwise.
 The width rule is validated against an independent brute-force
 realization search, a test oracle in ``tests/helpers.py``.
 
+:func:`parse_rows` and :func:`dump_rows` read and write the one text form
+of n rows of n bits that matrices and digraphs share.
+
 Everything here is a pure function on immutable values and safe to call
 from any number of threads.
 """
@@ -25,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import ResourceLimitError
-from .record import Record
 
 MAX_WIDTH = 64
 
@@ -33,80 +37,24 @@ MAX_WIDTH = 64
 FREE_DIAG_LIMIT = 20
 
 
-class SymMatrix(Record):
-    """Symmetric n-by-n matrix over GF(2), one row bitmask per row."""
-
-    __slots__ = ("n", "rows")
-    n: int
-    rows: tuple[int, ...]
-
-    def __init__(self, n: int, rows: tuple[int, ...]):
-        if not 0 <= n <= MAX_WIDTH:
-            raise ValueError(f"order must be in 0..{MAX_WIDTH}, got {n}")
-        if len(rows) != n:
-            raise ValueError("row count does not match declared order")
-        for i, r in enumerate(rows):
-            if r < 0 or r >> n:
-                raise ValueError(f"row {i} has bits beyond column {n - 1}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (rows[i] >> j & 1) != (rows[j] >> i & 1):
-                    raise ValueError(f"not symmetric at ({i},{j})")
-        super().__init__(n, rows)
-
-    @classmethod
-    def zeros(cls, n: int) -> "SymMatrix":
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]]) -> "SymMatrix":
-        n = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("entry rows must be square")
-            rows.append(sum((1 << j) for j, e in enumerate(row) if e & 1))
-        return cls(n, tuple(rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i] >> j & 1
-
-    def to_entries(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
-
-    def diagonal(self) -> int:
-        """Diagonal entries as a bitmask (bit i = m_ii)."""
-        return _diag_mask(self.rows)
-
-    def with_diagonal(self, diag: int) -> "SymMatrix":
-        """Copy with the diagonal replaced by the bits of ``diag``."""
-        rows = tuple(
-            (r & ~(1 << i)) | ((diag >> i & 1) << i) for i, r in enumerate(self.rows)
-        )
-        return SymMatrix(self.n, rows)
+def _check_symmetric(rows: Sequence[int]) -> None:
+    """Refuse rows that are not a symmetric matrix of order at most MAX_WIDTH."""
+    n = len(rows)
+    if n > MAX_WIDTH:
+        raise ValueError(f"order must be in 0..{MAX_WIDTH}, got {n}")
+    for i, r in enumerate(rows):
+        if r < 0 or r >> n:
+            raise ValueError(f"row {i} has bits beyond column {n - 1}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i] >> j & 1) != (rows[j] >> i & 1):
+                raise ValueError(f"not symmetric at ({i},{j})")
 
 
-class GramFactorization(Record):
-    """Witness vectors of width ``k`` whose pairwise products reproduce ``target``."""
-
-    __slots__ = ("k", "columns", "target")
-    k: int
-    columns: tuple[int, ...]
-    target: SymMatrix
-
-    def __init__(self, k: int, columns: tuple[int, ...], target: SymMatrix):
-        super().__init__(k, columns, target)
-
-    def verify(self) -> bool:
-        return gram_of(self.columns) == self.target
-
-
-def gram_of(vectors: Sequence[int]) -> SymMatrix:
+def gram_of(vectors: Sequence[int]) -> tuple[int, ...]:
     """Matrix of pairwise scalar products of ``vectors``."""
+    if len(vectors) > MAX_WIDTH:
+        raise ValueError(f"order must be in 0..{MAX_WIDTH}, got {len(vectors)}")
     rows = []
     for u in vectors:
         r = 0
@@ -114,12 +62,7 @@ def gram_of(vectors: Sequence[int]) -> SymMatrix:
             if (u & v).bit_count() & 1:
                 r |= 1 << j
         rows.append(r)
-    return SymMatrix(len(rows), tuple(rows))
-
-
-def rank(M: SymMatrix) -> int:
-    """Rank over GF(2) by Gaussian elimination."""
-    return rank_of_rows(M.rows)
+    return tuple(rows)
 
 
 def rank_of_rows(rows: Sequence[int]) -> int:
@@ -175,17 +118,19 @@ def _peel(rows: Sequence[int]) -> list[int]:
     return out
 
 
-def gram_factor(M: SymMatrix) -> GramFactorization | None:
+def gram_factor(M: Sequence[int]) -> tuple[int, ...] | None:
     """Factor M = U^t U over GF(2) with U square and fewest nonzero rows.
 
-    The columns of U are the witness vectors.  Exactly their first
-    ``min_gram_dim(M)`` coordinates are used (:func:`_peel`); the rest are
-    zero padding up to width n.  So odd order always factors, and even
-    order factors exactly when M has a nonzero diagonal entry or is
-    singular; otherwise the return is None (a value, not a fault).
+    Returns the columns of U, the witness vectors, whose Gram matrix
+    :func:`gram_of` is M.  Exactly their first ``min_gram_dim(M)``
+    coordinates are used (:func:`_peel`); the rest are zero padding up to
+    width n, the order.  So odd order always factors, and even order
+    factors exactly when M has a nonzero diagonal entry or is singular;
+    otherwise the return is None (a value, not a fault).
     """
-    n = M.n
-    peeled = _peel(M.rows)
+    _check_symmetric(M)
+    n = len(M)
+    peeled = _peel(M)
     if len(peeled) > n:
         return None
     cols = [0] * n
@@ -193,10 +138,10 @@ def gram_factor(M: SymMatrix) -> GramFactorization | None:
         for j in range(n):
             if u >> j & 1:
                 cols[j] |= 1 << t
-    return GramFactorization(k=n, columns=tuple(cols), target=M)
+    return tuple(cols)
 
 
-def min_gram_dim(M: SymMatrix) -> int:
+def min_gram_dim(M: Sequence[int]) -> int:
     """Least k such that vectors in GF(2)^k realize M as their Gram matrix.
 
     Closed rule: 0 for the zero matrix, rank(M) when some diagonal entry
@@ -205,10 +150,11 @@ def min_gram_dim(M: SymMatrix) -> int:
     is cross-validated against a brute-force realization search in the
     test suite.
     """
-    if not any(M.rows):
+    _check_symmetric(M)
+    if not any(M):
         return 0
-    r = rank(M)
-    return r if _diag_mask(M.rows) else r + 1
+    r = rank_of_rows(M)
+    return r if _diag_mask(M) else r + 1
 
 
 def free_diag_bound(
@@ -288,19 +234,19 @@ def free_diag_bound(
     return best_k, best_d
 
 
-def dump_matrix(M: SymMatrix) -> str:
-    """Text form: first line n, then n lines of n characters from {0,1}."""
-    lines = [str(M.n)]
-    for i in range(M.n):
-        lines.append("".join(str(M.entry(i, j)) for j in range(M.n)))
+def dump_rows(rows: Sequence[int]) -> str:
+    """Text form of n rows of n bits: first line n, then one line per row,
+    character j of a row's line its bit j, written 0 or 1."""
+    n = len(rows)
+    lines = [str(n)] + [f"{r:0{n}b}"[::-1] for r in rows]
     return "\n".join(lines) + "\n"
 
 
-def load_matrix(text: str) -> SymMatrix:
-    """Parse the matrix text format; symmetry is validated."""
+def parse_rows(text: str) -> tuple[int, ...]:
+    """Inverse of :func:`dump_rows`; blank lines and surrounding spaces are ignored."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("empty matrix file")
+        raise ValueError("empty file")
     if not (lines[0].isascii() and lines[0].isdigit()):
         raise ValueError(f"first line must be the order, got {lines[0]!r}")
     n = int(lines[0])
@@ -311,4 +257,17 @@ def load_matrix(text: str) -> SymMatrix:
         if len(ln) != n or set(ln) - {"0", "1"}:
             raise ValueError(f"row {i} must be {n} characters of 0/1, got {ln!r}")
         rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
-    return SymMatrix(n, tuple(rows))
+    return tuple(rows)
+
+
+def dump_matrix(M: Sequence[int]) -> str:
+    """Text form of a symmetric matrix (:func:`dump_rows`)."""
+    _check_symmetric(M)
+    return dump_rows(M)
+
+
+def load_matrix(text: str) -> tuple[int, ...]:
+    """Parse the matrix text format (:func:`parse_rows`); symmetry is validated."""
+    M = parse_rows(text)
+    _check_symmetric(M)
+    return M

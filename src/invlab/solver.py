@@ -404,7 +404,7 @@ def _search_assignment(
     live = high ^ 1 << root * size + size - 1
     if not dfs(root, key, start * rep, [0] * n, 0, order[1:], live):
         return None, nodes
-    return InversionFamily(n, tuple(cols)), nodes
+    return InversionFamily(n, cols), nodes
 
 
 def exists_family(

@@ -22,18 +22,31 @@ from invlab.digraph import (
 )
 from invlab import solver
 from invlab.errors import BudgetExceededError, ResourceLimitError
-from invlab.f2 import SymMatrix, free_diag_bound, rank_of_rows
+from invlab.f2 import free_diag_bound, rank_of_rows
 from invlab.solver import _candidates
 
 
-def random_symmetric(rng: random.Random, n: int) -> SymMatrix:
+# A symmetric matrix is a tuple of row ints, bit j of row i = entry (i,j).
+
+
+def random_symmetric(rng: random.Random, n: int) -> tuple[int, ...]:
     rows = [0] * n
     for i in range(n):
         for j in range(i, n):
             if rng.getrandbits(1):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return SymMatrix(n, tuple(rows))
+    return tuple(rows)
+
+
+def diagonal(M: Sequence[int]) -> int:
+    """M's diagonal entries as a bitmask (bit i = m_ii)."""
+    return sum(r & 1 << i for i, r in enumerate(M))
+
+
+def with_diagonal(M: Sequence[int], diag: int) -> tuple[int, ...]:
+    """M with its diagonal replaced by the bits of ``diag``."""
+    return tuple(r & ~(1 << i) | diag & 1 << i for i, r in enumerate(M))
 
 
 def random_tournament(rng: random.Random, n: int) -> Digraph:
@@ -73,7 +86,7 @@ def all_symmetric(n: int):
             if bits >> idx & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-        yield SymMatrix(n, tuple(rows))
+        yield tuple(rows)
 
 
 def all_oriented(n: int):
@@ -124,7 +137,7 @@ def apply_assignment(D: Digraph, vecs: Sequence[int]) -> Digraph:
     return Digraph(D.n, tuple(rows))
 
 
-def flip_matrix(D: Digraph, order: Sequence[int]) -> SymMatrix:
+def flip_matrix(D: Digraph, order: Sequence[int]) -> tuple[int, ...]:
     """Which unordered pairs must flip for D to be sorted by ``order``.
 
     Entry (u,v) is 1 when the arc between u and v points against the
@@ -141,7 +154,7 @@ def flip_matrix(D: Digraph, order: Sequence[int]) -> SymMatrix:
         if pos[v] < pos[u]:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return SymMatrix(D.n, tuple(rows))
+    return tuple(rows)
 
 
 def family_rank(vecs: Sequence[int]) -> int:
@@ -287,26 +300,25 @@ def inv_subset_oracle(D: Digraph, max_k: int = 2, subset_budget: int = 1 << 21) 
     return next((k for k in range(max_k + 1) if decyclable(D, k)), None)
 
 
-def realize_oracle(M: SymMatrix, k: int, node_budget: int = 1 << 22) -> tuple[int, ...] | None:
+def realize_oracle(M: Sequence[int], k: int, node_budget: int = 1 << 22) -> tuple[int, ...] | None:
     """Exhaustively search for vectors in GF(2)^k whose Gram matrix is M.
 
     Sound and complete: returns a witness list or None.  Refuses instances
     whose raw assignment space 2^(n*k) exceeds ``node_budget`` rather than
     ever returning a wrong answer.
     """
-    n = M.n
+    n = len(M)
     if n * k > 0 and (1 << (n * k)) > node_budget:
         raise ResourceLimitError(
             f"2^({n}*{k}) assignments exceed the oracle budget {node_budget}"
         )
     vecs = [0] * n
-    rows = M.rows
 
     def fits(t: int, w: int) -> bool:
-        if w.bit_count() & 1 != rows[t] >> t & 1:
+        if w.bit_count() & 1 != M[t] >> t & 1:
             return False
         for s in range(t):
-            if (vecs[s] & w).bit_count() & 1 != (rows[s] >> t & 1):
+            if (vecs[s] & w).bit_count() & 1 != (M[s] >> t & 1):
                 return False
         return True
 
@@ -328,20 +340,18 @@ def realize_oracle(M: SymMatrix, k: int, node_budget: int = 1 << 22) -> tuple[in
 def free_diag_by_loop(M, cols: Sequence[int] | None = None, width: int | None = None):
     """Reference free-diagonal minimum: a fresh rank for each of the 2^m diagonals.
 
-    ``M`` is a SymMatrix, whose own diagonal is ignored, or a row block:
-    rows of ``width`` columns whose bit (i, cols[i]) is free.  Settings are
-    tried as binary numbers x, bit i of x the bit of row i; returns
-    ``(k, d_bits)`` with the first setting reaching the least width k, as
-    a column mask (for a matrix, the smallest diagonal).  Lempel's +1 for
-    a zero diagonal on a nonzero matrix applies only when the block is
-    square.
+    Without ``cols``, ``M`` is a symmetric matrix, whose own diagonal is
+    ignored; with them, a row block: rows of ``width`` columns whose bit
+    (i, cols[i]) is free.  Settings are tried as binary numbers x, bit i
+    of x the bit of row i; returns ``(k, d_bits)`` with the first setting
+    reaching the least width k, as a column mask (for a matrix, the
+    smallest diagonal).  Lempel's +1 for a zero diagonal on a nonzero
+    matrix applies only when the block is square.
     """
-    if isinstance(M, SymMatrix):
-        rows, cols, width = M.rows, range(M.n), M.n
-    else:
-        rows = M
-    m = len(rows)
-    base = [r & ~(1 << c) for r, c in zip(rows, cols)]
+    if cols is None:
+        cols, width = range(len(M)), len(M)
+    m = len(M)
+    base = [r & ~(1 << c) for r, c in zip(M, cols)]
     best_k, best_d = None, 0
     for x in range(1 << m):
         d = sum((x >> i & 1) << c for i, c in enumerate(cols))

@@ -25,12 +25,13 @@ from invlab.digraph import (
     nonisomorphic_tournaments,
     reverse,
 )
-from invlab.f2 import SymMatrix, gram_factor, gram_of, min_gram_dim, rank
+from invlab.f2 import gram_factor, gram_of, min_gram_dim, rank_of_rows
 from invlab.solver import inv_exact, inv_order_backend
 
 from helpers import (
     all_symmetric,
     apply_assignment,
+    diagonal,
     enumerate_tournaments,
     family_vectors,
     inv_subset_oracle,
@@ -57,8 +58,8 @@ def test_criterion_01_gram_factorization_random_odd():
         n = rng.choice([1, 3, 5, 7, 9, 11, 13, 15])
         M = random_symmetric(rng, n)
         f = gram_factor(M)
-        if f is None or gram_of(f.columns) != M:
-            bad.append(M.rows)
+        if f is None or gram_of(f) != M:
+            bad.append(M)
     report("01 odd-order factorization on 500 random matrices", bad, started)
 
 
@@ -68,14 +69,14 @@ def test_criterion_02_even_order_criterion_exhaustive():
     for n in (2, 4):
         for M in all_symmetric(n):
             f = gram_factor(M)
-            feasible = bool(M.diagonal()) or rank(M) < n
+            feasible = bool(diagonal(M)) or rank_of_rows(M) < n
             if (f is not None) != feasible:
-                bad.append(("criterion", M.rows))
+                bad.append(("criterion", M))
             elif f is not None:
-                if gram_of(f.columns) != M:
-                    bad.append(("witness", M.rows))
+                if gram_of(f) != M:
+                    bad.append(("witness", M))
             elif realize_oracle(M, n) is not None:
-                bad.append(("oracle disagrees", M.rows))
+                bad.append(("oracle disagrees", M))
     report("02 even-order criterion, all matrices n=2 and n=4", bad, started)
 
 
@@ -87,7 +88,7 @@ def test_criterion_03_min_gram_dim_rule_vs_oracle():
             lo = min_gram_dim(M)
             for k in range(6):
                 if (realize_oracle(M, k) is not None) != (k >= lo):
-                    bad.append((M.rows, k, lo))
+                    bad.append((M, k, lo))
     report("03 closed minimum-dimension rule vs oracle, n<=4 k<=5", bad, started)
 
 

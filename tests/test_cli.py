@@ -17,7 +17,7 @@ from invlab.construct import MAX_EXPR_DEPTH
 from invlab.errors import CriterionViolationError
 from invlab.construct import qn, qn_family
 from invlab.digraph import dump_digraph, dump_family
-from invlab.f2 import SymMatrix, dump_matrix
+from invlab.f2 import dump_matrix
 
 
 def run(capsys, *argv):
@@ -250,7 +250,7 @@ class TestVerifyCommand:
 class TestGramCommand:
     def test_identity_three(self, capsys, tmp_path):
         m = tmp_path / "i3.mat"
-        m.write_text(dump_matrix(SymMatrix.identity(3)))
+        m.write_text(dump_matrix((0b001, 0b010, 0b100)))
         code, out, _ = run(capsys, "gram", str(m))
         assert code == 0
         assert out.splitlines()[0] == "factored k=3 verified=1"
@@ -260,7 +260,7 @@ class TestGramCommand:
         "make,want",
         [
             (
-                lambda: SymMatrix.identity(3),
+                lambda: (0b001, 0b010, 0b100),
                 "factored k=3 verified=1\n100\n010\n001\nmin_gram_dim=3\n",
             ),
             (
@@ -281,7 +281,7 @@ class TestGramCommand:
 
     def test_infeasible_pair(self, capsys, tmp_path):
         m = tmp_path / "alt.mat"
-        m.write_text(dump_matrix(SymMatrix.from_entries([[0, 1], [1, 0]])))
+        m.write_text(dump_matrix((0b10, 0b01)))
         code, out, _ = run(capsys, "gram", str(m))
         assert code == 0
         assert "infeasible" in out and "min_gram_dim=3" in out

@@ -82,6 +82,14 @@ class TestSizeLimits:
 
     def test_largest_sizes_still_build(self):
         assert transitive(MAX_VERTICES).n == qn(MAX_VERTICES).n == MAX_VERTICES
+        assert qn_family(MAX_VERTICES).n == MAX_VERTICES
+
+    @pytest.mark.parametrize("n", [-5, 0, MAX_VERTICES + 1, 100])
+    def test_qn_family_takes_the_orders_qn_takes(self, n):
+        # a family for a graph qn refuses to build is refused too
+        for build in (qn, qn_family):
+            with pytest.raises(ValueError, match=rf"1\.\.{MAX_VERTICES}"):
+                build(n)
 
 
 class TestDijoinAndJoin:

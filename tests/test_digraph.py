@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from invlab.construct import c3, qn, qn_family, transitive
 from invlab.digraph import (
+    MAX_VERTICES,
     Digraph,
     InversionFamily,
     apply_family,
@@ -27,7 +28,7 @@ from invlab.digraph import (
     reverse,
 )
 from invlab.errors import ResourceLimitError
-from invlab.f2 import SymMatrix, load_matrix
+from invlab.f2 import dump_rows, load_matrix, parse_rows
 
 from helpers import (
     all_oriented,
@@ -70,6 +71,22 @@ class TestDigraphValue:
     def test_from_arcs_refuses_endpoints_outside_the_graph(self, arc):
         with pytest.raises(ValueError, match="outside 0..2"):
             Digraph.from_arcs(3, [arc])
+
+
+class TestFamilyValue:
+    @pytest.mark.parametrize("n", [-1, MAX_VERTICES + 1])
+    def test_host_size_outside_the_vertex_range_refused(self, n):
+        with pytest.raises(ValueError, match=rf"host size must be in 0\.\.{MAX_VERTICES}"):
+            InversionFamily(n, ())
+
+    def test_empty_host_keeps_empty_sets(self):
+        # the solvers' witnesses on the empty graph
+        assert InversionFamily(0, (0, 0)).k == 2
+
+    @pytest.mark.parametrize("lists", [[[-1]], [[0], [2, -3]], [[3]]])
+    def test_vertex_lists_outside_the_host_refused(self, lists):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            InversionFamily.from_vertex_lists(3, lists)
 
 
 class TestInvert:
@@ -155,12 +172,12 @@ class TestAssignments:
 class TestFlipMatrix:
     def test_transitive_against_its_order_is_zero(self):
         D = transitive(4)
-        assert flip_matrix(D, [0, 1, 2, 3]).rows == (0, 0, 0, 0)
+        assert flip_matrix(D, [0, 1, 2, 3]) == (0, 0, 0, 0)
 
     def test_transitive_reversed_order_is_all_pairs(self):
         D = transitive(3)
         M = flip_matrix(D, [2, 1, 0])
-        assert M.rows == (0b110, 0b101, 0b011)
+        assert M == (0b110, 0b101, 0b011)
 
     def test_triangle_back_arc_counts(self):
         # hand enumeration: rotations of the cycle order disagree in one
@@ -168,7 +185,7 @@ class TestFlipMatrix:
         import itertools
 
         counts = sorted(
-            sum(r.bit_count() for r in flip_matrix(c3(), list(order)).rows) // 2
+            sum(r.bit_count() for r in flip_matrix(c3(), list(order))) // 2
             for order in itertools.permutations(range(3))
         )
         assert counts == [1, 1, 1, 2, 2, 2]
@@ -182,7 +199,7 @@ class TestFlipMatrix:
             M = flip_matrix(D, order)
             pos = {v: i for i, v in enumerate(order)}
             sorts = all(pos[u] < pos[v] for u, v in D.arcs())
-            assert (not any(M.rows)) == sorts
+            assert (not any(M)) == sorts
 
 
 class TestReverse:
@@ -321,6 +338,13 @@ class TestTextFormats:
         D = qn(6)
         assert parse_digraph(dump_digraph(D)) == D
 
+    @pytest.mark.parametrize("n", [0, 64])
+    def test_digraph_round_trip_at_the_extreme_orders(self, n):
+        D = random_oriented(random.Random(n), n)
+        text = dump_digraph(D)
+        assert text == dump_rows(D.out_rows) and parse_rows(text) == D.out_rows
+        assert parse_digraph(text) == D
+
     def test_digraph_rejects_two_cycle(self):
         with pytest.raises(ValueError):
             parse_digraph("2\n01\n10\n")
@@ -377,7 +401,7 @@ class TestTextFormats:
         D = Digraph(3, (2, 4, 1))
         assert decode_digraph("enc:3:2.4.1") == decode_digraph("3:2.4.1") == D
         assert parse_digraph("2\n01\n00\n") == Digraph(2, (2, 0))
-        assert load_matrix("02\n01\n10\n") == SymMatrix(2, (2, 1))
+        assert load_matrix("02\n01\n10\n") == (2, 1)
         assert parse_family("1 2", 3) == InversionFamily(3, (0b110,))
 
     @pytest.mark.parametrize("text", ["enc:0:zz", "enc:0:0", "enc:00:not.hex.at.all"])

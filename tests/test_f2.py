@@ -11,22 +11,44 @@ from hypothesis import strategies as st
 from invlab.errors import ResourceLimitError
 from invlab.f2 import (
     FREE_DIAG_LIMIT,
-    SymMatrix,
     dump_matrix,
+    dump_rows,
     free_diag_bound,
     gram_factor,
     gram_of,
     load_matrix,
     min_gram_dim,
-    rank,
+    parse_rows,
+    rank_of_rows,
 )
 
-from helpers import all_symmetric, dot, free_diag_by_loop, random_symmetric, realize_oracle
+from helpers import (
+    all_symmetric,
+    diagonal,
+    dot,
+    free_diag_by_loop,
+    random_symmetric,
+    realize_oracle,
+    with_diagonal,
+)
 
 
 def bv(s: str) -> int:
     """The vector whose coordinates, coordinate 0 first, are the digits of s."""
     return sum(1 << i for i, ch in enumerate(s) if ch == "1")
+
+
+def zeros(n: int) -> tuple[int, ...]:
+    return (0,) * n
+
+
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(n))
+
+
+# the 2x2 matrix with ones off the diagonal, and the 3x3 one
+PAIR = (0b10, 0b01)
+TRIANGLE = (0b110, 0b101, 0b011)
 
 
 class TestDot:
@@ -42,15 +64,14 @@ class TestDot:
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(SymMatrix.zeros(3)) == 0
+        assert rank_of_rows(zeros(3)) == 0
 
     def test_identity(self):
-        assert rank(SymMatrix.identity(4)) == 4
+        assert rank_of_rows(identity(4)) == 4
 
     def test_dependent_rows(self):
         # row 0 + row 1 = row 2 over GF(2)
-        M = SymMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert rank(M) == 2
+        assert rank_of_rows(TRIANGLE) == 2
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -59,21 +80,51 @@ class TestRank:
         M = random_symmetric(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        entries = M.to_entries()
-        permuted = SymMatrix.from_entries(
-            [[entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        permuted = tuple(
+            sum((M[perm[i]] >> perm[j] & 1) << j for j in range(n)) for i in range(n)
         )
-        assert rank(M) == rank(permuted)
+        assert rank_of_rows(M) == rank_of_rows(permuted)
 
 
 class TestSymMatrix:
+    """A symmetric matrix is a tuple of row ints; what takes one checks it."""
+
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            SymMatrix(2, (0b10, 0b00))
+        for f in (gram_factor, min_gram_dim, dump_matrix):
+            with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+                f((0b10, 0b00))
+
+    @pytest.mark.parametrize(
+        "rows,message,text,text_message",
+        [
+            ((0b10, 0b00), r"not symmetric at \(0,1\)",
+             "2\n01\n00\n", r"not symmetric at \(0,1\)"),
+            # in text, bits past the order make a row too long
+            ((0b001, 0b000, 0b1000), "row 2 has bits beyond column 2",
+             "3\n100\n000\n0001\n", "row 2 must be 3 characters"),
+            ((0,) * 65, "order must be in 0..64, got 65",
+             "65\n" + ("0" * 65 + "\n") * 65, "order must be in 0..64, got 65"),
+        ],
+        ids=["asymmetric", "bits-past-order", "order-65"],
+    )
+    def test_refuses_what_is_not_a_matrix(self, rows, message, text, text_message):
+        for f in (gram_factor, min_gram_dim):
+            with pytest.raises(ValueError, match=message):
+                f(rows)
+        with pytest.raises(ValueError, match=text_message):
+            load_matrix(text)
 
     def test_text_round_trip(self):
-        M = SymMatrix.from_entries([[1, 0, 1], [0, 0, 1], [1, 1, 1]])
+        M = (0b101, 0b100, 0b111)
+        assert dump_matrix(M) == "3\n101\n001\n111\n"
         assert load_matrix(dump_matrix(M)) == M
+
+    @pytest.mark.parametrize("n", [0, 64])
+    def test_text_round_trip_at_the_extreme_orders(self, n):
+        M = random_symmetric(random.Random(n), n)
+        text = dump_matrix(M)
+        assert text == dump_rows(M) and parse_rows(text) == M
+        assert load_matrix(text) == M
 
     def test_load_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -86,11 +137,10 @@ class TestSymMatrix:
 
 class TestGramFactor:
     def test_order_one(self):
-        f = gram_factor(SymMatrix.from_entries([[1]]))
-        assert f.k == 1 and f.columns == (1,)
+        assert gram_factor((1,)) == (1,)
 
     def test_alternating_two_by_two_infeasible(self):
-        assert gram_factor(SymMatrix.from_entries([[0, 1], [1, 0]])) is None
+        assert gram_factor(PAIR) is None
 
     def test_random_odd_orders_always_verify(self):
         rng = random.Random(7)
@@ -98,23 +148,23 @@ class TestGramFactor:
             n = rng.choice([1, 3, 5, 7, 9])
             M = random_symmetric(rng, n)
             f = gram_factor(M)
-            assert f is not None and f.verify()
+            assert f is not None and gram_of(f) == M
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_exhaustive_odd(self, n):
         for M in all_symmetric(n):
             f = gram_factor(M)
             assert f is not None
-            assert gram_of(f.columns) == M
+            assert gram_of(f) == M
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_exhaustive_even_criterion(self, n):
         for M in all_symmetric(n):
             f = gram_factor(M)
-            feasible = bool(M.diagonal()) or rank(M) < n
+            feasible = bool(diagonal(M)) or rank_of_rows(M) < n
             assert (f is not None) == feasible
             if f is not None:
-                assert gram_of(f.columns) == M
+                assert gram_of(f) == M
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_width_is_min_gram_dim_exhaustive(self, n):
@@ -122,7 +172,7 @@ class TestGramFactor:
         for M in all_symmetric(n):
             f = gram_factor(M)
             if f is not None:
-                used = functools.reduce(operator.or_, f.columns, 0)
+                used = functools.reduce(operator.or_, f, 0)
                 assert used == (1 << min_gram_dim(M)) - 1
 
     def test_random_none_exactly_on_even_nonsingular_zero_diagonal(self):
@@ -132,40 +182,45 @@ class TestGramFactor:
             n = rng.randint(1, 30)
             M = random_symmetric(rng, n)
             if rng.getrandbits(1):
-                M = M.with_diagonal(0)
+                M = with_diagonal(M, 0)
             f = gram_factor(M)
-            infeasible = n % 2 == 0 and not M.diagonal() and rank(M) == n
+            infeasible = n % 2 == 0 and not diagonal(M) and rank_of_rows(M) == n
             assert (f is None) == infeasible
-            assert f is None or f.verify()
+            assert f is None or gram_of(f) == M
             outcomes.add(infeasible)
         assert outcomes == {False, True}
 
 
 class TestGramOf:
     def test_empty(self):
-        assert gram_of([]) == SymMatrix.zeros(0)
+        assert gram_of([]) == zeros(0)
 
     def test_orthonormal_pair(self):
-        assert gram_of([bv("100"), bv("010")]) == SymMatrix.identity(2)
+        assert gram_of([bv("100"), bv("010")]) == identity(2)
+
+    def test_refuses_more_vectors_than_the_largest_order(self):
+        assert gram_of([0] * 64) == zeros(64)
+        with pytest.raises(ValueError, match="order must be in 0..64, got 65"):
+            gram_of([0] * 65)
 
     def test_round_trips_factorization(self):
         rng = random.Random(3)
         M = random_symmetric(rng, 6)
-        if not M.diagonal() and rank(M) == 6:
-            M = M.with_diagonal(1)
+        if not diagonal(M) and rank_of_rows(M) == 6:
+            M = with_diagonal(M, 1)
         f = gram_factor(M)
-        assert gram_of(f.columns) == f.target == M
+        assert gram_of(f) == M
 
 
 class TestMinGramDim:
     def test_zero(self):
-        assert min_gram_dim(SymMatrix.zeros(3)) == 0
+        assert min_gram_dim(zeros(3)) == 0
 
     def test_alternating_pair(self):
-        assert min_gram_dim(SymMatrix.from_entries([[0, 1], [1, 0]])) == 3
+        assert min_gram_dim(PAIR) == 3
 
     def test_all_ones_pair(self):
-        assert min_gram_dim(SymMatrix.from_entries([[1, 1], [1, 1]])) == 1
+        assert min_gram_dim((0b11, 0b11)) == 1
 
     def test_matches_oracle_exhaustively_small(self):
         for n in (1, 2, 3):
@@ -177,49 +232,46 @@ class TestMinGramDim:
 
 class TestRealizeOracle:
     def test_zero_matrix_dimension_zero(self):
-        out = realize_oracle(SymMatrix.zeros(2), 0)
+        out = realize_oracle(zeros(2), 0)
         assert out == (0, 0)
 
     def test_alternating_pair_needs_three(self):
-        M = SymMatrix.from_entries([[0, 1], [1, 0]])
-        assert realize_oracle(M, 2) is None
-        found = realize_oracle(M, 3)
+        assert realize_oracle(PAIR, 2) is None
+        found = realize_oracle(PAIR, 3)
         assert found is not None
-        assert gram_of(found) == M
+        assert gram_of(found) == PAIR
 
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
-            realize_oracle(SymMatrix.zeros(8), 8, node_budget=1 << 10)
+            realize_oracle(zeros(8), 8, node_budget=1 << 10)
 
 
-def free_diag(M: SymMatrix) -> tuple[int, int]:
+def free_diag(M: tuple[int, ...]) -> tuple[int, int]:
     """The least Gram dimension of M over its free diagonal: the square,
     uncapped free_diag_bound, with the smallest minimizing diagonal."""
-    return free_diag_bound(M.rows, range(M.n), M.n)
+    return free_diag_bound(M, range(len(M)), len(M))
 
 
 class TestMinGramDimFreeDiag:
     def test_all_zero(self):
-        assert free_diag(SymMatrix.zeros(2)) == (0, 0)
+        assert free_diag(zeros(2)) == (0, 0)
 
     def test_all_ones_off_diagonal(self):
-        M = SymMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert free_diag(M) == (1, 0b111)
+        assert free_diag(TRIANGLE) == (1, 0b111)
 
     def test_single_pair(self):
-        M = SymMatrix.from_entries([[0, 1], [1, 0]])
-        assert free_diag(M) == (1, 0b11)
+        assert free_diag(PAIR) == (1, 0b11)
 
     def test_limit_guard(self):
         with pytest.raises(ResourceLimitError):
-            free_diag(SymMatrix.zeros(FREE_DIAG_LIMIT + 1))
+            free_diag(zeros(FREE_DIAG_LIMIT + 1))
 
     @pytest.mark.parametrize("n", range(6))
     def test_matches_loop_oracle_exhaustively(self, n):
         # the oracle ignores M's diagonal, so it runs once per off-diagonal pattern
         expected = {}
         for M in all_symmetric(n):
-            off = M.with_diagonal(0)
+            off = with_diagonal(M, 0)
             if off not in expected:
                 expected[off] = free_diag_by_loop(off)
             assert free_diag(M) == expected[off]
@@ -239,13 +291,13 @@ class TestMinGramDimFreeDiag:
             k, d = free_diag(M)
             best = None
             for diag in range(1 << n):
-                cand = M.with_diagonal(diag)
+                cand = with_diagonal(M, diag)
                 for kk in range(6):
                     if realize_oracle(cand, kk) is not None:
                         best = kk if best is None else min(best, kk)
                         break
             assert k == best
-            assert realize_oracle(M.with_diagonal(d), k) is not None
+            assert realize_oracle(with_diagonal(M, d), k) is not None
 
 
 def capped(expected, cap):
@@ -299,11 +351,11 @@ class TestFreeDiagBound:
         for n in range(8):
             M = random_symmetric(rng, n)
             k, d = free_diag_by_loop(M)
-            assert free_diag_bound(M.rows, range(n), n) == (k, d)
+            assert free_diag_bound(M, range(n), n) == (k, d)
             # rows listed in another order, each with its own free column:
             # the same width, though another setting may come first
             perm = rng.sample(range(n), n)
-            assert free_diag_bound([M.rows[i] for i in perm], perm, n)[0] == k
+            assert free_diag_bound([M[i] for i in perm], perm, n)[0] == k
 
     def test_limit_guard(self):
         rows = [0] * (FREE_DIAG_LIMIT + 1)

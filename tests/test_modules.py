@@ -43,9 +43,10 @@ TEST_ONLY = {
 
 
 # deleted: expressions parse straight to digraphs, with no tree to
-# evaluate or print, free_diag_bound is the one free-diagonal bound, and a
+# evaluate or print, free_diag_bound is the one free-diagonal bound, a
 # GF(2) vector is a plain int that the assignment search turns into the
-# family it returns
+# family it returns, and a symmetric matrix is a tuple of row ints whose
+# rank is rank_of_rows
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -65,6 +66,9 @@ REMOVED = {
     "assignment_to_family",
     "family_to_assignment",
     "is_even_weight_assignment",
+    "SymMatrix",
+    "GramFactorization",
+    "rank",
 }
 
 

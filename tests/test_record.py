@@ -7,7 +7,6 @@ import pytest
 
 from invlab.cli import InstanceResult
 from invlab.digraph import Digraph, InversionFamily
-from invlab.f2 import GramFactorization, SymMatrix
 from invlab.solver import MAX_K, InvResult, SearchOptions
 
 # (class, fields in order, the same with one field changed)
@@ -16,11 +15,6 @@ CASES = [
      {"n": 3, "out_rows": (0b010, 0b100, 0b000)}),
     (InversionFamily, {"n": 3, "sets": (0b011, 0b110)},
      {"n": 3, "sets": (0b011,)}),
-    (SymMatrix, {"n": 2, "rows": (0b01, 0b10)},
-     {"n": 2, "rows": (0b10, 0b01)}),
-    (GramFactorization,
-     {"k": 2, "columns": (0b01, 0b10), "target": SymMatrix.identity(2)},
-     {"k": 2, "columns": (0b10, 0b01), "target": SymMatrix.identity(2)}),
     (SearchOptions, {"max_k": MAX_K, "budget": None},
      {"max_k": 3, "budget": None}),
     (InvResult,
@@ -83,6 +77,20 @@ def test_value_class_contract(cls, fields, changed):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, protocol))
         assert type(back) is cls and back == value and hash(back) == hash(value)
+
+
+@pytest.mark.parametrize(
+    "cls, items", [(Digraph, [2, 4, 1]), (InversionFamily, [1, 2])],
+    ids=["Digraph", "InversionFamily"],
+)
+def test_a_list_given_is_stored_as_a_tuple(cls, items):
+    value = cls(3, items)
+    kept = tuple(items)
+    assert type(getattr(value, cls.__slots__[1])) is tuple
+    assert value == cls(3, kept) and hash(value) == hash(cls(3, kept))
+    # a later change to the caller's list changes nothing in the value
+    items[0] = 1
+    assert value == cls(3, kept)
 
 
 def test_same_fields_in_different_classes_differ():

@@ -729,7 +729,7 @@ class TestOrderTreePinned:
         def walk(seq):
             nonlocal best_k
             rest = [v for v in range(D.n) if v not in seq]
-            flips = flip_matrix(D, list(seq) + rest).rows
+            flips = flip_matrix(D, list(seq) + rest)
             rows = tuple(flips[u] for u in seq)
             expected.append((rows, seq, D.n, best_k))
             k = helpers.free_diag_by_loop(rows, seq, D.n)[0]
