@@ -62,7 +62,7 @@ identical run to run.
 from __future__ import annotations
 
 import time
-from itertools import product
+from collections.abc import Sequence
 
 from .digraph import Digraph, InversionFamily, apply_family, dump_family, is_acyclic
 from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
@@ -151,10 +151,10 @@ class InvResult(Record):
         return "\n".join(lines)
 
 
-def _vertex_order(D: Digraph, ins: tuple[int, ...]) -> list[int]:
+def _vertex_order(D: Digraph, ins: Sequence[int]) -> list[int]:
     # The assignment search's first vertex and tie-break: descending degree
     # imbalance first, since imbalanced vertices force flips early, so
-    # cycles among assigned vertices appear sooner.  ins is D.in_rows().
+    # cycles among assigned vertices appear sooner.  ins are D's in-rows.
     return sorted(
         range(D.n),
         key=lambda v: (-abs(D.out_rows[v].bit_count() - ins[v].bit_count()), v),
@@ -173,22 +173,25 @@ def _candidates(
 
     Entries are ``(w, coordinates set in w, shape after w)``, the last
     block's prefix length varying fastest; ``even_only`` drops odd weights.
+    Each block's options, one per prefix length, are listed once and
+    joined onto the entries of the blocks before it.
     """
-    out = []
-    for counts in product(*(range(m + 1) for m in shape)):
-        coords: list[int] = []
-        nxt = []
-        start = 0
-        for m, c in zip(shape, counts):
-            coords.extend(range(start, start + c))
-            if 0 < c:
-                nxt.append(c)
-            if c < m:
-                nxt.append(m - c)
-            start += m
-        if even_only and len(coords) & 1:
-            continue
-        out.append((sum(1 << c for c in coords), tuple(coords), tuple(nxt)))
+    out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    start = 0
+    for m in shape:
+        # setting the block's first c coordinates splits it into c and m - c
+        options = [
+            (
+                ((1 << c) - 1) << start,
+                tuple(range(start, start + c)),
+                ((c,) if c else ()) + ((m - c,) if c < m else ()),
+            )
+            for c in range(m + 1)
+        ]
+        out = [(w | bw, cs + bc, nx + bn) for w, cs, nx in out for bw, bc, bn in options]
+        start += m
+    if even_only:
+        return [entry for entry in out if not len(entry[1]) & 1]
     return out
 
 
@@ -231,14 +234,18 @@ def _search_assignment(
     orbit; skipped vectors are not nodes.  For odd k, j.j = 1 and the map
     is no isometry.  ``spent`` nodes of ``opts.budget`` are already used
     by the caller.
+
+    A call searches one k level and builds its tables once: the block
+    constants; in one pass over the arcs, each vertex's in-row and the
+    blocks of its neighbours (``near``) and of the vertices with an arc
+    into it (``tails``); then the vertex order and the parity table.  A
+    candidate list is built on the first use of its key and kept in the
+    call's memo.
     """
     n = D.n
     if n == 0:
         return InversionFamily(0, (0,) * k), 0
     outs = D.out_rows
-    ins = D.in_rows()
-    order = _vertex_order(D, ins)
-    adj = [o | i for o, i in zip(outs, ins)]
     size = 1 << k
     full = (1 << size) - 1
     # all masks live in one int, vertex r's in the block of bits from
@@ -246,15 +253,26 @@ def _search_assignment(
     rep = sum(1 << r * size for r in range(n))  # the low bit of each block
     high = rep << size - 1  # the high bit of each block
     low_bits = high - rep  # the other bits of each block
-
-    spread = str.maketrans({"0": "0" * size, "1": "0" * (size - 1) + "1"})
-
-    def blocks(vertices: int) -> int:
-        # bit r of vertices becomes block r, all ones
-        return full * int(bin(vertices)[2:].translate(spread), 2)
-
-    near = [blocks(a) for a in adj]  # the blocks of each vertex's neighbours
-    tails = [blocks(i) for i in ins]  # the blocks of r with an arc r -> u
+    # one pass over the arcs: an arc u -> v puts u in ins[v], u's block in
+    # tails[v] (the blocks of r with an arc r -> v), and each end's block
+    # in the other's near (the blocks of its neighbours)
+    ins = [0] * n
+    tails = [0] * n
+    near = [0] * n
+    for u in range(n):
+        row = outs[u]
+        bit = 1 << u
+        block = full << u * size
+        while row:
+            low = row & -row
+            v = low.bit_length() - 1
+            ins[v] |= bit
+            tails[v] |= block
+            near[v] |= block
+            near[u] |= full << v * size
+            row ^= low
+    order = _vertex_order(D, ins)
+    adj = [o | i for o, i in zip(outs, ins)]
     # odd[w] bit x: x.w is odd; linear in w, so built from the unit vectors
     odd = [0] * size
     for c in range(k):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -259,6 +260,48 @@ def nonisomorphic_by_key(n: int) -> list[Digraph]:
         if key not in seen:
             seen.add(key)
             reps.append(T)
+    return reps
+
+
+def reference_class_walk(n: int) -> list[Digraph]:
+    """Reference class list: the orbit walk before its tables were packed.
+
+    The same walk as ``nonisomorphic_tournaments``, with the destination
+    bits kept as one list per pair over the n! relabellings, built by a
+    loop over relabellings and pairs, and each orbit XORed a list at a
+    time.
+    """
+    _require_enumerable(n)
+    pairs = _pairs(n)
+    m = len(pairs)
+    index = {pair: idx for idx, pair in enumerate(pairs)}
+    # dests[idx][k]: destination bit of pair idx under relabelling k.
+    # flips[k]: destination bits of the pairs relabelling k reverses.
+    # Sharing the m power objects keeps each table entry one pointer.
+    powers = [1 << idx for idx in range(m)]
+    dests: list[list[int]] = [[] for _ in range(m)]
+    flips = []
+    for perm in itertools.permutations(range(n)):
+        flip = 0
+        for idx, (i, j) in enumerate(pairs):
+            a, b = perm[i], perm[j]
+            dest = powers[index[min(a, b), max(a, b)]]
+            dests[idx].append(dest)
+            if a > b:
+                flip |= dest
+        flips.append(flip)
+    seen = bytearray(1 << m)
+    reps = []
+    code = seen.find(0)
+    while code >= 0:
+        reps.append(_tournament(n, pairs, code))
+        images = flips
+        for idx in range(m):
+            if code >> idx & 1:
+                images = list(map(operator.xor, images, dests[idx]))
+        for image in images:
+            seen[image] = 1
+        code = seen.find(0, code + 1)
     return reps
 
 

@@ -41,6 +41,7 @@ from helpers import (
     nonisomorphic_by_key,
     random_family,
     random_oriented,
+    reference_class_walk,
     relabel,
     tournament_code,
 )
@@ -131,6 +132,23 @@ class TestApplyFamily:
             assert apply_family(D, F) == apply_family(
                 D, InversionFamily(D.n, tuple(perm))
             )
+
+    def test_matches_fold_of_invert(self):
+        # one pass over the vertices against inverting the sets one by one
+        rng = random.Random(31)
+        for trial in range(120):
+            D = random_oriented(rng, trial % 13)
+            sets = list(random_family(rng, D.n, rng.randint(0, 6)).sets)
+            if sets and trial % 3 == 0:
+                sets[rng.randrange(len(sets))] = 0  # an empty set
+            if len(sets) > 1 and trial % 4 == 0:
+                sets[-1] = rng.choice(sets[:-1])  # a repeated set
+            F = InversionFamily(D.n, sets)
+            assert apply_family(D, F) == reduce(invert, F.sets, D), (trial, F)
+
+    def test_host_size_mismatch_refused(self):
+        with pytest.raises(ValueError, match="host size"):
+            apply_family(c3(), InversionFamily(4, (0b11,)))
 
     def test_qn_pair_family_decycles(self):
         Q = qn(7)
@@ -309,6 +327,13 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             next(enumerate_tournaments(8))
 
+    def test_negative_order_refused(self):
+        # refused before any table is built, naming the enumerable range
+        with pytest.raises(ValueError, match=r"must be in 0\.\.7, got -1"):
+            nonisomorphic_tournaments(-1)
+        with pytest.raises(ValueError, match=r"must be in 0\.\.7, got -3"):
+            next(enumerate_tournaments(-3))
+
 
 class TestNonisomorphicTournaments:
     @pytest.mark.parametrize("n", range(7))
@@ -327,6 +352,11 @@ class TestNonisomorphicTournaments:
         assert codes == sorted(codes)
         for T, code in zip(nonisomorphic_tournaments(n), codes):
             assert code == min(tournament_code(relabel(T, p)) for p in perms)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_equals_reference_walk(self, n):
+        # the packed tables mark the same orbits as the per-relabelling lists
+        assert nonisomorphic_tournaments(n) == reference_class_walk(n)
 
     def test_order_eight_refused(self):
         with pytest.raises(ResourceLimitError):

@@ -90,8 +90,9 @@ def test_removed_names_stay_out_of_the_package():
 
 
 # what a run does not need: dataclasses loads inspect and ast, typing is
-# replaced by collections.abc, and only a --jobs pool needs multiprocessing
-NOT_IMPORTED = {"dataclasses", "inspect", "multiprocessing", "typing"}
+# replaced by collections.abc, only a --jobs pool needs multiprocessing,
+# and the class walk reads its packed tables through memoryview, not array
+NOT_IMPORTED = {"array", "dataclasses", "inspect", "multiprocessing", "typing"}
 
 FOOTPRINT = """
 import contextlib, io, json, sys

@@ -586,6 +586,15 @@ FORWARD_EVEN_QN9 = (
     "1 2 4\n1 4\n3 4 6 8\n2 5 8\n3 4 5 6\n",
 )
 
+# non-tournaments, where a vertex's neighbours are not every other vertex:
+# random_oriented(random.Random(seed), n) by (n, seed), under
+# _search_assignment, recorded before its tables were built in one pass
+# over the arcs
+FORWARD_ORIENTED = {
+    (8, 11): ([3, 36, 17], "3 4 6\n0 5 6 7\n"),
+    (9, 33): ([2, 30, 178], "0 2 3 4 5 6 7\n6 7\n"),
+    (10, 33): ([2, 18, 315, 39], "1 2 3 4 5\n2 4 6 8 9\n2 4 7\n"),
+}
 
 # the search before forward checking: reference_search with the complement rule
 isometry_search = functools.partial(helpers.reference_search, complement=True)
@@ -630,6 +639,16 @@ class TestSearchTreePinned:
         assert level_counts(qn(9), opts, isometry_search, True) == want
         assert all(f <= p for f, p in zip(FORWARD_EVEN_QN9[0], PINNED_EVEN_QN9))
         assert level_counts(qn(9), opts, None, True) == FORWARD_EVEN_QN9
+
+    @pytest.mark.parametrize("n,seed", list(FORWARD_ORIENTED))
+    def test_oriented_levels_and_witness(self, memo_cap, n, seed):
+        D = random_oriented(random.Random(seed), n)
+        assert not D.is_tournament()
+        counts, witness = FORWARD_ORIENTED[n, seed]
+        assert level_counts(D, SearchOptions()) == (counts, witness)
+        r = inv_exact(D)
+        assert r.nodes_explored == sum(counts)
+        assert dump_family(r.witness) == witness
 
     def test_memo_is_per_call_and_capped(self, monkeypatch):
         # at even k a shape has two lists, with and without the odd-weight
