@@ -10,16 +10,17 @@ families map predictably onto the result.
 The expression grammar is deliberately minimal (no variables, no
 bindings) so one line fully reproduces an experiment instance:
 
-    expr := ident | ident '(' args ')'
-    idents: c3, tt, qn, rev, dijoin, join, blowup, blowup_uniform
-    blowup takes 'h ; parts', blowup_uniform takes 'h ; part , count'
+    expr := 'c3' ['(' ')'] | name '(' args ')'
 
+One table, ``_GRAMMAR``, maps every other name to its argument signature
+and its constructor: ``tt(i)``, ``qn(i)``, ``rev(e)``, ``dijoin(e, e)``,
+``join(e, ...)``, ``blowup(e; e, ...)`` and ``blowup_uniform(e; e, i)``.
 The parser builds the graph as it reads, with no expression tree: each
 call runs its constructor once its arguments are read.  Errors carry
 byte offsets; a constructor's refusal (a size past the vertex limit, a
 blow-up with the wrong number of parts) is a ParseError at the offset
-of that constructor's name.  ``join_parts`` returns the parts of a
-join instead of the join.
+of that constructor's name.  ``join_parts`` reads a join's arguments
+the same way and returns the parts instead of the join.
 """
 
 from __future__ import annotations
@@ -132,7 +133,32 @@ def k_join(parts: list[Digraph]) -> Digraph:
 # deepest nesting of constructor calls; deeper input is refused, not recursed
 MAX_EXPR_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[a-z_][a-z0-9_]*)|(?P<int>[0-9]+)|(?P<sym>[(),;]))")
+
+def _blowup_uniform(base: Digraph, part: Digraph, count: int) -> Digraph:
+    if count < 1:
+        raise ValueError("blowup count must be at least 1")
+    if count != base.n:  # before a part list of that length is built
+        raise ValueError(f"blowup base has {base.n} vertices but count is {count}")
+    return blow_up(base, [part] * count)
+
+
+# name -> (argument signature, constructor).  In a signature 'i' reads an
+# integer, 'e' an expression, '*' a list of one or more comma-separated
+# expressions, and ',' or ';' itself; c3, with its optional '()', is apart.
+_GRAMMAR = {
+    "tt": ("i", transitive),
+    "qn": ("i", qn),
+    "rev": ("e", reverse_digraph),
+    "dijoin": ("e,e", dijoin),
+    "join": ("*", k_join),
+    "blowup": ("e;*", blow_up),
+    "blowup_uniform": ("e;e,i", _blowup_uniform),
+}
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<ident>[a-z_][a-z0-9_]*)|(?P<int>[0-9]+)|(?P<sym>[(),;])"
+    r"|(?P<eof>\Z)|(?P<bad>.))"
+)
 
 
 class _Parser:
@@ -141,121 +167,78 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> tuple[str, str, int]:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("eof", "", self.pos)
+        """The next token's kind, text and end; ``pos`` moves to its start."""
         m = _TOKEN_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        if m.group("ident"):
-            return ("ident", m.group("ident"), m.end())
-        if m.group("int"):
-            return ("int", m.group("int"), m.end())
-        return ("sym", m.group("sym"), m.end())
+        kind = m.lastgroup
+        self.pos = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", self.pos)
+        return kind, m[kind], m.end()
 
-    def take(self) -> tuple[str, str]:
-        kind, value, end = self.peek()
-        if kind == "eof":
-            raise ParseError("unexpected end of input", self.pos)
+    def take(self, kind: str, text: str | None, what: str) -> str:
+        got, value, end = self.peek()
+        if got != kind or text is not None and value != text:
+            raise ParseError(f"expected {what}", self.pos)
         self.pos = end
-        return kind, value
+        return value
 
-    def expect_sym(self, sym: str):
-        kind, value, end = self.peek()
-        if kind != "sym" or value != sym:
-            raise ParseError(f"expected {sym!r}", self.pos)
-        self.pos = end
+    def skip(self, sym: str) -> None:
+        self.take("sym", sym, repr(sym))
 
-    def at_sym(self, sym: str) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "sym" and value == sym
+    def args(self, sig: str) -> list:
+        out = []
+        for c in sig:
+            if c == "i":
+                out.append(int(self.take("int", None, "an integer")))
+            elif c == "e":
+                out.append(self.expr())
+            elif c == "*":
+                parts = [self.expr()]
+                while self.peek()[1] == ",":
+                    self.skip(",")
+                    parts.append(self.expr())
+                out.append(parts)
+            else:
+                self.skip(c)
+        return out
 
-    def parse_int(self) -> int:
-        kind, value, end = self.peek()
-        if kind != "int":
-            raise ParseError("expected an integer", self.pos)
-        self.pos = end
-        return int(value)
-
-    _KNOWN = ("c3", "tt", "qn", "rev", "dijoin", "join", "blowup", "blowup_uniform")
-
-    def parse_expr(self) -> Digraph:
-        kind, value, end = self.peek()
-        if kind != "ident":
-            raise ParseError("expected a constructor name", self.pos)
-        start = self.pos
-        self.pos = end
-        name = value
-        if name not in self._KNOWN:
-            raise ParseError(f"unknown constructor {name!r}", start)
+    def expr(self) -> Digraph:
+        name = self.take("ident", None, "a constructor name")
+        start = self.pos - len(name)
         if name == "c3":
-            if self.at_sym("("):
-                self.take()
-                self.expect_sym(")")
+            if self.peek()[1] == "(":
+                self.skip("(")
+                self.skip(")")
             return c3()
-        self.expect_sym("(")
+        if name not in _GRAMMAR:
+            raise ParseError(f"unknown constructor {name!r}", start)
+        sig, build = _GRAMMAR[name]
+        self.skip("(")
         self.depth += 1
         if self.depth > MAX_EXPR_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH}", start)
         try:  # a constructor's refusal becomes a ParseError at its name
-            graph = self._parse_call(name)
+            graph = build(*self.args(sig))
+        except ParseError:
+            raise
         except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
             raise ParseError(str(exc), start) from None
-        self.expect_sym(")")
+        self.skip(")")
         self.depth -= 1
         return graph
 
-    def parse_parts(self) -> list[Digraph]:
-        parts = [self.parse_expr()]
-        while self.at_sym(","):
-            self.take()
-            parts.append(self.parse_expr())
-        return parts
-
-    def parse_end(self) -> None:
+    def end(self) -> None:
         kind, value, _ = self.peek()
         if kind != "eof":
             raise ParseError(f"trailing input {value!r}", self.pos)
-
-    def _parse_call(self, name: str) -> Digraph:
-        if name == "tt":
-            return transitive(self.parse_int())
-        if name == "qn":
-            return qn(self.parse_int())
-        if name == "rev":
-            return reverse_digraph(self.parse_expr())
-        if name == "dijoin":
-            left = self.parse_expr()
-            self.expect_sym(",")
-            return dijoin(left, self.parse_expr())
-        if name == "join":
-            return k_join(self.parse_parts())
-        base = self.parse_expr()
-        self.expect_sym(";")
-        if name == "blowup":
-            return blow_up(base, self.parse_parts())
-        part = self.parse_expr()
-        self.expect_sym(",")
-        count = self.parse_int()
-        if count < 1:
-            raise ValueError("blowup count must be at least 1")
-        if count != base.n:  # before a part list of that length is built
-            raise ValueError(f"blowup base has {base.n} vertices but count is {count}")
-        return blow_up(base, [part] * count)
 
 
 def graph_from_expr(text: str) -> Digraph:
     """The graph a constructor expression builds; errors carry byte offsets."""
     p = _Parser(text)
-    graph = p.parse_expr()
-    p.parse_end()
+    graph = p.expr()
+    p.end()
     return graph
 
 
@@ -263,15 +246,12 @@ def join_parts(text: str) -> list[Digraph]:
     """The parts of a ``join(...)`` expression, in order, each built as
     ``graph_from_expr`` builds it; any other text is a ParseError."""
     p = _Parser(text)
-    kind, value, end = p.peek()
-    if value != "join":
-        raise ParseError("expected a join expression", p.pos)
-    p.pos = end
-    p.expect_sym("(")
+    p.take("ident", "join", "a join expression")
+    p.skip("(")
     p.depth = 1  # the parts nest inside the join's own call
-    parts = p.parse_parts()
-    p.expect_sym(")")
-    p.parse_end()
+    (parts,) = p.args("*")
+    p.skip(")")
+    p.end()
     return parts
 
 

@@ -78,7 +78,7 @@ class Digraph(Record):
         rows = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
+                raise ValueError(f"arc ({u}, {v}) has an endpoint {_outside(n)}")
             rows[u] |= 1 << v
         return cls(n, rows)
 
@@ -120,6 +120,10 @@ class Digraph(Record):
         return Digraph(len(verts), rows)
 
 
+def _outside(n: int) -> str:
+    return f"outside 0..{n - 1}" if n > 0 else "outside the graph, which has no vertices"
+
+
 def _columns(rows: Sequence[int], n: int) -> tuple[int, ...]:
     cols = [0] * n
     for u in range(n):
@@ -145,7 +149,7 @@ class InversionFamily(Record):
         full = (1 << n) - 1
         for i, s in enumerate(sets):
             if s < 0 or s & ~full:
-                raise ValueError(f"set {i} contains vertices outside 0..{n - 1}")
+                raise ValueError(f"set {i} contains vertices {_outside(n)}")
         super().__init__(n, sets)
 
     @property
@@ -159,7 +163,7 @@ class InversionFamily(Record):
         sets = []
         for i, vs in enumerate(lists):
             if any(v < 0 for v in vs):
-                raise ValueError(f"set {i} contains vertices outside 0..{n - 1}")
+                raise ValueError(f"set {i} contains vertices {_outside(n)}")
             sets.append(sum(1 << v for v in set(vs)))
         return cls(n, sets)
 
@@ -199,45 +203,41 @@ def apply_family(D: Digraph, F: InversionFamily) -> Digraph:
     return Digraph(D.n, rows)
 
 
-def is_acyclic(D: Digraph) -> list[int] | None:
-    """Topological order witnessing acyclicity, or None if a cycle exists.
-
-    Ties are broken toward the smallest vertex index, so witnesses are
-    deterministic.
-    """
-    in_rows = _columns(D.out_rows, D.n)
-    remaining = (1 << D.n) - 1
+def _peel(blockers: Sequence[int], remaining: int) -> tuple[list[int], int]:
+    # strip the least vertex v with no blockers[v] left while there is one;
+    # the stripped vertices in order, and the mask of those left
     order = []
     while remaining:
         pick = -1
         m = remaining
         while m:
             v = (m & -m).bit_length() - 1
-            if in_rows[v] & remaining == 0:
+            if blockers[v] & remaining == 0:
                 pick = v
                 break
             m &= m - 1
         if pick < 0:
-            return None
+            break
         order.append(pick)
         remaining ^= 1 << pick
-    return order
+    return order, remaining
+
+
+def is_acyclic(D: Digraph) -> list[int] | None:
+    """Topological order witnessing acyclicity, or None if a cycle exists.
+
+    Ties are broken toward the smallest vertex index, so witnesses are
+    deterministic.
+    """
+    order, remaining = _peel(_columns(D.out_rows, D.n), (1 << D.n) - 1)
+    return None if remaining else order
 
 
 def residual_cycle(D: Digraph) -> list[int] | None:
     """Some directed cycle of D as a vertex list, or None if acyclic."""
-    in_rows = _columns(D.out_rows, D.n)
-    remaining = (1 << D.n) - 1
-    changed = True
-    while changed and remaining:
-        changed = False
-        m = remaining
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if in_rows[v] & remaining == 0 or D.out_rows[v] & remaining == 0:
-                remaining ^= 1 << v
-                changed = True
+    # strip sources, then sinks (removing a sink never makes a source)
+    _, remaining = _peel(_columns(D.out_rows, D.n), (1 << D.n) - 1)
+    _, remaining = _peel(D.out_rows, remaining)
     if not remaining:
         return None
     start = (remaining & -remaining).bit_length() - 1
@@ -399,7 +399,7 @@ def parse_family(text: str, n: int) -> InversionFamily:
                 raise ValueError(f"set {i}: {tok!r} is not a vertex index")
             v = int(tok)
             if not 0 <= v < n:
-                raise ValueError(f"set {i}: vertex {v} outside 0..{n - 1}")
+                raise ValueError(f"set {i}: vertex {v} {_outside(n)}")
             mask |= 1 << v
         sets.append(mask)
     return InversionFamily(n, sets)

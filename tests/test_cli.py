@@ -246,6 +246,13 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "expr:c3", str(f))
         assert code == 1 and "outside" in err
 
+    def test_empty_graph_refusal_names_no_range(self, capsys, tmp_path):
+        f = tmp_path / "one.fam"
+        f.write_text("0\n")
+        code, out, err = run(capsys, "verify", "enc:0:", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: set 0: vertex 0 outside the graph, which has no vertices\n"
+
 
 class TestGramCommand:
     def test_identity_three(self, capsys, tmp_path):

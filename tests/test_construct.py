@@ -298,6 +298,69 @@ class TestConstructionRefusals:
         assert err.value.offset == offset
 
 
+def _refusal(parse, text) -> tuple[str, int]:
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return str(err.value), err.value.offset
+
+
+class TestExpressionErrorsPinned:
+    """Every kind of expression error, with its whole message and offset."""
+
+    @pytest.mark.parametrize(
+        "text,message,offset",
+        [
+            ("", "expected a constructor name", 0),
+            ("C3", "unexpected character 'C'", 0),
+            ("c4", "unknown constructor 'c4'", 0),
+            ("tt 3", "expected '('", 3),
+            ("tt(x)", "expected an integer", 3),
+            ("tt(3", "expected ')'", 4),
+            ("dijoin(c3 c3)", "expected ','", 10),
+            ("blowup(c3, c3)", "expected ';'", 9),
+            ("c3()x", "trailing input 'x'", 4),
+            ("tt(65", f"vertex count must be in 0..{MAX_VERTICES}", 0),
+            # a constructor's refusal comes before a later syntax error
+            ("join(tt(65), c3 c3", f"vertex count must be in 0..{MAX_VERTICES}", 5),
+            ("c3(", "expected ')'", 3),
+            ("blowup_uniform(c3; c3, 0)", "blowup count must be at least 1", 0),
+            ("blowup_uniform(c3; c3, 2)", "blowup base has 3 vertices but count is 2", 0),
+        ],
+    )
+    def test_graph_from_expr(self, text, message, offset):
+        assert _refusal(graph_from_expr, text) == (f"{message} at offset {offset}", offset)
+
+    @pytest.mark.parametrize(
+        "text,message,offset",
+        [
+            (" joinx(c3)", "expected a join expression", 1),
+            ("join c3", "expected '('", 5),
+            ("join(c3)x", "trailing input 'x'", 8),
+            ("join(tt(65), c3 c3", f"vertex count must be in 0..{MAX_VERTICES}", 5),
+        ],
+    )
+    def test_join_parts(self, text, message, offset):
+        assert _refusal(join_parts, text) == (f"{message} at offset {offset}", offset)
+
+    def test_a_size_too_long_to_read_is_refused_at_its_constructor(self):
+        # the message depends on the Python version's integer-string limit
+        _, offset = _refusal(graph_from_expr, "tt(" + "7" * 5000)
+        assert offset == 0
+
+    def test_c3_does_not_count_toward_the_depth(self):
+        deep = MAX_EXPR_DEPTH - 1  # a join's parts nest inside the join
+        for leaf in ("c3", "c3()", "c3( )"):
+            nested = "rev(" * MAX_EXPR_DEPTH + leaf + ")" * MAX_EXPR_DEPTH
+            assert graph_from_expr(nested).n == 3
+            inner = "rev(" * deep + leaf + ")" * deep
+            assert [p.n for p in join_parts(f"join({inner}, {leaf})")] == [3, 3]
+            too_deep = _refusal(join_parts, f"join(rev({inner}))")
+            assert too_deep == (
+                f"expression nested deeper than {MAX_EXPR_DEPTH} at offset {5 + 4 * deep}",
+                5 + 4 * deep,
+            )
+
+
 def even_weight_triangle_family() -> InversionFamily:
     # vectors 110, 101, 000: all even weight, flips only the first arc
     return InversionFamily(3, (0b011, 0b001, 0b010))

@@ -90,6 +90,33 @@ class TestFamilyValue:
             InversionFamily.from_vertex_lists(3, lists)
 
 
+class TestEmptyHostRefusals:
+    """With no vertices there is no range 0..n-1 to name: every vertex is
+    outside the graph, and the refusal says so."""
+
+    @pytest.mark.parametrize(
+        "refuse",
+        [
+            lambda: InversionFamily(0, (1,)),
+            lambda: InversionFamily.from_vertex_lists(0, [[-1]]),
+            lambda: parse_family("0\n", 0),
+            lambda: Digraph.from_arcs(0, [(0, 1)]),
+        ],
+        ids=["family", "vertex_lists", "parse_family", "from_arcs"],
+    )
+    def test_names_the_empty_graph_not_a_range(self, refuse):
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value).endswith("outside the graph, which has no vertices")
+        assert "0..-1" not in str(err.value)
+
+    def test_one_vertex_still_names_its_range(self):
+        with pytest.raises(ValueError, match=r"^set 0: vertex 1 outside 0\.\.0$"):
+            parse_family("1\n", 1)
+        with pytest.raises(ValueError, match=r"^set 0 contains vertices outside 0\.\.0$"):
+            InversionFamily(1, (0b10,))
+
+
 class TestInvert:
     def test_empty_set_is_identity(self):
         assert invert(c3(), 0) == c3()
@@ -166,6 +193,31 @@ class TestIsAcyclic:
     def test_decycled_q5(self):
         out = apply_family(qn(5), qn_family(5))
         assert is_acyclic(out) is not None
+
+    @staticmethod
+    def _graphs():
+        yield from (D for n in range(5) for D in all_oriented(n))
+        rng = random.Random(21)
+        for _ in range(400):
+            yield random_oriented(rng, rng.randint(0, 12))
+
+    def test_residual_cycle_exactly_when_no_order(self):
+        seen = {True: 0, False: 0}
+        for D in self._graphs():
+            order = is_acyclic(D)
+            cycle = residual_cycle(D)
+            seen[order is None] += 1
+            if order is not None:
+                assert cycle is None
+                assert sorted(order) == list(range(D.n))
+                place = {v: i for i, v in enumerate(order)}
+                assert all(place[u] < place[v] for u, v in D.arcs())
+                continue
+            assert cycle is not None and len(set(cycle)) == len(cycle) >= 3
+            assert all(0 <= v < D.n for v in cycle)
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                assert D.has_arc(u, v), (D, cycle)
+        assert seen[True] and seen[False], seen
 
 
 class TestAssignments:
