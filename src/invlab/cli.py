@@ -133,16 +133,18 @@ def _check_thm13(inst: str, opts: solver.SearchOptions) -> _Checker:
     return InstanceResult(inst, "PASS" if got == k + 1 else "FAIL", detail)
 
 
+def _check_dijoins(inst: str, L, R, lr_name: str, rl_name: str) -> _Checker:
+    # dijoin(L, R) and dijoin(R, L) must have the same value
+    lr, rl = yield [construct.dijoin(L, R), construct.dijoin(R, L)]
+    if lr is None or rl is None:
+        return InstanceResult(inst, "UNKNOWN", "a dijoin value is unresolved")
+    detail = f"{lr_name}={lr} {rl_name}={rl}"
+    return InstanceResult(inst, "PASS" if lr == rl else "FAIL", detail)
+
+
 def _check_direction(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = digraph.decode_digraph(inst)
-    ahead, behind = yield [
-        construct.dijoin(construct.c3(), D),
-        construct.dijoin(D, construct.c3()),
-    ]
-    if ahead is None or behind is None:
-        return InstanceResult(inst, "UNKNOWN", "a dijoin value is unresolved")
-    detail = f"c3_first={ahead} c3_last={behind}"
-    return InstanceResult(inst, "PASS" if ahead == behind else "FAIL", detail)
+    return (yield from _check_dijoins(inst, construct.c3(), D, "c3_first", "c3_last"))
 
 
 def _check_abnormal(inst: str, opts: solver.SearchOptions) -> _Checker:
@@ -226,14 +228,8 @@ def _check_bounds(inst: str, opts: solver.SearchOptions) -> _Checker:
 
 
 def _check_conj_direction(inst: str, opts: solver.SearchOptions) -> _Checker:
-    left_enc, right_enc = inst.split("|")
-    L = digraph.decode_digraph(left_enc)
-    R = digraph.decode_digraph(right_enc)
-    lr, rl = yield [construct.dijoin(L, R), construct.dijoin(R, L)]
-    if lr is None or rl is None:
-        return InstanceResult(inst, "UNKNOWN", "a dijoin value is unresolved")
-    detail = f"lr={lr} rl={rl}"
-    return InstanceResult(inst, "PASS" if lr == rl else "FAIL", detail)
+    L, R = map(digraph.decode_digraph, inst.split("|"))
+    return (yield from _check_dijoins(inst, L, R, "lr", "rl"))
 
 
 def _enumerable(n: int, flag: str) -> int:

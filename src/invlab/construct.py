@@ -58,20 +58,12 @@ def transitive(n: int) -> Digraph:
 def qn(n: int) -> Digraph:
     """Transitive tournament with its unique directed hamiltonian path reversed.
 
-    The path of the transitive tournament visits 0,1,...,n-1 in order, so
-    each consecutive arc i -> i+1 becomes i+1 -> i while longer arcs stay.
+    The path visits 0,1,...,n-1 in order, so inverting each pair {i, i+1}
+    once turns each arc i -> i+1 into i+1 -> i while longer arcs stay.
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}")
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(i + 2, n):
-            row |= 1 << j
-        if i >= 1:
-            row |= 1 << (i - 1)
-        rows.append(row)
-    return Digraph(n, rows)
+    return apply_family(transitive(n), InversionFamily(n, (3 << i for i in range(n - 1))))
 
 
 def qn_family(n: int) -> InversionFamily:

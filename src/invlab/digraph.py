@@ -171,20 +171,6 @@ class InversionFamily(Record):
         return [[v for v in range(self.n) if s >> v & 1] for s in self.sets]
 
 
-def invert(D: Digraph, X: VertexSet) -> Digraph:
-    """Reverse every arc with both endpoints in X."""
-    if X < 0 or X >> D.n:
-        raise ValueError("vertex set outside the graph")
-    cols = _columns(D.out_rows, D.n)
-    rows = []
-    for u in range(D.n):
-        row = D.out_rows[u]
-        if X >> u & 1:
-            row = (row & ~X) | (cols[u] & X)
-        rows.append(row)
-    return Digraph(D.n, rows)
-
-
 def apply_family(D: Digraph, F: InversionFamily) -> Digraph:
     """D with every set of the family inverted (order never matters)."""
     if F.n != D.n:
@@ -201,6 +187,13 @@ def apply_family(D: Digraph, F: InversionFamily) -> Digraph:
         row = D.out_rows[u]
         rows.append(row & ~flip | cols[u] & flip)
     return Digraph(D.n, rows)
+
+
+def invert(D: Digraph, X: VertexSet) -> Digraph:
+    """Reverse every arc with both endpoints in X: the one-set family (X,)."""
+    if X < 0 or X >> D.n:
+        raise ValueError("vertex set outside the graph")
+    return apply_family(D, InversionFamily(D.n, (X,)))
 
 
 def _peel(blockers: Sequence[int], remaining: int) -> tuple[list[int], int]:

@@ -65,21 +65,6 @@ def gram_of(vectors: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def rank_of_rows(rows: Sequence[int]) -> int:
-    """Rank of a list of bitmask rows over GF(2)."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        v = row
-        while v:
-            low = v & -v
-            if low in pivots:
-                v ^= pivots[low]
-            else:
-                pivots[low] = v
-                break
-    return len(pivots)
-
-
 def _diag_mask(rows: Sequence[int]) -> int:
     d = 0
     for i, r in enumerate(rows):
@@ -89,14 +74,16 @@ def _diag_mask(rows: Sequence[int]) -> int:
 
 
 def _peel(rows: Sequence[int]) -> list[int]:
-    """Rows u_1..u_r with M = u_1 u_1^t + ... + u_r u_r^t, r = min_gram_dim(M).
+    """Rows u_1..u_r with M = u_1 u_1^t + ... + u_r u_r^t, r as small as can be.
 
     A diagonal step (m_ii = 1) adds u u^t with u = row i to M, clearing
     row and column i: rank -1, one row.  Otherwise some m_ij = 1; with
     a = row i and b = row j, adding a b^t + b a^t clears rows i and j:
     rank -2.  That term and the last row u emitted (0 if none) become the
     three rows u+a, u+b, u+a+b, whose squares sum to u u^t + a b^t + b a^t:
-    two rows more, or three when M has a zero diagonal to begin with.
+    two rows more, or three when M has a zero diagonal to begin with.  An
+    off-diagonal step keeps the diagonal, so r = rank(M), plus one for a
+    nonzero M with zero diagonal: Lempel's least width.
     """
     m = list(rows)
     out: list[int] = []
@@ -144,17 +131,13 @@ def gram_factor(M: Sequence[int]) -> tuple[int, ...] | None:
 def min_gram_dim(M: Sequence[int]) -> int:
     """Least k such that vectors in GF(2)^k realize M as their Gram matrix.
 
-    Closed rule: 0 for the zero matrix, rank(M) when some diagonal entry
-    is 1, rank(M)+1 for a nonzero matrix with zero diagonal (all witness
-    vectors are then even-weight and span at most a hyperplane).  The rule
-    is cross-validated against a brute-force realization search in the
-    test suite.
+    The number of rows :func:`_peel` emits, after the symmetry check
+    without which the peel never ends: 0 for the zero matrix, rank(M) with
+    a nonzero diagonal, rank(M)+1 without.  Checked against a rank oracle
+    and a brute-force realization search in the test suite.
     """
     _check_symmetric(M)
-    if not any(M):
-        return 0
-    r = rank_of_rows(M)
-    return r if _diag_mask(M) else r + 1
+    return len(_peel(M))
 
 
 def free_diag_bound(

@@ -437,6 +437,8 @@ def exists_family(
     """
     if opts is None:
         opts = SearchOptions()
+    if not _is_int(k):
+        raise ValueError(f"family size must be an int, got {k!r}")
     if not 0 <= k <= MAX_K:
         raise ValueError(f"family size must be in 0..{MAX_K}")
     found, _ = _search_assignment(D, k, opts, even_weight_only=even_weight_only)

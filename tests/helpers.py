@@ -23,7 +23,7 @@ from invlab.digraph import (
 )
 from invlab import solver
 from invlab.errors import BudgetExceededError, ResourceLimitError
-from invlab.f2 import free_diag_bound, rank_of_rows
+from invlab.f2 import free_diag_bound
 from invlab.solver import _candidates
 
 
@@ -156,6 +156,21 @@ def flip_matrix(D: Digraph, order: Sequence[int]) -> tuple[int, ...]:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return tuple(rows)
+
+
+def rank_of_rows(rows: Sequence[int]) -> int:
+    """Rank of a list of bitmask rows over GF(2)."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        v = row
+        while v:
+            low = v & -v
+            if low in pivots:
+                v ^= pivots[low]
+            else:
+                pivots[low] = v
+                break
+    return len(pivots)
 
 
 def family_rank(vecs: Sequence[int]) -> int:

@@ -25,7 +25,7 @@ from invlab.digraph import (
     nonisomorphic_tournaments,
     reverse,
 )
-from invlab.f2 import gram_factor, gram_of, min_gram_dim, rank_of_rows
+from invlab.f2 import gram_factor, gram_of, min_gram_dim
 from invlab.solver import inv_exact, inv_order_backend
 
 from helpers import (
@@ -39,6 +39,7 @@ from helpers import (
     random_oriented,
     random_symmetric,
     rank_lower_bound_check,
+    rank_of_rows,
     realize_oracle,
 )
 

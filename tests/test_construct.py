@@ -23,6 +23,7 @@ from invlab.construct import (
 )
 from invlab.digraph import (
     MAX_VERTICES,
+    Digraph,
     InversionFamily,
     apply_family,
     invert,
@@ -52,6 +53,13 @@ class TestBasicGraphs:
         # consecutive arcs run backwards, the rest forwards
         assert Q.has_arc(1, 0) and Q.has_arc(2, 1) and Q.has_arc(3, 2)
         assert Q.has_arc(0, 2) and Q.has_arc(0, 3) and Q.has_arc(1, 3)
+
+    def test_qn_matches_its_definition(self):
+        # i+1 -> i for each consecutive pair, i -> j for j >= i+2
+        for n in range(1, MAX_VERTICES + 1):
+            arcs = [(i + 1, i) for i in range(n - 1)]
+            arcs += [(i, j) for i in range(n) for j in range(i + 2, n)]
+            assert qn(n) == Digraph.from_arcs(n, arcs), n
 
     def test_qn_family_size_and_effect(self):
         for n in range(1, 16):

@@ -135,6 +135,15 @@ class TestInvert:
             X = rng.getrandbits(D.n)
             assert invert(invert(D, X), X) == D
 
+    def test_matches_one_coordinate_assignment(self):
+        # X as a family of one set: vertex v's vector is the bit v of X
+        rng = random.Random(174)
+        for trial in range(400):
+            D = random_oriented(rng, trial % 14)
+            X = rng.getrandbits(D.n)
+            vecs = [X >> v & 1 for v in range(D.n)]
+            assert invert(D, X) == apply_assignment(D, vecs), (trial, X)
+
 
 class TestApplyFamily:
     def test_empty_family(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invlab import f2
 from invlab.errors import ResourceLimitError
 from invlab.f2 import (
     FREE_DIAG_LIMIT,
@@ -19,7 +20,6 @@ from invlab.f2 import (
     load_matrix,
     min_gram_dim,
     parse_rows,
-    rank_of_rows,
 )
 
 from helpers import (
@@ -28,6 +28,7 @@ from helpers import (
     dot,
     free_diag_by_loop,
     random_symmetric,
+    rank_of_rows,
     realize_oracle,
     with_diagonal,
 )
@@ -212,9 +213,38 @@ class TestGramOf:
         assert gram_of(f) == M
 
 
+def rank_rule(M: tuple[int, ...]) -> int:
+    """Lempel's width from the rank: rank(M), plus one when M is nonzero
+    with zero diagonal."""
+    r = rank_of_rows(M)
+    return r + 1 if r and not diagonal(M) else r
+
+
 class TestMinGramDim:
     def test_zero(self):
         assert min_gram_dim(zeros(3)) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_rank_rule_exhaustive(self, n):
+        for M in all_symmetric(n):
+            assert min_gram_dim(M) == rank_rule(M), M
+
+    def test_rank_rule_random_up_to_order_64(self):
+        rng = random.Random(1975)
+        for trial in range(400):
+            M = random_symmetric(rng, rng.randint(0, 64))
+            if trial % 2:
+                M = with_diagonal(M, 0)
+            assert min_gram_dim(M) == rank_rule(M), M
+
+    def test_asymmetric_refused_before_the_peel(self, monkeypatch):
+        # the peel of an asymmetric matrix never ends
+        def peel(rows):
+            raise AssertionError("peeled an asymmetric matrix")
+
+        monkeypatch.setattr(f2, "_peel", peel)
+        with pytest.raises(ValueError, match="not symmetric"):
+            min_gram_dim((0b10, 0b00))
 
     def test_alternating_pair(self):
         assert min_gram_dim(PAIR) == 3

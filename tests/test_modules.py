@@ -39,14 +39,15 @@ TEST_ONLY = {
     "flip_matrix",
     "RankBoundReport",
     "rank_lower_bound_check",
+    "rank_of_rows",
 }
 
 
 # deleted: expressions parse straight to digraphs, with no tree to
 # evaluate or print, free_diag_bound is the one free-diagonal bound, a
 # GF(2) vector is a plain int that the assignment search turns into the
-# family it returns, and a symmetric matrix is a tuple of row ints whose
-# rank is rank_of_rows
+# family it returns, and a symmetric matrix is a tuple of row ints that
+# gram_factor and min_gram_dim both read through one rank-one peel
 REMOVED = {
     "Expr",
     "C3Expr",

@@ -75,6 +75,11 @@ class TestExistsFamily:
         with pytest.raises(ValueError):
             exists_family(c3(), 13)
 
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5, "2"], ids=repr)
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match=f"family size must be an int, got {k!r}"):
+            exists_family(qn(5), k)
+
     def test_witness_is_certified(self, monkeypatch):
         # a search that hands back a family leaving the triangle whole
         def wrong(D, k, opts, spent=0, *, even_weight_only=False):
@@ -438,6 +443,10 @@ class TestIsC3Tight:
         with pytest.raises(CriterionViolationError) as err:
             is_c3_tight(D, k, dijoin_k)
         assert str(err.value) == message
+
+    def test_float_value_refused(self):
+        with pytest.raises(ValueError, match="family size must be an int, got 3.0"):
+            is_c3_tight(qn(7), 3.0, 4)
 
     def test_takes_values_and_solves_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
