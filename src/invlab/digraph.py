@@ -46,6 +46,11 @@ MAX_ENUM_VERTICES = 7
 VertexSet = int
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Digraph(Record):
     """Loop-free, 2-cycle-free directed graph; ``out_rows[v]`` masks v's heads."""
 
@@ -55,6 +60,8 @@ class Digraph(Record):
 
     def __init__(self, n: int, out_rows: Iterable[int]):
         out_rows = tuple(out_rows)
+        if not _is_int(n):
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
         if len(out_rows) != n:
@@ -143,6 +150,8 @@ class InversionFamily(Record):
     sets: tuple[VertexSet, ...]
 
     def __init__(self, n: int, sets: Iterable[VertexSet]):
+        if not _is_int(n):
+            raise ValueError(f"host size must be an int, got {n!r}")
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"host size must be in 0..{MAX_VERTICES}, got {n}")
         sets = tuple(sets)

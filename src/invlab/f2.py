@@ -15,8 +15,11 @@ with a nonzero diagonal, rank(M)+1 without (Lempel, "Matrix factorization
 over GF(2) and trace-orthogonal bases", SIAM J. Comput. 1975).  Odd order
 therefore always factors; even order factors exactly when M has a nonzero
 diagonal entry or is singular, and returns ``None`` otherwise.
-The width rule is validated against an independent brute-force
-realization search, a test oracle in ``tests/helpers.py``.
+The one peel, :func:`_peel`, serves :func:`gram_factor`,
+:func:`min_gram_dim` and the solver's order backend, which peels the flip
+matrix of its best vertex order into its witness family.  The width rule
+is validated against an independent brute-force realization search, a
+test oracle in ``tests/helpers.py``.
 
 :func:`parse_rows` and :func:`dump_rows` read and write the one text form
 of n rows of n bits that matrices and digraphs share.

@@ -41,8 +41,9 @@ Two independent backends:
   vertex, so appending a vertex adds its row and leaves the others as
   they are.  A block fixes its prefix's order, which the walk visits
   once, so bounds are not memoized.  Capped at ``ORDER_BACKEND_MAX_N``
-  vertices.  Only the value is its own: the witness comes from the
-  assignment search at that value.
+  vertices.  The witness is its own too: the best order's flip matrix,
+  with the diagonal its bound chose, peeled into k rank-one terms u u^t
+  (``f2._peel``, Lempel's least width), whose rows u are the family's sets.
 
 The brute-force subset enumeration both are checked against is a test
 oracle and lives in ``tests/helpers.py``.
@@ -55,8 +56,8 @@ twice.
 Every returned witness is checked to decycle its graph before it leaves
 this module.  Budgets are counted in search nodes, not wall time, so runs
 are reproducible; ``inv_exact`` counts all its k levels against one
-budget.  Searches are single-threaded, so results (and witnesses) are
-identical run to run.
+budget, and the order backend its whole walk.  Searches are
+single-threaded, so results (and witnesses) are identical run to run.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 
-from .digraph import Digraph, InversionFamily, apply_family, dump_family, is_acyclic
+from .digraph import (
+    Digraph, InversionFamily, _is_int, apply_family, dump_family, is_acyclic
+)
 from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
-from .f2 import free_diag_bound
+from .f2 import _peel, free_diag_bound
 from .record import Record
 
 MAX_K = 12
@@ -74,11 +77,6 @@ MAX_K = 12
 BACKENDS = ("assign", "order")
 
 ORDER_BACKEND_MAX_N = 12
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no node count
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class SearchOptions(Record):
@@ -504,13 +502,13 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     best width found (see the module docstring).  Tournaments only: a
     missing pair would wrongly be constrained to "no flip".  Graphs above
     ``ORDER_BACKEND_MAX_N`` vertices are refused with ResourceLimitError
-    before any search.  The value is
-    independent of the assignment backend, for cross-validation; the
-    witness comes from the assignment search at that value (its own node
-    budget, not counted in ``nodes_explored``), and finding none there
-    raises CriterionViolationError.  Orders wider than ``opts.max_k`` are
-    pruned, so when none fits the result is unresolved with ``max_k``
-    exhausted, as from ``inv_exact``.
+    before any search.  Value and witness are both independent of the
+    assignment backend, for cross-validation: the witness is the peel of
+    the best order's flip matrix, whose k rows, read as sets, put an odd
+    number of sets on exactly the pairs the order flips.  ``opts.budget``
+    caps the walk's nodes, which are the whole solve.  Orders wider than
+    ``opts.max_k`` are pruned, so when none fits the result is unresolved
+    with ``max_k`` exhausted, as from ``inv_exact``.
     """
     if opts is None:
         opts = SearchOptions()
@@ -526,6 +524,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         return _certified(D, InversionFamily(0, ()), "order", 0, start)
 
     best_k = opts.max_k + 1  # prunes every order wider than max_k
+    best = [0] * n  # the best order's flip matrix, rows by vertex
     nodes = 0
     budget = opts.budget
     ins = D.in_rows()
@@ -538,11 +537,13 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"order search exceeded {budget} nodes")
         # the prefix's rows bound every completion, and only grow along it
-        k = free_diag_bound(block, seq, n, best_k)[0]
+        k, d = free_diag_bound(block, seq, n, best_k)
         if k >= best_k:
             return
         if len(seq) == n:
             best_k = k
+            for v, row in zip(seq, block):
+                best[v] = row | d & 1 << v
             return
         for v in range(n):
             if not used >> v & 1:
@@ -551,17 +552,11 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
                 walk(seq + (v,), block + (row,), used | 1 << v)
 
     walk((), (), 0)
-    k = best_k
-    if k > opts.max_k:
+    if best_k > opts.max_k:
         return InvResult(
             None, None, "order", nodes, time.perf_counter() - start, opts.max_k
         )
-    found, _ = _search_assignment(D, k, opts)
-    if found is None:
-        raise CriterionViolationError(
-            f"order search gives {k} but no width-{k} assignment decycles the graph"
-        )
-    return _certified(D, found, "order", nodes, start)
+    return _certified(D, InversionFamily(n, _peel(best)), "order", nodes, start)
 
 
 def is_c3_tight(

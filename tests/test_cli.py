@@ -58,6 +58,26 @@ class TestInvCommand:
         )
         assert code == 0 and out.startswith("inv=2 ") and "backend=order" in out
 
+    def test_order_backend_prints_its_own_witness(self, capsys):
+        # the peel of the best order's flip matrix, not an assignment search's
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(6)", "--backend", "order", "--deterministic"
+        )
+        head, family = out.split("\n", 1)
+        assert code == 0 and head.startswith("inv=2 ")
+        assert family == dump_family(qn_family(6))
+
+    def test_package_runs_as_a_module(self, capsys):
+        argv = ["inv", "expr:c3", "--deterministic"]
+        code, out, _ = run(capsys, *argv)
+        src = os.path.dirname(os.path.dirname(invlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "invlab", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert code == 0 and (proc.returncode, proc.stdout) == (code, out)
+
     def test_bounded_unknown_exit_two(self, capsys):
         code, out, _ = run(
             capsys, "inv", "expr:c3", "--max-k", "0", "--deterministic"

@@ -92,6 +92,12 @@ class TestSizeLimits:
         assert transitive(MAX_VERTICES).n == qn(MAX_VERTICES).n == MAX_VERTICES
         assert qn_family(MAX_VERTICES).n == MAX_VERTICES
 
+    @pytest.mark.parametrize("build", [transitive, qn, qn_family])
+    def test_bool_vertex_count_refused(self, build):
+        # True once built a one-vertex graph whose encoding read 'enc:True:0'
+        with pytest.raises(ValueError, match="must be an int, got True"):
+            build(True)
+
     @pytest.mark.parametrize("n", [-5, 0, MAX_VERTICES + 1, 100])
     def test_qn_family_takes_the_orders_qn_takes(self, n):
         # a family for a graph qn refuses to build is refused too

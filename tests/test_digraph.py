@@ -61,6 +61,14 @@ class TestDigraphValue:
         sub = D.induced(0b101)  # vertices 0 and 2, arc 2->0
         assert sub.n == 2 and sub.out_rows == (0, 0b01)
 
+    @pytest.mark.parametrize(
+        "n,rows", [(True, (0,)), (False, ()), (2.0, (0b10, 0)), ("2", (0b10, 0))]
+    )
+    def test_vertex_count_must_be_an_int(self, n, rows):
+        # a bool would be kept as the count and then written out as one
+        with pytest.raises(ValueError, match=f"vertex count must be an int, got {n!r}"):
+            Digraph(n, rows)
+
     @pytest.mark.parametrize("mask", [-1, 0b1101])
     def test_induced_refuses_vertices_outside_the_graph(self, mask):
         with pytest.raises(ValueError, match="vertex set outside the graph"):
@@ -78,6 +86,11 @@ class TestFamilyValue:
     @pytest.mark.parametrize("n", [-1, MAX_VERTICES + 1])
     def test_host_size_outside_the_vertex_range_refused(self, n):
         with pytest.raises(ValueError, match=rf"host size must be in 0\.\.{MAX_VERTICES}"):
+            InversionFamily(n, ())
+
+    @pytest.mark.parametrize("n", [True, False, 1.0])
+    def test_host_size_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match=f"host size must be an int, got {n!r}"):
             InversionFamily(n, ())
 
     def test_empty_host_keeps_empty_sets(self):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from invlab import f2, solver
-from invlab.construct import c3, dijoin, graph_from_expr, k_join, qn, transitive
+from invlab.construct import c3, dijoin, graph_from_expr, k_join, qn, qn_family, transitive
 from invlab.digraph import (
     InversionFamily,
     apply_family,
@@ -197,12 +197,13 @@ class TestOrderBackendValues:
     def test_qn10_by_both_backends(self):
         a, o = inv_exact(qn(10)), inv_order_backend(qn(10))
         assert (a.value, o.value) == (4, 4)
-        assert o.witness == a.witness  # the witness comes from the assignment search
+        # the peel of the best order's flip matrix: the consecutive pairs
+        assert o.witness == qn_family(10)
         assert is_acyclic(apply_family(qn(10), o.witness)) is not None
 
 
 class TestOrderBackendWitness:
-    """The order backend's witness comes from the assignment search."""
+    """The order backend's witness is the peel of its best order's flip matrix."""
 
     @pytest.fixture
     def no_oracle(self, monkeypatch):
@@ -223,26 +224,26 @@ class TestOrderBackendWitness:
             assert len(r.witness.sets) == r.value
             assert is_acyclic(apply_family(T, r.witness)) is not None
 
-    def test_witness_search_gets_value_and_budget(self, monkeypatch):
-        seen = []
-        search = solver._search_assignment
+    def test_witness_without_the_assignment_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the order backend makes its own witness")
 
-        def spy(D, k, opts):
-            seen.append((k, opts))
-            return search(D, k, opts)
+        graphs = [T for n in range(8) for T in nonisomorphic_tournaments(n)]
+        graphs += [qn(n) for n in range(1, 11)]
+        expected = [inv_exact(T).value for T in graphs]
+        monkeypatch.setattr(solver, "_search_assignment", refuse)
+        for T, value in zip(graphs, expected):
+            r = inv_order_backend(T)
+            assert r.value == value
+            assert len(r.witness.sets) == value
+            assert is_acyclic(apply_family(T, r.witness)) is not None
 
-        monkeypatch.setattr(solver, "_search_assignment", spy)
-        opts = SearchOptions(budget=10_000)
-        r = inv_order_backend(qn(5), opts)
-        # the spy takes no even_weight_only: the witness search is unrestricted
-        assert [(k, o.budget) for k, o in seen] == [(2, 10_000)]
-        # the order search's own nodes only
-        assert r.nodes_explored == inv_order_backend(qn(5)).nodes_explored
-
-    def test_missing_witness_is_a_disagreement(self, monkeypatch):
-        monkeypatch.setattr(solver, "_search_assignment", lambda D, k, opts: (None, 0))
-        with pytest.raises(CriterionViolationError):
-            inv_order_backend(qn(5))
+    def test_budget_covers_the_whole_solve(self):
+        r = inv_order_backend(qn(7))
+        exact = inv_order_backend(qn(7), SearchOptions(budget=r.nodes_explored))
+        assert (exact.value, exact.witness) == (r.value, r.witness)
+        with pytest.raises(BudgetExceededError, match=f"{r.nodes_explored - 1} nodes"):
+            inv_order_backend(qn(7), SearchOptions(budget=r.nodes_explored - 1))
 
     def test_search_options_fields(self):
         # the fields in their positional construction order
