@@ -10,15 +10,17 @@ Graph sources anywhere a file is accepted:
 
 An experiment's builder lists instances; its checker is a generator over
 one instance that yields the graphs whose values it needs, receives their
-values in that order, and returns an ``InstanceResult`` (None outside the
-identity's scope).  ``cmd_experiment`` advances every checker in rounds
-and solves each distinct graph (by encoding) once per sweep, one pool map
-per round.  Reading a value whose solve ran out of budget raises
-``ResourceLimitError`` in the checker, which makes the instance UNKNOWN.
+values as a list of ints in that order, and returns ``(holds, detail)``
+(None outside the identity's scope).  ``cmd_experiment`` advances every
+checker in rounds and solves each distinct graph (by encoding) once per
+sweep, one pool map per round.  It alone makes UNKNOWN: when a value a
+checker asked for is unresolved, the checker is not resumed, and the
+instance reports the first such reason in ask order, ``budget: <why>``
+or ``max-k: inv(<encoding>) > <max-k>``.
 
 Exit codes: 0 all passed / resolved, 1 usage error or stdout closed by
-its reader, 2 unknowns present (budget ran out somewhere), 3 a checked
-identity failed (a finding).
+its reader, 2 unknowns present (a budget or --max-k left a value
+unresolved), 3 a checked identity failed (a finding).
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ import math
 import os
 import sys
 import time
-from collections.abc import Generator, Iterator
+from collections.abc import Generator
 
 from . import construct, digraph, f2, solver
 from .errors import CriterionViolationError, ParseError, ResourceLimitError
-from .record import Record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,91 +107,57 @@ def cmd_gram(args) -> int:
 # Experiments
 
 
-class InstanceResult(Record):
-    __slots__ = ("encoding", "status", "detail")
-    encoding: str
-    status: str  # PASS / FAIL / UNKNOWN
-    detail: str
-
-    def __init__(self, encoding: str, status: str, detail: str):
-        super().__init__(encoding, status, detail)
-
-
-_Checker = Generator[list, Iterator, InstanceResult | None]
+_Checker = Generator[list, list[int], tuple[bool, str] | None]
 
 
 def _check_thm13(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = digraph.decode_digraph(inst)
     (k,) = yield [D]
-    if k is None:
-        return InstanceResult(inst, "UNKNOWN", "base value unresolved")
     if k < 2 or k % 2:
         return None  # outside the theorem: even values of at least 2
     (got,) = yield [construct.dijoin(construct.c3(), D)]
-    if got is None:
-        return InstanceResult(inst, "UNKNOWN", f"inv={k} dijoin unresolved")
-    detail = f"inv={k} dijoin_inv={got} expect={k + 1}"
-    return InstanceResult(inst, "PASS" if got == k + 1 else "FAIL", detail)
+    return got == k + 1, f"inv={k} dijoin_inv={got} expect={k + 1}"
 
 
-def _check_dijoins(inst: str, L, R, lr_name: str, rl_name: str) -> _Checker:
+def _check_dijoins(L, R, lr_name: str, rl_name: str) -> _Checker:
     # dijoin(L, R) and dijoin(R, L) must have the same value
     lr, rl = yield [construct.dijoin(L, R), construct.dijoin(R, L)]
-    if lr is None or rl is None:
-        return InstanceResult(inst, "UNKNOWN", "a dijoin value is unresolved")
-    detail = f"{lr_name}={lr} {rl_name}={rl}"
-    return InstanceResult(inst, "PASS" if lr == rl else "FAIL", detail)
+    return lr == rl, f"{lr_name}={lr} {rl_name}={rl}"
 
 
 def _check_direction(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = digraph.decode_digraph(inst)
-    return (yield from _check_dijoins(inst, construct.c3(), D, "c3_first", "c3_last"))
+    return (yield from _check_dijoins(construct.c3(), D, "c3_first", "c3_last"))
 
 
 def _check_abnormal(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = construct.graph_from_expr(inst)
     triple = construct.k_join([construct.c3(), construct.c3(), D])
     left, right = yield [triple, construct.dijoin(construct.c3(), D)]
-    if left is None or right is None:
-        return InstanceResult(inst, "UNKNOWN", "a value is unresolved")
-    detail = f"triple_join_inv={left} dijoin_inv={right} expect={right + 1}"
-    return InstanceResult(inst, "PASS" if left == right + 1 else "FAIL", detail)
+    return left == right + 1, f"triple_join_inv={left} dijoin_inv={right} expect={right + 1}"
 
 
 def _check_kjoin(inst: str, opts: solver.SearchOptions) -> _Checker:
     parts = construct.join_parts(inst)
-    invs = list((yield parts))
-    if any(v is None for v in invs):
-        return InstanceResult(inst, "UNKNOWN", "a part value is unresolved")
+    invs = yield parts
     special = [i for i, v in enumerate(invs) if v != 1]
     if len(special) > 1 or not all(v >= 1 for v in invs):
-        return InstanceResult(inst, "UNKNOWN", "instance outside the rule's scope")
+        return None  # outside the rule: a part of value 0, or two above 1
     j = special[0] if special else 0
     (dijoin_k,) = yield [construct.dijoin(construct.c3(), parts[j])]
-    if dijoin_k is None:
-        return InstanceResult(inst, "UNKNOWN", "dijoin value unresolved")
     tight = solver.is_c3_tight(parts[j], invs[j], dijoin_k, opts)
     expect = sum(invs) - (1 if tight else 0)
     (got,) = yield [construct.k_join(parts)]
-    if got is None:
-        return InstanceResult(inst, "UNKNOWN", "join value unresolved")
-    detail = f"parts={invs} tight={int(tight)} join_inv={got} expect={expect}"
-    return InstanceResult(inst, "PASS" if got == expect else "FAIL", detail)
+    return got == expect, f"parts={invs} tight={int(tight)} join_inv={got} expect={expect}"
 
 
 def _check_thm15(inst: str, opts: solver.SearchOptions) -> _Checker:
     D = digraph.decode_digraph(inst)
     (base,) = yield [D]
-    if base is None:
-        return InstanceResult(inst, "UNKNOWN", "base value unresolved")
     if base != 1:
         return None  # outside the theorem: value-1 tournaments only
     (got,) = yield [construct.blow_up(D, [construct.c3()] * D.n)]
-    if got is None:
-        return InstanceResult(inst, "UNKNOWN", "blow-up value unresolved")
-    expect = D.n + 1
-    detail = f"blowup_inv={got} expect={expect}"
-    return InstanceResult(inst, "PASS" if got == expect else "FAIL", detail)
+    return got == D.n + 1, f"blowup_inv={got} expect={D.n + 1}"
 
 
 def _check_qn(inst: str, opts: solver.SearchOptions) -> _Checker:
@@ -199,37 +166,28 @@ def _check_qn(inst: str, opts: solver.SearchOptions) -> _Checker:
     F = construct.qn_family(n)
     bound = (n - 1) // 2
     if digraph.is_acyclic(digraph.apply_family(Q, F)) is None:
-        return InstanceResult(inst, "FAIL", f"n={n} pair family leaves a cycle")
+        return False, f"n={n} pair family leaves a cycle"
     if len(F.sets) != bound:
-        return InstanceResult(inst, "FAIL", f"n={n} family size {len(F.sets)} != {bound}")
+        return False, f"n={n} family size {len(F.sets)} != {bound}"
     if not exact:
-        return InstanceResult(inst, "PASS", f"n={n} family_ok bound={bound}")
+        return True, f"n={n} family_ok bound={bound}"
     (value,) = yield [Q]
-    if value is None:
-        return InstanceResult(inst, "UNKNOWN", f"n={n} exact value unresolved")
-    detail = f"n={n} inv={value} bound={bound}"
-    return InstanceResult(inst, "PASS" if value <= bound else "FAIL", detail)
+    return value <= bound, f"n={n} inv={value} bound={bound}"
 
 
 def _check_bounds(inst: str, opts: solver.SearchOptions) -> _Checker:
     n = int(inst)
-    worst = 0
-    for v in (yield digraph.nonisomorphic_tournaments(n)):
-        if v is None:
-            return InstanceResult(inst, "UNKNOWN", f"n={n} a tournament unresolved")
-        worst = max(worst, v)
+    worst = max((yield digraph.nonisomorphic_tournaments(n)))
     detail = f"n={n} invn={worst}"
-    if n >= 4:
-        low = (n - 1) / 2 - math.log2(n)
-        ok = low <= worst <= n - 3
-        detail += f" window=[{low:.2f},{n - 3}]"
-        return InstanceResult(inst, "PASS" if ok else "FAIL", detail)
-    return InstanceResult(inst, "PASS", detail)
+    if n < 4:
+        return True, detail
+    low = (n - 1) / 2 - math.log2(n)
+    return low <= worst <= n - 3, detail + f" window=[{low:.2f},{n - 3}]"
 
 
 def _check_conj_direction(inst: str, opts: solver.SearchOptions) -> _Checker:
     L, R = map(digraph.decode_digraph, inst.split("|"))
-    return (yield from _check_dijoins(inst, L, R, "lr", "rl"))
+    return (yield from _check_dijoins(L, R, "lr", "rl"))
 
 
 def _enumerable(n: int, flag: str) -> int:
@@ -362,27 +320,22 @@ def _run_one(task: tuple[digraph.Digraph, solver.SearchOptions]) -> int | None |
     try:
         return solver.inv_exact(D, opts).value
     except ResourceLimitError as exc:
-        return str(exc)
+        return f"budget: {exc}"
 
 
-def _read(value: int | None | str) -> int | None:
-    if isinstance(value, str):
-        raise ResourceLimitError(value)
-    return value
-
-
-def _step(
-    inst: str, checker: _Checker, values: Iterator | None
-) -> tuple[list | None, InstanceResult | None]:
-    """Send ``values`` to a checker: (graphs it asks for next, None) or (None, result)."""
+def _step(checker: _Checker, values: list[int] | None) -> tuple[list | None, tuple | None]:
+    """Send ``values`` to a checker: (graphs it asks for next, None) or (None, outcome)."""
     try:
         return checker.send(values), None
     except StopIteration as stop:
-        return None, stop.value
-    except ResourceLimitError as exc:
-        return None, InstanceResult(inst, "UNKNOWN", f"budget: {exc}")
+        if stop.value is None:
+            return None, None
+        holds, detail = stop.value
+        return None, ("PASS" if holds else "FAIL", detail)
+    except ResourceLimitError as exc:  # a checker's own search, as in kjoin
+        return None, ("UNKNOWN", f"budget: {exc}")
     except CriterionViolationError as exc:
-        return None, InstanceResult(inst, "FAIL", f"criterion: {exc}")
+        return None, ("FAIL", f"criterion: {exc}")
 
 
 def cmd_experiment(args) -> int:
@@ -397,8 +350,9 @@ def cmd_experiment(args) -> int:
     opts = _options_from_args(args)
     start = time.perf_counter()
     instances = build(args)
-    table: dict[str, int | None | str] = {}  # encoding -> _run_one's answer
-    results: list[InstanceResult | None] = [None] * len(instances)
+    table: dict[str, int | str] = {}  # encoding -> value, or why it has none
+    # (status, detail) per instance; None outside its identity's scope
+    outcomes: list[tuple | None] = [None] * len(instances)
     # (instance index, checker, encodings of the graphs it waits for)
     waiting = [(i, check(inst, opts), None) for i, inst in enumerate(instances)]
     with Pool(jobs) if jobs > 1 and len(instances) > 1 else contextlib.nullcontext() as pool:
@@ -407,28 +361,33 @@ def cmd_experiment(args) -> int:
             asked = []
             todo: dict[str, digraph.Digraph] = {}  # graphs not in the table yet
             for i, checker, keys in waiting:
-                # lazily, so a value that ran out of budget raises where it is read
-                values = None if keys is None else (_read(table[key]) for key in keys)
-                graphs, results[i] = _step(instances[i], checker, values)
+                values = None if keys is None else [table[key] for key in keys]
+                reason = next((v for v in values or () if isinstance(v, str)), None)
+                if reason is not None:  # a value it asked for is unresolved
+                    outcomes[i] = ("UNKNOWN", reason)
+                    continue
+                graphs, outcomes[i] = _step(checker, values)
                 if graphs is not None:
                     keys = [digraph.encode_digraph(G) for G in graphs]
                     todo.update((k, G) for k, G in zip(keys, graphs) if k not in table)
                     asked.append((i, checker, keys))
-            table.update(zip(todo, solve_all(_run_one, [(G, opts) for G in todo.values()])))
+            solved = solve_all(_run_one, [(G, opts) for G in todo.values()])
+            for key, value in zip(todo, solved):
+                table[key] = f"max-k: inv({key}) > {opts.max_k}" if value is None else value
             waiting = asked
-    # a checker returns None for an instance outside its identity's scope
-    results = [r for r in results if r is not None]
 
     params = [f"experiment={args.name}"]
     for attr in param_names:
         params.append(f"{attr.replace('_', '-')}={getattr(args, attr)}")
     print(" ".join(params))
-    for r in results:
-        print(f"instance {r.encoding} {r.detail} : {r.status}")
-    npass = sum(r.status == "PASS" for r in results)
-    nfail = sum(r.status == "FAIL" for r in results)
-    nunk = sum(r.status == "UNKNOWN" for r in results)
-    print(f"total={len(results)} pass={npass} fail={nfail} unknown={nunk}")
+    statuses = []
+    for inst, outcome in zip(instances, outcomes):
+        if outcome is not None:
+            print(f"instance {inst} {outcome[1]} : {outcome[0]}")
+            statuses.append(outcome[0])
+    nfail = statuses.count("FAIL")
+    nunk = statuses.count("UNKNOWN")
+    print(f"total={len(statuses)} pass={statuses.count('PASS')} fail={nfail} unknown={nunk}")
     if not args.deterministic:
         print(f"elapsed={time.perf_counter() - start:.2f}s")
     if nfail:

@@ -30,9 +30,9 @@ from functools import reduce
 from operator import xor
 
 from .digraph import (
-    MAX_VERTICES,
     Digraph,
     InversionFamily,
+    _check_vertex_count,
     apply_family,
     is_acyclic,
     invert,
@@ -49,8 +49,7 @@ def c3() -> Digraph:
 
 def transitive(n: int) -> Digraph:
     """Transitive tournament: arc i -> j exactly when i < j."""
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
+    _check_vertex_count(n)
     full = (1 << n) - 1
     return Digraph(n, ((full >> (i + 1)) << (i + 1) for i in range(n)))
 
@@ -61,8 +60,7 @@ def qn(n: int) -> Digraph:
     The path visits 0,1,...,n-1 in order, so inverting each pair {i, i+1}
     once turns each arc i -> i+1 into i+1 -> i while longer arcs stay.
     """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}")
+    _check_vertex_count(n, 1)
     return apply_family(transitive(n), InversionFamily(n, (3 << i for i in range(n - 1))))
 
 
@@ -73,8 +71,7 @@ def qn_family(n: int) -> InversionFamily:
     decycles ``qn(n)``, giving the standard upper bound on its inversion
     number.
     """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}")
+    _check_vertex_count(n, 1)
     sets = []
     for i in range(1, (n - 1) // 2 + 1):
         sets.append((1 << (2 * i - 1)) | (1 << (2 * i)))

@@ -51,6 +51,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_vertex_count(n, low: int = 0) -> None:
+    # refused here, not as a TypeError from 1 << n or range(n) later
+    if not _is_int(n):
+        raise ValueError(f"vertex count must be an int, got {n!r}")
+    if not low <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in {low}..{MAX_VERTICES}")
+
+
 class Digraph(Record):
     """Loop-free, 2-cycle-free directed graph; ``out_rows[v]`` masks v's heads."""
 
@@ -60,10 +68,7 @@ class Digraph(Record):
 
     def __init__(self, n: int, out_rows: Iterable[int]):
         out_rows = tuple(out_rows)
-        if not _is_int(n):
-            raise ValueError(f"vertex count must be an int, got {n!r}")
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
+        _check_vertex_count(n)
         if len(out_rows) != n:
             raise ValueError("adjacency row count does not match vertex count")
         for v, row in enumerate(out_rows):

@@ -132,8 +132,10 @@ class InvResult(Record):
 
     def report(self, deterministic: bool = False) -> str:
         if self.resolved:
+            # no level lies below 0, so a value of 0 needs no proof
+            proof = f"{self.value - 1}_exhausted" if self.value else "none"
             head = (
-                f"inv={self.value} k_proof={self.value - 1}_exhausted"
+                f"inv={self.value} k_proof={proof}"
                 f" backend={self.backend} nodes={self.nodes_explored}"
             )
         else:

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -45,8 +46,9 @@ class TestInvCommand:
         assert out.splitlines()[0] == "inv=1 k_proof=0_exhausted backend=assign nodes=7"
 
     def test_transitive_six(self, capsys):
+        # no level lies below 0, so there is none to have exhausted
         code, out, _ = run(capsys, "inv", "expr:tt(6)", "--deterministic")
-        assert code == 0 and out.startswith("inv=0 ")
+        assert code == 0 and out.startswith("inv=0 k_proof=none backend=assign ")
 
     def test_triple_join(self, capsys):
         code, out, _ = run(capsys, "inv", "expr:join(c3, c3, c3)", "--deterministic")
@@ -399,16 +401,39 @@ class TestExperiments:
             ("thm15", "--budget", "5"),
             ("thm13", "--n-max", "5", "--max-k", "1"),
             ("thm15", "--max-k", "0"),
-        ],
+        ]
+        + [(name, *flags) for name in sorted(cli.EXPERIMENTS)
+           for flags in (("--max-k", "0"), ("--budget", "1"))],
     )
     def test_unresolved_base_is_unknown_exit_two(self, capsys, argv):
         # base values are solved by the checker, so an exhausted budget or
-        # max-k is an UNKNOWN line, not a traceback or a dropped instance
+        # max-k is an UNKNOWN line, not a traceback or a dropped instance,
+        # and its detail is the reason the first unresolved value has none
         code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert code == 2
         instances = [line for line in out.splitlines() if line.startswith("instance")]
-        assert instances and all(line.endswith(": UNKNOWN") for line in instances)
-        assert f"total={len(instances)} pass=0 fail=0 unknown={len(instances)}" in out
+        unknown = [line for line in instances if line.endswith(": UNKNOWN")]
+        reason = re.compile(r"instance .+? (max-k: inv\(enc:[0-9a-f.:]+\) > \d+|budget: .+)"
+                            r" : UNKNOWN")
+        assert unknown and all(reason.fullmatch(line) for line in unknown)
+        # at these limits only graphs of value 0 resolve, as at n=1 and n=2
+        resolved = [line for line in instances if line not in unknown]
+        assert all(line.endswith(": PASS") for line in resolved)
+        if argv[0] in ("thm13", "thm15"):
+            assert not resolved  # base values of 0 and 1 lie outside the theorems
+        assert (f"total={len(instances)} pass={len(resolved)} fail=0"
+                f" unknown={len(unknown)}") in out
+
+    @pytest.mark.parametrize("max_k", [0, 1, 2])
+    def test_max_k_line_replays(self, capsys, max_k):
+        # the graph a max-k line names is unresolved at that max-k by inv too
+        _, out, _ = run(capsys, "experiment", "kjoin", "--max-k", str(max_k), "--deterministic")
+        named = re.findall(r" max-k: inv\((enc:\S+)\) > (\d+) : UNKNOWN$", out, re.M)
+        assert named
+        for enc, bound in named:
+            assert bound == str(max_k)
+            code, replay, _ = run(capsys, "inv", enc, "--max-k", bound, "--deterministic")
+            assert code == 2 and replay.startswith(f"inv=unknown k_exhausted={max_k} ")
 
     def test_deterministic_reports_identical_across_jobs(self, capsys):
         _, serial, _ = run(
@@ -467,7 +492,7 @@ class TestValueTable:
             # at n=6 a class past max-k comes before one past the budget, and
             # the line names the first, as a solve-as-you-read checker would
             (("bounds", "--n-max", "6", "--max-k", "1", "--budget", "50"),
-             "c9b91b82a1d083abe866f20268302c3bc4dca13e67ab9dd91c0399f980116373"),
+             "d0b4e62e2ccc952cd18c534f5cd12874822926aa1f767e8398b2c99cb802b8ce"),
         ],
     )
     def test_budget_stdout_pinned(self, capsys, reference_solver, argv, digest):
@@ -489,7 +514,7 @@ class TestValueTable:
             # at budget 50 no class runs out any more; at 20, n=5 has a class
             # past max-k and n=6 one past the budget
             (("bounds", "--n-max", "6", "--max-k", "1", "--budget", "20"),
-             "2e75d85357ef7c41d3bf32780a0811beccb3df5888471a7283cb896a25a2b46f"),
+             "4ab42235e57546428b317566489f3899a679ab96d6e01a813dedc596c9e9b227"),
         ],
     )
     def test_forward_checked_budget_stdout_pinned(self, capsys, argv, digest):
@@ -498,14 +523,16 @@ class TestValueTable:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # at max-k 2 the part's triangle dijoin (value 3) is unresolved: past
-    # max-k, not past a budget, since none was set
+    # max-k, not past a budget, since none was set; the line names the graph
     def test_kjoin_dijoin_unresolved_pinned(self, capsys):
         code, out, _ = run(capsys, "experiment", "kjoin", "--max-k", "2", "--deterministic")
         assert code == 2
-        assert "dijoin value unresolved : UNKNOWN" in out
+        t = construct.c3()
+        dijoin = digraph.encode_digraph(construct.dijoin(t, construct.dijoin(t, t)))
+        assert f"instance join(c3, dijoin(c3, c3)) max-k: inv({dijoin}) > 2 : UNKNOWN" in out
         assert "budget:" not in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "403c0ec116f4a291186cd541b57cb74c09ecb735b3fd61d835b80bb1dc58a06e"
+            "6c4a545799229d5d404c17654e7233b561fa2983ae2c2618b985cc5a5c3ab6e6"
         )
         code, out, _ = run(capsys, "experiment", "kjoin", "--budget", "40", "--deterministic")
         assert code == 2 and "budget: assignment search exceeded 40 nodes" in out

@@ -98,6 +98,13 @@ class TestSizeLimits:
         with pytest.raises(ValueError, match="must be an int, got True"):
             build(True)
 
+    @pytest.mark.parametrize("n", [2.0, "3"], ids=["float", "str"])
+    @pytest.mark.parametrize("build", [transitive, qn, qn_family])
+    def test_non_int_vertex_count_refused(self, no_construction, build, n):
+        # once a TypeError from 1 << n or range(n), past the range check
+        with pytest.raises(ValueError, match=f"must be an int, got {n!r}"):
+            build(n)
+
     @pytest.mark.parametrize("n", [-5, 0, MAX_VERTICES + 1, 100])
     def test_qn_family_takes_the_orders_qn_takes(self, n):
         # a family for a graph qn refuses to build is refused too

@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from invlab.cli import InstanceResult
 from invlab.digraph import Digraph, InversionFamily
 from invlab.solver import MAX_K, InvResult, SearchOptions
 
@@ -22,8 +21,6 @@ CASES = [
       "nodes_explored": 10, "elapsed": 0.5, "max_k_exhausted": 0},
      {"value": 1, "witness": InversionFamily(3, (0b111,)), "backend": "assign",
       "nodes_explored": 11, "elapsed": 0.5, "max_k_exhausted": 0}),
-    (InstanceResult, {"encoding": "enc:3:2.4.1", "status": "PASS", "detail": "inv=1"},
-     {"encoding": "enc:3:2.4.1", "status": "FAIL", "detail": "inv=1"}),
 ]
 
 IDS = [cls.__name__ for cls, _, _ in CASES]
