@@ -38,7 +38,6 @@ from .solver import (
     exists_family,
     inv_exact,
     inv_order_backend,
-    is_c3_tight,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "inv_order_backend",
     "invert",
     "is_acyclic",
-    "is_c3_tight",
     "k_join",
     "min_gram_dim",
     "nonisomorphic_tournaments",

@@ -9,11 +9,13 @@ Graph sources anywhere a file is accepted:
   embed, so any report line can be replayed directly).
 
 An experiment's builder lists instances; its checker is a generator over
-one instance that yields the graphs whose values it needs, receives their
-values as a list of ints in that order, and returns ``(holds, detail)``
-(None outside the identity's scope).  ``cmd_experiment`` advances every
-checker in rounds and solves each distinct graph (by encoding) once per
-sweep, one pool map per round.  It alone makes UNKNOWN: when a value a
+one instance that yields what it asks: graphs, for their values, or
+``(graph, k)`` pairs, for 1 or 0 as the graph has a decycling k-family
+whose vectors all have even weight.  It receives the answers as a list of
+ints in that order and returns ``(holds, detail)`` (None outside the
+identity's scope); it never searches or raises.  ``cmd_experiment``
+advances every checker in rounds and answers each distinct ask once per
+sweep, one pool map per round.  It alone makes UNKNOWN: when an answer a
 checker asked for is unresolved, the checker is not resumed, and the
 instance reports the first such reason in ask order, ``budget: <why>``
 or ``max-k: inv(<encoding>) > <max-k>``.
@@ -34,7 +36,7 @@ import time
 from collections.abc import Generator
 
 from . import construct, digraph, f2, solver
-from .errors import CriterionViolationError, ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,7 +112,7 @@ def cmd_gram(args) -> int:
 _Checker = Generator[list, list[int], tuple[bool, str] | None]
 
 
-def _check_thm13(inst: str, opts: solver.SearchOptions) -> _Checker:
+def _check_thm13(inst: str) -> _Checker:
     D = digraph.decode_digraph(inst)
     (k,) = yield [D]
     if k < 2 or k % 2:
@@ -125,33 +127,41 @@ def _check_dijoins(L, R, lr_name: str, rl_name: str) -> _Checker:
     return lr == rl, f"{lr_name}={lr} {rl_name}={rl}"
 
 
-def _check_direction(inst: str, opts: solver.SearchOptions) -> _Checker:
+def _check_direction(inst: str) -> _Checker:
     D = digraph.decode_digraph(inst)
     return (yield from _check_dijoins(construct.c3(), D, "c3_first", "c3_last"))
 
 
-def _check_abnormal(inst: str, opts: solver.SearchOptions) -> _Checker:
+def _check_abnormal(inst: str) -> _Checker:
     D = construct.graph_from_expr(inst)
     triple = construct.k_join([construct.c3(), construct.c3(), D])
     left, right = yield [triple, construct.dijoin(construct.c3(), D)]
     return left == right + 1, f"triple_join_inv={left} dijoin_inv={right} expect={right + 1}"
 
 
-def _check_kjoin(inst: str, opts: solver.SearchOptions) -> _Checker:
+def _check_kjoin(inst: str) -> _Checker:
     parts = construct.join_parts(inst)
     invs = yield parts
     special = [i for i, v in enumerate(invs) if v != 1]
     if len(special) > 1 or not all(v >= 1 for v in invs):
         return None  # outside the rule: a part of value 0, or two above 1
     j = special[0] if special else 0
-    (dijoin_k,) = yield [construct.dijoin(construct.c3(), parts[j])]
-    tight = solver.is_c3_tight(parts[j], invs[j], dijoin_k, opts)
+    D, k = parts[j], invs[j]
+    # for odd k >= 3, D's even-weight k-family criterion decides tightness too
+    criterion = [(D, k)] if k >= 3 and k % 2 else []
+    dijoin_k, *said = yield [construct.dijoin(construct.c3(), D)] + criterion
+    tight = dijoin_k == k
+    if said and said[0] != tight:
+        return False, (f"criterion: even-weight criterion says {bool(said[0])}"
+                       f" but the dijoin computes {dijoin_k} against base {k}")
+    if k >= 2 and k % 2 == 0 and tight:
+        return False, f"criterion: dijoin value {dijoin_k} equals even base value {k}"
     expect = sum(invs) - (1 if tight else 0)
     (got,) = yield [construct.k_join(parts)]
     return got == expect, f"parts={invs} tight={int(tight)} join_inv={got} expect={expect}"
 
 
-def _check_thm15(inst: str, opts: solver.SearchOptions) -> _Checker:
+def _check_thm15(inst: str) -> _Checker:
     D = digraph.decode_digraph(inst)
     (base,) = yield [D]
     if base != 1:
@@ -160,7 +170,7 @@ def _check_thm15(inst: str, opts: solver.SearchOptions) -> _Checker:
     return got == D.n + 1, f"blowup_inv={got} expect={D.n + 1}"
 
 
-def _check_qn(inst: str, opts: solver.SearchOptions) -> _Checker:
+def _check_qn(inst: str) -> _Checker:
     n, exact = (int(tok) for tok in inst.split(","))
     Q = construct.qn(n)
     F = construct.qn_family(n)
@@ -175,7 +185,7 @@ def _check_qn(inst: str, opts: solver.SearchOptions) -> _Checker:
     return value <= bound, f"n={n} inv={value} bound={bound}"
 
 
-def _check_bounds(inst: str, opts: solver.SearchOptions) -> _Checker:
+def _check_bounds(inst: str) -> _Checker:
     n = int(inst)
     worst = max((yield digraph.nonisomorphic_tournaments(n)))
     detail = f"n={n} invn={worst}"
@@ -185,7 +195,7 @@ def _check_bounds(inst: str, opts: solver.SearchOptions) -> _Checker:
     return low <= worst <= n - 3, detail + f" window=[{low:.2f},{n - 3}]"
 
 
-def _check_conj_direction(inst: str, opts: solver.SearchOptions) -> _Checker:
+def _check_conj_direction(inst: str) -> _Checker:
     L, R = map(digraph.decode_digraph, inst.split("|"))
     return (yield from _check_dijoins(L, R, "lr", "rl"))
 
@@ -314,28 +324,24 @@ def Pool(processes: int):
     return multiprocessing.Pool(processes)
 
 
-def _run_one(task: tuple[digraph.Digraph, solver.SearchOptions]) -> int | None | str:
-    """Pool task: one graph's value, None past max_k, or why its budget ran out."""
-    D, opts = task
+def _run_one(task: tuple) -> int | None | str:
+    """Pool task ``(ask, opts)``: a graph's value, None past max_k, or, for a
+    ``(graph, k)`` ask, 1 or 0 as the graph has a decycling k-family whose
+    vectors all have even weight; else why the budget ran out."""
+    ask, opts = task
     try:
-        return solver.inv_exact(D, opts).value
+        if isinstance(ask, tuple):
+            return int(solver.exists_family(*ask, opts, even_weight_only=True) is not None)
+        return solver.inv_exact(ask, opts).value
     except ResourceLimitError as exc:
         return f"budget: {exc}"
 
 
-def _step(checker: _Checker, values: list[int] | None) -> tuple[list | None, tuple | None]:
-    """Send ``values`` to a checker: (graphs it asks for next, None) or (None, outcome)."""
-    try:
-        return checker.send(values), None
-    except StopIteration as stop:
-        if stop.value is None:
-            return None, None
-        holds, detail = stop.value
-        return None, ("PASS" if holds else "FAIL", detail)
-    except ResourceLimitError as exc:  # a checker's own search, as in kjoin
-        return None, ("UNKNOWN", f"budget: {exc}")
-    except CriterionViolationError as exc:
-        return None, ("FAIL", f"criterion: {exc}")
+def _key(ask) -> str | tuple[str, int]:
+    """Table key: a graph's encoding, kept apart from a ``(graph, k)`` ask's."""
+    if isinstance(ask, tuple):
+        return digraph.encode_digraph(ask[0]), ask[1]
+    return digraph.encode_digraph(ask)
 
 
 def cmd_experiment(args) -> int:
@@ -350,28 +356,33 @@ def cmd_experiment(args) -> int:
     opts = _options_from_args(args)
     start = time.perf_counter()
     instances = build(args)
-    table: dict[str, int | str] = {}  # encoding -> value, or why it has none
+    table: dict[str | tuple[str, int], int | str] = {}  # ask key -> answer, or why none
     # (status, detail) per instance; None outside its identity's scope
     outcomes: list[tuple | None] = [None] * len(instances)
-    # (instance index, checker, encodings of the graphs it waits for)
-    waiting = [(i, check(inst, opts), None) for i, inst in enumerate(instances)]
+    # (instance index, checker, keys of the asks it waits for)
+    waiting = [(i, check(inst), None) for i, inst in enumerate(instances)]
     with Pool(jobs) if jobs > 1 and len(instances) > 1 else contextlib.nullcontext() as pool:
         solve_all = map if pool is None else pool.map
-        while waiting:  # one round: advance every checker, then solve what they ask
+        while waiting:  # one round: advance every checker, then answer what they ask
             asked = []
-            todo: dict[str, digraph.Digraph] = {}  # graphs not in the table yet
+            todo: dict = {}  # key -> ask, for asks not in the table yet
             for i, checker, keys in waiting:
                 values = None if keys is None else [table[key] for key in keys]
                 reason = next((v for v in values or () if isinstance(v, str)), None)
-                if reason is not None:  # a value it asked for is unresolved
+                if reason is not None:  # an answer it asked for is unresolved
                     outcomes[i] = ("UNKNOWN", reason)
                     continue
-                graphs, outcomes[i] = _step(checker, values)
-                if graphs is not None:
-                    keys = [digraph.encode_digraph(G) for G in graphs]
-                    todo.update((k, G) for k, G in zip(keys, graphs) if k not in table)
-                    asked.append((i, checker, keys))
-            solved = solve_all(_run_one, [(G, opts) for G in todo.values()])
+                try:
+                    asks = checker.send(values)
+                except StopIteration as stop:
+                    if stop.value is not None:
+                        holds, detail = stop.value
+                        outcomes[i] = ("PASS" if holds else "FAIL", detail)
+                    continue
+                keys = [_key(a) for a in asks]
+                todo.update((k, a) for k, a in zip(keys, asks) if k not in table)
+                asked.append((i, checker, keys))
+            solved = solve_all(_run_one, [(a, opts) for a in todo.values()])
             for key, value in zip(todo, solved):
                 table[key] = f"max-k: inv({key}) > {opts.max_k}" if value is None else value
             waiting = asked
@@ -430,8 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gram.add_argument("matrix", help="matrix file")
     p_gram.set_defaults(func=cmd_gram)
 
-    p_exp = sub.add_parser("experiment", help="run a named sweep")
-    p_exp.add_argument("name", help="one of: " + " ".join(sorted(EXPERIMENTS)))
+    docs = "".join(f"\n  {name:16}{entry[3]}" for name, entry in sorted(EXPERIMENTS.items()))
+    p_exp = sub.add_parser("experiment", help="run a named sweep",
+                           epilog="experiments:" + docs,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_exp.add_argument("name", help="one of the experiments listed below")
     p_exp.add_argument("--n-max", type=int, default=5,
                        help="largest instance order for sweeps")
     p_exp.add_argument("--n-exact", type=int, default=7,

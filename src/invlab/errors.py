@@ -29,6 +29,3 @@ class VerificationError(RuntimeError):
         super().__init__(message)
         self.cycle = cycle
 
-
-class CriterionViolationError(RuntimeError):
-    """Two independently computed answers disagree; surfaced, never swallowed."""

@@ -58,6 +58,8 @@ def gram_of(vectors: Sequence[int]) -> tuple[int, ...]:
     """Matrix of pairwise scalar products of ``vectors``."""
     if len(vectors) > MAX_WIDTH:
         raise ValueError(f"order must be in 0..{MAX_WIDTH}, got {len(vectors)}")
+    if any(u < 0 for u in vectors):
+        raise ValueError("a vector is a non-negative int, got a negative one")
     rows = []
     for u in vectors:
         r = 0

@@ -46,12 +46,8 @@ Two independent backends:
   (``f2._peel``, Lempel's least width), whose rows u are the family's sets.
 
 The brute-force subset enumeration both are checked against is a test
-oracle and lives in ``tests/helpers.py``.
-
-The solver builds no graphs.  Its identity check, ``is_c3_tight``, takes
-the inversion numbers it compares as arguments, so a caller that already
-holds them, such as a sweep's value table, never solves the same graph
-twice.
+oracle in ``tests/helpers.py``.  The solver builds no graphs: ``kjoin``'s
+tightness criterion is one ``exists_family`` call with even weights only.
 
 Every returned witness is checked to decycle its graph before it leaves
 this module.  Budgets are counted in search nodes, not wall time, so runs
@@ -68,7 +64,7 @@ from collections.abc import Sequence
 from .digraph import (
     Digraph, InversionFamily, _is_int, apply_family, dump_family, is_acyclic
 )
-from .errors import BudgetExceededError, CriterionViolationError, ResourceLimitError
+from .errors import BudgetExceededError, ResourceLimitError
 from .f2 import _peel, free_diag_bound
 from .record import Record
 
@@ -559,31 +555,4 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
             None, None, "order", nodes, time.perf_counter() - start, opts.max_k
         )
     return _certified(D, InversionFamily(n, _peel(best)), "order", nodes, start)
-
-
-def is_c3_tight(
-    D: Digraph, k: int, dijoin_k: int, opts: SearchOptions | None = None
-) -> bool:
-    """Whether dijoining a triangle onto D leaves the inversion number flat.
-
-    ``k`` is inv(D) and ``dijoin_k`` is inv(c3 => D), both solved by the
-    caller.  When k is odd and at least 3, the even-weight-family
-    criterion decides the same question from D alone (a search within
-    ``opts.budget``); disagreement between the two raises instead of being
-    swallowed.  For even k at least 2 the dijoin must grow the value by
-    one, and that too is enforced.
-    """
-    tight = dijoin_k == k
-    if k >= 3 and k % 2 == 1:
-        criterion = exists_family(D, k, opts, even_weight_only=True) is not None
-        if criterion != tight:
-            raise CriterionViolationError(
-                f"even-weight criterion says {criterion} but the dijoin"
-                f" computes {dijoin_k} against base {k}"
-            )
-    elif k >= 2 and k % 2 == 0 and tight:
-        raise CriterionViolationError(
-            f"dijoin value {dijoin_k} equals even base value {k}"
-        )
-    return tight
 

@@ -15,7 +15,6 @@ import helpers
 
 from invlab import cli, construct, digraph, solver
 from invlab.construct import MAX_EXPR_DEPTH
-from invlab.errors import CriterionViolationError
 from invlab.construct import qn, qn_family
 from invlab.digraph import dump_digraph, dump_family
 from invlab.f2 import dump_matrix
@@ -370,6 +369,25 @@ class TestExperiments:
         code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
         assert code == 0 and "total=4 pass=4" in out
 
+    def test_help_describes_every_experiment(self, capsys):
+        code, out, _ = run(capsys, "experiment", "--help")
+        assert code == 0
+        for name, (*_, doc) in cli.EXPERIMENTS.items():
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(doc)}$", out, re.M), name
+
+    @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+    def test_only_the_pool_task_searches(self, capsys, monkeypatch, name):
+        # a checker gets answers; every search is a task of the sweep's map
+        callers = set()
+        for attr in ("inv_exact", "inv_order_backend", "exists_family"):
+            def spy(*args, real=getattr(solver, attr), **kwargs):
+                callers.add(sys._getframe(1).f_code.co_name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, attr, spy)
+        code, _, _ = run(capsys, "experiment", name, "--deterministic")
+        assert code == 0 and callers == {"_run_one"}
+
     def test_thm15(self, capsys):
         code, out, _ = run(capsys, "experiment", "thm15", "--deterministic")
         assert code == 0 and "blowup_inv=4 expect=4 : PASS" in out
@@ -656,16 +674,117 @@ class TestExperimentLimits:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "--n-max" in lines[0] and str(digraph.MAX_VERTICES) in lines[0]
 
-    def test_criterion_violation_is_a_fail_line(self, capsys, monkeypatch):
-        def disagree(D, k, dijoin_k, opts=None):
-            raise CriterionViolationError("routes disagree")
 
-        monkeypatch.setattr(solver, "is_c3_tight", disagree)
+# a value-3 part whose criterion the sweep must ask: kjoin's own instances
+# have no part of odd value 3 or more
+TIGHTNESS_JOINS = ["join(c3, join(c3, c3, c3))", "join(join(c3, c3, c3), c3)"]
+
+
+class TestKjoinCriterion:
+    @pytest.fixture
+    def joins(self, monkeypatch):
+        def use(*instances):
+            build, check, params, doc = cli.EXPERIMENTS["kjoin"]
+            entry = (lambda args: list(instances), check, params, doc)
+            monkeypatch.setitem(cli.EXPERIMENTS, "kjoin", entry)
+
+        return use
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        # each criterion search, with the function that made it
+        asked = []
+        exists_family = solver.exists_family
+
+        def spy(D, k, opts=None, *, even_weight_only=False):
+            caller = sys._getframe(1).f_code.co_name
+            asked.append((caller, digraph.encode_digraph(D), k, even_weight_only))
+            return exists_family(D, k, opts, even_weight_only=even_weight_only)
+
+        monkeypatch.setattr(solver, "exists_family", spy)
+        return asked
+
+    def test_odd_part_asks_the_criterion_once_through_run_one(self, capsys, joins, asked):
+        # both instances ask the same (part, 3) criterion in one round
+        joins(*TIGHTNESS_JOINS)
+        code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert code == 0
+        assert out.splitlines()[1:3] == [
+            "instance join(c3, join(c3, c3, c3)) parts=[1, 3] tight=0 join_inv=4 expect=4 : PASS",
+            "instance join(join(c3, c3, c3), c3) parts=[3, 1] tight=0 join_inv=4 expect=4 : PASS",
+        ]
+        part = digraph.encode_digraph(construct.k_join([construct.c3()] * 3))
+        assert asked == [("_run_one", part, 3, True)]
+
+    def test_same_stdout_through_a_real_pool(self, capsys, monkeypatch, joins):
+        joins(*TIGHTNESS_JOINS)
+        opened = []
+        real_pool = cli.Pool
+
+        def counted_pool(processes):
+            opened.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "Pool", counted_pool)
+        argv = ("experiment", "kjoin", "--deterministic")
+        code, serial, _ = run(capsys, *argv)
+        assert code == 0 and "total=2 pass=2" in serial
+        code, parallel, _ = run(capsys, *argv, "--jobs", "2")
+        assert code == 0 and opened == [2] and parallel == serial
+
+    def test_forged_criterion_is_a_fail_line(self, capsys, monkeypatch, joins):
+        joins(TIGHTNESS_JOINS[0])
+
+        def says_yes(D, k, opts=None, *, even_weight_only=False):
+            return digraph.InversionFamily(D.n, (0,) * k)
+
+        monkeypatch.setattr(solver, "exists_family", says_yes)
         code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
         assert code == 3
-        fails = [line for line in out.splitlines() if line.endswith(": FAIL")]
-        assert fails and all("routes disagree" in line for line in fails)
-        assert "total=4 pass=0 fail=4" in out
+        assert out.splitlines()[1:] == [
+            "instance join(c3, join(c3, c3, c3)) criterion: even-weight criterion says"
+            " True but the dijoin computes 4 against base 3 : FAIL",
+            "total=1 pass=0 fail=1 unknown=0",
+        ]
+
+    def test_forged_flat_even_base_is_a_fail_line(self, capsys, monkeypatch, joins):
+        joins("join(c3, dijoin(c3, c3))")
+        t = construct.c3()
+        flat = digraph.encode_digraph(construct.dijoin(t, construct.dijoin(t, t)))
+        inv_exact = solver.inv_exact
+
+        def forged(D, opts=None):
+            if digraph.encode_digraph(D) == flat:
+                return solver.InvResult(2, None, "assign", 0, 0.0, 1)
+            return inv_exact(D, opts)
+
+        monkeypatch.setattr(solver, "inv_exact", forged)
+        code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert code == 3
+        assert out.splitlines()[1:] == [
+            "instance join(c3, dijoin(c3, c3)) criterion: dijoin value 2 equals even"
+            " base value 2 : FAIL",
+            "total=1 pass=0 fail=1 unknown=0",
+        ]
+
+    def test_criterion_over_budget_is_unknown(self, capsys, monkeypatch, joins):
+        # the criterion search takes 92 nodes, the rest resolve by default
+        joins(TIGHTNESS_JOINS[0])
+        exists_family = solver.exists_family
+
+        def tight_budget(D, k, opts=None, *, even_weight_only=False):
+            opts = solver.SearchOptions(opts.max_k, budget=50)
+            return exists_family(D, k, opts, even_weight_only=even_weight_only)
+
+        monkeypatch.setattr(solver, "exists_family", tight_budget)
+        code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert code == 2
+        assert out.splitlines()[1:] == [
+            "instance join(c3, join(c3, c3, c3)) budget: assignment search exceeded"
+            " 50 nodes : UNKNOWN",
+            "total=1 pass=0 fail=0 unknown=1",
+        ]
 
 
 class TestJobs:

@@ -204,6 +204,12 @@ class TestGramOf:
         with pytest.raises(ValueError, match="order must be in 0..64, got 65"):
             gram_of([0] * 65)
 
+    @pytest.mark.parametrize("vectors", [[-1, 3], [0, -4]])
+    def test_refuses_a_negative_vector(self, vectors):
+        # a negative int has no finite bitmask, so it is no GF(2) vector
+        with pytest.raises(ValueError, match="negative"):
+            gram_of(vectors)
+
     def test_round_trips_factorization(self):
         rng = random.Random(3)
         M = random_symmetric(rng, 6)

@@ -1,4 +1,4 @@
-"""Solver backends, tightness criterion, and rank law checks."""
+"""Solver backends, the even-weight tightness criterion, and rank law checks."""
 
 import functools
 import inspect
@@ -17,17 +17,12 @@ from invlab.digraph import (
     nonisomorphic_tournaments,
     reverse,
 )
-from invlab.errors import (
-    BudgetExceededError,
-    CriterionViolationError,
-    ResourceLimitError,
-)
+from invlab.errors import BudgetExceededError, ResourceLimitError
 from invlab.solver import (
     SearchOptions,
     exists_family,
     inv_exact,
     inv_order_backend,
-    is_c3_tight,
 )
 
 import helpers
@@ -393,70 +388,39 @@ class TestSymmetryBreakingCompleteness:
         agree_with_reference(graph_from_expr(expr), (value - 1, value))
 
 
-def c3_tight(D):
-    """is_c3_tight on the values of D and of its triangle dijoin."""
-    return is_c3_tight(D, inv_exact(D).value, inv_exact(dijoin(c3(), D)).value)
+# kjoin's tightness question: the graphs the criterion was first checked on
+CRITERION_GRAPHS = [
+    graph_from_expr(expr) for expr in ("c3", "tt(3)", "dijoin(c3, c3)", "join(c3, c3, c3)")
+] + [T for n in range(1, 5) for T in nonisomorphic_tournaments(n)]
 
 
-class TestIsC3Tight:
-    def test_even_value_never_tight(self):
-        assert c3_tight(dijoin(c3(), c3())) is False
+class TestEvenWeightCriterion:
+    """exists_family(D, k, even_weight_only=True) against inv(c3 => D) = k."""
 
-    def test_triangle_not_tight(self):
-        assert c3_tight(c3()) is False
-
-    def test_acyclic_not_tight(self):
-        assert c3_tight(transitive(3)) is False
-
-    def test_small_class_sweep(self):
-        for n in range(1, 5):
-            for T in nonisomorphic_tournaments(n):
-                assert c3_tight(T) is False  # values here are all <= 1 or even
+    @pytest.mark.parametrize("D", CRITERION_GRAPHS, ids=encode_digraph)
+    def test_agrees_with_the_triangle_dijoin(self, D):
+        k = inv_exact(D).value
+        tight = inv_exact(dijoin(c3(), D)).value == k
+        assert not tight  # no graph here is tight
+        criterion = exists_family(D, k, even_weight_only=True) is not None
+        if k >= 1:
+            assert criterion == tight
+        else:  # the empty family is vacuously even, so the criterion has no say
+            assert criterion
 
     def test_odd_value_criterion_agrees_nonvacuously(self):
         # a value-3 instance where the even-weight route must agree with
         # the directly solved 12-vertex dijoin
         D = k_join([c3(), c3(), c3()])
         assert inv_exact(D).value == 3
-        assert c3_tight(D) is False
+        assert exists_family(D, 3, even_weight_only=True) is None
+        assert inv_exact(dijoin(c3(), D)).value == 4
 
     def test_no_odd_value_three_tournaments_up_to_six(self):
         # the criterion's odd branch is vacuous on tournament sweeps here
         for n in range(1, 7):
             for T in nonisomorphic_tournaments(n):
                 assert inv_exact(T).value <= 2
-
-    @pytest.mark.parametrize(
-        "D, k, dijoin_k, message",
-        [
-            (dijoin(c3(), c3()), 2, 2, "dijoin value 2 equals even base value 2"),
-            (
-                k_join([c3(), c3(), c3()]),
-                3,
-                3,
-                "even-weight criterion says False but the dijoin computes 3"
-                " against base 3",
-            ),
-        ],
-        ids=["even", "odd"],
-    )
-    def test_wrong_dijoin_value_is_a_violation(self, D, k, dijoin_k, message):
-        with pytest.raises(CriterionViolationError) as err:
-            is_c3_tight(D, k, dijoin_k)
-        assert str(err.value) == message
-
-    def test_float_value_refused(self):
-        with pytest.raises(ValueError, match="family size must be an int, got 3.0"):
-            is_c3_tight(qn(7), 3.0, 4)
-
-    def test_takes_values_and_solves_nothing(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("is_c3_tight solved a graph")
-
-        monkeypatch.setattr(solver, "inv_exact", refuse)
-        monkeypatch.setattr(solver, "inv_order_backend", refuse)
-        assert is_c3_tight(k_join([c3(), c3(), c3()]), 3, 4) is False
-        assert is_c3_tight(dijoin(c3(), c3()), 2, 3) is False
 
 
 class TestRankLaw:
