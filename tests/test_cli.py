@@ -674,6 +674,29 @@ class TestExperimentLimits:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "--n-max" in lines[0] and str(digraph.MAX_VERTICES) in lines[0]
 
+    def test_criterion_violation_is_a_fail_line(self, capsys, monkeypatch):
+        # the default sweep, with the triangle dijoin of dijoin(c3, c3) forged flat
+        t = construct.c3()
+        flat = digraph.encode_digraph(construct.dijoin(t, construct.dijoin(t, t)))
+        inv_exact = solver.inv_exact
+
+        def forged(D, opts=None):
+            if digraph.encode_digraph(D) == flat:
+                return solver.InvResult(2, None, "assign", 0, 0.0, 1)
+            return inv_exact(D, opts)
+
+        monkeypatch.setattr(solver, "inv_exact", forged)
+        code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert code == 3
+        # join(c3, c3, c3) is the forged graph itself, so its join value is forged too
+        assert out.splitlines()[1:] == [
+            "instance join(c3, c3) parts=[1, 1] tight=0 join_inv=2 expect=2 : PASS",
+            "instance join(c3, c3, c3) parts=[1, 1, 1] tight=0 join_inv=2 expect=3 : FAIL",
+        ] + [
+            f"instance {inst} criterion: dijoin value 2 equals even base value 2 : FAIL"
+            for inst in ("join(c3, dijoin(c3, c3))", "join(dijoin(c3, c3), c3)")
+        ] + ["total=4 pass=1 fail=3 unknown=0"]
+
 
 # a value-3 part whose criterion the sweep must ask: kjoin's own instances
 # have no part of odd value 3 or more
