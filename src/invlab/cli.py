@@ -36,7 +36,7 @@ import time
 from collections.abc import Generator
 
 from . import construct, digraph, f2, solver
-from .errors import ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError, check_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,25 +200,16 @@ def _check_conj_direction(inst: str) -> _Checker:
     return (yield from _check_dijoins(L, R, "lr", "rl"))
 
 
-def _enumerable(n: int, flag: str) -> int:
-    # refuse before any work: enumeration only fails once it reaches n
-    if not 0 <= n <= digraph.MAX_ENUM_VERTICES:
-        raise ValueError(f"{flag} {n} is outside the tournament enumeration"
-                         f" range 0..{digraph.MAX_ENUM_VERTICES}")
-    return n
-
-
-def _orders(n_max: int) -> range:
-    # a sweep over no order checks nothing, so refuse it instead of passing it
-    if n_max < 1:
-        raise ValueError(f"--n-max {n_max} selects no order; it must be at least 1")
-    return range(1, n_max + 1)
+def _orders(n_max: int, top: int) -> range:
+    # refused before any work; a sweep over no order checks nothing, so
+    # it is refused instead of passed
+    return range(1, check_int(n_max, "--n-max", 1, top) + 1)
 
 
 def _build_tournaments(args) -> list[str]:
     return [
         digraph.encode_digraph(T)
-        for n in _orders(_enumerable(args.n_max, "--n-max"))
+        for n in _orders(args.n_max, digraph.MAX_ENUM_VERTICES)
         for T in digraph.nonisomorphic_tournaments(n)
     ]
 
@@ -241,21 +232,18 @@ def _build_thm15(args) -> list[str]:
 
 
 def _build_qn(args) -> list[str]:
-    # refuse before any work: construction only fails once it reaches n
-    if args.n_max > digraph.MAX_VERTICES:
-        raise ValueError(f"--n-max {args.n_max} exceeds the vertex limit"
-                         f" {digraph.MAX_VERTICES}")
-    exact_limit = min(args.n_max, args.n_exact)
-    return [f"{n},{int(n <= exact_limit)}" for n in _orders(args.n_max)]
+    orders = _orders(args.n_max, digraph.MAX_VERTICES)
+    return [f"{n},{int(n <= args.n_exact)}" for n in orders]
 
 
 def _build_bounds(args) -> list[str]:
-    return [str(n) for n in _orders(_enumerable(args.n_max, "--n-max"))]
+    return [str(n) for n in _orders(args.n_max, digraph.MAX_ENUM_VERTICES)]
 
 
 def _build_conj_direction(args) -> list[str]:
-    left_n = _enumerable(args.left_n, "--left-n")
-    right_n = _enumerable(args.right_n, "--right-n")
+    # both flags before either side is enumerated
+    left_n = check_int(args.left_n, "--left-n", 0, digraph.MAX_ENUM_VERTICES)
+    right_n = check_int(args.right_n, "--right-n", 0, digraph.MAX_ENUM_VERTICES)
     lefts = digraph.nonisomorphic_tournaments(left_n)
     rights = digraph.nonisomorphic_tournaments(right_n)
     return [
@@ -349,9 +337,7 @@ def cmd_experiment(args) -> int:
         print(f"unknown experiment {args.name!r}; choices: "
               + " ".join(sorted(EXPERIMENTS)), file=sys.stderr)
         return EXIT_USAGE
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    jobs = min(args.jobs, os.cpu_count() or 1)
+    jobs = min(check_int(args.jobs, "--jobs", 1), os.cpu_count() or 1)
     build, check, param_names, _ = EXPERIMENTS[args.name]
     opts = _options_from_args(args)
     start = time.perf_counter()
@@ -450,8 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest instance order for sweeps")
     p_exp.add_argument("--n-exact", type=int, default=7,
                        help="largest order solved exactly (qn sweep)")
-    p_exp.add_argument("--left-n", type=int, default=3)
-    p_exp.add_argument("--right-n", type=int, default=3)
+    p_exp.add_argument("--left-n", type=int, default=3,
+                       help="order of the left tournaments (conj-direction)")
+    p_exp.add_argument("--right-n", type=int, default=3,
+                       help="order of the right tournaments (conj-direction)")
     p_exp.add_argument("--jobs", type=int, default=1,
                        help="worker processes; report order is stable")
     _add_search_flags(p_exp)

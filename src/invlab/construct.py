@@ -39,7 +39,7 @@ from .digraph import (
     residual_cycle,
 )
 from .digraph import reverse as reverse_digraph
-from .errors import ParseError, VerificationError
+from .errors import ParseError, VerificationError, check_int
 
 
 def c3() -> Digraph:
@@ -124,9 +124,8 @@ MAX_EXPR_DEPTH = 100
 
 
 def _blowup_uniform(base: Digraph, part: Digraph, count: int) -> Digraph:
-    if count < 1:
-        raise ValueError("blowup count must be at least 1")
-    if count != base.n:  # before a part list of that length is built
+    # refused before a part list of that length is built
+    if check_int(count, "blowup count", 1) != base.n:
         raise ValueError(f"blowup base has {base.n} vertices but count is {count}")
     return blow_up(base, [part] * count)
 

@@ -28,7 +28,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_int
 from .f2 import dump_rows, parse_rows
 from .record import Record
 
@@ -46,17 +46,8 @@ MAX_ENUM_VERTICES = 7
 VertexSet = int
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no count
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_vertex_count(n, low: int = 0) -> None:
-    # refused here, not as a TypeError from 1 << n or range(n) later
-    if not _is_int(n):
-        raise ValueError(f"vertex count must be an int, got {n!r}")
-    if not low <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in {low}..{MAX_VERTICES}")
+def _check_vertex_count(n, low: int = 0) -> int:
+    return check_int(n, "vertex count", low, MAX_VERTICES)
 
 
 class Digraph(Record):
@@ -87,7 +78,7 @@ class Digraph(Record):
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Sequence[tuple[int, int]]) -> "Digraph":
-        rows = [0] * n
+        rows = [0] * _check_vertex_count(n)
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) has an endpoint {_outside(n)}")
@@ -116,7 +107,7 @@ class Digraph(Record):
 
     def induced(self, mask: VertexSet) -> "Digraph":
         """Subgraph on the masked vertices, renumbered in ascending order."""
-        if mask < 0 or mask >> self.n:
+        if check_int(mask, "vertex set", None) < 0 or mask >> self.n:
             raise ValueError("vertex set outside the graph")
         verts = [v for v in range(self.n) if mask >> v & 1]
         index = {v: i for i, v in enumerate(verts)}
@@ -155,14 +146,10 @@ class InversionFamily(Record):
     sets: tuple[VertexSet, ...]
 
     def __init__(self, n: int, sets: Iterable[VertexSet]):
-        if not _is_int(n):
-            raise ValueError(f"host size must be an int, got {n!r}")
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"host size must be in 0..{MAX_VERTICES}, got {n}")
+        check_int(n, "host size", 0, MAX_VERTICES)
         sets = tuple(sets)
-        full = (1 << n) - 1
         for i, s in enumerate(sets):
-            if s < 0 or s & ~full:
+            if check_int(s, f"set {i}", None) < 0 or s >> n:
                 raise ValueError(f"set {i} contains vertices {_outside(n)}")
         super().__init__(n, sets)
 
@@ -205,7 +192,7 @@ def apply_family(D: Digraph, F: InversionFamily) -> Digraph:
 
 def invert(D: Digraph, X: VertexSet) -> Digraph:
     """Reverse every arc with both endpoints in X: the one-set family (X,)."""
-    if X < 0 or X >> D.n:
+    if check_int(X, "vertex set", None) < 0 or X >> D.n:
         raise ValueError("vertex set outside the graph")
     return apply_family(D, InversionFamily(D.n, (X,)))
 
@@ -264,10 +251,8 @@ def reverse(D: Digraph) -> Digraph:
     return Digraph(D.n, _columns(D.out_rows, D.n))
 
 
-def _require_enumerable(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"vertex count must be in 0..{MAX_ENUM_VERTICES}, got {n}")
-    if n > MAX_ENUM_VERTICES:
+def _check_enum_order(n: int) -> None:
+    if check_int(n, "vertex count", 0) > MAX_ENUM_VERTICES:
         raise ResourceLimitError(
             f"labelled enumeration is capped at {MAX_ENUM_VERTICES} vertices"
         )
@@ -308,7 +293,7 @@ def nonisomorphic_tournaments(n: int) -> list[Digraph]:
     read back field by field.  Pair (i, j)'s ints are built from two
     columns of the relabellings: the images of i and of j under each.
     """
-    _require_enumerable(n)
+    _check_enum_order(n)
     pairs = _pairs(n)
     m = len(pairs)
     width, fmt = (2, "H") if m <= 16 else (4, "I")

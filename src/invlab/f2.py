@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_int
 
 MAX_WIDTH = 64
 
@@ -42,9 +42,7 @@ FREE_DIAG_LIMIT = 20
 
 def _check_symmetric(rows: Sequence[int]) -> None:
     """Refuse rows that are not a symmetric matrix of order at most MAX_WIDTH."""
-    n = len(rows)
-    if n > MAX_WIDTH:
-        raise ValueError(f"order must be in 0..{MAX_WIDTH}, got {n}")
+    n = check_int(len(rows), "order", 0, MAX_WIDTH)
     for i, r in enumerate(rows):
         if r < 0 or r >> n:
             raise ValueError(f"row {i} has bits beyond column {n - 1}")
@@ -56,8 +54,7 @@ def _check_symmetric(rows: Sequence[int]) -> None:
 
 def gram_of(vectors: Sequence[int]) -> tuple[int, ...]:
     """Matrix of pairwise scalar products of ``vectors``."""
-    if len(vectors) > MAX_WIDTH:
-        raise ValueError(f"order must be in 0..{MAX_WIDTH}, got {len(vectors)}")
+    check_int(len(vectors), "order", 0, MAX_WIDTH)
     if any(u < 0 for u in vectors):
         raise ValueError("a vector is a non-negative int, got a negative one")
     rows = []
@@ -176,8 +173,9 @@ def free_diag_bound(
         raise ResourceLimitError(
             f"{m} rows exceed the free-diagonal limit {FREE_DIAG_LIMIT}"
         )
-    if not 0 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 0..{MAX_WIDTH}, got {width}")
+    check_int(width, "width", 0, MAX_WIDTH)
+    if cap is not None:
+        check_int(cap, "cap", 0)
     if len(cols) != m:
         raise ValueError("need one free column per row")
     seen = 0
@@ -187,8 +185,6 @@ def free_diag_bound(
         seen |= 1 << c
     if any(r < 0 or r >> width for r in rows):
         raise ValueError("row has bits beyond the width")
-    if cap is not None and cap < 0:
-        raise ValueError("cap must not be negative")
     base = [r & ~(1 << c) for r, c in zip(rows, cols)]
     free = [1 << c for c in cols]
     square = m == width

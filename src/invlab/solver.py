@@ -61,10 +61,8 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 
-from .digraph import (
-    Digraph, InversionFamily, _is_int, apply_family, dump_family, is_acyclic
-)
-from .errors import BudgetExceededError, ResourceLimitError
+from .digraph import Digraph, InversionFamily, apply_family, dump_family, is_acyclic
+from .errors import BudgetExceededError, ResourceLimitError, check_int
 from .f2 import _peel, free_diag_bound
 from .record import Record
 
@@ -81,14 +79,9 @@ class SearchOptions(Record):
     budget: int | None
 
     def __init__(self, max_k: int = MAX_K, budget: int | None = None):
-        if not _is_int(max_k):
-            raise ValueError(f"max_k must be an int, got {max_k!r}")
-        if not 0 <= max_k <= MAX_K:
-            raise ValueError(f"max_k must be in 0..{MAX_K}")
-        if budget is not None and not _is_int(budget):
-            raise ValueError(f"budget must be an int or None, got {budget!r}")
-        if budget is not None and budget <= 0:
-            raise ValueError("budget must be positive")
+        check_int(max_k, "max_k", 0, MAX_K)
+        if budget is not None:
+            check_int(budget, "budget", 1)
         super().__init__(max_k, budget)
 
 
@@ -433,10 +426,7 @@ def exists_family(
     """
     if opts is None:
         opts = SearchOptions()
-    if not _is_int(k):
-        raise ValueError(f"family size must be an int, got {k!r}")
-    if not 0 <= k <= MAX_K:
-        raise ValueError(f"family size must be in 0..{MAX_K}")
+    check_int(k, "family size", 0, MAX_K)
     found, _ = _search_assignment(D, k, opts, even_weight_only=even_weight_only)
     if found is not None:
         _certify(D, found)
@@ -448,19 +438,21 @@ def _certify(D: Digraph, family: InversionFamily) -> None:
         raise RuntimeError("internal witness failed its decycling check; this is a bug")
 
 
-def _certified(
-    D: Digraph, family: InversionFamily, backend: str, nodes: int, start: float
+def _result(
+    D: Digraph,
+    family: InversionFamily | None,
+    backend: str,
+    nodes: int,
+    start: float,
+    max_k: int,
 ) -> InvResult:
-    """The resolved result for a witness at its value, once it decycles D."""
-    _certify(D, family)
-    return InvResult(
-        value=family.k,
-        witness=family,
-        backend=backend,
-        nodes_explored=nodes,
-        elapsed=time.perf_counter() - start,
-        max_k_exhausted=family.k - 1,
-    )
+    """Resolved at the family's size once it decycles D; with no family,
+    unresolved with every level up to ``max_k`` exhausted."""
+    value = None
+    if family is not None:
+        _certify(D, family)
+        value, max_k = family.k, family.k - 1
+    return InvResult(value, family, backend, nodes, time.perf_counter() - start, max_k)
 
 
 def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
@@ -477,15 +469,8 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
         found, nodes = _search_assignment(D, k, opts, total)
         total += nodes
         if found is not None:
-            return _certified(D, found, "assign", total, start)
-    return InvResult(
-        value=None,
-        witness=None,
-        backend="assign",
-        nodes_explored=total,
-        elapsed=time.perf_counter() - start,
-        max_k_exhausted=opts.max_k,
-    )
+            break
+    return _result(D, found, "assign", total, start, opts.max_k)
 
 
 def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
@@ -519,7 +504,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     start = time.perf_counter()
     n = D.n
     if n == 0:
-        return _certified(D, InversionFamily(0, ()), "order", 0, start)
+        return _result(D, InversionFamily(0, ()), "order", 0, start, opts.max_k)
 
     best_k = opts.max_k + 1  # prunes every order wider than max_k
     best = [0] * n  # the best order's flip matrix, rows by vertex
@@ -550,9 +535,6 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
                 walk(seq + (v,), block + (row,), used | 1 << v)
 
     walk((), (), 0)
-    if best_k > opts.max_k:
-        return InvResult(
-            None, None, "order", nodes, time.perf_counter() - start, opts.max_k
-        )
-    return _certified(D, InversionFamily(n, _peel(best)), "order", nodes, start)
+    found = InversionFamily(n, _peel(best)) if best_k <= opts.max_k else None
+    return _result(D, found, "order", nodes, start, opts.max_k)
 

@@ -13,9 +13,9 @@ from typing import Iterator, Sequence
 from invlab.digraph import (
     Digraph,
     InversionFamily,
+    _check_enum_order,
     _columns,
     _pairs,
-    _require_enumerable,
     _tournament,
     apply_family,
     invert,
@@ -185,7 +185,7 @@ def enumerate_tournaments(n: int) -> Iterator[Digraph]:
     when bit ``idx`` of ``code`` is set, ``idx`` counting the pairs in
     lexicographic order; codes are listed in ascending order.
     """
-    _require_enumerable(n)
+    _check_enum_order(n)
     pairs = _pairs(n)
     for code in range(1 << len(pairs)):
         yield _tournament(n, pairs, code)
@@ -286,7 +286,7 @@ def reference_class_walk(n: int) -> list[Digraph]:
     loop over relabellings and pairs, and each orbit XORed a list at a
     time.
     """
-    _require_enumerable(n)
+    _check_enum_order(n)
     pairs = _pairs(n)
     m = len(pairs)
     index = {pair: idx for idx, pair in enumerate(pairs)}

@@ -4,6 +4,7 @@ import hashlib
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 
@@ -155,6 +156,36 @@ class TestInvCommand:
         assert code == 0 and out.startswith("inv=2 ")
         code, out2, _ = run(capsys, "inv", "enc:3:2.4.1", "--deterministic")
         assert code == 0 and out2.startswith("inv=1 ")
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+with open(README, encoding="utf-8") as _fh:
+    README_TEXT = _fh.read()
+# the CLI block's `invlab inv <expr: source>  # <start of stdout>[ ...]` lines
+INV_EXAMPLES = re.findall(
+    r"^invlab (inv (?:'expr:[^']*'|expr:\S+)) +# (.+?)(?: \.\.\.)?$", README_TEXT, re.M
+)
+
+
+class TestReadmeExamples:
+    """What the README says an example prints is what it prints."""
+
+    def test_the_cli_block_has_inv_examples(self):
+        assert len(INV_EXAMPLES) >= 2
+
+    @pytest.mark.parametrize("command,stdout", INV_EXAMPLES, ids=[c for c, _ in INV_EXAMPLES])
+    def test_inv_example_stdout(self, capsys, command, stdout):
+        code, out, err = run(capsys, *shlex.split(command))
+        assert code == 0 and err == ""
+        assert out.startswith(stdout)
+
+    def test_usage_error_example(self, capsys):
+        prose = " ".join(README_TEXT.split())  # the example may wrap
+        found = re.search(r"`inv '(expr:[^']*)'` ends with `(error: [^`]*)`", prose)
+        assert found is not None
+        code, out, err = run(capsys, "inv", found[1])
+        assert code == 1 and out == ""
+        assert err == found[2] + "\n"
 
 
 class TestInvLimits:
@@ -374,6 +405,9 @@ class TestExperiments:
         assert code == 0
         for name, (*_, doc) in cli.EXPERIMENTS.items():
             assert re.search(rf"^  {re.escape(name)} +{re.escape(doc)}$", out, re.M), name
+        flat = " ".join(out.split())  # however the help wraps
+        assert "--left-n LEFT_N order of the left tournaments (conj-direction)" in flat
+        assert "--right-n RIGHT_N order of the right tournaments (conj-direction)" in flat
 
     @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
     def test_only_the_pool_task_searches(self, capsys, monkeypatch, name):

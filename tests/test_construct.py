@@ -340,11 +340,11 @@ class TestExpressionErrorsPinned:
             ("dijoin(c3 c3)", "expected ','", 10),
             ("blowup(c3, c3)", "expected ';'", 9),
             ("c3()x", "trailing input 'x'", 4),
-            ("tt(65", f"vertex count must be in 0..{MAX_VERTICES}", 0),
+            ("tt(65", f"vertex count must be in 0..{MAX_VERTICES}, got 65", 0),
             # a constructor's refusal comes before a later syntax error
-            ("join(tt(65), c3 c3", f"vertex count must be in 0..{MAX_VERTICES}", 5),
+            ("join(tt(65), c3 c3", f"vertex count must be in 0..{MAX_VERTICES}, got 65", 5),
             ("c3(", "expected ')'", 3),
-            ("blowup_uniform(c3; c3, 0)", "blowup count must be at least 1", 0),
+            ("blowup_uniform(c3; c3, 0)", "blowup count must be at least 1, got 0", 0),
             ("blowup_uniform(c3; c3, 2)", "blowup base has 3 vertices but count is 2", 0),
         ],
     )
@@ -357,7 +357,7 @@ class TestExpressionErrorsPinned:
             (" joinx(c3)", "expected a join expression", 1),
             ("join c3", "expected '('", 5),
             ("join(c3)x", "trailing input 'x'", 8),
-            ("join(tt(65), c3 c3", f"vertex count must be in 0..{MAX_VERTICES}", 5),
+            ("join(tt(65), c3 c3", f"vertex count must be in 0..{MAX_VERTICES}, got 65", 5),
         ],
     )
     def test_join_parts(self, text, message, offset):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from functools import reduce
 from operator import xor
 
@@ -68,12 +69,20 @@ class TestDigraphValue:
         # a bool would be kept as the count and then written out as one
         with pytest.raises(ValueError, match=f"vertex count must be an int, got {n!r}"):
             Digraph(n, rows)
+        # from_arcs once failed first, with a TypeError from [0] * n
+        with pytest.raises(ValueError, match=f"vertex count must be an int, got {n!r}"):
+            Digraph.from_arcs(n, [])
 
-    @pytest.mark.parametrize("mask", [-1, 0b1101])
+    @pytest.mark.parametrize("mask", [-1, 0b1101, True, 1.5, 2.0])
     def test_induced_refuses_vertices_outside_the_graph(self, mask):
-        with pytest.raises(ValueError, match="vertex set outside the graph"):
+        # a mask that is no int (a bool included) once failed with a TypeError
+        # from >>, or was read as a set
+        message = "vertex set outside the graph"
+        if type(mask) is not int:
+            message = f"^vertex set must be an int, got {re.escape(repr(mask))}$"
+        with pytest.raises(ValueError, match=message):
             c3().induced(mask)
-        with pytest.raises(ValueError, match="vertex set outside the graph"):
+        with pytest.raises(ValueError, match=message):
             invert(c3(), mask)
 
     @pytest.mark.parametrize("arc", [(-1, 0), (3, 0)])
@@ -96,6 +105,14 @@ class TestFamilyValue:
     def test_empty_host_keeps_empty_sets(self):
         # the solvers' witnesses on the empty graph
         assert InversionFamily(0, (0, 0)).k == 2
+
+    @pytest.mark.parametrize("mask", [-1, 0b1000, True, 2.0])
+    def test_sets_outside_the_host_refused(self, mask):
+        message = r"^set 1 contains vertices outside 0\.\.2$"
+        if type(mask) is not int:
+            message = f"^set 1 must be an int, got {re.escape(repr(mask))}$"
+        with pytest.raises(ValueError, match=message):
+            InversionFamily(3, (0b011, mask))
 
     @pytest.mark.parametrize("lists", [[[-1]], [[0], [2, -3]], [[3]]])
     def test_vertex_lists_outside_the_host_refused(self, lists):
@@ -402,10 +419,10 @@ class TestEnumeration:
             next(enumerate_tournaments(8))
 
     def test_negative_order_refused(self):
-        # refused before any table is built, naming the enumerable range
-        with pytest.raises(ValueError, match=r"must be in 0\.\.7, got -1"):
+        # refused before any table is built
+        with pytest.raises(ValueError, match="^vertex count must be at least 0, got -1$"):
             nonisomorphic_tournaments(-1)
-        with pytest.raises(ValueError, match=r"must be in 0\.\.7, got -3"):
+        with pytest.raises(ValueError, match="^vertex count must be at least 0, got -3$"):
             next(enumerate_tournaments(-3))
 
 

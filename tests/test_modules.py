@@ -11,6 +11,10 @@ import sys
 import pytest
 
 import invlab
+from invlab import construct, f2, solver
+from invlab.construct import c3
+from invlab.digraph import MAX_VERTICES, Digraph, InversionFamily, nonisomorphic_tournaments
+from invlab.solver import SearchOptions
 
 
 def test_no_module_global_caches():
@@ -72,7 +76,8 @@ TEST_ONLY = {
 # a sweep checker returns (holds, detail) on resolved values only, while
 # the sweep itself reports an unresolved one as UNKNOWN, and the sweep
 # answers kjoin's even-weight criterion as one more ask, so no checker
-# searches or raises
+# searches or raises; every int argument is refused by errors.check_int,
+# and one solver._result builds every solver result
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -100,6 +105,9 @@ REMOVED = {
     "is_c3_tight",
     "CriterionViolationError",
     "_step",
+    "_is_int",
+    "_enumerable",
+    "_certified",
 }
 
 
@@ -149,3 +157,43 @@ def test_import_and_serial_run_load_only_what_they_use():
     assert NOT_IMPORTED & set(report["on_import"]) == set()
     assert report["code"] == 0
     assert "multiprocessing" not in report["after_run"]
+
+
+# every public int parameter: (call taking it, what its refusal names, low,
+# high, or None where no ValueError states an upper limit)
+INT_PARAMETERS = {
+    "Digraph": (lambda n: Digraph(n, ()), "vertex count", 0, MAX_VERTICES),
+    "InversionFamily": (lambda n: InversionFamily(n, ()), "host size", 0, MAX_VERTICES),
+    "transitive": (construct.transitive, "vertex count", 0, MAX_VERTICES),
+    "qn": (construct.qn, "vertex count", 1, MAX_VERTICES),
+    "qn_family": (construct.qn_family, "vertex count", 1, MAX_VERTICES),
+    # above MAX_ENUM_VERTICES the refusal is a ResourceLimitError
+    "nonisomorphic_tournaments": (nonisomorphic_tournaments, "vertex count", 0, None),
+    "max_k": (lambda k: SearchOptions(max_k=k), "max_k", 0, solver.MAX_K),
+    "budget": (lambda b: SearchOptions(budget=b), "budget", 1, None),
+    "exists_family": (lambda k: solver.exists_family(c3(), k), "family size", 0, solver.MAX_K),
+    "free_diag_bound-width": (lambda w: f2.free_diag_bound([], [], w), "width", 0, f2.MAX_WIDTH),
+    "free_diag_bound-cap": (lambda c: f2.free_diag_bound([], [], 0, c), "cap", 0, None),
+}
+
+
+def _int_refusals():
+    for name, (call, what, low, high) in INT_PARAMETERS.items():
+        for value in (True, 2.0, "2"):
+            yield pytest.param(call, value, f"{what} must be an int, got {value!r}",
+                               id=f"{name}-{value!r}")
+        below = f"at least {low}" if high is None else f"in {low}..{high}"
+        yield pytest.param(call, low - 1, f"{what} must be {below}, got {low - 1}",
+                           id=f"{name}-below")
+        if high is not None:
+            yield pytest.param(call, high + 1, f"{what} must be in {low}..{high}, got {high + 1}",
+                               id=f"{name}-above")
+
+
+@pytest.mark.parametrize("call,value,message", _int_refusals())
+def test_int_parameter_refusal(call, value, message):
+    # one rule and one wording for every int argument: a bool, a float or a
+    # string is refused as a ValueError, not a TypeError from range or <<
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == message

@@ -3,6 +3,7 @@
 import functools
 import inspect
 import random
+import re
 
 import pytest
 
@@ -248,21 +249,21 @@ class TestOrderBackendWitness:
     @pytest.mark.parametrize(
         "fields,message",
         [
-            ({"max_k": 13}, "max_k must be in 0..12"),
-            ({"max_k": -1}, "max_k must be in 0..12"),
-            ({"budget": 0}, "budget must be positive"),
+            ({"max_k": 13}, "max_k must be in 0..12, got 13"),
+            ({"max_k": -1}, "max_k must be in 0..12, got -1"),
+            ({"budget": 0}, "budget must be at least 1, got 0"),
             # not an int: refused here, before a search could trip on it
             ({"max_k": 2.5}, "max_k must be an int, got 2.5"),
             ({"max_k": 2.0}, "max_k must be an int, got 2.0"),
             ({"max_k": "3"}, "max_k must be an int, got '3'"),
             ({"max_k": True}, "max_k must be an int, got True"),
-            ({"budget": 1.5}, "budget must be an int or None, got 1.5"),
-            ({"budget": 100.0}, "budget must be an int or None, got 100.0"),
-            ({"budget": True}, "budget must be an int or None, got True"),
+            ({"budget": 1.5}, "budget must be an int, got 1.5"),
+            ({"budget": 100.0}, "budget must be an int, got 100.0"),
+            ({"budget": True}, "budget must be an int, got True"),
         ],
     )
     def test_search_options_refuse_out_of_range(self, fields, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SearchOptions(**fields)
 
 
