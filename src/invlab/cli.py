@@ -55,6 +55,10 @@ def resolve_graph_source(source: str) -> digraph.Digraph:
 
 
 def _options_from_args(args) -> solver.SearchOptions:
+    # refused here, so the message names the flag, not the SearchOptions field
+    check_int(args.max_k, "--max-k", 0, solver.MAX_K)
+    if args.budget is not None:
+        check_int(args.budget, "--budget", 1)
     return solver.SearchOptions(max_k=args.max_k, budget=args.budget)
 
 

@@ -39,7 +39,7 @@ from .digraph import (
     residual_cycle,
 )
 from .digraph import reverse as reverse_digraph
-from .errors import ParseError, VerificationError, check_int
+from .errors import ParseError, VerificationError, check_int, check_masks
 
 
 def c3() -> Digraph:
@@ -298,8 +298,7 @@ def compose_blowup_family(
     if len(parts) != T.n or len(part_sets) != T.n:
         raise ValueError("need exactly one part and one inversion set per vertex")
     for j, (p, y) in enumerate(zip(parts, part_sets)):
-        if y < 0 or y >> p.n:
-            raise ValueError(f"part {j}: inversion set outside the part")
+        check_masks((y,), f"inversion set of part {j}", p.n)
         if is_acyclic(invert(p, y)) is None:
             raise ValueError(f"part {j}: inversion set does not decycle the part")
     if reduce(xor, F_T.sets, 0):

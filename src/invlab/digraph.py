@@ -28,7 +28,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import ResourceLimitError, check_int
+from .errors import ResourceLimitError, check_int, check_masks
 from .f2 import dump_rows, parse_rows
 from .record import Record
 
@@ -58,17 +58,14 @@ class Digraph(Record):
     out_rows: tuple[int, ...]
 
     def __init__(self, n: int, out_rows: Iterable[int]):
-        out_rows = tuple(out_rows)
         _check_vertex_count(n)
+        out_rows = check_masks(out_rows, "row {}", n)
         if len(out_rows) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        for v, row in enumerate(out_rows):
-            if row < 0 or row >> n:
-                raise ValueError(f"row {v} points outside the vertex range")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
         for u in range(n):
             row = out_rows[u]
+            if row >> u & 1:
+                raise ValueError(f"loop at vertex {u}")
             while row:
                 v = (row & -row).bit_length() - 1
                 if out_rows[v] >> u & 1:
@@ -79,13 +76,13 @@ class Digraph(Record):
     @classmethod
     def from_arcs(cls, n: int, arcs: Sequence[tuple[int, int]]) -> "Digraph":
         rows = [0] * _check_vertex_count(n)
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) has an endpoint {_outside(n)}")
+        for arc in arcs:
+            u, v = check_masks(arc, "arc endpoint", n, index=True)
             rows[u] |= 1 << v
         return cls(n, rows)
 
     def has_arc(self, u: int, v: int) -> bool:
+        u, v = check_masks((u, v), "vertex", self.n, index=True)
         return bool(self.out_rows[u] >> v & 1)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
@@ -107,8 +104,7 @@ class Digraph(Record):
 
     def induced(self, mask: VertexSet) -> "Digraph":
         """Subgraph on the masked vertices, renumbered in ascending order."""
-        if check_int(mask, "vertex set", None) < 0 or mask >> self.n:
-            raise ValueError("vertex set outside the graph")
+        check_masks((mask,), "vertex set", self.n)
         verts = [v for v in range(self.n) if mask >> v & 1]
         index = {v: i for i, v in enumerate(verts)}
         rows = []
@@ -121,10 +117,6 @@ class Digraph(Record):
                 row &= row - 1
             rows.append(new)
         return Digraph(len(verts), rows)
-
-
-def _outside(n: int) -> str:
-    return f"outside 0..{n - 1}" if n > 0 else "outside the graph, which has no vertices"
 
 
 def _columns(rows: Sequence[int], n: int) -> tuple[int, ...]:
@@ -147,11 +139,7 @@ class InversionFamily(Record):
 
     def __init__(self, n: int, sets: Iterable[VertexSet]):
         check_int(n, "host size", 0, MAX_VERTICES)
-        sets = tuple(sets)
-        for i, s in enumerate(sets):
-            if check_int(s, f"set {i}", None) < 0 or s >> n:
-                raise ValueError(f"set {i} contains vertices {_outside(n)}")
-        super().__init__(n, sets)
+        super().__init__(n, check_masks(sets, "set {}", n))
 
     @property
     def k(self) -> int:
@@ -161,12 +149,11 @@ class InversionFamily(Record):
     def from_vertex_lists(
         cls, n: int, lists: Sequence[Sequence[int]]
     ) -> "InversionFamily":
-        sets = []
-        for i, vs in enumerate(lists):
-            if any(v < 0 for v in vs):
-                raise ValueError(f"set {i} contains vertices {_outside(n)}")
-            sets.append(sum(1 << v for v in set(vs)))
-        return cls(n, sets)
+        check_int(n, "host size", 0, MAX_VERTICES)
+        return cls(n, [
+            sum(1 << v for v in set(check_masks(vs, f"vertex in set {i}", n, index=True)))
+            for i, vs in enumerate(lists)
+        ])
 
     def vertex_lists(self) -> list[list[int]]:
         return [[v for v in range(self.n) if s >> v & 1] for s in self.sets]
@@ -192,8 +179,6 @@ def apply_family(D: Digraph, F: InversionFamily) -> Digraph:
 
 def invert(D: Digraph, X: VertexSet) -> Digraph:
     """Reverse every arc with both endpoints in X: the one-set family (X,)."""
-    if check_int(X, "vertex set", None) < 0 or X >> D.n:
-        raise ValueError("vertex set outside the graph")
     return apply_family(D, InversionFamily(D.n, (X,)))
 
 
@@ -380,18 +365,11 @@ def parse_family(text: str, n: int) -> InversionFamily:
     Every line is one set (a blank line is the empty set); trailing blank
     lines are ignored.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    sets = []
-    for i, ln in enumerate(lines):
-        mask = 0
-        for tok in ln.split():
+    lists = [ln.split() for ln in text.splitlines()]
+    while lists and not lists[-1]:
+        lists.pop()
+    for i, toks in enumerate(lists):
+        for tok in toks:
             if not (tok.isascii() and tok.isdigit()):
                 raise ValueError(f"set {i}: {tok!r} is not a vertex index")
-            v = int(tok)
-            if not 0 <= v < n:
-                raise ValueError(f"set {i}: vertex {v} {_outside(n)}")
-            mask |= 1 << v
-        sets.append(mask)
-    return InversionFamily(n, sets)
+    return InversionFamily.from_vertex_lists(n, [list(map(int, t)) for t in lists])

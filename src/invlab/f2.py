@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import ResourceLimitError, check_int
+from .errors import ResourceLimitError, check_int, check_masks
 
 MAX_WIDTH = 64
 
@@ -43,9 +43,7 @@ FREE_DIAG_LIMIT = 20
 def _check_symmetric(rows: Sequence[int]) -> None:
     """Refuse rows that are not a symmetric matrix of order at most MAX_WIDTH."""
     n = check_int(len(rows), "order", 0, MAX_WIDTH)
-    for i, r in enumerate(rows):
-        if r < 0 or r >> n:
-            raise ValueError(f"row {i} has bits beyond column {n - 1}")
+    check_masks(rows, "row {}", n)
     for i in range(n):
         for j in range(i + 1, n):
             if (rows[i] >> j & 1) != (rows[j] >> i & 1):
@@ -55,8 +53,7 @@ def _check_symmetric(rows: Sequence[int]) -> None:
 def gram_of(vectors: Sequence[int]) -> tuple[int, ...]:
     """Matrix of pairwise scalar products of ``vectors``."""
     check_int(len(vectors), "order", 0, MAX_WIDTH)
-    if any(u < 0 for u in vectors):
-        raise ValueError("a vector is a non-negative int, got a negative one")
+    check_masks(vectors, "vector {}", MAX_WIDTH)
     rows = []
     for u in vectors:
         r = 0
@@ -176,15 +173,10 @@ def free_diag_bound(
     check_int(width, "width", 0, MAX_WIDTH)
     if cap is not None:
         check_int(cap, "cap", 0)
-    if len(cols) != m:
-        raise ValueError("need one free column per row")
-    seen = 0
-    for c in cols:
-        if not 0 <= c < width or seen >> c & 1:
-            raise ValueError("free columns must be distinct and inside the width")
-        seen |= 1 << c
-    if any(r < 0 or r >> width for r in rows):
-        raise ValueError("row has bits beyond the width")
+    check_masks(rows, "row {}", width)
+    cols = check_masks(cols, "column {}", width, index=True)
+    if len(cols) != m or len(set(cols)) != m:
+        raise ValueError("need one distinct free column per row")
     base = [r & ~(1 << c) for r, c in zip(rows, cols)]
     free = [1 << c for c in cols]
     square = m == width

@@ -206,19 +206,22 @@ class TestInvLimits:
         assert "unrecognized arguments: --even-weight-only" in err
 
     @pytest.mark.parametrize(
-        "flags",
-        [("--max-k", "13"), ("--max-k", "-1"), ("--budget", "0")],
+        "flags,message",
+        [
+            (("--max-k", "13"), "--max-k must be in 0..12, got 13"),
+            (("--max-k", "-1"), "--max-k must be in 0..12, got -1"),
+            (("--budget", "0"), "--budget must be at least 1, got 0"),
+        ],
         ids=["max-k-13", "max-k-negative", "budget-0"],
     )
-    def test_search_flag_out_of_range_exit_one(self, capsys, monkeypatch, flags):
+    def test_search_flag_out_of_range_exit_one(self, capsys, monkeypatch, flags, message):
+        # the refusal names the flag, not the SearchOptions field behind it
         def refuse(*args, **kwargs):
             raise AssertionError("the solver ran before the flags were checked")
 
         monkeypatch.setattr(solver, "inv_exact", refuse)
         code, out, err = run(capsys, "inv", "expr:c3", *flags, "--deterministic")
-        assert code == 1 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("expr", ["tt(1000000000)", "qn(1000000000)"])
     def test_above_vertex_limit_exit_one(self, capsys, expr):
@@ -296,14 +299,14 @@ class TestVerifyCommand:
         f = tmp_path / "bad.fam"
         f.write_text("0 9\n")
         code, _, err = run(capsys, "verify", "expr:c3", str(f))
-        assert code == 1 and "outside" in err
+        assert code == 1 and err == "error: vertex in set 0 must be in range(3), got 9\n"
 
     def test_empty_graph_refusal_names_no_range(self, capsys, tmp_path):
         f = tmp_path / "one.fam"
         f.write_text("0\n")
         code, out, err = run(capsys, "verify", "enc:0:", str(f))
         assert (code, out) == (1, "")
-        assert err == "error: set 0: vertex 0 outside the graph, which has no vertices\n"
+        assert err == "error: vertex in set 0 must be in range(0), got 0\n"
 
 
 class TestGramCommand:

@@ -1,10 +1,12 @@
 """Module-level invariants that hold across the whole package."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 
@@ -12,8 +14,16 @@ import pytest
 
 import invlab
 from invlab import construct, f2, solver
-from invlab.construct import c3
-from invlab.digraph import MAX_VERTICES, Digraph, InversionFamily, nonisomorphic_tournaments
+from invlab.construct import c3, compose_blowup_family, transitive
+from invlab.digraph import (
+    MAX_VERTICES,
+    Digraph,
+    InversionFamily,
+    dump_family,
+    invert,
+    nonisomorphic_tournaments,
+    parse_family,
+)
 from invlab.solver import SearchOptions
 
 
@@ -77,7 +87,8 @@ TEST_ONLY = {
 # the sweep itself reports an unresolved one as UNKNOWN, and the sweep
 # answers kjoin's even-weight criterion as one more ask, so no checker
 # searches or raises; every int argument is refused by errors.check_int,
-# and one solver._result builds every solver result
+# and one solver._result builds every solver result; every mask and vertex
+# index is refused by errors.check_masks, in one wording for every width
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -108,6 +119,7 @@ REMOVED = {
     "_is_int",
     "_enumerable",
     "_certified",
+    "_outside",
 }
 
 
@@ -197,3 +209,121 @@ def test_int_parameter_refusal(call, value, message):
     with pytest.raises(ValueError) as err:
         call(value)
     assert str(err.value) == message
+
+
+# every public mask and vertex-index parameter: (call taking it, what its
+# refusal names, width, and whether it is an index, a bit position, rather
+# than a mask)
+MASK_PARAMETERS = {
+    "Digraph-row": (lambda r: Digraph(3, (r, 0, 0)), "row 0", 3, False),
+    "from_arcs-tail": (lambda u: Digraph.from_arcs(3, [(u, 0)]), "arc endpoint", 3, True),
+    "from_arcs-head": (lambda v: Digraph.from_arcs(3, [(0, v)]), "arc endpoint", 3, True),
+    "has_arc-tail": (lambda u: c3().has_arc(u, 0), "vertex", 3, True),
+    "has_arc-head": (lambda v: c3().has_arc(0, v), "vertex", 3, True),
+    "induced": (lambda X: c3().induced(X), "vertex set", 3, False),
+    "invert": (lambda X: invert(c3(), X), "set 0", 3, False),
+    "InversionFamily": (lambda s: InversionFamily(3, (0, s)), "set 1", 3, False),
+    "from_vertex_lists": (
+        lambda v: InversionFamily.from_vertex_lists(3, [[0], [v]]), "vertex in set 1", 3, True
+    ),
+    "min_gram_dim-row": (lambda r: f2.min_gram_dim((0, r)), "row 1", 2, False),
+    "gram_factor-row": (lambda r: f2.gram_factor((r,)), "row 0", 1, False),
+    "gram_of": (lambda u: f2.gram_of([u]), "vector 0", f2.MAX_WIDTH, False),
+    "free_diag_bound-row": (lambda r: f2.free_diag_bound([r], [0], 2), "row 0", 2, False),
+    "free_diag_bound-column": (lambda c: f2.free_diag_bound([0], [c], 2), "column 0", 2, True),
+    "compose_blowup_family": (
+        lambda y: compose_blowup_family(transitive(1), InversionFamily(1, ()), [c3()], [y]),
+        "inversion set of part 0", 3, False,
+    ),
+}
+
+
+# calls that once raised a TypeError or MemoryError, reported the wrong
+# fault, answered outside the graph or were accepted
+MASK_CALLS = {
+    "Digraph-float-row": (lambda: Digraph(2, (1.5, 0)), "row 0 must be an int, got 1.5"),
+    "Digraph-bool-row": (lambda: Digraph(2, (True, 0)), "row 0 must be an int, got True"),
+    "from_arcs-float": (lambda: Digraph.from_arcs(3, [(0, 1.5)]),
+                        "arc endpoint must be an int, got 1.5"),
+    "from_arcs-huge": (lambda: Digraph.from_arcs(3, [(0, 10**30)]),
+                       f"arc endpoint must be in range(3), got {10**30}"),
+    "from_vertex_lists-float": (lambda: InversionFamily.from_vertex_lists(3, [[1.5]]),
+                                "vertex in set 0 must be an int, got 1.5"),
+    "from_vertex_lists-bool": (lambda: InversionFamily.from_vertex_lists(3, [[True]]),
+                               "vertex in set 0 must be an int, got True"),
+    "min_gram_dim-float": (lambda: f2.min_gram_dim((1.5,)), "row 0 must be an int, got 1.5"),
+    "min_gram_dim-bool": (lambda: f2.min_gram_dim((True,)), "row 0 must be an int, got True"),
+    "gram_of-float": (lambda: f2.gram_of([1.5]), "vector 0 must be an int, got 1.5"),
+    "free_diag_bound-float-row": (lambda: f2.free_diag_bound([1.5], [0], 2),
+                                  "row 0 must be an int, got 1.5"),
+    "free_diag_bound-bool-column": (lambda: f2.free_diag_bound([1], [True], 2),
+                                    "column 0 must be an int, got True"),
+    "has_arc-head-5": (lambda: c3().has_arc(0, 5), "vertex must be in range(3), got 5"),
+    "has_arc-tail-5": (lambda: c3().has_arc(5, 0), "vertex must be in range(3), got 5"),
+    "has_arc-head-negative": (lambda: c3().has_arc(0, -1), "vertex must be in range(3), got -1"),
+}
+
+
+def _mask_refusals():
+    for name, (call, what, width, index) in MASK_PARAMETERS.items():
+        bound = f"range({width})" if index else f"range(2**{width})"
+        past = width if index else 1 << width
+        for value in (True, 1.5, "1"):
+            yield pytest.param(call, value, f"{what} must be an int, got {value!r}",
+                               id=f"{name}-{value!r}")
+        for label, value in (("negative", -1), ("past-width", past), ("huge", 10**30)):
+            yield pytest.param(call, value, f"{what} must be in {bound}, got {value}",
+                               id=f"{name}-{label}")
+    # the family text holds only digit tokens, so only its range is checked
+    for n, value in ((3, 3), (3, 10**30), (2, 99999999999999999999)):
+        yield pytest.param(lambda v, n=n: parse_family(f"{v}\n", n), value,
+                           f"vertex in set 0 must be in range({n}), got {value}",
+                           id=f"parse_family-{value}")
+    for name, (call, message) in MASK_CALLS.items():
+        yield pytest.param(lambda _, call=call: call(), None, message, id=name)
+
+
+@pytest.mark.parametrize("call,value,message", _mask_refusals())
+def test_mask_parameter_refusal(call, value, message):
+    # one rule and one wording for every vertex set, row, vector and vertex
+    # index: no TypeError from >> or <<, no bool read as a vertex, and no
+    # MemoryError from shifting by a huge index
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == message
+
+
+def _valid_outputs():
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randrange(8)
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.7:
+                    if rng.random() < 0.5:
+                        rows[u] |= 1 << v
+                    else:
+                        rows[v] |= 1 << u
+        D = Digraph(n, rows)
+        X = rng.getrandbits(n) if n else 0
+        F = InversionFamily.from_vertex_lists(
+            n, [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(rng.randrange(4))]
+        )
+        M = f2.gram_of([rng.getrandbits(n) for _ in range(n)])
+        cols = rng.sample(range(n), n)
+        yield (D, Digraph.from_arcs(n, list(D.arcs())), D.induced(X), invert(D, X),
+               [D.has_arc(u, v) for u in range(n) for v in range(n)],
+               F, parse_family(dump_family(F), n), M, f2.min_gram_dim(M),
+               f2.free_diag_bound(rows, cols, n),
+               f2.free_diag_bound(M[: n // 2], cols[: n // 2], n))
+    yield compose_blowup_family(
+        transitive(2), InversionFamily(2, ()), [transitive(2), c3()], [0, 0b110]
+    )
+
+
+def test_mask_rule_leaves_valid_inputs_unchanged():
+    # the digest the same seeded inputs gave with the per-site range checks
+    # that check_masks replaced: the same digraphs, families, ranks and (k, d)
+    digest = hashlib.sha256(repr(list(_valid_outputs())).encode()).hexdigest()
+    assert digest == "72a700101a00855c737496b477e9596c02139bd55ad362b2dca542bfbc1dc4f1"
