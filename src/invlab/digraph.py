@@ -372,4 +372,11 @@ def parse_family(text: str, n: int) -> InversionFamily:
         for tok in toks:
             if not (tok.isascii() and tok.isdigit()):
                 raise ValueError(f"set {i}: {tok!r} is not a vertex index")
+    # a token longer than n's digits is out of range, and int() refuses
+    # strings past 4,300 digits, so it is refused unread
+    lists = [[tok.lstrip("0") or "0" for tok in toks] for toks in lists]
+    for i, toks in enumerate(lists):
+        for tok in toks:
+            if len(tok) > len(str(n)):
+                raise ValueError(f"vertex in set {i} must be in range({n}), got {tok}")
     return InversionFamily.from_vertex_lists(n, [list(map(int, t)) for t in lists])

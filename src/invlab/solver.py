@@ -8,25 +8,20 @@ Two independent backends:
   that close no cycle with the placed prefix; placing a vertex removes
   from every mask the vectors that now close one through it, a branch is
   cut as soon as a mask empties, and the next vertex is the one with the
-  fewest vectors left (fail first).  A node is one canonical candidate
-  examined, and one outside its vertex's mask costs a bit test.  The
-  flips depend only on the dot products of the vectors, so any isometry
-  of GF(2)^k maps decycling families to decycling families, and two are
-  broken.  Permutation of family positions (coordinate permutation of
-  all vectors at once): coordinates whose columns agree so far form
-  blocks of consecutive coordinates, and a vertex may only set a prefix
-  of each block.  And, for even k, the map complementing every
-  odd-weight vector: the first odd-weight vector in search order weighs
-  at most k/2.  Mask sizes are isometry invariants, so the vertex
-  sequence is the same along every member of an orbit, and both rules
-  stay sound (see ``_search_assignment``).  The list of block lengths
-  (the shape), with whether an odd-weight vector is placed yet, fixes a
-  vertex's candidate list, which each search call builds once and keeps
-  in a dict local to the call, up to ``_MEMO_CAP`` entries in all; a
-  list past the cap is rebuilt at each node that needs it.  Per
-  coordinate c the search keeps a column mask of the placed vertices
-  whose vector sets c, so the pattern of arcs a candidate reverses is
-  the XOR of the masks of its set coordinates.
+  fewest vectors left (fail first).  The flips depend only on the dot
+  products of the vectors, so any isometry of GF(2)^k maps decycling
+  families to decycling families, and two are broken (see
+  ``_search_assignment``): permutation of family positions, where a
+  vertex may only set a prefix of each block of coordinates whose
+  columns agree so far, and, for even k, the map complementing every
+  odd-weight vector, where the first odd-weight vector weighs at most
+  k/2.  A vertex's canonical candidates are one 2^k-bit mask too, each
+  rule one mask ANDed in, kept per block shape in a memo local to the
+  call.  A node is one canonical candidate examined; those outside its
+  vertex's mask cost one popcount together.  Per coordinate c the search
+  keeps a column mask of the placed vertices whose vector sets c, so the
+  pattern of arcs a candidate reverses is the XOR of the masks of its
+  set coordinates.
 
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
@@ -150,38 +145,14 @@ def _vertex_order(D: Digraph, ins: Sequence[int]) -> list[int]:
     )
 
 
-# candidate list entries one search call may keep in its memo; what would
-# pass this is rebuilt each time it is needed
-_MEMO_CAP = 1 << 16
+def _block_prefixes(tops: int) -> int:
+    """The vectors w that set a prefix of each block, as a 2^k-bit mask.
 
-
-def _candidates(
-    shape: tuple[int, ...], even_only: bool
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Canonical vectors for a vertex whose blocks have lengths ``shape``.
-
-    Entries are ``(w, coordinates set in w, shape after w)``, the last
-    block's prefix length varying fastest; ``even_only`` drops odd weights.
-    Each block's options, one per prefix length, are listed once and
-    joined onto the entries of the blocks before it.
+    Bit c of ``tops`` is set where coordinate c heads its block, which runs
+    down to the next head, and bit k-1 is set: w sets a prefix of each
+    block when every coordinate it sets but a head has the one above set.
     """
-    out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
-    start = 0
-    for m in shape:
-        # setting the block's first c coordinates splits it into c and m - c
-        options = [
-            (
-                ((1 << c) - 1) << start,
-                tuple(range(start, start + c)),
-                ((c,) if c else ()) + ((m - c,) if c < m else ()),
-            )
-            for c in range(m + 1)
-        ]
-        out = [(w | bw, cs + bc, nx + bn) for w, cs, nx in out for bw, bc, bn in options]
-        start += m
-    if even_only:
-        return [entry for entry in out if not len(entry[1]) & 1]
-    return out
+    return sum(1 << w for w in range(1 << tops.bit_length()) if not w & ~(w >> 1) & ~tops)
 
 
 def _search_assignment(
@@ -190,7 +161,7 @@ def _search_assignment(
     """Complete DFS for a decycling family of k sets; (family or None, nodes).
 
     Vertex vectors are plain ints of width k, and the family's set c is
-    the column mask of coordinate c once every vertex is placed.
+    the column mask of coordinate k-1-c once every vertex is placed.
 
     Forward checking with a fail-first order (Haralick and Elliott, AIJ
     1980).  Each unplaced vertex r keeps a 2^k-bit mask, bit x set while
@@ -207,8 +178,8 @@ def _search_assignment(
     serves every vertex.  A branch is cut when a mask empties, and the
     next vertex is the unplaced one with the fewest vectors left, ties
     going to ``_vertex_order``.  A node is one canonical candidate
-    examined, in or out of its vertex's mask (out costs one bit test),
-    and ``opts.budget`` counts nodes.
+    examined, in or out of its vertex's mask, and ``opts.budget`` counts
+    nodes.
 
     Mask sizes depend only on dot products, so every member of an
     isometry orbit is searched in the same vertex sequence, and both
@@ -227,9 +198,16 @@ def _search_assignment(
     A call searches one k level and builds its tables once: the block
     constants; in one pass over the arcs, each vertex's in-row and the
     blocks of its neighbours (``near``) and of the vertices with an arc
-    into it (``tails``); then the vertex order and the parity table.  A
-    candidate list is built on the first use of its key and kept in the
-    call's memo.
+    into it (``tails``); then the vertex order and the parity table.
+
+    Coordinates are numbered k-1 down to 0, so the blocks' heads are one
+    int ``tops`` (``_block_prefixes``), w splits them at ``~w & w >> 1``,
+    and ascending w is the search order.  While ``first``, the complement
+    rule ANDs in the vectors of even weight or weight up to k/2.  A node
+    walks its candidates inside its vertex's mask, lowest first, counts
+    the skipped ones by popcount, and checks the budget before each
+    candidate it walks and after the last, so an overrun raises at the
+    node where a walk of every candidate would raise it.
     """
     n = D.n
     if n == 0:
@@ -264,6 +242,7 @@ def _search_assignment(
     adj = [o | i for o, i in zip(outs, ins)]
     # odd[w] bit x: x.w is odd; linear in w, so built from the unit vectors
     odd = [0] * size
+    coords_of = [()] * size  # coords_of[w]: the coordinates w sets
     for c in range(k):
         run = 1 << c
         m = ((1 << run) - 1) << run  # in each 2^(c+1) vectors, the last half set c
@@ -272,19 +251,22 @@ def _search_assignment(
             m |= m << span
             span *= 2
         odd[run] = m
-    for w in range(3, size):
+    for w in range(1, size):
         low = w & -w
+        coords_of[w] = coords_of[w ^ low] + (low.bit_length() - 1,)
         if low != w:
             odd[w] = odd[low] ^ odd[w ^ low]
 
     budget = opts.budget
     limit = None if budget is None else budget - spent
-    even_only = even_weight_only
-    half = k // 2
-    # key (shape, first): first while no odd-weight vector is placed and k
-    # is even; entries carry their child's key, so descending tests nothing
-    memo: dict[tuple[tuple[int, ...], bool], list] = {}
-    stored = 0
+    start = full ^ odd[size - 1] if even_weight_only else full
+    # first: k is even and no odd-weight vector is placed yet, so the next
+    # vector keeps to light, the even weights and the weights up to k/2
+    first = k % 2 == 0 and not even_weight_only
+    light = sum(
+        1 << w for w in range(size) if w.bit_count() <= k // 2 or not w.bit_count() & 1
+    )
+    memo: dict[int, int] = {}  # tops -> its candidates; tops sets bit k-1
     cols = [0] * k  # cols[c] bit u: placed u's vector sets coordinate c
     # block r of to_at[u]: vectors of r that give an arc r -> u, placed u;
     # of from_at[u], those giving u -> r
@@ -293,27 +275,10 @@ def _search_assignment(
     prefix: list[int] = []  # placed vertices
     nodes = 0
 
-    def candidates(key: tuple[tuple[int, ...], bool]) -> list:
-        nonlocal stored
-        shape, first = key
-        if first:
-            # an odd vector heavier than k/2 here has its complement in the tree
-            base = memo.get((shape, False)) or candidates((shape, False))
-            cands = [
-                (w, c, (nxt, len(c) % 2 == 0))
-                for w, c, (nxt, _) in base
-                if len(c) % 2 == 0 or len(c) <= half
-            ]
-        else:
-            cands = [(w, c, (nxt, False)) for w, c, nxt in _candidates(shape, even_only)]
-        if stored + len(cands) <= _MEMO_CAP:
-            memo[key] = cands
-            stored += len(cands)
-        return cands
-
     def dfs(
         v: int,
-        key: tuple[tuple[int, ...], bool],
+        tops: int,
+        first: bool,
         masks: int,
         desc: list[int],
         placed: int,
@@ -324,9 +289,11 @@ def _search_assignment(
         # and what it reaches in the flipped prefix; rest: unplaced but v,
         # by order; live: the high bits of rest's blocks
         nonlocal nodes
-        cands = memo.get(key)
-        if cands is None:
-            cands = candidates(key)
+        cand = memo.get(tops)
+        if cand is None:
+            cand = memo[tops] = _block_prefixes(tops) & start
+        if first:
+            cand &= light
         mv = masks >> v * size & full
         bit = 1 << v
         av = adj[v] & placed
@@ -334,14 +301,21 @@ def _search_assignment(
         iv = ins[v] & placed
         nv = near[v]
         tv = tails[v]
-        for w, coords, nxt in cands:
-            nodes += 1
+        todo = cand & mv | 1 << size  # the candidates inside mv, then an end bit
+        while True:
+            low = todo & -todo
+            todo ^= low
+            # cand keeps the candidates not yet counted: those up to w are
+            # nodes now, those outside mv each a skipped bit test
+            done = cand & (low << 1) - 1
+            cand ^= done
+            nodes += done.bit_count()
             if limit is not None and nodes > limit:
-                raise BudgetExceededError(
-                    f"assignment search exceeded {budget} nodes"
-                )
-            if not mv >> w & 1:
-                continue  # closes a cycle through v
+                raise BudgetExceededError(f"assignment search exceeded {budget} nodes")
+            if not todo:
+                return False
+            w = low.bit_length() - 1
+            coords = coords_of[w]
             if not rest:
                 for c in coords:
                     cols[c] |= bit
@@ -391,7 +365,8 @@ def _search_assignment(
             prefix.append(v)
             if dfs(
                 nxt_v,
-                nxt,
+                tops | ~w & w >> 1,
+                first and not w.bit_count() & 1,
                 new,
                 grown,
                 placed | bit,
@@ -402,16 +377,12 @@ def _search_assignment(
             prefix.pop()
             for c in coords:
                 cols[c] ^= bit
-        return False
 
-    start = full ^ odd[size - 1] if even_only else full
-    # with even_only no odd vector comes, so no list needs the filter
-    key = ((k,) if k else (), k % 2 == 0 and not even_only)
     root = order[0]
     live = high ^ 1 << root * size + size - 1
-    if not dfs(root, key, start * rep, [0] * n, 0, order[1:], live):
+    if not dfs(root, 1 << k >> 1, first, start * rep, [0] * n, 0, order[1:], live):
         return None, nodes
-    return InversionFamily(n, cols), nodes
+    return InversionFamily(n, cols[::-1]), nodes  # coordinate c is set k-1-c
 
 
 def exists_family(

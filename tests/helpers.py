@@ -24,7 +24,6 @@ from invlab.digraph import (
 from invlab import solver
 from invlab.errors import BudgetExceededError, ResourceLimitError
 from invlab.f2 import free_diag_bound
-from invlab.solver import _candidates
 
 
 # A symmetric matrix is a tuple of row ints, bit j of row i = entry (i,j).
@@ -420,6 +419,38 @@ def free_diag_by_loop(M, cols: Sequence[int] | None = None, width: int | None = 
     return best_k, best_d
 
 
+# The assignment search's candidate lists before they became masks: the
+# block-prefix rule as lists, checked against the masks and used by
+# reference_search.
+def _candidates(
+    shape: tuple[int, ...], even_only: bool
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Canonical vectors for a vertex whose blocks have lengths ``shape``.
+
+    Entries are ``(w, coordinates set in w, shape after w)``, the last
+    block's prefix length varying fastest; ``even_only`` drops odd weights.
+    Each block's options, one per prefix length, are listed once and
+    joined onto the entries of the blocks before it.
+    """
+    out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    start = 0
+    for m in shape:
+        # setting the block's first c coordinates splits it into c and m - c
+        options = [
+            (
+                ((1 << c) - 1) << start,
+                tuple(range(start, start + c)),
+                ((c,) if c else ()) + ((m - c,) if c < m else ()),
+            )
+            for c in range(m + 1)
+        ]
+        out = [(w | bw, cs + bc, nx + bn) for w, cs, nx in out for bw, bc, bn in options]
+        start += m
+    if even_only:
+        return [entry for entry in out if not len(entry[1]) & 1]
+    return out
+
+
 def reference_search(
     D: Digraph, k: int, opts, spent: int = 0, complement: bool = False, *,
     even_weight_only: bool = False,
@@ -536,13 +567,18 @@ def use_reference_search(monkeypatch) -> None:
     )
 
 
+# bounds one reference_order_search call may keep in its memo; what would
+# pass this is recomputed each time it is needed
+ORDER_MEMO_CAP = 1 << 16
+
+
 def reference_order_search(D: Digraph, opts) -> tuple[int, int]:
     """Reference order walk: (least width, nodes) as the order backend had it.
 
     The walk before the row-block lookahead, kept whole so its trees stay
     pinned: each prefix is bounded by its square flip matrix alone, grown
     by one row per step, with a per-call memo of up to
-    ``solver._MEMO_CAP`` bounds.  The width is ``opts.max_k + 1`` when no
+    ``ORDER_MEMO_CAP`` bounds.  The width is ``opts.max_k + 1`` when no
     order fits.
     """
     n = D.n
@@ -550,7 +586,7 @@ def reference_order_search(D: Digraph, opts) -> tuple[int, int]:
     nodes = 0
     budget = opts.budget
 
-    # prefix flip rows -> least free-diagonal width, up to _MEMO_CAP entries
+    # prefix flip rows -> least free-diagonal width, up to ORDER_MEMO_CAP entries
     memo: dict[tuple[int, ...], int] = {}
 
     def walk(seq: tuple[int, ...], rows: tuple[int, ...], used: int) -> None:
@@ -564,7 +600,7 @@ def reference_order_search(D: Digraph, opts) -> tuple[int, int]:
             k = memo.get(rows)
             if k is None:
                 k = free_diag_bound(rows, range(m), m)[0]
-                if len(memo) < solver._MEMO_CAP:
+                if len(memo) < ORDER_MEMO_CAP:
                     memo[rows] = k
             # the prefix bound never decreases along a completion
             if k >= best_k:

@@ -301,6 +301,14 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "expr:c3", str(f))
         assert code == 1 and err == "error: vertex in set 0 must be in range(3), got 9\n"
 
+    def test_token_past_the_int_digit_limit_exit_one(self, capsys, tmp_path):
+        # 5,000 digits: refused by the range rule before int() sees it
+        f = tmp_path / "big.fam"
+        f.write_text("0 " + "7" * 5000 + "\n")
+        code, out, err = run(capsys, "verify", "expr:c3", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"error: vertex in set 0 must be in range(3), got {'7' * 5000}\n"
+
     def test_empty_graph_refusal_names_no_range(self, capsys, tmp_path):
         f = tmp_path / "one.fam"
         f.write_text("0\n")

@@ -120,6 +120,8 @@ REMOVED = {
     "_enumerable",
     "_certified",
     "_outside",
+    "_candidates",
+    "_MEMO_CAP",
 }
 
 
@@ -261,6 +263,10 @@ MASK_CALLS = {
     "has_arc-head-5": (lambda: c3().has_arc(0, 5), "vertex must be in range(3), got 5"),
     "has_arc-tail-5": (lambda: c3().has_arc(5, 0), "vertex must be in range(3), got 5"),
     "has_arc-head-negative": (lambda: c3().has_arc(0, -1), "vertex must be in range(3), got -1"),
+    "parse_family-5000-digits": (lambda: parse_family("9" * 5000, 3),
+                                 f"vertex in set 0 must be in range(3), got {'9' * 5000}"),
+    "parse_family-5000-zeros": (lambda: parse_family("0" * 5000 + "7", 3),
+                                "vertex in set 0 must be in range(3), got 7"),
 }
 
 

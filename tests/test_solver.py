@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import itertools
 import random
 import re
 
@@ -500,6 +501,15 @@ def blocks_of(shape):
     return blocks
 
 
+def tops_of(shape):
+    # the heads of shape's blocks, coordinate c relabelled k-1-c
+    k, tops, start = sum(shape), 0, 0
+    for m in shape:
+        tops |= 1 << k - 1 - start
+        start += m
+    return tops
+
+
 class TestCandidateLists:
     def test_matches_product_oracle(self):
         for k in range(8):
@@ -507,7 +517,7 @@ class TestCandidateLists:
                 for even_only in (False, True):
                     got = [
                         (w, coords, blocks_of(nxt))
-                        for w, coords, nxt in solver._candidates(shape, even_only)
+                        for w, coords, nxt in helpers._candidates(shape, even_only)
                     ]
                     want = [
                         (w, tuple(c for c in range(k) if w >> c & 1), nb)
@@ -515,6 +525,29 @@ class TestCandidateLists:
                         if not (even_only and w.bit_count() & 1)
                     ]
                     assert got == want, (shape, even_only)
+
+    def test_masks_match_the_lists(self):
+        # the search's candidate mask for a shape's tops holds the list's
+        # vectors, relabelled c -> k-1-c, in ascending order, each with the
+        # child shape of the list entry
+        for k in range(9):
+            weights = [w.bit_count() for w in range(1 << k)]
+            even = sum(1 << w for w, c in enumerate(weights) if not c & 1)
+            light = sum(1 << w for w, c in enumerate(weights) if not c & 1 or c <= k // 2)
+            for shape in compositions(k):
+                tops = tops_of(shape)
+                prefixes = solver._block_prefixes(tops)
+                for even_only, first in itertools.product((False, True), repeat=2):
+                    want = [
+                        (sum(1 << k - 1 - c for c in coords), tops_of(nxt))
+                        for _, coords, nxt in helpers._candidates(shape, even_only)
+                        if not first or not len(coords) & 1 or len(coords) <= k // 2
+                    ]
+                    mask = prefixes & (even if even_only else -1) & (light if first else -1)
+                    got = [
+                        (w, tops | ~w & w >> 1) for w in range(1 << k) if mask >> w & 1
+                    ]
+                    assert got == want, (shape, even_only, first)
 
 
 # node counts per k level and the witness of the reference search (the
@@ -586,16 +619,41 @@ def level_counts(D, opts, search=None, even_weight_only=False):
     raise AssertionError("no witness up to MAX_K")
 
 
+def spy_block_prefixes(monkeypatch):
+    """The block tops whose candidate mask the search builds, in order."""
+    built = []
+    prefixes = solver._block_prefixes
+
+    def spy(tops):
+        built.append(tops)
+        return prefixes(tops)
+
+    monkeypatch.setattr(solver, "_block_prefixes", spy)
+    return built
+
+
 class TestSearchTreePinned:
-    @pytest.fixture(params=["memo", "uncached"])
-    def memo_cap(self, request, monkeypatch):
-        if request.param == "uncached":
-            monkeypatch.setattr(solver, "_MEMO_CAP", 1)
+    @pytest.fixture(params=["memo"])
+    def memo_bound(self, monkeypatch):
+        # along every pinned tree, each search call builds the mask of a
+        # block tops once, for at most 2^(k-1) tops, each heading coordinate
+        # k-1, and starts from an empty memo
+        built = spy_block_prefixes(monkeypatch)
+        search = solver._search_assignment
+
+        def bounded(D, k, *args, **kwargs):
+            built.clear()
+            found = search(D, k, *args, **kwargs)
+            assert len(built) == len(set(built)) <= max(1, 1 << k >> 1)
+            assert all(tops >> k - 1 == 1 for tops in built) if k else built == [0]
+            return found
+
+        monkeypatch.setattr(solver, "_search_assignment", bounded)
 
     @pytest.mark.parametrize(
         "expr,counts,witness", PINNED_TREES, ids=[e for e, _, _ in PINNED_TREES]
     )
-    def test_levels_and_witness(self, memo_cap, expr, counts, witness):
+    def test_levels_and_witness(self, memo_bound, expr, counts, witness):
         D = graph_from_expr(expr)
         opts = SearchOptions()
         assert level_counts(D, opts, helpers.reference_search) == (counts, witness)
@@ -607,7 +665,7 @@ class TestSearchTreePinned:
         assert r.nodes_explored == sum(forward)
         assert dump_family(r.witness) == forward_witness
 
-    def test_even_weight_levels_and_witness(self, memo_cap):
+    def test_even_weight_levels_and_witness(self, memo_bound):
         opts = SearchOptions()
         want = (PINNED_EVEN_QN9, PINNED_EVEN_QN9_WITNESS)
         assert level_counts(qn(9), opts, helpers.reference_search, True) == want
@@ -616,7 +674,7 @@ class TestSearchTreePinned:
         assert level_counts(qn(9), opts, None, True) == FORWARD_EVEN_QN9
 
     @pytest.mark.parametrize("n,seed", list(FORWARD_ORIENTED))
-    def test_oriented_levels_and_witness(self, memo_cap, n, seed):
+    def test_oriented_levels_and_witness(self, memo_bound, n, seed):
         D = random_oriented(random.Random(seed), n)
         assert not D.is_tournament()
         counts, witness = FORWARD_ORIENTED[n, seed]
@@ -625,29 +683,18 @@ class TestSearchTreePinned:
         assert r.nodes_explored == sum(counts)
         assert dump_family(r.witness) == witness
 
-    def test_memo_is_per_call_and_capped(self, monkeypatch):
-        # at even k a shape has two lists, with and without the odd-weight
-        # rule, and both come from one _candidates call
-        built = []
-        candidates = solver._candidates
-
-        def spy(shape, even_only):
-            built.append(shape)
-            return candidates(shape, even_only)
-
-        monkeypatch.setattr(solver, "_candidates", spy)
-        D = qn(10)
-        for k in (3, 4):
+    def test_memo_is_per_call_and_bounded(self, monkeypatch):
+        # at even k the odd-weight rule is one more mask on the same entry,
+        # so a shape is built once, with or without it
+        built = spy_block_prefixes(monkeypatch)
+        for D, k in [(qn(10), 3), (qn(10), 4), (qn(11), 4), (qn(11), 5)]:
             built.clear()
             solver._search_assignment(D, k, SearchOptions())
             once = list(built)
-            assert len(once) == len(set(once))  # each shape built once per call
+            assert len(once) == len(set(once)) <= 1 << k - 1  # built once each
+            assert len(once) > 1
             solver._search_assignment(D, k, SearchOptions())
             assert built == once + once  # nothing kept between calls
-        built.clear()
-        monkeypatch.setattr(solver, "_MEMO_CAP", 1)
-        solver._search_assignment(D, 4, SearchOptions())
-        assert len(built) > len(once)  # shapes past the cap are rebuilt
 
 
 # reference order-walk trees (helpers.reference_order_search), recorded
@@ -686,7 +733,7 @@ class TestOrderTreePinned:
     @order_pins
     def test_value_and_nodes_uncached(self, monkeypatch, idx):
         # with the memo full at once, the bounds are recomputed: same tree
-        monkeypatch.setattr(solver, "_MEMO_CAP", 1)
+        monkeypatch.setattr(helpers, "ORDER_MEMO_CAP", 1)
         self.test_value_and_nodes(idx)
 
     @order_pins
@@ -793,3 +840,58 @@ class TestBudgetOnForwardTree:
         a, b = inv_exact(D), inv_exact(D)
         assert (a.nodes_explored, a.witness) == (b.nodes_explored, b.witness)
         assert a.nodes_explored == sum(self.LEVELS)
+
+
+def budget_boundary_cases():
+    """(id, solve, nodes, witness): ``solve(opts)`` returns a family, or
+    None once its level is exhausted, after exactly ``nodes`` nodes;
+    ``witness`` is that family's dump.  Each graph is solved whole and at
+    the exhausted level below its value, where an overrun may fall among
+    the last candidates a level examines."""
+
+    def by_inv_exact(D):
+        return lambda opts: inv_exact(D, opts).witness
+
+    def by_level(D, k, even_weight_only=False):
+        return lambda opts: exists_family(D, k, opts, even_weight_only=even_weight_only)
+
+    searches = [("qn(7)", qn(7), [2, 22, 200, 19], "1 2\n3 4 6\n2 3\n")]
+    for expr in ("qn(9)", "dijoin(c3,c3)"):
+        searches.append((expr, graph_from_expr(expr), *FORWARD_TREES[expr]))
+    for n, seed in FORWARD_ORIENTED:
+        D = random_oriented(random.Random(seed), n)
+        searches.append((f"oriented-{n}-{seed}", D, *FORWARD_ORIENTED[n, seed]))
+    cases = []
+    for name, D, counts, witness in searches:
+        k = len(counts) - 2
+        cases.append((name, by_inv_exact(D), sum(counts), witness))
+        cases.append((f"{name}-k{k}", by_level(D, k), counts[k], None))
+    counts, witness = FORWARD_EVEN_QN9
+    for k in (3, 4):
+        cases.append((f"even-qn(9)-k{k}", by_level(qn(9), k, True), counts[k], None))
+    cases.append(("even-qn(9)-k5", by_level(qn(9), 5, True), counts[5], witness))
+    return cases
+
+
+BUDGET_BOUNDARY = budget_boundary_cases()
+
+
+class TestBudgetBoundary:
+    @pytest.mark.parametrize(
+        "solve,nodes,witness",
+        [case[1:] for case in BUDGET_BOUNDARY],
+        ids=[case[0] for case in BUDGET_BOUNDARY],
+    )
+    def test_overrun_exactly_below_the_node_count(self, solve, nodes, witness):
+        # every budget short of the solve's nodes overruns and names the
+        # budget, and the node count itself returns the pinned answer; in
+        # the middle of qn(9)'s 6,918-node k=3 level every 17th budget,
+        # which keeps the test to seconds
+        for budget in range(1, nodes):
+            if 300 <= budget < nodes - 100 and budget % 17:
+                continue
+            with pytest.raises(BudgetExceededError) as err:
+                solve(SearchOptions(budget=budget))
+            assert str(err.value) == f"assignment search exceeded {budget} nodes"
+        found = solve(SearchOptions(budget=nodes))
+        assert (found if found is None else dump_family(found)) == witness
