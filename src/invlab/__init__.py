@@ -17,7 +17,7 @@ from .digraph import (
 from .construct import (
     blow_up,
     c3,
-    compose_blowup_family,
+    compose_family,
     dijoin,
     extend_family_to_c3_dijoin,
     graph_from_expr,
@@ -35,6 +35,7 @@ from .f2 import (
 from .solver import (
     InvResult,
     SearchOptions,
+    Sub,
     exists_family,
     inv_exact,
     inv_order_backend,
@@ -47,10 +48,11 @@ __all__ = [
     "InvResult",
     "InversionFamily",
     "SearchOptions",
+    "Sub",
     "apply_family",
     "blow_up",
     "c3",
-    "compose_blowup_family",
+    "compose_family",
     "dijoin",
     "exists_family",
     "extend_family_to_c3_dijoin",

@@ -9,16 +9,22 @@ Graph sources anywhere a file is accepted:
   embed, so any report line can be replayed directly).
 
 An experiment's builder lists instances; its checker is a generator over
-one instance that yields what it asks: graphs, for their values, or
-``(graph, k)`` pairs, for 1 or 0 as the graph has a decycling k-family
-whose vectors all have even weight.  It receives the answers as a list of
-ints in that order and returns ``(holds, detail)`` (None outside the
-identity's scope); it never searches or raises.  ``cmd_experiment``
-advances every checker in rounds and answers each distinct ask once per
-sweep, one pool map per round.  It alone makes UNKNOWN: when an answer a
-checker asked for is unresolved, the checker is not resumed, and the
-instance reports the first such reason in ask order, ``budget: <why>``
-or ``max-k: inv(<encoding>) > <max-k>``.
+one instance that yields what it asks: graphs, or ``Join``s of parts,
+for their values, or ``(graph, k)`` pairs, for 1 or 0 as the graph has a
+decycling k-family whose vectors all have even weight.  It receives the
+answers as a list of ints in that order and returns ``(holds, detail)``
+(None outside the identity's scope); it never searches or raises.
+``cmd_experiment`` advances every checker in rounds and answers each
+distinct ask once per sweep, keyed by the graph it names.  Each round
+answers the asked joins' parts not yet in its table in one pool map,
+then the asks themselves in another, each join between the certificates
+its parts give: the part of largest value below, their witnesses
+composed above.  Every solve is ``solver.inv_exact(graph, opts)``, with
+bounds only from the table, so a solve depends on its task alone.  The
+engine alone makes UNKNOWN: when an answer a checker asked for is
+unresolved, the checker is not resumed, and the instance reports the
+first such reason in ask order, ``budget: <why>`` or ``max-k:
+inv(<encoding>) > <max-k>``.
 
 Exit codes: 0 all passed / resolved, 1 usage error or stdout closed by
 its reader, 2 unknowns present (a budget or --max-k left a value
@@ -37,6 +43,7 @@ from collections.abc import Generator
 
 from . import construct, digraph, f2, solver
 from .errors import ParseError, ResourceLimitError, check_int
+from .record import Record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,18 +123,31 @@ def cmd_gram(args) -> int:
 _Checker = Generator[list, list[int], tuple[bool, str] | None]
 
 
+class Join(Record):
+    """A checker's ask for the value of the k-join of ``parts`` (a dijoin
+    for two).  The sweep answers each part first, then solves ``graph``
+    within the bounds the parts give (see ``_join_options``)."""
+
+    __slots__ = ("parts", "graph")
+    parts: tuple[digraph.Digraph, ...]
+    graph: digraph.Digraph
+
+    def __init__(self, parts: list[digraph.Digraph]):
+        super().__init__(tuple(parts), construct.k_join(list(parts)))
+
+
 def _check_thm13(inst: str) -> _Checker:
     D = digraph.decode_digraph(inst)
     (k,) = yield [D]
     if k < 2 or k % 2:
         return None  # outside the theorem: even values of at least 2
-    (got,) = yield [construct.dijoin(construct.c3(), D)]
+    (got,) = yield [Join([construct.c3(), D])]
     return got == k + 1, f"inv={k} dijoin_inv={got} expect={k + 1}"
 
 
 def _check_dijoins(L, R, lr_name: str, rl_name: str) -> _Checker:
     # dijoin(L, R) and dijoin(R, L) must have the same value
-    lr, rl = yield [construct.dijoin(L, R), construct.dijoin(R, L)]
+    lr, rl = yield [Join([L, R]), Join([R, L])]
     return lr == rl, f"{lr_name}={lr} {rl_name}={rl}"
 
 
@@ -138,8 +158,8 @@ def _check_direction(inst: str) -> _Checker:
 
 def _check_abnormal(inst: str) -> _Checker:
     D = construct.graph_from_expr(inst)
-    triple = construct.k_join([construct.c3(), construct.c3(), D])
-    left, right = yield [triple, construct.dijoin(construct.c3(), D)]
+    triple = Join([construct.c3(), construct.c3(), D])
+    left, right = yield [triple, Join([construct.c3(), D])]
     return left == right + 1, f"triple_join_inv={left} dijoin_inv={right} expect={right + 1}"
 
 
@@ -153,7 +173,7 @@ def _check_kjoin(inst: str) -> _Checker:
     D, k = parts[j], invs[j]
     # for odd k >= 3, D's even-weight k-family criterion decides tightness too
     criterion = [(D, k)] if k >= 3 and k % 2 else []
-    dijoin_k, *said = yield [construct.dijoin(construct.c3(), D)] + criterion
+    dijoin_k, *said = yield [Join([construct.c3(), D])] + criterion
     tight = dijoin_k == k
     if said and said[0] != tight:
         return False, (f"criterion: even-weight criterion says {bool(said[0])}"
@@ -161,7 +181,7 @@ def _check_kjoin(inst: str) -> _Checker:
     if k >= 2 and k % 2 == 0 and tight:
         return False, f"criterion: dijoin value {dijoin_k} equals even base value {k}"
     expect = sum(invs) - (1 if tight else 0)
-    (got,) = yield [construct.k_join(parts)]
+    (got,) = yield [Join(parts)]
     return got == expect, f"parts={invs} tight={int(tight)} join_inv={got} expect={expect}"
 
 
@@ -316,24 +336,49 @@ def Pool(processes: int):
     return multiprocessing.Pool(processes)
 
 
-def _run_one(task: tuple) -> int | None | str:
-    """Pool task ``(ask, opts)``: a graph's value, None past max_k, or, for a
-    ``(graph, k)`` ask, 1 or 0 as the graph has a decycling k-family whose
-    vectors all have even weight; else why the budget ran out."""
+def _run_one(task: tuple) -> solver.InvResult | int | str:
+    """Pool task ``(ask, opts)``: a graph's result or, for a ``(graph, k)``
+    ask, 1 or 0 as the graph has a decycling k-family whose vectors all
+    have even weight; else why the budget ran out."""
     ask, opts = task
     try:
         if isinstance(ask, tuple):
             return int(solver.exists_family(*ask, opts, even_weight_only=True) is not None)
-        return solver.inv_exact(ask, opts).value
+        return solver.inv_exact(ask, opts)
     except ResourceLimitError as exc:
         return f"budget: {exc}"
 
 
 def _key(ask) -> str | tuple[str, int]:
-    """Table key: a graph's encoding, kept apart from a ``(graph, k)`` ask's."""
+    """Table key: a graph's encoding, kept apart from a ``(graph, k)`` ask's;
+    a join is keyed by the graph it builds."""
     if isinstance(ask, tuple):
         return digraph.encode_digraph(ask[0]), ask[1]
+    if isinstance(ask, Join):
+        ask = ask.graph
     return digraph.encode_digraph(ask)
+
+
+def _join_options(
+    join: Join, results: dict[str, solver.InvResult], opts: solver.SearchOptions
+) -> solver.SearchOptions:
+    """``opts`` with the certificates the join's parts give once all are
+    resolved: the first part of largest value, an induced subgraph of the
+    join, below, and the parts' witnesses laid side by side
+    (``construct.compose_family`` over the transitive tournament, which
+    needs no sets), as many sets as the parts' values sum to, above."""
+    found = [results.get(_key(p)) for p in join.parts]
+    if any(r is None for r in found):
+        return opts
+    best = max(range(len(found)), key=lambda i: found[i].value)
+    part = join.parts[best]
+    mask = (1 << part.n) - 1 << sum(p.n for p in join.parts[:best])
+    m = len(join.parts)
+    upper = construct.compose_family(
+        construct.transitive(m), digraph.InversionFamily(m, ()), list(join.parts),
+        [r.witness for r in found],
+    )
+    return solver.SearchOptions(opts.max_k, opts.budget, solver.Sub(mask, part, found[best]), upper)
 
 
 def cmd_experiment(args) -> int:
@@ -347,12 +392,32 @@ def cmd_experiment(args) -> int:
     start = time.perf_counter()
     instances = build(args)
     table: dict[str | tuple[str, int], int | str] = {}  # ask key -> answer, or why none
+    results: dict[str, solver.InvResult] = {}  # graph key -> its resolved result
     # (status, detail) per instance; None outside its identity's scope
     outcomes: list[tuple | None] = [None] * len(instances)
     # (instance index, checker, keys of the asks it waits for)
     waiting = [(i, check(inst), None) for i, inst in enumerate(instances)]
     with Pool(jobs) if jobs > 1 and len(instances) > 1 else contextlib.nullcontext() as pool:
         solve_all = map if pool is None else pool.map
+
+        def answer(todo: dict) -> None:
+            # every ask of todo (key -> ask) solved in one map, joins within
+            # their parts' bounds, which only the table supplies
+            if not todo:
+                return
+            tasks = [
+                (a.graph, _join_options(a, results, opts)) if isinstance(a, Join) else (a, opts)
+                for a in todo.values()
+            ]
+            for key, got in zip(todo, solve_all(_run_one, tasks)):
+                if isinstance(got, solver.InvResult):
+                    if got.resolved:
+                        results[key] = got
+                        got = got.value
+                    else:
+                        got = f"max-k: inv({key}) > {opts.max_k}"
+                table[key] = got
+
         while waiting:  # one round: advance every checker, then answer what they ask
             asked = []
             todo: dict = {}  # key -> ask, for asks not in the table yet
@@ -372,9 +437,12 @@ def cmd_experiment(args) -> int:
                 keys = [_key(a) for a in asks]
                 todo.update((k, a) for k, a in zip(keys, asks) if k not in table)
                 asked.append((i, checker, keys))
-            solved = solve_all(_run_one, [(a, opts) for a in todo.values()])
-            for key, value in zip(todo, solved):
-                table[key] = f"max-k: inv({key}) > {opts.max_k}" if value is None else value
+            # the joins' parts not yet in the table, answered first
+            parts = {
+                _key(p): p for a in todo.values() if isinstance(a, Join) for p in a.parts
+            }
+            answer({k: p for k, p in parts.items() if k not in table})
+            answer({k: a for k, a in todo.items() if k not in table})
             waiting = asked
 
     params = [f"experiment={args.name}"]

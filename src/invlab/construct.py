@@ -2,10 +2,12 @@
 decycling-family builders.
 
 Constructions: the directed triangle, transitive tournaments, the
-reversed-path tournament, dijoins, k-joins, and blow-ups (replace each
-vertex of a host graph by a digraph, with full arc bundles following the
-host's arcs).  Blow-up parts are laid out consecutively in part order so
-families map predictably onto the result.
+reversed-path tournament, k-joins (a dijoin is the k-join of two parts),
+and blow-ups (replace each vertex of a host graph by a digraph, with full
+arc bundles following the host's arcs).  Blow-up parts are laid out
+consecutively in part order so families map predictably onto the result:
+``compose_family`` builds a blow-up's family from its host's and its
+parts', the upper bound a sweep gives each join it solves.
 
 The expression grammar is deliberately minimal (no variables, no
 bindings) so one line fully reproduces an experiment instance:
@@ -35,11 +37,10 @@ from .digraph import (
     _check_vertex_count,
     apply_family,
     is_acyclic,
-    invert,
     residual_cycle,
 )
 from .digraph import reverse as reverse_digraph
-from .errors import ParseError, VerificationError, check_int, check_masks
+from .errors import ParseError, VerificationError, check_int
 
 
 def c3() -> Digraph:
@@ -79,25 +80,26 @@ def qn_family(n: int) -> InversionFamily:
 
 
 def dijoin(left: Digraph, right: Digraph) -> Digraph:
-    """Disjoint union of left and right plus every arc from left to right."""
-    off = left.n
-    rmask = ((1 << right.n) - 1) << off
-    rows = [row | rmask for row in left.out_rows]
-    rows.extend(row << off for row in right.out_rows)
-    return Digraph(left.n + right.n, rows)
+    """Disjoint union of left and right plus every arc from left to right:
+    the k-join of the two."""
+    return k_join([left, right])
+
+
+def _offsets(parts: list[Digraph]) -> list[int]:
+    # where each part's vertices start in a blow-up, parts laid out in order
+    offsets = [0]
+    for p in parts[:-1]:
+        offsets.append(offsets[-1] + p.n)
+    return offsets
 
 
 def blow_up(H: Digraph, parts: list[Digraph]) -> Digraph:
     """Replace vertex i of H by parts[i], with full bundles along H's arcs."""
     if len(parts) != H.n:
         raise ValueError(f"blow-up needs exactly {H.n} parts, got {len(parts)}")
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.n
+    offsets = _offsets(parts)
     masks = [((1 << p.n) - 1) << off for p, off in zip(parts, offsets)]
-    rows = [0] * total
+    rows = []
     for i, p in enumerate(parts):
         off = offsets[i]
         bundle = 0
@@ -106,9 +108,8 @@ def blow_up(H: Digraph, parts: list[Digraph]) -> Digraph:
             j = (hrow & -hrow).bit_length() - 1
             bundle |= masks[j]
             hrow &= hrow - 1
-        for v in range(p.n):
-            rows[off + v] = (p.out_rows[v] << off) | bundle
-    return Digraph(total, rows)
+        rows.extend((row << off) | bundle for row in p.out_rows)
+    return Digraph(sum(p.n for p in parts), rows)
 
 
 def k_join(parts: list[Digraph]) -> Digraph:
@@ -278,52 +279,37 @@ def extend_family_to_c3_dijoin(D: Digraph, F: InversionFamily) -> InversionFamil
     return out
 
 
-def compose_blowup_family(
-    T: Digraph,
-    F_T: InversionFamily,
+def compose_family(
+    H: Digraph,
+    F_H: InversionFamily,
     parts: list[Digraph],
-    part_sets: list[int],
+    part_families: list[InversionFamily],
 ) -> InversionFamily:
-    """Combine a family of T with one inversion set per part into a family
-    of the blow-up of T by the parts.
+    """A decycling family of the blow-up of H by ``parts``, of width
+    ``F_H.k`` plus the widths of ``part_families``.
 
-    ``part_sets[j]`` is a vertex mask (in part-local indices) whose single
-    inversion makes part j acyclic; empty when the part already is.  The
-    first k output sets blow up T's sets and additionally carry part 0's
-    set; each remaining part contributes its own set as an extra member.
-    Empty sets are dropped.  The combination is only guaranteed for the
-    dominant-vertex shape (vertex 0 of T outside every set of F_T), so the
-    result is verified and a failure raises with the residual cycle.
+    Each set of ``F_H`` is blown up to the union of its vertices' parts,
+    and each part's family follows in place, part by part.  A blown-up set
+    reverses the arcs between two parts as ``F_H`` reverses H's arc, and
+    within a part every arc or none, so when ``F_H`` decycles H and each
+    part family its part, every part ends acyclic or reversed acyclic and
+    the parts are ordered by H made acyclic: the family decycles the
+    blow-up whatever H's shape.  The result is verified, not assumed: a
+    family that does not decycle its graph leaves a cycle, and raises
+    VerificationError with it.
     """
-    if len(parts) != T.n or len(part_sets) != T.n:
-        raise ValueError("need exactly one part and one inversion set per vertex")
-    for j, (p, y) in enumerate(zip(parts, part_sets)):
-        check_masks((y,), f"inversion set of part {j}", p.n)
-        if is_acyclic(invert(p, y)) is None:
-            raise ValueError(f"part {j}: inversion set does not decycle the part")
-    if reduce(xor, F_T.sets, 0):
-        raise ValueError("every characteristic vector of the base family "
-                         "must have even weight")
-    if is_acyclic(apply_family(T, F_T)) is None:
-        raise ValueError("base family does not decycle the base tournament")
-
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.n
-    blown = blow_up(T, parts)
-    part_masks = [((1 << p.n) - 1) << off for p, off in zip(parts, offsets)]
-    global_sets = [y << off for y, off in zip(part_sets, offsets)]
-
-    sets = []
-    for s in F_T.sets:
-        blownset = 0
-        for j in range(T.n):
-            if s >> j & 1:
-                blownset |= part_masks[j]
-        sets.append(global_sets[0] | blownset)
-    sets.extend(global_sets[1:])
-    out = InversionFamily(blown.n, (s for s in sets if s))
+    if len(parts) != H.n or len(part_families) != H.n:
+        raise ValueError(f"blow-up needs exactly {H.n} parts and part families")
+    if F_H.n != H.n:
+        raise ValueError(f"host family is on {F_H.n} vertices, not {H.n}")
+    offsets = _offsets(parts)
+    masks = [((1 << p.n) - 1) << off for p, off in zip(parts, offsets)]
+    sets = [sum(m for j, m in enumerate(masks) if s >> j & 1) for s in F_H.sets]
+    for j, (p, F, off) in enumerate(zip(parts, part_families, offsets)):
+        if F.n != p.n:
+            raise ValueError(f"family of part {j} is on {F.n} vertices, not {p.n}")
+        sets.extend(s << off for s in F.sets)
+    blown = blow_up(H, parts)
+    out = InversionFamily(blown.n, sets)
     _require_decycling(blown, out, "blow-up family")
     return out

@@ -49,6 +49,15 @@ this module.  Budgets are counted in search nodes, not wall time, so runs
 are reproducible; ``inv_exact`` counts all its k levels against one
 budget, and the order backend its whole walk.  Searches are
 single-threaded, so results (and witnesses) are identical run to run.
+
+``inv_exact`` also takes two certificates in ``SearchOptions``, each
+checked against the graph before any search: ``lower``, a ``Sub`` naming
+an induced subgraph and its resolved result, and ``upper``, a decycling
+family.  It then searches only the levels from the subgraph's value up to
+one below the family's width, and returns that family, as ``composed``,
+when they are all empty.  Its ``InvResult`` says which certificate proves
+the value (``proof``) and where its witness came from (``source``).
+Without certificates every tree, count and witness is the plain search's.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ import time
 from collections.abc import Sequence
 
 from .digraph import Digraph, InversionFamily, apply_family, dump_family, is_acyclic
-from .errors import BudgetExceededError, ResourceLimitError, check_int
+from .errors import BudgetExceededError, ResourceLimitError, check_int, check_masks
 from .f2 import _peel, free_diag_bound
 from .record import Record
 
@@ -68,16 +77,47 @@ BACKENDS = ("assign", "order")
 ORDER_BACKEND_MAX_N = 12
 
 
+class Sub(Record):
+    """A lower bound by an induced subgraph: ``part`` is the graph on the
+    vertices of ``mask`` and ``result`` its resolved solve.  Deleting
+    vertices keeps an acyclic graph acyclic, so inv(D) >= result.value
+    for every D with ``D.induced(mask) == part``."""
+
+    __slots__ = ("mask", "part", "result")
+    mask: int
+    part: Digraph
+    result: "InvResult"
+
+    def __init__(self, mask: int, part: Digraph, result: "InvResult"):
+        super().__init__(mask, part, result)
+
+
 class SearchOptions(Record):
-    __slots__ = ("max_k", "budget")
+    """Limits of a solve and, for ``inv_exact``, two optional certificates:
+    ``lower``, a ``Sub`` bounding the value below, and ``upper``, a
+    decycling family bounding it above by its width."""
+
+    __slots__ = ("max_k", "budget", "lower", "upper")
     max_k: int
     budget: int | None
+    lower: Sub | None
+    upper: InversionFamily | None
 
-    def __init__(self, max_k: int = MAX_K, budget: int | None = None):
+    def __init__(
+        self,
+        max_k: int = MAX_K,
+        budget: int | None = None,
+        lower: Sub | None = None,
+        upper: InversionFamily | None = None,
+    ):
         check_int(max_k, "max_k", 0, MAX_K)
         if budget is not None:
             check_int(budget, "budget", 1)
-        super().__init__(max_k, budget)
+        if lower is not None and not isinstance(lower, Sub):
+            raise ValueError(f"lower must be a Sub, got {lower!r}")
+        if upper is not None and not isinstance(upper, InversionFamily):
+            raise ValueError(f"upper must be an InversionFamily, got {upper!r}")
+        super().__init__(max_k, budget, lower, upper)
 
 
 class InvResult(Record):
@@ -85,12 +125,17 @@ class InvResult(Record):
 
     ``value`` is None when the search was capped at ``max_k_exhausted``
     without finding a family (a bounded-unknown outcome, explicitly
-    marked); otherwise every k <= value-1 was exhausted and the witness
-    decycles the graph.
+    marked); otherwise no family of ``value - 1`` sets exists and the
+    witness decycles the graph.  ``proof`` says why that level is empty:
+    ``exhausted``, searched to the end, or ``sub:<hex mask>``, an induced
+    subgraph of that value (``SearchOptions.lower``).  ``source`` says
+    where the witness came from: ``search``, or ``composed``, the upper
+    family a caller supplied (``SearchOptions.upper``).
     """
 
     __slots__ = (
-        "value", "witness", "backend", "nodes_explored", "elapsed", "max_k_exhausted"
+        "value", "witness", "backend", "nodes_explored", "elapsed", "max_k_exhausted",
+        "proof", "source",
     )
     value: int | None
     witness: InversionFamily | None
@@ -98,6 +143,8 @@ class InvResult(Record):
     nodes_explored: int
     elapsed: float
     max_k_exhausted: int
+    proof: str
+    source: str
 
     def __init__(
         self,
@@ -107,8 +154,12 @@ class InvResult(Record):
         nodes_explored: int,
         elapsed: float,
         max_k_exhausted: int,
+        proof: str = "exhausted",
+        source: str = "search",
     ):
-        super().__init__(value, witness, backend, nodes_explored, elapsed, max_k_exhausted)
+        super().__init__(
+            value, witness, backend, nodes_explored, elapsed, max_k_exhausted, proof, source
+        )
 
     @property
     def resolved(self) -> bool:
@@ -117,11 +168,15 @@ class InvResult(Record):
     def report(self, deterministic: bool = False) -> str:
         if self.resolved:
             # no level lies below 0, so a value of 0 needs no proof
-            proof = f"{self.value - 1}_exhausted" if self.value else "none"
+            proof = self.proof if self.value else "none"
+            if proof == "exhausted":
+                proof = f"{self.value - 1}_exhausted"
             head = (
                 f"inv={self.value} k_proof={proof}"
                 f" backend={self.backend} nodes={self.nodes_explored}"
             )
+            if self.source != "search":
+                head += f" witness={self.source}"
         else:
             head = (
                 f"inv=unknown k_exhausted={self.max_k_exhausted}"
@@ -416,32 +471,79 @@ def _result(
     nodes: int,
     start: float,
     max_k: int,
+    lower: Sub | None = None,
+    source: str = "search",
 ) -> InvResult:
-    """Resolved at the family's size once it decycles D; with no family,
-    unresolved with every level up to ``max_k`` exhausted."""
+    """Resolved at the family's size once it decycles D, which a composed
+    family passed in ``_bounds``; with no family, unresolved with every
+    level up to ``max_k`` exhausted.  The proof is ``lower`` when its
+    value lies above the last empty level, which no search then reached."""
     value = None
     if family is not None:
-        _certify(D, family)
+        if source == "search":
+            _certify(D, family)
         value, max_k = family.k, family.k - 1
-    return InvResult(value, family, backend, nodes, time.perf_counter() - start, max_k)
+    proof = "exhausted"
+    if lower is not None and max_k < lower.result.value:
+        proof = f"sub:{lower.mask:x}"
+    return InvResult(
+        value, family, backend, nodes, time.perf_counter() - start, max_k, proof, source
+    )
+
+
+def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
+    """The first and the last level ``inv_exact`` searches, after checking
+    ``opts``' certificates against D: from the lower bound's value, or 0,
+    up to one below the upper family's width, or ``max_k``."""
+    low, high = 0, opts.max_k
+    lower, upper = opts.lower, opts.upper
+    if lower is not None:
+        check_masks((lower.mask,), "lower bound mask", D.n)
+        if D.induced(lower.mask) != lower.part:
+            raise ValueError(
+                f"lower bound part is not the subgraph induced by mask {lower.mask:#x}"
+            )
+        if not lower.result.resolved:
+            raise ValueError("lower bound result is unresolved")
+        low = lower.result.value
+    if upper is not None:
+        if upper.n != D.n:
+            raise ValueError(f"upper family is on {upper.n} vertices, not {D.n}")
+        if is_acyclic(apply_family(D, upper)) is None:
+            raise ValueError("upper family does not decycle the graph")
+        if low > upper.k:
+            raise ValueError(f"lower bound {low} is above the upper family's {upper.k} sets")
+        high = min(high, upper.k - 1)
+    return low, high
 
 
 def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     """Inversion number by iterative deepening over the family size.
 
     ``opts.budget`` caps the nodes of all levels together, so
-    ``nodes_explored`` never exceeds it.
+    ``nodes_explored`` never exceeds it.  With certificates in ``opts``
+    (checked first, see ``_bounds``) only the levels between them are
+    searched: from the lower bound's value, since a smaller family pads
+    with empty sets to one of that size, up to one below the upper
+    family's width, which is the value, with that family as the witness,
+    when every level between is exhausted and the width is at most
+    ``max_k``.  A lower bound above ``max_k`` leaves nothing to search.
     """
     if opts is None:
         opts = SearchOptions()
     start = time.perf_counter()
+    low, high = _bounds(D, opts)
     total = 0
-    for k in range(opts.max_k + 1):
+    found, source = None, "search"
+    for k in range(low, high + 1):
         found, nodes = _search_assignment(D, k, opts, total)
         total += nodes
         if found is not None:
             break
-    return _result(D, found, "assign", total, start, opts.max_k)
+    else:
+        if opts.upper is not None and opts.upper.k <= opts.max_k:
+            found, source = opts.upper, "composed"
+    return _result(D, found, "assign", total, start, opts.max_k, opts.lower, source)
 
 
 def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResult:

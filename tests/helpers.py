@@ -21,7 +21,7 @@ from invlab.digraph import (
     invert,
     is_acyclic,
 )
-from invlab import solver
+from invlab import cli, solver
 from invlab.errors import BudgetExceededError, ResourceLimitError
 from invlab.f2 import free_diag_bound
 
@@ -565,6 +565,14 @@ def use_reference_search(monkeypatch) -> None:
     monkeypatch.setattr(
         solver, "_search_assignment", functools.partial(reference_search, complement=True)
     )
+
+
+def use_unbounded_joins(monkeypatch) -> None:
+    """Make a sweep solve each join it asks from k=0 with no certificates,
+    as before the join bounds; the older budget and max-k stdout pins
+    record that route.  The parts are still answered first, but no checker
+    that did not ask for them sees their answers."""
+    monkeypatch.setattr(cli, "_join_options", lambda join, results, opts: opts)
 
 
 # bounds one reference_order_search call may keep in its memo; what would

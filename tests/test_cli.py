@@ -33,6 +33,12 @@ def reference_solver(monkeypatch):
     helpers.use_reference_search(monkeypatch)
 
 
+@pytest.fixture
+def unbounded_joins(monkeypatch):
+    # joins solved from k=0 with no certificates, as older pins record
+    helpers.use_unbounded_joins(monkeypatch)
+
+
 class TestInvCommand:
     def test_triangle(self, capsys, reference_solver):
         code, out, _ = run(capsys, "inv", "expr:c3", "--deterministic")
@@ -558,7 +564,7 @@ class TestValueTable:
              "d0b4e62e2ccc952cd18c534f5cd12874822926aa1f767e8398b2c99cb802b8ce"),
         ],
     )
-    def test_budget_stdout_pinned(self, capsys, reference_solver, argv, digest):
+    def test_budget_stdout_pinned(self, capsys, reference_solver, unbounded_joins, argv, digest):
         code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -580,14 +586,37 @@ class TestValueTable:
              "4ab42235e57546428b317566489f3899a679ab96d6e01a813dedc596c9e9b227"),
         ],
     )
-    def test_forward_checked_budget_stdout_pinned(self, capsys, argv, digest):
+    def test_forward_checked_budget_stdout_pinned(self, capsys, unbounded_joins, argv, digest):
         code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the same sweeps with each join solved between its parts' bounds:
+    # conj-direction's joins now fit the budget, and the other stdouts
+    # stay as they were
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (("kjoin", "--budget", "40"), 2,
+             "3caae79f8b8adacd498354f94c0612d358ad809c1ef2128c57ebe17a79871fb6"),
+            (("direction", "--n-max", "4", "--budget", "5"), 2,
+             "9c19ec9a3d1615028ce4f1c57f75a2e4cad7ff871d09e3cd2f1b4339cb6e77e7"),
+            (("conj-direction", "--left-n", "4", "--right-n", "4", "--budget", "60"), 0,
+             "32f74e5d7dcb2274cfe7e68a74c0675bfe3fb472e9efec50eb864af2088bd8c3"),
+            (("bounds", "--n-max", "6", "--max-k", "1", "--budget", "20"), 2,
+             "4ab42235e57546428b317566489f3899a679ab96d6e01a813dedc596c9e9b227"),
+            (("kjoin", "--max-k", "2"), 2,
+             "6c4a545799229d5d404c17654e7233b561fa2983ae2c2618b985cc5a5c3ab6e6"),
+        ],
+    )
+    def test_bounded_stdout_pinned(self, capsys, argv, code, digest):
+        got, out, _ = run(capsys, "experiment", *argv, "--deterministic")
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # at max-k 2 the part's triangle dijoin (value 3) is unresolved: past
     # max-k, not past a budget, since none was set; the line names the graph
-    def test_kjoin_dijoin_unresolved_pinned(self, capsys):
+    def test_kjoin_dijoin_unresolved_pinned(self, capsys, unbounded_joins):
         code, out, _ = run(capsys, "experiment", "kjoin", "--max-k", "2", "--deterministic")
         assert code == 2
         t = construct.c3()
@@ -639,8 +668,111 @@ class TestValueTable:
             for R in classes
             for A, B in ((L, R), (R, L))
         }
-        assert len(solved) == len(set(solved)) == len(asked) < 2 * 16
-        assert set(solved) == asked
+        # the joins' parts are answered first, once each, for their bounds
+        parts = [digraph.encode_digraph(T) for T in classes]
+        assert solved[:4] == parts
+        assert len(solved) == len(set(solved)) == len(asked) + 4 < 2 * 16 + 4
+        assert set(solved) == asked | set(parts)
+
+
+# the tournament sweep's two runs and their stdout sha256, as the bench
+# checks them
+BENCH_SWEEPS = [
+    (("direction", "--n-max", "6"),
+     "aeeb38deff21a9cbabd8275f205aa36d5c8f1570cd16cf62aaccf4c035b74b69"),
+    (("thm13", "--n-max", "6"),
+     "d4e069f587a3ea1372f2aaeddaa614a505dda4d77086ddeeb950eaa3ad2d5d94"),
+]
+
+
+class TestJoinBounds:
+    """Each join a sweep asks is solved between its parts' bounds."""
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        # one counter shared with forked pool workers, as the bench keeps it
+        import multiprocessing
+
+        total = multiprocessing.Value("q", 0)
+        inv_exact = solver.inv_exact
+
+        def counted(D, opts=None):
+            r = inv_exact(D, opts)
+            with total.get_lock():
+                total.value += r.nodes_explored
+            return r
+
+        monkeypatch.setattr(solver, "inv_exact", counted)
+        return total
+
+    def sweep(self, capsys, *argv):
+        code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    def test_bench_sweep_nodes_pinned(self, capsys, nodes):
+        # 30,462 + 16,281 = 46,743 nodes with every join deepened from k=0
+        for argv, digest in BENCH_SWEEPS:
+            assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == 27_466 + 14_507
+
+    def test_a_pool_gives_the_same_stdout_and_nodes(self, capsys, monkeypatch, nodes):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        for argv, digest in BENCH_SWEEPS:
+            nodes.value = 0
+            assert self.sweep(capsys, *argv) == digest
+            serial = nodes.value
+            nodes.value = 0
+            assert self.sweep(capsys, *argv, "--jobs", "2") == digest
+            assert nodes.value == serial
+
+    @pytest.fixture
+    def levels(self, monkeypatch):
+        # (lower value, upper width, levels searched, value) per join solve
+        solves = []
+        searched = []
+        inv_exact = solver.inv_exact
+        search = solver._search_assignment
+
+        def level(D, k, *args, **kwargs):
+            searched.append(k)
+            return search(D, k, *args, **kwargs)
+
+        def spy(D, opts=None):
+            searched.clear()
+            r = inv_exact(D, opts)
+            if opts.upper is not None:
+                solves.append((opts.lower.result.value, opts.upper.k, list(searched), r.value))
+            return r
+
+        monkeypatch.setattr(solver, "_search_assignment", level)
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        return solves
+
+    def test_thm13_searches_the_one_level_of_its_theorem(self, capsys, levels):
+        # c3 => D for D of even value k >= 2 lies in k..k+1, so only level
+        # k is searched, and it is empty, as the theorem says
+        self.sweep(capsys, "thm13", "--n-max", "6")
+        assert len(levels) == 3 + 33  # the classes of value 2 at orders 5 and 6
+        for low, high, searched, value in levels:
+            assert high == low + 1 and searched == [low] and value == high
+
+    def test_direction_searches_one_level_per_side(self, capsys, levels):
+        self.sweep(capsys, "direction", "--n-max", "6")
+        assert len(levels) == 2 * 76
+        # a transitive D: c3 alone bounds both sides at 1, with no search
+        assert sum(not searched for _, _, searched, _ in levels) == 2 * 6
+        for low, high, searched, value in levels:
+            assert searched == list(range(low, high))
+            assert len(searched) <= 1 and low <= value <= high
+
+    @pytest.mark.parametrize("name", ["conj-direction", "kjoin", "abnormal"])
+    def test_joins_search_only_between_max_and_sum(self, capsys, levels, name):
+        self.sweep(capsys, name)
+        assert levels
+        for low, high, searched, value in levels:
+            # the search stops at the first level with a family
+            assert searched == list(range(low, value if value < high else high))
 
 
 class TestExperimentLimits:
@@ -918,12 +1050,21 @@ class TestJobs:
 
 class TestSweepDigests:
     # stdout digests of the module entry point: a change in the tournament
-    # classes, their order or any report line changes them
+    # classes, their order or any report line changes them; every
+    # experiment at its defaults, which are the same before and after the
+    # join bounds
     @pytest.mark.parametrize(
         "name, digest",
         [
             ("direction", "30a30f6f9d0a4e4255cf7661f7b50c48332bed688dc6d8db924d28e071040ce3"),
             ("thm13", "56ca4513f53db40b5629201105463e8898ecfbc5235b9bf3ea4a160ad4682084"),
+            ("abnormal", "a504a7cf2bbdc89adc3cbddf55c0b24860ce82081071469ff33d4bfe96d7db9f"),
+            ("bounds", "0a73660275735f8830ee12cbd1a14ac16bd71ec2b0661a39ffdf01e073b70654"),
+            ("conj-direction",
+             "5ee934556bd597525c03d09e1dc624ad173b5ef2d6162a4a8ecb7fcdfb32e749"),
+            ("kjoin", "e8cadf5467ba4316a643c3677f97bba3809f5d852333f6a5767c5af008f2727a"),
+            ("qn", "2e299fe197f0ef17518ac6d5f3340c04fc2239dcdd02f8c9350bd4e10408dfaf"),
+            ("thm15", "30c7e0df8782a374018de6f7063a3593200da00144dac6531f1987b65286dd8e"),
         ],
     )
     def test_stdout_digest(self, name, digest):

@@ -11,7 +11,7 @@ from invlab.construct import (
     MAX_EXPR_DEPTH,
     blow_up,
     c3,
-    compose_blowup_family,
+    compose_family,
     dijoin,
     extend_family_to_c3_dijoin,
     graph_from_expr,
@@ -26,13 +26,16 @@ from invlab.digraph import (
     Digraph,
     InversionFamily,
     apply_family,
+    encode_digraph,
     invert,
     is_acyclic,
+    nonisomorphic_tournaments,
     reverse,
 )
 from invlab.errors import ParseError, VerificationError
+from invlab.solver import inv_exact
 
-from helpers import canonical_key
+from helpers import canonical_key, random_oriented
 
 
 class TestBasicGraphs:
@@ -128,13 +131,38 @@ class TestDijoinAndJoin:
     def test_reverse_of_dijoin(self):
         rng = random.Random(4)
         for _ in range(20):
-            from helpers import random_oriented
-
             L = random_oriented(rng, rng.randint(1, 4))
             R = random_oriented(rng, rng.randint(1, 4))
             lhs = reverse(dijoin(L, R))
             rhs = dijoin(reverse(R), reverse(L))
             assert canonical_key(lhs) == canonical_key(rhs)
+
+
+def two_part_pairs():
+    """Every ordered pair of tournament classes of order 1..5, then 200
+    seeded pairs of random oriented graphs of 0..6 vertices each."""
+    classes = [T for n in range(1, 6) for T in nonisomorphic_tournaments(n)]
+    pairs = [(L, R) for L in classes for R in classes]
+    assert len(pairs) == 400
+    rng = random.Random(28)
+    pairs += [(random_oriented(rng, rng.randint(0, 6)), random_oriented(rng, rng.randint(0, 6)))
+              for _ in range(200)]
+    return pairs
+
+
+class TestDijoinIsTwoPartJoin:
+    def test_the_one_construction(self):
+        # dijoin builds through k_join; the disjoint union with every arc
+        # from left to right, written out, is the independent check
+        for L, R in two_part_pairs():
+            off = L.n
+            rmask = (1 << R.n) - 1 << off
+            expect = Digraph(L.n + R.n, [row | rmask for row in L.out_rows]
+                             + [row << off for row in R.out_rows])
+            D = dijoin(L, R)
+            assert D == k_join([L, R]) == expect
+            # each part is the subgraph on its own vertex range
+            assert D.induced((1 << L.n) - 1) == L and D.induced(rmask) == R
 
 
 class TestBlowUp:
@@ -412,7 +440,21 @@ class TestTriangleDijoinFamily:
             extend_family_to_c3_dijoin(c3(), F)
 
 
+def solved_family(D: Digraph) -> InversionFamily:
+    return inv_exact(D).witness
+
+
+def assert_decycles(G: Digraph, F: InversionFamily) -> None:
+    assert is_acyclic(apply_family(G, F)) is not None
+
+
+# value-1 tournaments that the old dominant-vertex composition refused
+NOT_DOMINANT = {"enc:5:12.0.3.7.e", "enc:5:18.1.3.6.e", "enc:5:12.8.3.5.e"}
+
+
 class TestComposeBlowupFamily:
+    # compose_family: the host's sets blown up to whole parts, then each
+    # part's own family in place, for any host shape
     def dominating_base(self):
         D = dijoin(transitive(1), c3())
         shifted = tuple(s << 1 for s in even_weight_triangle_family().sets)
@@ -421,28 +463,66 @@ class TestComposeBlowupFamily:
     def test_acyclic_parts_reduce_to_blown_base_family(self):
         T, FT = self.dominating_base()
         parts = [transitive(2)] * 4
-        fam = compose_blowup_family(T, FT, parts, [0] * 4)
-        assert fam.k == FT.k  # the per-part sets were all empty and dropped
-        assert is_acyclic(apply_family(blow_up(T, parts), fam)) is not None
+        fam = compose_family(T, FT, parts, [InversionFamily(2, ())] * 4)
+        assert fam.k == FT.k  # the parts add no set
+        assert fam.sets == tuple(sum(3 << 2 * j for j in range(4) if s >> j & 1)
+                                 for s in FT.sets)
+        assert_decycles(blow_up(T, parts), fam)
 
-    def test_triangle_parts_give_order_plus_two(self):
-        T, FT = self.dominating_base()
-        parts = [c3()] * 4
-        fam = compose_blowup_family(T, FT, parts, [0b011] * 4)
-        assert fam.k == T.n + FT.k - 1
-        assert is_acyclic(apply_family(blow_up(T, parts), fam)) is not None
+    def test_triangle_blowups_of_value_one_tournaments(self):
+        # width m + 1, the value thm15 states, on every value-1 base of
+        # order 3..5, the three the old composition refused among them
+        part = solved_family(c3())
+        seen = set()
+        for m in range(3, 6):
+            for T in nonisomorphic_tournaments(m):
+                FT = solved_family(T)
+                if FT.k != 1:
+                    continue
+                seen.add(encode_digraph(T))
+                fam = compose_family(T, FT, [c3()] * m, [part] * m)
+                assert fam.k == m + 1
+                assert_decycles(blow_up(T, [c3()] * m), fam)
+        assert len(seen) == 1 + 3 + 8 and NOT_DOMINANT <= seen
+
+    def test_mixed_parts_give_the_part_sum(self):
+        # blowup(c3; tt(2), dijoin(c3, c3), c3): 1 + 0 + 2 + 1 = 4
+        parts = [transitive(2), dijoin(c3(), c3()), c3()]
+        fam = compose_family(c3(), solved_family(c3()), parts, [solved_family(p) for p in parts])
+        G = graph_from_expr("blowup(c3; tt(2), dijoin(c3, c3), c3)")
+        assert G == blow_up(c3(), parts) and fam.k == 4
+        assert_decycles(G, fam)
 
     def test_bad_part_witness_rejected(self):
+        # an empty family leaves each triangle part whole
         T, FT = self.dominating_base()
-        with pytest.raises(ValueError):
-            compose_blowup_family(T, FT, [c3()] * 4, [0] * 4)
+        with pytest.raises(VerificationError) as err:
+            compose_family(T, FT, [c3()] * 4, [InversionFamily(3, ())] * 4)
+        assert len(err.value.cycle) == 3
 
     def test_verification_failure_carries_cycle(self):
-        # a base vertex inside the family's sets breaks the combination
-        FT = even_weight_triangle_family()
+        # a host family that leaves the host's triangle whole
+        parts = [c3()] * 3
         with pytest.raises(VerificationError) as err:
-            compose_blowup_family(c3(), FT, [c3()] * 3, [0b011] * 3)
+            compose_family(c3(), InversionFamily(3, ()), parts, [solved_family(c3())] * 3)
         assert err.value.cycle
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((c3(), InversionFamily(3, ()), [c3()] * 2, [InversionFamily(3, ())] * 2),
+             "blow-up needs exactly 3 parts and part families"),
+            ((c3(), InversionFamily(2, ()), [c3()] * 3, [InversionFamily(3, ())] * 3),
+             "host family is on 2 vertices, not 3"),
+            ((transitive(2), InversionFamily(2, ()), [c3(), c3()],
+              [InversionFamily(3, ()), InversionFamily(2, ())]),
+             "family of part 1 is on 2 vertices, not 3"),
+        ],
+    )
+    def test_mismatched_sizes_refused(self, args, message):
+        with pytest.raises(ValueError) as err:
+            compose_family(*args)
+        assert str(err.value) == message
 
 
 class TestQnExamples:

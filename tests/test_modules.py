@@ -14,7 +14,7 @@ import pytest
 
 import invlab
 from invlab import construct, f2, solver
-from invlab.construct import c3, compose_blowup_family, transitive
+from invlab.construct import c3, compose_family, transitive
 from invlab.digraph import (
     MAX_VERTICES,
     Digraph,
@@ -24,7 +24,7 @@ from invlab.digraph import (
     nonisomorphic_tournaments,
     parse_family,
 )
-from invlab.solver import SearchOptions
+from invlab.solver import SearchOptions, Sub
 
 
 def test_no_module_global_caches():
@@ -88,7 +88,9 @@ TEST_ONLY = {
 # answers kjoin's even-weight criterion as one more ask, so no checker
 # searches or raises; every int argument is refused by errors.check_int,
 # and one solver._result builds every solver result; every mask and vertex
-# index is refused by errors.check_masks, in one wording for every width
+# index is refused by errors.check_masks, in one wording for every width;
+# compose_family, the composition with no condition on the host's shape,
+# replaced the dominant-vertex one
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -122,6 +124,7 @@ REMOVED = {
     "_outside",
     "_candidates",
     "_MEMO_CAP",
+    "compose_blowup_family",
 }
 
 
@@ -213,6 +216,8 @@ def test_int_parameter_refusal(call, value, message):
     assert str(err.value) == message
 
 
+C3_RESULT = solver.inv_exact(c3())
+
 # every public mask and vertex-index parameter: (call taking it, what its
 # refusal names, width, and whether it is an index, a bit position, rather
 # than a mask)
@@ -233,9 +238,9 @@ MASK_PARAMETERS = {
     "gram_of": (lambda u: f2.gram_of([u]), "vector 0", f2.MAX_WIDTH, False),
     "free_diag_bound-row": (lambda r: f2.free_diag_bound([r], [0], 2), "row 0", 2, False),
     "free_diag_bound-column": (lambda c: f2.free_diag_bound([0], [c], 2), "column 0", 2, True),
-    "compose_blowup_family": (
-        lambda y: compose_blowup_family(transitive(1), InversionFamily(1, ()), [c3()], [y]),
-        "inversion set of part 0", 3, False,
+    "inv_exact-lower-mask": (
+        lambda m: solver.inv_exact(c3(), SearchOptions(lower=Sub(m, c3(), C3_RESULT))),
+        "lower bound mask", 3, False,
     ),
 }
 
@@ -323,8 +328,9 @@ def _valid_outputs():
                F, parse_family(dump_family(F), n), M, f2.min_gram_dim(M),
                f2.free_diag_bound(rows, cols, n),
                f2.free_diag_bound(M[: n // 2], cols[: n // 2], n))
-    yield compose_blowup_family(
-        transitive(2), InversionFamily(2, ()), [transitive(2), c3()], [0, 0b110]
+    yield compose_family(
+        transitive(2), InversionFamily(2, ()), [transitive(2), c3()],
+        [InversionFamily(2, ()), InversionFamily(3, (0b110,))],
     )
 
 

@@ -5,8 +5,9 @@ import pickle
 
 import pytest
 
+from invlab.construct import c3
 from invlab.digraph import Digraph, InversionFamily
-from invlab.solver import MAX_K, InvResult, SearchOptions
+from invlab.solver import MAX_K, InvResult, SearchOptions, Sub
 
 # (class, fields in order, the same with one field changed)
 CASES = [
@@ -14,13 +15,20 @@ CASES = [
      {"n": 3, "out_rows": (0b010, 0b100, 0b000)}),
     (InversionFamily, {"n": 3, "sets": (0b011, 0b110)},
      {"n": 3, "sets": (0b011,)}),
-    (SearchOptions, {"max_k": MAX_K, "budget": None},
-     {"max_k": 3, "budget": None}),
+    (SearchOptions, {"max_k": MAX_K, "budget": None, "lower": None, "upper": None},
+     {"max_k": 3, "budget": None, "lower": None, "upper": None}),
     (InvResult,
      {"value": 1, "witness": InversionFamily(3, (0b111,)), "backend": "assign",
-      "nodes_explored": 10, "elapsed": 0.5, "max_k_exhausted": 0},
+      "nodes_explored": 10, "elapsed": 0.5, "max_k_exhausted": 0,
+      "proof": "exhausted", "source": "search"},
      {"value": 1, "witness": InversionFamily(3, (0b111,)), "backend": "assign",
-      "nodes_explored": 11, "elapsed": 0.5, "max_k_exhausted": 0}),
+      "nodes_explored": 11, "elapsed": 0.5, "max_k_exhausted": 0,
+      "proof": "exhausted", "source": "search"}),
+    (Sub,
+     {"mask": 0b111, "part": c3(),
+      "result": InvResult(1, InversionFamily(3, (0b011,)), "assign", 7, 0.0, 0)},
+     {"mask": 0b111000, "part": c3(),
+      "result": InvResult(1, InversionFamily(3, (0b011,)), "assign", 7, 0.0, 0)}),
 ]
 
 IDS = [cls.__name__ for cls, _, _ in CASES]

@@ -1,18 +1,21 @@
 """Solver backends, the even-weight tightness criterion, and rank law checks."""
 
+import contextlib
 import functools
 import inspect
+import io
 import itertools
 import random
 import re
 
 import pytest
 
-from invlab import f2, solver
+from invlab import cli, f2, solver
 from invlab.construct import c3, dijoin, graph_from_expr, k_join, qn, qn_family, transitive
 from invlab.digraph import (
     InversionFamily,
     apply_family,
+    decode_digraph,
     dump_family,
     encode_digraph,
     is_acyclic,
@@ -111,6 +114,162 @@ class TestInvExact:
         a = inv_exact(k_join([c3(), c3()]))
         b = inv_exact(k_join([c3(), c3()]))
         assert a.witness == b.witness and a.nodes_explored == b.nodes_explored
+
+
+def bounded(D, parts, **limits) -> SearchOptions:
+    """The certificates a sweep gives D, the k-join of ``parts``: the first
+    part of largest value below, the parts' witnesses composed above."""
+    results = {encode_digraph(p): inv_exact(p) for p in parts}
+    assert D == k_join(parts)
+    return cli._join_options(cli.Join(parts), results, SearchOptions(**limits))
+
+
+# the least tight tournament: it and its triangle dijoin both have value 3
+TIGHT = decode_digraph("enc:8:56.fc.50.75.e0.45.80.2d")
+
+
+def swept_joins(monkeypatch):
+    """Every join the thm13 and direction (--n-max 6), conj-direction 5x5,
+    kjoin and abnormal sweeps solve, with the options they solve it by."""
+    asked = {}
+
+    def spy(D, opts=None):
+        if opts.upper is not None:
+            asked[encode_digraph(D)] = (D, opts)
+        return inv_exact(D, opts)
+
+    monkeypatch.setattr(solver, "inv_exact", spy)
+    for argv in (["thm13", "--n-max", "6"], ["direction", "--n-max", "6"],
+                 ["conj-direction", "--left-n", "5", "--right-n", "5"],
+                 ["kjoin"], ["abnormal"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["experiment", *argv, "--deterministic"]) == 0
+    return list(asked.values())
+
+
+class TestCertifiedBounds:
+    def test_bounded_values_match_plain_on_every_swept_join(self, monkeypatch):
+        joins = swept_joins(monkeypatch)
+        assert len(joins) == 301  # distinct joins; thm13 asks a subset of direction's
+        sources = set()
+        for D, opts in joins:
+            r = inv_exact(D, opts)
+            assert r.value == inv_exact(D).value
+            assert opts.lower.result.value <= r.value <= opts.upper.k
+            assert is_acyclic(apply_family(D, r.witness)) is not None
+            sources.add(r.source)
+        # no part up to order 6 is tight, so every join has its part sum
+        assert sources == {"composed"}
+
+    def test_only_the_levels_between_are_searched(self):
+        # c3 => qn(5): inv(qn(5)) = 2 below, 1 + 2 sets above, so level 2
+        # alone is searched, and it is empty
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        r = inv_exact(D, bounded(D, parts))
+        level = solver._search_assignment(D, 2, SearchOptions())
+        assert level == (None, 334) and r.nodes_explored == 334
+        assert (r.value, r.max_k_exhausted, r.proof, r.source) == (3, 2, "exhausted", "composed")
+        assert inv_exact(D).nodes_explored == 379
+
+    def test_report_forms(self):
+        # a sub proof, with the witness from the search
+        parts = [c3(), TIGHT]
+        D = k_join(parts)
+        r = inv_exact(D, bounded(D, parts))
+        assert r.report(deterministic=True).splitlines()[0] == (
+            "inv=3 k_proof=sub:7f8 backend=assign nodes=1058")
+        # a sub proof and a composed witness: nothing lies between 1 and 1
+        parts = [transitive(2), c3()]
+        D = k_join(parts)
+        r = inv_exact(D, bounded(D, parts))
+        assert r.report(deterministic=True) == (
+            "inv=1 k_proof=sub:1c backend=assign nodes=0 witness=composed\n3 4")
+        # an exhausted level and a composed witness
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        head = inv_exact(D, bounded(D, parts)).report(deterministic=True).splitlines()[0]
+        assert head == "inv=3 k_proof=2_exhausted backend=assign nodes=334 witness=composed"
+
+    def test_lower_value_above_max_k_is_unresolved_with_no_search(self):
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        r = inv_exact(D, bounded(D, parts, max_k=1))
+        assert (r.value, r.nodes_explored, r.max_k_exhausted) == (None, 0, 1)
+        assert r.proof == "sub:f8"
+        # an upper width above max_k leaves the search's verdict unresolved
+        r = inv_exact(D, bounded(D, parts, max_k=2))
+        assert (r.value, r.nodes_explored, r.max_k_exhausted) == (None, 334, 2)
+
+    @pytest.fixture
+    def certificates(self):
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        return D, bounded(D, parts)
+
+    @pytest.mark.parametrize(
+        "forge,message",
+        [
+            (lambda o: {"lower": solver.Sub(1 << 8, o.lower.part, o.lower.result)},
+             "lower bound mask must be in range(2**8), got 256"),
+            (lambda o: {"lower": solver.Sub(0b111, o.lower.part, o.lower.result)},
+             "lower bound part is not the subgraph induced by mask 0x7"),
+            (lambda o: {"lower": solver.Sub(o.lower.mask, reverse(qn(5)), o.lower.result)},
+             "lower bound part is not the subgraph induced by mask 0xf8"),
+            (lambda o: {"lower": solver.Sub(o.lower.mask, o.lower.part,
+                                            inv_exact(qn(5), SearchOptions(max_k=1)))},
+             "lower bound result is unresolved"),
+            (lambda o: {"upper": InversionFamily(8, o.upper.sets[:2])},
+             "upper family does not decycle the graph"),
+            (lambda o: {"upper": InversionFamily(9, o.upper.sets)},
+             "upper family is on 9 vertices, not 8"),
+        ],
+        ids=["mask-past-width", "mask-of-other-vertices", "wrong-part", "unresolved-part",
+             "upper-cycle", "upper-width"],
+    )
+    def test_forged_certificate_refused(self, certificates, forge, message):
+        D, opts = certificates
+        fields = {"max_k": opts.max_k, "budget": opts.budget,
+                  "lower": opts.lower, "upper": opts.upper}
+        fields.update(forge(opts))
+        with pytest.raises(ValueError) as err:
+            inv_exact(D, SearchOptions(**fields))
+        assert str(err.value) == message
+
+    def test_lower_above_upper_refused(self):
+        # a forged part value above the composed width
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        opts = bounded(D, parts)
+        high = solver.InvResult(4, None, "assign", 0, 0.0, 3)
+        forged = solver.Sub(opts.lower.mask, opts.lower.part, high)
+        with pytest.raises(ValueError) as err:
+            inv_exact(D, SearchOptions(lower=forged, upper=opts.upper))
+        assert str(err.value) == "lower bound 4 is above the upper family's 3 sets"
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"lower": 3}, "lower must be a Sub, got 3"),
+            ({"upper": (0b011,)}, "upper must be an InversionFamily, got (3,)"),
+        ],
+    )
+    def test_certificate_types_refused(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            SearchOptions(**fields)
+        assert str(err.value) == message
+
+    def test_overrun_exactly_below_the_levels_searched(self):
+        # the budget counts level 2 of c3 => qn(5) alone, 334 nodes
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        opts = bounded(D, parts)
+        for budget in range(1, 334):
+            with pytest.raises(BudgetExceededError) as err:
+                inv_exact(D, SearchOptions(opts.max_k, budget, opts.lower, opts.upper))
+            assert str(err.value) == f"assignment search exceeded {budget} nodes"
+        r = inv_exact(D, SearchOptions(opts.max_k, 334, opts.lower, opts.upper))
+        assert r.nodes_explored == 334 and r.witness == opts.upper
 
 
 @pytest.fixture
@@ -245,7 +404,7 @@ class TestOrderBackendWitness:
     def test_search_options_fields(self):
         # the fields in their positional construction order
         names = list(inspect.signature(SearchOptions).parameters)
-        assert names == ["max_k", "budget"]
+        assert names == ["max_k", "budget", "lower", "upper"]
 
     @pytest.mark.parametrize(
         "fields,message",
