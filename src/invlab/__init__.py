@@ -17,7 +17,6 @@ from .digraph import (
 from .construct import (
     blow_up,
     c3,
-    compose_family,
     dijoin,
     extend_family_to_c3_dijoin,
     graph_from_expr,
@@ -52,7 +51,6 @@ __all__ = [
     "apply_family",
     "blow_up",
     "c3",
-    "compose_family",
     "dijoin",
     "exists_family",
     "extend_family_to_c3_dijoin",

@@ -18,12 +18,13 @@ answers as a list of ints in that order and returns ``(holds, detail)``
 distinct ask once per sweep, keyed by the graph it names.  Each round
 answers the asked joins' parts not yet in its table in one pool map,
 then the asks themselves in another, each join between the certificates
-its parts give: the part of largest value below, their witnesses
-composed above.  Every solve is ``solver.inv_exact(graph, opts)``, with
-bounds only from the table, so a solve depends on its task alone.  The
-engine alone makes UNKNOWN: when an answer a checker asked for is
-unresolved, the checker is not resumed, and the instance reports the
-first such reason in ask order, ``budget: <why>`` or ``max-k:
+its parts give: the part of largest value below, their witnesses laid
+side by side above, built from the parts' results with no graph built
+and checked by the solver.  Every solve is ``solver.inv_exact(graph,
+opts)``, with bounds only from the table, so a solve depends on its task
+alone.  The engine alone makes UNKNOWN: when an answer a checker asked
+for is unresolved, the checker is not resumed, and the instance reports
+the first such reason in ask order, ``budget: <why>`` or ``max-k:
 inv(<encoding>) > <max-k>``.
 
 Exit codes: 0 all passed / resolved, 1 usage error or stdout closed by
@@ -40,6 +41,7 @@ import os
 import sys
 import time
 from collections.abc import Generator
+from itertools import accumulate
 
 from . import construct, digraph, f2, solver
 from .errors import ParseError, ResourceLimitError, check_int
@@ -363,22 +365,24 @@ def _join_options(
     join: Join, results: dict[str, solver.InvResult], opts: solver.SearchOptions
 ) -> solver.SearchOptions:
     """``opts`` with the certificates the join's parts give once all are
-    resolved: the first part of largest value, an induced subgraph of the
-    join, below, and the parts' witnesses laid side by side
-    (``construct.compose_family`` over the transitive tournament, which
-    needs no sets), as many sets as the parts' values sum to, above."""
+    resolved, built from the parts alone on the join's layout, where part
+    j starts after the vertices of the parts before it.  Below: the first
+    part of largest value, the join's subgraph on that part's vertices.
+    Above: each part's witness shifted onto its vertices, in part order,
+    as many sets as the parts' values sum to.  No set meets two parts, so
+    every arc between parts keeps its forward direction and the family
+    decycles the join.  ``solver._bounds`` checks both against the join."""
     found = [results.get(_key(p)) for p in join.parts]
     if any(r is None for r in found):
         return opts
+    offsets = list(accumulate((p.n for p in join.parts), initial=0))
     best = max(range(len(found)), key=lambda i: found[i].value)
     part = join.parts[best]
-    mask = (1 << part.n) - 1 << sum(p.n for p in join.parts[:best])
-    m = len(join.parts)
-    upper = construct.compose_family(
-        construct.transitive(m), digraph.InversionFamily(m, ()), list(join.parts),
-        [r.witness for r in found],
+    lower = solver.Sub((1 << part.n) - 1 << offsets[best], part, found[best])
+    upper = digraph.InversionFamily(
+        offsets[-1], [s << off for r, off in zip(found, offsets) for s in r.witness.sets]
     )
-    return solver.SearchOptions(opts.max_k, opts.budget, solver.Sub(mask, part, found[best]), upper)
+    return solver.SearchOptions(opts.max_k, opts.budget, lower, upper)
 
 
 def cmd_experiment(args) -> int:

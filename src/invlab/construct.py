@@ -5,9 +5,9 @@ Constructions: the directed triangle, transitive tournaments, the
 reversed-path tournament, k-joins (a dijoin is the k-join of two parts),
 and blow-ups (replace each vertex of a host graph by a digraph, with full
 arc bundles following the host's arcs).  Blow-up parts are laid out
-consecutively in part order so families map predictably onto the result:
-``compose_family`` builds a blow-up's family from its host's and its
-parts', the upper bound a sweep gives each join it solves.
+consecutively in part order, so a part's family shifted by the vertex
+count of the parts before it is a family of the same vertices of the
+blow-up.
 
 The expression grammar is deliberately minimal (no variables, no
 bindings) so one line fully reproduces an experiment instance:
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
+from itertools import accumulate
 from operator import xor
 
 from .digraph import (
@@ -85,19 +86,11 @@ def dijoin(left: Digraph, right: Digraph) -> Digraph:
     return k_join([left, right])
 
 
-def _offsets(parts: list[Digraph]) -> list[int]:
-    # where each part's vertices start in a blow-up, parts laid out in order
-    offsets = [0]
-    for p in parts[:-1]:
-        offsets.append(offsets[-1] + p.n)
-    return offsets
-
-
 def blow_up(H: Digraph, parts: list[Digraph]) -> Digraph:
     """Replace vertex i of H by parts[i], with full bundles along H's arcs."""
     if len(parts) != H.n:
         raise ValueError(f"blow-up needs exactly {H.n} parts, got {len(parts)}")
-    offsets = _offsets(parts)
+    offsets = list(accumulate((p.n for p in parts), initial=0))
     masks = [((1 << p.n) - 1) << off for p, off in zip(parts, offsets)]
     rows = []
     for i, p in enumerate(parts):
@@ -109,7 +102,7 @@ def blow_up(H: Digraph, parts: list[Digraph]) -> Digraph:
             bundle |= masks[j]
             hrow &= hrow - 1
         rows.extend((row << off) | bundle for row in p.out_rows)
-    return Digraph(sum(p.n for p in parts), rows)
+    return Digraph(offsets[-1], rows)
 
 
 def k_join(parts: list[Digraph]) -> Digraph:
@@ -278,38 +271,3 @@ def extend_family_to_c3_dijoin(D: Digraph, F: InversionFamily) -> InversionFamil
     _require_decycling(joined, out, "triangle dijoin family")
     return out
 
-
-def compose_family(
-    H: Digraph,
-    F_H: InversionFamily,
-    parts: list[Digraph],
-    part_families: list[InversionFamily],
-) -> InversionFamily:
-    """A decycling family of the blow-up of H by ``parts``, of width
-    ``F_H.k`` plus the widths of ``part_families``.
-
-    Each set of ``F_H`` is blown up to the union of its vertices' parts,
-    and each part's family follows in place, part by part.  A blown-up set
-    reverses the arcs between two parts as ``F_H`` reverses H's arc, and
-    within a part every arc or none, so when ``F_H`` decycles H and each
-    part family its part, every part ends acyclic or reversed acyclic and
-    the parts are ordered by H made acyclic: the family decycles the
-    blow-up whatever H's shape.  The result is verified, not assumed: a
-    family that does not decycle its graph leaves a cycle, and raises
-    VerificationError with it.
-    """
-    if len(parts) != H.n or len(part_families) != H.n:
-        raise ValueError(f"blow-up needs exactly {H.n} parts and part families")
-    if F_H.n != H.n:
-        raise ValueError(f"host family is on {F_H.n} vertices, not {H.n}")
-    offsets = _offsets(parts)
-    masks = [((1 << p.n) - 1) << off for p, off in zip(parts, offsets)]
-    sets = [sum(m for j, m in enumerate(masks) if s >> j & 1) for s in F_H.sets]
-    for j, (p, F, off) in enumerate(zip(parts, part_families, offsets)):
-        if F.n != p.n:
-            raise ValueError(f"family of part {j} is on {F.n} vertices, not {p.n}")
-        sets.extend(s << off for s in F.sets)
-    blown = blow_up(H, parts)
-    out = InversionFamily(blown.n, sets)
-    _require_decycling(blown, out, "blow-up family")
-    return out

@@ -58,6 +58,8 @@ one below the family's width, and returns that family, as ``composed``,
 when they are all empty.  Its ``InvResult`` says which certificate proves
 the value (``proof``) and where its witness came from (``source``).
 Without certificates every tree, count and witness is the plain search's.
+``exists_family`` and the order backend check no certificates, so they
+refuse any.
 """
 
 from __future__ import annotations
@@ -440,6 +442,16 @@ def _search_assignment(
     return InversionFamily(n, cols[::-1]), nodes  # coordinate c is set k-1-c
 
 
+def _uncertified(opts: SearchOptions | None) -> SearchOptions:
+    """``opts``, or the default limits, for a solver that takes no
+    certificates: one would go unchecked there, so it is refused."""
+    if opts is None:
+        return SearchOptions()
+    if opts.lower is not None or opts.upper is not None:
+        raise ValueError("only inv_exact takes lower and upper certificates")
+    return opts
+
+
 def exists_family(
     D: Digraph, k: int, opts: SearchOptions | None = None, *, even_weight_only: bool = False
 ) -> InversionFamily | None:
@@ -450,8 +462,7 @@ def exists_family(
     empty.  Raises BudgetExceededError when the node budget runs out,
     which is distinct from a certified None.
     """
-    if opts is None:
-        opts = SearchOptions()
+    opts = _uncertified(opts)
     check_int(k, "family size", 0, MAX_K)
     found, _ = _search_assignment(D, k, opts, even_weight_only=even_weight_only)
     if found is not None:
@@ -503,9 +514,11 @@ def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
             raise ValueError(
                 f"lower bound part is not the subgraph induced by mask {lower.mask:#x}"
             )
+        if not isinstance(lower.result, InvResult):
+            raise ValueError(f"lower bound result must be an InvResult, got {lower.result!r}")
         if not lower.result.resolved:
             raise ValueError("lower bound result is unresolved")
-        low = lower.result.value
+        low = check_int(lower.result.value, "lower bound value", 0, MAX_K)
     if upper is not None:
         if upper.n != D.n:
             raise ValueError(f"upper family is on {upper.n} vertices, not {D.n}")
@@ -566,8 +579,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     ``opts.max_k`` are pruned, so when none fits the result is unresolved
     with ``max_k`` exhausted, as from ``inv_exact``.
     """
-    if opts is None:
-        opts = SearchOptions()
+    opts = _uncertified(opts)
     if not D.is_tournament():
         raise ValueError("the order backend is only exact on tournaments")
     if D.n > ORDER_BACKEND_MAX_N:

@@ -20,9 +20,11 @@ from invlab.digraph import (
     apply_family,
     invert,
     is_acyclic,
+    residual_cycle,
 )
 from invlab import cli, solver
-from invlab.errors import BudgetExceededError, ResourceLimitError
+from invlab.construct import blow_up
+from invlab.errors import BudgetExceededError, ResourceLimitError, VerificationError
 from invlab.f2 import free_diag_bound
 
 
@@ -573,6 +575,46 @@ def use_unbounded_joins(monkeypatch) -> None:
     record that route.  The parts are still answered first, but no checker
     that did not ask for them sees their answers."""
     monkeypatch.setattr(cli, "_join_options", lambda join, results, opts: opts)
+
+
+def compose_family(
+    H: Digraph,
+    F_H: InversionFamily,
+    parts: list[Digraph],
+    part_families: list[InversionFamily],
+) -> InversionFamily:
+    """A decycling family of the blow-up of H by ``parts``, of width
+    ``F_H.k`` plus the widths of ``part_families``: the reference for the
+    upper family a sweep gives each join, which is this composition over
+    the transitive tournament with no host sets.
+
+    Each set of ``F_H`` is blown up to the union of its vertices' parts,
+    and each part's family follows in place, part by part.  A blown-up set
+    reverses the arcs between two parts as ``F_H`` reverses H's arc, and
+    within a part every arc or none, so when ``F_H`` decycles H and each
+    part family its part, every part ends acyclic or reversed acyclic and
+    the parts are ordered by H made acyclic: the family decycles the
+    blow-up whatever H's shape.  The result is verified, not assumed: a
+    family that does not decycle its graph leaves a cycle, and raises
+    VerificationError with it.
+    """
+    if len(parts) != H.n or len(part_families) != H.n:
+        raise ValueError(f"blow-up needs exactly {H.n} parts and part families")
+    if F_H.n != H.n:
+        raise ValueError(f"host family is on {F_H.n} vertices, not {H.n}")
+    offsets = list(itertools.accumulate((p.n for p in parts), initial=0))
+    masks = [((1 << p.n) - 1) << off for p, off in zip(parts, offsets)]
+    sets = [sum(m for j, m in enumerate(masks) if s >> j & 1) for s in F_H.sets]
+    for j, (p, F, off) in enumerate(zip(parts, part_families, offsets)):
+        if F.n != p.n:
+            raise ValueError(f"family of part {j} is on {F.n} vertices, not {p.n}")
+        sets.extend(s << off for s in F.sets)
+    blown = blow_up(H, parts)
+    out = InversionFamily(blown.n, sets)
+    cycle = residual_cycle(apply_family(blown, out))
+    if cycle is not None:
+        raise VerificationError(f"blow-up family left a cycle {cycle}", cycle)
+    return out
 
 
 # bounds one reference_order_search call may keep in its memo; what would

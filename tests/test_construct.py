@@ -11,7 +11,6 @@ from invlab.construct import (
     MAX_EXPR_DEPTH,
     blow_up,
     c3,
-    compose_family,
     dijoin,
     extend_family_to_c3_dijoin,
     graph_from_expr,
@@ -35,7 +34,7 @@ from invlab.digraph import (
 from invlab.errors import ParseError, VerificationError
 from invlab.solver import inv_exact
 
-from helpers import canonical_key, random_oriented
+from helpers import canonical_key, compose_family, random_oriented
 
 
 class TestBasicGraphs:

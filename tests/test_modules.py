@@ -14,7 +14,7 @@ import pytest
 
 import invlab
 from invlab import construct, f2, solver
-from invlab.construct import c3, compose_family, transitive
+from invlab.construct import c3, transitive
 from invlab.digraph import (
     MAX_VERTICES,
     Digraph,
@@ -25,6 +25,8 @@ from invlab.digraph import (
     parse_family,
 )
 from invlab.solver import SearchOptions, Sub
+
+from helpers import compose_family
 
 
 def test_no_module_global_caches():
@@ -66,6 +68,7 @@ def test_every_exported_name_resolves():
 TEST_ONLY = {
     "apply_assignment",
     "canonical_key",
+    "compose_family",
     "dot",
     "enumerate_tournaments",
     "extend_to_tournament",

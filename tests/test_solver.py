@@ -11,8 +11,18 @@ import re
 import pytest
 
 from invlab import cli, f2, solver
-from invlab.construct import c3, dijoin, graph_from_expr, k_join, qn, qn_family, transitive
+from invlab.construct import (
+    c3,
+    dijoin,
+    graph_from_expr,
+    join_parts,
+    k_join,
+    qn,
+    qn_family,
+    transitive,
+)
 from invlab.digraph import (
+    Digraph,
     InversionFamily,
     apply_family,
     decode_digraph,
@@ -124,6 +134,12 @@ def bounded(D, parts, **limits) -> SearchOptions:
     return cli._join_options(cli.Join(parts), results, SearchOptions(**limits))
 
 
+def forged_value(opts: SearchOptions, value) -> solver.Sub:
+    """``opts.lower`` with its part's result claiming ``value``."""
+    claim = solver.InvResult(value, None, "assign", 0, 0.0, 0)
+    return solver.Sub(opts.lower.mask, opts.lower.part, claim)
+
+
 # the least tight tournament: it and its triangle dijoin both have value 3
 TIGHT = decode_digraph("enc:8:56.fc.50.75.e0.45.80.2d")
 
@@ -223,9 +239,20 @@ class TestCertifiedBounds:
              "upper family does not decycle the graph"),
             (lambda o: {"upper": InversionFamily(9, o.upper.sets)},
              "upper family is on 9 vertices, not 8"),
+            (lambda o: {"lower": solver.Sub(0b111, c3(), "x")},
+             "lower bound result must be an InvResult, got 'x'"),
+            (lambda o: {"lower": forged_value(o, -3)},
+             "lower bound value must be in 0..12, got -3"),
+            (lambda o: {"lower": forged_value(o, 13)},
+             "lower bound value must be in 0..12, got 13"),
+            (lambda o: {"lower": forged_value(o, 2.5)},
+             "lower bound value must be an int, got 2.5"),
+            (lambda o: {"lower": forged_value(o, True)},
+             "lower bound value must be an int, got True"),
         ],
         ids=["mask-past-width", "mask-of-other-vertices", "wrong-part", "unresolved-part",
-             "upper-cycle", "upper-width"],
+             "upper-cycle", "upper-width", "result-not-a-result", "negative-value",
+             "value-past-max", "float-value", "bool-value"],
     )
     def test_forged_certificate_refused(self, certificates, forge, message):
         D, opts = certificates
@@ -270,6 +297,83 @@ class TestCertifiedBounds:
             assert str(err.value) == f"assignment search exceeded {budget} nodes"
         r = inv_exact(D, SearchOptions(opts.max_k, 334, opts.lower, opts.upper))
         assert r.nodes_explored == 334 and r.witness == opts.upper
+
+
+class TestJoinOptions:
+    """The certificates a sweep gives each join, built from its parts'
+    results alone, against the composition they reproduce."""
+
+    @staticmethod
+    def reference_upper(parts, results):
+        m = len(parts)
+        return helpers.compose_family(transitive(m), InversionFamily(m, ()), list(parts),
+                                      [results[encode_digraph(p)].witness for p in parts])
+
+    def test_two_part_joins_of_classes_up_to_order_5(self):
+        classes = [T for n in range(1, 6) for T in nonisomorphic_tournaments(n)]
+        results = {encode_digraph(T): inv_exact(T) for T in classes}
+        pairs = [[L, R] for L in classes for R in classes]
+        assert len(pairs) == 400
+        for parts in pairs:
+            opts = cli._join_options(cli.Join(parts), results, SearchOptions())
+            assert opts.upper == self.reference_upper(parts, results)
+
+    def test_three_part_joins_of_kjoin_and_abnormal(self):
+        joins = [join_parts(inst) for inst in cli._build_kjoin(None)]
+        joins += [[c3(), c3(), graph_from_expr(inst)] for inst in cli._build_abnormal(None)]
+        # join(c3, c3, c3), then [c3, c3, D] for D = tt(1), tt(3), c3
+        triples = [parts for parts in joins if len(parts) == 3]
+        assert len(triples) == 4
+        results = {encode_digraph(p): inv_exact(p) for parts in triples for p in parts}
+        for parts in triples:
+            opts = cli._join_options(cli.Join(parts), results, SearchOptions())
+            assert opts.upper == self.reference_upper(parts, results)
+
+    def test_builds_no_graph(self, monkeypatch):
+        parts = [c3(), qn(5), transitive(2)]
+        join = cli.Join(parts)
+        results = {encode_digraph(p): inv_exact(p) for p in parts}
+        built = []
+        init = Digraph.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Digraph, "__init__", spy)
+        opts = cli._join_options(join, results, SearchOptions())
+        assert built == []
+        assert opts.lower.mask == 0b11111000 and opts.upper.k == 1 + 2 + 0
+        # the spy sees a graph the join's layout builds
+        k_join(parts)
+        assert len(built) > 0
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        lambda: {"upper": InversionFamily(3, ())},
+        lambda: {"upper": inv_exact(c3()).witness},
+        lambda: {"lower": solver.Sub(0b11, transitive(2), inv_exact(transitive(2)))},
+    ],
+    ids=["forged-upper", "true-upper", "lower"],
+)
+class TestCertificatesOnlyForInvExact:
+    # neither solver checks a certificate, so each refuses any before work
+    MESSAGE = "only inv_exact takes lower and upper certificates"
+
+    def test_exists_family(self, monkeypatch, certificate):
+        opts = SearchOptions(**certificate())
+        calls = []
+        monkeypatch.setattr(solver, "_search_assignment", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError) as err:
+            exists_family(c3(), 1, opts)
+        assert str(err.value) == self.MESSAGE and calls == []
+
+    def test_order_backend(self, bound_calls, certificate):
+        with pytest.raises(ValueError) as err:
+            inv_order_backend(c3(), SearchOptions(**certificate()))
+        assert str(err.value) == self.MESSAGE and bound_calls == []
 
 
 @pytest.fixture
