@@ -105,18 +105,24 @@ class Digraph(Record):
     def induced(self, mask: VertexSet) -> "Digraph":
         """Subgraph on the masked vertices, renumbered in ascending order."""
         check_masks((mask,), "vertex set", self.n)
-        verts = [v for v in range(self.n) if mask >> v & 1]
-        index = {v: i for i, v in enumerate(verts)}
-        rows = []
-        for v in verts:
-            row = self.out_rows[v] & mask
-            new = 0
-            while row:
-                w = (row & -row).bit_length() - 1
-                new |= 1 << index[w]
-                row &= row - 1
-            rows.append(new)
-        return Digraph(len(verts), rows)
+        return Digraph(mask.bit_count(), _induced_rows(self.out_rows, mask))
+
+
+def _induced_rows(rows: Sequence[int], mask: VertexSet) -> tuple[int, ...]:
+    """The rows of the subgraph on the masked vertices, renumbered in
+    ascending order: ``induced`` without the graph."""
+    verts = [v for v in range(len(rows)) if mask >> v & 1]
+    index = {v: i for i, v in enumerate(verts)}
+    out = []
+    for v in verts:
+        row = rows[v] & mask
+        new = 0
+        while row:
+            w = (row & -row).bit_length() - 1
+            new |= 1 << index[w]
+            row &= row - 1
+        out.append(new)
+    return tuple(out)
 
 
 def _columns(rows: Sequence[int], n: int) -> tuple[int, ...]:
@@ -163,18 +169,22 @@ def apply_family(D: Digraph, F: InversionFamily) -> Digraph:
     """D with every set of the family inverted (order never matters)."""
     if F.n != D.n:
         raise ValueError("family host size does not match graph")
+    return Digraph(D.n, _flipped_rows(D.out_rows, F.sets))
+
+
+def _flipped_rows(rows: Sequence[int], sets: Sequence[VertexSet]) -> tuple[int, ...]:
+    """The rows once every set is inverted: ``apply_family`` without the graph."""
     # the XOR of the sets holding u marks the vertices whose arc with u
     # lies in an odd number of sets, so is reversed once all are inverted
-    cols = _columns(D.out_rows, D.n)
-    rows = []
-    for u in range(D.n):
+    cols = _columns(rows, len(rows))
+    out = []
+    for u, row in enumerate(rows):
         flip = 0
-        for s in F.sets:
+        for s in sets:
             if s >> u & 1:
                 flip ^= s
-        row = D.out_rows[u]
-        rows.append(row & ~flip | cols[u] & flip)
-    return Digraph(D.n, rows)
+        out.append(row & ~flip | cols[u] & flip)
+    return tuple(out)
 
 
 def invert(D: Digraph, X: VertexSet) -> Digraph:
@@ -210,6 +220,13 @@ def is_acyclic(D: Digraph) -> list[int] | None:
     """
     order, remaining = _peel(_columns(D.out_rows, D.n), (1 << D.n) - 1)
     return None if remaining else order
+
+
+def _acyclic(rows: Sequence[int]) -> bool:
+    """Whether the rows have no cycle, without the graph or an order: the
+    peel strips sinks, which it reads off the rows themselves, where
+    ``is_acyclic`` strips sources, which need the columns."""
+    return not _peel(rows, (1 << len(rows)) - 1)[1]
 
 
 def residual_cycle(D: Digraph) -> list[int] | None:

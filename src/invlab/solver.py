@@ -2,7 +2,9 @@
 
 Two independent backends:
 
-* ``assign``: iterative deepening over the family size k, searching
+* ``assign``: iterative deepening over the family size k.  Level 0 is no
+  search: its one family is the empty one, so one acyclicity peel decides
+  it, at no node.  From k=1 on, each level searches
   characteristic-vector assignments vertex by vertex with forward
   checking.  Each unplaced vertex keeps a 2^k-bit mask of the vectors
   that close no cycle with the placed prefix; placing a vertex removes
@@ -67,7 +69,14 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 
-from .digraph import Digraph, InversionFamily, apply_family, dump_family, is_acyclic
+from .digraph import (
+    Digraph,
+    InversionFamily,
+    _acyclic,
+    _flipped_rows,
+    _induced_rows,
+    dump_family,
+)
 from .errors import BudgetExceededError, ResourceLimitError, check_int, check_masks
 from .f2 import _peel, free_diag_bound
 from .record import Record
@@ -470,8 +479,14 @@ def exists_family(
     return found
 
 
+def _decycles(D: Digraph, sets: Sequence[int]) -> bool:
+    """Whether inverting ``sets`` leaves D acyclic, checked on D's flipped
+    rows: ``is_acyclic(apply_family(D, F))`` with no graph built."""
+    return _acyclic(_flipped_rows(D.out_rows, sets))
+
+
 def _certify(D: Digraph, family: InversionFamily) -> None:
-    if is_acyclic(apply_family(D, family)) is None:
+    if not _decycles(D, family.sets):
         raise RuntimeError("internal witness failed its decycling check; this is a bug")
 
 
@@ -505,12 +520,15 @@ def _result(
 def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
     """The first and the last level ``inv_exact`` searches, after checking
     ``opts``' certificates against D: from the lower bound's value, or 0,
-    up to one below the upper family's width, or ``max_k``."""
+    up to one below the upper family's width, or ``max_k``.  Both are
+    checked on D's rows, with no graph built: the part's rows against D's
+    induced rows, the family on D's flipped rows."""
     low, high = 0, opts.max_k
     lower, upper = opts.lower, opts.upper
     if lower is not None:
         check_masks((lower.mask,), "lower bound mask", D.n)
-        if D.induced(lower.mask) != lower.part:
+        part = lower.part
+        if type(part) is not Digraph or part.out_rows != _induced_rows(D.out_rows, lower.mask):
             raise ValueError(
                 f"lower bound part is not the subgraph induced by mask {lower.mask:#x}"
             )
@@ -522,7 +540,7 @@ def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
     if upper is not None:
         if upper.n != D.n:
             raise ValueError(f"upper family is on {upper.n} vertices, not {D.n}")
-        if is_acyclic(apply_family(D, upper)) is None:
+        if not _decycles(D, upper.sets):
             raise ValueError("upper family does not decycle the graph")
         if low > upper.k:
             raise ValueError(f"lower bound {low} is above the upper family's {upper.k} sets")
@@ -533,6 +551,9 @@ def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
 def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     """Inversion number by iterative deepening over the family size.
 
+    Level 0 is decided by one acyclicity peel and costs no node: an
+    acyclic D has value 0 with the empty family as its witness, and a
+    cyclic D's level 0 is empty, so the search starts at k=1.
     ``opts.budget`` caps the nodes of all levels together, so
     ``nodes_explored`` never exceeds it.  With certificates in ``opts``
     (checked first, see ``_bounds``) only the levels between them are
@@ -549,8 +570,13 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     total = 0
     found, source = None, "search"
     for k in range(low, high + 1):
-        found, nodes = _search_assignment(D, k, opts, total)
-        total += nodes
+        if k:
+            found, nodes = _search_assignment(D, k, opts, total)
+            total += nodes
+        elif _acyclic(D.out_rows):
+            # level 0's one family is the empty one, which decycles D
+            # exactly when D is acyclic: one peel decides it, at no node
+            found = InversionFamily(D.n, ())
         if found is not None:
             break
     else:

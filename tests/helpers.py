@@ -7,6 +7,7 @@ import functools
 import itertools
 import operator
 import random
+import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -561,12 +562,42 @@ def reference_search(
 def use_reference_search(monkeypatch) -> None:
     """Make ``inv_exact`` run the search before forward checking.
 
-    That is ``reference_search`` with the complement rule, whose node
-    counts the older budget and stdout pins record.
+    That is ``reference_search`` with the complement rule, at every level
+    from k=0 (``use_reference_levels``), whose node counts the older
+    budget and stdout pins record.
     """
     monkeypatch.setattr(
         solver, "_search_assignment", functools.partial(reference_search, complement=True)
     )
+    use_reference_levels(monkeypatch)
+
+
+def reference_inv_exact(D: Digraph, opts=None):
+    """``inv_exact`` before level 0 became one acyclicity peel: the level
+    loop kept whole, so its trees stay pinned.  Every level it searches,
+    k=0 included, is a ``solver._search_assignment`` call, so level 0's
+    nodes count toward the total and the budget."""
+    if opts is None:
+        opts = solver.SearchOptions()
+    start = time.perf_counter()
+    low, high = solver._bounds(D, opts)
+    total = 0
+    found, source = None, "search"
+    for k in range(low, high + 1):
+        found, nodes = solver._search_assignment(D, k, opts, total)
+        total += nodes
+        if found is not None:
+            break
+    else:
+        if opts.upper is not None and opts.upper.k <= opts.max_k:
+            found, source = opts.upper, "composed"
+    return solver._result(D, found, "assign", total, start, opts.max_k, opts.lower, source)
+
+
+def use_reference_levels(monkeypatch) -> None:
+    """Make every solve search level 0 as ``reference_inv_exact`` does,
+    whose totals the older budget boundaries and stdout pins record."""
+    monkeypatch.setattr(solver, "inv_exact", reference_inv_exact)
 
 
 def use_unbounded_joins(monkeypatch) -> None:

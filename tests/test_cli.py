@@ -34,6 +34,12 @@ def reference_solver(monkeypatch):
 
 
 @pytest.fixture
+def reference_levels(monkeypatch):
+    # every level searched from k=0, as the older forward-checked pins record
+    helpers.use_reference_levels(monkeypatch)
+
+
+@pytest.fixture
 def unbounded_joins(monkeypatch):
     # joins solved from k=0 with no certificates, as older pins record
     helpers.use_unbounded_joins(monkeypatch)
@@ -45,16 +51,27 @@ class TestInvCommand:
         assert code == 0
         assert out.splitlines()[0] == "inv=1 k_proof=0_exhausted backend=assign nodes=10"
 
-    def test_triangle_forward_checked(self, capsys):
+    def test_triangle_forward_checked(self, capsys, reference_levels):
         # k=0: the third vertex's mask empties after two nodes
         code, out, _ = run(capsys, "inv", "expr:c3", "--deterministic")
         assert code == 0
         assert out.splitlines()[0] == "inv=1 k_proof=0_exhausted backend=assign nodes=7"
 
+    def test_triangle_level_zero_by_peel(self, capsys):
+        # k=0 is one acyclicity peel, at no node: k=1 alone is searched
+        code, out, _ = run(capsys, "inv", "expr:c3", "--deterministic")
+        assert code == 0
+        assert out.splitlines()[0] == "inv=1 k_proof=0_exhausted backend=assign nodes=5"
+
     def test_transitive_six(self, capsys):
-        # no level lies below 0, so there is none to have exhausted
+        # no level lies below 0, so there is none to have exhausted, and
+        # the peel that finds the graph acyclic costs no node
         code, out, _ = run(capsys, "inv", "expr:tt(6)", "--deterministic")
-        assert code == 0 and out.startswith("inv=0 k_proof=none backend=assign ")
+        assert (code, out) == (0, "inv=0 k_proof=none backend=assign nodes=0\n")
+
+    def test_cyclic_with_max_k_zero_costs_no_node(self, capsys):
+        code, out, _ = run(capsys, "inv", "expr:c3", "--max-k", "0", "--deterministic")
+        assert (code, out) == (2, "inv=unknown k_exhausted=0 backend=assign nodes=0\n")
 
     def test_triple_join(self, capsys):
         code, out, _ = run(capsys, "inv", "expr:join(c3, c3, c3)", "--deterministic")
@@ -109,7 +126,7 @@ class TestInvCommand:
         )
         assert code == 0 and out.startswith("inv=4 ") and "nodes=27615" in out
 
-    def test_budget_counts_the_whole_forward_checked_solve(self, capsys):
+    def test_budget_counts_the_whole_forward_checked_solve(self, capsys, reference_levels):
         # qn(10) needs 2 + 22 + 220 + 6918 + 30 = 7192 nodes
         code, out, _ = run(
             capsys, "inv", "expr:qn(10)", "--budget", "7191", "--deterministic"
@@ -119,6 +136,18 @@ class TestInvCommand:
             capsys, "inv", "expr:qn(10)", "--budget", "7192", "--deterministic"
         )
         assert code == 0 and out.startswith("inv=4 ") and "nodes=7192" in out
+
+    def test_budget_counts_the_whole_solve_from_level_one(self, capsys):
+        # with level 0 decided by the peel, qn(10) needs 22 + 220 + 6918 + 30
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(10)", "--budget", "7189", "--deterministic"
+        )
+        assert (code, out) == (2, "inv=unknown reason=assignment search exceeded 7189 nodes\n")
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(10)", "--budget", "7190", "--deterministic"
+        )
+        assert code == 0
+        assert out.startswith("inv=4 k_proof=3_exhausted backend=assign nodes=7190\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -586,7 +615,9 @@ class TestValueTable:
              "4ab42235e57546428b317566489f3899a679ab96d6e01a813dedc596c9e9b227"),
         ],
     )
-    def test_forward_checked_budget_stdout_pinned(self, capsys, unbounded_joins, argv, digest):
+    def test_forward_checked_budget_stdout_pinned(
+        self, capsys, reference_levels, unbounded_joins, argv, digest
+    ):
         code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -609,10 +640,44 @@ class TestValueTable:
              "6c4a545799229d5d404c17654e7233b561fa2983ae2c2618b985cc5a5c3ab6e6"),
         ],
     )
-    def test_bounded_stdout_pinned(self, capsys, argv, code, digest):
+    def test_bounded_stdout_pinned(self, capsys, reference_levels, argv, code, digest):
         got, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # the same sweeps with level 0 decided by the peel, at no node, with
+    # the joins bounded and then unbounded: bounded, direction's c3 now
+    # resolves within the budget (5 nodes, all at k=1), and so do the
+    # joins of its four transitive bases; unbounded, conj-direction's
+    # joins fit the budget, as they do bounded
+    @pytest.mark.parametrize(
+        "argv, code, bounded, unbounded",
+        [
+            (("kjoin", "--budget", "40"), 2,
+             "3caae79f8b8adacd498354f94c0612d358ad809c1ef2128c57ebe17a79871fb6",
+             "3caae79f8b8adacd498354f94c0612d358ad809c1ef2128c57ebe17a79871fb6"),
+            (("direction", "--n-max", "4", "--budget", "5"), 2,
+             "829cc8085b9dc9c03ffe64655fc8635c562d07c0dc70621f9e69fed240d46056",
+             "9c19ec9a3d1615028ce4f1c57f75a2e4cad7ff871d09e3cd2f1b4339cb6e77e7"),
+            (("conj-direction", "--left-n", "4", "--right-n", "4", "--budget", "60"), 0,
+             "32f74e5d7dcb2274cfe7e68a74c0675bfe3fb472e9efec50eb864af2088bd8c3",
+             "32f74e5d7dcb2274cfe7e68a74c0675bfe3fb472e9efec50eb864af2088bd8c3"),
+            (("bounds", "--n-max", "6", "--max-k", "1", "--budget", "20"), 2,
+             "4ab42235e57546428b317566489f3899a679ab96d6e01a813dedc596c9e9b227",
+             "4ab42235e57546428b317566489f3899a679ab96d6e01a813dedc596c9e9b227"),
+            (("kjoin", "--max-k", "2"), 2,
+             "6c4a545799229d5d404c17654e7233b561fa2983ae2c2618b985cc5a5c3ab6e6",
+             "6c4a545799229d5d404c17654e7233b561fa2983ae2c2618b985cc5a5c3ab6e6"),
+        ],
+    )
+    def test_level_zero_by_peel_stdout_pinned(
+        self, capsys, monkeypatch, argv, code, bounded, unbounded
+    ):
+        for digest in (bounded, unbounded):
+            got, out, _ = run(capsys, "experiment", *argv, "--deterministic")
+            assert got == code
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+            helpers.use_unbounded_joins(monkeypatch)
 
     # at max-k 2 the part's triangle dijoin (value 3) is unresolved: past
     # max-k, not past a budget, since none was set; the line names the graph
@@ -688,8 +753,8 @@ BENCH_SWEEPS = [
 class TestJoinBounds:
     """Each join a sweep asks is solved between its parts' bounds."""
 
-    @pytest.fixture
-    def nodes(self, monkeypatch):
+    @staticmethod
+    def count_nodes(monkeypatch):
         # one counter shared with forked pool workers, as the bench keeps it
         import multiprocessing
 
@@ -705,16 +770,34 @@ class TestJoinBounds:
         monkeypatch.setattr(solver, "inv_exact", counted)
         return total
 
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        return self.count_nodes(monkeypatch)
+
+    @pytest.fixture
+    def reference_nodes(self, monkeypatch):
+        # the nodes of every level searched from k=0
+        helpers.use_reference_levels(monkeypatch)
+        return self.count_nodes(monkeypatch)
+
     def sweep(self, capsys, *argv):
         code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert code == 0
         return hashlib.sha256(out.encode()).hexdigest()
 
-    def test_bench_sweep_nodes_pinned(self, capsys, nodes):
+    def test_bench_sweep_nodes_pinned(self, capsys, reference_nodes):
         # 30,462 + 16,281 = 46,743 nodes with every join deepened from k=0
         for argv, digest in BENCH_SWEEPS:
             assert self.sweep(capsys, *argv) == digest
-        assert nodes.value == 27_466 + 14_507
+        assert reference_nodes.value == 27_466 + 14_507
+
+    def test_bench_sweep_nodes_with_level_zero_by_peel(self, capsys, nodes):
+        # the same sweeps less the nodes of every level 0 searched: only
+        # the parts' and bases' solves start there, since a join's lower
+        # bound is at least c3's 1
+        for argv, digest in BENCH_SWEEPS:
+            assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == 27_255 + 14_296
 
     def test_a_pool_gives_the_same_stdout_and_nodes(self, capsys, monkeypatch, nodes):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

@@ -48,6 +48,7 @@ from helpers import (
     family_vectors,
     flip_matrix,
     inv_subset_oracle,
+    random_family,
     random_oriented,
     random_tournament,
     rank_lower_bound_check,
@@ -126,6 +127,108 @@ class TestInvExact:
         assert a.witness == b.witness and a.nodes_explored == b.nodes_explored
 
 
+def has_cycle(D: Digraph) -> bool:
+    """Whether some vertex reaches itself, by Warshall's closure on the
+    rows: an oracle apart from the library's peel."""
+    reach = list(D.out_rows)
+    for w in range(D.n):
+        for v in range(D.n):
+            if reach[v] >> w & 1:
+                reach[v] |= reach[w]
+    return any(reach[v] >> v & 1 for v in range(D.n))
+
+
+class TestLevelZeroByPeel:
+    """``inv_exact`` decides level 0 by one acyclicity peel, at no node."""
+
+    @staticmethod
+    def _graphs():
+        yield from (T for n in range(6) for T in enumerate_tournaments(n))
+        rng = random.Random(30)
+        for _ in range(150):
+            yield random_oriented(rng, rng.randint(0, 9))
+
+    def test_never_searches_level_zero(self, monkeypatch):
+        # every level but 0 is searched as the reference searches it, so
+        # the value and witness are the same and only level 0's nodes go
+        levels = []
+        search = solver._search_assignment
+
+        def spy(D, k, *args, **kwargs):
+            levels.append(k)
+            return search(D, k, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_search_assignment", spy)
+        acyclic = 0
+        for D in self._graphs():
+            levels.clear()
+            r = inv_exact(D)
+            assert 0 not in levels and levels == list(range(1, r.value + 1))
+            ref = helpers.reference_inv_exact(D)
+            level0 = search(D, 0, SearchOptions())[1]
+            assert (r.value, r.witness) == (ref.value, ref.witness)
+            assert r.nodes_explored == ref.nodes_explored - level0
+            acyclic += r.value == 0
+        assert acyclic > 6  # more than the transitive tournament of each order
+
+    def test_acyclic_graph_costs_no_node(self):
+        rng = random.Random(31)
+        for n in range(10):
+            # a random oriented graph with every arc from low to high
+            rows = [rng.getrandbits(n) & ~((2 << v) - 1) for v in range(n)]
+            D = Digraph(n, rows)
+            r = inv_exact(D)
+            assert r.witness == InversionFamily(n, ())
+            assert r.report(deterministic=True) == "inv=0 k_proof=none backend=assign nodes=0"
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_cyclic_graph_at_max_k_zero_is_unresolved_with_no_node(self, budget):
+        rng = random.Random(32)
+        for D in [c3(), qn(9)] + [random_tournament(rng, n) for n in range(3, 10)]:
+            if is_acyclic(D) is not None:
+                continue
+            r = inv_exact(D, SearchOptions(max_k=0, budget=budget))
+            assert (r.value, r.witness, r.nodes_explored, r.max_k_exhausted) == (
+                None, None, 0, 0)
+            assert r.report(deterministic=True) == (
+                "inv=unknown k_exhausted=0 backend=assign nodes=0")
+
+    def test_row_decycling_check_agrees_with_the_graphs(self):
+        rng = random.Random(33)
+        seen = {True: 0, False: 0}
+        for trial in range(400):
+            n = rng.randint(0, 9)
+            D = random_tournament(rng, n) if trial % 2 else random_oriented(rng, n)
+            F = random_family(rng, n, rng.randint(0, 4))
+            if trial % 5 == 0:
+                F = inv_exact(D).witness  # a family that decycles D
+            decycles = solver._decycles(D, F.sets)
+            assert decycles == (is_acyclic(apply_family(D, F)) is not None)
+            assert decycles != has_cycle(apply_assignment(D, family_vectors(F)))
+            seen[decycles] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_checks_build_no_graph(self, monkeypatch):
+        # the certificates and every witness are checked on rows
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        solves = [(D, bounded(D, parts)), (D, None), (qn(7), None), (transitive(5), None)]
+        built = []
+        init = Digraph.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Digraph, "__init__", spy)
+        for G, opts in solves:
+            inv_exact(G, opts)
+            assert exists_family(G, 3) is not None
+        assert built == []
+        transitive(3)  # the spy sees a graph built
+        assert len(built) == 1
+
+
 def bounded(D, parts, **limits) -> SearchOptions:
     """The certificates a sweep gives D, the k-join of ``parts``: the first
     part of largest value below, the parts' witnesses composed above."""
@@ -186,7 +289,10 @@ class TestCertifiedBounds:
         level = solver._search_assignment(D, 2, SearchOptions())
         assert level == (None, 334) and r.nodes_explored == 334
         assert (r.value, r.max_k_exhausted, r.proof, r.source) == (3, 2, "exhausted", "composed")
-        assert inv_exact(D).nodes_explored == 379
+        assert helpers.reference_inv_exact(D).nodes_explored == 379
+        # unbounded, level 0 is one peel: its 2 nodes leave the total
+        assert solver._search_assignment(D, 0, SearchOptions()) == (None, 2)
+        assert inv_exact(D).nodes_explored == 377
 
     def test_report_forms(self):
         # a sub proof, with the witness from the search
@@ -232,6 +338,9 @@ class TestCertifiedBounds:
              "lower bound part is not the subgraph induced by mask 0x7"),
             (lambda o: {"lower": solver.Sub(o.lower.mask, reverse(qn(5)), o.lower.result)},
              "lower bound part is not the subgraph induced by mask 0xf8"),
+            (lambda o: {"lower": solver.Sub(o.lower.mask, o.lower.part.out_rows,
+                                            o.lower.result)},
+             "lower bound part is not the subgraph induced by mask 0xf8"),
             (lambda o: {"lower": solver.Sub(o.lower.mask, o.lower.part,
                                             inv_exact(qn(5), SearchOptions(max_k=1)))},
              "lower bound result is unresolved"),
@@ -250,7 +359,8 @@ class TestCertifiedBounds:
             (lambda o: {"lower": forged_value(o, True)},
              "lower bound value must be an int, got True"),
         ],
-        ids=["mask-past-width", "mask-of-other-vertices", "wrong-part", "unresolved-part",
+        ids=["mask-past-width", "mask-of-other-vertices", "wrong-part", "part-not-a-graph",
+             "unresolved-part",
              "upper-cycle", "upper-width", "result-not-a-result", "negative-value",
              "value-past-max", "float-value", "bool-value"],
     )
@@ -924,8 +1034,12 @@ class TestSearchTreePinned:
         forward, forward_witness = FORWARD_TREES[expr]
         assert all(f <= i for f, i in zip(forward, ISOMETRY_TREES[expr]))
         assert level_counts(D, opts) == (forward, forward_witness)
-        r = inv_exact(D)
+        r = helpers.reference_inv_exact(D)
         assert r.nodes_explored == sum(forward)
+        assert dump_family(r.witness) == forward_witness
+        # level 0 by the peel: every level the same but 0, which costs none
+        r = inv_exact(D)
+        assert r.nodes_explored == sum(forward[1:])
         assert dump_family(r.witness) == forward_witness
 
     def test_even_weight_levels_and_witness(self, memo_bound):
@@ -942,8 +1056,11 @@ class TestSearchTreePinned:
         assert not D.is_tournament()
         counts, witness = FORWARD_ORIENTED[n, seed]
         assert level_counts(D, SearchOptions()) == (counts, witness)
-        r = inv_exact(D)
+        r = helpers.reference_inv_exact(D)
         assert r.nodes_explored == sum(counts)
+        assert dump_family(r.witness) == witness
+        r = inv_exact(D)
+        assert r.nodes_explored == sum(counts[1:])
         assert dump_family(r.witness) == witness
 
     def test_memo_is_per_call_and_bounded(self, monkeypatch):
@@ -1060,28 +1177,29 @@ class TestBudgetPerSolve:
     # qn(10) explores 5 + 56 + 785 + 26374 + 395 = 27615 nodes in all
     def test_budget_caps_the_whole_solve(self):
         with pytest.raises(BudgetExceededError, match="27000 nodes"):
-            inv_exact(qn(10), SearchOptions(budget=27_000))
-        r = inv_exact(qn(10), SearchOptions(budget=27_615))
+            helpers.reference_inv_exact(qn(10), SearchOptions(budget=27_000))
+        r = helpers.reference_inv_exact(qn(10), SearchOptions(budget=27_615))
         assert r.value == 4 and r.nodes_explored == 27_615
 
     def test_budget_spent_before_the_last_level(self):
         spent = 5 + 56 + 785 + 26374
         with pytest.raises(BudgetExceededError, match=f"{spent} nodes"):
-            inv_exact(qn(10), SearchOptions(budget=spent))
-        r = inv_exact(qn(10), SearchOptions(budget=spent, max_k=3))
+            helpers.reference_inv_exact(qn(10), SearchOptions(budget=spent))
+        r = helpers.reference_inv_exact(qn(10), SearchOptions(budget=spent, max_k=3))
         assert not r.resolved and r.nodes_explored == spent
 
 
 class TestBudgetOnForwardTree:
     # the forward-checked qn(10) explores 2 + 22 + 220 + 6918 + 30 nodes
+    # when level 0 is searched too (helpers.reference_inv_exact)
     LEVELS = FORWARD_TREES["qn(10)"][0]
 
     def test_budget_caps_the_whole_solve(self):
         # a budget one short of the whole tree fails at the node past it
         total = sum(self.LEVELS)
         with pytest.raises(BudgetExceededError, match=f"{total - 1} nodes"):
-            inv_exact(qn(10), SearchOptions(budget=total - 1))
-        r = inv_exact(qn(10), SearchOptions(budget=total))
+            helpers.reference_inv_exact(qn(10), SearchOptions(budget=total - 1))
+        r = helpers.reference_inv_exact(qn(10), SearchOptions(budget=total))
         assert r.value == 4 and r.nodes_explored == total
 
     def test_budget_spent_at_each_level(self):
@@ -1089,9 +1207,9 @@ class TestBudgetOnForwardTree:
         for k, nodes in enumerate(self.LEVELS[:-1]):
             spent += nodes
             with pytest.raises(BudgetExceededError, match=f"{spent - 1} nodes"):
-                inv_exact(qn(10), SearchOptions(budget=spent - 1, max_k=k))
+                helpers.reference_inv_exact(qn(10), SearchOptions(budget=spent - 1, max_k=k))
             for budget in (spent, spent + 1):
-                r = inv_exact(qn(10), SearchOptions(budget=budget, max_k=k))
+                r = helpers.reference_inv_exact(qn(10), SearchOptions(budget=budget, max_k=k))
                 assert not r.resolved and r.nodes_explored == spent <= budget
 
     def test_nothing_outlives_a_call(self):
@@ -1100,7 +1218,37 @@ class TestBudgetOnForwardTree:
         for k in (3, 4):
             first = solver._search_assignment(D, k, SearchOptions())
             assert solver._search_assignment(D, k, SearchOptions()) == first
-        a, b = inv_exact(D), inv_exact(D)
+        a, b = helpers.reference_inv_exact(D), helpers.reference_inv_exact(D)
+        assert (a.nodes_explored, a.witness) == (b.nodes_explored, b.witness)
+        assert a.nodes_explored == sum(self.LEVELS)
+
+
+class TestBudgetWithLevelZeroByPeel:
+    # inv_exact decides level 0 by one peel, at no node, so qn(10) explores
+    # 22 + 220 + 6918 + 30 nodes: the forward-checked tree from k=1
+    LEVELS = FORWARD_TREES["qn(10)"][0][1:]
+
+    def test_budget_caps_the_whole_solve(self):
+        total = sum(self.LEVELS)
+        with pytest.raises(BudgetExceededError, match=f"{total - 1} nodes"):
+            inv_exact(qn(10), SearchOptions(budget=total - 1))
+        r = inv_exact(qn(10), SearchOptions(budget=total))
+        assert r.value == 4 and r.nodes_explored == total
+
+    def test_budget_spent_at_each_level(self):
+        r = inv_exact(qn(10), SearchOptions(budget=1, max_k=0))
+        assert not r.resolved and r.nodes_explored == 0
+        spent = 0
+        for k, nodes in enumerate(self.LEVELS[:-1], 1):
+            spent += nodes
+            with pytest.raises(BudgetExceededError, match=f"{spent - 1} nodes"):
+                inv_exact(qn(10), SearchOptions(budget=spent - 1, max_k=k))
+            for budget in (spent, spent + 1):
+                r = inv_exact(qn(10), SearchOptions(budget=budget, max_k=k))
+                assert not r.resolved and r.nodes_explored == spent <= budget
+
+    def test_nothing_outlives_a_call(self):
+        a, b = inv_exact(qn(10)), inv_exact(qn(10))
         assert (a.nodes_explored, a.witness) == (b.nodes_explored, b.witness)
         assert a.nodes_explored == sum(self.LEVELS)
 
@@ -1108,9 +1256,14 @@ class TestBudgetOnForwardTree:
 def budget_boundary_cases():
     """(id, solve, nodes, witness): ``solve(opts)`` returns a family, or
     None once its level is exhausted, after exactly ``nodes`` nodes;
-    ``witness`` is that family's dump.  Each graph is solved whole and at
-    the exhausted level below its value, where an overrun may fall among
-    the last candidates a level examines."""
+    ``witness`` is that family's dump.  Each graph is solved whole, from
+    k=0 as ``helpers.reference_inv_exact`` searches it and with level 0 by
+    the peel as ``inv_exact`` does, and at the exhausted level below its
+    value, where an overrun may fall among the last candidates a level
+    examines."""
+
+    def by_reference(D):
+        return lambda opts: helpers.reference_inv_exact(D, opts).witness
 
     def by_inv_exact(D):
         return lambda opts: inv_exact(D, opts).witness
@@ -1127,7 +1280,9 @@ def budget_boundary_cases():
     cases = []
     for name, D, counts, witness in searches:
         k = len(counts) - 2
-        cases.append((name, by_inv_exact(D), sum(counts), witness))
+        cases.append((name, by_reference(D), sum(counts), witness))
+        # level 0 by the peel, at no node
+        cases.append((f"{name}-peeled", by_inv_exact(D), sum(counts[1:]), witness))
         cases.append((f"{name}-k{k}", by_level(D, k), counts[k], None))
     counts, witness = FORWARD_EVEN_QN9
     for k in (3, 4):
