@@ -124,6 +124,9 @@ def cmd_gram(args) -> int:
 
 _Checker = Generator[list, list[int], tuple[bool, str] | None]
 
+# the triangle every dijoin checker joins; a Digraph is immutable, so one serves all
+C3 = construct.c3()
+
 
 class Join(Record):
     """A checker's ask for the value of the k-join of ``parts`` (a dijoin
@@ -143,7 +146,7 @@ def _check_thm13(inst: str) -> _Checker:
     (k,) = yield [D]
     if k < 2 or k % 2:
         return None  # outside the theorem: even values of at least 2
-    (got,) = yield [Join([construct.c3(), D])]
+    (got,) = yield [Join([C3, D])]
     return got == k + 1, f"inv={k} dijoin_inv={got} expect={k + 1}"
 
 
@@ -155,13 +158,13 @@ def _check_dijoins(L, R, lr_name: str, rl_name: str) -> _Checker:
 
 def _check_direction(inst: str) -> _Checker:
     D = digraph.decode_digraph(inst)
-    return (yield from _check_dijoins(construct.c3(), D, "c3_first", "c3_last"))
+    return (yield from _check_dijoins(C3, D, "c3_first", "c3_last"))
 
 
 def _check_abnormal(inst: str) -> _Checker:
     D = construct.graph_from_expr(inst)
-    triple = Join([construct.c3(), construct.c3(), D])
-    left, right = yield [triple, Join([construct.c3(), D])]
+    triple = Join([C3, C3, D])
+    left, right = yield [triple, Join([C3, D])]
     return left == right + 1, f"triple_join_inv={left} dijoin_inv={right} expect={right + 1}"
 
 
@@ -175,7 +178,7 @@ def _check_kjoin(inst: str) -> _Checker:
     D, k = parts[j], invs[j]
     # for odd k >= 3, D's even-weight k-family criterion decides tightness too
     criterion = [(D, k)] if k >= 3 and k % 2 else []
-    dijoin_k, *said = yield [Join([construct.c3(), D])] + criterion
+    dijoin_k, *said = yield [Join([C3, D])] + criterion
     tight = dijoin_k == k
     if said and said[0] != tight:
         return False, (f"criterion: even-weight criterion says {bool(said[0])}"
@@ -192,7 +195,7 @@ def _check_thm15(inst: str) -> _Checker:
     (base,) = yield [D]
     if base != 1:
         return None  # outside the theorem: value-1 tournaments only
-    (got,) = yield [construct.blow_up(D, [construct.c3()] * D.n)]
+    (got,) = yield [construct.blow_up(D, [C3] * D.n)]
     return got == D.n + 1, f"blowup_inv={got} expect={D.n + 1}"
 
 

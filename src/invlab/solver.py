@@ -10,9 +10,13 @@ Two independent backends:
   that close no cycle with the placed prefix; placing a vertex removes
   from every mask the vectors that now close one through it, a branch is
   cut as soon as a mask empties, and the next vertex is the one with the
-  fewest vectors left (fail first).  The flips depend only on the dot
-  products of the vectors, so any isometry of GF(2)^k maps decycling
-  families to decycling families, and two are broken (see
+  fewest vectors left (fail first).  On a certified solve (``inv_exact``
+  with an ``upper`` family), where nearly every level searched is
+  exhausted, a tie there goes first to the vertex on the most cyclic
+  triangles with another vertex unplaced; every other search keeps the
+  plain tie-break.  The flips depend only on the dot products of the
+  vectors, so any isometry of GF(2)^k maps decycling families to
+  decycling families, and two are broken (see
   ``_search_assignment``): permutation of family positions, where a
   vertex may only set a prefix of each block of coordinates whose
   columns agree so far, and, for even k, the map complementing every
@@ -23,7 +27,9 @@ Two independent backends:
   vertex's mask cost one popcount together.  Per coordinate c the search
   keeps a column mask of the placed vertices whose vector sets c, so the
   pattern of arcs a candidate reverses is the XOR of the masks of its
-  set coordinates.
+  set coordinates.  Both symmetry rules hold in either tie-break, since
+  each reads only the graph, the placed set and the mask sizes, which
+  every member of an isometry orbit shares.
 
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
@@ -57,9 +63,10 @@ checked against the graph before any search: ``lower``, a ``Sub`` naming
 an induced subgraph and its resolved result, and ``upper``, a decycling
 family.  It then searches only the levels from the subgraph's value up to
 one below the family's width, and returns that family, as ``composed``,
-when they are all empty.  Its ``InvResult`` says which certificate proves
-the value (``proof``) and where its witness came from (``source``).
-Without certificates every tree, count and witness is the plain search's.
+when they are all empty, searching each level in the triangle tie-break.
+Its ``InvResult`` says which certificate proves the value (``proof``) and
+where its witness came from (``source``).  Without an upper family every
+tree, count and witness is the plain search's.
 ``exists_family`` and the order backend check no certificates, so they
 refuse any.
 """
@@ -211,6 +218,20 @@ def _vertex_order(D: Digraph, ins: Sequence[int]) -> list[int]:
     )
 
 
+def _cyclic_triangles(outs: Sequence[int], ins: Sequence[int]) -> list[int]:
+    """Per vertex r, the cyclic triangles r -> a -> b -> r through it: for
+    each out-neighbour a, the arcs from a into r's in-row."""
+    tri = []
+    for r, row in enumerate(outs):
+        count = 0
+        while row:
+            low = row & -row
+            count += (outs[low.bit_length() - 1] & ins[r]).bit_count()
+            row ^= low
+        tri.append(count)
+    return tri
+
+
 def _block_prefixes(tops: int) -> int:
     """The vectors w that set a prefix of each block, as a 2^k-bit mask.
 
@@ -222,7 +243,8 @@ def _block_prefixes(tops: int) -> int:
 
 
 def _search_assignment(
-    D: Digraph, k: int, opts: SearchOptions, spent: int = 0, *, even_weight_only: bool = False
+    D: Digraph, k: int, opts: SearchOptions, spent: int = 0, *,
+    even_weight_only: bool = False, triangles: bool = False,
 ) -> tuple[InversionFamily | None, int]:
     """Complete DFS for a decycling family of k sets; (family or None, nodes).
 
@@ -247,10 +269,22 @@ def _search_assignment(
     examined, in or out of its vertex's mask, and ``opts.budget`` counts
     nodes.
 
-    Mask sizes depend only on dot products, so every member of an
-    isometry orbit is searched in the same vertex sequence, and both
-    symmetry rules hold along it.  The block-prefix rule: sorting a
-    solution's coordinates by their columns in that sequence gives a
+    With ``triangles``, a tie on the fewest vectors goes first to the
+    vertex on the most cyclic triangles r -> a -> b -> r of D with a or b
+    unplaced, v counted as placed, and only a tie left there goes to
+    ``_vertex_order``; the root is still its first vertex.  ``inv_exact``
+    sets it on certified solves alone, where nearly every level searched
+    is exhausted, which is where fail-first branching pays; every other
+    call keeps the order above, and with it every pinned tree.  Each
+    vertex's triangles are counted once per call (``_cyclic_triangles``);
+    at a tie, those the placed vertices close are the arcs from its
+    placed out-neighbours into its placed in-neighbours.
+
+    Mask sizes depend only on dot products, and the triangle key only on
+    D and the placed set, so every member of an isometry orbit is
+    searched in the same vertex sequence, with or without ``triangles``,
+    and both symmetry rules hold along it.  The block-prefix rule: sorting
+    a solution's coordinates by their columns in that sequence gives a
     member of its orbit that sets a prefix of each block at each vertex.
     And for even k the all-ones vector j has j.j = 0, so x -> x + (x.j) j
     keeps every dot product: it fixes even-weight vectors and complements
@@ -305,6 +339,7 @@ def _search_assignment(
             near[u] |= full << v * size
             row ^= low
     order = _vertex_order(D, ins)
+    tri = _cyclic_triangles(outs, ins) if triangles else None
     adj = [o | i for o, i in zip(outs, ins)]
     # odd[w] bit x: x.w is odd; linear in w, so built from the unit vectors
     odd = [0] * size
@@ -421,11 +456,37 @@ def _search_assignment(
             if ((new & low_bits) + low_bits | new) & live != live:
                 continue  # some vertex has no vector left
             least = size + 1
-            for r in rest:
-                size_r = (new >> r * size & full).bit_count()
-                if size_r < least:
-                    least = size_r
-                    nxt_v = r
+            if tri is None:
+                for r in rest:
+                    size_r = (new >> r * size & full).bit_count()
+                    if size_r < least:
+                        least = size_r
+                        nxt_v = r
+            else:
+                for r in rest:
+                    size_r = (new >> r * size & full).bit_count()
+                    if size_r < least:
+                        least = size_r
+                        ties = [r]
+                    elif size_r == least:
+                        ties.append(r)
+                nxt_v = ties[0]
+                if len(ties) > 1:
+                    # r's triangles less those the placed close: the arcs
+                    # from its placed out-neighbours into its placed in-neighbours
+                    seen = placed | bit
+                    most = -1
+                    for r in ties:
+                        open_r = tri[r]
+                        into = ins[r] & seen
+                        tmp = outs[r] & seen
+                        while tmp:
+                            low = tmp & -tmp
+                            open_r -= (outs[low.bit_length() - 1] & into).bit_count()
+                            tmp ^= low
+                        if open_r > most:
+                            most = open_r
+                            nxt_v = r
             for c in coords:
                 cols[c] |= bit
             prefix.append(v)
@@ -562,6 +623,9 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     family's width, which is the value, with that family as the witness,
     when every level between is exhausted and the width is at most
     ``max_k``.  A lower bound above ``max_k`` leaves nothing to search.
+    With an upper family each level breaks mask-size ties by cyclic
+    triangles (``_search_assignment``'s ``triangles``); without one,
+    every level is the plain search.
     """
     if opts is None:
         opts = SearchOptions()
@@ -571,7 +635,7 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     found, source = None, "search"
     for k in range(low, high + 1):
         if k:
-            found, nodes = _search_assignment(D, k, opts, total)
+            found, nodes = _search_assignment(D, k, opts, total, triangles=opts.upper is not None)
             total += nodes
         elif _acyclic(D.out_rows):
             # level 0's one family is the empty one, which decycles D

@@ -14,6 +14,7 @@ from typing import Iterator, Sequence
 from invlab.digraph import (
     Digraph,
     InversionFamily,
+    _acyclic,
     _check_enum_order,
     _columns,
     _pairs,
@@ -598,6 +599,38 @@ def use_reference_levels(monkeypatch) -> None:
     """Make every solve search level 0 as ``reference_inv_exact`` does,
     whose totals the older budget boundaries and stdout pins record."""
     monkeypatch.setattr(solver, "inv_exact", reference_inv_exact)
+
+
+def reference_plain_order_inv_exact(D: Digraph, opts=None):
+    """``inv_exact`` before certified solves broke mask-size ties by cyclic
+    triangles: the level loop kept whole, level 0 by one peel, so its trees
+    stay pinned.  Every level, certified or not, is a plain
+    ``solver._search_assignment`` call in the ``_vertex_order`` tie-break."""
+    if opts is None:
+        opts = solver.SearchOptions()
+    start = time.perf_counter()
+    low, high = solver._bounds(D, opts)
+    total = 0
+    found, source = None, "search"
+    for k in range(low, high + 1):
+        if k:
+            found, nodes = solver._search_assignment(D, k, opts, total)
+            total += nodes
+        elif _acyclic(D.out_rows):
+            found = InversionFamily(D.n, ())
+        if found is not None:
+            break
+    else:
+        if opts.upper is not None and opts.upper.k <= opts.max_k:
+            found, source = opts.upper, "composed"
+    return solver._result(D, found, "assign", total, start, opts.max_k, opts.lower, source)
+
+
+def use_plain_order(monkeypatch) -> None:
+    """Make every solve search its levels in the plain vertex order, as
+    ``reference_plain_order_inv_exact`` does, whose certified totals the
+    older join pins record."""
+    monkeypatch.setattr(solver, "inv_exact", reference_plain_order_inv_exact)
 
 
 def use_unbounded_joins(monkeypatch) -> None:

@@ -791,13 +791,26 @@ class TestJoinBounds:
             assert self.sweep(capsys, *argv) == digest
         assert reference_nodes.value == 27_466 + 14_507
 
-    def test_bench_sweep_nodes_with_level_zero_by_peel(self, capsys, nodes):
+    @pytest.fixture
+    def plain_order_nodes(self, monkeypatch):
+        # every certified level searched in the plain vertex order
+        helpers.use_plain_order(monkeypatch)
+        return self.count_nodes(monkeypatch)
+
+    def test_bench_sweep_nodes_with_level_zero_by_peel(self, capsys, plain_order_nodes):
         # the same sweeps less the nodes of every level 0 searched: only
         # the parts' and bases' solves start there, since a join's lower
         # bound is at least c3's 1
         for argv, digest in BENCH_SWEEPS:
             assert self.sweep(capsys, *argv) == digest
-        assert nodes.value == 27_255 + 14_296
+        assert plain_order_nodes.value == 27_255 + 14_296
+
+    def test_bench_sweep_nodes_with_triangle_ties(self, capsys, nodes):
+        # every join is certified, so its levels break mask-size ties by
+        # cyclic triangles; the parts' and bases' plain solves are as above
+        for argv, digest in BENCH_SWEEPS:
+            assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == 19_697 + 8_677
 
     def test_a_pool_gives_the_same_stdout_and_nodes(self, capsys, monkeypatch, nodes):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

@@ -127,6 +127,13 @@ class TestDijoinAndJoin:
         parts = [c3(), transitive(2), c3()]
         assert k_join(parts) == blow_up(transitive(3), parts)
 
+    def test_kjoin_rows_match_the_tt_blowup_on_random_parts(self):
+        # k_join builds its rows directly; the blow-up is the reference
+        rng = random.Random(31)
+        for _ in range(300):
+            parts = [random_oriented(rng, rng.randint(0, 5)) for _ in range(rng.randint(1, 4))]
+            assert k_join(parts) == blow_up(transitive(len(parts)), parts)
+
     def test_reverse_of_dijoin(self):
         rng = random.Random(4)
         for _ in range(20):

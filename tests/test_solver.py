@@ -285,7 +285,7 @@ class TestCertifiedBounds:
         # alone is searched, and it is empty
         parts = [c3(), qn(5)]
         D = k_join(parts)
-        r = inv_exact(D, bounded(D, parts))
+        r = helpers.reference_plain_order_inv_exact(D, bounded(D, parts))
         level = solver._search_assignment(D, 2, SearchOptions())
         assert level == (None, 334) and r.nodes_explored == 334
         assert (r.value, r.max_k_exhausted, r.proof, r.source) == (3, 2, "exhausted", "composed")
@@ -295,6 +295,7 @@ class TestCertifiedBounds:
         assert inv_exact(D).nodes_explored == 377
 
     def test_report_forms(self):
+        inv_exact = helpers.reference_plain_order_inv_exact
         # a sub proof, with the witness from the search
         parts = [c3(), TIGHT]
         D = k_join(parts)
@@ -314,6 +315,7 @@ class TestCertifiedBounds:
         assert head == "inv=3 k_proof=2_exhausted backend=assign nodes=334 witness=composed"
 
     def test_lower_value_above_max_k_is_unresolved_with_no_search(self):
+        inv_exact = helpers.reference_plain_order_inv_exact
         parts = [c3(), qn(5)]
         D = k_join(parts)
         r = inv_exact(D, bounded(D, parts, max_k=1))
@@ -398,6 +400,7 @@ class TestCertifiedBounds:
 
     def test_overrun_exactly_below_the_levels_searched(self):
         # the budget counts level 2 of c3 => qn(5) alone, 334 nodes
+        inv_exact = helpers.reference_plain_order_inv_exact
         parts = [c3(), qn(5)]
         D = k_join(parts)
         opts = bounded(D, parts)
@@ -407,6 +410,119 @@ class TestCertifiedBounds:
             assert str(err.value) == f"assignment search exceeded {budget} nodes"
         r = inv_exact(D, SearchOptions(opts.max_k, 334, opts.lower, opts.upper))
         assert r.nodes_explored == 334 and r.witness == opts.upper
+
+
+class TestTriangleTies:
+    """Certified solves break a tie on the fewest vectors by cyclic
+    triangles; every other call keeps the ``_vertex_order`` tie-break.  The
+    plain-order counts of the same solves are in ``TestCertifiedBounds``."""
+
+    def test_only_the_levels_between_are_searched(self):
+        # c3 => qn(5): level 2 alone, empty, in 209 nodes against 334
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        opts = bounded(D, parts)
+        assert solver._search_assignment(D, 2, opts, triangles=True) == (None, 209)
+        r = inv_exact(D, opts)
+        assert r.report(deterministic=True).splitlines()[0] == (
+            "inv=3 k_proof=2_exhausted backend=assign nodes=209 witness=composed")
+        r = inv_exact(D, bounded(D, parts, max_k=2))
+        assert (r.value, r.nodes_explored, r.max_k_exhausted) == (None, 209, 2)
+
+    def test_overrun_exactly_below_the_levels_searched(self):
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        opts = bounded(D, parts)
+        for budget in range(1, 209):
+            with pytest.raises(BudgetExceededError) as err:
+                inv_exact(D, SearchOptions(opts.max_k, budget, opts.lower, opts.upper))
+            assert str(err.value) == f"assignment search exceeded {budget} nodes"
+        r = inv_exact(D, SearchOptions(opts.max_k, 209, opts.lower, opts.upper))
+        assert r.nodes_explored == 209 and r.witness == opts.upper
+
+    def test_tight_dijoin(self):
+        # the witness level of c3 => TIGHT is searched under the tie-break
+        parts = [c3(), TIGHT]
+        D = k_join(parts)
+        r = inv_exact(D, bounded(D, parts))
+        assert r.report(deterministic=True).splitlines()[0] == (
+            "inv=3 k_proof=sub:7f8 backend=assign nodes=845")
+        assert r.source == "search" and is_acyclic(apply_family(D, r.witness)) is not None
+
+    def test_certified_qn11(self):
+        # qn(10) below, the pair family above: level 4 alone, empty
+        lower = solver.Sub((1 << 10) - 1, qn(10), inv_exact(qn(10)))
+        opts = SearchOptions(lower=lower, upper=qn_family(11))
+        r = inv_exact(qn(11), opts)
+        assert (r.value, r.nodes_explored, r.proof, r.source) == (
+            5, 101_689, "exhausted", "composed")
+        assert helpers.reference_plain_order_inv_exact(qn(11), opts).nodes_explored == 205_840
+
+    def test_plain_solves_never_take_the_triangle_key(self, monkeypatch):
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        opts = bounded(D, parts)
+        counted = []
+        count = solver._cyclic_triangles
+
+        def spy(*args):
+            counted.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(solver, "_cyclic_triangles", spy)
+        for G in (D, qn(9), TIGHT, k_join([c3(), TIGHT])):
+            inv_exact(G)
+            exists_family(G, 3)
+            exists_family(G, 3, even_weight_only=True)
+            solver._search_assignment(G, 2, SearchOptions())
+        inv_exact(D, SearchOptions(lower=opts.lower))
+        assert counted == []
+        inv_exact(D, opts)  # one level searched, one count
+        assert [tuple(map(tuple, args)) for args in counted] == [(D.out_rows, D.in_rows())]
+
+
+def tie_break_graphs():
+    """Every tournament class up to order 6 with its triangle dijoins on
+    both sides, then 100 seeded random oriented graphs up to order 8."""
+    for n in range(1, 7):
+        for T in nonisomorphic_tournaments(n):
+            yield from (T, dijoin(c3(), T), dijoin(T, c3()))
+    rng = random.Random(31)
+    for _ in range(100):
+        yield random_oriented(rng, rng.randint(0, 8))
+
+
+class TestTriangleTiesSound:
+    def test_values_witnesses_and_levels_match_the_plain_search(self, monkeypatch):
+        # upper = the plain witness: every level searched is empty; one
+        # empty set more: the value's level holds a family
+        searched = []
+        search = solver._search_assignment
+
+        def spy(D, k, *args, **kwargs):
+            found, nodes = search(D, k, *args, **kwargs)
+            searched.append((k, found is None, kwargs.get("triangles")))
+            return found, nodes
+
+        monkeypatch.setattr(solver, "_search_assignment", spy)
+        graphs = witness_levels = 0
+        for D in tie_break_graphs():
+            graphs += 1
+            plain = inv_exact(D)
+            padded = InversionFamily(D.n, plain.witness.sets + (0,))
+            for upper in (plain.witness, padded):
+                searched.clear()
+                r = inv_exact(D, SearchOptions(upper=upper))
+                assert r.value == plain.value
+                assert is_acyclic(apply_family(D, r.witness)) is not None
+                assert [k for k, _, _ in searched] == list(range(1, r.value + (upper is padded)))
+                for k, empty, triangles in searched:
+                    assert triangles is True
+                    ref, _ = helpers.reference_search(D, k, SearchOptions())
+                    assert empty == (ref is None)
+                witness_levels += r.source == "search"
+        assert graphs == 3 * 76 + 100
+        assert witness_levels > 250
 
 
 class TestJoinOptions:
