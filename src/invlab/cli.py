@@ -9,18 +9,19 @@ Graph sources anywhere a file is accepted:
   embed, so any report line can be replayed directly).
 
 An experiment's builder lists instances; its checker is a generator over
-one instance that yields what it asks: graphs, or ``Join``s of parts,
-for their values, or ``(graph, k)`` pairs, for 1 or 0 as the graph has a
-decycling k-family whose vectors all have even weight.  It receives the
-answers as a list of ints in that order and returns ``(holds, detail)``
-(None outside the identity's scope); it never searches or raises.
-``cmd_experiment`` advances every checker in rounds and answers each
-distinct ask once per sweep, keyed by the graph it names.  Each round
-answers the asked joins' parts not yet in its table in one pool map,
-then the asks themselves in another, each join between the certificates
-its parts give: the part of largest value below, their witnesses laid
-side by side above, built from the parts' results with no graph built
-and checked by the solver.  Every solve is ``solver.inv_exact(graph,
+one instance that yields what it asks: graphs, or ``BlowUp``s of a host
+by parts (a dijoin or k-join blows up ``tt(m)``), for their values, or
+``(graph, k)`` pairs, for 1 or 0 as the graph has a decycling k-family
+whose vectors all have even weight.  It receives the answers as a list
+of ints in that order and returns ``(holds, detail)`` (None outside the
+identity's scope); it never searches or raises.  ``cmd_experiment``
+advances every checker in rounds and answers each distinct ask once per
+sweep, keyed by the graph it names.  Each round answers the asked
+blow-ups' parts and cyclic hosts not yet in its table in one pool map
+(an acyclic host has value 0), then the asks themselves in another,
+each blow-up between the certificates its inputs give (see
+``_blowup_options``), built from their results with no graph built and
+checked by the solver.  Every solve is ``solver.inv_exact(graph,
 opts)``, with bounds only from the table, so a solve depends on its task
 alone.  The engine alone makes UNKNOWN: when an answer a checker asked
 for is unresolved, the checker is not resumed, and the instance reports
@@ -124,21 +125,28 @@ def cmd_gram(args) -> int:
 
 _Checker = Generator[list, list[int], tuple[bool, str] | None]
 
-# the triangle every dijoin checker joins; a Digraph is immutable, so one serves all
+# every dijoin's triangle and host; a Digraph is immutable, so one serves all
 C3 = construct.c3()
+TT2 = construct.transitive(2)
 
 
-class Join(Record):
-    """A checker's ask for the value of the k-join of ``parts`` (a dijoin
-    for two).  The sweep answers each part first, then solves ``graph``
-    within the bounds the parts give (see ``_join_options``)."""
+class BlowUp(Record):
+    """A checker's ask for the value of the blow-up of ``host`` by ``parts``.
+    The sweep answers ``inputs()`` first, then solves ``graph`` within the
+    bounds they give (see ``_blowup_options``)."""
 
-    __slots__ = ("parts", "graph")
+    __slots__ = ("host", "parts", "graph")
+    host: digraph.Digraph
     parts: tuple[digraph.Digraph, ...]
     graph: digraph.Digraph
 
-    def __init__(self, parts: list[digraph.Digraph]):
-        super().__init__(tuple(parts), construct.k_join(list(parts)))
+    def __init__(self, host: digraph.Digraph, parts: list[digraph.Digraph]):
+        super().__init__(host, tuple(parts), construct.blow_up(host, list(parts)))
+
+    def inputs(self) -> list[digraph.Digraph]:
+        """The parts, then the host unless it is acyclic (value 0, no set)."""
+        cyclic = digraph.is_acyclic(self.host) is None
+        return [*self.parts, self.host] if cyclic else list(self.parts)
 
 
 def _check_thm13(inst: str) -> _Checker:
@@ -146,13 +154,13 @@ def _check_thm13(inst: str) -> _Checker:
     (k,) = yield [D]
     if k < 2 or k % 2:
         return None  # outside the theorem: even values of at least 2
-    (got,) = yield [Join([C3, D])]
+    (got,) = yield [BlowUp(TT2, [C3, D])]
     return got == k + 1, f"inv={k} dijoin_inv={got} expect={k + 1}"
 
 
 def _check_dijoins(L, R, lr_name: str, rl_name: str) -> _Checker:
     # dijoin(L, R) and dijoin(R, L) must have the same value
-    lr, rl = yield [Join([L, R]), Join([R, L])]
+    lr, rl = yield [BlowUp(TT2, [L, R]), BlowUp(TT2, [R, L])]
     return lr == rl, f"{lr_name}={lr} {rl_name}={rl}"
 
 
@@ -163,8 +171,8 @@ def _check_direction(inst: str) -> _Checker:
 
 def _check_abnormal(inst: str) -> _Checker:
     D = construct.graph_from_expr(inst)
-    triple = Join([C3, C3, D])
-    left, right = yield [triple, Join([C3, D])]
+    triple = BlowUp(construct.transitive(3), [C3, C3, D])
+    left, right = yield [triple, BlowUp(TT2, [C3, D])]
     return left == right + 1, f"triple_join_inv={left} dijoin_inv={right} expect={right + 1}"
 
 
@@ -178,7 +186,7 @@ def _check_kjoin(inst: str) -> _Checker:
     D, k = parts[j], invs[j]
     # for odd k >= 3, D's even-weight k-family criterion decides tightness too
     criterion = [(D, k)] if k >= 3 and k % 2 else []
-    dijoin_k, *said = yield [Join([C3, D])] + criterion
+    dijoin_k, *said = yield [BlowUp(TT2, [C3, D])] + criterion
     tight = dijoin_k == k
     if said and said[0] != tight:
         return False, (f"criterion: even-weight criterion says {bool(said[0])}"
@@ -186,7 +194,7 @@ def _check_kjoin(inst: str) -> _Checker:
     if k >= 2 and k % 2 == 0 and tight:
         return False, f"criterion: dijoin value {dijoin_k} equals even base value {k}"
     expect = sum(invs) - (1 if tight else 0)
-    (got,) = yield [Join(parts)]
+    (got,) = yield [BlowUp(construct.transitive(len(parts)), parts)]
     return got == expect, f"parts={invs} tight={int(tight)} join_inv={got} expect={expect}"
 
 
@@ -195,7 +203,7 @@ def _check_thm15(inst: str) -> _Checker:
     (base,) = yield [D]
     if base != 1:
         return None  # outside the theorem: value-1 tournaments only
-    (got,) = yield [construct.blow_up(D, [C3] * D.n)]
+    (got,) = yield [BlowUp(D, [C3] * D.n)]
     return got == D.n + 1, f"blowup_inv={got} expect={D.n + 1}"
 
 
@@ -262,7 +270,8 @@ def _build_thm15(args) -> list[str]:
 
 def _build_qn(args) -> list[str]:
     orders = _orders(args.n_max, digraph.MAX_VERTICES)
-    return [f"{n},{int(n <= args.n_exact)}" for n in orders]
+    exact = check_int(args.n_exact, "--n-exact", 0)
+    return [f"{n},{int(n <= exact)}" for n in orders]
 
 
 def _build_bounds(args) -> list[str]:
@@ -356,35 +365,39 @@ def _run_one(task: tuple) -> solver.InvResult | int | str:
 
 def _key(ask) -> str | tuple[str, int]:
     """Table key: a graph's encoding, kept apart from a ``(graph, k)`` ask's;
-    a join is keyed by the graph it builds."""
+    a blow-up is keyed by the graph it builds."""
     if isinstance(ask, tuple):
         return digraph.encode_digraph(ask[0]), ask[1]
-    if isinstance(ask, Join):
+    if isinstance(ask, BlowUp):
         ask = ask.graph
     return digraph.encode_digraph(ask)
 
 
-def _join_options(
-    join: Join, results: dict[str, solver.InvResult], opts: solver.SearchOptions
+def _blowup_options(
+    ask: BlowUp, results: dict[str, solver.InvResult], opts: solver.SearchOptions
 ) -> solver.SearchOptions:
-    """``opts`` with the certificates the join's parts give once all are
-    resolved, built from the parts alone on the join's layout, where part
-    j starts after the vertices of the parts before it.  Below: the first
-    part of largest value, the join's subgraph on that part's vertices.
-    Above: each part's witness shifted onto its vertices, in part order,
-    as many sets as the parts' values sum to.  No set meets two parts, so
-    every arc between parts keeps its forward direction and the family
-    decycles the join.  ``solver._bounds`` checks both against the join."""
-    found = [results.get(_key(p)) for p in join.parts]
+    """``opts`` with the certificates a blow-up's inputs give once all are
+    resolved, built from their results alone on the blow-up's layout,
+    where part j starts after the vertices of the parts before it.  Below:
+    the first part of largest value, the blow-up's subgraph on its
+    vertices.  Above: each host witness set blown up to the union of its
+    vertices' parts, then each part's witness shifted onto its vertices.
+    A blown-up set reverses the arcs between parts as the host's set does
+    the host's arcs, and a part's arcs all or none, so the family decycles
+    the blow-up.  ``solver._bounds`` checks both against the blow-up."""
+    parts = ask.parts
+    found = [results.get(_key(g)) for g in ask.inputs()]
     if any(r is None for r in found):
         return opts
-    offsets = list(accumulate((p.n for p in join.parts), initial=0))
-    best = max(range(len(found)), key=lambda i: found[i].value)
-    part = join.parts[best]
-    lower = solver.Sub((1 << part.n) - 1 << offsets[best], part, found[best])
-    upper = digraph.InversionFamily(
-        offsets[-1], [s << off for r, off in zip(found, offsets) for s in r.witness.sets]
-    )
+    found, host = found[: len(parts)], found[len(parts):]
+    offsets = list(accumulate((p.n for p in parts), initial=0))
+    masks = [(1 << p.n) - 1 << off for p, off in zip(parts, offsets)]
+    best = max(range(len(parts)), key=lambda i: found[i].value)
+    lower = solver.Sub(masks[best], parts[best], found[best])
+    sets = [sum(m for j, m in enumerate(masks) if s >> j & 1)
+            for r in host for s in r.witness.sets]
+    sets += [s << off for r, off in zip(found, offsets) for s in r.witness.sets]
+    upper = digraph.InversionFamily(offsets[-1], sets)
     return solver.SearchOptions(opts.max_k, opts.budget, lower, upper)
 
 
@@ -408,14 +421,12 @@ def cmd_experiment(args) -> int:
         solve_all = map if pool is None else pool.map
 
         def answer(todo: dict) -> None:
-            # every ask of todo (key -> ask) solved in one map, joins within
-            # their parts' bounds, which only the table supplies
+            # every ask of todo (key -> ask) solved in one map, blow-ups within
+            # their inputs' bounds, which only the table supplies
             if not todo:
                 return
-            tasks = [
-                (a.graph, _join_options(a, results, opts)) if isinstance(a, Join) else (a, opts)
-                for a in todo.values()
-            ]
+            tasks = [(a.graph, _blowup_options(a, results, opts)) if isinstance(a, BlowUp)
+                     else (a, opts) for a in todo.values()]
             for key, got in zip(todo, solve_all(_run_one, tasks)):
                 if isinstance(got, solver.InvResult):
                     if got.resolved:
@@ -444,11 +455,10 @@ def cmd_experiment(args) -> int:
                 keys = [_key(a) for a in asks]
                 todo.update((k, a) for k, a in zip(keys, asks) if k not in table)
                 asked.append((i, checker, keys))
-            # the joins' parts not yet in the table, answered first
-            parts = {
-                _key(p): p for a in todo.values() if isinstance(a, Join) for p in a.parts
-            }
-            answer({k: p for k, p in parts.items() if k not in table})
+            # the blow-ups' inputs not yet in the table, answered first
+            inputs = {_key(g): g for a in todo.values() if isinstance(a, BlowUp)
+                      for g in a.inputs()}
+            answer({k: g for k, g in inputs.items() if k not in table})
             answer({k: a for k, a in todo.items() if k not in table})
             waiting = asked
 

@@ -106,18 +106,8 @@ def blow_up(H: Digraph, parts: list[Digraph]) -> Digraph:
 
 
 def k_join(parts: list[Digraph]) -> Digraph:
-    """Blow-up of the transitive tournament: parts dijoined one after another.
-
-    Built from the parts' rows alone: each part's bundle is every vertex of
-    the parts after it."""
-    n = sum(p.n for p in parts)
-    rows = []
-    end = 0
-    for p in parts:
-        off, end = end, end + p.n
-        later = ((1 << n) - 1) >> end << end
-        rows.extend(row << off | later for row in p.out_rows)
-    return Digraph(n, rows)
+    """Blow-up of the transitive tournament: parts dijoined one after another."""
+    return blow_up(transitive(len(parts)), parts)
 
 
 # ---------------------------------------------------------------------------

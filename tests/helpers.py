@@ -634,11 +634,12 @@ def use_plain_order(monkeypatch) -> None:
 
 
 def use_unbounded_joins(monkeypatch) -> None:
-    """Make a sweep solve each join it asks from k=0 with no certificates,
-    as before the join bounds; the older budget and max-k stdout pins
-    record that route.  The parts are still answered first, but no checker
-    that did not ask for them sees their answers."""
-    monkeypatch.setattr(cli, "_join_options", lambda join, results, opts: opts)
+    """Make a sweep solve each blow-up it asks, every join and ``thm15``'s,
+    from k=0 with no certificates, as before the join bounds; the older
+    budget and max-k stdout pins record that route.  The parts are still
+    answered first, but no checker that did not ask for them sees their
+    answers."""
+    monkeypatch.setattr(cli, "_blowup_options", lambda ask, results, opts: opts)
 
 
 def compose_family(
@@ -649,8 +650,9 @@ def compose_family(
 ) -> InversionFamily:
     """A decycling family of the blow-up of H by ``parts``, of width
     ``F_H.k`` plus the widths of ``part_families``: the reference for the
-    upper family a sweep gives each join, which is this composition over
-    the transitive tournament with no host sets.
+    upper family a sweep gives each blow-up it asks, with the host's
+    witness as ``F_H``, or no host sets for an acyclic host such as a
+    join's transitive tournament.
 
     Each set of ``F_H`` is blown up to the union of its vertices' parts,
     and each part's family follows in place, part by part.  A blown-up set

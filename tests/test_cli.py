@@ -719,6 +719,25 @@ class TestValueTable:
         assert len(solved) == len(set(solved)) == 3
         assert set(solved) == asked
 
+    def test_acyclic_hosts_are_never_asked(self, capsys, solved):
+        # every kjoin ask blows up tt(2) or tt(3), of value 0 with the
+        # empty family, which no map answers
+        code, _, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert code == 0 and solved
+        hosts = {digraph.encode_digraph(construct.transitive(m)) for m in (2, 3)}
+        assert hosts.isdisjoint(solved)
+        # thm15's cyclic host is its base, answered in the first round; the
+        # triangle parts are answered next, then the blow-up
+        solved.clear()
+        code, _, _ = run(capsys, "experiment", "thm15", "--deterministic")
+        assert code == 0
+        base = "enc:3:4.1.2"
+        blowup = digraph.encode_digraph(construct.blow_up(digraph.decode_digraph(base),
+                                                          [cli.C3] * 3))
+        classes = [digraph.encode_digraph(T) for T in digraph.nonisomorphic_tournaments(3)]
+        assert base in classes
+        assert solved == classes + [digraph.encode_digraph(cli.C3), blowup]
+
     def test_each_distinct_graph_solved_once(self, capsys, solved):
         code, out, _ = run(
             capsys,
@@ -871,6 +890,50 @@ class TestJoinBounds:
             assert searched == list(range(low, value if value < high else high))
 
 
+# thm15's stdout, with or without its blow-up's certificates
+THM15_DIGEST = "30c7e0df8782a374018de6f7063a3593200da00144dac6531f1987b65286dd8e"
+
+
+class TestThm15Certified:
+    """thm15's blow-up is solved between the certificates its triangle
+    parts and its host give: a part's 1 below, the host's set blown up
+    and the parts' sets above, 1 + 3 = 4, the value the theorem states."""
+
+    @pytest.fixture
+    def results(self, monkeypatch):
+        results = []
+        inv_exact = solver.inv_exact
+
+        def spy(D, opts=None):
+            results.append(inv_exact(D, opts))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        return results
+
+    def sweep(self, capsys, results):
+        results.clear()
+        code, out, _ = run(capsys, "experiment", "thm15", "--deterministic")
+        assert code == 0 and "blowup_inv=4 expect=4 : PASS" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == THM15_DIGEST
+        return results[-1]
+
+    def test_blowup_is_composed(self, capsys, monkeypatch, results):
+        blowup = self.sweep(capsys, results)
+        assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "composed", 8_524)
+        assert blowup.proof == "exhausted" and blowup.max_k_exhausted == 3
+        assert sum(r.nodes_explored for r in results) == 8_534
+        helpers.use_unbounded_joins(monkeypatch)
+        blowup = self.sweep(capsys, results)
+        assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "search", 8_972)
+
+    @pytest.mark.parametrize("budget, code", [("8523", 2), ("8524", 0)])
+    def test_budget_boundary(self, capsys, budget, code):
+        got, out, _ = run(capsys, "experiment", "thm15", "--budget", budget, "--deterministic")
+        assert got == code
+        assert ("budget: assignment search exceeded 8523 nodes" in out) == (code == 2)
+
+
 class TestExperimentLimits:
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
@@ -946,6 +1009,23 @@ class TestExperimentLimits:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "--n-max" in lines[0] and str(digraph.MAX_VERTICES) in lines[0]
+
+    def test_qn_negative_n_exact_exit_one(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("qn built before --n-exact was checked")
+
+        monkeypatch.setattr(construct, "qn", refuse)
+        code, out, err = run(
+            capsys, "experiment", "qn", "--n-max", "3", "--n-exact", "-4", "--deterministic"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --n-exact must be at least 0, got -4\n"
+
+    def test_qn_n_exact_zero_solves_no_order(self, capsys):
+        code, out, _ = run(
+            capsys, "experiment", "qn", "--n-max", "3", "--n-exact", "0", "--deterministic"
+        )
+        assert code == 0 and out.count("family_ok") == 3 and "total=3 pass=3" in out
 
     def test_criterion_violation_is_a_fail_line(self, capsys, monkeypatch):
         # the default sweep, with the triangle dijoin of dijoin(c3, c3) forged flat

@@ -93,7 +93,8 @@ TEST_ONLY = {
 # and one solver._result builds every solver result; every mask and vertex
 # index is refused by errors.check_masks, in one wording for every width;
 # compose_family, the composition with no condition on the host's shape,
-# replaced the dominant-vertex one
+# replaced the dominant-vertex one; a join is asked as the BlowUp of a
+# transitive tournament, whose certificates _blowup_options builds
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -128,6 +129,8 @@ REMOVED = {
     "_candidates",
     "_MEMO_CAP",
     "compose_blowup_family",
+    "Join",
+    "_join_options",
 }
 
 

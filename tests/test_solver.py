@@ -234,7 +234,8 @@ def bounded(D, parts, **limits) -> SearchOptions:
     part of largest value below, the parts' witnesses composed above."""
     results = {encode_digraph(p): inv_exact(p) for p in parts}
     assert D == k_join(parts)
-    return cli._join_options(cli.Join(parts), results, SearchOptions(**limits))
+    ask = cli.BlowUp(transitive(len(parts)), parts)
+    return cli._blowup_options(ask, results, SearchOptions(**limits))
 
 
 def forged_value(opts: SearchOptions, value) -> solver.Sub:
@@ -541,7 +542,8 @@ class TestJoinOptions:
         pairs = [[L, R] for L in classes for R in classes]
         assert len(pairs) == 400
         for parts in pairs:
-            opts = cli._join_options(cli.Join(parts), results, SearchOptions())
+            ask = cli.BlowUp(transitive(len(parts)), parts)
+            opts = cli._blowup_options(ask, results, SearchOptions())
             assert opts.upper == self.reference_upper(parts, results)
 
     def test_three_part_joins_of_kjoin_and_abnormal(self):
@@ -552,12 +554,15 @@ class TestJoinOptions:
         assert len(triples) == 4
         results = {encode_digraph(p): inv_exact(p) for parts in triples for p in parts}
         for parts in triples:
-            opts = cli._join_options(cli.Join(parts), results, SearchOptions())
+            ask = cli.BlowUp(transitive(len(parts)), parts)
+            opts = cli._blowup_options(ask, results, SearchOptions())
             assert opts.upper == self.reference_upper(parts, results)
 
     def test_builds_no_graph(self, monkeypatch):
         parts = [c3(), qn(5), transitive(2)]
-        join = cli.Join(parts)
+        join = cli.BlowUp(transitive(3), parts)
+        # a cyclic host's witness set is blown up too, with no graph built
+        blowup = cli.BlowUp(c3(), parts)
         results = {encode_digraph(p): inv_exact(p) for p in parts}
         built = []
         init = Digraph.__init__
@@ -567,12 +572,72 @@ class TestJoinOptions:
             init(self, *args)
 
         monkeypatch.setattr(Digraph, "__init__", spy)
-        opts = cli._join_options(join, results, SearchOptions())
+        opts = cli._blowup_options(join, results, SearchOptions())
+        cyclic = cli._blowup_options(blowup, results, SearchOptions())
         assert built == []
         assert opts.lower.mask == 0b11111000 and opts.upper.k == 1 + 2 + 0
+        assert cyclic.lower == opts.lower and cyclic.upper.k == 1 + 1 + 2 + 0
         # the spy sees a graph the join's layout builds
         k_join(parts)
         assert len(built) > 0
+
+
+class TestBlowUpOptions:
+    """The certificates a sweep gives each blow-up it asks, whatever the
+    host, against ``helpers.compose_family`` over the host's witness."""
+
+    # the tournament classes of order 1..3, parts of every blow-up below
+    PARTS = [T for n in range(1, 4) for T in nonisomorphic_tournaments(n)]
+
+    @staticmethod
+    def check(host, parts, results):
+        ask = cli.BlowUp(host, parts)
+        opts = cli._blowup_options(ask, results, SearchOptions())
+        values = [results[encode_digraph(p)].value for p in parts]
+        best = values.index(max(values))  # the first part of largest value
+        mask = (1 << parts[best].n) - 1 << sum(p.n for p in parts[:best])
+        assert opts.lower == solver.Sub(mask, parts[best], results[encode_digraph(parts[best])])
+        assert ask.graph.induced(mask) == parts[best]
+        host_witness = inv_exact(host).witness
+        part_witnesses = [results[encode_digraph(p)].witness for p in parts]
+        assert opts.upper == helpers.compose_family(host, host_witness, list(parts),
+                                                    part_witnesses)
+        assert opts.upper.k == inv_exact(host).value + sum(values)
+
+    def test_every_host_up_to_order_4_and_parts_up_to_order_3(self):
+        hosts = [T for n in range(1, 5) for T in nonisomorphic_tournaments(n)]
+        assert len(hosts) == 8 and len(self.PARTS) == 4
+        results = {encode_digraph(T): inv_exact(T) for T in hosts + self.PARTS}
+        count = 0
+        for host in hosts:
+            for parts in itertools.product(self.PARTS, repeat=host.n):
+                self.check(host, parts, results)
+                count += 1
+        assert count == 4 + 16 + 2 * 64 + 4 * 256
+
+    def test_thm15_base(self):
+        host = decode_digraph("enc:3:4.1.2")
+        results = {encode_digraph(G): inv_exact(G) for G in (host, c3())}
+        assert results[encode_digraph(host)].value == 1
+        self.check(host, [c3()] * 3, results)
+
+    def test_acyclic_host_is_not_an_input(self):
+        # an acyclic host has value 0 and the empty family, so only the
+        # parts' results are read; a cyclic host follows its parts
+        for host in (T for n in range(1, 5) for T in nonisomorphic_tournaments(n)):
+            parts = [c3()] * host.n
+            inputs = cli.BlowUp(host, parts).inputs()
+            acyclic = is_acyclic(host) is not None
+            assert inputs == parts + ([] if acyclic else [host])
+        results = {encode_digraph(c3()): inv_exact(c3())}
+        opts = cli._blowup_options(cli.BlowUp(transitive(4), [c3()] * 4), results,
+                                   SearchOptions())
+        assert opts.upper.k == 4 and encode_digraph(transitive(4)) not in results
+
+    def test_unresolved_host_gives_no_certificate(self):
+        results = {encode_digraph(c3()): inv_exact(c3())}
+        ask = cli.BlowUp(qn(4), [c3()] * 4)
+        assert cli._blowup_options(ask, results, SearchOptions()) == SearchOptions()
 
 
 @pytest.mark.parametrize(
