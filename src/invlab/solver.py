@@ -10,13 +10,12 @@ Two independent backends:
   that close no cycle with the placed prefix; placing a vertex removes
   from every mask the vectors that now close one through it, a branch is
   cut as soon as a mask empties, and the next vertex is the one with the
-  fewest vectors left (fail first).  On a certified solve (``inv_exact``
-  with an ``upper`` family), where nearly every level searched is
-  exhausted, a tie there goes first to the vertex on the most cyclic
-  triangles with another vertex unplaced; every other search keeps the
-  plain tie-break.  The flips depend only on the dot products of the
-  vectors, so any isometry of GF(2)^k maps decycling families to
-  decycling families, and two are broken (see
+  fewest vectors left (fail first).  In ``inv_exact``, which must
+  exhaust every level below the value, a tie there goes first to the
+  vertex on the most cyclic triangles with another vertex unplaced;
+  ``exists_family`` keeps the plain tie-break.  The flips depend only on
+  the dot products of the vectors, so any isometry of GF(2)^k maps
+  decycling families to decycling families, and two are broken (see
   ``_search_assignment``): permutation of family positions, where a
   vertex may only set a prefix of each block of coordinates whose
   columns agree so far, and, for even k, the map complementing every
@@ -63,10 +62,8 @@ checked against the graph before any search: ``lower``, a ``Sub`` naming
 an induced subgraph and its resolved result, and ``upper``, a decycling
 family.  It then searches only the levels from the subgraph's value up to
 one below the family's width, and returns that family, as ``composed``,
-when they are all empty, searching each level in the triangle tie-break.
-Its ``InvResult`` says which certificate proves the value (``proof``) and
-where its witness came from (``source``).  Without an upper family every
-tree, count and witness is the plain search's.
+when they are all empty.  Its ``InvResult`` says which certificate proves
+the value (``proof``) and where its witness came from (``source``).
 ``exists_family`` and the order backend check no certificates, so they
 refuse any.
 """
@@ -273,12 +270,14 @@ def _search_assignment(
     vertex on the most cyclic triangles r -> a -> b -> r of D with a or b
     unplaced, v counted as placed, and only a tie left there goes to
     ``_vertex_order``; the root is still its first vertex.  ``inv_exact``
-    sets it on certified solves alone, where nearly every level searched
-    is exhausted, which is where fail-first branching pays; every other
-    call keeps the order above, and with it every pinned tree.  Each
-    vertex's triangles are counted once per call (``_cyclic_triangles``);
-    at a tie, those the placed vertices close are the arcs from its
-    placed out-neighbours into its placed in-neighbours.
+    sets it at every level: its levels below the value are exhausted,
+    which is where fail-first branching pays, and on hard graphs they
+    cost far more than the witness level, which the rule may lengthen.
+    ``exists_family`` and the default keep the order above, and with it
+    the plain trees pinned against the reference search.  Each vertex's
+    triangles are counted once per call (``_cyclic_triangles``); at a
+    tie, those the placed vertices close are the arcs from its placed
+    out-neighbours into its placed in-neighbours.
 
     Mask sizes depend only on dot products, and the triangle key only on
     D and the placed set, so every member of an isometry orbit is
@@ -623,9 +622,8 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     family's width, which is the value, with that family as the witness,
     when every level between is exhausted and the width is at most
     ``max_k``.  A lower bound above ``max_k`` leaves nothing to search.
-    With an upper family each level breaks mask-size ties by cyclic
-    triangles (``_search_assignment``'s ``triangles``); without one,
-    every level is the plain search.
+    Every level, certified or not, breaks mask-size ties by cyclic
+    triangles (``_search_assignment``'s ``triangles``).
     """
     if opts is None:
         opts = SearchOptions()
@@ -635,7 +633,7 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     found, source = None, "search"
     for k in range(low, high + 1):
         if k:
-            found, nodes = _search_assignment(D, k, opts, total, triangles=opts.upper is not None)
+            found, nodes = _search_assignment(D, k, opts, total, triangles=True)
             total += nodes
         elif _acyclic(D.out_rows):
             # level 0's one family is the empty one, which decycles D

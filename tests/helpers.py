@@ -601,20 +601,24 @@ def use_reference_levels(monkeypatch) -> None:
     monkeypatch.setattr(solver, "inv_exact", reference_inv_exact)
 
 
-def reference_plain_order_inv_exact(D: Digraph, opts=None):
-    """``inv_exact`` before certified solves broke mask-size ties by cyclic
-    triangles: the level loop kept whole, level 0 by one peel, so its trees
-    stay pinned.  Every level, certified or not, is a plain
-    ``solver._search_assignment`` call in the ``_vertex_order`` tie-break."""
+def reference_plain_order_inv_exact(D: Digraph, opts=None, *, certified_ties: bool = False):
+    """``inv_exact`` before it broke mask-size ties by cyclic triangles: the
+    level loop kept whole, level 0 by one peel, so its trees stay pinned.
+    Every level, certified or not, is a plain ``solver._search_assignment``
+    call in the ``_vertex_order`` tie-break.  With ``certified_ties`` a
+    certified solve, one with an upper family, searches its levels in the
+    triangle tie-break, as ``inv_exact`` did before plain solves took it
+    too."""
     if opts is None:
         opts = solver.SearchOptions()
     start = time.perf_counter()
     low, high = solver._bounds(D, opts)
+    triangles = certified_ties and opts.upper is not None
     total = 0
     found, source = None, "search"
     for k in range(low, high + 1):
         if k:
-            found, nodes = solver._search_assignment(D, k, opts, total)
+            found, nodes = solver._search_assignment(D, k, opts, total, triangles=triangles)
             total += nodes
         elif _acyclic(D.out_rows):
             found = InversionFamily(D.n, ())
@@ -626,11 +630,16 @@ def reference_plain_order_inv_exact(D: Digraph, opts=None):
     return solver._result(D, found, "assign", total, start, opts.max_k, opts.lower, source)
 
 
-def use_plain_order(monkeypatch) -> None:
-    """Make every solve search its levels in the plain vertex order, as
-    ``reference_plain_order_inv_exact`` does, whose certified totals the
-    older join pins record."""
-    monkeypatch.setattr(solver, "inv_exact", reference_plain_order_inv_exact)
+def use_plain_order(monkeypatch, certified_ties: bool = False) -> None:
+    """Make every solve search its levels in the plain vertex order, or
+    with ``certified_ties`` only the solves with no upper family, as
+    ``reference_plain_order_inv_exact`` does, whose totals the older
+    sweep and join pins record."""
+    monkeypatch.setattr(
+        solver,
+        "inv_exact",
+        functools.partial(reference_plain_order_inv_exact, certified_ties=certified_ties),
+    )
 
 
 def use_unbounded_joins(monkeypatch) -> None:

@@ -40,6 +40,12 @@ def reference_levels(monkeypatch):
 
 
 @pytest.fixture
+def plain_order(monkeypatch):
+    # every level in the plain vertex order, as the older level-1 pins record
+    helpers.use_plain_order(monkeypatch)
+
+
+@pytest.fixture
 def unbounded_joins(monkeypatch):
     # joins solved from k=0 with no certificates, as older pins record
     helpers.use_unbounded_joins(monkeypatch)
@@ -137,7 +143,7 @@ class TestInvCommand:
         )
         assert code == 0 and out.startswith("inv=4 ") and "nodes=7192" in out
 
-    def test_budget_counts_the_whole_solve_from_level_one(self, capsys):
+    def test_budget_counts_the_whole_solve_from_level_one(self, capsys, plain_order):
         # with level 0 decided by the peel, qn(10) needs 22 + 220 + 6918 + 30
         code, out, _ = run(
             capsys, "inv", "expr:qn(10)", "--budget", "7189", "--deterministic"
@@ -148,6 +154,19 @@ class TestInvCommand:
         )
         assert code == 0
         assert out.startswith("inv=4 k_proof=3_exhausted backend=assign nodes=7190\n")
+
+    def test_budget_counts_the_triangle_solve(self, capsys):
+        # every level breaks ties by cyclic triangles: qn(9) needs
+        # 18 + 158 + 4038 + 32 nodes, as the CI budget step checks
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(9)", "--budget", "4245", "--deterministic"
+        )
+        assert (code, out) == (2, "inv=unknown reason=assignment search exceeded 4245 nodes\n")
+        code, out, _ = run(
+            capsys, "inv", "expr:qn(9)", "--budget", "4246", "--deterministic"
+        )
+        assert code == 0
+        assert out.startswith("inv=4 k_proof=3_exhausted backend=assign nodes=4246\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -824,12 +843,31 @@ class TestJoinBounds:
             assert self.sweep(capsys, *argv) == digest
         assert plain_order_nodes.value == 27_255 + 14_296
 
-    def test_bench_sweep_nodes_with_triangle_ties(self, capsys, nodes):
+    @pytest.fixture
+    def certified_ties_nodes(self, monkeypatch):
+        # only the certified levels break ties by cyclic triangles
+        helpers.use_plain_order(monkeypatch, certified_ties=True)
+        return self.count_nodes(monkeypatch)
+
+    def test_bench_sweep_nodes_with_triangle_ties(self, capsys, certified_ties_nodes):
         # every join is certified, so its levels break mask-size ties by
         # cyclic triangles; the parts' and bases' plain solves are as above
         for argv, digest in BENCH_SWEEPS:
             assert self.sweep(capsys, *argv) == digest
-        assert nodes.value == 19_697 + 8_677
+        assert certified_ties_nodes.value == 19_697 + 8_677
+
+    def test_bench_sweep_nodes_with_triangle_ties_everywhere(self, capsys, nodes):
+        # the parts' and bases' plain solves take the triangle order too
+        for (argv, digest), want in zip(BENCH_SWEEPS, (19_699, 8_679)):
+            nodes.value = 0
+            assert self.sweep(capsys, *argv) == digest
+            assert nodes.value == want
+
+    def test_pair_sweep_nodes(self, capsys, nodes):
+        # the pair sweep the bench runs at --jobs 2, here serially
+        digest = self.sweep(capsys, "conj-direction", "--left-n", "5", "--right-n", "5")
+        assert digest == "73101736c6b9f4d4135ad17d7663542eaa56e0747571760df75ca743f6ff75fd"
+        assert nodes.value == 62_990
 
     def test_a_pool_gives_the_same_stdout_and_nodes(self, capsys, monkeypatch, nodes):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -899,8 +937,8 @@ class TestThm15Certified:
     parts and its host give: a part's 1 below, the host's set blown up
     and the parts' sets above, 1 + 3 = 4, the value the theorem states."""
 
-    @pytest.fixture
-    def results(self, monkeypatch):
+    @staticmethod
+    def spy_results(monkeypatch):
         results = []
         inv_exact = solver.inv_exact
 
@@ -911,6 +949,10 @@ class TestThm15Certified:
         monkeypatch.setattr(solver, "inv_exact", spy)
         return results
 
+    @pytest.fixture
+    def results(self, monkeypatch):
+        return self.spy_results(monkeypatch)
+
     def sweep(self, capsys, results):
         results.clear()
         code, out, _ = run(capsys, "experiment", "thm15", "--deterministic")
@@ -918,7 +960,11 @@ class TestThm15Certified:
         assert hashlib.sha256(out.encode()).hexdigest() == THM15_DIGEST
         return results[-1]
 
-    def test_blowup_is_composed(self, capsys, monkeypatch, results):
+    def test_blowup_is_composed(self, capsys, monkeypatch):
+        # plain solves in the plain order, as before they broke ties by
+        # cyclic triangles too
+        helpers.use_plain_order(monkeypatch, certified_ties=True)
+        results = self.spy_results(monkeypatch)
         blowup = self.sweep(capsys, results)
         assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "composed", 8_524)
         assert blowup.proof == "exhausted" and blowup.max_k_exhausted == 3
@@ -927,11 +973,35 @@ class TestThm15Certified:
         blowup = self.sweep(capsys, results)
         assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "search", 8_972)
 
+    def test_blowup_is_composed_with_triangle_ties(self, capsys, monkeypatch, results):
+        # the certified blow-up and the small plain solves are as above;
+        # solved from k=0 with no certificate, the blow-up takes 8,566
+        blowup = self.sweep(capsys, results)
+        assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "composed", 8_524)
+        assert sum(r.nodes_explored for r in results) == 8_534
+        helpers.use_unbounded_joins(monkeypatch)
+        blowup = self.sweep(capsys, results)
+        assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "search", 8_566)
+
     @pytest.mark.parametrize("budget, code", [("8523", 2), ("8524", 0)])
     def test_budget_boundary(self, capsys, budget, code):
         got, out, _ = run(capsys, "experiment", "thm15", "--budget", budget, "--deterministic")
         assert got == code
         assert ("budget: assignment search exceeded 8523 nodes" in out) == (code == 2)
+
+
+class TestThm13BelowOrderFive:
+    def test_no_class_below_order_five_has_an_even_value_of_two_or_more(self, capsys):
+        # thm13 checks the classes of even value at least 2, and the first
+        # lie at order 5, so a sweep with --n-max below 5 checks nothing
+        values = {
+            solver.inv_exact(T).value
+            for n in range(1, 5)
+            for T in digraph.nonisomorphic_tournaments(n)
+        }
+        assert values == {0, 1}
+        code, out, _ = run(capsys, "experiment", "thm13", "--n-max", "5", "--deterministic")
+        assert code == 0 and out.splitlines()[-1].startswith("total=3 pass=3 fail=0 ")
 
 
 class TestExperimentLimits:

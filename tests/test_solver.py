@@ -149,8 +149,9 @@ class TestLevelZeroByPeel:
             yield random_oriented(rng, rng.randint(0, 9))
 
     def test_never_searches_level_zero(self, monkeypatch):
-        # every level but 0 is searched as the reference searches it, so
-        # the value and witness are the same and only level 0's nodes go
+        # in the plain order every level but 0 is searched as the reference
+        # searches it, so the value and witness are the same and only level
+        # 0's nodes go; inv_exact, in the triangle order, skips level 0 too
         levels = []
         search = solver._search_assignment
 
@@ -161,12 +162,14 @@ class TestLevelZeroByPeel:
         monkeypatch.setattr(solver, "_search_assignment", spy)
         acyclic = 0
         for D in self._graphs():
-            levels.clear()
-            r = inv_exact(D)
-            assert 0 not in levels and levels == list(range(1, r.value + 1))
             ref = helpers.reference_inv_exact(D)
             level0 = search(D, 0, SearchOptions())[1]
-            assert (r.value, r.witness) == (ref.value, ref.witness)
+            for solve in (inv_exact, helpers.reference_plain_order_inv_exact):
+                levels.clear()
+                r = solve(D)
+                assert 0 not in levels and levels == list(range(1, r.value + 1))
+                assert r.value == ref.value
+            assert r.witness == ref.witness
             assert r.nodes_explored == ref.nodes_explored - level0
             acyclic += r.value == 0
         assert acyclic > 6  # more than the transitive tournament of each order
@@ -293,7 +296,7 @@ class TestCertifiedBounds:
         assert helpers.reference_inv_exact(D).nodes_explored == 379
         # unbounded, level 0 is one peel: its 2 nodes leave the total
         assert solver._search_assignment(D, 0, SearchOptions()) == (None, 2)
-        assert inv_exact(D).nodes_explored == 377
+        assert helpers.reference_plain_order_inv_exact(D).nodes_explored == 377
 
     def test_report_forms(self):
         inv_exact = helpers.reference_plain_order_inv_exact
@@ -414,9 +417,10 @@ class TestCertifiedBounds:
 
 
 class TestTriangleTies:
-    """Certified solves break a tie on the fewest vectors by cyclic
-    triangles; every other call keeps the ``_vertex_order`` tie-break.  The
-    plain-order counts of the same solves are in ``TestCertifiedBounds``."""
+    """Every level ``inv_exact`` searches breaks a tie on the fewest vectors
+    by cyclic triangles; ``exists_family`` and a direct search keep the
+    ``_vertex_order`` tie-break.  The plain-order counts of the same
+    solves are in ``TestCertifiedBounds``."""
 
     def test_only_the_levels_between_are_searched(self):
         # c3 => qn(5): level 2 alone, empty, in 209 nodes against 334
@@ -429,6 +433,10 @@ class TestTriangleTies:
             "inv=3 k_proof=2_exhausted backend=assign nodes=209 witness=composed")
         r = inv_exact(D, bounded(D, parts, max_k=2))
         assert (r.value, r.nodes_explored, r.max_k_exhausted) == (None, 209, 2)
+        # unbounded, levels 1 and 2 are empty and level 3 holds a family:
+        # 16 + 209 + 26 nodes against 377 in the plain order
+        r = inv_exact(D)
+        assert (r.value, r.nodes_explored, r.source) == (3, 16 + 209 + 26, "search")
 
     def test_overrun_exactly_below_the_levels_searched(self):
         parts = [c3(), qn(5)]
@@ -459,7 +467,15 @@ class TestTriangleTies:
             5, 101_689, "exhausted", "composed")
         assert helpers.reference_plain_order_inv_exact(qn(11), opts).nodes_explored == 205_840
 
-    def test_plain_solves_never_take_the_triangle_key(self, monkeypatch):
+    def test_plain_qn11(self):
+        # with no certificate: the empty levels 1..4 and the witness level
+        # 5, in half the plain order's 213,041 nodes
+        r = inv_exact(qn(11))
+        assert (r.value, r.nodes_explored, r.source) == (5, 105_420, "search")
+        assert is_acyclic(apply_family(qn(11), r.witness)) is not None
+        assert helpers.reference_plain_order_inv_exact(qn(11)).nodes_explored == 213_041
+
+    def test_plain_solves_count_triangles_once_per_level(self, monkeypatch):
         parts = [c3(), qn(5)]
         D = k_join(parts)
         opts = bounded(D, parts)
@@ -467,19 +483,40 @@ class TestTriangleTies:
         count = solver._cyclic_triangles
 
         def spy(*args):
-            counted.append(args)
+            counted.append(tuple(map(tuple, args)))
             return count(*args)
 
         monkeypatch.setattr(solver, "_cyclic_triangles", spy)
         for G in (D, qn(9), TIGHT, k_join([c3(), TIGHT])):
-            inv_exact(G)
+            counted.clear()
+            r = inv_exact(G)  # levels 1 up to the value, one count each
+            assert counted == [(G.out_rows, G.in_rows())] * r.value
+            counted.clear()
             exists_family(G, 3)
             exists_family(G, 3, even_weight_only=True)
             solver._search_assignment(G, 2, SearchOptions())
-        inv_exact(D, SearchOptions(lower=opts.lower))
-        assert counted == []
+            assert counted == []
+        inv_exact(D, SearchOptions(lower=opts.lower))  # levels 2 and 3
+        assert counted == [(D.out_rows, D.in_rows())] * 2
+        counted.clear()
         inv_exact(D, opts)  # one level searched, one count
-        assert [tuple(map(tuple, args)) for args in counted] == [(D.out_rows, D.in_rows())]
+        assert counted == [(D.out_rows, D.in_rows())]
+
+
+class TestDeepSearchInputs:
+    def test_seed_zero_nodes(self):
+        # the bench's deep_search inputs at seed 0: each graph relabelled
+        # by the permutation the bench draws, vertex v renamed perm[v]
+        exprs = ["qn(11)", "qn(10)", "join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)"]
+        triangle_order = [94_271, 3_861, 7_618, 8_603]
+        plain_order = [210_581, 7_121, 14_061, 7_435]
+        for i, expr in enumerate(exprs):
+            D = graph_from_expr(expr)
+            perm = list(range(D.n))
+            random.Random(f"deep_search:0:{i}").shuffle(perm)
+            D = helpers.relabel(D, perm)
+            assert inv_exact(D).nodes_explored == triangle_order[i]
+            assert helpers.reference_plain_order_inv_exact(D).nodes_explored == plain_order[i]
 
 
 def tie_break_graphs():
@@ -494,9 +531,9 @@ def tie_break_graphs():
 
 
 class TestTriangleTiesSound:
-    def test_values_witnesses_and_levels_match_the_plain_search(self, monkeypatch):
-        # upper = the plain witness: every level searched is empty; one
-        # empty set more: the value's level holds a family
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        # (k, whether the level is empty, the triangles flag) per level
         searched = []
         search = solver._search_assignment
 
@@ -506,24 +543,51 @@ class TestTriangleTiesSound:
             return found, nodes
 
         monkeypatch.setattr(solver, "_search_assignment", spy)
+        return searched
+
+    @staticmethod
+    def check_levels(D, searched, levels):
+        # each level in the triangle order, empty exactly when the
+        # reference search finds no family there
+        assert [k for k, _, _ in searched] == list(levels)
+        for k, empty, triangles in searched:
+            assert triangles is True
+            ref, _ = helpers.reference_search(D, k, SearchOptions())
+            assert empty == (ref is None)
+
+    def test_values_witnesses_and_levels_match_the_plain_search(self, searched):
+        # upper = the plain witness: every level searched is empty; one
+        # empty set more: the value's level holds a family
         graphs = witness_levels = 0
         for D in tie_break_graphs():
             graphs += 1
-            plain = inv_exact(D)
+            plain = helpers.reference_plain_order_inv_exact(D)
             padded = InversionFamily(D.n, plain.witness.sets + (0,))
             for upper in (plain.witness, padded):
                 searched.clear()
                 r = inv_exact(D, SearchOptions(upper=upper))
                 assert r.value == plain.value
                 assert is_acyclic(apply_family(D, r.witness)) is not None
-                assert [k for k, _, _ in searched] == list(range(1, r.value + (upper is padded)))
-                for k, empty, triangles in searched:
-                    assert triangles is True
-                    ref, _ = helpers.reference_search(D, k, SearchOptions())
-                    assert empty == (ref is None)
+                self.check_levels(D, searched, range(1, r.value + (upper is padded)))
                 witness_levels += r.source == "search"
         assert graphs == 3 * 76 + 100
         assert witness_levels > 250
+
+    def test_solves_without_certificates_match_the_plain_search(self, searched):
+        # no upper family: every level from 1 up to the value, the last
+        # one holding the witness
+        graphs = acyclic = 0
+        for D in tie_break_graphs():
+            graphs += 1
+            plain = helpers.reference_plain_order_inv_exact(D)
+            searched.clear()
+            r = inv_exact(D)
+            assert r.value == plain.value and r.source == "search"
+            assert is_acyclic(apply_family(D, r.witness)) is not None
+            self.check_levels(D, searched, range(1, r.value + 1))
+            acyclic += r.value == 0
+        assert graphs == 3 * 76 + 100
+        assert 6 < acyclic < graphs - 250
 
 
 class TestJoinOptions:
@@ -1158,6 +1222,25 @@ FORWARD_ORIENTED = {
     (10, 33): ([2, 18, 315, 39], "1 2 3 4 5\n2 4 6 8 9\n2 4 7\n"),
 }
 
+# inv_exact's trees, from k=1, where every level breaks mask-size ties by
+# cyclic triangles (_search_assignment with triangles)
+TRIANGLE_TREES = {
+    "qn(7)": ([14, 156, 16], "1 2\n3 4\n5 6\n"),
+    "qn(9)": ([18, 158, 4038, 32], "1 2\n4 5 7 8\n3 4\n4 8\n"),
+    "qn(10)": ([18, 162, 3494, 195], "1 2\n6 8 9\n5 6\n3 4\n"),
+    "join(c3,c3,c3,c3)": ([22, 264, 7370, 27], "1 2\n10 11\n4 5\n7 8\n"),
+    "blowup_uniform(c3;c3,3)": (
+        [14, 140, 8422, 42],
+        "1 2\n3 4 5 6\n3 4 5 7 8\n4 5\n",
+    ),
+    "dijoin(c3,c3)": ([22, 11], "1 2\n4 5\n"),
+}
+TRIANGLE_ORIENTED = {
+    (8, 11): ([18, 18], "3 4 6 7\n0 3 5\n"),
+    (9, 33): ([20, 98], "0 2 3 4 5 6 7\n6 7\n"),
+    (10, 33): ([16, 208, 38], "2 6 8 9\n2 3 5 7 8\n1 4 5 7 8 9\n"),
+}
+
 # the search before forward checking: reference_search with the complement rule
 isometry_search = functools.partial(helpers.reference_search, complement=True)
 
@@ -1219,7 +1302,7 @@ class TestSearchTreePinned:
         assert r.nodes_explored == sum(forward)
         assert dump_family(r.witness) == forward_witness
         # level 0 by the peel: every level the same but 0, which costs none
-        r = inv_exact(D)
+        r = helpers.reference_plain_order_inv_exact(D)
         assert r.nodes_explored == sum(forward[1:])
         assert dump_family(r.witness) == forward_witness
 
@@ -1240,9 +1323,29 @@ class TestSearchTreePinned:
         r = helpers.reference_inv_exact(D)
         assert r.nodes_explored == sum(counts)
         assert dump_family(r.witness) == witness
-        r = inv_exact(D)
+        r = helpers.reference_plain_order_inv_exact(D)
         assert r.nodes_explored == sum(counts[1:])
         assert dump_family(r.witness) == witness
+
+    @staticmethod
+    def check_triangle_tree(D, counts, witness):
+        # level by level, then as inv_exact's whole solve
+        for k, nodes in enumerate(counts, 1):
+            found, got = solver._search_assignment(D, k, SearchOptions(), triangles=True)
+            assert got == nodes
+            assert (found is None) == (k < len(counts))
+        assert dump_family(found) == witness
+        r = inv_exact(D)
+        assert (r.nodes_explored, dump_family(r.witness)) == (sum(counts), witness)
+
+    @pytest.mark.parametrize("expr", list(TRIANGLE_TREES))
+    def test_triangle_levels_and_witness(self, memo_bound, expr):
+        self.check_triangle_tree(graph_from_expr(expr), *TRIANGLE_TREES[expr])
+
+    @pytest.mark.parametrize("n,seed", list(TRIANGLE_ORIENTED))
+    def test_triangle_oriented_levels_and_witness(self, memo_bound, n, seed):
+        D = random_oriented(random.Random(seed), n)
+        self.check_triangle_tree(D, *TRIANGLE_ORIENTED[n, seed])
 
     def test_memo_is_per_call_and_bounded(self, monkeypatch):
         # at even k the odd-weight rule is one more mask on the same entry,
@@ -1405,46 +1508,59 @@ class TestBudgetOnForwardTree:
 
 
 class TestBudgetWithLevelZeroByPeel:
-    # inv_exact decides level 0 by one peel, at no node, so qn(10) explores
-    # 22 + 220 + 6918 + 30 nodes: the forward-checked tree from k=1
+    # the plain-order level loop decides level 0 by one peel, at no node,
+    # so qn(10) explores 22 + 220 + 6918 + 30 nodes: the forward-checked
+    # tree from k=1
     LEVELS = FORWARD_TREES["qn(10)"][0][1:]
+    solve = staticmethod(helpers.reference_plain_order_inv_exact)
 
     def test_budget_caps_the_whole_solve(self):
         total = sum(self.LEVELS)
         with pytest.raises(BudgetExceededError, match=f"{total - 1} nodes"):
-            inv_exact(qn(10), SearchOptions(budget=total - 1))
-        r = inv_exact(qn(10), SearchOptions(budget=total))
+            self.solve(qn(10), SearchOptions(budget=total - 1))
+        r = self.solve(qn(10), SearchOptions(budget=total))
         assert r.value == 4 and r.nodes_explored == total
 
     def test_budget_spent_at_each_level(self):
-        r = inv_exact(qn(10), SearchOptions(budget=1, max_k=0))
+        r = self.solve(qn(10), SearchOptions(budget=1, max_k=0))
         assert not r.resolved and r.nodes_explored == 0
         spent = 0
         for k, nodes in enumerate(self.LEVELS[:-1], 1):
             spent += nodes
             with pytest.raises(BudgetExceededError, match=f"{spent - 1} nodes"):
-                inv_exact(qn(10), SearchOptions(budget=spent - 1, max_k=k))
+                self.solve(qn(10), SearchOptions(budget=spent - 1, max_k=k))
             for budget in (spent, spent + 1):
-                r = inv_exact(qn(10), SearchOptions(budget=budget, max_k=k))
+                r = self.solve(qn(10), SearchOptions(budget=budget, max_k=k))
                 assert not r.resolved and r.nodes_explored == spent <= budget
 
     def test_nothing_outlives_a_call(self):
-        a, b = inv_exact(qn(10)), inv_exact(qn(10))
+        a, b = self.solve(qn(10)), self.solve(qn(10))
         assert (a.nodes_explored, a.witness) == (b.nodes_explored, b.witness)
         assert a.nodes_explored == sum(self.LEVELS)
+
+
+class TestBudgetWithTriangleTies(TestBudgetWithLevelZeroByPeel):
+    # inv_exact breaks ties by cyclic triangles at every level, so qn(10)
+    # explores 18 + 162 + 3494 + 195 nodes
+    LEVELS = TRIANGLE_TREES["qn(10)"][0]
+    solve = staticmethod(inv_exact)
 
 
 def budget_boundary_cases():
     """(id, solve, nodes, witness): ``solve(opts)`` returns a family, or
     None once its level is exhausted, after exactly ``nodes`` nodes;
     ``witness`` is that family's dump.  Each graph is solved whole, from
-    k=0 as ``helpers.reference_inv_exact`` searches it and with level 0 by
-    the peel as ``inv_exact`` does, and at the exhausted level below its
-    value, where an overrun may fall among the last candidates a level
-    examines."""
+    k=0 as ``helpers.reference_inv_exact`` searches it, with level 0 by
+    the peel as ``helpers.reference_plain_order_inv_exact`` does, and in
+    the triangle tie-break as ``inv_exact`` does, and at the exhausted
+    level below its value in either order, where an overrun may fall
+    among the last candidates a level examines."""
 
     def by_reference(D):
         return lambda opts: helpers.reference_inv_exact(D, opts).witness
+
+    def by_plain_order(D):
+        return lambda opts: helpers.reference_plain_order_inv_exact(D, opts).witness
 
     def by_inv_exact(D):
         return lambda opts: inv_exact(D, opts).witness
@@ -1452,19 +1568,26 @@ def budget_boundary_cases():
     def by_level(D, k, even_weight_only=False):
         return lambda opts: exists_family(D, k, opts, even_weight_only=even_weight_only)
 
-    searches = [("qn(7)", qn(7), [2, 22, 200, 19], "1 2\n3 4 6\n2 3\n")]
+    def by_triangle_level(D, k):
+        return lambda opts: solver._search_assignment(D, k, opts, triangles=True)[0]
+
+    searches = [("qn(7)", qn(7), [2, 22, 200, 19], "1 2\n3 4 6\n2 3\n", TRIANGLE_TREES["qn(7)"])]
     for expr in ("qn(9)", "dijoin(c3,c3)"):
-        searches.append((expr, graph_from_expr(expr), *FORWARD_TREES[expr]))
+        searches.append((expr, graph_from_expr(expr), *FORWARD_TREES[expr], TRIANGLE_TREES[expr]))
     for n, seed in FORWARD_ORIENTED:
         D = random_oriented(random.Random(seed), n)
-        searches.append((f"oriented-{n}-{seed}", D, *FORWARD_ORIENTED[n, seed]))
+        searches.append((f"oriented-{n}-{seed}", D, *FORWARD_ORIENTED[n, seed],
+                         TRIANGLE_ORIENTED[n, seed]))
     cases = []
-    for name, D, counts, witness in searches:
+    for name, D, counts, witness, (tri_counts, tri_witness) in searches:
         k = len(counts) - 2
         cases.append((name, by_reference(D), sum(counts), witness))
         # level 0 by the peel, at no node
-        cases.append((f"{name}-peeled", by_inv_exact(D), sum(counts[1:]), witness))
+        cases.append((f"{name}-peeled", by_plain_order(D), sum(counts[1:]), witness))
         cases.append((f"{name}-k{k}", by_level(D, k), counts[k], None))
+        # the triangle order, from k=1
+        cases.append((f"{name}-triangles", by_inv_exact(D), sum(tri_counts), tri_witness))
+        cases.append((f"{name}-triangles-k{k}", by_triangle_level(D, k), tri_counts[k - 1], None))
     counts, witness = FORWARD_EVEN_QN9
     for k in (3, 4):
         cases.append((f"even-qn(9)-k{k}", by_level(qn(9), k, True), counts[k], None))
@@ -1484,8 +1607,8 @@ class TestBudgetBoundary:
     def test_overrun_exactly_below_the_node_count(self, solve, nodes, witness):
         # every budget short of the solve's nodes overruns and names the
         # budget, and the node count itself returns the pinned answer; in
-        # the middle of qn(9)'s 6,918-node k=3 level every 17th budget,
-        # which keeps the test to seconds
+        # the middle of qn(9)'s 6,918-node and 4,038-node k=3 levels every
+        # 17th budget, which keeps the test to seconds
         for budget in range(1, nodes):
             if 300 <= budget < nodes - 100 and budget % 17:
                 continue
