@@ -403,9 +403,9 @@ def _blowup_options(
 
 def cmd_experiment(args) -> int:
     if args.name not in EXPERIMENTS:
-        print(f"unknown experiment {args.name!r}; choices: "
-              + " ".join(sorted(EXPERIMENTS)), file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(
+            f"unknown experiment {args.name!r}; choices: " + " ".join(sorted(EXPERIMENTS))
+        )
     jobs = min(check_int(args.jobs, "--jobs", 1), os.cpu_count() or 1)
     build, check, param_names, _ = EXPERIMENTS[args.name]
     opts = _options_from_args(args)

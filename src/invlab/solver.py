@@ -10,24 +10,23 @@ Two independent backends:
   that close no cycle with the placed prefix; placing a vertex removes
   from every mask the vectors that now close one through it, a branch is
   cut as soon as a mask empties, and the next vertex is the one with the
-  fewest vectors left (fail first).  In ``inv_exact``, which must
-  exhaust every level below the value, a tie there goes first to the
-  vertex on the most cyclic triangles with another vertex unplaced;
-  ``exists_family`` keeps the plain tie-break.  The flips depend only on
-  the dot products of the vectors, so any isometry of GF(2)^k maps
-  decycling families to decycling families, and two are broken (see
-  ``_search_assignment``): permutation of family positions, where a
-  vertex may only set a prefix of each block of coordinates whose
-  columns agree so far, and, for even k, the map complementing every
-  odd-weight vector, where the first odd-weight vector weighs at most
-  k/2.  A vertex's canonical candidates are one 2^k-bit mask too, each
-  rule one mask ANDed in, kept per block shape in a memo local to the
-  call.  A node is one canonical candidate examined; those outside its
-  vertex's mask cost one popcount together.  Per coordinate c the search
-  keeps a column mask of the placed vertices whose vector sets c, so the
-  pattern of arcs a candidate reverses is the XOR of the masks of its
-  set coordinates.  Both symmetry rules hold in either tie-break, since
-  each reads only the graph, the placed set and the mask sizes, which
+  fewest vectors left (fail first), a tie there going first to the
+  vertex on the most cyclic triangles with another vertex unplaced.
+  ``exists_family`` walks the very tree of ``inv_exact``'s level k.  The
+  flips depend only on the dot products of the vectors, so any isometry
+  of GF(2)^k maps decycling families to decycling families, and two are
+  broken (see ``_search_assignment``): permutation of family positions,
+  where a vertex may only set a prefix of each block of coordinates
+  whose columns agree so far, and, for even k, the map complementing
+  every odd-weight vector, where the first odd-weight vector weighs at
+  most k/2.  A vertex's canonical candidates are one 2^k-bit mask too,
+  each rule one mask ANDed in, kept per block shape in a memo local to
+  the call.  A node is one canonical candidate examined; those outside
+  its vertex's mask cost one popcount together.  Per coordinate c the
+  search keeps a column mask of the placed vertices whose vector sets c,
+  so the pattern of arcs a candidate reverses is the XOR of the masks of
+  its set coordinates.  Both symmetry rules hold along that order, since
+  it reads only the graph, the placed set and the mask sizes, which
   every member of an isometry orbit shares.
 
 * ``order``: minimizes, over linear orders of the vertices, the least
@@ -241,7 +240,7 @@ def _block_prefixes(tops: int) -> int:
 
 def _search_assignment(
     D: Digraph, k: int, opts: SearchOptions, spent: int = 0, *,
-    even_weight_only: bool = False, triangles: bool = False,
+    even_weight_only: bool = False,
 ) -> tuple[InversionFamily | None, int]:
     """Complete DFS for a decycling family of k sets; (family or None, nodes).
 
@@ -261,30 +260,26 @@ def _search_assignment(
     and u on that side: odd[vec[u]] or its complement, from a parity
     table built per call.  The masks are blocks of one int, so one update
     serves every vertex.  A branch is cut when a mask empties, and the
-    next vertex is the unplaced one with the fewest vectors left, ties
-    going to ``_vertex_order``.  A node is one canonical candidate
-    examined, in or out of its vertex's mask, and ``opts.budget`` counts
-    nodes.
+    next vertex is the unplaced one with the fewest vectors left.  A node
+    is one canonical candidate examined, in or out of its vertex's mask,
+    and ``opts.budget`` counts nodes.
 
-    With ``triangles``, a tie on the fewest vectors goes first to the
-    vertex on the most cyclic triangles r -> a -> b -> r of D with a or b
-    unplaced, v counted as placed, and only a tie left there goes to
-    ``_vertex_order``; the root is still its first vertex.  ``inv_exact``
-    sets it at every level: its levels below the value are exhausted,
-    which is where fail-first branching pays, and on hard graphs they
-    cost far more than the witness level, which the rule may lengthen.
-    ``exists_family`` and the default keep the order above, and with it
-    the plain trees pinned against the reference search.  Each vertex's
-    triangles are counted once per call (``_cyclic_triangles``); at a
-    tie, those the placed vertices close are the arcs from its placed
+    A tie on the fewest vectors goes first to the vertex on the most
+    cyclic triangles r -> a -> b -> r of D with a or b unplaced, v counted
+    as placed, and only a tie left there goes to ``_vertex_order``; the
+    root is its first vertex.  Exhausted levels are where fail-first
+    branching pays, and on hard graphs they cost far more than the
+    witness level, which the rule may lengthen.  Each vertex's triangles
+    are counted once per call (``_cyclic_triangles``); at a tie, those
+    the placed vertices close are the arcs from its placed
     out-neighbours into its placed in-neighbours.
 
     Mask sizes depend only on dot products, and the triangle key only on
     D and the placed set, so every member of an isometry orbit is
-    searched in the same vertex sequence, with or without ``triangles``,
-    and both symmetry rules hold along it.  The block-prefix rule: sorting
-    a solution's coordinates by their columns in that sequence gives a
-    member of its orbit that sets a prefix of each block at each vertex.
+    searched in the same vertex sequence, and both symmetry rules hold
+    along it.  The block-prefix rule: sorting a solution's coordinates by
+    their columns in that sequence gives a member of its orbit that sets
+    a prefix of each block at each vertex.
     And for even k the all-ones vector j has j.j = 0, so x -> x + (x.j) j
     keeps every dot product: it fixes even-weight vectors and complements
     odd-weight ones.  It fixes every vertex before the first odd-weight
@@ -297,7 +292,8 @@ def _search_assignment(
     A call searches one k level and builds its tables once: the block
     constants; in one pass over the arcs, each vertex's in-row and the
     blocks of its neighbours (``near``) and of the vertices with an arc
-    into it (``tails``); then the vertex order and the parity table.
+    into it (``tails``); then the vertex order, the triangle counts and
+    the parity table.
 
     Coordinates are numbered k-1 down to 0, so the blocks' heads are one
     int ``tops`` (``_block_prefixes``), w splits them at ``~w & w >> 1``,
@@ -338,7 +334,7 @@ def _search_assignment(
             near[u] |= full << v * size
             row ^= low
     order = _vertex_order(D, ins)
-    tri = _cyclic_triangles(outs, ins) if triangles else None
+    tri = _cyclic_triangles(outs, ins)
     adj = [o | i for o, i in zip(outs, ins)]
     # odd[w] bit x: x.w is odd; linear in w, so built from the unit vectors
     odd = [0] * size
@@ -455,37 +451,30 @@ def _search_assignment(
             if ((new & low_bits) + low_bits | new) & live != live:
                 continue  # some vertex has no vector left
             least = size + 1
-            if tri is None:
-                for r in rest:
-                    size_r = (new >> r * size & full).bit_count()
-                    if size_r < least:
-                        least = size_r
+            for r in rest:
+                size_r = (new >> r * size & full).bit_count()
+                if size_r < least:
+                    least = size_r
+                    ties = [r]
+                elif size_r == least:
+                    ties.append(r)
+            nxt_v = ties[0]
+            if len(ties) > 1:
+                # r's triangles less those the placed close: the arcs
+                # from its placed out-neighbours into its placed in-neighbours
+                seen = placed | bit
+                most = -1
+                for r in ties:
+                    open_r = tri[r]
+                    into = ins[r] & seen
+                    tmp = outs[r] & seen
+                    while tmp:
+                        low = tmp & -tmp
+                        open_r -= (outs[low.bit_length() - 1] & into).bit_count()
+                        tmp ^= low
+                    if open_r > most:
+                        most = open_r
                         nxt_v = r
-            else:
-                for r in rest:
-                    size_r = (new >> r * size & full).bit_count()
-                    if size_r < least:
-                        least = size_r
-                        ties = [r]
-                    elif size_r == least:
-                        ties.append(r)
-                nxt_v = ties[0]
-                if len(ties) > 1:
-                    # r's triangles less those the placed close: the arcs
-                    # from its placed out-neighbours into its placed in-neighbours
-                    seen = placed | bit
-                    most = -1
-                    for r in ties:
-                        open_r = tri[r]
-                        into = ins[r] & seen
-                        tmp = outs[r] & seen
-                        while tmp:
-                            low = tmp & -tmp
-                            open_r -= (outs[low.bit_length() - 1] & into).bit_count()
-                            tmp ^= low
-                        if open_r > most:
-                            most = open_r
-                            nxt_v = r
             for c in coords:
                 cols[c] |= bit
             prefix.append(v)
@@ -622,8 +611,7 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     family's width, which is the value, with that family as the witness,
     when every level between is exhausted and the width is at most
     ``max_k``.  A lower bound above ``max_k`` leaves nothing to search.
-    Every level, certified or not, breaks mask-size ties by cyclic
-    triangles (``_search_assignment``'s ``triangles``).
+    Each level k is the tree ``exists_family(D, k)`` walks.
     """
     if opts is None:
         opts = SearchOptions()
@@ -633,7 +621,7 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     found, source = None, "search"
     for k in range(low, high + 1):
         if k:
-            found, nodes = _search_assignment(D, k, opts, total, triangles=True)
+            found, nodes = _search_assignment(D, k, opts, total)
             total += nodes
         elif _acyclic(D.out_rows):
             # level 0's one family is the empty one, which decycles D

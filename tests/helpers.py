@@ -560,32 +560,221 @@ def reference_search(
     return InversionFamily(n, tuple(sets)), nodes
 
 
-def use_reference_search(monkeypatch) -> None:
-    """Make ``inv_exact`` run the search before forward checking.
+def reference_forward_search(
+    D: Digraph, k: int, opts, spent: int = 0, *, even_weight_only: bool = False
+):
+    """Reference forward-checked search: (family, nodes) as ``_search_assignment``.
 
-    That is ``reference_search`` with the complement rule, at every level
-    from k=0 (``use_reference_levels``), whose node counts the older
-    budget and stdout pins record.
+    The search before every tie on the fewest vectors went to cyclic
+    triangles, kept whole so its trees stay pinned: the same masks,
+    symmetry rules, candidate walk and budget checks, with a tie on the
+    fewest vectors going to ``_vertex_order`` alone.  Its candidate
+    masks are ``solver._block_prefixes``, so a spy on that sees them.
     """
-    monkeypatch.setattr(
-        solver, "_search_assignment", functools.partial(reference_search, complement=True)
+    n = D.n
+    if n == 0:
+        return InversionFamily(0, (0,) * k), 0
+    outs = D.out_rows
+    size = 1 << k
+    full = (1 << size) - 1
+    # all masks live in one int, vertex r's in the block of bits from
+    # r*size, so each update acts on every vertex at once
+    rep = sum(1 << r * size for r in range(n))  # the low bit of each block
+    high = rep << size - 1  # the high bit of each block
+    low_bits = high - rep  # the other bits of each block
+    # one pass over the arcs: an arc u -> v puts u in ins[v], u's block in
+    # tails[v] (the blocks of r with an arc r -> v), and each end's block
+    # in the other's near (the blocks of its neighbours)
+    ins = [0] * n
+    tails = [0] * n
+    near = [0] * n
+    for u in range(n):
+        row = outs[u]
+        bit = 1 << u
+        block = full << u * size
+        while row:
+            low = row & -row
+            v = low.bit_length() - 1
+            ins[v] |= bit
+            tails[v] |= block
+            near[v] |= block
+            near[u] |= full << v * size
+            row ^= low
+    order = solver._vertex_order(D, ins)
+    adj = [o | i for o, i in zip(outs, ins)]
+    # odd[w] bit x: x.w is odd; linear in w, so built from the unit vectors
+    odd = [0] * size
+    coords_of = [()] * size  # coords_of[w]: the coordinates w sets
+    for c in range(k):
+        run = 1 << c
+        m = ((1 << run) - 1) << run  # in each 2^(c+1) vectors, the last half set c
+        span = 2 * run
+        while span < size:
+            m |= m << span
+            span *= 2
+        odd[run] = m
+    for w in range(1, size):
+        low = w & -w
+        coords_of[w] = coords_of[w ^ low] + (low.bit_length() - 1,)
+        if low != w:
+            odd[w] = odd[low] ^ odd[w ^ low]
+
+    budget = opts.budget
+    limit = None if budget is None else budget - spent
+    start = full ^ odd[size - 1] if even_weight_only else full
+    # first: k is even and no odd-weight vector is placed yet, so the next
+    # vector keeps to light, the even weights and the weights up to k/2
+    first = k % 2 == 0 and not even_weight_only
+    light = sum(
+        1 << w for w in range(size) if w.bit_count() <= k // 2 or not w.bit_count() & 1
     )
-    use_reference_levels(monkeypatch)
+    memo: dict[int, int] = {}  # tops -> its candidates; tops sets bit k-1
+    cols = [0] * k  # cols[c] bit u: placed u's vector sets coordinate c
+    # block r of to_at[u]: vectors of r that give an arc r -> u, placed u;
+    # of from_at[u], those giving u -> r
+    to_at = [0] * n
+    from_at = [0] * n
+    prefix: list[int] = []  # placed vertices
+    nodes = 0
+
+    def dfs(
+        v: int,
+        tops: int,
+        first: bool,
+        masks: int,
+        desc: list[int],
+        placed: int,
+        rest: list[int],
+        live: int,
+    ) -> bool:
+        # masks: block r the vectors unplaced r may take; desc[u]: placed u
+        # and what it reaches in the flipped prefix; rest: unplaced but v,
+        # by order; live: the high bits of rest's blocks
+        nonlocal nodes
+        cand = memo.get(tops)
+        if cand is None:
+            cand = memo[tops] = solver._block_prefixes(tops) & start
+        if first:
+            cand &= light
+        mv = masks >> v * size & full
+        bit = 1 << v
+        av = adj[v] & placed
+        ov = outs[v] & placed
+        iv = ins[v] & placed
+        nv = near[v]
+        tv = tails[v]
+        todo = cand & mv | 1 << size  # the candidates inside mv, then an end bit
+        while True:
+            low = todo & -todo
+            todo ^= low
+            # cand keeps the candidates not yet counted: those up to w are
+            # nodes now, those outside mv each a skipped bit test
+            done = cand & (low << 1) - 1
+            cand ^= done
+            nodes += done.bit_count()
+            if limit is not None and nodes > limit:
+                raise BudgetExceededError(f"assignment search exceeded {budget} nodes")
+            if not todo:
+                return False
+            w = low.bit_length() - 1
+            coords = coords_of[w]
+            if not rest:
+                for c in coords:
+                    cols[c] |= bit
+                return True
+            # bit u of flip: parity of u's vector & w
+            flip = 0
+            for c in coords:
+                flip ^= cols[c]
+            swap = av & flip
+            heads = ov ^ swap  # arcs v -> u once flipped
+            back = iv ^ swap  # arcs u -> v once flipped
+            to_v = odd[w] * rep & nv ^ tv
+            to_at[v] = to_v
+            from_at[v] = to_v ^ nv
+            # r -> a for some a that reaches v, and b -> r for some b that
+            # v reaches, close a cycle
+            below = bit
+            tmp = heads
+            while tmp:
+                low = tmp & -tmp
+                below |= desc[low.bit_length() - 1]
+                tmp ^= low
+            up = to_v
+            grown = desc[:]
+            grown[v] = below
+            for u in prefix:
+                if desc[u] & back:
+                    up |= to_at[u]
+                    grown[u] |= below
+            down = 0
+            tmp = below
+            while tmp:
+                low = tmp & -tmp
+                down |= from_at[low.bit_length() - 1]
+                tmp ^= low
+            new = masks & ~(up & down)
+            if ((new & low_bits) + low_bits | new) & live != live:
+                continue  # some vertex has no vector left
+            least = size + 1
+            for r in rest:
+                size_r = (new >> r * size & full).bit_count()
+                if size_r < least:
+                    least = size_r
+                    nxt_v = r
+            for c in coords:
+                cols[c] |= bit
+            prefix.append(v)
+            if dfs(
+                nxt_v,
+                tops | ~w & w >> 1,
+                first and not w.bit_count() & 1,
+                new,
+                grown,
+                placed | bit,
+                [r for r in rest if r != nxt_v],
+                live ^ 1 << nxt_v * size + size - 1,
+            ):
+                return True
+            prefix.pop()
+            for c in coords:
+                cols[c] ^= bit
+
+    root = order[0]
+    live = high ^ 1 << root * size + size - 1
+    if not dfs(root, 1 << k >> 1, first, start * rep, [0] * n, 0, order[1:], live):
+        return None, nodes
+    return InversionFamily(n, cols[::-1]), nodes  # coordinate c is set k-1-c
 
 
-def reference_inv_exact(D: Digraph, opts=None):
+def use_reference_search(monkeypatch) -> None:
+    """Make every search run the search before forward checking.
+
+    That is ``reference_search`` with the complement rule, for
+    ``exists_family`` and for ``inv_exact`` at every level from k=0 (as
+    ``reference_inv_exact``), whose node counts the older budget and
+    stdout pins record.
+    """
+    search = functools.partial(reference_search, complement=True)
+    monkeypatch.setattr(solver, "_search_assignment", search)
+    monkeypatch.setattr(solver, "inv_exact", functools.partial(reference_inv_exact, search=search))
+
+
+def reference_inv_exact(D: Digraph, opts=None, *, search=None):
     """``inv_exact`` before level 0 became one acyclicity peel: the level
     loop kept whole, so its trees stay pinned.  Every level it searches,
-    k=0 included, is a ``solver._search_assignment`` call, so level 0's
-    nodes count toward the total and the budget."""
+    k=0 included, is a ``search`` call, by default
+    ``reference_forward_search``, so level 0's nodes count toward the
+    total and the budget."""
     if opts is None:
         opts = solver.SearchOptions()
+    search = search or reference_forward_search
     start = time.perf_counter()
     low, high = solver._bounds(D, opts)
     total = 0
     found, source = None, "search"
     for k in range(low, high + 1):
-        found, nodes = solver._search_assignment(D, k, opts, total)
+        found, nodes = search(D, k, opts, total)
         total += nodes
         if found is not None:
             break
@@ -604,21 +793,24 @@ def use_reference_levels(monkeypatch) -> None:
 def reference_plain_order_inv_exact(D: Digraph, opts=None, *, certified_ties: bool = False):
     """``inv_exact`` before it broke mask-size ties by cyclic triangles: the
     level loop kept whole, level 0 by one peel, so its trees stay pinned.
-    Every level, certified or not, is a plain ``solver._search_assignment``
-    call in the ``_vertex_order`` tie-break.  With ``certified_ties`` a
+    Every level, certified or not, is a ``reference_forward_search`` call
+    in the ``_vertex_order`` tie-break.  With ``certified_ties`` a
     certified solve, one with an upper family, searches its levels in the
-    triangle tie-break, as ``inv_exact`` did before plain solves took it
-    too."""
+    triangle tie-break (``solver._search_assignment``), as ``inv_exact``
+    did before plain solves took it too."""
     if opts is None:
         opts = solver.SearchOptions()
     start = time.perf_counter()
     low, high = solver._bounds(D, opts)
-    triangles = certified_ties and opts.upper is not None
+    if certified_ties and opts.upper is not None:
+        search = solver._search_assignment
+    else:
+        search = reference_forward_search
     total = 0
     found, source = None, "search"
     for k in range(low, high + 1):
         if k:
-            found, nodes = solver._search_assignment(D, k, opts, total, triangles=triangles)
+            found, nodes = search(D, k, opts, total)
             total += nodes
         elif _acyclic(D.out_rows):
             found = InversionFamily(D.n, ())

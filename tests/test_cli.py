@@ -500,8 +500,11 @@ class TestExperiments:
         assert code == 0 and "total=4 pass=4" in out
 
     def test_unknown_name_exit_one(self, capsys):
-        code, _, err = run(capsys, "experiment", "nope")
-        assert code == 1 and "unknown experiment" in err
+        code, out, err = run(capsys, "experiment", "nope")
+        choices = " ".join(sorted(cli.EXPERIMENTS))
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown experiment 'nope'; choices: {choices}\n"
+        assert choices == "abnormal bounds conj-direction direction kjoin qn thm13 thm15"
 
     def test_budget_marks_unknown_exit_two(self, capsys):
         code, out, _ = run(
@@ -1215,7 +1218,7 @@ class TestKjoinCriterion:
         ]
 
     def test_criterion_over_budget_is_unknown(self, capsys, monkeypatch, joins):
-        # the criterion search takes 92 nodes, the rest resolve by default
+        # the criterion search takes 62 nodes, the rest resolve by default
         joins(TIGHTNESS_JOINS[0])
         exists_family = solver.exists_family
 

@@ -153,17 +153,21 @@ class TestLevelZeroByPeel:
         # searches it, so the value and witness are the same and only level
         # 0's nodes go; inv_exact, in the triangle order, skips level 0 too
         levels = []
-        search = solver._search_assignment
 
-        def spy(D, k, *args, **kwargs):
-            levels.append(k)
-            return search(D, k, *args, **kwargs)
+        def spy(search):
+            def level(D, k, *args, **kwargs):
+                levels.append(k)
+                return search(D, k, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "_search_assignment", spy)
+            return level
+
+        forward = helpers.reference_forward_search
+        monkeypatch.setattr(solver, "_search_assignment", spy(solver._search_assignment))
+        monkeypatch.setattr(helpers, "reference_forward_search", spy(forward))
         acyclic = 0
         for D in self._graphs():
             ref = helpers.reference_inv_exact(D)
-            level0 = search(D, 0, SearchOptions())[1]
+            level0 = forward(D, 0, SearchOptions())[1]
             for solve in (inv_exact, helpers.reference_plain_order_inv_exact):
                 levels.clear()
                 r = solve(D)
@@ -290,12 +294,12 @@ class TestCertifiedBounds:
         parts = [c3(), qn(5)]
         D = k_join(parts)
         r = helpers.reference_plain_order_inv_exact(D, bounded(D, parts))
-        level = solver._search_assignment(D, 2, SearchOptions())
+        level = helpers.reference_forward_search(D, 2, SearchOptions())
         assert level == (None, 334) and r.nodes_explored == 334
         assert (r.value, r.max_k_exhausted, r.proof, r.source) == (3, 2, "exhausted", "composed")
         assert helpers.reference_inv_exact(D).nodes_explored == 379
         # unbounded, level 0 is one peel: its 2 nodes leave the total
-        assert solver._search_assignment(D, 0, SearchOptions()) == (None, 2)
+        assert helpers.reference_forward_search(D, 0, SearchOptions()) == (None, 2)
         assert helpers.reference_plain_order_inv_exact(D).nodes_explored == 377
 
     def test_report_forms(self):
@@ -417,17 +421,17 @@ class TestCertifiedBounds:
 
 
 class TestTriangleTies:
-    """Every level ``inv_exact`` searches breaks a tie on the fewest vectors
-    by cyclic triangles; ``exists_family`` and a direct search keep the
-    ``_vertex_order`` tie-break.  The plain-order counts of the same
-    solves are in ``TestCertifiedBounds``."""
+    """Every assignment search breaks a tie on the fewest vectors by
+    cyclic triangles: each level ``inv_exact`` searches, ``exists_family``
+    and a direct search alike.  The plain-order counts of the same solves
+    are in ``TestCertifiedBounds``."""
 
     def test_only_the_levels_between_are_searched(self):
         # c3 => qn(5): level 2 alone, empty, in 209 nodes against 334
         parts = [c3(), qn(5)]
         D = k_join(parts)
         opts = bounded(D, parts)
-        assert solver._search_assignment(D, 2, opts, triangles=True) == (None, 209)
+        assert solver._search_assignment(D, 2, opts) == (None, 209)
         r = inv_exact(D, opts)
         assert r.report(deterministic=True).splitlines()[0] == (
             "inv=3 k_proof=2_exhausted backend=assign nodes=209 witness=composed")
@@ -475,6 +479,30 @@ class TestTriangleTies:
         assert is_acyclic(apply_family(qn(11), r.witness)) is not None
         assert helpers.reference_plain_order_inv_exact(qn(11)).nodes_explored == 213_041
 
+    def test_exists_family_walks_inv_exact_levels(self, monkeypatch):
+        # one tie-break for every search: exists_family(D, k) returns the
+        # family of inv_exact's level k, None below the value, after the
+        # same nodes
+        levels = []
+        search = solver._search_assignment
+
+        def spy(D, k, *args, **kwargs):
+            found, nodes = search(D, k, *args, **kwargs)
+            levels.append((k, found, nodes))
+            return found, nodes
+
+        monkeypatch.setattr(solver, "_search_assignment", spy)
+        for G in (qn(9), qn(10), TIGHT, k_join([c3(), qn(5)])):
+            levels.clear()
+            r = inv_exact(G)
+            solved = list(levels)
+            assert [k for k, _, _ in solved] == list(range(1, r.value + 1))
+            assert solved[-1][1] == r.witness
+            for k, found, nodes in solved:
+                levels.clear()
+                assert exists_family(G, k) == found
+                assert levels == [(k, found, nodes)]
+
     def test_plain_solves_count_triangles_once_per_level(self, monkeypatch):
         parts = [c3(), qn(5)]
         D = k_join(parts)
@@ -492,10 +520,12 @@ class TestTriangleTies:
             r = inv_exact(G)  # levels 1 up to the value, one count each
             assert counted == [(G.out_rows, G.in_rows())] * r.value
             counted.clear()
+            # every other search counts them once per call too
             exists_family(G, 3)
             exists_family(G, 3, even_weight_only=True)
             solver._search_assignment(G, 2, SearchOptions())
-            assert counted == []
+            assert counted == [(G.out_rows, G.in_rows())] * 3
+            counted.clear()
         inv_exact(D, SearchOptions(lower=opts.lower))  # levels 2 and 3
         assert counted == [(D.out_rows, D.in_rows())] * 2
         counted.clear()
@@ -533,13 +563,13 @@ def tie_break_graphs():
 class TestTriangleTiesSound:
     @pytest.fixture
     def searched(self, monkeypatch):
-        # (k, whether the level is empty, the triangles flag) per level
+        # (k, whether the level is empty) per level
         searched = []
         search = solver._search_assignment
 
         def spy(D, k, *args, **kwargs):
             found, nodes = search(D, k, *args, **kwargs)
-            searched.append((k, found is None, kwargs.get("triangles")))
+            searched.append((k, found is None))
             return found, nodes
 
         monkeypatch.setattr(solver, "_search_assignment", spy)
@@ -549,9 +579,8 @@ class TestTriangleTiesSound:
     def check_levels(D, searched, levels):
         # each level in the triangle order, empty exactly when the
         # reference search finds no family there
-        assert [k for k, _, _ in searched] == list(levels)
-        for k, empty, triangles in searched:
-            assert triangles is True
+        assert [k for k, _ in searched] == list(levels)
+        for k, empty in searched:
             ref, _ = helpers.reference_search(D, k, SearchOptions())
             assert empty == (ref is None)
 
@@ -917,20 +946,48 @@ class TestThreeBackendAgreement:
 
 
 def agree_with_reference(D, ks, even_weight_only=False):
-    """Existence matches the search before forward checking at each width;
-    no level grows, and every witness decycles D."""
+    """Existence matches the search before forward checking at each width,
+    and every witness decycles D.  The plain-order forward search
+    (``helpers.reference_forward_search``) grows no level against it; the
+    triangle tie-break may, so it is gated by its totals instead.
+    Returns (the search's nodes, the plain order's) over ``ks``."""
     opts = SearchOptions()
+    totals = [0, 0]
     for k in ks:
         found, nodes = solver._search_assignment(
+            D, k, opts, even_weight_only=even_weight_only
+        )
+        plain, plain_nodes = helpers.reference_forward_search(
             D, k, opts, even_weight_only=even_weight_only
         )
         ref, ref_nodes = helpers.reference_search(
             D, k, opts, complement=True, even_weight_only=even_weight_only
         )
-        assert (found is None) == (ref is None), (encode_digraph(D), k)
-        assert nodes <= ref_nodes, (encode_digraph(D), k)
+        assert (found is None) == (plain is None) == (ref is None), (encode_digraph(D), k)
+        assert plain_nodes <= ref_nodes, (encode_digraph(D), k)
         if found is not None:
             assert is_acyclic(apply_family(D, found)) is not None
+        totals[0] += nodes
+        totals[1] += plain_nodes
+    return tuple(totals)
+
+
+def agree_in_total(cases):
+    """``agree_with_reference`` over ``(D, ks, even_weight_only)`` cases,
+    summed."""
+    totals = [agree_with_reference(*case) for case in cases]
+    return tuple(map(sum, zip(*totals)))
+
+
+# agree_with_reference's totals around each graph's value, (triangle
+# tie-break, plain order): together 125,350 against 242,542
+AROUND_THE_VALUE = {
+    "qn(9)": (4_070, 6_947),
+    "qn(10)": (3_689, 6_948),
+    "qn(11)": (101_730, 205_881),
+    "join(c3,c3,c3,c3)": (7_397, 14_038),
+    "blowup_uniform(c3;c3,3)": (8_464, 8_728),
+}
 
 
 class TestSymmetryBreakingCompleteness:
@@ -971,28 +1028,33 @@ class TestSymmetryBreakingCompleteness:
             assert apply_assignment(D, vecs) == apply_assignment(D, flipped)
 
     def test_agrees_with_reference_on_small_tournaments(self):
-        # every labelled tournament up to 5 vertices and every class of 6
+        # every labelled tournament up to 5 vertices and every class of 6;
+        # the only group whose total the triangle tie-break raises
         tournaments = [T for n in range(6) for T in enumerate_tournaments(n)]
-        for T in tournaments + nonisomorphic_tournaments(6):
-            agree_with_reference(T, range(5))
+        cases = [(T, range(5)) for T in tournaments + nonisomorphic_tournaments(6)]
+        assert agree_in_total(cases) == (53_186, 52_193)
 
     def test_agrees_with_reference_on_triangle_dijoins(self):
         # each class up to 6 with a triangle dijoined on either side
-        for n in range(1, 7):
-            for T in nonisomorphic_tournaments(n):
-                agree_with_reference(dijoin(c3(), T), range(5))
-                agree_with_reference(dijoin(T, c3()), range(5))
+        cases = [
+            (D, range(5))
+            for n in range(1, 7)
+            for T in nonisomorphic_tournaments(n)
+            for D in (dijoin(c3(), T), dijoin(T, c3()))
+        ]
+        assert agree_in_total(cases) == (30_059, 35_296)
 
     def test_agrees_with_reference_on_random_oriented_graphs(self):
         # missing arcs: no bench workload has one, and a non-adjacent pair
         # must stay out of every cycle the masks test
         rng = random.Random(57)
+        cases = []
         for _ in range(150):
             D = random_oriented(rng, rng.randint(2, 8))
             while D.is_tournament():
                 D = random_oriented(rng, D.n)
-            for even_only in (False, True):
-                agree_with_reference(D, range(5), even_only)
+            cases += [(D, range(5), even_only) for even_only in (False, True)]
+        assert agree_in_total(cases) == (9_585, 11_074)
 
     @pytest.mark.parametrize(
         "expr,value",
@@ -1005,7 +1067,8 @@ class TestSymmetryBreakingCompleteness:
         ],
     )
     def test_agrees_with_reference_around_the_value(self, expr, value):
-        agree_with_reference(graph_from_expr(expr), (value - 1, value))
+        totals = agree_with_reference(graph_from_expr(expr), (value - 1, value))
+        assert totals == AROUND_THE_VALUE[expr]
 
 
 # kjoin's tightness question: the graphs the criterion was first checked on
@@ -1195,8 +1258,9 @@ ISOMETRY_TREES = {
 # even-weight vectors only: the rule never applies, so both searches agree
 PINNED_EVEN_QN9 = [5, 5, 62, 244, 2588, 235]
 PINNED_EVEN_QN9_WITNESS = "1 2 6\n1 6\n3 5 6 8\n5 8\n2 3 6\n"
-# the same graphs under _search_assignment, which forward-checks each
-# vertex's viable vectors and assigns the vertex with the fewest next
+# the same graphs under helpers.reference_forward_search, which
+# forward-checks each vertex's viable vectors and assigns the vertex with
+# the fewest next, ties going to _vertex_order
 FORWARD_TREES = {
     "qn(9)": ([2, 22, 220, 6918, 29], "1 2\n5 6 8\n3 4\n4 5\n"),
     "qn(10)": ([2, 22, 220, 6918, 30], "1 2\n6 7 9\n3 4\n5 6\n"),
@@ -1214,8 +1278,8 @@ FORWARD_EVEN_QN9 = (
 
 # non-tournaments, where a vertex's neighbours are not every other vertex:
 # random_oriented(random.Random(seed), n) by (n, seed), under
-# _search_assignment, recorded before its tables were built in one pass
-# over the arcs
+# helpers.reference_forward_search, recorded before its tables were built
+# in one pass over the arcs
 FORWARD_ORIENTED = {
     (8, 11): ([3, 36, 17], "3 4 6\n0 5 6 7\n"),
     (9, 33): ([2, 30, 178], "0 2 3 4 5 6 7\n6 7\n"),
@@ -1223,7 +1287,7 @@ FORWARD_ORIENTED = {
 }
 
 # inv_exact's trees, from k=1, where every level breaks mask-size ties by
-# cyclic triangles (_search_assignment with triangles)
+# cyclic triangles (_search_assignment, and exists_family at each level)
 TRIANGLE_TREES = {
     "qn(7)": ([14, 156, 16], "1 2\n3 4\n5 6\n"),
     "qn(9)": ([18, 158, 4038, 32], "1 2\n4 5 7 8\n3 4\n4 8\n"),
@@ -1240,6 +1304,12 @@ TRIANGLE_ORIENTED = {
     (9, 33): ([20, 98], "0 2 3 4 5 6 7\n6 7\n"),
     (10, 33): ([16, 208, 38], "2 6 8 9\n2 3 5 7 8\n1 4 5 7 8 9\n"),
 }
+# exists_family's even-weight qn(9) tree, from k=0: the exhausted levels
+# shrink on FORWARD_EVEN_QN9 (372 -> 346 nodes), the witness level grows
+TRIANGLE_EVEN_QN9 = (
+    [2, 2, 6, 56, 280, 388],
+    "1 2 4 7\n2 3 4 7 8\n1 4 7\n3 4 5 6\n5 6 7 8\n",
+)
 
 # the search before forward checking: reference_search with the complement rule
 isometry_search = functools.partial(helpers.reference_search, complement=True)
@@ -1276,16 +1346,21 @@ class TestSearchTreePinned:
         # block tops once, for at most 2^(k-1) tops, each heading coordinate
         # k-1, and starts from an empty memo
         built = spy_block_prefixes(monkeypatch)
-        search = solver._search_assignment
 
-        def bounded(D, k, *args, **kwargs):
-            built.clear()
-            found = search(D, k, *args, **kwargs)
-            assert len(built) == len(set(built)) <= max(1, 1 << k >> 1)
-            assert all(tops >> k - 1 == 1 for tops in built) if k else built == [0]
-            return found
+        def bounded(search):
+            def level(D, k, *args, **kwargs):
+                built.clear()
+                found = search(D, k, *args, **kwargs)
+                assert len(built) == len(set(built)) <= max(1, 1 << k >> 1)
+                assert all(tops >> k - 1 == 1 for tops in built) if k else built == [0]
+                return found
 
-        monkeypatch.setattr(solver, "_search_assignment", bounded)
+            return level
+
+        monkeypatch.setattr(solver, "_search_assignment", bounded(solver._search_assignment))
+        monkeypatch.setattr(
+            helpers, "reference_forward_search", bounded(helpers.reference_forward_search)
+        )
 
     @pytest.mark.parametrize(
         "expr,counts,witness", PINNED_TREES, ids=[e for e, _, _ in PINNED_TREES]
@@ -1297,7 +1372,8 @@ class TestSearchTreePinned:
         assert level_counts(D, opts, isometry_search) == (ISOMETRY_TREES[expr], witness)
         forward, forward_witness = FORWARD_TREES[expr]
         assert all(f <= i for f, i in zip(forward, ISOMETRY_TREES[expr]))
-        assert level_counts(D, opts) == (forward, forward_witness)
+        assert level_counts(D, opts, helpers.reference_forward_search) == (
+            forward, forward_witness)
         r = helpers.reference_inv_exact(D)
         assert r.nodes_explored == sum(forward)
         assert dump_family(r.witness) == forward_witness
@@ -1312,14 +1388,24 @@ class TestSearchTreePinned:
         assert level_counts(qn(9), opts, helpers.reference_search, True) == want
         assert level_counts(qn(9), opts, isometry_search, True) == want
         assert all(f <= p for f, p in zip(FORWARD_EVEN_QN9[0], PINNED_EVEN_QN9))
-        assert level_counts(qn(9), opts, None, True) == FORWARD_EVEN_QN9
+        forward = helpers.reference_forward_search
+        assert level_counts(qn(9), opts, forward, True) == FORWARD_EVEN_QN9
+
+    def test_even_weight_triangle_levels_and_witness(self, memo_bound):
+        # the tree kjoin's criterion walks, the witness exists_family's own
+        counts, witness = TRIANGLE_EVEN_QN9
+        assert level_counts(qn(9), SearchOptions(), None, True) == TRIANGLE_EVEN_QN9
+        assert sum(counts[:5]) < sum(FORWARD_EVEN_QN9[0][:5])
+        assert exists_family(qn(9), 4, even_weight_only=True) is None
+        assert dump_family(exists_family(qn(9), 5, even_weight_only=True)) == witness
 
     @pytest.mark.parametrize("n,seed", list(FORWARD_ORIENTED))
     def test_oriented_levels_and_witness(self, memo_bound, n, seed):
         D = random_oriented(random.Random(seed), n)
         assert not D.is_tournament()
         counts, witness = FORWARD_ORIENTED[n, seed]
-        assert level_counts(D, SearchOptions()) == (counts, witness)
+        assert level_counts(D, SearchOptions(), helpers.reference_forward_search) == (
+            counts, witness)
         r = helpers.reference_inv_exact(D)
         assert r.nodes_explored == sum(counts)
         assert dump_family(r.witness) == witness
@@ -1331,7 +1417,7 @@ class TestSearchTreePinned:
     def check_triangle_tree(D, counts, witness):
         # level by level, then as inv_exact's whole solve
         for k, nodes in enumerate(counts, 1):
-            found, got = solver._search_assignment(D, k, SearchOptions(), triangles=True)
+            found, got = solver._search_assignment(D, k, SearchOptions())
             assert got == nodes
             assert (found is None) == (k < len(counts))
         assert dump_family(found) == witness
@@ -1351,14 +1437,16 @@ class TestSearchTreePinned:
         # at even k the odd-weight rule is one more mask on the same entry,
         # so a shape is built once, with or without it
         built = spy_block_prefixes(monkeypatch)
-        for D, k in [(qn(10), 3), (qn(10), 4), (qn(11), 4), (qn(11), 5)]:
-            built.clear()
-            solver._search_assignment(D, k, SearchOptions())
-            once = list(built)
-            assert len(once) == len(set(once)) <= 1 << k - 1  # built once each
-            assert len(once) > 1
-            solver._search_assignment(D, k, SearchOptions())
-            assert built == once + once  # nothing kept between calls
+        cases = [(qn(10), 3), (qn(10), 4), (qn(11), 4), (qn(11), 5)]
+        for search in (solver._search_assignment, helpers.reference_forward_search):
+            for D, k in cases:
+                built.clear()
+                search(D, k, SearchOptions())
+                once = list(built)
+                assert len(once) == len(set(once)) <= 1 << k - 1  # built once each
+                assert len(once) > 1
+                search(D, k, SearchOptions())
+                assert built == once + once  # nothing kept between calls
 
 
 # reference order-walk trees (helpers.reference_order_search), recorded
@@ -1458,18 +1546,19 @@ def reference_solver(monkeypatch):
 
 @pytest.mark.usefixtures("reference_solver")
 class TestBudgetPerSolve:
+    # with every level from k=0 searched by the reference search,
     # qn(10) explores 5 + 56 + 785 + 26374 + 395 = 27615 nodes in all
     def test_budget_caps_the_whole_solve(self):
         with pytest.raises(BudgetExceededError, match="27000 nodes"):
-            helpers.reference_inv_exact(qn(10), SearchOptions(budget=27_000))
-        r = helpers.reference_inv_exact(qn(10), SearchOptions(budget=27_615))
+            solver.inv_exact(qn(10), SearchOptions(budget=27_000))
+        r = solver.inv_exact(qn(10), SearchOptions(budget=27_615))
         assert r.value == 4 and r.nodes_explored == 27_615
 
     def test_budget_spent_before_the_last_level(self):
         spent = 5 + 56 + 785 + 26374
         with pytest.raises(BudgetExceededError, match=f"{spent} nodes"):
-            helpers.reference_inv_exact(qn(10), SearchOptions(budget=spent))
-        r = helpers.reference_inv_exact(qn(10), SearchOptions(budget=spent, max_k=3))
+            solver.inv_exact(qn(10), SearchOptions(budget=spent))
+        r = solver.inv_exact(qn(10), SearchOptions(budget=spent, max_k=3))
         assert not r.resolved and r.nodes_explored == spent
 
 
@@ -1553,8 +1642,10 @@ def budget_boundary_cases():
     k=0 as ``helpers.reference_inv_exact`` searches it, with level 0 by
     the peel as ``helpers.reference_plain_order_inv_exact`` does, and in
     the triangle tie-break as ``inv_exact`` does, and at the exhausted
-    level below its value in either order, where an overrun may fall
-    among the last candidates a level examines."""
+    level below its value in the plain order, in the triangle order and
+    by ``exists_family``, where an overrun may fall among the last
+    candidates a level examines; and qn(9)'s even-weight levels 3 to 5
+    in either order."""
 
     def by_reference(D):
         return lambda opts: helpers.reference_inv_exact(D, opts).witness
@@ -1565,11 +1656,15 @@ def budget_boundary_cases():
     def by_inv_exact(D):
         return lambda opts: inv_exact(D, opts).witness
 
-    def by_level(D, k, even_weight_only=False):
-        return lambda opts: exists_family(D, k, opts, even_weight_only=even_weight_only)
+    def by_plain_level(D, k, even_weight_only=False):
+        return lambda opts: helpers.reference_forward_search(
+            D, k, opts, even_weight_only=even_weight_only)[0]
 
     def by_triangle_level(D, k):
-        return lambda opts: solver._search_assignment(D, k, opts, triangles=True)[0]
+        return lambda opts: solver._search_assignment(D, k, opts)[0]
+
+    def by_level(D, k, even_weight_only=False):
+        return lambda opts: exists_family(D, k, opts, even_weight_only=even_weight_only)
 
     searches = [("qn(7)", qn(7), [2, 22, 200, 19], "1 2\n3 4 6\n2 3\n", TRIANGLE_TREES["qn(7)"])]
     for expr in ("qn(9)", "dijoin(c3,c3)"):
@@ -1584,14 +1679,18 @@ def budget_boundary_cases():
         cases.append((name, by_reference(D), sum(counts), witness))
         # level 0 by the peel, at no node
         cases.append((f"{name}-peeled", by_plain_order(D), sum(counts[1:]), witness))
-        cases.append((f"{name}-k{k}", by_level(D, k), counts[k], None))
+        cases.append((f"{name}-k{k}", by_plain_level(D, k), counts[k], None))
         # the triangle order, from k=1
         cases.append((f"{name}-triangles", by_inv_exact(D), sum(tri_counts), tri_witness))
         cases.append((f"{name}-triangles-k{k}", by_triangle_level(D, k), tri_counts[k - 1], None))
-    counts, witness = FORWARD_EVEN_QN9
-    for k in (3, 4):
-        cases.append((f"even-qn(9)-k{k}", by_level(qn(9), k, True), counts[k], None))
-    cases.append(("even-qn(9)-k5", by_level(qn(9), 5, True), counts[5], witness))
+        cases.append((f"{name}-exists-k{k}", by_level(D, k), tri_counts[k - 1], None))
+    for prefix, by, (counts, witness) in (
+        ("even-qn(9)", by_plain_level, FORWARD_EVEN_QN9),
+        ("even-qn(9)-exists", by_level, TRIANGLE_EVEN_QN9),
+    ):
+        for k in (3, 4, 5):
+            found = witness if k == 5 else None
+            cases.append((f"{prefix}-k{k}", by(qn(9), k, True), counts[k], found))
     return cases
 
 
