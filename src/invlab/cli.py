@@ -8,18 +8,20 @@ Graph sources anywhere a file is accepted:
 * ``enc:<n>:<hex rows>``  (the single-line encoding experiment reports
   embed, so any report line can be replayed directly).
 
-An experiment's builder lists instances; its checker is a generator over
-one instance that yields what it asks: graphs, or ``BlowUp``s of a host
-by parts (a dijoin or k-join blows up ``tt(m)``), for their values, or
-``(graph, k)`` pairs, for 1 or 0 as the graph has a decycling k-family
-whose vectors all have even weight.  It receives the answers as a list
-of ints in that order and returns ``(holds, detail)`` (None outside the
-identity's scope); it never searches or raises.  ``cmd_experiment``
-advances every checker in rounds and answers each distinct ask once per
-sweep, keyed by the graph it names.  Each round answers the asked
-blow-ups' parts and cyclic hosts not yet in its table in one pool map
-(an acyclic host has value 0), then the asks themselves in another,
-each blow-up between the certificates its inputs give (see
+Each experiment names its flags, with default and range, in
+``EXPERIMENTS``; ``cmd_experiment`` refuses any other given and checks
+these before its builder lists instances from them.  Its checker is a
+generator over one instance that yields what it asks: graphs, or
+``BlowUp``s of a host by parts (a dijoin or k-join blows up ``tt(m)``),
+for their values, or ``(graph, k)`` pairs, for 1 or 0 as the graph has a
+decycling k-family whose vectors all have even weight.  It receives the
+answers as a list of ints in that order and returns ``(holds, detail)``
+(None outside the identity's scope); it never searches or raises.
+``cmd_experiment`` advances every checker in rounds and answers each
+distinct ask once per sweep, keyed by the graph it names.  Each round
+answers the asked blow-ups' parts and cyclic hosts not yet in its table
+in one pool map (an acyclic host has value 0), then the asks themselves
+in another, each blow-up between the certificates its inputs give (see
 ``_blowup_options``), built from their results with no graph built and
 checked by the solver.  Every solve is ``solver.inv_exact(graph,
 opts)``, with bounds only from the table, so a solve depends on its task
@@ -237,18 +239,12 @@ def _check_conj_direction(inst: str) -> _Checker:
     return (yield from _check_dijoins(L, R, "lr", "rl"))
 
 
-def _orders(n_max: int, top: int) -> range:
-    # refused before any work; a sweep over no order checks nothing, so
-    # it is refused instead of passed
-    return range(1, check_int(n_max, "--n-max", 1, top) + 1)
+def _classes(n: int) -> list[str]:
+    return [digraph.encode_digraph(T) for T in digraph.nonisomorphic_tournaments(n)]
 
 
 def _build_tournaments(args) -> list[str]:
-    return [
-        digraph.encode_digraph(T)
-        for n in _orders(args.n_max, digraph.MAX_ENUM_VERTICES)
-        for T in digraph.nonisomorphic_tournaments(n)
-    ]
+    return [enc for n in range(1, args.n_max + 1) for enc in _classes(n)]
 
 
 def _build_abnormal(args) -> list[str]:
@@ -265,79 +261,81 @@ def _build_kjoin(args) -> list[str]:
 
 
 def _build_thm15(args) -> list[str]:
-    return [digraph.encode_digraph(T) for T in digraph.nonisomorphic_tournaments(3)]
+    return _classes(3)
 
 
 def _build_qn(args) -> list[str]:
-    orders = _orders(args.n_max, digraph.MAX_VERTICES)
-    exact = check_int(args.n_exact, "--n-exact", 0)
-    return [f"{n},{int(n <= exact)}" for n in orders]
+    return [f"{n},{int(n <= args.n_exact)}" for n in range(1, args.n_max + 1)]
 
 
 def _build_bounds(args) -> list[str]:
-    return [str(n) for n in _orders(args.n_max, digraph.MAX_ENUM_VERTICES)]
+    return [str(n) for n in range(1, args.n_max + 1)]
 
 
 def _build_conj_direction(args) -> list[str]:
-    # both flags before either side is enumerated
-    left_n = check_int(args.left_n, "--left-n", 0, digraph.MAX_ENUM_VERTICES)
-    right_n = check_int(args.right_n, "--right-n", 0, digraph.MAX_ENUM_VERTICES)
-    lefts = digraph.nonisomorphic_tournaments(left_n)
-    rights = digraph.nonisomorphic_tournaments(right_n)
-    return [
-        digraph.encode_digraph(L) + "|" + digraph.encode_digraph(R)
-        for L in lefts
-        for R in rights
-    ]
+    lefts, rights = _classes(args.left_n), _classes(args.right_n)
+    return [f"{left}|{right}" for left in lefts for right in rights]
 
+
+# every experiment flag and its help; each experiment reads its own, as
+# flag -> (default, low, high), high None for no limit, in header order
+FLAGS = {
+    "n_max": "largest instance order",
+    "n_exact": "largest order solved exactly",
+    "left_n": "order of the left tournaments",
+    "right_n": "order of the right tournaments",
+}
+# a sweep over no order checks nothing, so it is refused instead of passed
+_SWEEP = {"n_max": (5, 1, digraph.MAX_ENUM_VERTICES)}
+_SIDE = (3, 0, digraph.MAX_ENUM_VERTICES)
 
 EXPERIMENTS = {
     "thm13": (
         _build_tournaments,
         _check_thm13,
-        ("n_max",),
+        _SWEEP,
         "dijoining a triangle onto any even-value tournament adds exactly one",
     ),
     "direction": (
         _build_tournaments,
         _check_direction,
-        ("n_max",),
+        _SWEEP,
         "triangle dijoins have the same value from either side",
     ),
     "abnormal": (
         _build_abnormal,
         _check_abnormal,
-        (),
+        {},
         "[triangle, triangle, D] exceeds the triangle dijoin of D by one",
     ),
     "kjoin": (
         _build_kjoin,
         _check_kjoin,
-        (),
+        {},
         "k-join value is the part sum, minus one exactly on tight parts",
     ),
     "thm15": (
         _build_thm15,
         _check_thm15,
-        (),
+        {},
         "blowing triangles into a value-1 tournament lands one above its order",
     ),
     "qn": (
         _build_qn,
         _check_qn,
-        ("n_max", "n_exact"),
+        {"n_max": (5, 1, digraph.MAX_VERTICES), "n_exact": (7, 0, None)},
         "the pair family decycles the reversed-path tournament within its bound",
     ),
     "bounds": (
         _build_bounds,
         _check_bounds,
-        ("n_max",),
+        _SWEEP,
         "largest value over all tournaments of each order sits in the known window",
     ),
     "conj-direction": (
         _build_conj_direction,
         _check_conj_direction,
-        ("left_n", "right_n"),
+        {"left_n": _SIDE, "right_n": _SIDE},
         "dijoin value is independent of direction (swept, not assumed)",
     ),
 }
@@ -407,8 +405,18 @@ def cmd_experiment(args) -> int:
             f"unknown experiment {args.name!r}; choices: " + " ".join(sorted(EXPERIMENTS))
         )
     jobs = min(check_int(args.jobs, "--jobs", 1), os.cpu_count() or 1)
-    build, check, param_names, _ = EXPERIMENTS[args.name]
+    build, check, own, _ = EXPERIMENTS[args.name]
     opts = _options_from_args(args)
+    header = [f"experiment={args.name}"]
+    for flag in {**own, **FLAGS}:  # its own flags first, in header order
+        name, value = "--" + flag.replace("_", "-"), getattr(args, flag)
+        if flag in own:
+            default, low, high = own[flag]
+            value = check_int(default if value is None else value, name, low, high)
+            setattr(args, flag, value)  # the builder reads it
+            header.append(f"{name[2:]}={value}")
+        elif value is not None:
+            raise ValueError(f"experiment {args.name} takes no {name}")
     start = time.perf_counter()
     instances = build(args)
     table: dict[str | tuple[str, int], int | str] = {}  # ask key -> answer, or why none
@@ -462,10 +470,7 @@ def cmd_experiment(args) -> int:
             answer({k: a for k, a in todo.items() if k not in table})
             waiting = asked
 
-    params = [f"experiment={args.name}"]
-    for attr in param_names:
-        params.append(f"{attr.replace('_', '-')}={getattr(args, attr)}")
-    print(" ".join(params))
+    print(" ".join(header))
     statuses = []
     for inst, outcome in zip(instances, outcomes):
         if outcome is not None:
@@ -521,14 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
                            epilog="experiments:" + docs,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
     p_exp.add_argument("name", help="one of the experiments listed below")
-    p_exp.add_argument("--n-max", type=int, default=5,
-                       help="largest instance order for sweeps")
-    p_exp.add_argument("--n-exact", type=int, default=7,
-                       help="largest order solved exactly (qn sweep)")
-    p_exp.add_argument("--left-n", type=int, default=3,
-                       help="order of the left tournaments (conj-direction)")
-    p_exp.add_argument("--right-n", type=int, default=3,
-                       help="order of the right tournaments (conj-direction)")
+    for flag, text in FLAGS.items():
+        takers = ", ".join(name for name, entry in sorted(EXPERIMENTS.items()) if flag in entry[2])
+        p_exp.add_argument("--" + flag.replace("_", "-"), type=int, help=f"{text} ({takers})")
     p_exp.add_argument("--jobs", type=int, default=1,
                        help="worker processes; report order is stable")
     _add_search_flags(p_exp)

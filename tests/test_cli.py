@@ -203,6 +203,28 @@ class TestInvCommand:
         code, _, err = run(capsys, "inv", "/no/such/file")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("inv", "", "empty file"),
+            ("inv", "\n  \n", "empty file"),
+            ("inv", "3\n000\n000\n", "expected 3 rows, found 2"),
+            ("gram", "3\n100\n010\n", "expected 3 rows, found 2"),
+        ],
+    )
+    def test_short_file_exit_one(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "short.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_elapsed_only_without_deterministic(self, capsys):
+        _, timed, _ = run(capsys, "inv", "expr:c3")
+        _, plain, _ = run(capsys, "inv", "expr:c3", "--deterministic")
+        head, *rest = timed.splitlines()
+        assert re.fullmatch(r"(.+) elapsed=\d+\.\d{3}s", head)[1] == plain.splitlines()[0]
+        assert rest == plain.splitlines()[1:] and "elapsed=" not in plain
+
     def test_file_and_enc_sources(self, capsys, tmp_path):
         path = tmp_path / "g.dg"
         path.write_text(dump_digraph(qn(5)))
@@ -240,6 +262,14 @@ class TestReadmeExamples:
         code, out, err = run(capsys, "inv", found[1])
         assert code == 1 and out == ""
         assert err == found[2] + "\n"
+
+    def test_experiment_refusal_examples(self, capsys):
+        prose = " ".join(README_TEXT.split())
+        found = re.findall(r"`experiment ([^`]*)` ends with `(error: [^`]*)`", prose)
+        assert len(found) >= 2
+        for argv, error in found:
+            code, out, err = run(capsys, "experiment", *argv.split())
+            assert (code, out, err) == (1, "", error + "\n")
 
 
 class TestInvLimits:
@@ -410,6 +440,14 @@ class TestGramCommand:
         assert code == 0
         assert "infeasible" in out and "min_gram_dim=3" in out
 
+    def test_failed_verification_exit_three(self, capsys, monkeypatch, tmp_path):
+        # a factorization whose Gram matrix is not the input is a finding
+        monkeypatch.setattr(cli.f2, "gram_of", lambda cols: ())
+        m = tmp_path / "i3.mat"
+        m.write_text(dump_matrix((0b001, 0b010, 0b100)))
+        code, out, err = run(capsys, "gram", str(m))
+        assert (code, out, err) == (3, "", "error: factorization failed verification\n")
+
     def test_asymmetric_exit_one(self, capsys, tmp_path):
         m = tmp_path / "asym.mat"
         m.write_text("2\n01\n00\n")
@@ -486,6 +524,31 @@ class TestExperiments:
             monkeypatch.setattr(solver, attr, spy)
         code, _, _ = run(capsys, "experiment", name, "--deterministic")
         assert code == 0 and callers == {"_run_one"}
+
+    def test_elapsed_line_only_without_deterministic(self, capsys):
+        _, timed, _ = run(capsys, "experiment", "kjoin")
+        _, plain, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        *report, last = timed.splitlines()
+        assert re.fullmatch(r"elapsed=\d+\.\d\ds", last)
+        assert report == plain.splitlines() and "elapsed=" not in plain
+
+    @pytest.mark.parametrize(
+        "family, fail",
+        [
+            # no set: qn(3) keeps its triangle
+            (lambda n: digraph.InversionFamily(n, []),
+             "instance 3,1 n=3 pair family leaves a cycle : FAIL"),
+            # one set more: a one-vertex set reverses no arc, so it still decycles
+            (lambda n: digraph.InversionFamily(n, [*qn_family(n).sets, 1]),
+             "instance 1,1 n=1 family size 1 != 0 : FAIL"),
+        ],
+        ids=["cycle", "size"],
+    )
+    def test_qn_bad_family_is_a_fail_line(self, capsys, monkeypatch, family, fail):
+        monkeypatch.setattr(construct, "qn_family", family)
+        code, out, _ = run(capsys, "experiment", "qn", "--n-max", "3", "--deterministic")
+        assert code == 3
+        assert [line for line in out.splitlines() if line.endswith(" : FAIL")][0] == fail
 
     def test_thm15(self, capsys):
         code, out, _ = run(capsys, "experiment", "thm15", "--deterministic")
@@ -1007,6 +1070,20 @@ class TestThm13BelowOrderFive:
         assert code == 0 and out.splitlines()[-1].startswith("total=3 pass=3 fail=0 ")
 
 
+# the flags each experiment reads, with their defaults, in report header order
+READS = {
+    "abnormal": {},
+    "bounds": {"--n-max": 5},
+    "conj-direction": {"--left-n": 3, "--right-n": 3},
+    "direction": {"--n-max": 5},
+    "kjoin": {},
+    "qn": {"--n-max": 5, "--n-exact": 7},
+    "thm13": {"--n-max": 5},
+    "thm15": {},
+}
+FLAGS = ("--n-max", "--n-exact", "--left-n", "--right-n")
+
+
 class TestExperimentLimits:
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
@@ -1094,6 +1171,87 @@ class TestExperimentLimits:
         assert (code, out) == (1, "")
         assert err == "error: --n-exact must be at least 0, got -4\n"
 
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # each experiment's builder replaced by one that records the flags it
+        # reads and builds nothing
+        built = []
+        for name, (_, check, flags, doc) in list(cli.EXPERIMENTS.items()):
+            def build(args, flags=flags):
+                built.append({flag: getattr(args, flag) for flag in flags})
+                return []
+
+            monkeypatch.setitem(cli.EXPERIMENTS, name, (build, check, flags, doc))
+        return built
+
+    @pytest.mark.parametrize(
+        "name, flag",
+        [(name, flag) for name in sorted(READS) for flag in FLAGS if flag not in READS[name]],
+    )
+    def test_flag_an_experiment_does_not_read_exit_one(self, capsys, built, name, flag):
+        code, out, err = run(capsys, "experiment", name, flag, "3", "--deterministic")
+        assert (code, out, err) == (1, "", f"error: experiment {name} takes no {flag}\n")
+        assert built == []
+
+    def test_each_experiment_reads_the_flags_its_table_names(self):
+        # in header order, so compared as lists
+        tables = {name: [("--" + flag.replace("_", "-"), default)
+                         for flag, (default, _, _) in entry[2].items()]
+                  for name, entry in cli.EXPERIMENTS.items()}
+        assert tables == {name: list(flags.items()) for name, flags in READS.items()}
+        assert sum(flag not in READS[name] for name in READS for flag in FLAGS) == 25
+
+    def test_unread_flag_is_refused_before_its_range(self, capsys, built):
+        code, out, err = run(capsys, "experiment", "kjoin", "--n-max", "99", "--left-n", "-5")
+        assert (code, out, err) == (1, "", "error: experiment kjoin takes no --n-max\n")
+        code, _, err = run(capsys, "experiment", "abnormal", "--n-exact", "-3")
+        assert (code, err) == (1, "error: experiment abnormal takes no --n-exact\n")
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [((name, "--n-max", "8"), "--n-max must be in 1..7, got 8")
+         for name in ("bounds", "direction", "thm13")]
+        + [
+            (("qn", "--n-max", "65"), "--n-max must be in 1..64, got 65"),
+            (("qn", "--n-exact", "-4"), "--n-exact must be at least 0, got -4"),
+            (("conj-direction", "--left-n", "8"), "--left-n must be in 0..7, got 8"),
+            (("conj-direction", "--right-n", "-1"), "--right-n must be in 0..7, got -1"),
+        ],
+    )
+    def test_read_flag_out_of_range_exit_one(self, capsys, built, argv, message):
+        code, out, err = run(capsys, "experiment", *argv, "--deterministic")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("nope", "--n-max", "99"), "unknown experiment 'nope'"),
+            (("kjoin", "--n-max", "5", "--jobs", "0"), "--jobs must be at least 1, got 0"),
+            (("kjoin", "--n-max", "5", "--max-k", "13"), "--max-k must be in 0..12, got 13"),
+            (("qn", "--n-max", "99", "--budget", "0"), "--budget must be at least 1, got 0"),
+        ],
+    )
+    def test_experiment_flags_are_refused_last(self, capsys, built, argv, message):
+        # the name, then --jobs, then --max-k and --budget, then the flags
+        code, out, err = run(capsys, "experiment", *argv)
+        assert (code, out) == (1, "") and err.startswith(f"error: {message}")
+        assert built == []
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_defaults_reach_the_builder_and_the_header(self, capsys, built, name):
+        code, out, _ = run(capsys, "experiment", name, "--deterministic")
+        defaults = READS[name]
+        assert code == 0 and built == [{f[2:].replace("-", "_"): v for f, v in defaults.items()}]
+        header = " ".join([f"experiment={name}"] + [f"{f[2:]}={v}" for f, v in defaults.items()])
+        assert out.splitlines()[0] == header
+
+    def test_given_flags_reach_the_builder_as_ints(self, capsys, built):
+        run(capsys, "experiment", "conj-direction", "--right-n", "0", "--left-n", "7")
+        run(capsys, "experiment", "qn", "--n-exact", "0", "--n-max", "64")
+        assert built == [{"left_n": 7, "right_n": 0}, {"n_max": 64, "n_exact": 0}]
+
     def test_qn_n_exact_zero_solves_no_order(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "qn", "--n-max", "3", "--n-exact", "0", "--deterministic"
@@ -1164,6 +1322,16 @@ class TestKjoinCriterion:
         ]
         part = digraph.encode_digraph(construct.k_join([construct.c3()] * 3))
         assert asked == [("_run_one", part, 3, True)]
+
+    def test_out_of_scope_joins_are_left_out(self, capsys, joins):
+        # a part of value 0, and two parts of value 2, lie outside the rule
+        joins("join(c3, tt(1))", "join(c3, c3)", "join(dijoin(c3, c3), dijoin(c3, c3))")
+        code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert (code, out.splitlines()) == (0, [
+            "experiment=kjoin",
+            "instance join(c3, c3) parts=[1, 1] tight=0 join_inv=2 expect=2 : PASS",
+            "total=1 pass=1 fail=0 unknown=0",
+        ])
 
     def test_same_stdout_through_a_real_pool(self, capsys, monkeypatch, joins):
         joins(*TIGHTNESS_JOINS)
@@ -1319,9 +1487,11 @@ class TestSweepDigests:
     def test_stdout_digest(self, name, digest):
         src = os.path.dirname(os.path.dirname(invlab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        # --n-max 5 is the default, given to the experiments that read it
+        n_max = ["--n-max", "5"] if "--n-max" in READS[name] else []
         proc = subprocess.run(
             [sys.executable, "-m", "invlab.cli", "experiment", name,
-             "--n-max", "5", "--deterministic"],
+             *n_max, "--deterministic"],
             capture_output=True, env=env, timeout=120, check=True,
         )
         assert hashlib.sha256(proc.stdout).hexdigest() == digest

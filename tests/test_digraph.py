@@ -58,6 +58,12 @@ class TestDigraphValue:
         with pytest.raises(ValueError):
             Digraph(2, (0b10, 0b01))
 
+    @pytest.mark.parametrize("rows", [(0,), (0, 0, 0)])
+    def test_row_count_must_match_the_vertex_count(self, rows):
+        with pytest.raises(ValueError) as err:
+            Digraph(2, rows)
+        assert str(err.value) == "adjacency row count does not match vertex count"
+
     def test_induced_subgraph(self):
         D = c3()
         sub = D.induced(0b101)  # vertices 0 and 2, arc 2->0

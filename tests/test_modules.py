@@ -94,7 +94,8 @@ TEST_ONLY = {
 # index is refused by errors.check_masks, in one wording for every width;
 # compose_family, the composition with no condition on the host's shape,
 # replaced the dominant-vertex one; a join is asked as the BlowUp of a
-# transitive tournament, whose certificates _blowup_options builds
+# transitive tournament, whose certificates _blowup_options builds; each
+# experiment flag is checked by cmd_experiment's one loop over its own table
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -131,6 +132,7 @@ REMOVED = {
     "compose_blowup_family",
     "Join",
     "_join_options",
+    "_orders",
 }
 
 
