@@ -20,9 +20,14 @@ answers as a list of ints in that order and returns ``(holds, detail)``
 ``cmd_experiment`` advances every checker in rounds and answers each
 distinct ask once per sweep, keyed by the graph it names.  Each round
 answers the asked blow-ups' parts and cyclic hosts not yet in its table
-in one pool map (an acyclic host has value 0), then the asks themselves
-in another, each blow-up between the certificates its inputs give (see
-``_blowup_options``), built from their results with no graph built and
+(an acyclic host has value 0), then the asks themselves, each phase in
+one pool map per vertex count, smallest first.  Each blow-up is solved
+between the certificates its inputs give (see ``_blowup_options``), and
+every graph from the best value the table holds among its one-vertex
+deletions when that is larger (see ``_deletion_lower``): a tournament's
+deletions read by their class (``digraph.TournamentClasses``), a
+blow-up's as the blow-up of the same host with one part's deletion in
+its place.  Bounds are built from results with no graph built, and
 checked by the solver.  Every solve is ``solver.inv_exact(graph,
 opts)``, with bounds only from the table, so a solve depends on its task
 alone.  The engine alone makes UNKNOWN: when an answer a checker asked
@@ -391,12 +396,114 @@ def _blowup_options(
     offsets = list(accumulate((p.n for p in parts), initial=0))
     masks = [(1 << p.n) - 1 << off for p, off in zip(parts, offsets)]
     best = max(range(len(parts)), key=lambda i: found[i].value)
-    lower = solver.Sub(masks[best], parts[best], found[best])
+    lower = solver.Sub(tuple(range(offsets[best], offsets[best + 1])), parts[best], found[best])
     sets = [sum(m for j, m in enumerate(masks) if s >> j & 1)
             for r in host for s in r.witness.sets]
     sets += [s << off for r, off in zip(found, offsets) for s in r.witness.sets]
     upper = digraph.InversionFamily(offsets[-1], sets)
     return solver.SearchOptions(opts.max_k, opts.budget, lower, upper)
+
+
+class _Deletions:
+    """One run's one-vertex deletions of tournaments, by class.  Called on
+    a tournament T whose deletions have a canonical form, it lists each
+    deletion as ``(R, at)``: R the representative of its class, R's
+    vertex i at T's vertex ``at[i]``; on any other graph, nothing.  Each
+    order's ``TournamentClasses`` is made once, and each graph's list
+    found once, keyed by its rows."""
+
+    __slots__ = ("forms", "found")
+
+    def __init__(self):
+        self.forms: dict[int, digraph.TournamentClasses] = {}
+        self.found: dict[tuple[int, ...], list] = {}
+
+    def __call__(self, T: digraph.Digraph) -> list[tuple[digraph.Digraph, tuple]]:
+        listed = self.found.get(T.out_rows)
+        if listed is not None:
+            return listed
+        listed = self.found[T.out_rows] = []
+        n = T.n
+        if not 2 <= n <= digraph.MAX_ENUM_VERTICES + 1 or not T.is_tournament():
+            return listed
+        form = self.forms.get(n - 1)
+        if form is None:
+            form = self.forms[n - 1] = digraph.TournamentClasses(n - 1)
+        for v in range(n):
+            listed.append(form.canonical(T, [u for u in range(n) if u != v]))
+        return listed
+
+
+def _deletion_lower(
+    ask, results: dict, blown: dict, deletions: _Deletions
+) -> solver.Sub | None:
+    """The best lower bound the table holds among the one-vertex
+    deletions of the graph ``ask`` names, the first of largest value, or
+    None.  A tournament's deletion is read by its class representative's
+    encoding.  A blow-up's deletion, of a vertex of one part, is the
+    blow-up of the same host with that part replaced by the
+    representative of the part's deletion: it is read in ``blown``, among
+    the blow-ups one vertex smaller, by host and parts, so no graph is
+    built to probe.  Either way the bound's part is the graph the table
+    solved, its vertices mapped into the asked graph."""
+    best = None
+
+    def offer(vertices: tuple, part: digraph.Digraph, key) -> None:
+        nonlocal best
+        found = results.get(key)
+        if found is not None and (best is None or found.value > best.result.value):
+            best = solver.Sub(vertices, part, found)
+
+    if not isinstance(ask, BlowUp):
+        for rep, at in deletions(ask):
+            offer(at, rep, digraph.encode_digraph(rep))
+        return best
+    smaller = blown.get(ask.graph.n - 1)
+    if smaller is None:
+        return best
+    parts = ask.parts
+    offsets = list(accumulate((p.n for p in parts), initial=0))
+    for j, part in enumerate(parts):
+        start, end = offsets[j], offsets[j + 1]
+        for rep, at in deletions(part):
+            known = smaller.get((ask.host, *parts[:j], rep, *parts[j + 1:]))
+            if known is not None:
+                key, graph = known
+                # the smaller blow-up's part j is rep, at the deletion's vertices
+                vertices = (*range(start), *(start + a for a in at), *range(end, offsets[-1]))
+                offer(vertices, graph, key)
+    return best
+
+
+def _options(ask, results: dict, blown: dict, deletions: _Deletions,
+             opts: solver.SearchOptions) -> solver.SearchOptions:
+    """``opts`` with every certificate the table gives the graph ``ask``
+    names: a blow-up's from ``_blowup_options``, then the best lower bound
+    among one-vertex deletions when its value is larger.  A ``(graph, k)``
+    ask takes none."""
+    if isinstance(ask, tuple):
+        return opts
+    if isinstance(ask, BlowUp):
+        opts = _blowup_options(ask, results, opts)
+    lower = _deletion_lower(ask, results, blown, deletions)
+    if lower is None or opts.lower is not None and lower.result.value <= opts.lower.result.value:
+        return opts
+    return solver.SearchOptions(opts.max_k, opts.budget, lower, opts.upper)
+
+
+def _by_order(todo: dict) -> list[dict]:
+    """The asks of ``todo`` (key -> ask) in one dict per vertex count of
+    the graph each names, in ascending order."""
+    groups: dict[int, dict] = {}
+    for key, ask in todo.items():
+        if isinstance(ask, tuple):
+            graph = ask[0]
+        elif isinstance(ask, BlowUp):
+            graph = ask.graph
+        else:
+            graph = ask
+        groups.setdefault(graph.n, {})[key] = ask
+    return [groups[n] for n in sorted(groups)]
 
 
 def cmd_experiment(args) -> int:
@@ -421,6 +528,9 @@ def cmd_experiment(args) -> int:
     instances = build(args)
     table: dict[str | tuple[str, int], int | str] = {}  # ask key -> answer, or why none
     results: dict[str, solver.InvResult] = {}  # graph key -> its resolved result
+    # order -> (host, *parts) of each blow-up asked -> (graph key, graph)
+    blown: dict[int, dict[tuple, tuple]] = {}
+    deletions = _Deletions()
     # (status, detail) per instance; None outside its identity's scope
     outcomes: list[tuple | None] = [None] * len(instances)
     # (instance index, checker, keys of the asks it waits for)
@@ -429,20 +539,20 @@ def cmd_experiment(args) -> int:
         solve_all = map if pool is None else pool.map
 
         def answer(todo: dict) -> None:
-            # every ask of todo (key -> ask) solved in one map, blow-ups within
-            # their inputs' bounds, which only the table supplies
-            if not todo:
-                return
-            tasks = [(a.graph, _blowup_options(a, results, opts)) if isinstance(a, BlowUp)
-                     else (a, opts) for a in todo.values()]
-            for key, got in zip(todo, solve_all(_run_one, tasks)):
-                if isinstance(got, solver.InvResult):
-                    if got.resolved:
-                        results[key] = got
-                        got = got.value
-                    else:
-                        got = f"max-k: inv({key}) > {opts.max_k}"
-                table[key] = got
+            # every ask of todo (key -> ask) solved in one map per order,
+            # smallest first, each graph within the bounds that only the
+            # table supplies, smaller graphs' results included
+            for group in _by_order(todo):
+                tasks = [(a.graph if isinstance(a, BlowUp) else a,
+                          _options(a, results, blown, deletions, opts)) for a in group.values()]
+                for key, got in zip(group, solve_all(_run_one, tasks)):
+                    if isinstance(got, solver.InvResult):
+                        if got.resolved:
+                            results[key] = got
+                            got = got.value
+                        else:
+                            got = f"max-k: inv({key}) > {opts.max_k}"
+                    table[key] = got
 
         while waiting:  # one round: advance every checker, then answer what they ask
             asked = []
@@ -462,6 +572,9 @@ def cmd_experiment(args) -> int:
                     continue
                 keys = [_key(a) for a in asks]
                 todo.update((k, a) for k, a in zip(keys, asks) if k not in table)
+                for k, a in zip(keys, asks):
+                    if isinstance(a, BlowUp):
+                        blown.setdefault(a.graph.n, {})[(a.host, *a.parts)] = k, a.graph
                 asked.append((i, checker, keys))
             # the blow-ups' inputs not yet in the table, answered first
             inputs = {_key(g): g for a in todo.values() if isinstance(a, BlowUp)

@@ -16,7 +16,9 @@ The adjacency text form is the 0/1 row form of :mod:`invlab.f2`, read and
 written there; this module adds the digraph checks to it, and owns the
 one-line encoding and the family format.
 
-All values are immutable and every function is pure.
+All values are immutable and every function is pure; a
+``TournamentClasses``, the class walk's tables for one order, fills its
+index of classes by score sequence on the first canonical form it gives.
 """
 
 from __future__ import annotations
@@ -105,16 +107,17 @@ class Digraph(Record):
     def induced(self, mask: VertexSet) -> "Digraph":
         """Subgraph on the masked vertices, renumbered in ascending order."""
         check_masks((mask,), "vertex set", self.n)
-        return Digraph(mask.bit_count(), _induced_rows(self.out_rows, mask))
+        verts = [v for v in range(self.n) if mask >> v & 1]
+        return Digraph(len(verts), _induced_rows(self.out_rows, verts))
 
 
-def _induced_rows(rows: Sequence[int], mask: VertexSet) -> tuple[int, ...]:
-    """The rows of the subgraph on the masked vertices, renumbered in
-    ascending order: ``induced`` without the graph."""
-    verts = [v for v in range(len(rows)) if mask >> v & 1]
-    index = {v: i for i, v in enumerate(verts)}
+def _induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the subgraph on distinct ``vertices``, its vertex i
+    being ``vertices[i]``: ``induced`` without the graph, in any order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    mask = sum(1 << v for v in vertices)
     out = []
-    for v in verts:
+    for v in vertices:
         row = rows[v] & mask
         new = 0
         while row:
@@ -275,66 +278,148 @@ def _tournament(n: int, pairs: list[tuple[int, int]], code: int) -> Digraph:
 
 
 def nonisomorphic_tournaments(n: int) -> list[Digraph]:
-    """One representative per isomorphism class of n-vertex tournaments.
+    """One representative per isomorphism class of n-vertex tournaments,
+    in ascending code order (see ``TournamentClasses``)."""
+    return TournamentClasses(n).representatives()
+
+
+class TournamentClasses:
+    """The isomorphism classes of n-vertex tournaments, n at most
+    ``MAX_ENUM_VERTICES``, and one exact canonical form for them.
 
     A labelled tournament's code has bit ``idx`` set exactly when pair
     (i, j), i < j, number ``idx`` in lexicographic pair order, is the arc
     i->j.  The representative of a class is its member with the smallest
-    code, and representatives are listed in ascending code order.
+    code, T's canonical code.
 
-    The walk visits the codes in ascending order, keeping one byte per
-    code that says whether the code was seen.  The first unseen code
-    starts a new class, and its whole orbit is marked at once: under a
-    relabelling p, pair bit ``idx`` moves to one fixed destination bit and
-    is inverted when p reverses the pair, so an image code is a flip mask
-    XOR the destination bits of the set bits.  Both are packed once per
-    call, over all n! relabellings at once: one int per pair holds its
+    Under a relabelling p, pair bit ``idx`` moves to one fixed destination
+    bit and is inverted when p reverses the pair, so an image code is a
+    flip mask XOR the destination bits of the set bits.  Both are packed
+    once, over all n! relabellings at once: one int per pair holds its
     destination bit under relabelling number r in field r, 16 bits wide
-    up to n=6 and 32 at n=7, and one int holds the flip masks.  A class's
-    whole orbit is then the flip int XOR the ints of its code's set bits,
-    read back field by field.  Pair (i, j)'s ints are built from two
-    columns of the relabellings: the images of i and of j under each.
+    up to n=6 and 32 at n=7, and one int holds the flip masks.  A code's
+    whole orbit is then the flip int XOR the ints of its set bits, read
+    back field by field.  Pair (i, j)'s ints are built from two columns of
+    the relabellings: the images of i and of j under each, which are kept
+    to name the relabelling a field belongs to.
     """
-    _check_enum_order(n)
-    pairs = _pairs(n)
-    m = len(pairs)
-    width, fmt = (2, "H") if m <= 16 else (4, "I")
-    byteorder = sys.byteorder
-    # field[a*n + b]: the bytes of the destination bit of a pair sent to
-    # (a, b); flipped[a*n + b] the same when a > b, else zero
-    zero = bytes(width)
-    field = [zero] * (n * n)
-    flipped = [zero] * (n * n)
-    for idx, (a, b) in enumerate(pairs):
-        dest = (1 << idx).to_bytes(width, byteorder)
-        field[a * n + b] = field[b * n + a] = flipped[b * n + a] = dest
-    # images[i][r]: the image of i under relabelling r, a column at a time,
-    # so the n! relabellings are never held at once
-    images = [
-        list(map(operator.itemgetter(i), itertools.permutations(range(n))))
-        for i in range(n)
-    ]
-    scaled = [list(map(n.__mul__, col)) for col in images]
-    dests = []
-    flips = 0
-    for i, j in pairs:
-        cells = list(map(operator.add, scaled[i], images[j]))
-        dests.append(int.from_bytes(b"".join(map(field.__getitem__, cells)), byteorder))
-        flips |= int.from_bytes(b"".join(map(flipped.__getitem__, cells)), byteorder)
-    size = width * math.factorial(n)
-    seen = bytearray(1 << m)
-    reps = []
-    code = seen.find(0)
-    while code >= 0:
-        reps.append(_tournament(n, pairs, code))
-        orbit = flips
-        for idx in range(m):
+
+    __slots__ = ("n", "_pairs", "_dests", "_flips", "_images", "_width", "_size", "_classes")
+
+    def __init__(self, n: int):
+        _check_enum_order(n)
+        pairs = _pairs(n)
+        width = 2 if len(pairs) <= 16 else 4
+        byteorder = sys.byteorder
+        # field[a*n + b]: the bytes of the destination bit of a pair sent to
+        # (a, b); flipped[a*n + b] the same when a > b, else zero
+        zero = bytes(width)
+        field = [zero] * (n * n)
+        flipped = [zero] * (n * n)
+        for idx, (a, b) in enumerate(pairs):
+            dest = (1 << idx).to_bytes(width, byteorder)
+            field[a * n + b] = field[b * n + a] = flipped[b * n + a] = dest
+        # images[i][r]: the image of i under relabelling r, a column at a
+        # time, so the n! relabellings are never held at once
+        images = [
+            list(map(operator.itemgetter(i), itertools.permutations(range(n))))
+            for i in range(n)
+        ]
+        scaled = [list(map(n.__mul__, col)) for col in images]
+        dests = []
+        flips = 0
+        for i, j in pairs:
+            cells = list(map(operator.add, scaled[i], images[j]))
+            dests.append(int.from_bytes(b"".join(map(field.__getitem__, cells)), byteorder))
+            flips |= int.from_bytes(b"".join(map(flipped.__getitem__, cells)), byteorder)
+        self.n = n
+        self._pairs = pairs
+        self._dests = dests
+        self._flips = flips
+        self._images = images
+        self._width = width
+        self._size = width * math.factorial(n)  # bytes per orbit
+        # score sequence -> (code bytes, representative) of each class
+        # with it, for canonical, once the walk has run
+        self._classes: dict[tuple[int, ...], list[tuple[bytes, Digraph]]] | None = None
+
+    def _orbit(self, code: int) -> bytes:
+        """Field r: the code of the tournament ``code`` relabelled by r."""
+        orbit = self._flips
+        for idx, dest in enumerate(self._dests):
             if code >> idx & 1:
-                orbit ^= dests[idx]
-        for image in memoryview(orbit.to_bytes(size, byteorder)).cast(fmt):
-            seen[image] = 1
-        code = seen.find(0, code + 1)
-    return reps
+                orbit ^= dest
+        return orbit.to_bytes(self._size, sys.byteorder)
+
+    def representatives(self) -> list[Digraph]:
+        """One member per class, the least code, in ascending code order."""
+        return [_tournament(self.n, self._pairs, code) for code in self._walk()]
+
+    def _walk(self) -> list[int]:
+        """The representatives' codes.  The walk visits the codes in
+        ascending order, keeping one byte per code that says whether the
+        code was seen.  The first unseen code starts a new class, and its
+        whole orbit is marked at once."""
+        fmt = "H" if self._width == 2 else "I"
+        seen = bytearray(1 << len(self._pairs))
+        codes = []
+        code = seen.find(0)
+        while code >= 0:
+            codes.append(code)
+            for image in memoryview(self._orbit(code)).cast(fmt):
+                seen[image] = 1
+            code = seen.find(0, code + 1)
+        return codes
+
+    def canonical(
+        self, T: Digraph, vertices: Sequence[int] | None = None
+    ) -> tuple[Digraph, tuple[int, ...]]:
+        """The representative R of the class of T's subgraph on
+        ``vertices``, in that order (all of T's by default), and where R
+        lies in T: R's vertex i is T's vertex ``at[i]``.  The subgraph must
+        be a tournament on n vertices.
+
+        R's code is the least field of the subgraph's orbit, and the only
+        representative's code in it, so it is found among the classes
+        with the subgraph's score sequence; its field names the
+        relabelling that maps the subgraph onto R.
+        """
+        n = self.n
+        vertices = check_masks(range(T.n) if vertices is None else vertices,
+                               "vertex", T.n, index=True)
+        if len(set(vertices)) != len(vertices) or len(vertices) != n:
+            raise ValueError(f"canonical form needs {n} distinct vertices, got {vertices}")
+        rows = T.out_rows
+        code = 0
+        wins = [0] * n
+        for idx, (i, j) in enumerate(self._pairs):
+            a, b = vertices[i], vertices[j]
+            if rows[a] >> b & 1:
+                code |= 1 << idx
+                wins[i] += 1
+            elif rows[b] >> a & 1:
+                wins[j] += 1
+            else:
+                raise ValueError(f"canonical form needs a tournament: no arc between {a} and {b}")
+        width = self._width
+        if self._classes is None:
+            self._classes = {}
+            for least in self._walk():
+                rep = _tournament(n, self._pairs, least)
+                scores = tuple(sorted(r.bit_count() for r in rep.out_rows))
+                self._classes.setdefault(scores, []).append(
+                    (least.to_bytes(width, sys.byteorder), rep))
+        orbit = self._orbit(code)
+        for least, rep in self._classes[tuple(sorted(wins))]:
+            r = orbit.find(least)
+            while r >= 0 and r % width:  # a match across two fields
+                r = orbit.find(least, r + 1)
+            if r >= 0:
+                break
+        at = [0] * n
+        for v, col in zip(vertices, self._images):
+            at[col[r // width]] = v
+        return rep, tuple(at)
 
 
 def dump_digraph(D: Digraph) -> str:

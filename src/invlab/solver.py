@@ -58,11 +58,14 @@ single-threaded, so results (and witnesses) are identical run to run.
 
 ``inv_exact`` also takes two certificates in ``SearchOptions``, each
 checked against the graph before any search: ``lower``, a ``Sub`` naming
-an induced subgraph and its resolved result, and ``upper``, a decycling
-family.  It then searches only the levels from the subgraph's value up to
-one below the family's width, and returns that family, as ``composed``,
-when they are all empty.  Its ``InvResult`` says which certificate proves
-the value (``proof``) and where its witness came from (``source``).
+an induced subgraph by an embedding, the part's vertex i at one of the
+graph's vertices, and its resolved result, and ``upper``, a decycling
+family.  A sweep's part is often a class representative, whose vertices
+lie in the graph in another order.  ``inv_exact`` then searches only the
+levels from the subgraph's value up to one below the family's width, and
+returns that family, as ``composed``, when they are all empty.  Its
+``InvResult`` says which certificate proves the value (``proof``) and
+where its witness came from (``source``).
 ``exists_family`` and the order backend check no certificates, so they
 refuse any.
 """
@@ -92,18 +95,20 @@ ORDER_BACKEND_MAX_N = 12
 
 
 class Sub(Record):
-    """A lower bound by an induced subgraph: ``part`` is the graph on the
-    vertices of ``mask`` and ``result`` its resolved solve.  Deleting
-    vertices keeps an acyclic graph acyclic, so inv(D) >= result.value
-    for every D with ``D.induced(mask) == part``."""
+    """A lower bound by an induced subgraph, named by an embedding: part
+    vertex i is D's vertex ``vertices[i]``, and ``result`` is the part's
+    resolved solve.  Deleting vertices keeps an acyclic graph acyclic, and
+    renaming them keeps the value, so inv(D) >= result.value for every D
+    whose subgraph on ``vertices``, in that order, is ``part``; the
+    ascending tuple names ``D.induced(mask)``."""
 
-    __slots__ = ("mask", "part", "result")
-    mask: int
+    __slots__ = ("vertices", "part", "result")
+    vertices: tuple[int, ...]
     part: Digraph
     result: "InvResult"
 
-    def __init__(self, mask: int, part: Digraph, result: "InvResult"):
-        super().__init__(mask, part, result)
+    def __init__(self, vertices: tuple[int, ...], part: Digraph, result: "InvResult"):
+        super().__init__(vertices, part, result)
 
 
 class SearchOptions(Record):
@@ -560,7 +565,7 @@ def _result(
         value, max_k = family.k, family.k - 1
     proof = "exhausted"
     if lower is not None and max_k < lower.result.value:
-        proof = f"sub:{lower.mask:x}"
+        proof = f"sub:{sum(1 << v for v in lower.vertices):x}"
     return InvResult(
         value, family, backend, nodes, time.perf_counter() - start, max_k, proof, source
     )
@@ -571,15 +576,28 @@ def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
     ``opts``' certificates against D: from the lower bound's value, or 0,
     up to one below the upper family's width, or ``max_k``.  Both are
     checked on D's rows, with no graph built: the part's rows against D's
-    induced rows, the family on D's flipped rows."""
+    rows on the lower bound's vertices, read under its map, the family on
+    D's flipped rows."""
     low, high = 0, opts.max_k
     lower, upper = opts.lower, opts.upper
     if lower is not None:
-        check_masks((lower.mask,), "lower bound mask", D.n)
+        vertices = lower.vertices
+        if type(vertices) is not tuple:
+            raise ValueError(f"lower bound vertices must be a tuple, got {vertices!r}")
+        check_masks(vertices, "lower bound vertex", D.n, index=True)
         part = lower.part
-        if type(part) is not Digraph or part.out_rows != _induced_rows(D.out_rows, lower.mask):
+        if type(part) is not Digraph:
+            raise ValueError(f"lower bound part must be a Digraph, got {part!r}")
+        if len(vertices) != part.n:
             raise ValueError(
-                f"lower bound part is not the subgraph induced by mask {lower.mask:#x}"
+                f"lower bound names {len(vertices)} vertices for a part of {part.n}"
+            )
+        if len(set(vertices)) != len(vertices):
+            twice = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+            raise ValueError(f"lower bound names vertex {twice} twice")
+        if part.out_rows != _induced_rows(D.out_rows, vertices):
+            raise ValueError(
+                f"lower bound part is not the subgraph induced by vertices {vertices}"
             )
         if not isinstance(lower.result, InvResult):
             raise ValueError(f"lower bound result must be an InvResult, got {lower.result!r}")

@@ -843,6 +843,15 @@ def use_unbounded_joins(monkeypatch) -> None:
     monkeypatch.setattr(cli, "_blowup_options", lambda ask, results, opts: opts)
 
 
+def use_largest_part_only(monkeypatch) -> None:
+    """Make a sweep answer each phase of a round in one map, with a
+    blow-up's largest part as its only lower bound and no bound for a
+    plain solve, as before one-vertex deletions gave bounds; the older
+    sweep node pins record that route."""
+    monkeypatch.setattr(cli, "_deletion_lower", lambda ask, results, blown, deletions: None)
+    monkeypatch.setattr(cli, "_by_order", lambda todo: [todo] if todo else [])
+
+
 def compose_family(
     H: Digraph,
     F_H: InversionFamily,

@@ -19,6 +19,7 @@ from invlab.construct import MAX_EXPR_DEPTH
 from invlab.construct import qn, qn_family
 from invlab.digraph import dump_digraph, dump_family
 from invlab.f2 import dump_matrix
+from invlab.solver import SearchOptions
 
 
 def run(capsys, *argv):
@@ -49,6 +50,12 @@ def plain_order(monkeypatch):
 def unbounded_joins(monkeypatch):
     # joins solved from k=0 with no certificates, as older pins record
     helpers.use_unbounded_joins(monkeypatch)
+
+
+@pytest.fixture
+def largest_part_only(monkeypatch):
+    # no bound from one-vertex deletions, as older sweep pins record
+    helpers.use_largest_part_only(monkeypatch)
 
 
 class TestInvCommand:
@@ -678,7 +685,9 @@ class TestValueTable:
              "d0b4e62e2ccc952cd18c534f5cd12874822926aa1f767e8398b2c99cb802b8ce"),
         ],
     )
-    def test_budget_stdout_pinned(self, capsys, reference_solver, unbounded_joins, argv, digest):
+    def test_budget_stdout_pinned(
+        self, capsys, reference_solver, unbounded_joins, largest_part_only, argv, digest
+    ):
         code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -889,7 +898,7 @@ class TestJoinBounds:
         assert code == 0
         return hashlib.sha256(out.encode()).hexdigest()
 
-    def test_bench_sweep_nodes_pinned(self, capsys, reference_nodes):
+    def test_bench_sweep_nodes_pinned(self, capsys, largest_part_only, reference_nodes):
         # 30,462 + 16,281 = 46,743 nodes with every join deepened from k=0
         for argv, digest in BENCH_SWEEPS:
             assert self.sweep(capsys, *argv) == digest
@@ -901,7 +910,9 @@ class TestJoinBounds:
         helpers.use_plain_order(monkeypatch)
         return self.count_nodes(monkeypatch)
 
-    def test_bench_sweep_nodes_with_level_zero_by_peel(self, capsys, plain_order_nodes):
+    def test_bench_sweep_nodes_with_level_zero_by_peel(
+        self, capsys, largest_part_only, plain_order_nodes
+    ):
         # the same sweeps less the nodes of every level 0 searched: only
         # the parts' and bases' solves start there, since a join's lower
         # bound is at least c3's 1
@@ -915,14 +926,18 @@ class TestJoinBounds:
         helpers.use_plain_order(monkeypatch, certified_ties=True)
         return self.count_nodes(monkeypatch)
 
-    def test_bench_sweep_nodes_with_triangle_ties(self, capsys, certified_ties_nodes):
+    def test_bench_sweep_nodes_with_triangle_ties(
+        self, capsys, largest_part_only, certified_ties_nodes
+    ):
         # every join is certified, so its levels break mask-size ties by
         # cyclic triangles; the parts' and bases' plain solves are as above
         for argv, digest in BENCH_SWEEPS:
             assert self.sweep(capsys, *argv) == digest
         assert certified_ties_nodes.value == 19_697 + 8_677
 
-    def test_bench_sweep_nodes_with_triangle_ties_everywhere(self, capsys, nodes):
+    def test_bench_sweep_nodes_with_triangle_ties_everywhere(
+        self, capsys, largest_part_only, nodes
+    ):
         # the parts' and bases' plain solves take the triangle order too
         for (argv, digest), want in zip(BENCH_SWEEPS, (19_699, 8_679)):
             nodes.value = 0
@@ -968,7 +983,9 @@ class TestJoinBounds:
         monkeypatch.setattr(solver, "inv_exact", spy)
         return solves
 
-    def test_thm13_searches_the_one_level_of_its_theorem(self, capsys, levels):
+    def test_thm13_searches_the_one_level_of_its_theorem(
+        self, capsys, largest_part_only, levels
+    ):
         # c3 => D for D of even value k >= 2 lies in k..k+1, so only level
         # k is searched, and it is empty, as the theorem says
         self.sweep(capsys, "thm13", "--n-max", "6")
@@ -976,7 +993,7 @@ class TestJoinBounds:
         for low, high, searched, value in levels:
             assert high == low + 1 and searched == [low] and value == high
 
-    def test_direction_searches_one_level_per_side(self, capsys, levels):
+    def test_direction_searches_one_level_per_side(self, capsys, largest_part_only, levels):
         self.sweep(capsys, "direction", "--n-max", "6")
         assert len(levels) == 2 * 76
         # a transitive D: c3 alone bounds both sides at 1, with no search
@@ -992,6 +1009,233 @@ class TestJoinBounds:
         for low, high, searched, value in levels:
             # the search stops at the first level with a family
             assert searched == list(range(low, value if value < high else high))
+
+
+class TestDeletionBounds:
+    """Each sweep solve starts at the best value the table holds among its
+    graph's one-vertex deletions: a tournament's by class, a blow-up's as
+    the blow-up of the same host with one part's deletion in its place.
+    The older totals, with the largest part as a blow-up's only bound,
+    are pinned in ``TestJoinBounds``."""
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        return TestJoinBounds.count_nodes(monkeypatch)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # (order, options, levels searched, value) per solve, in solve order
+        solves = []
+        searched = []
+        inv_exact = solver.inv_exact
+        search = solver._search_assignment
+
+        def level(D, k, *args, **kwargs):
+            searched.append(k)
+            return search(D, k, *args, **kwargs)
+
+        def spy(D, opts=None):
+            searched.clear()
+            r = inv_exact(D, opts)
+            solves.append((D.n, opts, list(searched), r.value))
+            return r
+
+        monkeypatch.setattr(solver, "_search_assignment", level)
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        return solves
+
+    sweep = TestJoinBounds.sweep
+
+    @pytest.mark.parametrize(
+        "argv, digest, want",
+        [
+            (*BENCH_SWEEPS[0], 2_937),
+            (*BENCH_SWEEPS[1], 1_869),
+            (("bounds", "--n-max", "6"),
+             "f2684e71229867b7e6eb461d1d4e833ce23c64635a1a53d855b686403f1afd7a", 905),
+            (("thm13", "--n-max", "7"),
+             "332fefa516cd706e5207ea3c0721ad3372ee5e452bffe1d893da8b922a432893", 18_756),
+            (("bounds", "--n-max", "7"),
+             "229981acc1e58e0aed755ca722261e042d5612778c4e6c7a4a3f44b6842bfcbb", 17_792),
+        ],
+    )
+    def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want):
+        # against 19,699, 8,679, 1,495, 107,382 and 25,842 with the
+        # largest part alone, every stdout unchanged
+        assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == want
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in BENCH_SWEEPS])
+    def test_each_level_searched_keeps_its_tree(self, capsys, monkeypatch, argv):
+        # a deletion bound only skips levels: every level still searched is
+        # one the largest-part route searched, in the same number of nodes
+        def levels():
+            found = {}
+            search = solver._search_assignment
+
+            def spy(D, k, *args, **kwargs):
+                family, nodes = search(D, k, *args, **kwargs)
+                found[digraph.encode_digraph(D), k] = nodes
+                return family, nodes
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_search_assignment", spy)
+                digest = self.sweep(capsys, *argv)
+            return digest, found
+
+        digest, new = levels()
+        helpers.use_largest_part_only(monkeypatch)
+        old_digest, old = levels()
+        assert digest == old_digest
+        assert new.items() <= old.items() and len(new) < len(old)
+
+    def test_pair_sweep_finds_no_deletion(self, capsys, monkeypatch, solves):
+        # its parts are all of order 5, so no order-4 class or order-9
+        # blow-up is in the table: every solve keeps the old options
+        argv = ("conj-direction", "--left-n", "5", "--right-n", "5")
+        self.sweep(capsys, *argv)
+        new = list(solves)
+        solves.clear()
+        helpers.use_largest_part_only(monkeypatch)
+        self.sweep(capsys, *argv)
+        def bounds(solves):  # a result's elapsed time differs between runs
+            return [(lower and (lower.vertices, lower.part, lower.result.value), opts.upper)
+                    for _, opts, _, _ in solves for lower in (opts.lower,)]
+
+        assert bounds(new) == bounds(solves)
+        assert len(new) == 12 + 144
+
+    def test_thm13_joins_take_the_smaller_dijoins_value(self, capsys, solves):
+        self.sweep(capsys, "thm13", "--n-max", "6")
+        joins = [(n, opts, levels, value) for n, opts, levels, value in solves
+                 if opts.upper is not None]
+        assert len(joins) == 3 + 33  # the classes of value 2 at orders 5 and 6
+        bounded = [j for j in joins if j[1].lower.part.n == j[0] - 1]
+        # c3 => D, D of order 6, below by c3 => R, R a deletion of D of
+        # value 2; but 2 of D's classes have no such deletion, and R of
+        # order 4 never has value 2, so the order-8 joins search level 2
+        assert len(bounded) == 31
+        for n, opts, levels, value in joins:
+            low, high = opts.lower.result.value, opts.upper.k
+            assert levels == list(range(low, high)) and value == high == 3
+            assert (levels == []) == (low == 3) == ((n, opts, levels, value) in bounded)
+
+    def test_direction_searches_at_most_one_level_per_side(self, capsys, solves):
+        self.sweep(capsys, "direction", "--n-max", "6")
+        joins = [(opts, levels, value) for _, opts, levels, value in solves
+                 if opts.upper is not None]
+        assert len(joins) == 2 * 76
+        assert sum(not levels for _, levels, _ in joins) == 140
+        for opts, levels, value in joins:
+            low, high = opts.lower.result.value, opts.upper.k
+            assert levels == list(range(low, high))
+            assert len(levels) <= 1 and low <= value <= high
+
+    def test_plain_solves_take_their_deletions_classes(self, capsys, solves):
+        self.sweep(capsys, "bounds", "--n-max", "6")
+        classes = {n: set(digraph.nonisomorphic_tournaments(n)) for n in range(6)}
+        assert len(solves) == 1 + 1 + 2 + 4 + 12 + 56
+        for n, opts, levels, value in solves:
+            if n == 1:
+                assert opts.lower is None
+                continue
+            # the first deletion of largest value, a class of order n - 1
+            assert opts.lower.part in classes[n - 1]
+            assert opts.upper is None and value >= opts.lower.result.value
+            assert levels == list(range(max(opts.lower.result.value, 1), value + 1))
+
+    def test_each_phase_answers_smaller_graphs_first(self, capsys, solves):
+        # the parts and bases, orders 1..6, then the dijoins, orders 4..9,
+        # each phase in one map per order, the smallest first
+        self.sweep(capsys, "direction", "--n-max", "6")
+        orders = [n for n, _, _, _ in solves]
+        cut = next(i for i in range(1, len(orders)) if orders[i] < orders[i - 1])
+        assert orders[:cut] == sorted(orders[:cut]) and set(orders[:cut]) == set(range(1, 7))
+        assert orders[cut:] == sorted(orders[cut:]) and set(orders[cut:]) == set(range(4, 10))
+
+    @pytest.mark.parametrize("budget, code", [("263", 2), ("264", 0)])
+    def test_budget_boundary(self, capsys, budget, code):
+        # direction's largest solve, a join that searches level 2 alone
+        got, out, _ = run(capsys, "experiment", "direction", "--n-max", "6",
+                          "--budget", budget, "--deterministic")
+        assert got == code
+        assert ("budget: assignment search exceeded 263 nodes" in out) == (code == 2)
+
+
+class TestDeletionLower:
+    """``cli._deletion_lower`` and ``cli._options`` on hand-made tables."""
+
+    @staticmethod
+    def table(graphs):
+        return {digraph.encode_digraph(G): solver.inv_exact(G) for G in graphs}
+
+    def test_a_blow_up_reads_the_smaller_blow_up(self, monkeypatch):
+        T = digraph.nonisomorphic_tournaments(6)[-1]
+        deletions = cli._Deletions()
+        (R, at), *_ = deletions(T)
+        small = cli.BlowUp(construct.transitive(2), [cli.C3, R])
+        key = digraph.encode_digraph(small.graph)
+        results = self.table([small.graph])
+        blown = {small.graph.n: {(small.host, *small.parts): (key, small.graph)}}
+        ask = cli.BlowUp(construct.transitive(2), [cli.C3, T])
+        built = []
+        monkeypatch.setattr(construct, "blow_up", lambda *a: built.append(a))
+        lower = cli._deletion_lower(ask, results, blown, deletions)
+        assert built == []  # no graph is built to probe
+        assert lower == solver.Sub((0, 1, 2, *(3 + a for a in at)), small.graph, results[key])
+        rows = digraph._induced_rows(ask.graph.out_rows, lower.vertices)
+        assert rows == small.graph.out_rows
+
+    def test_a_tournament_reads_its_deletions_classes(self):
+        T = construct.qn(6)
+        deletions = cli._Deletions()
+        listed = deletions(T)
+        assert len(listed) == 6 and deletions(T) is listed  # found once
+        results = self.table(R for R, _ in listed)
+        lower = cli._deletion_lower(T, results, {}, deletions)
+        values = [results[digraph.encode_digraph(R)].value for R, _ in listed]
+        R, at = listed[values.index(max(values))]  # the first of largest value
+        assert lower == solver.Sub(at, R, results[digraph.encode_digraph(R)])
+        assert solver.inv_exact(T, SearchOptions(lower=lower)).value == 2
+        assert cli._deletion_lower(T, {}, {}, deletions) is None
+
+    @pytest.mark.parametrize(
+        "graph",
+        [construct.transitive(1), digraph.Digraph(3, (0b010, 0, 0)), construct.transitive(9)],
+        ids=["one-vertex", "not-a-tournament", "past-the-canonical-form"],
+    )
+    def test_no_deletions_outside_the_canonical_form(self, graph):
+        assert cli._Deletions()(graph) == []
+
+    def test_a_deletion_replaces_only_a_smaller_bound(self):
+        # c3 => tt(4): c3's 1 below, and c3 => tt(3), of value 1 too, does
+        # not replace it; c3 => qn(6): qn(6)'s 2 below, and c3 => qn(5),
+        # of value 3, does
+        deletions = cli._Deletions()
+        opts = SearchOptions()
+        for parts, proof in (([cli.C3, construct.transitive(4)], (0, 1, 2)),
+                             ([cli.C3, construct.qn(6)], None)):
+            ask = cli.BlowUp(construct.transitive(2), parts)
+            results = self.table(parts)
+            blown = {}
+            for R, _ in deletions(parts[1]):
+                small = cli.BlowUp(construct.transitive(2), [cli.C3, R])
+                key = digraph.encode_digraph(small.graph)
+                results[key] = solver.inv_exact(small.graph)
+                blown.setdefault(small.graph.n, {})[(small.host, *small.parts)] = (
+                    key, small.graph)
+            got = cli._options(ask, results, blown, deletions, opts)
+            largest = cli._blowup_options(ask, results, opts)
+            assert got.upper == largest.upper
+            if proof is not None:
+                assert got == largest and got.lower.vertices == proof
+            else:
+                assert got.lower.result.value == 3 > largest.lower.result.value
+                assert solver.inv_exact(ask.graph, got).value == 3
+
+    def test_a_criterion_ask_takes_no_bound(self):
+        opts = SearchOptions(max_k=3)
+        assert cli._options((cli.C3, 1), {}, {}, cli._Deletions(), opts) is opts
 
 
 # thm15's stdout, with or without its blow-up's certificates

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from invlab.construct import c3, qn, qn_family, transitive
 from invlab.digraph import (
     MAX_VERTICES,
+    MAX_ENUM_VERTICES,
     Digraph,
     InversionFamily,
+    TournamentClasses,
     _acyclic,
     apply_family,
     decode_digraph,
@@ -43,6 +45,7 @@ from helpers import (
     nonisomorphic_by_key,
     random_family,
     random_oriented,
+    random_tournament,
     reference_class_walk,
     relabel,
     tournament_code,
@@ -468,6 +471,98 @@ class TestNonisomorphicTournaments:
     def test_order_eight_refused(self):
         with pytest.raises(ResourceLimitError):
             nonisomorphic_tournaments(8)
+
+
+def embeds(T, R, at):
+    """Whether R's vertex i sits at T's vertex at[i], checked arc by arc."""
+    return all(R.has_arc(i, j) == T.has_arc(at[i], at[j])
+               for i in range(R.n) for j in range(R.n) if i != j)
+
+
+class TestCanonicalForm:
+    """``TournamentClasses.canonical``: each tournament's class
+    representative, the least code of its orbit, and where it lies."""
+
+    @pytest.mark.parametrize("n", range(MAX_ENUM_VERTICES + 1))
+    def test_representatives_are_their_own_forms(self, n):
+        # the class list reads the same walk, which test_equals_reference_walk
+        # checks against the per-relabelling lists; each representative is
+        # its own form, reached by the identity, relabelling number 0
+        form = TournamentClasses(n)
+        reps = form.representatives()
+        assert reps == nonisomorphic_tournaments(n)
+        assert len(reps) == [1, 1, 1, 2, 4, 12, 56, 456][n]
+        for R in reps[:60]:
+            assert form.canonical(R) == (R, tuple(range(n)))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_agrees_with_the_key_on_every_labelled_tournament(self, n):
+        form = TournamentClasses(n)
+        by_key = {}
+        for T in enumerate_tournaments(n):
+            R, at = form.canonical(T)
+            assert embeds(T, R, at) and sorted(at) == list(range(n))
+            assert by_key.setdefault(canonical_key(T), R) == R
+        # one representative per key, so equal forms hold for equal keys only
+        assert len(set(by_key.values())) == len(by_key) == len(form.representatives())
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_agrees_with_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+
+        def as_nx(D):
+            G = nx.DiGraph()
+            G.add_nodes_from(range(D.n))
+            G.add_edges_from(D.arcs())
+            return G
+
+        rng = random.Random(36 + n)
+        form = TournamentClasses(n)
+        groups = {}
+        for _ in range(30):
+            T = random_tournament(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for G in (T, relabel(T, perm)):
+                R, at = form.canonical(G)
+                assert embeds(G, R, at)
+                groups.setdefault(R, []).append(G)
+        assert len(groups) > 10
+        for members in groups.values():
+            assert all(nx.is_isomorphic(as_nx(members[0]), as_nx(G)) for G in members[1:])
+        firsts = [as_nx(members[0]) for members in groups.values()]
+        for i, G in enumerate(firsts):
+            assert not any(nx.is_isomorphic(G, H) for H in firsts[i + 1:])
+
+    def test_subgraph_on_given_vertices(self):
+        # the class of T's subgraph on the vertices, in their order, with
+        # its map into T itself
+        rng = random.Random(5)
+        form = TournamentClasses(4)
+        for _ in range(40):
+            T = random_tournament(rng, 7)
+            vertices = rng.sample(range(7), 4)
+            R, at = form.canonical(T, vertices)
+            assert embeds(T, R, at) and set(at) == set(vertices)
+            assert R == form.canonical(T.induced(sum(1 << v for v in vertices)))[0]
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda f: f.canonical(transitive(4)), "canonical form needs 3 distinct vertices, "
+                                                   "got (0, 1, 2, 3)"),
+            (lambda f: f.canonical(c3(), (0, 1, 1)), "canonical form needs 3 distinct vertices, "
+                                                     "got (0, 1, 1)"),
+            (lambda f: f.canonical(c3(), (0, 1, 3)), "vertex must be in range(3), got 3"),
+            (lambda f: f.canonical(Digraph(3, (0b010, 0, 0))),
+             "canonical form needs a tournament: no arc between 0 and 2"),
+        ],
+        ids=["wrong-order", "repeated-vertex", "vertex-out-of-range", "not-a-tournament"],
+    )
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call(TournamentClasses(3))
+        assert str(err.value) == message
 
 
 class TestTextFormats:

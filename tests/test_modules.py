@@ -19,6 +19,7 @@ from invlab.digraph import (
     MAX_VERTICES,
     Digraph,
     InversionFamily,
+    TournamentClasses,
     dump_family,
     invert,
     nonisomorphic_tournaments,
@@ -194,6 +195,7 @@ INT_PARAMETERS = {
     "qn_family": (construct.qn_family, "vertex count", 1, MAX_VERTICES),
     # above MAX_ENUM_VERTICES the refusal is a ResourceLimitError
     "nonisomorphic_tournaments": (nonisomorphic_tournaments, "vertex count", 0, None),
+    "TournamentClasses": (TournamentClasses, "vertex count", 0, None),
     "max_k": (lambda k: SearchOptions(max_k=k), "max_k", 0, solver.MAX_K),
     "budget": (lambda b: SearchOptions(budget=b), "budget", 1, None),
     "exists_family": (lambda k: solver.exists_family(c3(), k), "family size", 0, solver.MAX_K),
@@ -246,9 +248,13 @@ MASK_PARAMETERS = {
     "gram_of": (lambda u: f2.gram_of([u]), "vector 0", f2.MAX_WIDTH, False),
     "free_diag_bound-row": (lambda r: f2.free_diag_bound([r], [0], 2), "row 0", 2, False),
     "free_diag_bound-column": (lambda c: f2.free_diag_bound([0], [c], 2), "column 0", 2, True),
+    # the lower bound's first vertex, where its mask once was
+    "canonical-vertex": (
+        lambda v: TournamentClasses(3).canonical(c3(), (0, v, 2)), "vertex", 3, True,
+    ),
     "inv_exact-lower-mask": (
-        lambda m: solver.inv_exact(c3(), SearchOptions(lower=Sub(m, c3(), C3_RESULT))),
-        "lower bound mask", 3, False,
+        lambda v: solver.inv_exact(c3(), SearchOptions(lower=Sub((v, 1, 2), c3(), C3_RESULT))),
+        "lower bound vertex", 3, True,
     ),
 }
 

@@ -25,9 +25,9 @@ CASES = [
       "nodes_explored": 11, "elapsed": 0.5, "max_k_exhausted": 0,
       "proof": "exhausted", "source": "search"}),
     (Sub,
-     {"mask": 0b111, "part": c3(),
+     {"vertices": (0, 1, 2), "part": c3(),
       "result": InvResult(1, InversionFamily(3, (0b011,)), "assign", 7, 0.0, 0)},
-     {"mask": 0b111000, "part": c3(),
+     {"vertices": (3, 4, 5), "part": c3(),
       "result": InvResult(1, InversionFamily(3, (0b011,)), "assign", 7, 0.0, 0)}),
 ]
 

@@ -248,7 +248,7 @@ def bounded(D, parts, **limits) -> SearchOptions:
 def forged_value(opts: SearchOptions, value) -> solver.Sub:
     """``opts.lower`` with its part's result claiming ``value``."""
     claim = solver.InvResult(value, None, "assign", 0, 0.0, 0)
-    return solver.Sub(opts.lower.mask, opts.lower.part, claim)
+    return solver.Sub(opts.lower.vertices, opts.lower.part, claim)
 
 
 # the least tight tournament: it and its triangle dijoin both have value 3
@@ -342,23 +342,23 @@ class TestCertifiedBounds:
     @pytest.mark.parametrize(
         "forge,message",
         [
-            (lambda o: {"lower": solver.Sub(1 << 8, o.lower.part, o.lower.result)},
-             "lower bound mask must be in range(2**8), got 256"),
-            (lambda o: {"lower": solver.Sub(0b111, o.lower.part, o.lower.result)},
-             "lower bound part is not the subgraph induced by mask 0x7"),
-            (lambda o: {"lower": solver.Sub(o.lower.mask, reverse(qn(5)), o.lower.result)},
-             "lower bound part is not the subgraph induced by mask 0xf8"),
-            (lambda o: {"lower": solver.Sub(o.lower.mask, o.lower.part.out_rows,
+            (lambda o: {"lower": solver.Sub((3, 4, 5, 6, 8), o.lower.part, o.lower.result)},
+             "lower bound vertex must be in range(8), got 8"),
+            (lambda o: {"lower": solver.Sub((0, 1, 2, 3, 4), o.lower.part, o.lower.result)},
+             "lower bound part is not the subgraph induced by vertices (0, 1, 2, 3, 4)"),
+            (lambda o: {"lower": solver.Sub(o.lower.vertices, reverse(qn(5)), o.lower.result)},
+             "lower bound part is not the subgraph induced by vertices (3, 4, 5, 6, 7)"),
+            (lambda o: {"lower": solver.Sub(o.lower.vertices, o.lower.part.out_rows,
                                             o.lower.result)},
-             "lower bound part is not the subgraph induced by mask 0xf8"),
-            (lambda o: {"lower": solver.Sub(o.lower.mask, o.lower.part,
+             "lower bound part must be a Digraph, got (28, 25, 18, 4, 8)"),
+            (lambda o: {"lower": solver.Sub(o.lower.vertices, o.lower.part,
                                             inv_exact(qn(5), SearchOptions(max_k=1)))},
              "lower bound result is unresolved"),
             (lambda o: {"upper": InversionFamily(8, o.upper.sets[:2])},
              "upper family does not decycle the graph"),
             (lambda o: {"upper": InversionFamily(9, o.upper.sets)},
              "upper family is on 9 vertices, not 8"),
-            (lambda o: {"lower": solver.Sub(0b111, c3(), "x")},
+            (lambda o: {"lower": solver.Sub((0, 1, 2), c3(), "x")},
              "lower bound result must be an InvResult, got 'x'"),
             (lambda o: {"lower": forged_value(o, -3)},
              "lower bound value must be in 0..12, got -3"),
@@ -389,7 +389,7 @@ class TestCertifiedBounds:
         D = k_join(parts)
         opts = bounded(D, parts)
         high = solver.InvResult(4, None, "assign", 0, 0.0, 3)
-        forged = solver.Sub(opts.lower.mask, opts.lower.part, high)
+        forged = solver.Sub(opts.lower.vertices, opts.lower.part, high)
         with pytest.raises(ValueError) as err:
             inv_exact(D, SearchOptions(lower=forged, upper=opts.upper))
         assert str(err.value) == "lower bound 4 is above the upper family's 3 sets"
@@ -418,6 +418,60 @@ class TestCertifiedBounds:
             assert str(err.value) == f"assignment search exceeded {budget} nodes"
         r = inv_exact(D, SearchOptions(opts.max_k, 334, opts.lower, opts.upper))
         assert r.nodes_explored == 334 and r.witness == opts.upper
+
+
+class TestSubEmbedding:
+    """A ``Sub`` names its part by an embedding: part vertex i is the
+    graph's vertex ``vertices[i]``, in any order."""
+
+    @pytest.fixture
+    def certificates(self):
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        return D, bounded(D, parts)
+
+    def test_a_relabelled_part_bounds_the_same_levels(self, certificates):
+        D, opts = certificates
+        rng = random.Random(36)
+        for _ in range(10):
+            perm = list(range(5))
+            rng.shuffle(perm)
+            # part vertex perm[i] is qn(5)'s vertex i, at D's vertex 3 + i
+            part = helpers.relabel(qn(5), perm)
+            vertices = [0] * 5
+            for i, p in enumerate(perm):
+                vertices[p] = 3 + i
+            lower = solver.Sub(tuple(vertices), part, opts.lower.result)
+            r = inv_exact(D, SearchOptions(lower=lower, upper=opts.upper))
+            assert (r.value, r.nodes_explored, r.source) == (3, 209, "composed")
+            assert r.proof == "exhausted"
+            r = inv_exact(D, SearchOptions(max_k=1, lower=lower))
+            assert (r.value, r.nodes_explored, r.proof) == (None, 0, "sub:f8")
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ((3, 4, 5, 6, 6), "lower bound names vertex 6 twice"),
+            ((3, 4, 5, 6, 9), "lower bound vertex must be in range(8), got 9"),
+            ((3, 4, 5, 6, -1), "lower bound vertex must be in range(8), got -1"),
+            ((3, 4, 5, 6), "lower bound names 4 vertices for a part of 5"),
+            ((3, 4, 5, 6, 7, 0), "lower bound names 6 vertices for a part of 5"),
+            ((4, 3, 5, 6, 7),
+             "lower bound part is not the subgraph induced by vertices (4, 3, 5, 6, 7)"),
+            ([3, 4, 5, 6, 7], "lower bound vertices must be a tuple, got [3, 4, 5, 6, 7]"),
+            (0b11111000, "lower bound vertices must be a tuple, got 248"),
+        ],
+        ids=["repeated-vertex", "vertex-past-the-graph", "negative-vertex", "too-short",
+             "too-long", "not-an-isomorphism", "a-list", "a-mask"],
+    )
+    def test_refused_before_any_search(self, monkeypatch, certificates, vertices, message):
+        D, opts = certificates
+        calls = []
+        monkeypatch.setattr(solver, "_search_assignment", lambda *a, **kw: calls.append(a))
+        lower = solver.Sub(vertices, qn(5), opts.lower.result)
+        with pytest.raises(ValueError) as err:
+            inv_exact(D, SearchOptions(lower=lower, upper=opts.upper))
+        assert str(err.value) == message and calls == []
 
 
 class TestTriangleTies:
@@ -464,7 +518,7 @@ class TestTriangleTies:
 
     def test_certified_qn11(self):
         # qn(10) below, the pair family above: level 4 alone, empty
-        lower = solver.Sub((1 << 10) - 1, qn(10), inv_exact(qn(10)))
+        lower = solver.Sub(tuple(range(10)), qn(10), inv_exact(qn(10)))
         opts = SearchOptions(lower=lower, upper=qn_family(11))
         r = inv_exact(qn(11), opts)
         assert (r.value, r.nodes_explored, r.proof, r.source) == (
@@ -668,7 +722,7 @@ class TestJoinOptions:
         opts = cli._blowup_options(join, results, SearchOptions())
         cyclic = cli._blowup_options(blowup, results, SearchOptions())
         assert built == []
-        assert opts.lower.mask == 0b11111000 and opts.upper.k == 1 + 2 + 0
+        assert opts.lower.vertices == (3, 4, 5, 6, 7) and opts.upper.k == 1 + 2 + 0
         assert cyclic.lower == opts.lower and cyclic.upper.k == 1 + 1 + 2 + 0
         # the spy sees a graph the join's layout builds
         k_join(parts)
@@ -688,9 +742,11 @@ class TestBlowUpOptions:
         opts = cli._blowup_options(ask, results, SearchOptions())
         values = [results[encode_digraph(p)].value for p in parts]
         best = values.index(max(values))  # the first part of largest value
-        mask = (1 << parts[best].n) - 1 << sum(p.n for p in parts[:best])
-        assert opts.lower == solver.Sub(mask, parts[best], results[encode_digraph(parts[best])])
-        assert ask.graph.induced(mask) == parts[best]
+        start = sum(p.n for p in parts[:best])
+        vertices = tuple(range(start, start + parts[best].n))
+        found = results[encode_digraph(parts[best])]
+        assert opts.lower == solver.Sub(vertices, parts[best], found)
+        assert ask.graph.induced(sum(1 << v for v in vertices)) == parts[best]
         host_witness = inv_exact(host).witness
         part_witnesses = [results[encode_digraph(p)].witness for p in parts]
         assert opts.upper == helpers.compose_family(host, host_witness, list(parts),
@@ -738,7 +794,7 @@ class TestBlowUpOptions:
     [
         lambda: {"upper": InversionFamily(3, ())},
         lambda: {"upper": inv_exact(c3()).witness},
-        lambda: {"lower": solver.Sub(0b11, transitive(2), inv_exact(transitive(2)))},
+        lambda: {"lower": solver.Sub((0, 1), transitive(2), inv_exact(transitive(2)))},
     ],
     ids=["forged-upper", "true-upper", "lower"],
 )
