@@ -19,21 +19,24 @@ answers as a list of ints in that order and returns ``(holds, detail)``
 (None outside the identity's scope); it never searches or raises.
 ``cmd_experiment`` advances every checker in rounds and answers each
 distinct ask once per sweep, keyed by the graph it names.  Each round
-answers the asked blow-ups' parts and cyclic hosts not yet in its table
-(an acyclic host has value 0), then the asks themselves, each phase in
-one pool map per vertex count, smallest first.  Each blow-up is solved
-between the certificates its inputs give (see ``_blowup_options``), and
-every graph from the best value the table holds among its one-vertex
-deletions when that is larger (see ``_deletion_lower``): a tournament's
-deletions read by their class (``digraph.TournamentClasses``), a
-blow-up's as the blow-up of the same host with one part's deletion in
-its place.  Bounds are built from results with no graph built, and
-checked by the solver.  Every solve is ``solver.inv_exact(graph,
-opts)``, with bounds only from the table, so a solve depends on its task
-alone.  The engine alone makes UNKNOWN: when an answer a checker asked
-for is unresolved, the checker is not resumed, and the instance reports
-the first such reason in ask order, ``budget: <why>`` or ``max-k:
-inv(<encoding>) > <max-k>``.
+answers the asked blow-ups' parts, their cyclic hosts (an acyclic host
+has value 0) and every class their parts' one-vertex deletions reach,
+then the asks themselves together with each blow-up of a host by its
+parts' cores (see ``_Deletions.core``), each phase in one pool map per
+vertex count, smallest first, and only what is not yet in its table.
+Each blow-up is solved between the certificates its inputs give (see
+``_blowup_options``), and from the value of its blow-up by cores when
+that is larger (see ``_core_lower``); any other graph from the best
+value the table holds among its one-vertex deletions (see
+``_deletion_lower``), read by their class (``digraph.TournamentClasses``)
+for a tournament up to order 8, else by their own encoding, so that
+``qn(n)`` reads ``qn(n - 1)``.  Every bound is checked by the solver, and
+a solve no checker asked for gives no bound when it is unresolved.
+Every solve is ``solver.inv_exact(graph, opts)``, with bounds only from
+the table, so a solve depends on its task alone.  The engine alone makes
+UNKNOWN: when an answer a checker asked for is unresolved, the checker
+is not resumed, and the instance reports the first such reason in ask
+order, ``budget: <why>`` or ``max-k: inv(<encoding>) > <max-k>``.
 
 Exit codes: 0 all passed / resolved, 1 usage error or stdout closed by
 its reader, 2 unknowns present (a budget or --max-k left a value
@@ -405,18 +408,21 @@ def _blowup_options(
 
 
 class _Deletions:
-    """One run's one-vertex deletions of tournaments, by class.  Called on
-    a tournament T whose deletions have a canonical form, it lists each
-    deletion as ``(R, at)``: R the representative of its class, R's
-    vertex i at T's vertex ``at[i]``; on any other graph, nothing.  Each
-    order's ``TournamentClasses`` is made once, and each graph's list
-    found once, keyed by its rows."""
+    """One run's one-vertex deletions of tournaments, by class, and the
+    cores they lead to.  Called on a tournament T whose deletions have a
+    canonical form, it lists each deletion as ``(R, at)``: R the
+    representative of its class, R's vertex i at T's vertex ``at[i]``; on
+    any other graph, nothing.  Each order's ``TournamentClasses`` is made
+    once, each graph's list found once, keyed by its rows, each part's
+    core walked once, and each blow-up by cores built once."""
 
-    __slots__ = ("forms", "found")
+    __slots__ = ("forms", "found", "cores", "by_cores")
 
     def __init__(self):
         self.forms: dict[int, digraph.TournamentClasses] = {}
         self.found: dict[tuple[int, ...], list] = {}
+        self.cores: dict[tuple[int, ...], tuple | None] = {}
+        self.by_cores: dict[tuple, tuple[str, BlowUp]] = {}
 
     def __call__(self, T: digraph.Digraph) -> list[tuple[digraph.Digraph, tuple]]:
         listed = self.found.get(T.out_rows)
@@ -433,59 +439,112 @@ class _Deletions:
             listed.append(form.canonical(T, [u for u in range(n) if u != v]))
         return listed
 
+    def of(self, T: digraph.Digraph) -> list[tuple[digraph.Digraph, tuple]]:
+        """T's one-vertex deletions: by class where the forms reach T,
+        else each as T's own subgraph, R's vertex i at ``at[i]``."""
+        n = T.n
+        if n <= digraph.MAX_ENUM_VERTICES + 1 and T.is_tournament():
+            return self(T)
+        full = (1 << n) - 1
+        return [(T.induced(full ^ 1 << v), (*range(v), *range(v + 1, n))) for v in range(n)]
+
+    def below(self, parts) -> list[digraph.Digraph]:
+        """Every class that deleting vertices from ``parts``, one at a
+        time, reaches: what finding their cores reads."""
+        seen: dict[tuple[int, ...], digraph.Digraph] = {}
+        stack = list(parts)
+        while stack:
+            for R, _ in self(stack.pop()):
+                if R.out_rows not in seen:
+                    seen[R.out_rows] = R
+                    stack.append(R)
+        return list(seen.values())
+
+    def core(self, P: digraph.Digraph, results: dict) -> tuple | None:
+        """P's core ``(C, at)``, C's vertex i at P's vertex ``at[i]``, or
+        None when a value the walk reads is unresolved.  From P, the walk
+        steps to the first deletion class of the same value until none
+        keeps it: C has P's value, and every one-vertex deletion of C a
+        smaller one.  A graph the forms do not reach is its own core."""
+        rows = P.out_rows
+        if rows not in self.cores:
+            self.cores[rows] = self._walk(P, results)
+        return self.cores[rows]
+
+    def _walk(self, P: digraph.Digraph, results: dict) -> tuple | None:
+        found = results.get(digraph.encode_digraph(P))
+        if found is None:
+            return None
+        C, at = P, tuple(range(P.n))
+        while True:
+            for R, sub in self(C):
+                smaller = results.get(digraph.encode_digraph(R))
+                if smaller is None:
+                    return None
+                if smaller.value == found.value:
+                    C, at = R, tuple(at[i] for i in sub)
+                    break
+            else:
+                return C, at
+
+    def core_ask(self, ask: BlowUp, results: dict) -> tuple | None:
+        """``(key, B, at)``: B the blow-up of ``ask``'s host by its parts'
+        cores, keyed ``key``, B's vertex i at ask's vertex ``at[i]``; or
+        None when a part has no core or every part is its own."""
+        cores = [self.core(p, results) for p in ask.parts]
+        if None in cores or all(C.n == p.n for (C, _), p in zip(cores, ask.parts)):
+            return None
+        shape = (ask.host, *(C for C, _ in cores))
+        made = self.by_cores.get(shape)
+        if made is None:
+            core = BlowUp(ask.host, shape[1:])
+            made = self.by_cores[shape] = _key(core), core
+        offsets = accumulate((p.n for p in ask.parts), initial=0)
+        at = tuple(off + v for (_, sub), off in zip(cores, offsets) for v in sub)
+        return *made, at
+
 
 def _deletion_lower(
-    ask, results: dict, blown: dict, deletions: _Deletions
+    ask: digraph.Digraph, results: dict, deletions: _Deletions
 ) -> solver.Sub | None:
     """The best lower bound the table holds among the one-vertex
-    deletions of the graph ``ask`` names, the first of largest value, or
-    None.  A tournament's deletion is read by its class representative's
-    encoding.  A blow-up's deletion, of a vertex of one part, is the
-    blow-up of the same host with that part replaced by the
-    representative of the part's deletion: it is read in ``blown``, among
-    the blow-ups one vertex smaller, by host and parts, so no graph is
-    built to probe.  Either way the bound's part is the graph the table
-    solved, its vertices mapped into the asked graph."""
+    deletions of ``ask`` (see ``_Deletions.of``), the first of largest
+    value, or None: the deletion the table solved, its vertices mapped
+    into ``ask``."""
     best = None
-
-    def offer(vertices: tuple, part: digraph.Digraph, key) -> None:
-        nonlocal best
-        found = results.get(key)
+    for part, at in deletions.of(ask):
+        found = results.get(digraph.encode_digraph(part))
         if found is not None and (best is None or found.value > best.result.value):
-            best = solver.Sub(vertices, part, found)
-
-    if not isinstance(ask, BlowUp):
-        for rep, at in deletions(ask):
-            offer(at, rep, digraph.encode_digraph(rep))
-        return best
-    smaller = blown.get(ask.graph.n - 1)
-    if smaller is None:
-        return best
-    parts = ask.parts
-    offsets = list(accumulate((p.n for p in parts), initial=0))
-    for j, part in enumerate(parts):
-        start, end = offsets[j], offsets[j + 1]
-        for rep, at in deletions(part):
-            known = smaller.get((ask.host, *parts[:j], rep, *parts[j + 1:]))
-            if known is not None:
-                key, graph = known
-                # the smaller blow-up's part j is rep, at the deletion's vertices
-                vertices = (*range(start), *(start + a for a in at), *range(end, offsets[-1]))
-                offer(vertices, graph, key)
+            best = solver.Sub(at, part, found)
     return best
 
 
-def _options(ask, results: dict, blown: dict, deletions: _Deletions,
+def _core_lower(ask: BlowUp, results: dict, deletions: _Deletions) -> solver.Sub | None:
+    """The blow-up of ``ask``'s host by its parts' cores as a lower bound,
+    once the table holds its value: its vertices are each core's, mapped
+    into its part's place in ``ask``'s graph."""
+    got = deletions.core_ask(ask, results)
+    if got is None:
+        return None
+    key, core, at = got
+    found = results.get(key)
+    return None if found is None else solver.Sub(at, core.graph, found)
+
+
+def _options(ask, results: dict, deletions: _Deletions,
              opts: solver.SearchOptions) -> solver.SearchOptions:
     """``opts`` with every certificate the table gives the graph ``ask``
-    names: a blow-up's from ``_blowup_options``, then the best lower bound
-    among one-vertex deletions when its value is larger.  A ``(graph, k)``
-    ask takes none."""
+    names: a blow-up's from ``_blowup_options``, then the blow-up by its
+    parts' cores (``_core_lower``), or a graph's best one-vertex deletion
+    (``_deletion_lower``), below when its value is larger.  A ``(graph,
+    k)`` ask takes none."""
     if isinstance(ask, tuple):
         return opts
     if isinstance(ask, BlowUp):
         opts = _blowup_options(ask, results, opts)
-    lower = _deletion_lower(ask, results, blown, deletions)
+        lower = _core_lower(ask, results, deletions)
+    else:
+        lower = _deletion_lower(ask, results, deletions)
     if lower is None or opts.lower is not None and lower.result.value <= opts.lower.result.value:
         return opts
     return solver.SearchOptions(opts.max_k, opts.budget, lower, opts.upper)
@@ -528,8 +587,6 @@ def cmd_experiment(args) -> int:
     instances = build(args)
     table: dict[str | tuple[str, int], int | str] = {}  # ask key -> answer, or why none
     results: dict[str, solver.InvResult] = {}  # graph key -> its resolved result
-    # order -> (host, *parts) of each blow-up asked -> (graph key, graph)
-    blown: dict[int, dict[tuple, tuple]] = {}
     deletions = _Deletions()
     # (status, detail) per instance; None outside its identity's scope
     outcomes: list[tuple | None] = [None] * len(instances)
@@ -544,7 +601,7 @@ def cmd_experiment(args) -> int:
             # table supplies, smaller graphs' results included
             for group in _by_order(todo):
                 tasks = [(a.graph if isinstance(a, BlowUp) else a,
-                          _options(a, results, blown, deletions, opts)) for a in group.values()]
+                          _options(a, results, deletions, opts)) for a in group.values()]
                 for key, got in zip(group, solve_all(_run_one, tasks)):
                     if isinstance(got, solver.InvResult):
                         if got.resolved:
@@ -572,15 +629,21 @@ def cmd_experiment(args) -> int:
                     continue
                 keys = [_key(a) for a in asks]
                 todo.update((k, a) for k, a in zip(keys, asks) if k not in table)
-                for k, a in zip(keys, asks):
-                    if isinstance(a, BlowUp):
-                        blown.setdefault(a.graph.n, {})[(a.host, *a.parts)] = k, a.graph
                 asked.append((i, checker, keys))
-            # the blow-ups' inputs not yet in the table, answered first
-            inputs = {_key(g): g for a in todo.values() if isinstance(a, BlowUp)
-                      for g in a.inputs()}
+            # the blow-ups' inputs and the classes their parts' cores are
+            # walked through, not yet in the table, answered first
+            blowups = [a for a in todo.values() if isinstance(a, BlowUp)]
+            inputs = {_key(g): g for a in blowups for g in a.inputs()}
+            parts = {p.out_rows: p for a in blowups for p in a.parts}.values()
+            inputs.update((_key(g), g) for g in deletions.below(parts))
             answer({k: g for k, g in inputs.items() if k not in table})
-            answer({k: a for k, a in todo.items() if k not in table})
+            # then the asks, each blow-up's blow-up by cores in the same pass
+            todo = {k: a for k, a in todo.items() if k not in table}
+            for a in blowups:
+                got = deletions.core_ask(a, results)
+                if got is not None and got[0] not in table:
+                    todo.setdefault(got[0], got[1])
+            answer(todo)
             waiting = asked
 
     print(" ".join(header))

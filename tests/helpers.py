@@ -20,6 +20,7 @@ from invlab.digraph import (
     _pairs,
     _tournament,
     apply_family,
+    encode_digraph,
     invert,
     is_acyclic,
     residual_cycle,
@@ -843,13 +844,101 @@ def use_unbounded_joins(monkeypatch) -> None:
     monkeypatch.setattr(cli, "_blowup_options", lambda ask, results, opts: opts)
 
 
+def _without_cores(monkeypatch) -> None:
+    # no class walked for a core, so no blow-up by cores asked
+    monkeypatch.setattr(cli._Deletions, "below", lambda self, parts: [])
+    monkeypatch.setattr(cli._Deletions, "core_ask", lambda self, ask, results: None)
+
+
 def use_largest_part_only(monkeypatch) -> None:
     """Make a sweep answer each phase of a round in one map, with a
     blow-up's largest part as its only lower bound and no bound for a
-    plain solve, as before one-vertex deletions gave bounds; the older
-    sweep node pins record that route."""
-    monkeypatch.setattr(cli, "_deletion_lower", lambda ask, results, blown, deletions: None)
+    plain solve, as before one-vertex deletions and cores gave bounds; the
+    older sweep node pins record that route."""
+
+    def options(ask, results, deletions, opts):
+        return cli._blowup_options(ask, results, opts) if isinstance(ask, cli.BlowUp) else opts
+
+    _without_cores(monkeypatch)
+    monkeypatch.setattr(cli, "_options", options)
     monkeypatch.setattr(cli, "_by_order", lambda todo: [todo] if todo else [])
+
+
+def one_vertex_deletion_lower(ask, results: dict, blown: dict, deletions) -> solver.Sub | None:
+    """The sweep's lower bound from one-vertex deletions before cores:
+    the best the table holds, the first of largest value, or None.  A
+    tournament's deletion is read by its class representative's encoding
+    (``cli._Deletions``), and any other plain graph has none.  A blow-up's
+    deletion, of a vertex of one part, is the blow-up of the same host
+    with that part replaced by the representative of the part's deletion:
+    it is read in ``blown``, order -> (host, *parts) -> (graph key, graph)
+    of the blow-ups asked, so no graph is built to probe."""
+    best = None
+
+    def offer(vertices: tuple, part: Digraph, key) -> None:
+        nonlocal best
+        found = results.get(key)
+        if found is not None and (best is None or found.value > best.result.value):
+            best = solver.Sub(vertices, part, found)
+
+    if not isinstance(ask, cli.BlowUp):
+        for rep, at in deletions(ask):
+            offer(at, rep, encode_digraph(rep))
+        return best
+    smaller = blown.get(ask.graph.n - 1)
+    if smaller is None:
+        return best
+    parts = ask.parts
+    offsets = list(itertools.accumulate((p.n for p in parts), initial=0))
+    for j, part in enumerate(parts):
+        start, end = offsets[j], offsets[j + 1]
+        for rep, at in deletions(part):
+            known = smaller.get((ask.host, *parts[:j], rep, *parts[j + 1:]))
+            if known is not None:
+                key, graph = known
+                # the smaller blow-up's part j is rep, at the deletion's vertices
+                vertices = (*range(start), *(start + a for a in at), *range(end, offsets[-1]))
+                offer(vertices, graph, key)
+    return best
+
+
+def one_vertex_options(ask, results: dict, blown: dict, deletions, opts):
+    """``cli._options`` before cores: a blow-up's certificates from
+    ``cli._blowup_options``, then ``one_vertex_deletion_lower``'s bound
+    when its value is larger; a ``(graph, k)`` ask takes none."""
+    if isinstance(ask, tuple):
+        return opts
+    if isinstance(ask, cli.BlowUp):
+        opts = cli._blowup_options(ask, results, opts)
+    lower = one_vertex_deletion_lower(ask, results, blown, deletions)
+    if lower is None or opts.lower is not None and lower.result.value <= opts.lower.result.value:
+        return opts
+    return solver.SearchOptions(opts.max_k, opts.budget, lower, opts.upper)
+
+
+def use_one_vertex_blowups(monkeypatch) -> None:
+    """Make a sweep bound each solve by its one-vertex deletions, as
+    before cores (``one_vertex_options``): no class is walked for a core,
+    no blow-up by cores is asked, and each blow-up solved is kept in the
+    run's ``blown`` for the blow-ups one vertex larger.  The older sweep
+    pins of conj-direction record that route."""
+
+    class Deletions(cli._Deletions):
+        __slots__ = ("blown",)
+
+        def __init__(self):
+            super().__init__()
+            self.blown: dict[int, dict[tuple, tuple]] = {}
+
+    def options(ask, results, deletions, opts):
+        if isinstance(ask, cli.BlowUp):
+            entry = (cli._key(ask), ask.graph)
+            deletions.blown.setdefault(ask.graph.n, {})[(ask.host, *ask.parts)] = entry
+        return one_vertex_options(ask, results, deletions.blown, deletions, opts)
+
+    _without_cores(monkeypatch)
+    monkeypatch.setattr(cli, "_Deletions", Deletions)
+    monkeypatch.setattr(cli, "_options", options)
 
 
 def compose_family(

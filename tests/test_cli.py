@@ -1,5 +1,6 @@
 """Command-line behaviour: sources, formats, exit codes, experiments."""
 
+import argparse
 import hashlib
 import os
 import random
@@ -18,6 +19,7 @@ from invlab import cli, construct, digraph, solver
 from invlab.construct import MAX_EXPR_DEPTH
 from invlab.construct import qn, qn_family
 from invlab.digraph import dump_digraph, dump_family
+from invlab.errors import ResourceLimitError
 from invlab.f2 import dump_matrix
 from invlab.solver import SearchOptions
 
@@ -56,6 +58,12 @@ def unbounded_joins(monkeypatch):
 def largest_part_only(monkeypatch):
     # no bound from one-vertex deletions, as older sweep pins record
     helpers.use_largest_part_only(monkeypatch)
+
+
+@pytest.fixture
+def one_vertex_blowups(monkeypatch):
+    # blow-ups bounded by one-vertex deletions, not cores, as older pins record
+    helpers.use_one_vertex_blowups(monkeypatch)
 
 
 class TestInvCommand:
@@ -710,7 +718,7 @@ class TestValueTable:
         ],
     )
     def test_forward_checked_budget_stdout_pinned(
-        self, capsys, reference_levels, unbounded_joins, argv, digest
+        self, capsys, reference_levels, unbounded_joins, one_vertex_blowups, argv, digest
     ):
         code, out, _ = run(capsys, "experiment", *argv, "--deterministic")
         assert code == 2
@@ -800,7 +808,7 @@ class TestValueTable:
         monkeypatch.setattr(solver, "inv_exact", spy)
         return solved
 
-    def test_kjoin_solves_each_distinct_graph_once(self, capsys, solved):
+    def test_kjoin_solves_each_distinct_graph_once(self, capsys, one_vertex_blowups, solved):
         code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
         assert code == 0 and "total=4 pass=4" in out
         t = construct.c3()
@@ -813,7 +821,7 @@ class TestValueTable:
         assert len(solved) == len(set(solved)) == 3
         assert set(solved) == asked
 
-    def test_acyclic_hosts_are_never_asked(self, capsys, solved):
+    def test_acyclic_hosts_are_never_asked(self, capsys, one_vertex_blowups, solved):
         # every kjoin ask blows up tt(2) or tt(3), of value 0 with the
         # empty family, which no map answers
         code, _, _ = run(capsys, "experiment", "kjoin", "--deterministic")
@@ -832,7 +840,7 @@ class TestValueTable:
         assert base in classes
         assert solved == classes + [digraph.encode_digraph(cli.C3), blowup]
 
-    def test_each_distinct_graph_solved_once(self, capsys, solved):
+    def test_each_distinct_graph_solved_once(self, capsys, one_vertex_blowups, solved):
         code, out, _ = run(
             capsys,
             "experiment", "conj-direction", "--left-n", "4", "--right-n", "4",
@@ -944,7 +952,7 @@ class TestJoinBounds:
             assert self.sweep(capsys, *argv) == digest
             assert nodes.value == want
 
-    def test_pair_sweep_nodes(self, capsys, nodes):
+    def test_pair_sweep_nodes(self, capsys, one_vertex_blowups, nodes):
         # the pair sweep the bench runs at --jobs 2, here serially
         digest = self.sweep(capsys, "conj-direction", "--left-n", "5", "--right-n", "5")
         assert digest == "73101736c6b9f4d4135ad17d7663542eaa56e0747571760df75ca743f6ff75fd"
@@ -1012,11 +1020,12 @@ class TestJoinBounds:
 
 
 class TestDeletionBounds:
-    """Each sweep solve starts at the best value the table holds among its
-    graph's one-vertex deletions: a tournament's by class, a blow-up's as
-    the blow-up of the same host with one part's deletion in its place.
-    The older totals, with the largest part as a blow-up's only bound,
-    are pinned in ``TestJoinBounds``."""
+    """Each sweep solve starts at the best value the table holds below
+    it: a tournament's one-vertex deletions by class, and a blow-up's
+    blow-up by cores (``TestCoreBounds``), or, on the one-vertex route the
+    older pins here record, the blow-ups of the same host with one part's
+    deletion in its place.  The older totals, with the largest part as a
+    blow-up's only bound, are pinned in ``TestJoinBounds``."""
 
     @pytest.fixture
     def nodes(self, monkeypatch):
@@ -1089,7 +1098,7 @@ class TestDeletionBounds:
         assert digest == old_digest
         assert new.items() <= old.items() and len(new) < len(old)
 
-    def test_pair_sweep_finds_no_deletion(self, capsys, monkeypatch, solves):
+    def test_pair_sweep_finds_no_deletion(self, capsys, monkeypatch, one_vertex_blowups, solves):
         # its parts are all of order 5, so no order-4 class or order-9
         # blow-up is in the table: every solve keeps the old options
         argv = ("conj-direction", "--left-n", "5", "--right-n", "5")
@@ -1180,7 +1189,7 @@ class TestDeletionLower:
         ask = cli.BlowUp(construct.transitive(2), [cli.C3, T])
         built = []
         monkeypatch.setattr(construct, "blow_up", lambda *a: built.append(a))
-        lower = cli._deletion_lower(ask, results, blown, deletions)
+        lower = helpers.one_vertex_deletion_lower(ask, results, blown, deletions)
         assert built == []  # no graph is built to probe
         assert lower == solver.Sub((0, 1, 2, *(3 + a for a in at)), small.graph, results[key])
         rows = digraph._induced_rows(ask.graph.out_rows, lower.vertices)
@@ -1192,12 +1201,12 @@ class TestDeletionLower:
         listed = deletions(T)
         assert len(listed) == 6 and deletions(T) is listed  # found once
         results = self.table(R for R, _ in listed)
-        lower = cli._deletion_lower(T, results, {}, deletions)
+        lower = cli._deletion_lower(T, results, deletions)
         values = [results[digraph.encode_digraph(R)].value for R, _ in listed]
         R, at = listed[values.index(max(values))]  # the first of largest value
         assert lower == solver.Sub(at, R, results[digraph.encode_digraph(R)])
         assert solver.inv_exact(T, SearchOptions(lower=lower)).value == 2
-        assert cli._deletion_lower(T, {}, {}, deletions) is None
+        assert cli._deletion_lower(T, {}, deletions) is None
 
     @pytest.mark.parametrize(
         "graph",
@@ -1224,7 +1233,7 @@ class TestDeletionLower:
                 results[key] = solver.inv_exact(small.graph)
                 blown.setdefault(small.graph.n, {})[(small.host, *small.parts)] = (
                     key, small.graph)
-            got = cli._options(ask, results, blown, deletions, opts)
+            got = helpers.one_vertex_options(ask, results, blown, deletions, opts)
             largest = cli._blowup_options(ask, results, opts)
             assert got.upper == largest.upper
             if proof is not None:
@@ -1235,7 +1244,245 @@ class TestDeletionLower:
 
     def test_a_criterion_ask_takes_no_bound(self):
         opts = SearchOptions(max_k=3)
-        assert cli._options((cli.C3, 1), {}, {}, cli._Deletions(), opts) is opts
+        assert cli._options((cli.C3, 1), {}, cli._Deletions(), opts) is opts
+
+
+# the sweeps the core bound and the ladder cut, with their stdout sha256,
+# which the one-vertex route prints too, and their node totals by each
+CORE_SWEEPS = [
+    (("conj-direction", "--left-n", "5", "--right-n", "5"),
+     "73101736c6b9f4d4135ad17d7663542eaa56e0747571760df75ca743f6ff75fd", 48_888, 62_990),
+    (("conj-direction", "--left-n", "4", "--right-n", "6"),
+     "fd91f1044c0ec9d310c01cfa5478a7ab600b8f9992bdd9ce1c78e0f7571d98f7", 2_910, 62_536),
+    (("conj-direction", "--left-n", "3", "--right-n", "6"),
+     "5d0410b214c3b0d19b0ab469226f1d9aec894374bb45768e845c5ef22afd06bf", 2_910, 17_792),
+    (("qn", "--n-max", "12", "--n-exact", "12"),
+     "b4f6d9aa9e1db344f02d5dbf177fcb85db89da93eb2ae5bbb6bfc58f45fb2bda", 108_163, 209_889),
+]
+
+
+class TestCoreBounds:
+    """Each blow-up a sweep solves is bounded below by the blow-up of its
+    host by its parts' cores, and each graph the class forms do not reach
+    by its own one-vertex deletions, so ``qn(n)`` reads ``qn(n - 1)``.
+    The totals of the route before, with each blow-up bounded by its
+    one-vertex deletions, are pinned alongside."""
+
+    sweep = TestJoinBounds.sweep
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        return TestJoinBounds.count_nodes(monkeypatch)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # (graph, options, result) per solve, in solve order
+        solves = []
+        inv_exact = solver.inv_exact
+
+        def spy(D, opts=None):
+            r = inv_exact(D, opts)
+            solves.append((D, opts, r))
+            return r
+
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        return solves
+
+    @staticmethod
+    def table(graphs):
+        return {digraph.encode_digraph(G): solver.inv_exact(G) for G in graphs}
+
+    @pytest.mark.parametrize("argv, digest, want, _", CORE_SWEEPS)
+    def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want, _):
+        assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == want
+
+    @pytest.mark.parametrize("argv, digest, _, want", CORE_SWEEPS[1:])
+    def test_one_vertex_route_nodes_pinned(
+        self, capsys, one_vertex_blowups, nodes, argv, digest, _, want
+    ):
+        assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == want
+
+    @pytest.mark.parametrize("argv", [CORE_SWEEPS[2][0], CORE_SWEEPS[3][0]])
+    def test_a_pool_gives_the_same_stdout_and_nodes(self, capsys, monkeypatch, nodes, argv):
+        # the deletion classes and the blow-ups by cores go through its maps
+        opened = []
+        real_pool = cli.Pool
+
+        def counted_pool(processes):
+            opened.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "Pool", counted_pool)
+        serial = self.sweep(capsys, *argv), nodes.value
+        nodes.value = 0
+        assert (self.sweep(capsys, *argv, "--jobs", "2"), nodes.value) == serial
+        assert opened == [2]
+
+    @pytest.mark.parametrize(
+        "argv", [("conj-direction", "--left-n", "4", "--right-n", "6"), CORE_SWEEPS[3][0]]
+    )
+    def test_every_solve_matches_plain(self, capsys, monkeypatch, solves, argv):
+        self.sweep(capsys, *argv)
+        monkeypatch.undo()  # plain solves, unspied
+        for D, opts, r in solves:
+            assert r.value == solver.inv_exact(D).value
+            assert digraph.is_acyclic(digraph.apply_family(D, r.witness)) is not None
+        # a blow-up by cores lies more than one vertex below its blow-up
+        cored = [D for D, opts, _ in solves if opts.lower and opts.lower.part.n < D.n - 1]
+        assert bool(cored) == (argv[0] == "conj-direction")
+
+    @pytest.mark.parametrize(
+        "graph", [digraph.Digraph(3, (0b010, 0, 0)), construct.transitive(9)],
+        ids=["not-a-tournament", "past-the-canonical-form"],
+    )
+    def test_other_graphs_take_their_own_deletions(self, graph):
+        n = graph.n
+        listed = cli._Deletions().of(graph)
+        assert [at for _, at in listed] == [tuple(u for u in range(n) if u != v)
+                                            for v in range(n)]
+        for R, at in listed:
+            assert R.out_rows == digraph._induced_rows(graph.out_rows, at)
+        # a tournament the forms reach takes its deletions by class
+        deletions = cli._Deletions()
+        assert deletions.of(qn(6)) is deletions(qn(6))
+
+    def test_qn_climbs_the_ladder(self, capsys, solves):
+        self.sweep(capsys, *CORE_SWEEPS[3][0])
+        assert [D.n for D, _, _ in solves] == list(range(1, 13))
+        for (_, _, below), (D, opts, r) in zip(solves[7:], solves[8:]):
+            n = D.n
+            # qn(n) less its first vertex is qn(n - 1), relabelled by one:
+            # the first deletion of largest value
+            assert opts.lower == solver.Sub(tuple(range(1, n)), qn(n - 1), below)
+            assert below.value <= r.value == (n - 1) // 2
+
+    def test_each_distinct_graph_solved_once(self, capsys, solves):
+        self.sweep(capsys, "conj-direction", "--left-n", "4", "--right-n", "4")
+        solved = [digraph.encode_digraph(D) for D, _, _ in solves]
+        orders = [D.n for D, _, _ in solves]
+        enc = digraph.encode_digraph
+        classes = digraph.nonisomorphic_tournaments(4)
+        deletions = cli._Deletions()
+        inputs = {enc(G): G for G in (*classes, *deletions.below(classes))}
+        results = self.table(inputs.values())
+        asks, cored = set(), set()
+        for A, B in ((L, R) for L in classes for R in classes):
+            ask = cli.BlowUp(cli.TT2, [A, B])
+            asks.add(enc(ask.graph))
+            got = deletions.core_ask(ask, results)
+            if got is not None:
+                cored.add(got[0])
+        assert len(solved) == len(set(solved))
+        # first the parts and every class below them, then the asks and the
+        # blow-ups by cores not yet solved, each phase smallest first
+        cut = len(inputs)
+        assert set(solved[:cut]) == set(inputs) and orders[:cut] == sorted(orders[:cut])
+        assert set(solved[cut:]) == asks | cored - set(inputs)
+        assert orders[cut:] == sorted(orders[cut:]) and cored - asks - set(inputs)
+
+    def test_a_core_keeps_the_value_and_loses_it_at_every_deletion(self):
+        deletions = cli._Deletions()
+        classes = [T for n in range(1, 7) for T in digraph.nonisomorphic_tournaments(n)]
+        results = self.table(classes)
+        value = {T.out_rows: results[digraph.encode_digraph(T)].value for T in classes}
+        sizes = {}
+        for T in classes:
+            C, at = deletions.core(T, results)
+            assert deletions.core(T, {}) == (C, at)  # walked once
+            assert C.out_rows == digraph._induced_rows(T.out_rows, at)
+            assert value[C.out_rows] == value[T.out_rows]
+            assert all(value[R.out_rows] < value[C.out_rows] for R, _ in deletions(C))
+            sizes.setdefault(value[T.out_rows], set()).add(C.n)
+        # value 0 shrinks to one vertex and value 1 to a triangle
+        assert sizes == {0: {1}, 1: {3}, 2: {5, 6}}
+
+    @classmethod
+    def core_case(cls):
+        """c3 => qn(6) and a table of its parts and the classes below
+        them; qn(6) keeps its value 2 without its last vertex."""
+        ask = cli.BlowUp(construct.transitive(2), [cli.C3, qn(6)])
+        deletions = cli._Deletions()
+        results = cls.table([*ask.parts, *deletions.below(ask.parts)])
+        return ask, deletions, results
+
+    def test_the_core_bound_is_the_blow_up_by_cores(self):
+        ask, deletions, results = self.core_case()
+        key, core, at = deletions.core_ask(ask, results)
+        cores = [deletions.core(p, results) for p in ask.parts]
+        assert cores[0] == (cli.C3, (0, 1, 2)) and cores[1][0].n == 5
+        assert core == cli.BlowUp(ask.host, [C for C, _ in cores])
+        assert deletions.core_ask(ask, results)[1] is core  # built once
+        assert at == (0, 1, 2, *(3 + v for v in cores[1][1]))
+        results[key] = solver.inv_exact(core.graph)
+        lower = cli._core_lower(ask, results, deletions)
+        assert lower == solver.Sub(at, core.graph, results[key])
+        # it replaces the largest part's 2: the blow-up by cores has 3
+        opts = cli._options(ask, results, deletions, SearchOptions())
+        assert opts.lower == lower and lower.result.value == 3
+        assert opts.upper == cli._blowup_options(ask, results, SearchOptions()).upper
+        assert solver.inv_exact(ask.graph, opts).value == solver.inv_exact(ask.graph).value == 3
+        # a blow-up whose parts are all their own cores asks for no other
+        assert deletions.core_ask(core, results) is None
+
+    def test_a_forged_core_bound_is_refused_before_any_search(self, monkeypatch):
+        ask, deletions, results = self.core_case()
+        key, core, at = deletions.core_ask(ask, results)
+        found = results[key] = solver.inv_exact(core.graph)
+        # a wrong embedding: the core's last vertex moved to a vertex it left
+        moved = (*at[:-1], next(v for v in range(ask.graph.n) if v not in at))
+        # a core of lower value: tt(5), of value 0, in the place of qn(6)'s
+        weaker = construct.blow_up(ask.host, [cli.C3, construct.transitive(5)])
+        forgeries = (solver.Sub(moved, core.graph, found),
+                     solver.Sub(at, weaker, solver.inv_exact(weaker)))
+        searched = []
+        monkeypatch.setattr(solver, "_search_assignment", lambda *a: searched.append(a))
+        for forged in forgeries:
+            with pytest.raises(ValueError, match="not the subgraph induced"):
+                solver.inv_exact(ask.graph, SearchOptions(lower=forged))
+        assert searched == []
+
+    def test_an_unresolved_solve_gives_no_bound(self):
+        ask, deletions, results = self.core_case()
+        # the blow-up by cores unresolved: no bound, the largest part's stays
+        assert deletions.core_ask(ask, results) is not None
+        assert cli._core_lower(ask, results, deletions) is None
+        opts = cli._options(ask, results, deletions, SearchOptions())
+        assert opts == cli._blowup_options(ask, results, SearchOptions())
+        # a deletion class unresolved: no core, so no blow-up by cores
+        deletions = cli._Deletions()
+        (R, _), *_ = deletions(qn(6))
+        del results[digraph.encode_digraph(R)]
+        assert deletions.core(qn(6), results) is None
+        assert deletions.core_ask(ask, results) is None
+
+    def test_an_unresolved_core_solve_is_no_unknown_line(self, capsys, monkeypatch):
+        # under a budget, a blow-up by cores or a deletion class that runs
+        # out is no checker's ask: only the instances whose own dijoins ran
+        # out are UNKNOWN
+        ran_out = []
+        inv_exact = solver.inv_exact
+
+        def spy(D, opts=None):
+            try:
+                return inv_exact(D, opts)
+            except ResourceLimitError:
+                ran_out.append(digraph.encode_digraph(D))
+                raise
+
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        code, out, _ = run(capsys, "experiment", "conj-direction", "--left-n", "4",
+                           "--right-n", "6", "--budget", "60", "--deterministic")
+        unknown = {line.split()[1] for line in out.splitlines() if line.endswith(": UNKNOWN")}
+        asked = {}
+        for inst in cli._build_conj_direction(argparse.Namespace(left_n=4, right_n=6)):
+            L, R = map(digraph.decode_digraph, inst.split("|"))
+            for D in (construct.dijoin(L, R), construct.dijoin(R, L)):
+                asked.setdefault(digraph.encode_digraph(D), set()).add(inst)
+        assert unknown == {inst for g in ran_out for inst in asked.get(g, ())}
+        assert any(g not in asked for g in ran_out)
 
 
 # thm15's stdout, with or without its blow-up's certificates
