@@ -20,7 +20,8 @@ answers as a list of ints in that order and returns ``(holds, detail)``
 ``cmd_experiment`` advances every checker in rounds and answers each
 distinct ask once per sweep, keyed by the graph it names.  Each round
 answers the asked blow-ups' parts, their cyclic hosts (an acyclic host
-has value 0) and every class their parts' one-vertex deletions reach,
+has value 0) and every cyclic class their parts' one-vertex deletions
+reach (an acyclic one is read as value 0 with no solve, see ``_value``),
 then the asks themselves together with each blow-up of a host by its
 parts' cores (see ``_Deletions.core``), each phase in one pool map per
 vertex count, smallest first, and only what is not yet in its table.
@@ -30,8 +31,10 @@ that is larger (see ``_core_lower``); any other graph from the best
 value the table holds among its one-vertex deletions (see
 ``_deletion_lower``), read by their class (``digraph.TournamentClasses``)
 for a tournament up to order 8, else by their own encoding, so that
-``qn(n)`` reads ``qn(n - 1)``.  Every bound is checked by the solver, and
-a solve no checker asked for gives no bound when it is unresolved.
+``qn(n)`` reads ``qn(n - 1)`` from order 9 up (at orders 5 to 8,
+``qn(n - 1)`` is not its class's representative, so none is read).
+Every bound is checked by the solver, and a solve no checker asked for
+gives no bound when it is unresolved.
 Every solve is ``solver.inv_exact(graph, opts)``, with bounds only from
 the table, so a solve depends on its task alone.  The engine alone makes
 UNKNOWN: when an answer a checker asked for is unresolved, the checker
@@ -138,6 +141,7 @@ _Checker = Generator[list, list[int], tuple[bool, str] | None]
 # every dijoin's triangle and host; a Digraph is immutable, so one serves all
 C3 = construct.c3()
 TT2 = construct.transitive(2)
+TT1 = construct.transitive(1)
 
 
 class BlowUp(Record):
@@ -422,7 +426,7 @@ class _Deletions:
         self.forms: dict[int, digraph.TournamentClasses] = {}
         self.found: dict[tuple[int, ...], list] = {}
         self.cores: dict[tuple[int, ...], tuple | None] = {}
-        self.by_cores: dict[tuple, tuple[str, BlowUp]] = {}
+        self.by_cores: dict[tuple, tuple[str, BlowUp] | None] = {}
 
     def __call__(self, T: digraph.Digraph) -> list[tuple[digraph.Digraph, tuple]]:
         listed = self.found.get(T.out_rows)
@@ -449,16 +453,27 @@ class _Deletions:
         return [(T.induced(full ^ 1 << v), (*range(v), *range(v + 1, n))) for v in range(n)]
 
     def below(self, parts) -> list[digraph.Digraph]:
-        """Every class that deleting vertices from ``parts``, one at a
-        time, reaches: what finding their cores reads."""
-        seen: dict[tuple[int, ...], digraph.Digraph] = {}
-        stack = list(parts)
+        """The graphs that finding the cores of ``parts`` and solving
+        their blow-ups by cores need, but for those of value 0 (see
+        ``_value``): every cyclic class that deleting vertices from the
+        parts, one at a time, reaches, and the one vertex that is an
+        acyclic part's core.  Every class below an acyclic one is acyclic
+        too."""
+        seen: dict[tuple[int, ...], digraph.Digraph | None] = {}
+        stack = []
+        for P in parts:
+            if digraph.is_acyclic(P) is None:
+                stack.append(P)
+            elif self(P):
+                seen[TT1.out_rows] = TT1
         while stack:
             for R, _ in self(stack.pop()):
                 if R.out_rows not in seen:
-                    seen[R.out_rows] = R
-                    stack.append(R)
-        return list(seen.values())
+                    cyclic = digraph.is_acyclic(R) is None
+                    seen[R.out_rows] = R if cyclic else None
+                    if cyclic:
+                        stack.append(R)
+        return [R for R in seen.values() if R is not None]
 
     def core(self, P: digraph.Digraph, results: dict) -> tuple | None:
         """P's core ``(C, at)``, C's vertex i at P's vertex ``at[i]``, or
@@ -472,16 +487,16 @@ class _Deletions:
         return self.cores[rows]
 
     def _walk(self, P: digraph.Digraph, results: dict) -> tuple | None:
-        found = results.get(digraph.encode_digraph(P))
-        if found is None:
+        value = _value(P, results)
+        if value is None:
             return None
         C, at = P, tuple(range(P.n))
         while True:
             for R, sub in self(C):
-                smaller = results.get(digraph.encode_digraph(R))
+                smaller = _value(R, results)
                 if smaller is None:
                     return None
-                if smaller.value == found.value:
+                if smaller == value:
                     C, at = R, tuple(at[i] for i in sub)
                     break
             else:
@@ -490,18 +505,31 @@ class _Deletions:
     def core_ask(self, ask: BlowUp, results: dict) -> tuple | None:
         """``(key, B, at)``: B the blow-up of ``ask``'s host by its parts'
         cores, keyed ``key``, B's vertex i at ask's vertex ``at[i]``; or
-        None when a part has no core or every part is its own."""
+        None when a part has no core, every part is its own, or B is
+        acyclic, a value 0 no bound needs."""
         cores = [self.core(p, results) for p in ask.parts]
         if None in cores or all(C.n == p.n for (C, _), p in zip(cores, ask.parts)):
             return None
         shape = (ask.host, *(C for C, _ in cores))
-        made = self.by_cores.get(shape)
-        if made is None:
+        if shape not in self.by_cores:
             core = BlowUp(ask.host, shape[1:])
-            made = self.by_cores[shape] = _key(core), core
+            cyclic = digraph.is_acyclic(core.graph) is None
+            self.by_cores[shape] = (_key(core), core) if cyclic else None
+        made = self.by_cores[shape]
+        if made is None:
+            return None
         offsets = accumulate((p.n for p in ask.parts), initial=0)
         at = tuple(off + v for (_, sub), off in zip(cores, offsets) for v in sub)
         return *made, at
+
+
+def _value(G: digraph.Digraph, results: dict) -> int | None:
+    """G's value: 0 when G is acyclic, with no solve, else the table's, or
+    None when the table has not resolved it."""
+    if digraph.is_acyclic(G) is not None:
+        return 0
+    found = results.get(digraph.encode_digraph(G))
+    return None if found is None else found.value
 
 
 def _deletion_lower(

@@ -821,7 +821,21 @@ class TestValueTable:
         assert len(solved) == len(set(solved)) == 3
         assert set(solved) == asked
 
-    def test_acyclic_hosts_are_never_asked(self, capsys, one_vertex_blowups, solved):
+    def test_kjoin_solves_each_distinct_graph_once_with_cores(self, capsys, solved):
+        # the engine as shipped also solves, once each, the cyclic classes
+        # below the parts that a core walk may read: c3 has none, and
+        # c3 => c3 two of order 5, two of order 4 and c3's representative
+        code, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert code == 0 and "total=4 pass=4" in out
+        t = construct.c3()
+        joins = [t, construct.dijoin(t, t), construct.k_join([t, t, t])]
+        below = cli._Deletions().below(joins[:2])
+        assert sorted(G.n for G in below) == [3, 4, 4, 5, 5]
+        assert all(digraph.is_acyclic(G) is None for G in below)
+        assert len(solved) == len(set(solved)) == 3 + 5
+        assert set(solved) == {digraph.encode_digraph(G) for G in (*joins, *below)}
+
+    def test_acyclic_hosts_are_never_asked(self, capsys, solved):
         # every kjoin ask blows up tt(2) or tt(3), of value 0 with the
         # empty family, which no map answers
         code, _, _ = run(capsys, "experiment", "kjoin", "--deterministic")
@@ -1333,6 +1347,31 @@ class TestCoreBounds:
         # a blow-up by cores lies more than one vertex below its blow-up
         cored = [D for D, opts, _ in solves if opts.lower and opts.lower.part.n < D.n - 1]
         assert bool(cored) == (argv[0] == "conj-direction")
+
+    def test_acyclic_graphs_are_read_as_zero_and_never_solved(self):
+        tt = construct.transitive
+        deletions = cli._Deletions()
+        # no acyclic class is listed to solve: an acyclic part's core, the
+        # one vertex, is, since a blow-up by cores takes it as a part
+        assert deletions.below([cli.C3]) == []
+        assert deletions.below([tt(1)]) == []
+        assert deletions.below([tt(4), tt(3)]) == [cli.TT1]
+        T = digraph.nonisomorphic_tournaments(4)[-1]
+        assert digraph.is_acyclic(T) is None
+        assert [R.n for R in deletions.below([T])] == [3]  # c3, not tt(3)
+        # with an empty table, an acyclic part walks to one vertex, and
+        # a blow-up of cyclic parts' cores reads no acyclic deletion
+        one, at = deletions.core(tt(4), {})
+        assert one == cli.TT1 and len(at) == 1
+        results = self.table([T, *deletions.below([T])])
+        C, _ = deletions.core(T, results)
+        assert C.n == 3 and cli._value(tt(2), {}) == 0
+        # an acyclic blow-up by cores asks for nothing
+        results[digraph.encode_digraph(tt(1))] = solver.inv_exact(tt(1))
+        assert deletions.core_ask(cli.BlowUp(cli.TT2, [tt(4), tt(3)]), {}) is None
+        ask = cli.BlowUp(cli.TT2, [tt(4), T])
+        key, core, at = deletions.core_ask(ask, results)
+        assert core.parts == (cli.TT1, C) and len(at) == 4
 
     @pytest.mark.parametrize(
         "graph", [digraph.Digraph(3, (0b010, 0, 0)), construct.transitive(9)],
