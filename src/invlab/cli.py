@@ -25,14 +25,14 @@ reach (an acyclic one is read as value 0 with no solve, see ``_value``),
 then the asks themselves together with each blow-up of a host by its
 parts' cores (see ``_Deletions.core``), each phase in one pool map per
 vertex count, smallest first, and only what is not yet in its table.
-Each blow-up is solved between the certificates its inputs give (see
-``_blowup_options``), and from the value of its blow-up by cores when
-that is larger (see ``_core_lower``); any other graph from the best
-value the table holds among its one-vertex deletions (see
-``_deletion_lower``), read by their class (``digraph.TournamentClasses``)
-for a tournament up to order 8, else by their own encoding, so that
-``qn(n)`` reads ``qn(n - 1)`` from order 9 up (at orders 5 to 8,
-``qn(n - 1)`` is not its class's representative, so none is read).
+Each solve takes its bounds in ``_options``: a blow-up between the
+certificates its inputs give (``_blowup_options``), then below by the
+first of strictly larger value among the induced subgraphs the table
+has solved: a blow-up's blow-up by cores, or any other graph's
+one-vertex deletions, read by class (``digraph.TournamentClasses``) for
+a tournament up to order 8, else by their own encoding, so ``qn(n)``
+reads ``qn(n - 1)`` from order 9 up (at orders 5 to 8 it is not its
+class's representative, so none is).
 Every bound is checked by the solver, and a solve no checker asked for
 gives no bound when it is unresolved.
 Every solve is ``solver.inv_exact(graph, opts)``, with bounds only from
@@ -373,14 +373,19 @@ def _run_one(task: tuple) -> solver.InvResult | int | str:
         return f"budget: {exc}"
 
 
+def _graph(ask) -> digraph.Digraph:
+    """The graph an ask names: a ``(graph, k)`` ask's graph, or the graph
+    a blow-up builds."""
+    if isinstance(ask, tuple):
+        return ask[0]
+    return ask.graph if isinstance(ask, BlowUp) else ask
+
+
 def _key(ask) -> str | tuple[str, int]:
     """Table key: a graph's encoding, kept apart from a ``(graph, k)`` ask's;
     a blow-up is keyed by the graph it builds."""
-    if isinstance(ask, tuple):
-        return digraph.encode_digraph(ask[0]), ask[1]
-    if isinstance(ask, BlowUp):
-        ask = ask.graph
-    return digraph.encode_digraph(ask)
+    key = digraph.encode_digraph(_graph(ask))
+    return (key, ask[1]) if isinstance(ask, tuple) else key
 
 
 def _blowup_options(
@@ -532,49 +537,28 @@ def _value(G: digraph.Digraph, results: dict) -> int | None:
     return None if found is None else found.value
 
 
-def _deletion_lower(
-    ask: digraph.Digraph, results: dict, deletions: _Deletions
-) -> solver.Sub | None:
-    """The best lower bound the table holds among the one-vertex
-    deletions of ``ask`` (see ``_Deletions.of``), the first of largest
-    value, or None: the deletion the table solved, its vertices mapped
-    into ``ask``."""
-    best = None
-    for part, at in deletions.of(ask):
-        found = results.get(digraph.encode_digraph(part))
-        if found is not None and (best is None or found.value > best.result.value):
-            best = solver.Sub(at, part, found)
-    return best
-
-
-def _core_lower(ask: BlowUp, results: dict, deletions: _Deletions) -> solver.Sub | None:
-    """The blow-up of ``ask``'s host by its parts' cores as a lower bound,
-    once the table holds its value: its vertices are each core's, mapped
-    into its part's place in ``ask``'s graph."""
-    got = deletions.core_ask(ask, results)
-    if got is None:
-        return None
-    key, core, at = got
-    found = results.get(key)
-    return None if found is None else solver.Sub(at, core.graph, found)
-
-
 def _options(ask, results: dict, deletions: _Deletions,
              opts: solver.SearchOptions) -> solver.SearchOptions:
     """``opts`` with every certificate the table gives the graph ``ask``
-    names: a blow-up's from ``_blowup_options``, then the blow-up by its
-    parts' cores (``_core_lower``), or a graph's best one-vertex deletion
-    (``_deletion_lower``), below when its value is larger.  A ``(graph,
+    names: a blow-up's from ``_blowup_options``, then below the first of
+    strictly larger value among the induced subgraphs the table has
+    solved, a blow-up's blow-up by its parts' cores
+    (``_Deletions.core_ask``) or a graph's one-vertex deletions
+    (``_Deletions.of``), each mapped into ``ask``'s graph.  A ``(graph,
     k)`` ask takes none."""
     if isinstance(ask, tuple):
         return opts
     if isinstance(ask, BlowUp):
         opts = _blowup_options(ask, results, opts)
-        lower = _core_lower(ask, results, deletions)
+        got = deletions.core_ask(ask, results)
+        candidates = [] if got is None else [(got[0], got[1].graph, got[2])]
     else:
-        lower = _deletion_lower(ask, results, deletions)
-    if lower is None or opts.lower is not None and lower.result.value <= opts.lower.result.value:
-        return opts
+        candidates = [(digraph.encode_digraph(R), R, at) for R, at in deletions.of(ask)]
+    lower = opts.lower
+    for key, part, at in candidates:
+        found = results.get(key)
+        if found is not None and (lower is None or found.value > lower.result.value):
+            lower = solver.Sub(at, part, found)
     return solver.SearchOptions(opts.max_k, opts.budget, lower, opts.upper)
 
 
@@ -583,13 +567,7 @@ def _by_order(todo: dict) -> list[dict]:
     the graph each names, in ascending order."""
     groups: dict[int, dict] = {}
     for key, ask in todo.items():
-        if isinstance(ask, tuple):
-            graph = ask[0]
-        elif isinstance(ask, BlowUp):
-            graph = ask.graph
-        else:
-            graph = ask
-        groups.setdefault(graph.n, {})[key] = ask
+        groups.setdefault(_graph(ask).n, {})[key] = ask
     return [groups[n] for n in sorted(groups)]
 
 

@@ -1186,7 +1186,7 @@ class TestDeletionBounds:
 
 
 class TestDeletionLower:
-    """``cli._deletion_lower`` and ``cli._options`` on hand-made tables."""
+    """``cli._options``' bounds from one-vertex deletions on hand-made tables."""
 
     @staticmethod
     def table(graphs):
@@ -1215,12 +1215,12 @@ class TestDeletionLower:
         listed = deletions(T)
         assert len(listed) == 6 and deletions(T) is listed  # found once
         results = self.table(R for R, _ in listed)
-        lower = cli._deletion_lower(T, results, deletions)
+        lower = cli._options(T, results, deletions, SearchOptions()).lower
         values = [results[digraph.encode_digraph(R)].value for R, _ in listed]
         R, at = listed[values.index(max(values))]  # the first of largest value
         assert lower == solver.Sub(at, R, results[digraph.encode_digraph(R)])
         assert solver.inv_exact(T, SearchOptions(lower=lower)).value == 2
-        assert cli._deletion_lower(T, {}, deletions) is None
+        assert cli._options(T, {}, deletions, SearchOptions()).lower is None
 
     @pytest.mark.parametrize(
         "graph",
@@ -1274,6 +1274,27 @@ CORE_SWEEPS = [
      "b4f6d9aa9e1db344f02d5dbf177fcb85db89da93eb2ae5bbb6bfc58f45fb2bda", 108_163, 209_889),
 ]
 
+# sweeps with their solve count and the sha256 of every solve's graph, lower
+# bound, upper family, value and node count, in solve order
+CERTIFICATE_SWEEPS = [
+    (("direction", "--n-max", "6"), 229,
+     "c2820eb47c27e7b2977b9fa3ce55f4992ca5da6318d93c9c0b0852fbbc2f950a"),
+    (("thm13", "--n-max", "6"), 113,
+     "4c8eac8577eb8ded021fd9af2c0d9020d04a2fb8603e030a00838b1e2c818f28"),
+    (("kjoin",), 8,
+     "ea3c2bce4582fc5a6fcf00a089b7873d488eb9ab4852aa6141e85af447f4687a"),
+    (("abnormal",), 9,
+     "9a4e5025b0ac40eeb6af92e3c607577f022deae7f63a77e950c727a6906b7043"),
+    (("thm15",), 4,
+     "94664565145281d9a58aa668b78eacf4c39a784a40aa41a5445f07b0f8e48833"),
+    (("conj-direction", "--left-n", "4", "--right-n", "6"), 544,
+     "f00569a5fda9a81229aff5d2e0c366b5e6c1d8b966c0b3c7ed9e9b6aeba16d14"),
+    (("conj-direction", "--left-n", "5", "--right-n", "5"), 176,
+     "3321671b938972770999e0613b44c6428828d13dd17af4f421a93fdcfa756d08"),
+    (("qn", "--n-max", "12", "--n-exact", "12"), 12,
+     "ddb49134a925b17b374a658de7bf75d146f8a0cb6609436b5e16192aaaf36e20"),
+]
+
 
 class TestCoreBounds:
     """Each blow-up a sweep solves is bounded below by the blow-up of its
@@ -1305,6 +1326,19 @@ class TestCoreBounds:
     @staticmethod
     def table(graphs):
         return {digraph.encode_digraph(G): solver.inv_exact(G) for G in graphs}
+
+    @pytest.mark.parametrize("argv, count, digest", CERTIFICATE_SWEEPS)
+    def test_every_solve_keeps_its_certificates(self, capsys, solves, argv, count, digest):
+        # node totals alone would miss a changed Sub of equal value
+        self.sweep(capsys, *argv)
+        enc = digraph.encode_digraph
+        seen = [(enc(D),
+                 None if opts.lower is None else
+                 (opts.lower.vertices, enc(opts.lower.part), opts.lower.result.value),
+                 None if opts.upper is None else tuple(opts.upper.sets),
+                 r.value, r.nodes_explored) for D, opts, r in solves]
+        assert len(seen) == count
+        assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, digest, want, _", CORE_SWEEPS)
     def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want, _):
@@ -1456,7 +1490,7 @@ class TestCoreBounds:
         assert deletions.core_ask(ask, results)[1] is core  # built once
         assert at == (0, 1, 2, *(3 + v for v in cores[1][1]))
         results[key] = solver.inv_exact(core.graph)
-        lower = cli._core_lower(ask, results, deletions)
+        lower = cli._options(ask, results, deletions, SearchOptions()).lower
         assert lower == solver.Sub(at, core.graph, results[key])
         # it replaces the largest part's 2: the blow-up by cores has 3
         opts = cli._options(ask, results, deletions, SearchOptions())
@@ -1465,6 +1499,21 @@ class TestCoreBounds:
         assert solver.inv_exact(ask.graph, opts).value == solver.inv_exact(ask.graph).value == 3
         # a blow-up whose parts are all their own cores asks for no other
         assert deletions.core_ask(core, results) is None
+
+    def test_a_tie_keeps_the_bound_already_held(self):
+        # c3 => tt(4): its blow-up by cores, c3 => tt(1), has c3's value 1,
+        # so the largest part's bound stays
+        ask = cli.BlowUp(construct.transitive(2), [cli.C3, construct.transitive(4)])
+        deletions = cli._Deletions()
+        results = self.table([*ask.parts, *deletions.below(ask.parts)])
+        key, core, at = deletions.core_ask(ask, results)
+        assert core.parts == (cli.C3, cli.TT1) and at[:3] == (0, 1, 2)
+        results[key] = solver.inv_exact(core.graph)
+        opts = cli._options(ask, results, deletions, SearchOptions())
+        c3 = results[digraph.encode_digraph(cli.C3)]
+        assert results[key].value == c3.value == 1
+        assert opts.lower == solver.Sub((0, 1, 2), cli.C3, c3)
+        assert opts == cli._blowup_options(ask, results, SearchOptions())
 
     def test_a_forged_core_bound_is_refused_before_any_search(self, monkeypatch):
         ask, deletions, results = self.core_case()
@@ -1487,7 +1536,6 @@ class TestCoreBounds:
         ask, deletions, results = self.core_case()
         # the blow-up by cores unresolved: no bound, the largest part's stays
         assert deletions.core_ask(ask, results) is not None
-        assert cli._core_lower(ask, results, deletions) is None
         opts = cli._options(ask, results, deletions, SearchOptions())
         assert opts == cli._blowup_options(ask, results, SearchOptions())
         # a deletion class unresolved: no core, so no blow-up by cores

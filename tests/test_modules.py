@@ -96,7 +96,9 @@ TEST_ONLY = {
 # compose_family, the composition with no condition on the host's shape,
 # replaced the dominant-vertex one; a join is asked as the BlowUp of a
 # transitive tournament, whose certificates _blowup_options builds; each
-# experiment flag is checked by cmd_experiment's one loop over its own table
+# experiment flag is checked by cmd_experiment's one loop over its own table;
+# _options alone picks a sweep solve's lower bound, by one rule: the first of
+# strictly larger value among the induced subgraphs the table has solved
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -134,6 +136,8 @@ REMOVED = {
     "Join",
     "_join_options",
     "_orders",
+    "_deletion_lower",
+    "_core_lower",
 }
 
 
