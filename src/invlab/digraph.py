@@ -17,8 +17,8 @@ written there; this module adds the digraph checks to it, and owns the
 one-line encoding and the family format.
 
 All values are immutable and every function is pure; a
-``TournamentClasses``, the class walk's tables for one order, fills its
-index of classes by score sequence on the first canonical form it gives.
+``TournamentClasses``, the class walk's tables for one order, keeps each
+code's canonical form once it has given it.
 """
 
 from __future__ import annotations
@@ -301,10 +301,11 @@ class TournamentClasses:
     whole orbit is then the flip int XOR the ints of its set bits, read
     back field by field.  Pair (i, j)'s ints are built from two columns of
     the relabellings: the images of i and of j under each, which are kept
-    to name the relabelling a field belongs to.
+    to name the relabelling a field belongs to.  The orbit alone gives
+    the canonical form; only ``representatives()`` walks the classes.
     """
 
-    __slots__ = ("n", "_pairs", "_dests", "_flips", "_images", "_width", "_size", "_classes")
+    __slots__ = ("n", "_pairs", "_dests", "_flips", "_images", "_fmt", "_size", "_forms")
 
     def __init__(self, n: int):
         _check_enum_order(n)
@@ -337,19 +338,17 @@ class TournamentClasses:
         self._dests = dests
         self._flips = flips
         self._images = images
-        self._width = width
+        self._fmt = "H" if width == 2 else "I"  # one field of an orbit
         self._size = width * math.factorial(n)  # bytes per orbit
-        # score sequence -> (code bytes, representative) of each class
-        # with it, for canonical, once the walk has run
-        self._classes: dict[tuple[int, ...], list[tuple[bytes, Digraph]]] | None = None
+        self._forms: dict[int, tuple[Digraph, int]] = {}  # code -> (R, r)
 
-    def _orbit(self, code: int) -> bytes:
-        """Field r: the code of the tournament ``code`` relabelled by r."""
+    def _orbit(self, code: int) -> memoryview:
+        """Item r: the code of the tournament ``code`` relabelled by r."""
         orbit = self._flips
         for idx, dest in enumerate(self._dests):
             if code >> idx & 1:
                 orbit ^= dest
-        return orbit.to_bytes(self._size, sys.byteorder)
+        return memoryview(orbit.to_bytes(self._size, sys.byteorder)).cast(self._fmt)
 
     def representatives(self) -> list[Digraph]:
         """One member per class, the least code, in ascending code order."""
@@ -360,13 +359,12 @@ class TournamentClasses:
         ascending order, keeping one byte per code that says whether the
         code was seen.  The first unseen code starts a new class, and its
         whole orbit is marked at once."""
-        fmt = "H" if self._width == 2 else "I"
         seen = bytearray(1 << len(self._pairs))
         codes = []
         code = seen.find(0)
         while code >= 0:
             codes.append(code)
-            for image in memoryview(self._orbit(code)).cast(fmt):
+            for image in self._orbit(code):
                 seen[image] = 1
             code = seen.find(0, code + 1)
         return codes
@@ -379,10 +377,12 @@ class TournamentClasses:
         lies in T: R's vertex i is T's vertex ``at[i]``.  The subgraph must
         be a tournament on n vertices.
 
-        R's code is the least field of the subgraph's orbit, and the only
-        representative's code in it, so it is found among the classes
-        with the subgraph's score sequence; its field names the
-        relabelling that maps the subgraph onto R.
+        R's code is the least field of the subgraph's orbit, and the
+        first field that holds it names the relabelling that maps the
+        subgraph onto R; no class walk is needed.  Each code's R and
+        relabelling are kept once found, since a sweep asks the same
+        deletion codes again and again: one entry per distinct code
+        asked, no more than the deletions the sweep keeps listed.
         """
         n = self.n
         vertices = check_masks(range(T.n) if vertices is None else vertices,
@@ -391,34 +391,21 @@ class TournamentClasses:
             raise ValueError(f"canonical form needs {n} distinct vertices, got {vertices}")
         rows = T.out_rows
         code = 0
-        wins = [0] * n
         for idx, (i, j) in enumerate(self._pairs):
             a, b = vertices[i], vertices[j]
             if rows[a] >> b & 1:
                 code |= 1 << idx
-                wins[i] += 1
-            elif rows[b] >> a & 1:
-                wins[j] += 1
-            else:
+            elif not rows[b] >> a & 1:
                 raise ValueError(f"canonical form needs a tournament: no arc between {a} and {b}")
-        width = self._width
-        if self._classes is None:
-            self._classes = {}
-            for least in self._walk():
-                rep = _tournament(n, self._pairs, least)
-                scores = tuple(sorted(r.bit_count() for r in rep.out_rows))
-                self._classes.setdefault(scores, []).append(
-                    (least.to_bytes(width, sys.byteorder), rep))
-        orbit = self._orbit(code)
-        for least, rep in self._classes[tuple(sorted(wins))]:
-            r = orbit.find(least)
-            while r >= 0 and r % width:  # a match across two fields
-                r = orbit.find(least, r + 1)
-            if r >= 0:
-                break
+        form = self._forms.get(code)
+        if form is None:
+            orbit = self._orbit(code).tolist()
+            least = min(orbit)
+            form = self._forms[code] = (_tournament(n, self._pairs, least), orbit.index(least))
+        rep, r = form
         at = [0] * n
         for v, col in zip(vertices, self._images):
-            at[col[r // width]] = v
+            at[col[r]] = v
         return rep, tuple(at)
 
 

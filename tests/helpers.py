@@ -324,6 +324,38 @@ def reference_class_walk(n: int) -> list[Digraph]:
     return reps
 
 
+def canonical_by_relabelling(
+    T: Digraph, vertices: Sequence[int]
+) -> tuple[Digraph, tuple[int, ...]]:
+    """Reference canonical form: every relabelling of T's subgraph on
+    ``vertices`` tried in turn, with no packed table.
+
+    Relabelling p, in ``itertools.permutations`` order, sends the
+    subgraph's vertex i to p[i]; the least image code gives the
+    representative R, and the first p that reaches it puts R's vertex p[i]
+    at T's vertex ``vertices[i]``.
+    """
+    n = len(vertices)
+    pairs = _pairs(n)
+    rows = T.out_rows
+    best = None
+    for p in itertools.permutations(range(n)):
+        back = [0] * n  # the inverse of p
+        for i, image in enumerate(p):
+            back[image] = i
+        code = 0
+        for idx, (a, b) in enumerate(pairs):
+            if rows[vertices[back[a]]] >> vertices[back[b]] & 1:
+                code |= 1 << idx
+        if best is None or code < best[0]:
+            best = (code, p)
+    code, p = best
+    at = [0] * n
+    for i, v in enumerate(vertices):
+        at[p[i]] = v
+    return _tournament(n, pairs, code), tuple(at)
+
+
 def candidates_by_product(blocks: list[tuple[int, ...]]):
     """Reference candidate generator of the assignment search.
 

@@ -1572,6 +1572,40 @@ class TestCoreBounds:
         assert any(g not in asked for g in ran_out)
 
 
+class TestClassWalks:
+    """Only a sweep's class list walks the classes: the deletion forms
+    read each orbit alone, so a run walks each order it lists once."""
+
+    sweep = TestJoinBounds.sweep
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        walked = []
+        walk = digraph.TournamentClasses._walk
+
+        def spy(self):
+            walked.append(self.n)
+            return walk(self)
+
+        monkeypatch.setattr(digraph.TournamentClasses, "_walk", spy)
+        return walked
+
+    @pytest.mark.parametrize(
+        "argv, digest, want",
+        [
+            (("qn", "--n-max", "8", "--n-exact", "8"),
+             "4fb06421b40ea09151e118fa7b38e1e30646b47a871d636ccf206eea6f0e9a7e", []),
+            (("bounds", "--n-max", "6"),
+             "f2684e71229867b7e6eb461d1d4e833ce23c64635a1a53d855b686403f1afd7a", [1, 2, 3, 4, 5, 6]),
+            (BENCH_SWEEPS[0][0], BENCH_SWEEPS[0][1], [1, 2, 3, 4, 5, 6]),
+        ],
+        ids=["qn", "bounds", "direction"],
+    )
+    def test_each_listed_order_walked_once(self, capsys, walked, argv, digest, want):
+        assert self.sweep(capsys, *argv) == digest
+        assert sorted(walked) == want
+
+
 # thm15's stdout, with or without its blow-up's certificates
 THM15_DIGEST = "30c7e0df8782a374018de6f7063a3593200da00144dac6531f1987b65286dd8e"
 

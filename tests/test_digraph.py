@@ -37,6 +37,7 @@ from invlab.f2 import dump_rows, load_matrix, parse_rows
 from helpers import (
     all_oriented,
     apply_assignment,
+    canonical_by_relabelling,
     canonical_key,
     enumerate_tournaments,
     family_rank,
@@ -485,9 +486,10 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n", range(MAX_ENUM_VERTICES + 1))
     def test_representatives_are_their_own_forms(self, n):
-        # the class list reads the same walk, which test_equals_reference_walk
-        # checks against the per-relabelling lists; each representative is
-        # its own form, reached by the identity, relabelling number 0
+        # the class list is the walk, which test_equals_reference_walk checks
+        # against the per-relabelling lists; the form reads no walk, only
+        # each representative's own orbit, whose least field is its own code
+        # under the identity, relabelling number 0
         form = TournamentClasses(n)
         reps = form.representatives()
         assert reps == nonisomorphic_tournaments(n)
@@ -502,6 +504,9 @@ class TestCanonicalForm:
         for T in enumerate_tournaments(n):
             R, at = form.canonical(T)
             assert embeds(T, R, at) and sorted(at) == list(range(n))
+            # the relabelling too: the first, in permutation order, that
+            # reaches the least code
+            assert (R, at) == canonical_by_relabelling(T, range(n))
             assert by_key.setdefault(canonical_key(T), R) == R
         # one representative per key, so equal forms hold for equal keys only
         assert len(set(by_key.values())) == len(by_key) == len(form.representatives())
@@ -533,6 +538,32 @@ class TestCanonicalForm:
         firsts = [as_nx(members[0]) for members in groups.values()]
         for i, G in enumerate(firsts):
             assert not any(nx.is_isomorphic(G, H) for H in firsts[i + 1:])
+
+    def test_sampled_tournaments_match_the_relabelling_oracle(self):
+        rng = random.Random(39)
+        form = TournamentClasses(6)
+        for _ in range(30):
+            T = random_tournament(rng, 6)
+            assert form.canonical(T) == canonical_by_relabelling(T, range(6))
+        form = TournamentClasses(7)
+        for _ in range(2):
+            T = random_tournament(rng, 8)
+            for v in range(8):
+                vertices = [u for u in range(8) if u != v]
+                assert form.canonical(T, vertices) == canonical_by_relabelling(T, vertices)
+
+    def test_no_class_walk(self, monkeypatch):
+        # every one-vertex deletion of qn(8) is read off its own orbit
+        def refuse(self):
+            raise AssertionError(f"order {self.n} walked")
+
+        monkeypatch.setattr(TournamentClasses, "_walk", refuse)
+        form = TournamentClasses(7)
+        T = qn(8)
+        for v in range(8):
+            R, at = form.canonical(T, [u for u in range(8) if u != v])
+            assert embeds(T, R, at) and v not in at
+            assert form.canonical(R) == (R, tuple(range(7)))
 
     def test_subgraph_on_given_vertices(self):
         # the class of T's subgraph on the vertices, in their order, with
