@@ -256,6 +256,93 @@ def reverse(D: Digraph) -> Digraph:
     return Digraph(D.n, _columns(D.out_rows, D.n))
 
 
+def _images(outs: Sequence[int], ins: Sequence[int], v: int, steps: int = 64) -> int:
+    """The vertices that an automorphism of the graph with rows ``outs``
+    and columns ``ins``, or an isomorphism onto its reverse, maps v to:
+    v's orbit under the maps found, as a mask.
+
+    A map v -> u, u of v's degree pair in the image, is sought in the
+    disjoint union of the graph and its image (bits n..2n-1), whose cells
+    start as {v, u} and the rest and are split until the vertices of each
+    cell larger than a pair have as many out- and in-neighbours in every
+    cell; a cell with unlike halves refutes a branch, and the least
+    vertex of the first larger cell is paired with each image vertex
+    there in turn.  Each map found is checked arc by arc.  After
+    ``steps`` refinements the search gives up, which loses images and
+    never adds one.
+    """
+    n = len(outs)
+    half = (1 << n) - 1
+    degree = (outs[v].bit_count(), ins[v].bit_count())
+    orbit, maps, left = 1 << v, [], steps
+
+    def refine(cells: list[int], fresh: list[int]) -> list[int] | None:
+        # counts into the cells a split made, as the others' are known equal
+        while fresh:
+            split, pieces = [], []
+            for cell in cells:
+                if cell.bit_count() == 2:  # a wrong pair is left to the map's check
+                    split.append(cell)
+                    continue
+                groups: dict[tuple, int] = {}
+                while cell:
+                    low = cell & -cell
+                    x = low.bit_length() - 1
+                    key = tuple((up[x] & c).bit_count() * 64 + (down[x] & c).bit_count()
+                                for c in fresh)
+                    groups[key] = groups.get(key, 0) | low
+                    cell ^= low
+                split += groups.values()
+                if len(groups) > 1:
+                    pieces += groups.values()
+            if any((c & half).bit_count() * 2 != c.bit_count() for c in pieces):
+                return None
+            cells, fresh = split, pieces
+        return cells
+
+    def extend(cells: list[int], fresh: list[int]) -> list[int] | None:
+        nonlocal left
+        left -= 1
+        if left < 0 or (cells := refine(cells, fresh)) is None:
+            return None
+        for i, cell in enumerate(cells):
+            if cell.bit_count() > 2:
+                x = cell & -cell
+                rest = cell >> n
+                while rest:
+                    y = (rest & -rest) << n
+                    pair = [x | y, cell ^ x ^ y]
+                    found = extend(cells[:i] + pair + cells[i + 1:], pair)
+                    if found is not None:
+                        return found
+                    rest &= rest - 1
+                return None
+        p = [0] * n
+        for cell in cells:
+            p[(cell & -cell).bit_length() - 1] = cell.bit_length() - 1 - n
+        # a bijection keeping every arc, onto a graph with as many arcs
+        if all(image[p[x]] >> p[y] & 1 for x in range(n) for y in range(n) if outs[x] >> y & 1):
+            return p
+        return None
+
+    for image, image_ins in ((outs, ins), (ins, outs)):
+        up = list(outs) + [r << n for r in image]
+        down = list(ins) + [c << n for c in image_ins]
+        for u in range(n):
+            if (orbit >> u & 1 or left <= 0
+                    or (image[u].bit_count(), image_ins[u].bit_count()) != degree):
+                continue
+            cells = [1 << v | 1 << u + n, (1 << 2 * n) - 1 ^ 1 << v ^ 1 << u + n]
+            found = extend(cells, cells)
+            if found is not None:  # close the orbit under the maps found
+                maps.append(found)
+                grown = 0
+                while grown != orbit:
+                    grown = orbit
+                    orbit |= sum({1 << p[x] for p in maps for x in range(n) if grown >> x & 1})
+    return orbit
+
+
 def _check_enum_order(n: int) -> None:
     if check_int(n, "vertex count", 0) > MAX_ENUM_VERTICES:
         raise ResourceLimitError(

@@ -27,7 +27,9 @@ Two independent backends:
   so the pattern of arcs a candidate reverses is the XOR of the masks of
   its set coordinates.  Both symmetry rules hold along that order, since
   it reads only the graph, the placed set and the mask sizes, which
-  every member of an isometry orbit shares.
+  every member of an isometry orbit shares.  A third rule bans a root
+  vector searched to the end, with its orbit under the two, at every
+  image of the root under the graph's (anti-)automorphisms.
 
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
@@ -80,6 +82,7 @@ from .digraph import (
     InversionFamily,
     _acyclic,
     _flipped_rows,
+    _images,
     _induced_rows,
     dump_family,
 )
@@ -294,6 +297,18 @@ def _search_assignment(
     is no isometry.  ``spent`` nodes of ``opts.budget`` are already used
     by the caller.
 
+    The third rule: once the root's vector w is searched to the end with
+    no family, no family gives the root a vector of w's orbit under the
+    two rules, those of w's weight and, under the complement rule, of
+    weight k-|w| if it is odd.  An automorphism s of D, or an isomorphism
+    onto its reverse, carries a family with such a vector at s(root) to
+    one with it at the root, so the later root vectors ban the orbit at
+    each image the finder gives (``digraph._images``, run once per call,
+    lazily; ``keep``).  Banned sets are unions of the rules' orbits, so
+    both rules still hold.  Under ``even_weight_only`` the bans only
+    cut, a banned vector skipped like one outside its mask, and never
+    steer the order: steering there grew some of the criterion's levels.
+
     A call searches one k level and builds its tables once: the block
     constants; in one pass over the arcs, each vertex's in-row and the
     blocks of its neighbours (``near``) and of the vertices with an arc
@@ -375,6 +390,8 @@ def _search_assignment(
     from_at = [0] * n
     prefix: list[int] = []  # placed vertices
     nodes = 0
+    partners = None  # the root's images but itself, one low bit per block
+    keep = -1  # block r: the vectors no failed root vector's class bans at r
 
     def dfs(
         v: int,
@@ -389,7 +406,7 @@ def _search_assignment(
         # masks: block r the vectors unplaced r may take; desc[u]: placed u
         # and what it reaches in the flipped prefix; rest: unplaced but v,
         # by order; live: the high bits of rest's blocks
-        nonlocal nodes
+        nonlocal nodes, partners, keep
         cand = memo.get(tops)
         if cand is None:
             cand = memo[tops] = _block_prefixes(tops) & start
@@ -402,7 +419,8 @@ def _search_assignment(
         iv = ins[v] & placed
         nv = near[v]
         tv = tails[v]
-        todo = cand & mv | 1 << size  # the candidates inside mv, then an end bit
+        # the candidates inside mv and not banned at v, then an end bit
+        todo = cand & mv & keep >> v * size | 1 << size
         while True:
             low = todo & -todo
             todo ^= low
@@ -453,7 +471,8 @@ def _search_assignment(
                 down |= from_at[low.bit_length() - 1]
                 tmp ^= low
             new = masks & ~(up & down)
-            if ((new & low_bits) + low_bits | new) & live != live:
+            kept = new & keep if even_weight_only else new  # else masks hold the bans
+            if ((kept & low_bits) + low_bits | kept) & live != live:
                 continue  # some vertex has no vector left
             least = size + 1
             for r in rest:
@@ -497,6 +516,18 @@ def _search_assignment(
             prefix.pop()
             for c in coords:
                 cols[c] ^= bit
+            if not placed:
+                # no family puts w's class at the root, so none puts it at
+                # an image of the root: ban it there for the later vectors
+                if partners is None:
+                    images = _images(outs, ins, v) ^ bit
+                    partners = sum(1 << u * size for u in range(n) if images >> u & 1)
+                weight = w.bit_count()
+                twin = k - weight if first and weight & 1 else weight
+                banned = sum(1 << x for x in range(size) if x.bit_count() in (weight, twin))
+                keep &= ~(banned * partners)
+                if not even_weight_only:
+                    masks &= keep  # the masks steer the order, see the docstring
 
     root = order[0]
     live = high ^ 1 << root * size + size - 1

@@ -594,7 +594,8 @@ def reference_search(
 
 
 def reference_forward_search(
-    D: Digraph, k: int, opts, spent: int = 0, *, even_weight_only: bool = False
+    D: Digraph, k: int, opts, spent: int = 0, *, even_weight_only: bool = False,
+    triangles: bool = False,
 ):
     """Reference forward-checked search: (family, nodes) as ``_search_assignment``.
 
@@ -603,6 +604,12 @@ def reference_forward_search(
     symmetry rules, candidate walk and budget checks, with a tie on the
     fewest vectors going to ``_vertex_order`` alone.  Its candidate
     masks are ``solver._block_prefixes``, so a spy on that sees them.
+
+    With ``triangles`` it is the search before a failed root vector was
+    banned from the root's images (``reference_triangle_search``): a tie
+    on the fewest vectors goes first to the vertex on the most cyclic
+    triangles with another vertex unplaced, and only then to
+    ``_vertex_order``, with the two vector-side symmetry rules alone.
     """
     n = D.n
     if n == 0:
@@ -634,6 +641,7 @@ def reference_forward_search(
             near[u] |= full << v * size
             row ^= low
     order = solver._vertex_order(D, ins)
+    tri = solver._cyclic_triangles(outs, ins) if triangles else None
     adj = [o | i for o, i in zip(outs, ins)]
     # odd[w] bit x: x.w is odd; linear in w, so built from the unit vectors
     odd = [0] * size
@@ -754,7 +762,26 @@ def reference_forward_search(
                 size_r = (new >> r * size & full).bit_count()
                 if size_r < least:
                     least = size_r
-                    nxt_v = r
+                    ties = [r]
+                elif size_r == least:
+                    ties.append(r)
+            nxt_v = ties[0]
+            if tri is not None and len(ties) > 1:
+                # r's triangles less those the placed close: the arcs
+                # from its placed out-neighbours into its placed in-neighbours
+                seen = placed | bit
+                most = -1
+                for r in ties:
+                    open_r = tri[r]
+                    into = ins[r] & seen
+                    tmp = outs[r] & seen
+                    while tmp:
+                        low = tmp & -tmp
+                        open_r -= (outs[low.bit_length() - 1] & into).bit_count()
+                        tmp ^= low
+                    if open_r > most:
+                        most = open_r
+                        nxt_v = r
             for c in coords:
                 cols[c] |= bit
             prefix.append(v)
@@ -778,6 +805,16 @@ def reference_forward_search(
     if not dfs(root, 1 << k >> 1, first, start * rep, [0] * n, 0, order[1:], live):
         return None, nodes
     return InversionFamily(n, cols[::-1]), nodes  # coordinate c is set k-1-c
+
+
+reference_triangle_search = functools.partial(reference_forward_search, triangles=True)
+
+
+def use_triangle_reference(monkeypatch) -> None:
+    """Make every assignment search run ``reference_triangle_search``, the
+    search before root bans, whose trees the older pins record: each
+    level ``inv_exact`` searches, ``exists_family`` and a direct search."""
+    monkeypatch.setattr(solver, "_search_assignment", reference_triangle_search)
 
 
 def use_reference_search(monkeypatch) -> None:

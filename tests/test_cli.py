@@ -37,6 +37,12 @@ def reference_solver(monkeypatch):
 
 
 @pytest.fixture
+def triangle_reference(monkeypatch):
+    # the search before root bans, whose trees the older pins record
+    helpers.use_triangle_reference(monkeypatch)
+
+
+@pytest.fixture
 def reference_levels(monkeypatch):
     # every level searched from k=0, as the older forward-checked pins record
     helpers.use_reference_levels(monkeypatch)
@@ -170,6 +176,7 @@ class TestInvCommand:
         assert code == 0
         assert out.startswith("inv=4 k_proof=3_exhausted backend=assign nodes=7190\n")
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_budget_counts_the_triangle_solve(self, capsys):
         # every level breaks ties by cyclic triangles: qn(9) needs
         # 18 + 158 + 4038 + 32 nodes, as the CI budget step checks
@@ -948,6 +955,7 @@ class TestJoinBounds:
         helpers.use_plain_order(monkeypatch, certified_ties=True)
         return self.count_nodes(monkeypatch)
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_bench_sweep_nodes_with_triangle_ties(
         self, capsys, largest_part_only, certified_ties_nodes
     ):
@@ -957,6 +965,7 @@ class TestJoinBounds:
             assert self.sweep(capsys, *argv) == digest
         assert certified_ties_nodes.value == 19_697 + 8_677
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_bench_sweep_nodes_with_triangle_ties_everywhere(
         self, capsys, largest_part_only, nodes
     ):
@@ -966,6 +975,7 @@ class TestJoinBounds:
             assert self.sweep(capsys, *argv) == digest
             assert nodes.value == want
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_pair_sweep_nodes(self, capsys, one_vertex_blowups, nodes):
         # the pair sweep the bench runs at --jobs 2, here serially
         digest = self.sweep(capsys, "conj-direction", "--left-n", "5", "--right-n", "5")
@@ -1082,6 +1092,7 @@ class TestDeletionBounds:
              "229981acc1e58e0aed755ca722261e042d5612778c4e6c7a4a3f44b6842bfcbb", 17_792),
         ],
     )
+    @pytest.mark.usefixtures("triangle_reference")
     def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want):
         # against 19,699, 8,679, 1,495, 107,382 and 25,842 with the
         # largest part alone, every stdout unchanged
@@ -1177,6 +1188,7 @@ class TestDeletionBounds:
         assert orders[cut:] == sorted(orders[cut:]) and set(orders[cut:]) == set(range(4, 10))
 
     @pytest.mark.parametrize("budget, code", [("263", 2), ("264", 0)])
+    @pytest.mark.usefixtures("triangle_reference")
     def test_budget_boundary(self, capsys, budget, code):
         # direction's largest solve, a join that searches level 2 alone
         got, out, _ = run(capsys, "experiment", "direction", "--n-max", "6",
@@ -1328,6 +1340,7 @@ class TestCoreBounds:
         return {digraph.encode_digraph(G): solver.inv_exact(G) for G in graphs}
 
     @pytest.mark.parametrize("argv, count, digest", CERTIFICATE_SWEEPS)
+    @pytest.mark.usefixtures("triangle_reference")
     def test_every_solve_keeps_its_certificates(self, capsys, solves, argv, count, digest):
         # node totals alone would miss a changed Sub of equal value
         self.sweep(capsys, *argv)
@@ -1341,11 +1354,13 @@ class TestCoreBounds:
         assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, digest, want, _", CORE_SWEEPS)
+    @pytest.mark.usefixtures("triangle_reference")
     def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want, _):
         assert self.sweep(capsys, *argv) == digest
         assert nodes.value == want
 
     @pytest.mark.parametrize("argv, digest, _, want", CORE_SWEEPS[1:])
+    @pytest.mark.usefixtures("triangle_reference")
     def test_one_vertex_route_nodes_pinned(
         self, capsys, one_vertex_blowups, nodes, argv, digest, _, want
     ):
@@ -1638,6 +1653,7 @@ class TestThm15Certified:
         assert hashlib.sha256(out.encode()).hexdigest() == THM15_DIGEST
         return results[-1]
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_blowup_is_composed(self, capsys, monkeypatch):
         # plain solves in the plain order, as before they broke ties by
         # cyclic triangles too
@@ -1651,6 +1667,7 @@ class TestThm15Certified:
         blowup = self.sweep(capsys, results)
         assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "search", 8_972)
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_blowup_is_composed_with_triangle_ties(self, capsys, monkeypatch, results):
         # the certified blow-up and the small plain solves are as above;
         # solved from k=0 with no certificate, the blow-up takes 8,566
@@ -1662,10 +1679,105 @@ class TestThm15Certified:
         assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "search", 8_566)
 
     @pytest.mark.parametrize("budget, code", [("8523", 2), ("8524", 0)])
+    @pytest.mark.usefixtures("triangle_reference")
     def test_budget_boundary(self, capsys, budget, code):
         got, out, _ = run(capsys, "experiment", "thm15", "--budget", budget, "--deterministic")
         assert got == code
         assert ("budget: assignment search exceeded 8523 nodes" in out) == (code == 2)
+
+
+# the sweeps above on the shipped trees, a root vector searched to the end
+# banned at the root's images: stdout sha256 and node totals, each stdout
+# unchanged
+ROOT_BAN_SWEEPS = [
+    (*BENCH_SWEEPS[0], 2_325),
+    (*BENCH_SWEEPS[1], 1_509),
+    (("bounds", "--n-max", "6"),
+     "f2684e71229867b7e6eb461d1d4e833ce23c64635a1a53d855b686403f1afd7a", 885),
+    (*CORE_SWEEPS[0][:2], 40_634),
+    (*CORE_SWEEPS[1][:2], 2_286),
+    (*CORE_SWEEPS[2][:2], 2_286),
+    (*CORE_SWEEPS[3][:2], 56_650),
+]
+# CERTIFICATE_SWEEPS' solves on the shipped trees: the same graphs and
+# certificates, with their new node counts
+ROOT_BAN_CERTIFICATES = [
+    (("direction", "--n-max", "6"), 229,
+     "cf2c668d58931e09fc22957a513de9710b6842e2064063f32de46aabd396d0b0"),
+    (("thm13", "--n-max", "6"), 113,
+     "48f22759203941861888aec61586487eac9460147aaef69c0db0785db47bc2ce"),
+    (("kjoin",), 8,
+     "7c954c067202d189e242b8328a6125ad269204f2a908aac8fe66569099259ca9"),
+    (("abnormal",), 9,
+     "110d8366c442ec174bd45f0082a76e11b6910582e6871300ae89eed12e51e590"),
+    (("thm15",), 4,
+     "918933e61fc17fa706fe38d6a5e6cbccb25b30e3eebc0af58c4ecd3bc149e2e0"),
+    (("conj-direction", "--left-n", "4", "--right-n", "6"), 544,
+     "6ba0b286c88751e39a876e59e6d17a29ce57994db75ef75667e1f4068a4812fd"),
+    (("conj-direction", "--left-n", "5", "--right-n", "5"), 176,
+     "65d46308deebf9e25182e1f07f7671c29b4820827929a177cc7b093d42fbcca3"),
+    (("qn", "--n-max", "12", "--n-exact", "12"), 12,
+     "9c78649d4ecfa2fbba6409800efc78e51e9e5e95e468c443e0d8c288864e80f7"),
+]
+# the CI budget steps: each command's largest solve, in nodes
+ROOT_BAN_BUDGETS = [
+    (("inv", "expr:qn(9)"), 2_390),
+    (("experiment", "direction", "--n-max", "5"), 248),
+    (("experiment", "direction", "--n-max", "6"), 248),
+    (("experiment", "conj-direction", "--left-n", "3", "--right-n", "6"), 248),
+    (("experiment", "qn", "--n-max", "12", "--n-exact", "12"), 52_144),
+    (("experiment", "thm15"), 2_299),
+]
+
+
+class TestRootBans:
+    """Sweeps on the shipped trees, where a root vector searched to the
+    end is banned at the root's images (``solver._search_assignment``)."""
+
+    sweep = TestJoinBounds.sweep
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        return TestJoinBounds.count_nodes(monkeypatch)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # (graph, options, result) per solve, in solve order
+        solves = []
+        inv_exact = solver.inv_exact
+
+        def spy(D, opts=None):
+            solves.append((D, opts, inv_exact(D, opts)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        return solves
+
+    @pytest.mark.parametrize("argv, digest, want", ROOT_BAN_SWEEPS)
+    def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want):
+        assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == want
+
+    @pytest.mark.parametrize("argv, count, digest", ROOT_BAN_CERTIFICATES)
+    def test_every_solve_keeps_its_certificates(self, capsys, solves, argv, count, digest):
+        TestCoreBounds.test_every_solve_keeps_its_certificates(
+            self, capsys, solves, argv, count, digest)
+
+    @pytest.mark.parametrize("argv, nodes", ROOT_BAN_BUDGETS)
+    def test_budget_boundary(self, capsys, argv, nodes):
+        # one node short exits 2 and names the budget; the count resolves
+        code, out, _ = run(capsys, *argv, "--budget", str(nodes - 1), "--deterministic")
+        assert code == 2 and f"assignment search exceeded {nodes - 1} nodes" in out
+        code, out, _ = run(capsys, *argv, "--budget", str(nodes), "--deterministic")
+        assert code == 0 and "exceeded" not in out
+
+    def test_thm15_blowup_is_composed(self, capsys, monkeypatch):
+        results = TestThm15Certified.spy_results(monkeypatch)
+        code, out, _ = run(capsys, "experiment", "thm15", "--deterministic")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == THM15_DIGEST
+        blowup = results[-1]
+        assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "composed", 2_299)
+        assert sum(r.nodes_explored for r in results) == 2_309
 
 
 class TestThm13BelowOrderFive:
@@ -1997,6 +2109,7 @@ class TestKjoinCriterion:
             "total=1 pass=0 fail=1 unknown=0",
         ]
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_criterion_over_budget_is_unknown(self, capsys, monkeypatch, joins):
         # the criterion search takes 62 nodes, the rest resolve by default
         joins(TIGHTNESS_JOINS[0])
@@ -2014,6 +2127,22 @@ class TestKjoinCriterion:
             " 50 nodes : UNKNOWN",
             "total=1 pass=0 fail=0 unknown=1",
         ]
+
+
+    @pytest.mark.parametrize("budget, code", [(40, 2), (41, 0)])
+    def test_criterion_budget_boundary(self, capsys, monkeypatch, joins, budget, code):
+        # with root bans the criterion search takes 41 nodes
+        joins(TIGHTNESS_JOINS[0])
+        exists_family = solver.exists_family
+
+        def tight_budget(D, k, opts=None, *, even_weight_only=False):
+            opts = solver.SearchOptions(opts.max_k, budget=budget)
+            return exists_family(D, k, opts, even_weight_only=even_weight_only)
+
+        monkeypatch.setattr(solver, "exists_family", tight_budget)
+        got, out, _ = run(capsys, "experiment", "kjoin", "--deterministic")
+        assert got == code
+        assert ("assignment search exceeded 40 nodes : UNKNOWN" in out) == (code == 2)
 
 
 class TestJobs:

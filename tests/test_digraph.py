@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab.construct import c3, qn, qn_family, transitive
+from invlab.construct import c3, dijoin, graph_from_expr, qn, qn_family, transitive
 from invlab.digraph import (
     MAX_VERTICES,
     MAX_ENUM_VERTICES,
@@ -18,6 +18,7 @@ from invlab.digraph import (
     InversionFamily,
     TournamentClasses,
     _acyclic,
+    _images,
     apply_family,
     decode_digraph,
     dump_digraph,
@@ -344,6 +345,73 @@ class TestReverse:
 
     def test_reversed_triangle_isomorphic(self):
         assert canonical_key(reverse(c3())) == canonical_key(c3())
+
+
+def image_graphs():
+    """Every tournament class up to order 7, the triangle dijoins of those
+    up to order 6 on both sides, qn(3..12), and the four-triangle join and
+    blow-up."""
+    classes = [T for n in range(1, 8) for T in nonisomorphic_tournaments(n)]
+    small = [T for T in classes if T.n <= 6]
+    exprs = ("join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)")
+    return (classes + [dijoin(c3(), T) for T in small] + [dijoin(T, c3()) for T in small]
+            + [qn(n) for n in range(3, 13)] + [graph_from_expr(e) for e in exprs])
+
+
+def networkx_orbits(nx, D):
+    """Per vertex v, the mask of the vertices that networkx's isomorphisms
+    of D onto D and onto its reverse map v to."""
+    def nx_graph(G):
+        H = nx.DiGraph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.arcs())
+        return H
+
+    G = nx_graph(D)
+    orbits = [0] * D.n
+    for image in (G, nx_graph(reverse(D))):
+        for mapping in nx.algorithms.isomorphism.DiGraphMatcher(G, image).isomorphisms_iter():
+            for v, u in mapping.items():
+                orbits[v] |= 1 << u
+    return orbits
+
+
+class TestSymmetricImages:
+    """``_images``: a vertex's orbit under the automorphisms and the
+    isomorphisms onto the reverse, which the assignment search bans a
+    failed root vector at."""
+
+    def test_orbits_match_networkx_on_the_graph_and_its_reverse(self):
+        nx = pytest.importorskip("networkx")
+        graphs = image_graphs()
+        assert len(graphs) == 532 + 2 * 76 + 10 + 2
+        symmetric = 0
+        for D in graphs:
+            for G in (D, reverse(D)):
+                ins = G.in_rows()
+                got = [_images(G.out_rows, ins, v) for v in range(G.n)]
+                assert got == networkx_orbits(nx, G), encode_digraph(G)
+                symmetric += any(orbit != 1 << v for v, orbit in enumerate(got))
+        assert symmetric == 666
+
+    def test_a_capped_finder_returns_a_subset(self):
+        for D in image_graphs()[::7]:
+            ins = D.in_rows()
+            for v in range(D.n):
+                orbit = _images(D.out_rows, ins, v)
+                assert _images(D.out_rows, ins, v, steps=0) == 1 << v
+                for steps in (1, 2, 3, 5):
+                    part = _images(D.out_rows, ins, v, steps=steps)
+                    assert part >> v & 1 and part & ~orbit == 0
+
+    def test_qn_maps_onto_its_reverse_by_the_mirror(self):
+        # and qn(3), the triangle, rotates
+        assert [_images(qn(3).out_rows, qn(3).in_rows(), v) for v in range(3)] == [7] * 3
+        for n in range(4, 13):
+            G = qn(n)
+            ins = G.in_rows()
+            assert [_images(G.out_rows, ins, v) for v in range(n)] == [
+                1 << v | 1 << n - 1 - v for v in range(n)]
 
 
 class TestCanonicalKey:

@@ -24,6 +24,9 @@ from invlab.construct import (
 from invlab.digraph import (
     Digraph,
     InversionFamily,
+    _acyclic,
+    _flipped_rows,
+    _images,
     apply_family,
     decode_digraph,
     dump_family,
@@ -53,6 +56,12 @@ from helpers import (
     random_tournament,
     rank_lower_bound_check,
 )
+
+
+@pytest.fixture
+def triangle_reference(monkeypatch):
+    # the search before root bans, whose trees the older pins record
+    helpers.use_triangle_reference(monkeypatch)
 
 
 class TestExistsFamily:
@@ -432,6 +441,7 @@ class TestSubEmbedding:
         D = k_join(parts)
         return D, bounded(D, parts)
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_a_relabelled_part_bounds_the_same_levels(self, certificates):
         D, opts = certificates
         rng = random.Random(36)
@@ -482,6 +492,7 @@ class TestTriangleTies:
     and a direct search alike.  The plain-order counts of the same solves
     are in ``TestCertifiedBounds``."""
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_only_the_levels_between_are_searched(self):
         # c3 => qn(5): level 2 alone, empty, in 209 nodes against 334
         parts = [c3(), qn(5)]
@@ -498,6 +509,7 @@ class TestTriangleTies:
         r = inv_exact(D)
         assert (r.value, r.nodes_explored, r.source) == (3, 16 + 209 + 26, "search")
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_overrun_exactly_below_the_levels_searched(self):
         parts = [c3(), qn(5)]
         D = k_join(parts)
@@ -518,6 +530,7 @@ class TestTriangleTies:
             "inv=3 k_proof=sub:7f8 backend=assign nodes=845")
         assert r.source == "search" and is_acyclic(apply_family(D, r.witness)) is not None
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_certified_qn11(self):
         # qn(10) below, the pair family above: level 4 alone, empty
         lower = solver.Sub(tuple(range(10)), qn(10), inv_exact(qn(10)))
@@ -527,6 +540,7 @@ class TestTriangleTies:
             5, 101_689, "exhausted", "composed")
         assert helpers.reference_plain_order_inv_exact(qn(11), opts).nodes_explored == 205_840
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_plain_qn11(self):
         # with no certificate: the empty levels 1..4 and the witness level
         # 5, in half the plain order's 213,041 nodes
@@ -590,6 +604,7 @@ class TestTriangleTies:
 
 
 class TestDeepSearchInputs:
+    @pytest.mark.usefixtures("triangle_reference")
     def test_seed_zero_nodes(self):
         # the bench's deep_search inputs at seed 0: each graph relabelled
         # by the permutation the bench draws, vertex v renamed perm[v]
@@ -1085,6 +1100,7 @@ class TestSymmetryBreakingCompleteness:
             flipped = [w ^ ones if w.bit_count() & 1 else w for w in vecs]
             assert apply_assignment(D, vecs) == apply_assignment(D, flipped)
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_agrees_with_reference_on_small_tournaments(self):
         # every labelled tournament up to 5 vertices and every class of 6;
         # the only group whose total the triangle tie-break raises
@@ -1092,6 +1108,7 @@ class TestSymmetryBreakingCompleteness:
         cases = [(T, range(5)) for T in tournaments + nonisomorphic_tournaments(6)]
         assert agree_in_total(cases) == (53_186, 52_193)
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_agrees_with_reference_on_triangle_dijoins(self):
         # each class up to 6 with a triangle dijoined on either side
         cases = [
@@ -1102,6 +1119,7 @@ class TestSymmetryBreakingCompleteness:
         ]
         assert agree_in_total(cases) == (30_059, 35_296)
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_agrees_with_reference_on_random_oriented_graphs(self):
         # missing arcs: no bench workload has one, and a non-adjacent pair
         # must stay out of every cycle the masks test
@@ -1124,9 +1142,30 @@ class TestSymmetryBreakingCompleteness:
             ("blowup_uniform(c3;c3,3)", 4),
         ],
     )
+    @pytest.mark.usefixtures("triangle_reference")
     def test_agrees_with_reference_around_the_value(self, expr, value):
         totals = agree_with_reference(graph_from_expr(expr), (value - 1, value))
         assert totals == AROUND_THE_VALUE[expr]
+
+    def test_root_ban_totals(self):
+        # the groups above on the shipped search, against the triangle
+        # order's 53,186, 30,059, 9,585 and 125,350
+        tournaments = [T for n in range(6) for T in enumerate_tournaments(n)]
+        small = [(T, range(5)) for T in tournaments + nonisomorphic_tournaments(6)]
+        dijoins = [(D, range(5)) for n in range(1, 7) for T in nonisomorphic_tournaments(n)
+                   for D in (dijoin(c3(), T), dijoin(T, c3()))]
+        rng = random.Random(57)
+        oriented = []
+        for _ in range(150):
+            D = random_oriented(rng, rng.randint(2, 8))
+            while D.is_tournament():
+                D = random_oriented(rng, D.n)
+            oriented += [(D, range(5), even_only) for even_only in (False, True)]
+        around = [(graph_from_expr(expr), (value - 1, value)) for expr, value in (
+            ("qn(9)", 4), ("qn(10)", 4), ("qn(11)", 5), ("join(c3,c3,c3,c3)", 4),
+            ("blowup_uniform(c3;c3,3)", 4))]
+        got = [agree_in_total(cases)[0] for cases in (small, dijoins, oriented, around)]
+        assert got == [52_414, 27_326, 9_583, 61_750]
 
 
 # kjoin's tightness question: the graphs the criterion was first checked on
@@ -1369,6 +1408,25 @@ TRIANGLE_EVEN_QN9 = (
     "1 2 4 7\n2 3 4 7 8\n1 4 7\n3 4 5 6\n5 6 7 8\n",
 )
 
+# inv_exact's trees once a root vector searched to the end is banned at the
+# root's images (qn(n) onto its reverse, the joins and the blow-up by
+# their rotations): every exhausted level shrinks on TRIANGLE_TREES, and
+# every witness level and witness stays; the roots of TRIANGLE_ORIENTED's
+# graphs have no image, so those trees stand as pinned
+ROOT_BAN_TREES = {
+    "qn(7)": ([12, 102, 16], "1 2\n3 4\n5 6\n"),
+    "qn(9)": ([14, 114, 2230, 32], "1 2\n4 5 7 8\n3 4\n4 8\n"),
+    "qn(10)": ([14, 118, 2060, 195], "1 2\n6 8 9\n5 6\n3 4\n"),
+    "join(c3,c3,c3,c3)": ([12, 120, 2706, 27], "1 2\n10 11\n4 5\n7 8\n"),
+    "blowup_uniform(c3;c3,3)": (
+        [8, 63, 2314, 42],
+        "1 2\n3 4 5 6\n3 4 5 7 8\n4 5\n",
+    ),
+    "dijoin(c3,c3)": ([12, 11], "1 2\n4 5\n"),
+}
+# even weights only, where the bans only cut: level 3 shrinks, 56 -> 52
+ROOT_BAN_EVEN_QN9 = ([2, 2, 6, 52, 280, 388], TRIANGLE_EVEN_QN9[1])
+
 # the search before forward checking: reference_search with the complement rule
 isometry_search = functools.partial(helpers.reference_search, complement=True)
 
@@ -1449,6 +1507,7 @@ class TestSearchTreePinned:
         forward = helpers.reference_forward_search
         assert level_counts(qn(9), opts, forward, True) == FORWARD_EVEN_QN9
 
+    @pytest.mark.usefixtures("triangle_reference")
     def test_even_weight_triangle_levels_and_witness(self, memo_bound):
         # the tree kjoin's criterion walks, the witness exists_family's own
         counts, witness = TRIANGLE_EVEN_QN9
@@ -1483,8 +1542,21 @@ class TestSearchTreePinned:
         assert (r.nodes_explored, dump_family(r.witness)) == (sum(counts), witness)
 
     @pytest.mark.parametrize("expr", list(TRIANGLE_TREES))
+    @pytest.mark.usefixtures("triangle_reference")
     def test_triangle_levels_and_witness(self, memo_bound, expr):
         self.check_triangle_tree(graph_from_expr(expr), *TRIANGLE_TREES[expr])
+
+    @pytest.mark.parametrize("expr", list(ROOT_BAN_TREES))
+    def test_root_ban_levels_and_witness(self, memo_bound, expr):
+        counts, witness = ROOT_BAN_TREES[expr]
+        old, old_witness = TRIANGLE_TREES[expr]
+        assert witness == old_witness and counts[-1] == old[-1]
+        assert all(c < o for c, o in zip(counts[:-1], old))
+        self.check_triangle_tree(graph_from_expr(expr), counts, witness)
+
+    def test_even_weight_root_ban_levels_and_witness(self, memo_bound):
+        assert level_counts(qn(9), SearchOptions(), None, True) == ROOT_BAN_EVEN_QN9
+        assert all(c <= o for c, o in zip(ROOT_BAN_EVEN_QN9[0], TRIANGLE_EVEN_QN9[0]))
 
     @pytest.mark.parametrize("n,seed", list(TRIANGLE_ORIENTED))
     def test_triangle_oriented_levels_and_witness(self, memo_bound, n, seed):
@@ -1686,6 +1758,7 @@ class TestBudgetWithLevelZeroByPeel:
         assert a.nodes_explored == sum(self.LEVELS)
 
 
+@pytest.mark.usefixtures("triangle_reference")
 class TestBudgetWithTriangleTies(TestBudgetWithLevelZeroByPeel):
     # inv_exact breaks ties by cyclic triangles at every level, so qn(10)
     # explores 18 + 162 + 3494 + 195 nodes
@@ -1755,12 +1828,41 @@ def budget_boundary_cases():
 BUDGET_BOUNDARY = budget_boundary_cases()
 
 
+def root_ban_boundary_cases():
+    """``budget_boundary_cases`` on the shipped trees (``ROOT_BAN_TREES``):
+    each graph's whole solve, and its exhausted level below the value by a
+    direct search and by ``exists_family``, where a budget may run out
+    after the root's first bans; and qn(9)'s even-weight levels 3 to 5."""
+    cases = []
+    for expr in ("qn(7)", "qn(9)", "dijoin(c3,c3)"):
+        D = graph_from_expr(expr)
+        counts, witness = ROOT_BAN_TREES[expr]
+        k = len(counts) - 1
+        cases += [
+            (expr, lambda opts, D=D: inv_exact(D, opts).witness, sum(counts), witness),
+            (f"{expr}-k{k}", lambda opts, D=D, k=k: solver._search_assignment(D, k, opts)[0],
+             counts[k - 1], None),
+            (f"{expr}-exists-k{k}", lambda opts, D=D, k=k: exists_family(D, k, opts),
+             counts[k - 1], None),
+        ]
+    counts, witness = ROOT_BAN_EVEN_QN9
+    for k in (3, 4, 5):
+        cases.append((f"even-qn(9)-exists-k{k}",
+                      lambda opts, k=k: exists_family(qn(9), k, opts, even_weight_only=True),
+                      counts[k], witness if k == 5 else None))
+    return cases
+
+
+ROOT_BAN_BOUNDARY = root_ban_boundary_cases()
+
+
 class TestBudgetBoundary:
     @pytest.mark.parametrize(
         "solve,nodes,witness",
         [case[1:] for case in BUDGET_BOUNDARY],
         ids=[case[0] for case in BUDGET_BOUNDARY],
     )
+    @pytest.mark.usefixtures("triangle_reference")
     def test_overrun_exactly_below_the_node_count(self, solve, nodes, witness):
         # every budget short of the solve's nodes overruns and names the
         # budget, and the node count itself returns the pinned answer; in
@@ -1774,3 +1876,150 @@ class TestBudgetBoundary:
             assert str(err.value) == f"assignment search exceeded {budget} nodes"
         found = solve(SearchOptions(budget=nodes))
         assert (found if found is None else dump_family(found)) == witness
+
+    @pytest.mark.parametrize(
+        "solve,nodes,witness",
+        [case[1:] for case in ROOT_BAN_BOUNDARY],
+        ids=[case[0] for case in ROOT_BAN_BOUNDARY],
+    )
+    def test_overrun_exactly_below_the_root_ban_count(self, solve, nodes, witness):
+        # the same boundaries on the shipped trees
+        self.test_overrun_exactly_below_the_node_count(solve, nodes, witness)
+
+
+def gate_graphs():
+    """Every tournament class up to order 6 with its triangle dijoins on
+    both sides, qn(3..12), and the four-triangle join and blow-up."""
+    classes = [T for n in range(1, 7) for T in nonisomorphic_tournaments(n)]
+    exprs = ("join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)")
+    return (classes + [dijoin(c3(), T) for T in classes] + [dijoin(T, c3()) for T in classes]
+            + [qn(n) for n in range(3, 13)] + [graph_from_expr(e) for e in exprs])
+
+
+def naive_exists(D, k):
+    """Whether some assignment of k-bit vectors to D's vertices decycles
+    D, trying every assignment."""
+    for vecs in itertools.product(range(1 << k), repeat=D.n):
+        sets = [sum(1 << v for v, w in enumerate(vecs) if w >> c & 1) for c in range(k)]
+        if _acyclic(_flipped_rows(D.out_rows, sets)):
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def root_fails_first():
+    """(T, value) for each order-7 class whose witness level fails a root
+    vector before it finds a family: the levels where a ban is made
+    before a family is found, so a wrong one can lose it."""
+    found = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_images", lambda *args: found.append(args) or _images(*args))
+        cases = []
+        for T in nonisomorphic_tournaments(7):
+            value = inv_exact(T).value
+            found.clear()
+            if value and exists_family(T, value) is not None and found:
+                cases.append((T, value))
+    return cases
+
+
+class TestRootBans:
+    """A root vector searched to the end is banned, for the later root
+    vectors, at every image of the root under the graph's automorphisms
+    and isomorphisms onto its reverse (``digraph._images``)."""
+
+    def test_only_the_levels_between_are_searched(self):
+        # c3 => qn(5): level 2 alone, empty, in 133 nodes against 209
+        parts = [c3(), qn(5)]
+        D = k_join(parts)
+        opts = bounded(D, parts)
+        assert solver._search_assignment(D, 2, opts) == (None, 133)
+        r = inv_exact(D, opts)
+        assert r.report(deterministic=True).splitlines()[0] == (
+            "inv=3 k_proof=2_exhausted backend=assign nodes=133 witness=composed")
+        r = inv_exact(D)
+        assert (r.value, r.nodes_explored, r.source) == (3, 12 + 133 + 26, "search")
+
+    def test_qn11(self):
+        # about half the triangle order's 105,420 and 101,689 nodes, and
+        # the triangle order's witness
+        r = inv_exact(qn(11))
+        assert (r.value, r.nodes_explored, r.source) == (5, 54_360, "search")
+        assert r.witness == helpers.reference_triangle_search(qn(11), 5, SearchOptions())[0]
+        lower = solver.Sub(tuple(range(10)), qn(10), inv_exact(qn(10)))
+        r = inv_exact(qn(11), SearchOptions(lower=lower, upper=qn_family(11)))
+        assert (r.value, r.nodes_explored, r.proof, r.source) == (
+            5, 52_103, "exhausted", "composed")
+
+    def test_deep_search_inputs_at_seed_zero(self):
+        # TestDeepSearchInputs' graphs: 60,113 nodes against 114,353
+        exprs = ["qn(11)", "qn(10)", "join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)"]
+        for i, (expr, want) in enumerate(zip(exprs, [52_986, 2_453, 2_331, 2_343])):
+            D = graph_from_expr(expr)
+            perm = list(range(D.n))
+            random.Random(f"deep_search:0:{i}").shuffle(perm)
+            assert inv_exact(helpers.relabel(D, perm)).nodes_explored == want
+
+    def test_no_level_grows(self):
+        # each level from 1 to the value, plain and with even weights only:
+        # a family exactly where the reference finds one, in no more nodes
+        opts = SearchOptions()
+        totals = {}
+        for D in gate_graphs():
+            value = inv_exact(D).value
+            for even in (False, True):
+                for k in range(1, value + 1):
+                    found, nodes = solver._search_assignment(D, k, opts, even_weight_only=even)
+                    ref, ref_nodes = helpers.reference_triangle_search(
+                        D, k, opts, even_weight_only=even)
+                    assert (found is None) == (ref is None), (encode_digraph(D), k, even)
+                    assert nodes <= ref_nodes, (encode_digraph(D), k, even)
+                    if found is not None:
+                        assert is_acyclic(apply_family(D, found)) is not None
+                    old, new = totals.get(even, (0, 0))
+                    totals[even] = (old + ref_nodes, new + nodes)
+        # (reference, shipped) nodes over every level
+        assert totals == {False: (251_183, 139_713), True: (80_776, 58_754)}
+
+    def test_a_finder_with_no_step_gives_the_reference_trees(self, monkeypatch):
+        # with no image found nothing is banned, and each tree is the
+        # reference's, witness and nodes
+        monkeypatch.setattr(solver, "_images", functools.partial(_images, steps=0))
+        opts = SearchOptions()
+        for D in tie_break_graphs():
+            for even in (False, True):
+                for k in range(1, 4):
+                    assert solver._search_assignment(D, k, opts, even_weight_only=even) == (
+                        helpers.reference_triangle_search(D, k, opts, even_weight_only=even))
+
+    def test_a_capped_finder_keeps_every_value(self, monkeypatch):
+        graphs = list(tie_break_graphs()) + gate_graphs()[-12:]
+        values = [inv_exact(D).value for D in graphs]
+        for steps in (1, 2, 3):
+            monkeypatch.setattr(solver, "_images", functools.partial(_images, steps=steps))
+            for D, value in zip(graphs, values):
+                r = inv_exact(D)
+                assert r.value == value
+                assert is_acyclic(apply_family(D, r.witness)) is not None
+
+    def test_naive_enumeration_agrees_where_a_root_vector_fails_first(self, root_fails_first):
+        # the witness levels where a ban is made before the family is
+        # found, and the exhausted levels below them: 15 classes, at k=2
+        assert [value for _, value in root_fails_first] == [2] * 15
+        for T, value in root_fails_first:
+            for k in (value - 1, value):
+                assert (exists_family(T, k) is not None) == naive_exists(T, k)
+
+    def test_a_partner_outside_the_orbit_is_caught(self, monkeypatch, root_fails_first):
+        # a mutant finder that adds the least vertex outside the root's
+        # orbit bans a class no exhausted branch ruled out, and loses a
+        # family that naive enumeration finds
+        def mutant(outs, ins, v, *args):
+            orbit = _images(outs, ins, v, *args)
+            outside = ~orbit & (1 << len(outs)) - 1
+            return orbit | outside & -outside
+
+        monkeypatch.setattr(solver, "_images", mutant)
+        lost = [encode_digraph(T) for T, value in root_fails_first
+                if exists_family(T, value) is None and naive_exists(T, value)]
+        assert lost == ["enc:7:58.11.3.6.c.1f.3e", "enc:7:66.48.2.5.f.1e.3c"]
