@@ -18,19 +18,20 @@ decycling k-family whose vectors all have even weight.  It receives the
 answers as a list of ints in that order and returns ``(holds, detail)``
 (None outside the identity's scope); it never searches or raises.
 ``cmd_experiment`` advances every checker in rounds and answers each
-distinct ask once per sweep, keyed by the graph it names.  Each round
-answers the asked blow-ups' parts, their cyclic hosts (an acyclic host
-has value 0) and every cyclic class their parts' one-vertex deletions
-reach (an acyclic one is read as value 0 with no solve, see ``_value``),
-then the asks themselves together with each blow-up of a host by its
-parts' cores (see ``_Deletions.core``), each phase in one pool map per
-vertex count, smallest first, and only what is not yet in its table.
+distinct ask once per sweep, keyed by the rows of the graph it names
+(``_key``), as every memo of the run is.  Each round answers the asked
+blow-ups' parts, their cyclic hosts (an acyclic host has value 0) and
+every cyclic class their parts' one-vertex deletions reach (an acyclic
+one is read as value 0 with no solve, see ``_value``), then the asks
+themselves together with each blow-up of a host by its parts' cores (see
+``_Deletions.core``), each phase in one pool map per vertex count,
+smallest first, and only what is not yet in its table.
 Each solve takes its bounds in ``_options``: a blow-up between the
 certificates its inputs give (``_blowup_options``), then below by the
 first of strictly larger value among the induced subgraphs the table
 has solved: a blow-up's blow-up by cores, or any other graph's
 one-vertex deletions, read by class (``digraph.TournamentClasses``) for
-a tournament up to order 8, else by their own encoding, so ``qn(n)``
+a tournament up to order 8, else as its own subgraphs, so ``qn(n)``
 reads ``qn(n - 1)`` from order 9 up (at orders 5 to 8 it is not its
 class's representative, so none is).
 Every bound is checked by the solver, and a solve no checker asked for
@@ -381,15 +382,15 @@ def _graph(ask) -> digraph.Digraph:
     return ask.graph if isinstance(ask, BlowUp) else ask
 
 
-def _key(ask) -> str | tuple[str, int]:
-    """Table key: a graph's encoding, kept apart from a ``(graph, k)`` ask's;
-    a blow-up is keyed by the graph it builds."""
-    key = digraph.encode_digraph(_graph(ask))
-    return (key, ask[1]) if isinstance(ask, tuple) else key
+def _key(ask) -> tuple:
+    """Table key: a graph's rows, kept apart from a ``(graph, k)`` ask's
+    ``(rows, k)``; a blow-up is keyed by the graph it builds."""
+    rows = _graph(ask).out_rows
+    return (rows, ask[1]) if isinstance(ask, tuple) else rows
 
 
 def _blowup_options(
-    ask: BlowUp, results: dict[str, solver.InvResult], opts: solver.SearchOptions
+    ask: BlowUp, results: dict[tuple, solver.InvResult], opts: solver.SearchOptions
 ) -> solver.SearchOptions:
     """``opts`` with the certificates a blow-up's inputs give once all are
     resolved, built from their results alone on the blow-up's layout,
@@ -431,7 +432,7 @@ class _Deletions:
         self.forms: dict[int, digraph.TournamentClasses] = {}
         self.found: dict[tuple[int, ...], list] = {}
         self.cores: dict[tuple[int, ...], tuple | None] = {}
-        self.by_cores: dict[tuple, tuple[str, BlowUp] | None] = {}
+        self.by_cores: dict[tuple, BlowUp | None] = {}
 
     def __call__(self, T: digraph.Digraph) -> list[tuple[digraph.Digraph, tuple]]:
         listed = self.found.get(T.out_rows)
@@ -487,25 +488,24 @@ class _Deletions:
         keeps it: C has P's value, and every one-vertex deletion of C a
         smaller one.  A graph the forms do not reach is its own core."""
         rows = P.out_rows
-        if rows not in self.cores:
-            self.cores[rows] = self._walk(P, results)
-        return self.cores[rows]
-
-    def _walk(self, P: digraph.Digraph, results: dict) -> tuple | None:
+        if rows in self.cores:
+            return self.cores[rows]
         value = _value(P, results)
-        if value is None:
-            return None
-        C, at = P, tuple(range(P.n))
-        while True:
+        found = None if value is None else (P, tuple(range(P.n)))
+        while found is not None:
+            C, at = found
             for R, sub in self(C):
                 smaller = _value(R, results)
                 if smaller is None:
-                    return None
+                    found = None
+                    break
                 if smaller == value:
-                    C, at = R, tuple(at[i] for i in sub)
+                    found = R, tuple(at[i] for i in sub)
                     break
             else:
-                return C, at
+                break  # every deletion of C is smaller: C is the core
+        self.cores[rows] = found
+        return found
 
     def core_ask(self, ask: BlowUp, results: dict) -> tuple | None:
         """``(key, B, at)``: B the blow-up of ``ask``'s host by its parts'
@@ -515,26 +515,26 @@ class _Deletions:
         cores = [self.core(p, results) for p in ask.parts]
         if None in cores or all(C.n == p.n for (C, _), p in zip(cores, ask.parts)):
             return None
-        shape = (ask.host, *(C for C, _ in cores))
+        parts = [C for C, _ in cores]
+        shape = tuple(map(_key, [ask.host, *parts]))
         if shape not in self.by_cores:
-            core = BlowUp(ask.host, shape[1:])
-            cyclic = digraph.is_acyclic(core.graph) is None
-            self.by_cores[shape] = (_key(core), core) if cyclic else None
-        made = self.by_cores[shape]
-        if made is None:
+            core = BlowUp(ask.host, parts)
+            self.by_cores[shape] = core if digraph.is_acyclic(core.graph) is None else None
+        core = self.by_cores[shape]
+        if core is None:
             return None
         offsets = accumulate((p.n for p in ask.parts), initial=0)
         at = tuple(off + v for (_, sub), off in zip(cores, offsets) for v in sub)
-        return *made, at
+        return _key(core), core, at
 
 
 def _value(G: digraph.Digraph, results: dict) -> int | None:
-    """G's value: 0 when G is acyclic, with no solve, else the table's, or
-    None when the table has not resolved it."""
-    if digraph.is_acyclic(G) is not None:
-        return 0
-    found = results.get(digraph.encode_digraph(G))
-    return None if found is None else found.value
+    """G's value: the table's (0 for any acyclic graph it holds), else 0
+    when G is acyclic, with no solve, or None when G is unresolved."""
+    found = results.get(_key(G))
+    if found is not None:
+        return found.value
+    return 0 if digraph.is_acyclic(G) is not None else None
 
 
 def _options(ask, results: dict, deletions: _Deletions,
@@ -551,12 +551,12 @@ def _options(ask, results: dict, deletions: _Deletions,
     if isinstance(ask, BlowUp):
         opts = _blowup_options(ask, results, opts)
         got = deletions.core_ask(ask, results)
-        candidates = [] if got is None else [(got[0], got[1].graph, got[2])]
+        candidates = [] if got is None else [(got[1].graph, got[2])]
     else:
-        candidates = [(digraph.encode_digraph(R), R, at) for R, at in deletions.of(ask)]
+        candidates = deletions.of(ask)
     lower = opts.lower
-    for key, part, at in candidates:
-        found = results.get(key)
+    for part, at in candidates:
+        found = results.get(_key(part))
         if found is not None and (lower is None or found.value > lower.result.value):
             lower = solver.Sub(at, part, found)
     return solver.SearchOptions(opts.max_k, opts.budget, lower, opts.upper)
@@ -591,8 +591,8 @@ def cmd_experiment(args) -> int:
             raise ValueError(f"experiment {args.name} takes no {name}")
     start = time.perf_counter()
     instances = build(args)
-    table: dict[str | tuple[str, int], int | str] = {}  # ask key -> answer, or why none
-    results: dict[str, solver.InvResult] = {}  # graph key -> its resolved result
+    table: dict[tuple, int | str] = {}  # ask key (_key) -> answer, or why none
+    results: dict[tuple, solver.InvResult] = {}  # graph key -> its resolved result
     deletions = _Deletions()
     # (status, detail) per instance; None outside its identity's scope
     outcomes: list[tuple | None] = [None] * len(instances)
@@ -608,13 +608,13 @@ def cmd_experiment(args) -> int:
             for group in _by_order(todo):
                 tasks = [(a.graph if isinstance(a, BlowUp) else a,
                           _options(a, results, deletions, opts)) for a in group.values()]
-                for key, got in zip(group, solve_all(_run_one, tasks)):
+                for key, (graph, _), got in zip(group, tasks, solve_all(_run_one, tasks)):
                     if isinstance(got, solver.InvResult):
                         if got.resolved:
                             results[key] = got
                             got = got.value
                         else:
-                            got = f"max-k: inv({key}) > {opts.max_k}"
+                            got = f"max-k: inv({digraph.encode_digraph(graph)}) > {opts.max_k}"
                     table[key] = got
 
         while waiting:  # one round: advance every checker, then answer what they ask

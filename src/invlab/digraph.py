@@ -531,19 +531,18 @@ def decode_digraph(text: str) -> Digraph:
 
 
 def dump_family(F: InversionFamily) -> str:
-    """Text form: one set per line, space-separated 0-based vertex indices."""
-    return "\n".join(" ".join(map(str, vs)) for vs in F.vertex_lists()) + "\n"
+    """Text form: one line per set, each ended by a newline, of its
+    space-separated 0-based vertex indices; the empty family is ``""``."""
+    return "".join(" ".join(map(str, vs)) + "\n" for vs in F.vertex_lists())
 
 
 def parse_family(text: str, n: int) -> InversionFamily:
     """Parse the family text format for an n-vertex host graph.
 
-    Every line is one set (a blank line is the empty set); trailing blank
-    lines are ignored.
+    Every line is one set, a blank line the empty set, so any family
+    reads back from ``dump_family`` whole, empty sets included.
     """
     lists = [ln.split() for ln in text.splitlines()]
-    while lists and not lists[-1]:
-        lists.pop()
     for i, toks in enumerate(lists):
         for tok in toks:
             if not (tok.isascii() and tok.isdigit()):

@@ -20,7 +20,6 @@ from invlab.digraph import (
     _pairs,
     _tournament,
     apply_family,
-    encode_digraph,
     invert,
     is_acyclic,
     residual_cycle,
@@ -952,7 +951,7 @@ def one_vertex_deletion_lower(ask, results: dict, blown: dict, deletions) -> sol
 
     if not isinstance(ask, cli.BlowUp):
         for rep, at in deletions(ask):
-            offer(at, rep, encode_digraph(rep))
+            offer(at, rep, cli._key(rep))
         return best
     smaller = blown.get(ask.graph.n - 1)
     if smaller is None:

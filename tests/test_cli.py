@@ -1202,14 +1202,14 @@ class TestDeletionLower:
 
     @staticmethod
     def table(graphs):
-        return {digraph.encode_digraph(G): solver.inv_exact(G) for G in graphs}
+        return {cli._key(G): solver.inv_exact(G) for G in graphs}
 
     def test_a_blow_up_reads_the_smaller_blow_up(self, monkeypatch):
         T = digraph.nonisomorphic_tournaments(6)[-1]
         deletions = cli._Deletions()
         (R, at), *_ = deletions(T)
         small = cli.BlowUp(construct.transitive(2), [cli.C3, R])
-        key = digraph.encode_digraph(small.graph)
+        key = cli._key(small.graph)
         results = self.table([small.graph])
         blown = {small.graph.n: {(small.host, *small.parts): (key, small.graph)}}
         ask = cli.BlowUp(construct.transitive(2), [cli.C3, T])
@@ -1228,9 +1228,9 @@ class TestDeletionLower:
         assert len(listed) == 6 and deletions(T) is listed  # found once
         results = self.table(R for R, _ in listed)
         lower = cli._options(T, results, deletions, SearchOptions()).lower
-        values = [results[digraph.encode_digraph(R)].value for R, _ in listed]
+        values = [results[cli._key(R)].value for R, _ in listed]
         R, at = listed[values.index(max(values))]  # the first of largest value
-        assert lower == solver.Sub(at, R, results[digraph.encode_digraph(R)])
+        assert lower == solver.Sub(at, R, results[cli._key(R)])
         assert solver.inv_exact(T, SearchOptions(lower=lower)).value == 2
         assert cli._options(T, {}, deletions, SearchOptions()).lower is None
 
@@ -1255,7 +1255,7 @@ class TestDeletionLower:
             blown = {}
             for R, _ in deletions(parts[1]):
                 small = cli.BlowUp(construct.transitive(2), [cli.C3, R])
-                key = digraph.encode_digraph(small.graph)
+                key = cli._key(small.graph)
                 results[key] = solver.inv_exact(small.graph)
                 blown.setdefault(small.graph.n, {})[(small.host, *small.parts)] = (
                     key, small.graph)
@@ -1337,7 +1337,7 @@ class TestCoreBounds:
 
     @staticmethod
     def table(graphs):
-        return {digraph.encode_digraph(G): solver.inv_exact(G) for G in graphs}
+        return {cli._key(G): solver.inv_exact(G) for G in graphs}
 
     @pytest.mark.parametrize("argv, count, digest", CERTIFICATE_SWEEPS)
     @pytest.mark.usefixtures("triangle_reference")
@@ -1416,7 +1416,7 @@ class TestCoreBounds:
         C, _ = deletions.core(T, results)
         assert C.n == 3 and cli._value(tt(2), {}) == 0
         # an acyclic blow-up by cores asks for nothing
-        results[digraph.encode_digraph(tt(1))] = solver.inv_exact(tt(1))
+        results[cli._key(tt(1))] = solver.inv_exact(tt(1))
         assert deletions.core_ask(cli.BlowUp(cli.TT2, [tt(4), tt(3)]), {}) is None
         ask = cli.BlowUp(cli.TT2, [tt(4), T])
         key, core, at = deletions.core_ask(ask, results)
@@ -1449,17 +1449,16 @@ class TestCoreBounds:
 
     def test_each_distinct_graph_solved_once(self, capsys, solves):
         self.sweep(capsys, "conj-direction", "--left-n", "4", "--right-n", "4")
-        solved = [digraph.encode_digraph(D) for D, _, _ in solves]
+        solved = [cli._key(D) for D, _, _ in solves]
         orders = [D.n for D, _, _ in solves]
-        enc = digraph.encode_digraph
         classes = digraph.nonisomorphic_tournaments(4)
         deletions = cli._Deletions()
-        inputs = {enc(G): G for G in (*classes, *deletions.below(classes))}
+        inputs = {cli._key(G): G for G in (*classes, *deletions.below(classes))}
         results = self.table(inputs.values())
         asks, cored = set(), set()
         for A, B in ((L, R) for L in classes for R in classes):
             ask = cli.BlowUp(cli.TT2, [A, B])
-            asks.add(enc(ask.graph))
+            asks.add(cli._key(ask.graph))
             got = deletions.core_ask(ask, results)
             if got is not None:
                 cored.add(got[0])
@@ -1475,7 +1474,7 @@ class TestCoreBounds:
         deletions = cli._Deletions()
         classes = [T for n in range(1, 7) for T in digraph.nonisomorphic_tournaments(n)]
         results = self.table(classes)
-        value = {T.out_rows: results[digraph.encode_digraph(T)].value for T in classes}
+        value = {T.out_rows: results[cli._key(T)].value for T in classes}
         sizes = {}
         for T in classes:
             C, at = deletions.core(T, results)
@@ -1525,7 +1524,7 @@ class TestCoreBounds:
         assert core.parts == (cli.C3, cli.TT1) and at[:3] == (0, 1, 2)
         results[key] = solver.inv_exact(core.graph)
         opts = cli._options(ask, results, deletions, SearchOptions())
-        c3 = results[digraph.encode_digraph(cli.C3)]
+        c3 = results[cli._key(cli.C3)]
         assert results[key].value == c3.value == 1
         assert opts.lower == solver.Sub((0, 1, 2), cli.C3, c3)
         assert opts == cli._blowup_options(ask, results, SearchOptions())
@@ -1556,7 +1555,7 @@ class TestCoreBounds:
         # a deletion class unresolved: no core, so no blow-up by cores
         deletions = cli._Deletions()
         (R, _), *_ = deletions(qn(6))
-        del results[digraph.encode_digraph(R)]
+        del results[cli._key(R)]
         assert deletions.core(qn(6), results) is None
         assert deletions.core_ask(ask, results) is None
 
@@ -1619,6 +1618,31 @@ class TestClassWalks:
     def test_each_listed_order_walked_once(self, capsys, walked, argv, digest, want):
         assert self.sweep(capsys, *argv) == digest
         assert sorted(walked) == want
+
+
+class TestTableKeys:
+    """A sweep keys its table by rows (``cli._key``), so it encodes a graph
+    only to print it: here each listed class once, for its instance name."""
+
+    sweep = TestJoinBounds.sweep
+
+    @pytest.mark.parametrize(
+        "argv, digest, want",
+        [(*BENCH_SWEEPS[0], 76), (*BENCH_SWEEPS[1], 76), (*CORE_SWEEPS[0][:2], 24)],
+        ids=["direction", "thm13", "conj-direction"],
+    )
+    def test_a_sweep_encodes_only_what_it_prints(self, capsys, monkeypatch, argv, digest, want):
+        # against 1,703, 1,072 and 1,055 when the table was keyed by encoding
+        encoded = []
+        encode = digraph.encode_digraph
+
+        def spy(D):
+            encoded.append(D)
+            return encode(D)
+
+        monkeypatch.setattr(digraph, "encode_digraph", spy)
+        assert self.sweep(capsys, *argv) == digest
+        assert len(encoded) == want
 
 
 # thm15's stdout, with or without its blow-up's certificates

@@ -394,6 +394,23 @@ class TestSymmetricImages:
                 symmetric += any(orbit != 1 << v for v, orbit in enumerate(got))
         assert symmetric == 666
 
+    def test_orbits_match_networkx_on_oriented_graphs(self):
+        # the search bans at these images on graphs that are not
+        # tournaments too: every labelled oriented graph of orders 1 to 4,
+        # a set closed under reversal, and seeded random ones of orders 5 to 9
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(5)
+        graphs = [D for n in range(1, 5) for D in all_oriented(n)]
+        graphs += [random_oriented(rng, n) for n in range(5, 10) for _ in range(60)]
+        assert len(graphs) == 1 + 3 + 27 + 729 + 300
+        symmetric = 0
+        for G in graphs:
+            ins = G.in_rows()
+            got = [_images(G.out_rows, ins, v) for v in range(G.n)]
+            assert got == networkx_orbits(nx, G), encode_digraph(G)
+            symmetric += any(orbit != 1 << v for v, orbit in enumerate(got))
+        assert symmetric == 454
+
     def test_a_capped_finder_returns_a_subset(self):
         for D in image_graphs()[::7]:
             ins = D.in_rows()
@@ -687,6 +704,23 @@ class TestTextFormats:
     def test_family_round_trip(self):
         F = InversionFamily.from_vertex_lists(5, [[0, 2], [], [1, 3, 4]])
         assert parse_family(dump_family(F), 5) == F
+
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.one_of(st.just(0), st.integers(0, (1 << n) - 1)), max_size=6))))
+    @settings(max_examples=200, deadline=None)
+    def test_family_round_trip_keeps_empty_sets(self, case):
+        # one line per set, each ended by a newline: an empty set is a
+        # blank line wherever it stands, the empty family no line at all
+        n, sets = case
+        F = InversionFamily(n, sets)
+        text = dump_family(F)
+        assert text.count("\n") == len(sets)
+        assert parse_family(text, n) == F
+
+    def test_family_text_of_empty_sets(self):
+        assert dump_family(InversionFamily(2, ())) == ""
+        assert dump_family(InversionFamily(2, (0, 0))) == "\n\n"
+        assert parse_family("0 1\n\n", 2) == InversionFamily(2, (3, 0))
 
     def test_family_rejects_out_of_range(self):
         with pytest.raises(ValueError):

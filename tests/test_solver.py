@@ -248,7 +248,7 @@ class TestLevelZeroByPeel:
 def bounded(D, parts, **limits) -> SearchOptions:
     """The certificates a sweep gives D, the k-join of ``parts``: the first
     part of largest value below, the parts' witnesses composed above."""
-    results = {encode_digraph(p): inv_exact(p) for p in parts}
+    results = {cli._key(p): inv_exact(p) for p in parts}
     assert D == k_join(parts)
     ask = cli.BlowUp(transitive(len(parts)), parts)
     return cli._blowup_options(ask, results, SearchOptions(**limits))
@@ -698,11 +698,11 @@ class TestJoinOptions:
     def reference_upper(parts, results):
         m = len(parts)
         return helpers.compose_family(transitive(m), InversionFamily(m, ()), list(parts),
-                                      [results[encode_digraph(p)].witness for p in parts])
+                                      [results[cli._key(p)].witness for p in parts])
 
     def test_two_part_joins_of_classes_up_to_order_5(self):
         classes = [T for n in range(1, 6) for T in nonisomorphic_tournaments(n)]
-        results = {encode_digraph(T): inv_exact(T) for T in classes}
+        results = {cli._key(T): inv_exact(T) for T in classes}
         pairs = [[L, R] for L in classes for R in classes]
         assert len(pairs) == 400
         for parts in pairs:
@@ -716,7 +716,7 @@ class TestJoinOptions:
         # join(c3, c3, c3), then [c3, c3, D] for D = tt(1), tt(3), c3
         triples = [parts for parts in joins if len(parts) == 3]
         assert len(triples) == 4
-        results = {encode_digraph(p): inv_exact(p) for parts in triples for p in parts}
+        results = {cli._key(p): inv_exact(p) for parts in triples for p in parts}
         for parts in triples:
             ask = cli.BlowUp(transitive(len(parts)), parts)
             opts = cli._blowup_options(ask, results, SearchOptions())
@@ -727,7 +727,7 @@ class TestJoinOptions:
         join = cli.BlowUp(transitive(3), parts)
         # a cyclic host's witness set is blown up too, with no graph built
         blowup = cli.BlowUp(c3(), parts)
-        results = {encode_digraph(p): inv_exact(p) for p in parts}
+        results = {cli._key(p): inv_exact(p) for p in parts}
         built = []
         init = Digraph.__init__
 
@@ -757,15 +757,15 @@ class TestBlowUpOptions:
     def check(host, parts, results):
         ask = cli.BlowUp(host, parts)
         opts = cli._blowup_options(ask, results, SearchOptions())
-        values = [results[encode_digraph(p)].value for p in parts]
+        values = [results[cli._key(p)].value for p in parts]
         best = values.index(max(values))  # the first part of largest value
         start = sum(p.n for p in parts[:best])
         vertices = tuple(range(start, start + parts[best].n))
-        found = results[encode_digraph(parts[best])]
+        found = results[cli._key(parts[best])]
         assert opts.lower == solver.Sub(vertices, parts[best], found)
         assert ask.graph.induced(sum(1 << v for v in vertices)) == parts[best]
         host_witness = inv_exact(host).witness
-        part_witnesses = [results[encode_digraph(p)].witness for p in parts]
+        part_witnesses = [results[cli._key(p)].witness for p in parts]
         assert opts.upper == helpers.compose_family(host, host_witness, list(parts),
                                                     part_witnesses)
         assert opts.upper.k == inv_exact(host).value + sum(values)
@@ -773,7 +773,7 @@ class TestBlowUpOptions:
     def test_every_host_up_to_order_4_and_parts_up_to_order_3(self):
         hosts = [T for n in range(1, 5) for T in nonisomorphic_tournaments(n)]
         assert len(hosts) == 8 and len(self.PARTS) == 4
-        results = {encode_digraph(T): inv_exact(T) for T in hosts + self.PARTS}
+        results = {cli._key(T): inv_exact(T) for T in hosts + self.PARTS}
         count = 0
         for host in hosts:
             for parts in itertools.product(self.PARTS, repeat=host.n):
@@ -783,8 +783,8 @@ class TestBlowUpOptions:
 
     def test_thm15_base(self):
         host = decode_digraph("enc:3:4.1.2")
-        results = {encode_digraph(G): inv_exact(G) for G in (host, c3())}
-        assert results[encode_digraph(host)].value == 1
+        results = {cli._key(G): inv_exact(G) for G in (host, c3())}
+        assert results[cli._key(host)].value == 1
         self.check(host, [c3()] * 3, results)
 
     def test_acyclic_host_is_not_an_input(self):
@@ -795,13 +795,13 @@ class TestBlowUpOptions:
             inputs = cli.BlowUp(host, parts).inputs()
             acyclic = is_acyclic(host) is not None
             assert inputs == parts + ([] if acyclic else [host])
-        results = {encode_digraph(c3()): inv_exact(c3())}
+        results = {cli._key(c3()): inv_exact(c3())}
         opts = cli._blowup_options(cli.BlowUp(transitive(4), [c3()] * 4), results,
                                    SearchOptions())
-        assert opts.upper.k == 4 and encode_digraph(transitive(4)) not in results
+        assert opts.upper.k == 4 and cli._key(transitive(4)) not in results
 
     def test_unresolved_host_gives_no_certificate(self):
-        results = {encode_digraph(c3()): inv_exact(c3())}
+        results = {cli._key(c3()): inv_exact(c3())}
         ask = cli.BlowUp(qn(4), [c3()] * 4)
         assert cli._blowup_options(ask, results, SearchOptions()) == SearchOptions()
 
