@@ -256,10 +256,12 @@ def reverse(D: Digraph) -> Digraph:
     return Digraph(D.n, _columns(D.out_rows, D.n))
 
 
-def _images(outs: Sequence[int], ins: Sequence[int], v: int, steps: int = 64) -> int:
-    """The vertices that an automorphism of the graph with rows ``outs``
-    and columns ``ins``, or an isomorphism onto its reverse, maps v to:
-    v's orbit under the maps found, as a mask.
+def _symmetries(
+    outs: Sequence[int], ins: Sequence[int], v: int, steps: int = 1024
+) -> tuple[int, list[tuple[list[int], int]]]:
+    """The maps of the graph with rows ``outs`` and columns ``ins`` onto
+    itself or onto its reverse: v's orbit under them, as a mask, and
+    those that fix v, each as (image list, mask of its fixed points).
 
     A map v -> u, u of v's degree pair in the image, is sought in the
     disjoint union of the graph and its image (bits n..2n-1), whose cells
@@ -267,14 +269,15 @@ def _images(outs: Sequence[int], ins: Sequence[int], v: int, steps: int = 64) ->
     cell larger than a pair have as many out- and in-neighbours in every
     cell; a cell with unlike halves refutes a branch, and the least
     vertex of the first larger cell is paired with each image vertex
-    there in turn.  Each map found is checked arc by arc.  After
-    ``steps`` refinements the search gives up, which loses images and
-    never adds one.
+    there in turn.  Each map found is checked arc by arc.  Every u but v
+    needs one map, the orbit being closed under the maps found; u = v
+    takes every leaf, so the stabilizer is whole.  After ``steps``
+    refinements the search gives up, which loses maps and never adds one.
     """
     n = len(outs)
     half = (1 << n) - 1
     degree = (outs[v].bit_count(), ins[v].bit_count())
-    orbit, maps, left = 1 << v, [], steps
+    orbit, maps, stabilizer, left = 1 << v, [], [], steps
 
     def refine(cells: list[int], fresh: list[int]) -> list[int] | None:
         # counts into the cells a split made, as the others' are known equal
@@ -284,12 +287,13 @@ def _images(outs: Sequence[int], ins: Sequence[int], v: int, steps: int = 64) ->
                 if cell.bit_count() == 2:  # a wrong pair is left to the map's check
                     split.append(cell)
                     continue
-                groups: dict[tuple, int] = {}
+                groups: dict[int, int] = {}
                 while cell:
                     low = cell & -cell
                     x = low.bit_length() - 1
-                    key = tuple((up[x] & c).bit_count() * 64 + (down[x] & c).bit_count()
-                                for c in fresh)
+                    ux, dx, key = up[x], down[x], 0  # 7 bits a count: at most 63
+                    for c in fresh:
+                        key = key << 14 | (ux & c).bit_count() << 7 | (dx & c).bit_count()
                     groups[key] = groups.get(key, 0) | low
                     cell ^= low
                 split += groups.values()
@@ -300,11 +304,11 @@ def _images(outs: Sequence[int], ins: Sequence[int], v: int, steps: int = 64) ->
             cells, fresh = split, pieces
         return cells
 
-    def extend(cells: list[int], fresh: list[int]) -> list[int] | None:
+    def extend(cells: list[int], fresh: list[int]) -> Iterator[list[int]]:
         nonlocal left
         left -= 1
         if left < 0 or (cells := refine(cells, fresh)) is None:
-            return None
+            return
         for i, cell in enumerate(cells):
             if cell.bit_count() > 2:
                 x = cell & -cell
@@ -312,35 +316,33 @@ def _images(outs: Sequence[int], ins: Sequence[int], v: int, steps: int = 64) ->
                 while rest:
                     y = (rest & -rest) << n
                     pair = [x | y, cell ^ x ^ y]
-                    found = extend(cells[:i] + pair + cells[i + 1:], pair)
-                    if found is not None:
-                        return found
+                    yield from extend(cells[:i] + pair + cells[i + 1:], pair)
                     rest &= rest - 1
-                return None
+                return
         p = [0] * n
         for cell in cells:
             p[(cell & -cell).bit_length() - 1] = cell.bit_length() - 1 - n
         # a bijection keeping every arc, onto a graph with as many arcs
         if all(image[p[x]] >> p[y] & 1 for x in range(n) for y in range(n) if outs[x] >> y & 1):
-            return p
-        return None
+            yield p
 
-    for image, image_ins in ((outs, ins), (ins, outs)):
-        up = list(outs) + [r << n for r in image]
-        down = list(ins) + [c << n for c in image_ins]
-        for u in range(n):
-            if (orbit >> u & 1 or left <= 0
+    for u in [*range(v), *range(v + 1, n), v]:  # the orbit first, the stabilizer last
+        for image, image_ins in ((outs, ins), (ins, outs)):
+            if (u != v and orbit >> u & 1 or left <= 0
                     or (image[u].bit_count(), image_ins[u].bit_count()) != degree):
                 continue
+            up = list(outs) + [r << n for r in image]
+            down = list(ins) + [c << n for c in image_ins]
             cells = [1 << v | 1 << u + n, (1 << 2 * n) - 1 ^ 1 << v ^ 1 << u + n]
-            found = extend(cells, cells)
-            if found is not None:  # close the orbit under the maps found
-                maps.append(found)
-                grown = 0
-                while grown != orbit:
-                    grown = orbit
-                    orbit |= sum({1 << p[x] for p in maps for x in range(n) if grown >> x & 1})
-    return orbit
+            found = list(itertools.islice(extend(cells, cells), None if u == v else 1))
+            if u == v:
+                stabilizer += [(p, sum(1 << x for x in range(n) if p[x] == x)) for p in found]
+            maps += found
+            grown = 0
+            while found and grown != orbit:  # close the orbit under the maps found
+                grown = orbit
+                orbit |= sum({1 << p[x] for p in maps for x in range(n) if grown >> x & 1})
+    return orbit, stabilizer
 
 
 def _check_enum_order(n: int) -> None:

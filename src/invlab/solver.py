@@ -29,7 +29,10 @@ Two independent backends:
   it reads only the graph, the placed set and the mask sizes, which
   every member of an isometry orbit shares.  A third rule bans a root
   vector searched to the end, with its orbit under the two, at every
-  image of the root under the graph's (anti-)automorphisms.
+  image of the root under the graph's (anti-)automorphisms, and a fourth,
+  in plain mode, bans one searched to the end below the root at every
+  image of its vertex under those maps that fix each placed vertex; the
+  maps are found once per solve.
 
 * ``order``: minimizes, over linear orders of the vertices, the least
   dimension realizing the order's flip constraints with a free diagonal.
@@ -82,8 +85,8 @@ from .digraph import (
     InversionFamily,
     _acyclic,
     _flipped_rows,
-    _images,
     _induced_rows,
+    _symmetries,
     dump_family,
 )
 from .errors import BudgetExceededError, ResourceLimitError, check_int, check_masks
@@ -246,9 +249,29 @@ def _block_prefixes(tops: int) -> int:
     return sum(1 << w for w in range(1 << tops.bit_length()) if not w & ~(w >> 1) & ~tops)
 
 
+def _weight_class(tops: int, w: int, first: bool, odd: Sequence[int]) -> int:
+    """The vectors with w's weight in each block of ``tops`` and, while
+    ``first`` holds and |w| is odd, those with its complement's: w's orbit
+    under the two symmetry rules at a node, as a 2^k-bit mask.  ``counts[t]``
+    holds the vectors that set t coordinates of the block so far."""
+    full = (1 << (1 << tops.bit_length())) - 1
+    same = twin = full
+    counts, block = [full], 0
+    for c in range(tops.bit_length()):  # a head is its block's highest coordinate
+        col = odd[1 << c]
+        counts = [a & ~col | b & col for a, b in zip(counts + [0], [0] + counts)]
+        block |= 1 << c
+        if tops >> c & 1:
+            t = (w & block).bit_count()
+            same &= counts[t]
+            twin &= counts[len(counts) - 1 - t]
+            counts, block = [full], 0
+    return same | twin if first and w.bit_count() & 1 else same
+
+
 def _search_assignment(
     D: Digraph, k: int, opts: SearchOptions, spent: int = 0, *,
-    even_weight_only: bool = False,
+    even_weight_only: bool = False, group: list | None = None,
 ) -> tuple[InversionFamily | None, int]:
     """Complete DFS for a decycling family of k sets; (family or None, nodes).
 
@@ -303,11 +326,27 @@ def _search_assignment(
     weight k-|w| if it is odd.  An automorphism s of D, or an isomorphism
     onto its reverse, carries a family with such a vector at s(root) to
     one with it at the root, so the later root vectors ban the orbit at
-    each image the finder gives (``digraph._images``, run once per call,
-    lazily; ``keep``).  Banned sets are unions of the rules' orbits, so
-    both rules still hold.  Under ``even_weight_only`` the bans only
-    cut, a banned vector skipped like one outside its mask, and never
-    steer the order: steering there grew some of the criterion's levels.
+    each image the finder gives.  Banned sets are unions of the rules'
+    orbits, so both rules still hold.  Under ``even_weight_only`` the
+    bans only cut, a banned vector skipped like one outside its mask
+    (``keep``), and never steer the order: steering there grew some of
+    the criterion's levels.
+
+    The fourth rule, the third below the root, in plain mode only: once
+    w at vertex v is searched to the end under a non-empty placed set P,
+    no family has P's vectors and a member of w's class at v.  The class
+    (``_weight_class``) is w's orbit under the maps of the two rules that
+    fix P's vectors: the vectors with w's weight in each block of
+    ``tops`` and, while ``first`` holds and |w| is odd, those with its
+    complement's.  A map s of the two kinds that fixes P carries a
+    family with that class at s(v) onto such a family, so the class is
+    banned at each such image for the rest of the node's subtree, ANDed
+    into its masks as the root bans are.  The maps that fix the
+    root come from the same finder (``digraph._symmetries``), which runs
+    at the first failed root vector, once per call, or once per
+    ``inv_exact`` solve, whose levels share its result through
+    ``group``; before it runs, only the root bans.  Images are kept by
+    (P, v) and classes by (tops, w, first), per call.
 
     A call searches one k level and builds its tables once: the block
     constants; in one pass over the arcs, each vertex's in-row and the
@@ -390,7 +429,13 @@ def _search_assignment(
     from_at = [0] * n
     prefix: list[int] = []  # placed vertices
     nodes = 0
-    partners = None  # the root's images but itself, one low bit per block
+    # group: the root's orbit, a set, and its stabilizer's maps but the
+    # identity, once found; images: (P, v) -> v's images but v under the
+    # maps that fix P, one low bit per block; classes: (tops, w, first) ->
+    # w's class
+    group = [] if group is None else group
+    images: dict[int, int] = {}
+    classes: dict[tuple, int] = {}
     keep = -1  # block r: the vectors no failed root vector's class bans at r
 
     def dfs(
@@ -406,7 +451,7 @@ def _search_assignment(
         # masks: block r the vectors unplaced r may take; desc[u]: placed u
         # and what it reaches in the flipped prefix; rest: unplaced but v,
         # by order; live: the high bits of rest's blocks
-        nonlocal nodes, partners, keep
+        nonlocal nodes, keep
         cand = memo.get(tops)
         if cand is None:
             cand = memo[tops] = _block_prefixes(tops) & start
@@ -516,18 +561,28 @@ def _search_assignment(
             prefix.pop()
             for c in coords:
                 cols[c] ^= bit
-            if not placed:
-                # no family puts w's class at the root, so none puts it at
-                # an image of the root: ban it there for the later vectors
-                if partners is None:
-                    images = _images(outs, ins, v) ^ bit
-                    partners = sum(1 << u * size for u in range(n) if images >> u & 1)
-                weight = w.bit_count()
-                twin = k - weight if first and weight & 1 else weight
-                banned = sum(1 << x for x in range(size) if x.bit_count() in (weight, twin))
-                keep &= ~(banned * partners)
-                if not even_weight_only:
-                    masks &= keep  # the masks steer the order, see the docstring
+            # no family puts P's vectors and w's class at v, so none puts
+            # them at v's image under a map that fixes P: ban it there
+            if not group:  # found at the first failed root vector
+                if placed:
+                    continue
+                orbit, stabilizer = _symmetries(outs, ins, v)
+                group[:] = ({u for u in range(n) if orbit >> u & 1},
+                            [s for s in stabilizer if s[1] != (1 << n) - 1])
+            elif placed and (even_weight_only or not group[1]):
+                continue  # even weights ban at the root alone
+            partners = images.get(placed << 6 | v)
+            if partners is None:
+                mapped = {p[v] for p, f in group[1] if not placed & ~f} if placed else group[0]
+                partners = images[placed << 6 | v] = sum(1 << u * size for u in mapped - {v})
+            if partners:
+                banned = classes.get((tops, w, first))
+                if banned is None:
+                    banned = classes[tops, w, first] = _weight_class(tops, w, first, odd)
+                if even_weight_only:
+                    keep &= ~(banned * partners)
+                else:  # the masks steer the order, see the docstring
+                    masks &= ~(banned * partners)
 
     root = order[0]
     live = high ^ 1 << root * size + size - 1
@@ -668,9 +723,10 @@ def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     low, high = _bounds(D, opts)
     total = 0
     found, source = None, "search"
+    group: list = []  # the root's symmetries, found once for every level
     for k in range(low, high + 1):
         if k:
-            found, nodes = _search_assignment(D, k, opts, total)
+            found, nodes = _search_assignment(D, k, opts, total, group=group)
             total += nodes
         elif _acyclic(D.out_rows):
             # level 0's one family is the empty one, which decycles D

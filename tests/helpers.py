@@ -10,6 +10,7 @@ import random
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+from unittest import mock
 
 from invlab.digraph import (
     Digraph,
@@ -18,6 +19,7 @@ from invlab.digraph import (
     _check_enum_order,
     _columns,
     _pairs,
+    _symmetries,
     _tournament,
     apply_family,
     invert,
@@ -594,7 +596,7 @@ def reference_search(
 
 def reference_forward_search(
     D: Digraph, k: int, opts, spent: int = 0, *, even_weight_only: bool = False,
-    triangles: bool = False,
+    triangles: bool = False, group: list | None = None,
 ):
     """Reference forward-checked search: (family, nodes) as ``_search_assignment``.
 
@@ -609,6 +611,7 @@ def reference_forward_search(
     on the fewest vectors goes first to the vertex on the most cyclic
     triangles with another vertex unplaced, and only then to
     ``_vertex_order``, with the two vector-side symmetry rules alone.
+    It finds no symmetry, so it ignores ``group``.
     """
     n = D.n
     if n == 0:
@@ -814,6 +817,28 @@ def use_triangle_reference(monkeypatch) -> None:
     search before root bans, whose trees the older pins record: each
     level ``inv_exact`` searches, ``exists_family`` and a direct search."""
     monkeypatch.setattr(solver, "_search_assignment", reference_triangle_search)
+
+
+def root_bans_only(outs, ins, v, *args, **kwargs):
+    """The symmetry finder with no stabilizer map: v's orbit alone, so
+    the assignment search bans a failed vector at the root's images and
+    nowhere below the root, as before deeper bans."""
+    return _symmetries(outs, ins, v, *args, **kwargs)[0], []
+
+
+def root_ban_search(D: Digraph, k: int, opts, spent: int = 0, **kwargs):
+    """``solver._search_assignment`` with ``root_bans_only`` as its finder:
+    (family, nodes) of the search that bans at the root alone."""
+    with mock.patch.object(solver, "_symmetries", root_bans_only):
+        return solver._search_assignment(D, k, opts, spent, **kwargs)
+
+
+def use_root_ban_reference(monkeypatch) -> None:
+    """Make every assignment search ban at the root alone
+    (``root_bans_only``), the search whose trees the root-ban pins
+    record: each level ``inv_exact`` searches, ``exists_family`` and a
+    direct search."""
+    monkeypatch.setattr(solver, "_symmetries", root_bans_only)
 
 
 def use_reference_search(monkeypatch) -> None:

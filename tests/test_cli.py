@@ -43,6 +43,12 @@ def triangle_reference(monkeypatch):
 
 
 @pytest.fixture
+def root_ban_reference(monkeypatch):
+    # the search with bans at the root alone, whose trees the root-ban pins record
+    helpers.use_root_ban_reference(monkeypatch)
+
+
+@pytest.fixture
 def reference_levels(monkeypatch):
     # every level searched from k=0, as the older forward-checked pins record
     helpers.use_reference_levels(monkeypatch)
@@ -1754,9 +1760,11 @@ ROOT_BAN_BUDGETS = [
 ]
 
 
+@pytest.mark.usefixtures("root_ban_reference")
 class TestRootBans:
-    """Sweeps on the shipped trees, where a root vector searched to the
-    end is banned at the root's images (``solver._search_assignment``)."""
+    """Sweeps on the trees where a root vector searched to the end is
+    banned at the root's images, and no vector below the root is banned
+    (``helpers.root_bans_only``)."""
 
     sweep = TestJoinBounds.sweep
 
@@ -1802,6 +1810,166 @@ class TestRootBans:
         blowup = results[-1]
         assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "composed", 2_299)
         assert sum(r.nodes_explored for r in results) == 2_309
+
+
+# ROOT_BAN_SWEEPS on the shipped trees, where a vector searched to the end
+# below the root is banned too: the same stdout, with fewer nodes where a
+# solve's root has a map that fixes it
+DEEP_BAN_SWEEPS = [
+    (*ROOT_BAN_SWEEPS[0][:2], 2_309),
+    (*ROOT_BAN_SWEEPS[1][:2], 1_509),
+    (*ROOT_BAN_SWEEPS[2][:2], 885),
+    (*ROOT_BAN_SWEEPS[3][:2], 31_213),
+    (*ROOT_BAN_SWEEPS[4][:2], 2_270),
+    (*ROOT_BAN_SWEEPS[5][:2], 2_270),
+    (*ROOT_BAN_SWEEPS[6][:2], 56_650),
+]
+# ROOT_BAN_CERTIFICATES' solves on the shipped trees
+DEEP_BAN_CERTIFICATES = [
+    (("direction", "--n-max", "6"), 229,
+     "ffb9651f4d6bdf176fe55f47d7b3c9ae7adc4e7c6f9db5c73ddaf5f29b1793d0"),
+    ROOT_BAN_CERTIFICATES[1],
+    ROOT_BAN_CERTIFICATES[2],
+    (("abnormal",), 9,
+     "1c8606edc295a71bcd9f46581ae7c1944a388a8e86a94d4d1b35bcb025aeae9c"),
+    (("thm15",), 4,
+     "a9ffc08ffef70dd598d53506edc102f24242d718bbe59c6b908be8121369dc68"),
+    (("conj-direction", "--left-n", "4", "--right-n", "6"), 544,
+     "28581832b7176f78fb5c1e19d507cc6dd2708219bd3262bcb745aadeb1f47dcf"),
+    (("conj-direction", "--left-n", "5", "--right-n", "5"), 176,
+     "8278f9955c9e891543554da3fadc5729d06ed5d9621555e245a48c05688c797d"),
+    ROOT_BAN_CERTIFICATES[7],
+]
+# the CI budget steps on the shipped trees: thm15's blow-up shrinks, and
+# the plain nine-vertex blow-up is one more step
+DEEP_BAN_BUDGETS = ROOT_BAN_BUDGETS[:5] + [
+    (("experiment", "thm15"), 911),
+    (("inv", "expr:blowup_uniform(c3;c3,3)"), 953),
+]
+# the sweeps whose every searched level is searched again in
+# TestDeepBans.test_no_level_grows_in_the_sweeps
+LEVEL_SWEEPS = [
+    ("direction", "--n-max", "7"),
+    ("thm13", "--n-max", "7"),
+    ("conj-direction", "--left-n", "5", "--right-n", "5"),
+    ("kjoin",),
+    ("abnormal",),
+    ("thm15",),
+]
+
+
+class TestDeepBans:
+    """Sweeps on the shipped trees, where a vector searched to the end
+    under a placed set P is also banned at its vertex's images under the
+    maps that fix P (``solver._search_assignment``)."""
+
+    sweep = TestJoinBounds.sweep
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        return TestJoinBounds.count_nodes(monkeypatch)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # (graph, options, result) per solve, in solve order
+        solves = []
+        inv_exact = solver.inv_exact
+
+        def spy(D, opts=None):
+            solves.append((D, opts, inv_exact(D, opts)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        return solves
+
+    @pytest.mark.parametrize("argv, digest, want", DEEP_BAN_SWEEPS)
+    def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want):
+        assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == want
+
+    @pytest.mark.parametrize("argv, count, digest", DEEP_BAN_CERTIFICATES)
+    def test_every_solve_keeps_its_certificates(self, capsys, solves, argv, count, digest):
+        TestCoreBounds.test_every_solve_keeps_its_certificates(
+            self, capsys, solves, argv, count, digest)
+
+    @pytest.mark.parametrize("argv, nodes", DEEP_BAN_BUDGETS)
+    def test_budget_boundary(self, capsys, argv, nodes):
+        TestRootBans.test_budget_boundary(self, capsys, argv, nodes)
+
+    def test_thm15_blowup_is_composed(self, capsys, monkeypatch):
+        # against 2,299 nodes with bans at the root alone
+        results = TestThm15Certified.spy_results(monkeypatch)
+        code, out, _ = run(capsys, "experiment", "thm15", "--deterministic")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == THM15_DIGEST
+        blowup = results[-1]
+        assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "composed", 911)
+        assert sum(r.nodes_explored for r in results) == 921
+
+    def test_no_level_grows_in_the_sweeps(self, capsys, monkeypatch):
+        # every level these sweeps search, plain or with even weights only,
+        # searched again by itself: a family exactly where the search with
+        # bans at the root alone finds one, in no more nodes
+        levels = []
+        search = solver._search_assignment
+
+        def spy(D, k, opts, spent=0, **kwargs):
+            levels.append((D, k, kwargs.get("even_weight_only", False)))
+            return search(D, k, opts, spent, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_search_assignment", spy)
+            for argv in LEVEL_SWEEPS:
+                self.sweep(capsys, *argv)
+        assert len(levels) == 1_229
+        opts = SearchOptions()
+        totals = [0, 0]
+        for D, k, even in levels:
+            found, nodes = solver._search_assignment(D, k, opts, even_weight_only=even)
+            ref, ref_nodes = helpers.root_ban_search(D, k, opts, even_weight_only=even)
+            assert (found is None) == (ref is None), (digraph.encode_digraph(D), k, even)
+            assert nodes <= ref_nodes, (digraph.encode_digraph(D), k, even)
+            if found is not None:
+                assert digraph.is_acyclic(digraph.apply_family(D, found)) is not None
+            totals[0] += ref_nodes
+            totals[1] += nodes
+        assert totals == [281_173, 265_568]
+
+
+# the value-1 tournaments on 4 vertices, each with its triangle blow-up's
+# nodes between its certificates: with bans at the root alone, and shipped
+ORDER_FOUR_BLOWUPS = [
+    ("enc:4:4.1.2.7", 76_571, 24_995),
+    ("enc:4:8.1.3.6", 138_766, 59_766),
+    ("enc:4:a.0.3.6", 76_059, 24_927),
+]
+
+
+class TestBlowupTheorem:
+    """The paper's blow-up theorem past thm15's one base: the triangle
+    blow-up of a value-1 tournament on n vertices has value n + 1."""
+
+    def test_the_order_four_bases(self):
+        bases = [T for T in digraph.nonisomorphic_tournaments(4)
+                 if solver.inv_exact(T).value == 1]
+        assert [digraph.encode_digraph(T) for T in bases] == [
+            base for base, _, _ in ORDER_FOUR_BLOWUPS]
+
+    @pytest.mark.parametrize("base, reference, shipped", ORDER_FOUR_BLOWUPS)
+    def test_order_four_blowup_has_value_five(self, monkeypatch, base, reference, shipped):
+        # between cli._blowup_options' certificates: a triangle's 1 below,
+        # the host's set blown up and the parts' sets above, 1 + 4 = 5, so
+        # level 4 alone is searched and exhausted
+        ask = cli.BlowUp(digraph.decode_digraph(base), [cli.C3] * 4)
+        results = {cli._key(g): solver.inv_exact(g) for g in ask.inputs()}
+        opts = cli._blowup_options(ask, results, SearchOptions())
+        assert opts.upper.k == 5
+        r = solver.inv_exact(ask.graph, opts)
+        assert (r.value, r.proof, r.source, r.nodes_explored) == (
+            5, "exhausted", "composed", shipped)
+        helpers.use_root_ban_reference(monkeypatch)
+        r = solver.inv_exact(ask.graph, opts)
+        assert (r.value, r.proof, r.source, r.nodes_explored) == (
+            5, "exhausted", "composed", reference)
 
 
 class TestThm13BelowOrderFive:

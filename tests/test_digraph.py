@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab.construct import c3, dijoin, graph_from_expr, qn, qn_family, transitive
+from invlab.construct import blow_up, c3, dijoin, graph_from_expr, qn, qn_family, transitive
 from invlab.digraph import (
     MAX_VERTICES,
     MAX_ENUM_VERTICES,
@@ -18,7 +18,7 @@ from invlab.digraph import (
     InversionFamily,
     TournamentClasses,
     _acyclic,
-    _images,
+    _symmetries,
     apply_family,
     decode_digraph,
     dump_digraph,
@@ -358,9 +358,9 @@ def image_graphs():
             + [qn(n) for n in range(3, 13)] + [graph_from_expr(e) for e in exprs])
 
 
-def networkx_orbits(nx, D):
-    """Per vertex v, the mask of the vertices that networkx's isomorphisms
-    of D onto D and onto its reverse map v to."""
+def networkx_maps(nx, D):
+    """networkx's isomorphisms of D onto D and onto its reverse, each as
+    the tuple of the images of D's vertices."""
     def nx_graph(G):
         H = nx.DiGraph()
         H.add_nodes_from(range(G.n))
@@ -368,18 +368,34 @@ def networkx_orbits(nx, D):
         return H
 
     G = nx_graph(D)
-    orbits = [0] * D.n
-    for image in (G, nx_graph(reverse(D))):
-        for mapping in nx.algorithms.isomorphism.DiGraphMatcher(G, image).isomorphisms_iter():
-            for v, u in mapping.items():
-                orbits[v] |= 1 << u
-    return orbits
+    return [tuple(mapping[x] for x in range(D.n))
+            for image in (G, nx_graph(reverse(D)))
+            for mapping in nx.algorithms.isomorphism.DiGraphMatcher(G, image).isomorphisms_iter()]
+
+
+def check_against_networkx(nx, G):
+    """Per vertex v, the finder's orbit is the mask of v's images under
+    networkx's maps, and its stabilizer is the maps that fix v, each with
+    its fixed points; returns whether some orbit is more than v."""
+    maps = networkx_maps(nx, G)
+    ins = G.in_rows()
+    symmetric = False
+    for v in range(G.n):
+        orbit, stabilizer = _symmetries(G.out_rows, ins, v)
+        assert orbit == sum({1 << p[v] for p in maps}), (encode_digraph(G), v)
+        assert sorted(tuple(p) for p, _ in stabilizer) == sorted(
+            p for p in maps if p[v] == v), (encode_digraph(G), v)
+        for p, fixed in stabilizer:
+            assert fixed == sum(1 << x for x in range(G.n) if p[x] == x)
+        symmetric |= orbit != 1 << v
+    return symmetric
 
 
 class TestSymmetricImages:
-    """``_images``: a vertex's orbit under the automorphisms and the
+    """``_symmetries``: a vertex's orbit under the automorphisms and the
     isomorphisms onto the reverse, which the assignment search bans a
-    failed root vector at."""
+    failed root vector at, and those maps that fix the vertex, which it
+    bans a failed vector below the root at."""
 
     def test_orbits_match_networkx_on_the_graph_and_its_reverse(self):
         nx = pytest.importorskip("networkx")
@@ -388,10 +404,7 @@ class TestSymmetricImages:
         symmetric = 0
         for D in graphs:
             for G in (D, reverse(D)):
-                ins = G.in_rows()
-                got = [_images(G.out_rows, ins, v) for v in range(G.n)]
-                assert got == networkx_orbits(nx, G), encode_digraph(G)
-                symmetric += any(orbit != 1 << v for v, orbit in enumerate(got))
+                symmetric += check_against_networkx(nx, G)
         assert symmetric == 666
 
     def test_orbits_match_networkx_on_oriented_graphs(self):
@@ -403,31 +416,37 @@ class TestSymmetricImages:
         graphs = [D for n in range(1, 5) for D in all_oriented(n)]
         graphs += [random_oriented(rng, n) for n in range(5, 10) for _ in range(60)]
         assert len(graphs) == 1 + 3 + 27 + 729 + 300
-        symmetric = 0
-        for G in graphs:
-            ins = G.in_rows()
-            got = [_images(G.out_rows, ins, v) for v in range(G.n)]
-            assert got == networkx_orbits(nx, G), encode_digraph(G)
-            symmetric += any(orbit != 1 << v for v, orbit in enumerate(got))
-        assert symmetric == 454
+        assert sum(check_against_networkx(nx, G) for G in graphs) == 454
+
+    def test_stabilizers_match_networkx_on_larger_blowups(self):
+        # the 15-vertex triangle blow-up of thm15's first order-5 base, whose
+        # stabilizers rotate the four other parts (81 maps), and the join
+        # of six triangles, whose stabilizers rotate five (243)
+        nx = pytest.importorskip("networkx")
+        base = decode_digraph("enc:5:4.1.2.7.f")
+        graphs = [blow_up(base, [c3()] * 5), graph_from_expr("join(c3,c3,c3,c3,c3,c3)")]
+        for G, size in zip(graphs, (81, 243)):
+            assert check_against_networkx(nx, G)
+            assert len(_symmetries(G.out_rows, G.in_rows(), 0)[1]) == size
 
     def test_a_capped_finder_returns_a_subset(self):
         for D in image_graphs()[::7]:
             ins = D.in_rows()
             for v in range(D.n):
-                orbit = _images(D.out_rows, ins, v)
-                assert _images(D.out_rows, ins, v, steps=0) == 1 << v
-                for steps in (1, 2, 3, 5):
-                    part = _images(D.out_rows, ins, v, steps=steps)
+                orbit, stabilizer = _symmetries(D.out_rows, ins, v)
+                assert _symmetries(D.out_rows, ins, v, steps=0) == (1 << v, [])
+                for steps in (1, 2, 3, 5, 20):
+                    part, some = _symmetries(D.out_rows, ins, v, steps=steps)
                     assert part >> v & 1 and part & ~orbit == 0
+                    assert all(s in stabilizer for s in some)
 
     def test_qn_maps_onto_its_reverse_by_the_mirror(self):
         # and qn(3), the triangle, rotates
-        assert [_images(qn(3).out_rows, qn(3).in_rows(), v) for v in range(3)] == [7] * 3
+        assert [_symmetries(qn(3).out_rows, qn(3).in_rows(), v)[0] for v in range(3)] == [7] * 3
         for n in range(4, 13):
             G = qn(n)
             ins = G.in_rows()
-            assert [_images(G.out_rows, ins, v) for v in range(n)] == [
+            assert [_symmetries(G.out_rows, ins, v)[0] for v in range(n)] == [
                 1 << v | 1 << n - 1 - v for v in range(n)]
 
 

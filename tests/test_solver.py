@@ -26,7 +26,7 @@ from invlab.digraph import (
     InversionFamily,
     _acyclic,
     _flipped_rows,
-    _images,
+    _symmetries,
     apply_family,
     decode_digraph,
     dump_family,
@@ -62,6 +62,12 @@ from helpers import (
 def triangle_reference(monkeypatch):
     # the search before root bans, whose trees the older pins record
     helpers.use_triangle_reference(monkeypatch)
+
+
+@pytest.fixture
+def root_ban_reference(monkeypatch):
+    # the search with bans at the root alone, whose trees the root-ban pins record
+    helpers.use_root_ban_reference(monkeypatch)
 
 
 class TestExistsFamily:
@@ -1147,6 +1153,7 @@ class TestSymmetryBreakingCompleteness:
         totals = agree_with_reference(graph_from_expr(expr), (value - 1, value))
         assert totals == AROUND_THE_VALUE[expr]
 
+    @pytest.mark.usefixtures("root_ban_reference")
     def test_root_ban_totals(self):
         # the groups above on the shipped search, against the triangle
         # order's 53,186, 30,059, 9,585 and 125,350
@@ -1166,6 +1173,36 @@ class TestSymmetryBreakingCompleteness:
             ("blowup_uniform(c3;c3,3)", 4))]
         got = [agree_in_total(cases)[0] for cases in (small, dijoins, oriented, around)]
         assert got == [52_414, 27_326, 9_583, 61_750]
+
+    def test_deep_ban_totals(self):
+        # the groups above on the shipped search, against 52,414, 27,326,
+        # 9,583 and 61,750 with bans at the root alone: the dijoins and
+        # the larger graphs shrink, the other two keep their totals
+        got = [agree_in_total(cases)[0] for cases in ban_groups()]
+        assert got == [52_414, 27_180, 9_583, 60_204]
+
+
+AROUND_VALUES = [("qn(9)", 4), ("qn(10)", 4), ("qn(11)", 5), ("join(c3,c3,c3,c3)", 4),
+                 ("blowup_uniform(c3;c3,3)", 4)]
+
+
+def ban_groups():
+    """``agree_in_total``'s four groups of cases: the small tournaments,
+    the triangle dijoins, the random oriented graphs and the levels
+    around the value of the larger graphs."""
+    tournaments = [T for n in range(6) for T in enumerate_tournaments(n)]
+    small = [(T, range(5)) for T in tournaments + nonisomorphic_tournaments(6)]
+    dijoins = [(D, range(5)) for n in range(1, 7) for T in nonisomorphic_tournaments(n)
+               for D in (dijoin(c3(), T), dijoin(T, c3()))]
+    rng = random.Random(57)
+    oriented = []
+    for _ in range(150):
+        D = random_oriented(rng, rng.randint(2, 8))
+        while D.is_tournament():
+            D = random_oriented(rng, D.n)
+        oriented += [(D, range(5), even_only) for even_only in (False, True)]
+    around = [(graph_from_expr(expr), (value - 1, value)) for expr, value in AROUND_VALUES]
+    return small, dijoins, oriented, around
 
 
 # kjoin's tightness question: the graphs the criterion was first checked on
@@ -1424,6 +1461,16 @@ ROOT_BAN_TREES = {
     ),
     "dijoin(c3,c3)": ([12, 11], "1 2\n4 5\n"),
 }
+# the trees once a vector searched to the end under a placed set P is banned
+# too at its vertex's images under the maps that fix P: each level searched
+# by itself, the finder run at its own first failed root vector, then
+# inv_exact's levels, which share one finder run.  The joins and the
+# blow-up shrink on ROOT_BAN_TREES with the same witness; qn(n) and the
+# dijoin, whose roots no map but the identity fixes, stand as pinned there
+DEEP_BAN_TREES = {
+    "join(c3,c3,c3,c3)": ([12, 120, 2318, 27], [12, 96, 1564, 27]),
+    "blowup_uniform(c3;c3,3)": ([8, 51, 1156, 42], [8, 45, 858, 42]),
+}
 # even weights only, where the bans only cut: level 3 shrinks, 56 -> 52
 ROOT_BAN_EVEN_QN9 = ([2, 2, 6, 52, 280, 388], TRIANGLE_EVEN_QN9[1])
 
@@ -1546,6 +1593,7 @@ class TestSearchTreePinned:
     def test_triangle_levels_and_witness(self, memo_bound, expr):
         self.check_triangle_tree(graph_from_expr(expr), *TRIANGLE_TREES[expr])
 
+    @pytest.mark.usefixtures("root_ban_reference")
     @pytest.mark.parametrize("expr", list(ROOT_BAN_TREES))
     def test_root_ban_levels_and_witness(self, memo_bound, expr):
         counts, witness = ROOT_BAN_TREES[expr]
@@ -1553,6 +1601,31 @@ class TestSearchTreePinned:
         assert witness == old_witness and counts[-1] == old[-1]
         assert all(c < o for c, o in zip(counts[:-1], old))
         self.check_triangle_tree(graph_from_expr(expr), counts, witness)
+
+    @pytest.mark.parametrize("expr", list(ROOT_BAN_TREES))
+    def test_deep_ban_levels_and_witness(self, monkeypatch, memo_bound, expr):
+        counts, witness = ROOT_BAN_TREES[expr]
+        alone, solved = DEEP_BAN_TREES.get(expr, (counts, counts))
+        assert all(s <= a <= c for s, a, c in zip(solved, alone, counts))
+        assert alone[-1] == solved[-1] == counts[-1]
+        D = graph_from_expr(expr)
+        for k, nodes in enumerate(alone, 1):
+            found, got = solver._search_assignment(D, k, SearchOptions())
+            assert got == nodes
+            assert (found is None) == (k < len(alone))
+        assert dump_family(found) == witness
+        levels = []
+        search = solver._search_assignment
+
+        def spy(*args, **kwargs):
+            found = search(*args, **kwargs)
+            levels.append(found[1])
+            return found
+
+        monkeypatch.setattr(solver, "_search_assignment", spy)
+        r = inv_exact(D)
+        assert (levels, dump_family(r.witness)) == (solved, witness)
+        assert r.nodes_explored == sum(solved)
 
     def test_even_weight_root_ban_levels_and_witness(self, memo_bound):
         assert level_counts(qn(9), SearchOptions(), None, True) == ROOT_BAN_EVEN_QN9
@@ -1913,7 +1986,7 @@ def root_fails_first():
     before a family is found, so a wrong one can lose it."""
     found = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_images", lambda *args: found.append(args) or _images(*args))
+        patch.setattr(solver, "_symmetries", lambda *args: found.append(args) or _symmetries(*args))
         cases = []
         for T in nonisomorphic_tournaments(7):
             value = inv_exact(T).value
@@ -1926,7 +1999,7 @@ def root_fails_first():
 class TestRootBans:
     """A root vector searched to the end is banned, for the later root
     vectors, at every image of the root under the graph's automorphisms
-    and isomorphisms onto its reverse (``digraph._images``)."""
+    and isomorphisms onto its reverse (``digraph._symmetries``)."""
 
     def test_only_the_levels_between_are_searched(self):
         # c3 => qn(5): level 2 alone, empty, in 133 nodes against 209
@@ -1951,6 +2024,7 @@ class TestRootBans:
         assert (r.value, r.nodes_explored, r.proof, r.source) == (
             5, 52_103, "exhausted", "composed")
 
+    @pytest.mark.usefixtures("root_ban_reference")
     def test_deep_search_inputs_at_seed_zero(self):
         # TestDeepSearchInputs' graphs: 60,113 nodes against 114,353
         exprs = ["qn(11)", "qn(10)", "join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)"]
@@ -1960,6 +2034,7 @@ class TestRootBans:
             random.Random(f"deep_search:0:{i}").shuffle(perm)
             assert inv_exact(helpers.relabel(D, perm)).nodes_explored == want
 
+    @pytest.mark.usefixtures("root_ban_reference")
     def test_no_level_grows(self):
         # each level from 1 to the value, plain and with even weights only:
         # a family exactly where the reference finds one, in no more nodes
@@ -1984,7 +2059,7 @@ class TestRootBans:
     def test_a_finder_with_no_step_gives_the_reference_trees(self, monkeypatch):
         # with no image found nothing is banned, and each tree is the
         # reference's, witness and nodes
-        monkeypatch.setattr(solver, "_images", functools.partial(_images, steps=0))
+        monkeypatch.setattr(solver, "_symmetries", functools.partial(_symmetries, steps=0))
         opts = SearchOptions()
         for D in tie_break_graphs():
             for even in (False, True):
@@ -1995,8 +2070,8 @@ class TestRootBans:
     def test_a_capped_finder_keeps_every_value(self, monkeypatch):
         graphs = list(tie_break_graphs()) + gate_graphs()[-12:]
         values = [inv_exact(D).value for D in graphs]
-        for steps in (1, 2, 3):
-            monkeypatch.setattr(solver, "_images", functools.partial(_images, steps=steps))
+        for steps in (1, 2, 3, 30):
+            monkeypatch.setattr(solver, "_symmetries", functools.partial(_symmetries, steps=steps))
             for D, value in zip(graphs, values):
                 r = inv_exact(D)
                 assert r.value == value
@@ -2015,11 +2090,100 @@ class TestRootBans:
         # orbit bans a class no exhausted branch ruled out, and loses a
         # family that naive enumeration finds
         def mutant(outs, ins, v, *args):
-            orbit = _images(outs, ins, v, *args)
+            orbit, stabilizer = _symmetries(outs, ins, v, *args)
             outside = ~orbit & (1 << len(outs)) - 1
-            return orbit | outside & -outside
+            return orbit | outside & -outside, stabilizer
 
-        monkeypatch.setattr(solver, "_images", mutant)
+        monkeypatch.setattr(solver, "_symmetries", mutant)
         lost = [encode_digraph(T) for T, value in root_fails_first
                 if exists_family(T, value) is None and naive_exists(T, value)]
         assert lost == ["enc:7:58.11.3.6.c.1f.3e", "enc:7:66.48.2.5.f.1e.3c"]
+
+
+# order-7 classes of root_fails_first, each with a transposition that is
+# no symmetry of it and whose ban, made once the root fails, loses the
+# witness level's every family
+NO_SYMMETRY = [("enc:7:46.28.2.5.f.1d.3e", 0, 4), ("enc:7:60.4d.11.5.b.1e.3c", 1, 5)]
+
+
+class TestDeepBans:
+    """A vector searched to the end at vertex v under a placed set P is
+    banned, for the rest of the node's subtree, at v's images under the
+    maps of the root's stabilizer that fix P, which ``digraph._symmetries``
+    finds once per ``inv_exact`` solve."""
+
+    def test_deep_search_inputs_at_seed_zero(self):
+        # 57,642 nodes against 60,113 with bans at the root alone: the
+        # join and the blow-up shrink, qn(n)'s root has a trivial stabilizer
+        exprs = ["qn(11)", "qn(10)", "join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)"]
+        for i, (expr, want) in enumerate(zip(exprs, [52_986, 2_453, 1_292, 911])):
+            D = graph_from_expr(expr)
+            perm = list(range(D.n))
+            random.Random(f"deep_search:0:{i}").shuffle(perm)
+            assert inv_exact(helpers.relabel(D, perm)).nodes_explored == want
+
+    def test_no_level_grows(self):
+        # each level from 1 to the value, plain and with even weights only:
+        # a family exactly where the search with bans at the root alone
+        # finds one, in no more nodes; even weights ban at the root alone
+        opts = SearchOptions()
+        totals = {}
+        for D in gate_graphs():
+            value = inv_exact(D).value
+            for even in (False, True):
+                for k in range(1, value + 1):
+                    found, nodes = solver._search_assignment(D, k, opts, even_weight_only=even)
+                    ref, ref_nodes = helpers.root_ban_search(D, k, opts, even_weight_only=even)
+                    assert (found is None) == (ref is None), (encode_digraph(D), k, even)
+                    assert nodes <= ref_nodes, (encode_digraph(D), k, even)
+                    if found is not None:
+                        assert is_acyclic(apply_family(D, found)) is not None
+                    old, new = totals.get(even, (0, 0))
+                    totals[even] = (old + ref_nodes, new + nodes)
+        # (reference, shipped) nodes over every level
+        assert totals == {False: (139_713, 138_009), True: (58_754, 58_754)}
+
+    def test_the_finder_runs_once_per_solve(self, monkeypatch):
+        # inv_exact shares one finder run among its levels; exists_family
+        # runs its own, at its first failed root vector, if one fails
+        calls = []
+        monkeypatch.setattr(solver, "_symmetries",
+                            lambda *args: calls.append(args) or _symmetries(*args))
+        for expr in ("join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)", "qn(9)"):
+            D = graph_from_expr(expr)
+            calls.clear()
+            r = inv_exact(D)
+            assert r.value == 4 and len(calls) == 1
+            runs = []
+            for k in range(1, 5):
+                calls.clear()
+                exists_family(D, k)
+                runs.append(len(calls))
+            assert runs == [1, 1, 1, 0]  # the first root vector at 4 finds the witness
+        calls.clear()
+        assert inv_exact(transitive(6)).value == 0 and inv_exact(c3()).value == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("enc, a, b", NO_SYMMETRY)
+    def test_a_map_that_is_no_symmetry_is_caught(self, monkeypatch, root_fails_first, enc, a, b):
+        # a mutant finder that adds the transposition of a and b to the
+        # root's stabilizer bans a class no exhausted branch ruled out, and
+        # loses every family that naive enumeration finds
+        T = decode_digraph(enc)
+        value = dict((encode_digraph(G), v) for G, v in root_fails_first)[enc]
+        swap = list(range(T.n))
+        swap[a], swap[b] = b, a
+        pairs = [(x, y) for x in range(T.n) for y in range(T.n)]
+        rows = T.out_rows
+        assert any(rows[x] >> y & 1 != rows[swap[x]] >> swap[y] & 1 for x, y in pairs)
+        assert any(rows[x] >> y & 1 != rows[swap[y]] >> swap[x] & 1 for x, y in pairs)
+
+        def mutant(outs, ins, v, *args):
+            orbit, stabilizer = _symmetries(outs, ins, v, *args)
+            assert v not in (a, b)
+            return orbit, stabilizer + [(swap, (1 << T.n) - 1 ^ 1 << a ^ 1 << b)]
+
+        assert exists_family(T, value) is not None
+        monkeypatch.setattr(solver, "_symmetries", mutant)
+        assert exists_family(T, value) is None
+        assert naive_exists(T, value)
