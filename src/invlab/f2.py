@@ -21,6 +21,10 @@ matrix of its best vertex order into its witness family.  The width rule
 is validated against an independent brute-force realization search, a
 test oracle in ``tests/helpers.py``.
 
+:func:`free_diag_bound` bounds the order backend's prefixes by the least
+rank of any symmetric completion of a row block (Cohen, Johnson, Rodman
+and Woerdeman, "Ranks of completions of partial matrices", 1989).
+
 :func:`parse_rows` and :func:`dump_rows` read and write the one text form
 of n rows of n bits that matrices and digraphs share.
 
@@ -142,28 +146,36 @@ def min_gram_dim(M: Sequence[int]) -> int:
 def free_diag_bound(
     rows: Sequence[int], cols: Sequence[int], width: int, cap: int | None = None
 ) -> tuple[int, int]:
-    """Least rank of a row block whose bit (i, cols[i]) is free in each row i.
+    """Least rank of a symmetric matrix holding a row block, over its free bits.
 
-    Rows have ``width`` columns, and ``cols`` names distinct columns.  The
-    rank is minimized over the 2^m settings of the free bits, written as a
-    column mask d (bit cols[i] = the bit chosen in row i).  When the block
-    is square, the rows are a whole matrix and d its diagonal, so a zero
-    diagonal on a nonzero matrix costs one more (Lempel's rule): for a
+    Rows have ``width`` columns; ``cols`` names distinct own columns, and
+    bit (i, cols[i]) is free in each row i, set as a column mask d.  With A
+    the block's square on its own columns and B the rest, a symmetric
+    matrix holding row i as its row cols[i] holds their transpose as
+    columns, so its rank is at least rank[A B] + rank[A; B^t] - rank A
+    (Cohen, Johnson, Rodman and Woerdeman, "Ranks of completions of
+    partial matrices", 1989): 2 rank[A B] - rank A, as A is then symmetric
+    off its diagonal; a block where it is not is refused with ValueError.
+    A square block is a whole matrix, bounded by its rank, and a zero
+    diagonal on a nonzero one costs one more (Lempel's rule): for a
     symmetric matrix that is its least Gram dimension.  A block of fewer
-    rows gets no +1, and then bounds the least Gram dimension of every
-    symmetric matrix holding those rows, whatever its other rows and its
-    other diagonal bits.  Returns ``(k, d)`` with d the first setting
-    reaching k, settings counted as binary numbers with row i's bit as bit
-    i (for a matrix, the smallest diagonal), or ``(cap, 0)`` when no
-    setting gets below ``cap``.
+    rows gets no +1, and bounds the least Gram dimension of every
+    symmetric matrix holding it, whatever its other rows and diagonal
+    bits.  Returns ``(k, d)`` with d the first setting reaching the least
+    k, settings counted as binary numbers with row i's bit as bit i (for a
+    matrix, the smallest diagonal), or ``(cap, 0)`` when no setting gets
+    below ``cap``.
 
     Depth-first branch and bound over the free bits: rows are placed from
     m-1 down to 0, bit 0 before bit 1, so leaves arrive in that counting
     order and the first strict improvement is the first setting reaching
-    the minimum.  Each placed row is reduced against low-bit pivots
-    shared along the path; the rank so far bounds every completion from
-    below, and a subtree whose rank reaches the best width found (at
-    first ``cap``) is pruned.
+    the minimum.  A placed row adds 2 if it is outside the placed rows'
+    span, less 1 if its own part is outside theirs: 0, 1 or 2, so the sum
+    bounds every completion from below, and a subtree whose sum reaches
+    the best width found (at first ``cap``) is pruned.  Pivots shared
+    along the path are keyed by their lowest own bit, or lowest bit if
+    they have none, so one reduction does both: a row left with an own
+    bit adds 1, one left with other bits only adds 2.
     """
     m = len(rows)
     if m > FREE_DIAG_LIMIT:
@@ -179,7 +191,13 @@ def free_diag_bound(
         raise ValueError("need one distinct free column per row")
     base = [r & ~(1 << c) for r, c in zip(rows, cols)]
     free = [1 << c for c in cols]
+    own = sum(free)
     square = m == width
+    for i in range(1, 0 if square else m):
+        r, c = rows[i], cols[i]
+        for j in range(i):
+            if (r >> cols[j] ^ rows[j] >> c) & 1:
+                raise ValueError(f"free columns not symmetric at ({j},{i})")
     pivots: dict[int, int] = {}
     # without a cap, above every width, so the first leaf is taken
     best_k, best_d = width + 2 if cap is None else cap, 0
@@ -193,12 +211,14 @@ def free_diag_bound(
         for bit in (0, free[i]):
             v = base[i] | bit
             while v:
-                low = v & -v
+                low = v & own or v  # own columns pivot first
+                low &= -low
                 p = pivots.get(low)
                 if p is None:
-                    if r + 1 < best_k:
+                    s = r + (1 if v & own else 2)
+                    if s < best_k:
                         pivots[low] = v
-                        place(i - 1, d | bit, r + 1)
+                        place(i - 1, d | bit, s)
                         del pivots[low]
                     break
                 v ^= p

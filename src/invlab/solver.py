@@ -40,10 +40,13 @@ Two independent backends:
   every pair is constrained.  Once a prefix P is fixed, every vertex
   outside it comes later, so each of P's rows of the flip matrix is
   known in every column: a pair (u in P, r) flips exactly when r -> u.
-  A prefix is bounded by the least rank of that row block over P's
-  diagonal bits (``f2.free_diag_bound``, itself a branch and bound over
-  those bits, capped at the best width found), with Lempel's +1 for a
-  zero diagonal only once P is the whole order.  Columns are indexed by
+  The flip matrix is symmetric, so a prefix is bounded by the least rank
+  of any symmetric matrix holding that row block, over P's diagonal bits
+  (``f2.free_diag_bound``, itself a branch and bound over those bits,
+  capped at the best width found), with Lempel's +1 for a zero diagonal
+  only once P is the whole order.  That is at least the block's rank, so
+  the walk meets the first best order a rank bound meets, in fewer
+  nodes.  Columns are indexed by
   vertex, so appending a vertex adds its row and leaves the others as
   they are.  A block fixes its prefix's order, which the walk visits
   once, so bounds are not memoized.  Capped at ``ORDER_BACKEND_MAX_N``
@@ -747,9 +750,10 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
     whose vectors must have odd overlap, and the least width realizing
     those constraints (diagonal free) is Lempel's rank rule minimized
     over the diagonal; the minimum over orders is the inversion number.
-    Orders are built vertex by vertex, and a prefix is cut when the rows
-    its vertices have in every completion's flip matrix already need the
-    best width found (see the module docstring).  Tournaments only: a
+    Orders are built vertex by vertex, and a prefix is cut when every
+    symmetric matrix holding its vertices' rows, as every completion's
+    flip matrix does, needs the best width found (see the module
+    docstring).  Tournaments only: a
     missing pair would wrongly be constrained to "no flip".  Graphs above
     ``ORDER_BACKEND_MAX_N`` vertices are refused with ResourceLimitError
     before any search.  Value and witness are both independent of the
@@ -785,7 +789,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"order search exceeded {budget} nodes")
-        # the prefix's rows bound every completion, and only grow along it
+        # every completion's flip matrix holds the prefix's rows
         k, d = free_diag_bound(block, seq, n, best_k)
         if k >= best_k:
             return

@@ -457,6 +457,89 @@ def free_diag_by_loop(M, cols: Sequence[int] | None = None, width: int | None = 
     return best_k, best_d
 
 
+def completion_rank_by_loop(rows: Sequence[int], cols: Sequence[int], width: int):
+    """Reference completion bound: the least rank of every symmetric matrix
+    holding a row block, over every diagonal and every completion.
+
+    Row i is the matrix's row cols[i], with its bit cols[i] free, so the
+    rows' square on ``cols`` must be symmetric off its diagonal.  The
+    other rows hold the transpose on ``cols``, and each of their entries
+    elsewhere is free, one bit per unordered pair.  Settings of the rows'
+    free bits are tried as binary numbers as in ``free_diag_by_loop``,
+    each at the least rank over all its completions, with Lempel's +1 for
+    a zero diagonal when the block is square and nothing is left free;
+    returns ``(k, d)`` with the first setting reaching the least width.
+    """
+    m = len(rows)
+    rest = [v for v in range(width) if v not in cols]
+    cells = [(a, b) for i, a in enumerate(rest) for b in rest[i:]]
+    fixed = [0] * width
+    for r, c in zip(rows, cols):
+        fixed[c] = r & ~(1 << c)
+        for v in rest:
+            fixed[v] |= (r >> v & 1) << c
+    for r, c in zip(rows, cols):
+        assert all((r >> u ^ fixed[u] >> c) & 1 == 0 for u in cols if u != c)
+    best_k, best_d = None, 0
+    for x in range(1 << m):
+        d = sum((x >> i & 1) << c for i, c in enumerate(cols))
+        ranks = []
+        for bits in range(1 << len(cells)):
+            M = [f | d & 1 << v for v, f in enumerate(fixed)]
+            for t, (a, b) in enumerate(cells):
+                if bits >> t & 1:
+                    M[a] |= 1 << b
+                    M[b] |= 1 << a
+            ranks.append(rank_of_rows(M))
+        r = min(ranks)
+        kd = r + 1 if m == width and r and not d else r
+        if best_k is None or kd < best_k:
+            best_k, best_d = kd, d
+    return best_k, best_d
+
+
+def reference_free_diag_bound(rows, cols, width, cap=None):
+    """``free_diag_bound`` before the completion bound, whose trees the
+    older order pins recorded: the least rank of the rows themselves over
+    their free bits, ``free_diag_by_loop``'s value and setting, by the same
+    branch and bound on low-bit pivots, for valid arguments only."""
+    m = len(rows)
+    base = [r & ~(1 << c) for r, c in zip(rows, cols)]
+    free = [1 << c for c in cols]
+    pivots: dict[int, int] = {}
+    best = [width + 2 if cap is None else cap, 0]
+
+    def place(i: int, d: int, r: int) -> None:
+        if i < 0:
+            best[:] = (r + 1 if m == width and r and not d else r), d
+            return
+        for bit in (0, free[i]):
+            v = base[i] | bit
+            while v:
+                low = v & -v
+                p = pivots.get(low)
+                if p is None:
+                    if r + 1 < best[0]:
+                        pivots[low] = v
+                        place(i - 1, d | bit, r + 1)
+                        del pivots[low]
+                    break
+                v ^= p
+            else:
+                if r < best[0]:
+                    place(i - 1, d | bit, r)
+
+    place(m - 1, 0, 0)
+    return tuple(best)
+
+
+def use_reference_bound(monkeypatch, *modules) -> None:
+    """Bound the order backend's prefixes, and ``free_diag_bound`` where
+    each of ``modules`` imported it, by ``reference_free_diag_bound``."""
+    for module in (solver,) + modules:
+        monkeypatch.setattr(module, "free_diag_bound", reference_free_diag_bound)
+
+
 # The assignment search's candidate lists before they became masks: the
 # block-prefix rule as lists, checked against the masks and used by
 # reference_search.

@@ -376,6 +376,15 @@ class TestInvLimits:
         assert code == 2 and out.startswith("inv=unknown reason=")
         assert "100 nodes" in out
 
+    def test_order_backend_budget_boundary(self, capsys):
+        # each prefix bounded by the least rank of any symmetric matrix
+        # holding its rows: qn(8)'s walk takes 911 nodes, 1,230 by rank alone
+        argv = ["inv", "expr:qn(8)", "--backend", "order", "--deterministic"]
+        code, out, _ = run(capsys, *argv, "--budget", "910")
+        assert (code, out) == (2, "inv=unknown reason=order search exceeded 910 nodes\n")
+        code, out, _ = run(capsys, *argv, "--budget", "911")
+        assert code == 0 and out.startswith("inv=3 k_proof=2_exhausted backend=order nodes=911\n")
+
     def test_deep_nesting_exit_one(self, capsys):
         deep = "rev(" * 3000 + "c3" + ")" * 3000
         code, out, err = run(capsys, "inv", "expr:" + deep)

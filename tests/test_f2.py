@@ -1,8 +1,10 @@
 """GF(2) vector/matrix operations and the Gram factorization machinery."""
 
 import functools
+import itertools
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +26,17 @@ from invlab.f2 import (
 
 from helpers import (
     all_symmetric,
+    completion_rank_by_loop,
     diagonal,
     dot,
+    flip_matrix,
     free_diag_by_loop,
     random_symmetric,
+    random_tournament,
     rank_of_rows,
     realize_oracle,
+    reference_free_diag_bound,
+    use_reference_bound,
     with_diagonal,
 )
 
@@ -343,7 +350,15 @@ def capped(expected, cap):
     return expected if expected[0] < cap else (cap, 0)
 
 
+@pytest.fixture
+def reference_bound(monkeypatch):
+    """This module's free_diag_bound is the bound before the completion
+    bound, whose values the older oracle cases pin."""
+    use_reference_bound(monkeypatch, sys.modules[__name__])
+
+
 class TestFreeDiagBound:
+    @pytest.mark.usefixtures("reference_bound")
     def test_zero_diagonal_costs_one_only_when_square(self):
         # one row, one column of R: rank 1 with either bit, no +1
         assert free_diag_bound([0b10], [0], 2) == (1, 0)
@@ -357,6 +372,7 @@ class TestFreeDiagBound:
         assert free_diag_bound([0b011, 0b110], [2, 0], 3) == (1, 0b101)
         assert free_diag_bound([0b011, 0b110], [1, 0], 3) == (2, 0)
 
+    @pytest.mark.usefixtures("reference_bound")
     @pytest.mark.parametrize("width", range(5))
     def test_matches_loop_oracle_exhaustively(self, width):
         # every block of up to 12 bits, free columns ascending from 0 or
@@ -372,6 +388,7 @@ class TestFreeDiagBound:
                     for cap in range(width + 2):
                         assert free_diag_bound(rows, cols, width, cap) == capped(want, cap)
 
+    @pytest.mark.usefixtures("reference_bound")
     @pytest.mark.parametrize("width", range(5, 13))
     def test_matches_loop_oracle_random(self, width):
         rng = random.Random(width)
@@ -419,3 +436,122 @@ class TestFreeDiagBound:
     def test_refuses_malformed_blocks(self, rows, cols, width, cap):
         with pytest.raises(ValueError):
             free_diag_bound(rows, cols, width, cap)
+
+
+def own_symmetric_blocks(width: int, cols: tuple[int, ...]):
+    """Every block of len(cols) rows of ``width`` bits whose square on
+    ``cols`` is symmetric off its diagonal: the bits on and above that
+    square's diagonal and off it are free, those below mirror them."""
+    m = len(cols)
+    cells = [(i, c) for i in range(m) for c in range(width)
+             if c not in cols[:i]]
+    for bits in range(1 << len(cells)):
+        rows = [0] * m
+        for t, (i, c) in enumerate(cells):
+            rows[i] |= (bits >> t & 1) << c
+        for i in range(m):
+            for j in range(i):
+                rows[i] |= (rows[j] >> cols[i] & 1) << cols[j]
+        yield rows
+
+
+def random_own_symmetric_block(rng: random.Random, width: int, m: int):
+    cols = tuple(rng.sample(range(width), m))
+    rows = [rng.getrandbits(width) for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            rows[i] = rows[i] & ~(1 << cols[j]) | (rows[j] >> cols[i] & 1) << cols[j]
+    return rows, cols
+
+
+class TestCompletionBound:
+    """free_diag_bound against the least rank of every symmetric matrix
+    holding the rows, by brute force over diagonals and completions."""
+
+    def test_a_row_bounds_every_matrix_holding_it(self):
+        # a symmetric matrix with row (0, 1) has rank 2; with row (1, 1),
+        # the all-ones matrix has rank 1, though the row's own rank is 1 either way
+        assert free_diag_bound([0b10], [0], 2) == (1, 0b1)
+        assert reference_free_diag_bound([0b10], [0], 2) == (1, 0)
+        # a square block is still the matrix itself, with Lempel's +1
+        assert free_diag_bound([0b10, 0b01], [0, 1], 2) == (1, 0b11)
+        # a zero row needs nothing; row (0, x, 1) needs x = 1, and then
+        # the matrix v v^t with v = (0, 1, 1) holds it
+        assert free_diag_bound([0b00], [0], 2) == (0, 0)
+        assert free_diag_bound([0b100], [1], 3) == (1, 0b10)
+
+    @pytest.mark.parametrize("width", range(5))
+    def test_matches_completion_oracle_exhaustively(self, width):
+        # every block with a symmetric own square, at every order of its
+        # own columns up to width 3 and ascending or descending at width 4,
+        # at every cap up to width + 1
+        for m in range(width + 1):
+            if width <= 3:
+                orders = list(itertools.permutations(range(width), m))
+            else:
+                orders = [tuple(range(m)), tuple(range(width - 1, width - 1 - m, -1))]
+            for cols in orders:
+                for rows in own_symmetric_blocks(width, cols):
+                    want = completion_rank_by_loop(rows, cols, width)
+                    assert free_diag_bound(rows, cols, width) == want
+                    for cap in range(width + 2):
+                        assert free_diag_bound(rows, cols, width, cap) == capped(want, cap)
+
+    def test_matches_completion_oracle_random(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            rows, cols = random_own_symmetric_block(rng, 5, rng.randint(1, 5))
+            want = completion_rank_by_loop(rows, cols, 5)
+            assert free_diag_bound(rows, cols, 5) == want
+            cap = rng.randint(0, 6)
+            assert free_diag_bound(rows, cols, 5, cap) == capped(want, cap)
+
+    def test_never_below_the_rank_of_the_rows(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            width = rng.randint(1, 12)
+            rows, cols = random_own_symmetric_block(rng, width, rng.randint(0, width))
+            k = free_diag_bound(rows, cols, width)[0]
+            assert reference_free_diag_bound(rows, cols, width)[0] <= k
+            assert k <= 2 * reference_free_diag_bound(rows, cols, width)[0]
+
+    def test_no_prefix_bound_exceeds_its_order_width(self):
+        # a prefix's rows of a flip matrix, each free at its own column,
+        # bound every order that starts with it: the bound never falls as
+        # the prefix grows and ends at the whole order's least width
+        rng = random.Random(13)
+        for _ in range(120):
+            n = rng.randint(0, 7)
+            D = random_tournament(rng, n)
+            order = rng.sample(range(n), n)
+            flips = flip_matrix(D, order)
+            width = free_diag_by_loop(flips)[0]
+            bounds = [
+                free_diag_bound([flips[u] for u in order[:t]], order[:t], n)[0]
+                for t in range(n + 1)
+            ]
+            assert bounds == sorted(bounds) and bounds[-1] == width
+
+    @pytest.mark.parametrize(
+        "rows,cols,width,message",
+        [
+            ([0b10, 0], [0, 1], 3, "free columns not symmetric at (0,1)"),
+            ([0, 0b001, 0b001], [2, 0, 1], 4, "free columns not symmetric at (1,2)"),
+            ([0, 0, 0b001], [0, 1, 2], 4, "free columns not symmetric at (0,2)"),
+        ],
+    )
+    def test_refuses_an_unsymmetric_own_square(self, rows, cols, width, message):
+        # no symmetric matrix holds such rows
+        with pytest.raises(ValueError) as err:
+            free_diag_bound(rows, cols, width)
+        assert str(err.value) == message
+
+    def test_a_square_block_is_the_matrix_itself(self):
+        # its own columns are every column, so the bound is its rank, with
+        # Lempel's +1, symmetric or not
+        rng = random.Random(17)
+        for _ in range(100):
+            n = rng.randint(0, 6)
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            cols = rng.sample(range(n), n)
+            assert free_diag_bound(rows, cols, n) == free_diag_by_loop(rows, cols, n)

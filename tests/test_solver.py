@@ -70,6 +70,13 @@ def root_ban_reference(monkeypatch):
     helpers.use_root_ban_reference(monkeypatch)
 
 
+@pytest.fixture
+def bound_reference(monkeypatch):
+    # the order walk bounding each prefix by its rows' rank alone, whose
+    # trees the older order pins record
+    helpers.use_reference_bound(monkeypatch)
+
+
 class TestExistsFamily:
     def test_transitive_needs_nothing(self):
         F = exists_family(transitive(5), 0)
@@ -917,6 +924,16 @@ class TestOrderBackendValues:
             assert r.value == inv_exact(T).value
             assert is_acyclic(apply_family(T, r.witness)) is not None
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_completion_bound_matches_inv_exact(self, n):
+        # fresh seeds, beside the four-triangle join in COMPLETION_TREES
+        rng = random.Random(f"completion-values:{n}")
+        for _ in range(3):
+            T = random_tournament(rng, n)
+            r = inv_order_backend(T)
+            assert r.value == inv_exact(T).value
+            assert is_acyclic(apply_family(T, r.witness)) is not None
+
     def test_qn10_by_both_backends(self):
         a, o = inv_exact(qn(10)), inv_order_backend(qn(10))
         assert (a.value, o.value) == (4, 4)
@@ -1665,6 +1682,15 @@ PINNED_ORDER_TREES = [
 # inv_order_backend trees on the same graphs: each prefix is bounded by
 # its whole row block, so the trees are cut sooner
 PINNED_LOOKAHEAD_NODES = [496, 1230, 666, 260, 747]
+# and with each row block bounded by the least rank of any symmetric
+# matrix holding it (the shipped bound), each tree no larger
+PINNED_COMPLETION_NODES = [407, 911, 606, 246, 687]
+# (value, nodes with the rows' rank alone, nodes shipped) on larger graphs
+COMPLETION_TREES = {
+    "qn(9)": (4, 7_203, 5_951),
+    "blowup_uniform(c3;c3,3)": (4, 8_257, 7_258),
+    "join(c3,c3,c3,c3)": (4, 30_223, 27_352),
+}
 
 
 def order_pin_graphs():
@@ -1691,6 +1717,7 @@ class TestOrderTreePinned:
         monkeypatch.setattr(helpers, "ORDER_MEMO_CAP", 1)
         self.test_value_and_nodes(idx)
 
+    @pytest.mark.usefixtures("bound_reference")
     @order_pins
     def test_lookahead_value_and_nodes(self, idx):
         _, enc, value, reference_nodes = PINNED_ORDER_TREES[idx]
@@ -1710,6 +1737,7 @@ class TestOrderTreePinned:
         assert len(bound_calls) == 2 * first.nodes_explored
         assert (second.value, second.nodes_explored) == (first.value, first.nodes_explored)
 
+    @pytest.mark.usefixtures("bound_reference")
     @pytest.mark.parametrize("seed", [None, 1, 2], ids=["qn6", "random1", "random2"])
     def test_walk_bounds_the_flip_matrix_of_each_prefix(self, bound_calls, seed):
         # the walk adds one row per step and never edits the rows before
@@ -1740,6 +1768,29 @@ class TestOrderTreePinned:
         walk(())
         assert bound_calls == expected
         assert r.value == best_k
+
+    @order_pins
+    def test_completion_value_and_nodes(self, idx):
+        _, _, value, _ = PINNED_ORDER_TREES[idx]
+        nodes = PINNED_COMPLETION_NODES[idx]
+        assert nodes <= PINNED_LOOKAHEAD_NODES[idx]
+        r = inv_order_backend(order_pin_graphs()[idx])
+        assert (r.value, r.nodes_explored) == (value, nodes)
+
+    @pytest.mark.parametrize("expr", list(COMPLETION_TREES))
+    def test_completion_keeps_value_and_witness(self, monkeypatch, expr):
+        # the bound rises at every prefix and leaves keep their exact width,
+        # so the walk meets the same first best order in fewer nodes
+        value, reference_nodes, nodes = COMPLETION_TREES[expr]
+        assert nodes <= reference_nodes
+        D = graph_from_expr(expr)
+        r = inv_order_backend(D)
+        helpers.use_reference_bound(monkeypatch)
+        old = inv_order_backend(D)
+        assert (old.value, old.nodes_explored) == (value, reference_nodes)
+        assert (r.value, r.nodes_explored, r.witness) == (value, nodes, old.witness)
+        assert is_acyclic(apply_family(D, r.witness)) is not None
+        assert r.value == inv_exact(D).value
 
 
 @pytest.fixture
