@@ -26,7 +26,6 @@ from .construct import (
     transitive,
 )
 from .f2 import (
-    free_diag_bound,
     gram_factor,
     gram_of,
     min_gram_dim,
@@ -54,7 +53,6 @@ __all__ = [
     "dijoin",
     "exists_family",
     "extend_family_to_c3_dijoin",
-    "free_diag_bound",
     "gram_factor",
     "gram_of",
     "graph_from_expr",

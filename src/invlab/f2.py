@@ -21,9 +21,11 @@ matrix of its best vertex order into its witness family.  The width rule
 is validated against an independent brute-force realization search, a
 test oracle in ``tests/helpers.py``.
 
-:func:`free_diag_bound` bounds the order backend's prefixes by the least
-rank of any symmetric completion of a row block (Cohen, Johnson, Rodman
-and Woerdeman, "Ranks of completions of partial matrices", 1989).
+:func:`_free_diag_bound`, private to the order backend, bounds its
+prefixes by the least rank of any symmetric completion of a row block
+(Cohen, Johnson, Rodman and Woerdeman, "Ranks of completions of partial
+matrices", 1989).  The backend builds every block valid, so that step
+checks no argument.
 
 :func:`parse_rows` and :func:`dump_rows` read and write the one text form
 of n rows of n bits that matrices and digraphs share.
@@ -36,12 +38,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import ResourceLimitError, check_int, check_masks
+from .errors import check_int, check_masks
 
 MAX_WIDTH = 64
-
-# free_diag_bound's branch and bound may still visit all 2^m diagonals.
-FREE_DIAG_LIMIT = 20
 
 
 def _check_symmetric(rows: Sequence[int]) -> None:
@@ -143,28 +142,30 @@ def min_gram_dim(M: Sequence[int]) -> int:
     return len(_peel(M))
 
 
-def free_diag_bound(
-    rows: Sequence[int], cols: Sequence[int], width: int, cap: int | None = None
+def _free_diag_bound(
+    rows: Sequence[int], cols: Sequence[int], width: int, cap: int
 ) -> tuple[int, int]:
     """Least rank of a symmetric matrix holding a row block, over its free bits.
 
-    Rows have ``width`` columns; ``cols`` names distinct own columns, and
-    bit (i, cols[i]) is free in each row i, set as a column mask d.  With A
-    the block's square on its own columns and B the rest, a symmetric
-    matrix holding row i as its row cols[i] holds their transpose as
-    columns, so its rank is at least rank[A B] + rank[A; B^t] - rank A
-    (Cohen, Johnson, Rodman and Woerdeman, "Ranks of completions of
-    partial matrices", 1989): 2 rank[A B] - rank A, as A is then symmetric
-    off its diagonal; a block where it is not is refused with ValueError.
-    A square block is a whole matrix, bounded by its rank, and a zero
-    diagonal on a nonzero one costs one more (Lempel's rule): for a
-    symmetric matrix that is its least Gram dimension.  A block of fewer
-    rows gets no +1, and bounds the least Gram dimension of every
-    symmetric matrix holding it, whatever its other rows and diagonal
-    bits.  Returns ``(k, d)`` with d the first setting reaching the least
-    k, settings counted as binary numbers with row i's bit as bit i (for a
-    matrix, the smallest diagonal), or ``(cap, 0)`` when no setting gets
-    below ``cap``.
+    The order backend's prefix bound, which checks nothing: the caller
+    passes m <= ``width`` rows of ``width`` bits, m distinct own columns
+    ``cols`` in range(width), and a block whose square A on those columns
+    is symmetric off its diagonal.  Every block the backend builds from a
+    tournament's flip rows meets that, as a test checks.  Bit (i, cols[i])
+    is free in each row i, set as a column mask d.  With B the block off
+    its own columns, a symmetric matrix holding row i as its row cols[i]
+    holds their transpose as columns, so its rank is at least
+    rank[A B] + rank[A; B^t] - rank A (Cohen, Johnson, Rodman and
+    Woerdeman, "Ranks of completions of partial matrices", 1989):
+    2 rank[A B] - rank A, as A is symmetric off its diagonal.  A square
+    block is a whole matrix, bounded by its rank, and a zero diagonal on
+    a nonzero one costs one more (Lempel's rule): for a symmetric matrix
+    that is its least Gram dimension.  A block of fewer rows gets no +1,
+    and bounds the least Gram dimension of every symmetric matrix holding
+    it, whatever its other rows and diagonal bits.  Returns ``(k, d)``
+    with d the first setting reaching the least k, settings counted as
+    binary numbers with row i's bit as bit i (for a matrix, the smallest
+    diagonal), or ``(cap, 0)`` when no setting gets below ``cap``.
 
     Depth-first branch and bound over the free bits: rows are placed from
     m-1 down to 0, bit 0 before bit 1, so leaves arrive in that counting
@@ -178,29 +179,12 @@ def free_diag_bound(
     bit adds 1, one left with other bits only adds 2.
     """
     m = len(rows)
-    if m > FREE_DIAG_LIMIT:
-        raise ResourceLimitError(
-            f"{m} rows exceed the free-diagonal limit {FREE_DIAG_LIMIT}"
-        )
-    check_int(width, "width", 0, MAX_WIDTH)
-    if cap is not None:
-        check_int(cap, "cap", 0)
-    check_masks(rows, "row {}", width)
-    cols = check_masks(cols, "column {}", width, index=True)
-    if len(cols) != m or len(set(cols)) != m:
-        raise ValueError("need one distinct free column per row")
     base = [r & ~(1 << c) for r, c in zip(rows, cols)]
     free = [1 << c for c in cols]
     own = sum(free)
     square = m == width
-    for i in range(1, 0 if square else m):
-        r, c = rows[i], cols[i]
-        for j in range(i):
-            if (r >> cols[j] ^ rows[j] >> c) & 1:
-                raise ValueError(f"free columns not symmetric at ({j},{i})")
     pivots: dict[int, int] = {}
-    # without a cap, above every width, so the first leaf is taken
-    best_k, best_d = width + 2 if cap is None else cap, 0
+    best_k, best_d = cap, 0
 
     def place(i: int, d: int, r: int) -> None:
         nonlocal best_k, best_d

@@ -42,15 +42,15 @@ Two independent backends:
   known in every column: a pair (u in P, r) flips exactly when r -> u.
   The flip matrix is symmetric, so a prefix is bounded by the least rank
   of any symmetric matrix holding that row block, over P's diagonal bits
-  (``f2.free_diag_bound``, itself a branch and bound over those bits,
-  capped at the best width found), with Lempel's +1 for a zero diagonal
-  only once P is the whole order.  That is at least the block's rank, so
-  the walk meets the first best order a rank bound meets, in fewer
-  nodes.  Columns are indexed by
-  vertex, so appending a vertex adds its row and leaves the others as
-  they are.  A block fixes its prefix's order, which the walk visits
-  once, so bounds are not memoized.  Capped at ``ORDER_BACKEND_MAX_N``
-  vertices.  The witness is its own too: the best order's flip matrix,
+  (``f2._free_diag_bound``, itself a branch and bound over those bits,
+  capped at the best width found, which checks no argument: the walk
+  builds every block valid), with Lempel's +1 for a zero diagonal only
+  once P is the whole order.  That is at least the block's rank, so the
+  walk meets the first best order a rank bound meets, in fewer nodes.
+  Columns are indexed by vertex, so appending a vertex adds its row and
+  leaves the others as they are.  A block fixes its prefix's order,
+  which the walk visits once, so bounds are not memoized.  Capped at
+  ``ORDER_BACKEND_MAX_N`` vertices.  The witness is its own too: the best order's flip matrix,
   with the diagonal its bound chose, peeled into k rank-one terms u u^t
   (``f2._peel``, Lempel's least width), whose rows u are the family's sets.
 
@@ -93,7 +93,7 @@ from .digraph import (
     dump_family,
 )
 from .errors import BudgetExceededError, ResourceLimitError, check_int, check_masks
-from .f2 import _peel, free_diag_bound
+from .f2 import _free_diag_bound, _peel
 from .record import Record
 
 MAX_K = 12
@@ -790,7 +790,7 @@ def inv_order_backend(D: Digraph, opts: SearchOptions | None = None) -> InvResul
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"order search exceeded {budget} nodes")
         # every completion's flip matrix holds the prefix's rows
-        k, d = free_diag_bound(block, seq, n, best_k)
+        k, d = _free_diag_bound(block, seq, n, best_k)
         if k >= best_k:
             return
         if len(seq) == n:

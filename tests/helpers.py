@@ -29,7 +29,7 @@ from invlab.digraph import (
 from invlab import cli, solver
 from invlab.construct import blow_up
 from invlab.errors import BudgetExceededError, ResourceLimitError, VerificationError
-from invlab.f2 import free_diag_bound
+from invlab.f2 import _free_diag_bound
 
 
 # A symmetric matrix is a tuple of row ints, bit j of row i = entry (i,j).
@@ -499,7 +499,7 @@ def completion_rank_by_loop(rows: Sequence[int], cols: Sequence[int], width: int
 
 
 def reference_free_diag_bound(rows, cols, width, cap=None):
-    """``free_diag_bound`` before the completion bound, whose trees the
+    """``_free_diag_bound`` before the completion bound, whose trees the
     older order pins recorded: the least rank of the rows themselves over
     their free bits, ``free_diag_by_loop``'s value and setting, by the same
     branch and bound on low-bit pivots, for valid arguments only."""
@@ -534,10 +534,10 @@ def reference_free_diag_bound(rows, cols, width, cap=None):
 
 
 def use_reference_bound(monkeypatch, *modules) -> None:
-    """Bound the order backend's prefixes, and ``free_diag_bound`` where
+    """Bound the order backend's prefixes, and ``_free_diag_bound`` where
     each of ``modules`` imported it, by ``reference_free_diag_bound``."""
     for module in (solver,) + modules:
-        monkeypatch.setattr(module, "free_diag_bound", reference_free_diag_bound)
+        monkeypatch.setattr(module, "_free_diag_bound", reference_free_diag_bound)
 
 
 # The assignment search's candidate lists before they became masks: the
@@ -1190,7 +1190,7 @@ def reference_order_search(D: Digraph, opts) -> tuple[int, int]:
         if m >= 2:
             k = memo.get(rows)
             if k is None:
-                k = free_diag_bound(rows, range(m), m)[0]
+                k = _free_diag_bound(rows, range(m), m, m + 2)[0]
                 if len(memo) < ORDER_MEMO_CAP:
                     memo[rows] = k
             # the prefix bound never decreases along a completion

@@ -352,7 +352,7 @@ class TestInvLimits:
         def refuse(*args, **kwargs):
             raise AssertionError("the order search ran before the cap was checked")
 
-        monkeypatch.setattr(solver, "free_diag_bound", refuse)
+        monkeypatch.setattr(solver, "_free_diag_bound", refuse)
         code, out, _ = run(capsys, "inv", "expr:qn(13)", "--backend", "order")
         assert code == 2 and out.startswith("inv=unknown reason=")
         assert str(solver.ORDER_BACKEND_MAX_N) in out

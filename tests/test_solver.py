@@ -846,18 +846,60 @@ class TestCertificatesOnlyForInvExact:
         assert str(err.value) == self.MESSAGE and bound_calls == []
 
 
+def check_block(rows, cols, width):
+    """What f2._free_diag_bound takes on trust: at most ``width`` rows of
+    ``width`` bits, one distinct own column in range(width) per row, and
+    an own square symmetric off its diagonal."""
+    m = len(rows)
+    assert len(cols) == m <= width and len(set(cols)) == m
+    assert all(0 <= c < width for c in cols)
+    assert all(0 <= r < 1 << width for r in rows)
+    for i in range(m):
+        for j in range(i):
+            assert rows[i] >> cols[j] & 1 == rows[j] >> cols[i] & 1, (rows, cols)
+
+
 @pytest.fixture
 def bound_calls(monkeypatch):
-    """The argument tuples of every order-backend call of free_diag_bound."""
+    """The argument tuples of every order-backend call of _free_diag_bound,
+    each block checked against that function's precondition."""
     calls = []
-    free_diag = solver.free_diag_bound
+    free_diag = solver._free_diag_bound
 
-    def spy(*args):
-        calls.append(args)
-        return free_diag(*args)
+    def spy(rows, cols, width, cap):
+        check_block(rows, cols, width)
+        calls.append((rows, cols, width, cap))
+        return free_diag(rows, cols, width, cap)
 
-    monkeypatch.setattr(solver, "free_diag_bound", spy)
+    monkeypatch.setattr(solver, "_free_diag_bound", spy)
     return calls
+
+
+def block_graphs():
+    for n in range(7):
+        yield from nonisomorphic_tournaments(n)
+    for n in range(3, 11):
+        yield qn(n)
+    for n in range(7, 11):
+        rng = random.Random(n)
+        for _ in range(3):
+            yield random_tournament(rng, n)
+
+
+def test_order_blocks_meet_the_bound_precondition(bound_calls):
+    # the bound checks no argument, so every block the walk passes must be
+    # valid by construction: the spy checks each, and each block's columns
+    # are its prefix, one vertex and one row appended to its parent's
+    for D in block_graphs():
+        bound_calls.clear()
+        r = inv_order_backend(D)
+        assert len(bound_calls) == r.nodes_explored
+        blocks = {}
+        for rows, cols, width, _ in bound_calls:
+            assert width == D.n
+            if cols:
+                assert blocks[cols[:-1]] == rows[:-1]
+            blocks[cols] = rows
 
 
 class TestOrderBackend:
