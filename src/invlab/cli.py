@@ -33,7 +33,9 @@ has solved: a blow-up's blow-up by cores, or any other graph's
 one-vertex deletions, read by class (``digraph.TournamentClasses``) for
 a tournament up to order 8, else as its own subgraphs, so ``qn(n)``
 reads ``qn(n - 1)`` from order 9 up (at orders 5 to 8 it is not its
-class's representative, so none is).
+class's representative, so none is).  Any other graph takes above the
+first family of that width extending a deletion's witness to the vertex
+it leaves out (``_deletion_upper``), which proves its value unsearched.
 Every bound is checked by the solver, and a solve no checker asked for
 gives no bound when it is unresolved.
 Every solve is ``solver.inv_exact(graph, opts)``, with bounds only from
@@ -542,10 +544,10 @@ def _options(ask, results: dict, deletions: _Deletions,
     """``opts`` with every certificate the table gives the graph ``ask``
     names: a blow-up's from ``_blowup_options``, then below the first of
     strictly larger value among the induced subgraphs the table has
-    solved, a blow-up's blow-up by its parts' cores
-    (``_Deletions.core_ask``) or a graph's one-vertex deletions
-    (``_Deletions.of``), each mapped into ``ask``'s graph.  A ``(graph,
-    k)`` ask takes none."""
+    solved, a blow-up's blow-up by its parts' cores (``_Deletions.core_ask``)
+    or a graph's one-vertex deletions (``_Deletions.of``), each mapped into
+    ``ask``'s graph, and a graph's above from its deletions' witnesses
+    (``_deletion_upper``).  A ``(graph, k)`` ask takes none."""
     if isinstance(ask, tuple):
         return opts
     if isinstance(ask, BlowUp):
@@ -554,12 +556,49 @@ def _options(ask, results: dict, deletions: _Deletions,
         candidates = [] if got is None else [(got[1].graph, got[2])]
     else:
         candidates = deletions.of(ask)
-    lower = opts.lower
+    lower, upper = opts.lower, opts.upper
     for part, at in candidates:
         found = results.get(_key(part))
         if found is not None and (lower is None or found.value > lower.result.value):
             lower = solver.Sub(at, part, found)
-    return solver.SearchOptions(opts.max_k, opts.budget, lower, opts.upper)
+    if lower is not None and upper is None and not isinstance(ask, BlowUp):
+        upper = _deletion_upper(ask, candidates, lower.result.value, results)
+    return solver.SearchOptions(opts.max_k, opts.budget, lower, upper)
+
+
+def _deletion_upper(G: digraph.Digraph, candidates: list, value: int,
+                    results: dict) -> digraph.InversionFamily | None:
+    """The first family of ``value`` sets that decycles G extending the
+    witness of a candidate ``(R, at)`` of that value on n - 1 vertices, the
+    vertex ``at`` leaves out in set j for bit j of the least such vector."""
+    n, rows, full = G.n, G.out_rows, (1 << (1 << value)) - 1
+    # a mask of vectors has bit x for vector x; par[j]: those that set j
+    par = [sum(1 << x for x in range(1 << value) if x >> j & 1) for j in range(value)]
+    for part, at in candidates:
+        found = results.get(_key(part))
+        if found is None or found.value != value or len(at) != n - 1:
+            continue
+        v, sets = n * (n - 1) // 2 - sum(at), found.witness.sets  # v: the vertex left out
+        # R flipped is acyclic, so the peel lists i after all i reaches;
+        # into[i]: the vectors under which i reaches v, bad: v reaches i too
+        flipped = digraph._flipped_rows(part.out_rows, sets)
+        bad, into = 0, [0] * part.n
+        for i in digraph._peel(flipped, (1 << part.n) - 1)[0]:
+            flip = 0  # the vectors that reverse the arc between at[i] and v
+            for s, p in zip(sets, par):
+                flip ^= p * (s >> i & 1)
+            out, back = rows[v] >> at[i] & 1, rows[at[i]] >> v & 1
+            into[i] = (full ^ flip) * back | flip * out
+            heads = flipped[i]
+            while heads:
+                into[i] |= into[(heads & -heads).bit_length() - 1]
+                heads &= heads - 1
+            bad |= ((full ^ flip) * out | flip * back) & into[i]
+        if bad != full:
+            x = ((bad + 1) & ~bad).bit_length() - 1  # the least vector not bad
+            sets = [sum(1 << u for i, u in enumerate(at) if s >> i & 1) for s in sets]
+            return digraph.InversionFamily(n, [s | (x >> j & 1) << v for j, s in enumerate(sets)])
+    return None
 
 
 def _by_order(todo: dict) -> list[dict]:

@@ -1117,6 +1117,35 @@ def use_one_vertex_blowups(monkeypatch) -> None:
     monkeypatch.setattr(cli, "_options", options)
 
 
+def use_no_deletion_upper(monkeypatch) -> None:
+    """Make a sweep give no plain solve an upper family from its
+    deletions' witnesses (``cli._deletion_upper``), as before that rule,
+    so each searches its witness level; the older sweep node and
+    certificate pins record that route."""
+    monkeypatch.setattr(cli, "_deletion_upper", lambda *args: None)
+
+
+def deletion_upper_by_vectors(G: Digraph, candidates, value: int, results: dict):
+    """Reference for ``cli._deletion_upper``: for each candidate ``(R,
+    at)`` of ``value`` naming n - 1 vertices, in order, R's witness mapped
+    through ``at`` and each vector x of the vertex ``at`` leaves out tried
+    from 0 up, bit i putting it in set i, by one ``solver._decycles`` call
+    each; the first family that decycles G, or None."""
+    n = G.n
+    for part, at in candidates:
+        found = results.get(cli._key(part))
+        if found is None or found.value != value or len(at) != n - 1:
+            continue
+        (v,) = set(range(n)) - set(at)
+        sets = [sum(1 << at[i] for i in range(part.n) if s >> i & 1)
+                for s in found.witness.sets]
+        for x in range(1 << value):
+            family = [s | (x >> i & 1) << v for i, s in enumerate(sets)]
+            if solver._decycles(G, family):
+                return InversionFamily(n, family)
+    return None
+
+
 def compose_family(
     H: Digraph,
     F_H: InversionFamily,

@@ -78,6 +78,12 @@ def one_vertex_blowups(monkeypatch):
     helpers.use_one_vertex_blowups(monkeypatch)
 
 
+@pytest.fixture
+def no_deletion_upper(monkeypatch):
+    # no upper family from the deletions' witnesses, as older sweep pins record
+    helpers.use_no_deletion_upper(monkeypatch)
+
+
 class TestInvCommand:
     def test_triangle(self, capsys, reference_solver):
         code, out, _ = run(capsys, "inv", "expr:c3", "--deterministic")
@@ -1108,6 +1114,7 @@ class TestDeletionBounds:
         ],
     )
     @pytest.mark.usefixtures("triangle_reference")
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want):
         # against 19,699, 8,679, 1,495, 107,382 and 25,842 with the
         # largest part alone, every stdout unchanged
@@ -1154,6 +1161,7 @@ class TestDeletionBounds:
         assert bounds(new) == bounds(solves)
         assert len(new) == 12 + 144
 
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_thm13_joins_take_the_smaller_dijoins_value(self, capsys, solves):
         self.sweep(capsys, "thm13", "--n-max", "6")
         joins = [(n, opts, levels, value) for n, opts, levels, value in solves
@@ -1169,6 +1177,7 @@ class TestDeletionBounds:
             assert levels == list(range(low, high)) and value == high == 3
             assert (levels == []) == (low == 3) == ((n, opts, levels, value) in bounded)
 
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_direction_searches_at_most_one_level_per_side(self, capsys, solves):
         self.sweep(capsys, "direction", "--n-max", "6")
         joins = [(opts, levels, value) for _, opts, levels, value in solves
@@ -1180,6 +1189,7 @@ class TestDeletionBounds:
             assert levels == list(range(low, high))
             assert len(levels) <= 1 and low <= value <= high
 
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_plain_solves_take_their_deletions_classes(self, capsys, solves):
         self.sweep(capsys, "bounds", "--n-max", "6")
         classes = {n: set(digraph.nonisomorphic_tournaments(n)) for n in range(6)}
@@ -1356,6 +1366,7 @@ class TestCoreBounds:
 
     @pytest.mark.parametrize("argv, count, digest", CERTIFICATE_SWEEPS)
     @pytest.mark.usefixtures("triangle_reference")
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_every_solve_keeps_its_certificates(self, capsys, solves, argv, count, digest):
         # node totals alone would miss a changed Sub of equal value
         self.sweep(capsys, *argv)
@@ -1370,6 +1381,7 @@ class TestCoreBounds:
 
     @pytest.mark.parametrize("argv, digest, want, _", CORE_SWEEPS)
     @pytest.mark.usefixtures("triangle_reference")
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want, _):
         assert self.sweep(capsys, *argv) == digest
         assert nodes.value == want
@@ -1795,11 +1807,13 @@ class TestRootBans:
         return solves
 
     @pytest.mark.parametrize("argv, digest, want", ROOT_BAN_SWEEPS)
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want):
         assert self.sweep(capsys, *argv) == digest
         assert nodes.value == want
 
     @pytest.mark.parametrize("argv, count, digest", ROOT_BAN_CERTIFICATES)
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_every_solve_keeps_its_certificates(self, capsys, solves, argv, count, digest):
         TestCoreBounds.test_every_solve_keeps_its_certificates(
             self, capsys, solves, argv, count, digest)
@@ -1892,11 +1906,13 @@ class TestDeepBans:
         return solves
 
     @pytest.mark.parametrize("argv, digest, want", DEEP_BAN_SWEEPS)
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want):
         assert self.sweep(capsys, *argv) == digest
         assert nodes.value == want
 
     @pytest.mark.parametrize("argv, count, digest", DEEP_BAN_CERTIFICATES)
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_every_solve_keeps_its_certificates(self, capsys, solves, argv, count, digest):
         TestCoreBounds.test_every_solve_keeps_its_certificates(
             self, capsys, solves, argv, count, digest)
@@ -1914,6 +1930,7 @@ class TestDeepBans:
         assert (blowup.value, blowup.source, blowup.nodes_explored) == (4, "composed", 911)
         assert sum(r.nodes_explored for r in results) == 921
 
+    @pytest.mark.usefixtures("no_deletion_upper")
     def test_no_level_grows_in_the_sweeps(self, capsys, monkeypatch):
         # every level these sweeps search, plain or with even weights only,
         # searched again by itself: a family exactly where the search with
@@ -1942,6 +1959,237 @@ class TestDeepBans:
             totals[0] += ref_nodes
             totals[1] += nodes
         assert totals == [281_173, 265_568]
+
+
+# DEEP_BAN_SWEEPS and the order-7 sweeps with each plain solve given an
+# upper family from its deletions' witnesses (cli._deletion_upper): the
+# same stdout, in fewer nodes wherever a class keeps a deletion's value
+DELETION_UPPER_SWEEPS = [
+    (*DEEP_BAN_SWEEPS[0][:2], 1_604),
+    (*DEEP_BAN_SWEEPS[1][:2], 804),
+    (*DEEP_BAN_SWEEPS[2][:2], 180),
+    (*DEEP_BAN_SWEEPS[3][:2], 31_132),
+    (*DEEP_BAN_SWEEPS[4][:2], 1_565),
+    (*DEEP_BAN_SWEEPS[5][:2], 1_565),
+    (*DEEP_BAN_SWEEPS[6][:2], 54_947),
+    (("bounds", "--n-max", "7"),
+     "229981acc1e58e0aed755ca722261e042d5612778c4e6c7a4a3f44b6842bfcbb", 8_532),
+    (("thm13", "--n-max", "7"),
+     "332fefa516cd706e5207ea3c0721ad3372ee5e452bffe1d893da8b922a432893", 9_156),
+    (("direction", "--n-max", "7"),
+     "4e4c4fe6d6110dbaf335bae97c827eb03fc271c41e9cd86949b9787389691b89", 205_238),
+]
+# DEEP_BAN_CERTIFICATES' solves with the rule: the same graphs and lower
+# bounds, with an upper family wherever a deletion's witness extends;
+# abnormal's and thm15's solves take none
+DELETION_UPPER_CERTIFICATES = [
+    (("direction", "--n-max", "6"), 229,
+     "1b780f371a6c33f4d37f81160c4c922cadc3be2279253d9ea9a171a60e57e57c"),
+    (("thm13", "--n-max", "6"), 113,
+     "fda862b24656e4a9a9029c7c52ce85e43a082bc08afb6a389144fd781d47d053"),
+    (("kjoin",), 8,
+     "7ed0cf467b7df07ab4293e442b2b2b033eed1b69f49b987cb90b86528b953b91"),
+    DEEP_BAN_CERTIFICATES[3],
+    DEEP_BAN_CERTIFICATES[4],
+    (("conj-direction", "--left-n", "4", "--right-n", "6"), 544,
+     "20c5e1b3334c53c7e4fd7a96de17d3787839cbb30615d0abd9a5793317caef1a"),
+    (("conj-direction", "--left-n", "5", "--right-n", "5"), 176,
+     "28ab02dd93e6e9df7f0ceaeb289792a904248253d7455e898209c1af8b293e84"),
+    (("qn", "--n-max", "12", "--n-exact", "12"), 12,
+     "7ead8408dedd1edbf95712621319fddacd9e9a26bb41ecc4a2e36389250dec8f"),
+]
+# sweeps with the distinct levels (graph, k) each searches with the rule
+# and without it
+DELETION_UPPER_LEVELS = [
+    (BENCH_SWEEPS[0][0], 28, 88),
+    (BENCH_SWEEPS[1][0], 21, 81),
+    (("bounds", "--n-max", "7"), 129, 552),
+    (LEVEL_SWEEPS[0], 186, 609),
+    (LEVEL_SWEEPS[1], 135, 558),
+    (LEVEL_SWEEPS[2], 32, 43),
+    (LEVEL_SWEEPS[3], 5, 9),
+]
+
+
+class TestDeletionUpper:
+    """Each plain sweep solve takes an upper family from its deletions'
+    witnesses (``cli._deletion_upper``), so a class that keeps a
+    deletion's value, with a witness that extends, searches no level.
+    The route before, where each searches its witness level, is pinned
+    in the classes above under ``no_deletion_upper``."""
+
+    sweep = TestJoinBounds.sweep
+    table = staticmethod(TestDeletionLower.table)
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        return TestJoinBounds.count_nodes(monkeypatch)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # (graph, options, result) per solve, in solve order
+        solves = []
+        inv_exact = solver.inv_exact
+
+        def spy(D, opts=None):
+            solves.append((D, opts, inv_exact(D, opts)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(solver, "inv_exact", spy)
+        return solves
+
+    @pytest.mark.parametrize("argv, digest, want", DELETION_UPPER_SWEEPS)
+    def test_sweep_nodes_pinned(self, capsys, nodes, argv, digest, want):
+        assert self.sweep(capsys, *argv) == digest
+        assert nodes.value == want
+
+    @pytest.mark.parametrize("argv, count, digest", DELETION_UPPER_CERTIFICATES)
+    def test_every_solve_keeps_its_certificates(self, capsys, solves, argv, count, digest):
+        TestCoreBounds.test_every_solve_keeps_its_certificates(
+            self, capsys, solves, argv, count, digest)
+
+    @pytest.mark.parametrize("argv, count, before", DELETION_UPPER_LEVELS)
+    def test_each_level_searched_keeps_its_tree(self, capsys, monkeypatch, argv, count, before):
+        # the rule only skips witness levels: every level still searched
+        # is one the route without it searches, in the same number of nodes
+        def levels():
+            found = {}
+            search = solver._search_assignment
+
+            def spy(D, k, *args, **kwargs):
+                family, nodes = search(D, k, *args, **kwargs)
+                found[digraph.encode_digraph(D), k] = nodes
+                return family, nodes
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_search_assignment", spy)
+                digest = self.sweep(capsys, *argv)
+            return digest, found
+
+        digest, new = levels()
+        helpers.use_no_deletion_upper(monkeypatch)
+        old_digest, old = levels()
+        assert digest == old_digest
+        assert new.items() <= old.items() and (len(new), len(old)) == (count, before)
+
+    def test_every_family_it_gives_proves_the_value_with_no_search(self, capsys, solves):
+        self.sweep(capsys, "bounds", "--n-max", "7")
+        given = [(D, opts, r) for D, opts, r in solves if opts.upper is not None]
+        assert (len(solves), len(given)) == (532, 429)
+        for D, opts, r in given:
+            assert solver._decycles(D, opts.upper.sets)
+            assert opts.upper.k == opts.lower.result.value == r.value
+            assert (r.nodes_explored, r.source, r.witness) == (0, "composed", opts.upper)
+            assert r.proof == f"sub:{sum(1 << v for v in opts.lower.vertices):x}"
+
+    def test_a_class_that_keeps_a_deletions_value_searches_nothing(self, monkeypatch):
+        # qn(6) less vertex 0 is its first deletion of its value 2, and
+        # that deletion's witness extends to vertex 0
+        T = qn(6)
+        deletions = cli._Deletions()
+        listed = deletions(T)
+        results = self.table(R for R, _ in listed)
+        opts = cli._options(T, results, deletions, SearchOptions())
+        R, at = listed[0]
+        assert opts.lower == solver.Sub(at, R, results[cli._key(R)]) and 0 not in at
+        assert opts.upper == helpers.deletion_upper_by_vectors(T, listed, 2, results)
+        assert solver.inv_exact(T).value == 2
+        searched = []
+        monkeypatch.setattr(solver, "_search_assignment", lambda *a, **kw: searched.append(a))
+        r = solver.inv_exact(T, opts)
+        assert searched == []
+        assert (r.value, r.nodes_explored, r.source, r.proof) == (2, 0, "composed", "sub:3e")
+
+    def test_a_witness_that_does_not_extend_gives_no_family(self):
+        # this class keeps its deletion's value 2, but no vector of the
+        # vertex left out extends a witness of a deletion of value 2, so it
+        # searches level 2 as with the lower bound alone
+        T = digraph.decode_digraph("enc:6:22.8.3.5.f.1e")
+        deletions = cli._Deletions()
+        listed = deletions(T)
+        results = self.table(R for R, _ in listed)
+        opts = cli._options(T, results, deletions, SearchOptions())
+        assert opts.upper is None and opts.lower.result.value == 2
+        assert helpers.deletion_upper_by_vectors(T, listed, 2, results) is None
+        got = solver.inv_exact(T, opts)
+        alone = solver.inv_exact(T, SearchOptions(lower=opts.lower))
+        assert (got.value, got.source, got.nodes_explored) == (2, "search", 13)
+        assert (got.witness, got.proof) == (alone.witness, alone.proof)
+        assert got.nodes_explored == alone.nodes_explored
+
+    def test_a_blow_up_keeps_its_composed_family(self, monkeypatch):
+        ask, deletions, results = TestCoreBounds.core_case()
+        key, core, _ = deletions.core_ask(ask, results)
+        results[key] = solver.inv_exact(core.graph)
+        asked = []
+        monkeypatch.setattr(cli, "_deletion_upper", lambda *args: asked.append(args))
+        opts = cli._options(ask, results, deletions, SearchOptions())
+        assert opts.upper == cli._blowup_options(ask, results, SearchOptions()).upper
+        r = solver.inv_exact(ask.graph, opts)
+        assert (r.value, r.source, r.witness) == (3, "composed", opts.upper)
+        # nor does a blow-up whose inputs are unresolved take one, though
+        # its blow-up by cores names all its vertices but one: c3's blow-up
+        # by two vertices, whose results are not in the table, and qn(6)
+        assert cli._options(ask, {}, deletions, SearchOptions()).upper is None
+        ask = cli.BlowUp(cli.C3, [cli.TT1, cli.TT1, qn(6)])
+        key, core, at = deletions.core_ask(ask, results)
+        results[key] = solver.inv_exact(core.graph)
+        opts = cli._options(ask, results, deletions, SearchOptions())
+        assert len(at) == ask.graph.n - 1 and opts.lower.part == core.graph
+        assert opts.upper is None and asked == []
+
+    def test_an_unresolved_deletion_gives_nothing(self):
+        T = qn(6)
+        deletions = cli._Deletions()
+        listed = deletions(T)
+        results = self.table(R for R, _ in listed)
+        R, at = listed[0]  # of value 2, whose witness extends
+        assert cli._deletion_upper(T, [(R, at)], 2, results) is not None
+        assert cli._deletion_upper(T, [(R, at)], 2, {}) is None
+        # with no deletion of value 2 resolved: a bound of 1 and no family
+        rest = {key: r for key, r in results.items() if r.value < 2}
+        opts = cli._options(T, rest, deletions, SearchOptions())
+        assert opts.lower.result.value == 1 and opts.upper is None
+        assert cli._options(T, {}, deletions, SearchOptions()) == SearchOptions()
+        # a candidate naming fewer than n - 1 vertices is skipped: vertices
+        # 1 and 2 of this graph, where 3 would be read as the one left out,
+        # and 3 extends their empty witness, though 0 -> 1 -> 2 -> 0 stays
+        G = digraph.Digraph(4, (0b0010, 0b0100, 0b0001, 0b0111))
+        S = G.induced(0b0110)
+        assert cli._deletion_upper(G, [(S, (1, 2))], 0, self.table([S])) is None
+
+    @staticmethod
+    def check_against_oracle(G, listed, results) -> tuple[int, int]:
+        """Each candidate alone, and the whole list at each value, against
+        ``helpers.deletion_upper_by_vectors``; (families, Nones) given."""
+        counts = [0, 0]
+        values = {results[cli._key(R)].value for R, _ in listed}
+        for candidates, value in [*(([c], results[cli._key(c[0])].value) for c in listed),
+                                  *((listed, value) for value in values)]:
+            got = cli._deletion_upper(G, candidates, value, results)
+            assert got == helpers.deletion_upper_by_vectors(G, candidates, value, results)
+            counts[got is None] += 1
+            if got is not None:
+                assert got.k == value and solver._decycles(G, got.sets)
+        return counts[0], counts[1]
+
+    def test_matches_the_vector_oracle_on_every_class(self):
+        # every deletion of every class of orders 2 to 6
+        deletions = cli._Deletions()
+        classes = [T for n in range(1, 7) for T in digraph.nonisomorphic_tournaments(n)]
+        results = self.table(T for T in classes if T.n < 6)
+        counts = [self.check_against_oracle(T, deletions(T), results) for T in classes[1:]]
+        assert [sum(c) for c in zip(*counts)] == [236, 321]
+
+    def test_matches_the_vector_oracle_on_oriented_graphs(self):
+        rng = random.Random(45)
+        counts = []
+        for _ in range(80):
+            G = helpers.random_oriented(rng, rng.randint(2, 7))
+            listed = cli._Deletions().of(G)
+            results = self.table(R for R, _ in listed)
+            counts.append(self.check_against_oracle(G, listed, results))
+        assert [sum(c) for c in zip(*counts)] == [340, 130]
 
 
 # the value-1 tournaments on 4 vertices, each with its triangle blow-up's

@@ -512,3 +512,18 @@ class TestCompletionBound:
             rows = [rng.getrandbits(n) for _ in range(n)]
             cols = rng.sample(range(n), n)
             assert _free_diag_bound(rows, cols, n, n + 2) == free_diag_by_loop(rows, cols, n)
+
+    def test_a_symmetric_square_block_is_its_least_gram_dimension(self):
+        # the domain the docstring states: a symmetric matrix's rows, its
+        # own columns in their order or shuffled, bounded by its least Gram
+        # dimension over every diagonal, which the returned diagonal reaches
+        rng = random.Random(45)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            M = random_symmetric(rng, n)
+            dims = [min_gram_dim(with_diagonal(M, d)) for d in range(1 << n)]
+            least = min(dims)
+            assert _free_diag_bound(M, range(n), n, n + 2) == (least, dims.index(least))
+            cols = rng.sample(range(n), n)
+            k, d = _free_diag_bound([M[c] for c in cols], cols, n, n + 2)
+            assert k == least == min_gram_dim(with_diagonal(M, d))
