@@ -24,8 +24,11 @@ blow-ups' parts, their cyclic hosts (an acyclic host has value 0) and
 every cyclic class their parts' one-vertex deletions reach (an acyclic
 one is read as value 0 with no solve, see ``_value``), then the asks
 themselves together with each blow-up of a host by its parts' cores (see
-``_Deletions.core``), each phase in one pool map per vertex count,
-smallest first, and only what is not yet in its table.
+``_Deletions.core``), each phase per vertex count, smallest first, and
+only what is not yet in its table.  ``--jobs N`` counts solving
+processes, the parent included: a phase's tasks that search a level
+k >= 1 (``solver._searches``; a ``(graph, k)`` ask always does) go to one
+``Pool`` map when two or more do, and the parent solves every other.
 Each solve takes its bounds in ``_options``: a blow-up between the
 certificates its inputs give (``_blowup_options``), then below by the
 first of strictly larger value among the induced subgraphs the table
@@ -356,11 +359,57 @@ EXPERIMENTS = {
 }
 
 
-def Pool(processes: int):
-    """A pool of ``processes`` workers; a serial run never imports multiprocessing."""
-    import multiprocessing
+class Pool(contextlib.nullcontext):
+    """``processes`` solving processes per ``map``, the caller one of them:
+    child c, forked for that map alone, solves ``tasks[c::jobs]`` from the
+    memory it inherited and sends its results (or its exception, raised
+    here) back in one pickle; one that exits without them raises
+    ChildProcessError.  On any exception every child left is killed and reaped."""
 
-    return multiprocessing.Pool(processes)
+    def __init__(self, processes: int):
+        super().__init__(self)  # entered as itself: no process outlives a map
+        self.processes = processes
+
+    def map(self, fn, tasks: list) -> list:
+        import pickle
+        import signal
+
+        jobs, out, children = min(self.processes, len(tasks)) or 1, [None] * len(tasks), []
+        try:
+            for c in range(1, jobs):
+                read, write = os.pipe()
+                if (pid := os.fork()) == 0:  # the child: its share, one write, and out
+                    try:
+                        try:
+                            got = [fn(t) for t in tasks[c::jobs]]
+                        except Exception as exc:
+                            got = exc
+                        with open(write, "wb") as fh:
+                            pickle.dump(got, fh)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write)
+                children.append([pid, open(read, "rb")])
+            out[0::jobs] = [fn(t) for t in tasks[0::jobs]]
+            for c, child in enumerate(children, 1):
+                data = child[1].read()
+                status = os.waitpid(child[0], 0)[1]
+                child[0] = None  # reaped, so not killed below
+                if status:
+                    raise ChildProcessError(f"a --jobs worker exited with status "
+                                            f"{os.waitstatus_to_exitcode(status)} and no results")
+                got = pickle.loads(data)
+                if isinstance(got, BaseException):
+                    raise got
+                out[c::jobs] = got
+            return out
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _run_one(task: tuple) -> solver.InvResult | int | str:
@@ -426,15 +475,17 @@ class _Deletions:
     representative of its class, R's vertex i at T's vertex ``at[i]``; on
     any other graph, nothing.  Each order's ``TournamentClasses`` is made
     once, each graph's list found once, keyed by its rows, each part's
-    core walked once, and each blow-up by cores built once."""
+    core walked once, each blow-up by cores built once, and each class's
+    witness peeled once (see ``_deletion_upper``)."""
 
-    __slots__ = ("forms", "found", "cores", "by_cores")
+    __slots__ = ("forms", "found", "cores", "by_cores", "peeled")
 
     def __init__(self):
         self.forms: dict[int, digraph.TournamentClasses] = {}
         self.found: dict[tuple[int, ...], list] = {}
         self.cores: dict[tuple[int, ...], tuple | None] = {}
         self.by_cores: dict[tuple, BlowUp | None] = {}
+        self.peeled: dict[tuple[int, ...], tuple] = {}
 
     def __call__(self, T: digraph.Digraph) -> list[tuple[digraph.Digraph, tuple]]:
         listed = self.found.get(T.out_rows)
@@ -562,15 +613,16 @@ def _options(ask, results: dict, deletions: _Deletions,
         if found is not None and (lower is None or found.value > lower.result.value):
             lower = solver.Sub(at, part, found)
     if lower is not None and upper is None and not isinstance(ask, BlowUp):
-        upper = _deletion_upper(ask, candidates, lower.result.value, results)
+        upper = _deletion_upper(ask, candidates, lower.result.value, results, deletions.peeled)
     return solver.SearchOptions(opts.max_k, opts.budget, lower, upper)
 
 
-def _deletion_upper(G: digraph.Digraph, candidates: list, value: int,
-                    results: dict) -> digraph.InversionFamily | None:
+def _deletion_upper(G: digraph.Digraph, candidates: list, value: int, results: dict,
+                    peeled: dict) -> digraph.InversionFamily | None:
     """The first family of ``value`` sets that decycles G extending the
     witness of a candidate ``(R, at)`` of that value on n - 1 vertices, the
-    vertex ``at`` leaves out in set j for bit j of the least such vector."""
+    vertex ``at`` leaves out in set j for bit j of the least such vector.
+    Each R's flipped rows and peel are kept in ``peeled``, by R's rows."""
     n, rows, full = G.n, G.out_rows, (1 << (1 << value)) - 1
     # a mask of vectors has bit x for vector x; par[j]: those that set j
     par = [sum(1 << x for x in range(1 << value) if x >> j & 1) for j in range(value)]
@@ -579,11 +631,14 @@ def _deletion_upper(G: digraph.Digraph, candidates: list, value: int,
         if found is None or found.value != value or len(at) != n - 1:
             continue
         v, sets = n * (n - 1) // 2 - sum(at), found.witness.sets  # v: the vertex left out
-        # R flipped is acyclic, so the peel lists i after all i reaches;
+        if part.out_rows not in peeled:
+            # R flipped is acyclic, so the peel lists i after all i reaches
+            flipped = digraph._flipped_rows(part.out_rows, sets)
+            peeled[part.out_rows] = flipped, digraph._peel(flipped, (1 << part.n) - 1)[0]
+        flipped, order = peeled[part.out_rows]
         # into[i]: the vectors under which i reaches v, bad: v reaches i too
-        flipped = digraph._flipped_rows(part.out_rows, sets)
         bad, into = 0, [0] * part.n
-        for i in digraph._peel(flipped, (1 << part.n) - 1)[0]:
+        for i in order:
             flip = 0  # the vectors that reverse the arc between at[i] and v
             for s, p in zip(sets, par):
                 flip ^= p * (s >> i & 1)
@@ -615,7 +670,8 @@ def cmd_experiment(args) -> int:
         raise ValueError(
             f"unknown experiment {args.name!r}; choices: " + " ".join(sorted(EXPERIMENTS))
         )
-    jobs = min(check_int(args.jobs, "--jobs", 1), os.cpu_count() or 1)
+    jobs = min(check_int(args.jobs, "--jobs", 1),
+               (os.cpu_count() or 1) if hasattr(os, "fork") else 1)
     build, check, own, _ = EXPERIMENTS[args.name]
     opts = _options_from_args(args)
     header = [f"experiment={args.name}"]
@@ -638,16 +694,21 @@ def cmd_experiment(args) -> int:
     # (instance index, checker, keys of the asks it waits for)
     waiting = [(i, check(inst), None) for i, inst in enumerate(instances)]
     with Pool(jobs) if jobs > 1 and len(instances) > 1 else contextlib.nullcontext() as pool:
-        solve_all = map if pool is None else pool.map
-
         def answer(todo: dict) -> None:
-            # every ask of todo (key -> ask) solved in one map per order,
-            # smallest first, each graph within the bounds that only the
-            # table supplies, smaller graphs' results included
+            # every ask of todo (key -> ask) solved per order, smallest first,
+            # each graph within the bounds that only the table supplies,
+            # smaller graphs' results included; the tasks that search go to
+            # the pool when two or more do, the rest are solved here
             for group in _by_order(todo):
                 tasks = [(a.graph if isinstance(a, BlowUp) else a,
                           _options(a, results, deletions, opts)) for a in group.values()]
-                for key, (graph, _), got in zip(group, tasks, solve_all(_run_one, tasks)):
+                searches = [i for i, (ask, o) in enumerate(tasks)
+                            if isinstance(ask, tuple) or solver._searches(o)]
+                mapped = {}
+                if pool is not None and len(searches) > 1:
+                    mapped = dict(zip(searches, pool.map(_run_one, [tasks[i] for i in searches])))
+                answers = [mapped[i] if i in mapped else _run_one(t) for i, t in enumerate(tasks)]
+                for key, (graph, _), got in zip(group, tasks, answers):
                     if isinstance(got, solver.InvResult):
                         if got.resolved:
                             results[key] = got
@@ -751,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         takers = ", ".join(name for name, entry in sorted(EXPERIMENTS.items()) if flag in entry[2])
         p_exp.add_argument("--" + flag.replace("_", "-"), type=int, help=f"{text} ({takers})")
     p_exp.add_argument("--jobs", type=int, default=1,
-                       help="worker processes; report order is stable")
+                       help="solving processes, this one included; report order is stable")
     _add_search_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 

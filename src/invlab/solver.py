@@ -704,6 +704,14 @@ def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
     return low, high
 
 
+def _searches(opts: SearchOptions) -> bool:
+    """Whether ``inv_exact`` under ``opts`` may search a level k >= 1:
+    the arithmetic of ``_bounds``, with none of its checks."""
+    low = 0 if opts.lower is None else opts.lower.result.value
+    high = opts.max_k if opts.upper is None else min(opts.max_k, opts.upper.k - 1)
+    return max(low, 1) <= high
+
+
 def inv_exact(D: Digraph, opts: SearchOptions | None = None) -> InvResult:
     """Inversion number by iterative deepening over the family size.
 

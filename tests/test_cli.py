@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -2082,6 +2083,22 @@ class TestDeletionUpper:
             assert (r.nodes_explored, r.source, r.witness) == (0, "composed", opts.upper)
             assert r.proof == f"sub:{sum(1 << v for v in opts.lower.vertices):x}"
 
+    def test_each_class_is_peeled_once_per_run(self, capsys, monkeypatch):
+        # bounds --n-max 7 extends witnesses of 72 classes, each flipped and
+        # peeled once in the run's _Deletions, not once per graph listing it
+        # (1,273 times), with the same stdout
+        flipped = []
+        flip = digraph._flipped_rows
+
+        def spy(rows, sets):
+            flipped.append(rows)
+            return flip(rows, sets)
+
+        monkeypatch.setattr(digraph, "_flipped_rows", spy)
+        digest = self.sweep(capsys, "bounds", "--n-max", "7")
+        assert digest == "229981acc1e58e0aed755ca722261e042d5612778c4e6c7a4a3f44b6842bfcbb"
+        assert len(flipped) == len(set(flipped)) == 72
+
     def test_a_class_that_keeps_a_deletions_value_searches_nothing(self, monkeypatch):
         # qn(6) less vertex 0 is its first deletion of its value 2, and
         # that deletion's witness extends to vertex 0
@@ -2144,8 +2161,8 @@ class TestDeletionUpper:
         listed = deletions(T)
         results = self.table(R for R, _ in listed)
         R, at = listed[0]  # of value 2, whose witness extends
-        assert cli._deletion_upper(T, [(R, at)], 2, results) is not None
-        assert cli._deletion_upper(T, [(R, at)], 2, {}) is None
+        assert cli._deletion_upper(T, [(R, at)], 2, results, {}) is not None
+        assert cli._deletion_upper(T, [(R, at)], 2, {}, {}) is None
         # with no deletion of value 2 resolved: a bound of 1 and no family
         rest = {key: r for key, r in results.items() if r.value < 2}
         opts = cli._options(T, rest, deletions, SearchOptions())
@@ -2156,17 +2173,17 @@ class TestDeletionUpper:
         # and 3 extends their empty witness, though 0 -> 1 -> 2 -> 0 stays
         G = digraph.Digraph(4, (0b0010, 0b0100, 0b0001, 0b0111))
         S = G.induced(0b0110)
-        assert cli._deletion_upper(G, [(S, (1, 2))], 0, self.table([S])) is None
+        assert cli._deletion_upper(G, [(S, (1, 2))], 0, self.table([S]), {}) is None
 
     @staticmethod
     def check_against_oracle(G, listed, results) -> tuple[int, int]:
         """Each candidate alone, and the whole list at each value, against
         ``helpers.deletion_upper_by_vectors``; (families, Nones) given."""
-        counts = [0, 0]
+        counts, peeled = [0, 0], {}  # one peel memo over the calls, as in a run
         values = {results[cli._key(R)].value for R, _ in listed}
         for candidates, value in [*(([c], results[cli._key(c[0])].value) for c in listed),
                                   *((listed, value) for value in values)]:
-            got = cli._deletion_upper(G, candidates, value, results)
+            got = cli._deletion_upper(G, candidates, value, results, peeled)
             assert got == helpers.deletion_upper_by_vectors(G, candidates, value, results)
             counts[got is None] += 1
             if got is not None:
@@ -2653,6 +2670,159 @@ class TestJobs:
         code, out, err = run(capsys, "experiment", "direction", "--jobs", jobs)
         assert code == 1 and out == "" and pools == []
         assert err.startswith("error:") and "--jobs" in err
+
+    def test_only_tasks_that_search_reach_the_pool(self, capsys, monkeypatch):
+        # of conj-direction 5x5's 176 solves, 22 may search a level k >= 1
+        # and 19 of them share a map with another of their order; the
+        # parent solves the other 157, 154 closed by their certificates
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        sent, solved = [], []
+        run_one = cli._run_one
+
+        def spy(task):
+            solved.append(task)
+            return run_one(task)
+
+        class RecordingPool(cli.Pool):
+            def map(self, fn, tasks):
+                assert len(tasks) > 1
+                sent.extend(tasks)
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(cli, "_run_one", spy)
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        argv = ("experiment", "conj-direction", "--left-n", "5", "--right-n", "5",
+                "--deterministic")
+        code, parallel, _ = run(capsys, *argv, "--jobs", "2")
+        assert code == 0 and (len(sent), len(solved)) == (19, 176)
+        assert all(isinstance(ask, tuple) or solver._searches(opts) for ask, opts in sent)
+        pooled = set(map(id, sent))
+        searching = [id(t) in pooled for t in solved if solver._searches(t[1])]
+        assert (len(searching), sum(searching)) == (22, 19)
+        assert run(capsys, *argv)[1] == parallel
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in BENCH_SWEEPS]
+                             + [CORE_SWEEPS[0][0]])
+    def test_three_jobs_give_the_serial_stdout_and_nodes(self, capsys, monkeypatch, argv):
+        # a split over two children and the parent, on each bench sweep
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        nodes = TestJoinBounds.count_nodes(monkeypatch)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        sizes = []
+
+        class CountedPool(cli.Pool):
+            def map(self, fn, tasks):
+                sizes.append(len(tasks))
+                return super().map(fn, tasks)
+
+        monkeypatch.setattr(cli.os, "fork", counted_fork)
+        monkeypatch.setattr(cli, "Pool", CountedPool)
+        serial = TestJoinBounds.sweep(None, capsys, *argv), nodes.value
+        assert forks == sizes == []
+        nodes.value = 0
+        assert (TestJoinBounds.sweep(None, capsys, *argv, "--jobs", "3"), nodes.value) == serial
+        assert max(sizes) >= 3 and len(forks) == sum(min(3, n) - 1 for n in sizes)
+
+    def test_no_fork_runs_serially(self, capsys, monkeypatch, pools):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(cli.os, "fork")
+        code, _, _ = run(capsys, "experiment", "thm13", "--n-max", "5", "--jobs", "2",
+                         "--deterministic")
+        assert code == 0 and pools == []
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkPool:
+    """``cli.Pool`` forks its children for each map and leaves none behind."""
+
+    def test_results_come_back_in_task_order(self):
+        parent = os.getpid()
+        with cli.Pool(3) as pool:
+            got = pool.map(lambda t: (t, os.getpid() == parent), list(range(8)))
+        assert [t for t, _ in got] == list(range(8))
+        assert [here for _, here in got] == [t % 3 == 0 for t in range(8)]
+        assert pool.map(abs, [-4]) == [4] and pool.map(abs, []) == []
+        assert no_child_left()
+
+    def test_a_child_that_raises_raises_here(self):
+        parent = os.getpid()
+
+        def fail_in_child(t):
+            if os.getpid() != parent:
+                raise ValueError(f"task {t} failed")
+            return t
+
+        with pytest.raises(ValueError, match=r"^task 1 failed$"):
+            cli.Pool(2).map(fail_in_child, [0, 1, 2, 3])
+        assert no_child_left()
+
+    def test_a_child_that_dies_raises_child_process_error(self):
+        parent = os.getpid()
+
+        def die_in_child(t):
+            if os.getpid() != parent:
+                os._exit(9)
+            return t
+
+        with pytest.raises(ChildProcessError, match="status 9"):
+            cli.Pool(2).map(die_in_child, [0, 1])
+        assert no_child_left()
+
+    def test_a_failure_kills_the_children_still_running(self):
+        # child 1 dies at once, child 2 would sleep a minute; the parent's
+        # own share fails in the second map
+        parent = os.getpid()
+
+        def die_or_hang(t):
+            if os.getpid() == parent:
+                return t
+            if t == 1:
+                os._exit(9)
+            time.sleep(60)
+
+        def hang_or_fail(t):
+            if os.getpid() == parent:
+                raise KeyError(t)
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with pytest.raises(ChildProcessError):
+            cli.Pool(3).map(die_or_hang, [0, 1, 2])
+        assert no_child_left()
+        with pytest.raises(KeyError):
+            cli.Pool(3).map(hang_or_fail, [0, 1, 2])
+        assert no_child_left()
+        assert time.perf_counter() - start < 30
+
+    def test_a_sweep_whose_worker_dies_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        parent = os.getpid()
+        run_one = cli._run_one
+
+        def die_in_child(task):
+            if os.getpid() != parent:
+                os._exit(9)
+            return run_one(task)
+
+        monkeypatch.setattr(cli, "_run_one", die_in_child)
+        code, out, err = run(capsys, "experiment", "thm13", "--n-max", "5", "--jobs", "2",
+                             "--deterministic")
+        assert (code, out) == (1, "")
+        assert err == "error: a --jobs worker exited with status 9 and no results\n"
+        assert no_child_left()
 
 
 class TestSweepDigests:

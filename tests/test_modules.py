@@ -163,34 +163,47 @@ def test_removed_names_stay_out_of_the_package():
 
 
 # what a run does not need: dataclasses loads inspect and ast, typing is
-# replaced by collections.abc, only a --jobs pool needs multiprocessing,
+# replaced by collections.abc, a --jobs pool forks with os.fork alone,
 # and the class walk reads its packed tables through memoryview, not array
 NOT_IMPORTED = {"array", "dataclasses", "inspect", "multiprocessing", "typing"}
 
 FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import invlab, invlab.cli
 on_import = sorted(set(sys.modules) - before)
+os.cpu_count, forks, fork = lambda: 2, [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = invlab.cli.main(["experiment", "direction", "--n-max", "3", "--deterministic"])
-print(json.dumps({"on_import": on_import, "after_run": sorted(sys.modules), "code": code}))
+    code = invlab.cli.main(["experiment", *sys.argv[2:], "--deterministic"])
+print(json.dumps({"on_import": on_import, "after_run": sorted(sys.modules), "code": code,
+                  "forks": len(forks)}))
 """
 
 
-def test_import_and_serial_run_load_only_what_they_use():
+def footprint(*argv) -> dict:
     # -S skips site, so no .pth file imports anything first
     src = os.path.dirname(os.path.dirname(invlab.__file__))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", FOOTPRINT, src],
+    return json.loads(subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT, src, *argv],
         capture_output=True, text=True, timeout=60, check=True,
-    ).stdout
-    report = json.loads(out)
+    ).stdout)
+
+
+def test_import_and_serial_run_load_only_what_they_use():
+    report = footprint("direction", "--n-max", "3")
     assert "invlab.cli" in report["on_import"]
     assert NOT_IMPORTED & set(report["on_import"]) == set()
-    assert report["code"] == 0
+    assert (report["code"], report["forks"]) == (0, 0)
     assert "multiprocessing" not in report["after_run"]
+
+
+def test_a_pool_run_loads_no_multiprocessing():
+    # the pool forks its children itself
+    report = footprint("thm13", "--n-max", "6", "--jobs", "2")
+    assert report["code"] == 0 and report["forks"] > 0
+    assert NOT_IMPORTED & set(report["after_run"]) == set()
 
 
 # every public int parameter: (call taking it, what its refusal names, low,
