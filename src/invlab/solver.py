@@ -12,7 +12,15 @@ Two independent backends:
   cut as soon as a mask empties, and the next vertex is the one with the
   fewest vectors left (fail first), a tie there going first to the
   vertex on the most cyclic triangles with another vertex unplaced.
-  ``exists_family`` walks the very tree of ``inv_exact``'s level k.  The
+  On a tournament the placed vertices' flipped arcs close no cycle and
+  join every pair, so they are a linear order, and a candidate inside
+  its vertex's mask puts the vertex after those with a flipped arc into
+  it and before the rest: the cycles it closes are read at that position
+  from two prefix tables, two lists of |P|+1 mask-wide ints per depth.
+  An oriented graph with a non-adjacent pair has no such order, and
+  keeps the walk of the prefix's reachability closure, the rule exact on
+  every graph (``_by_position`` picks the rule).  ``exists_family``
+  walks the very tree of ``inv_exact``'s level k.  The
   flips depend only on the dot products of the vectors, so any isometry
   of GF(2)^k maps decycling families to decycling families, and two are
   broken (see ``_search_assignment``): permutation of family positions,
@@ -272,6 +280,13 @@ def _weight_class(tops: int, w: int, first: bool, odd: Sequence[int]) -> int:
     return same | twin if first and w.bit_count() & 1 else same
 
 
+def _by_position(D: Digraph) -> bool:
+    """Whether ``_search_assignment`` reads a candidate's cycles from its
+    position in the flipped prefix's linear order, which exists when every
+    pair of D is adjacent; otherwise it walks the prefix's closure."""
+    return D.is_tournament()
+
+
 def _search_assignment(
     D: Digraph, k: int, opts: SearchOptions, spent: int = 0, *,
     even_weight_only: bool = False, group: list | None = None,
@@ -297,6 +312,24 @@ def _search_assignment(
     next vertex is the unplaced one with the fewest vectors left.  A node
     is one canonical candidate examined, in or out of its vertex's mask,
     and ``opts.budget`` counts nodes.
+
+    On a tournament (``_by_position``) A and B need no closure walk.  The
+    flipped prefix closes no cycle and joins every pair, so it is a
+    linear order pi.  A candidate inside v's mask closes no cycle through
+    v either, so it puts v after the p placed vertices with a flipped arc
+    into v (``back``) and before the others: A is v and pi's first p
+    vertices, B is v and the rest.  So up = to_v | ups[p] and down =
+    from_v | downs[p], with ups[i] the OR of ``to_at`` over pi's first i
+    vertices and downs[i] that of ``from_at`` over the others: the masks
+    are the closure walk's bit for bit, and so are the trees, node counts
+    and witnesses.  A node's lists are its parent's with the parent's
+    vertex inserted at its p, one comprehension each, built when the
+    node's first candidate goes deeper; until then its candidates read
+    the parent's lists around that vertex, so a node whose candidates all
+    fail builds none.  A search holds at most two lists of |P|+1 ints of
+    n * 2^k bits per depth.  With a non-adjacent pair, a vertex's arcs no
+    longer fix its place among the placed ones, and the closure walk,
+    exact on every oriented graph, stays.
 
     A tie on the fewest vectors goes first to the vertex on the most
     cyclic triangles r -> a -> b -> r of D with a or b unplaced, v counted
@@ -377,12 +410,15 @@ def _search_assignment(
     rep = sum(1 << r * size for r in range(n))  # the low bit of each block
     high = rep << size - 1  # the high bit of each block
     low_bits = high - rep  # the other bits of each block
+    linear = _by_position(D)
     # one pass over the arcs: an arc u -> v puts u in ins[v], u's block in
-    # tails[v] (the blocks of r with an arc r -> v), and each end's block
-    # in the other's near (the blocks of its neighbours)
+    # tails[v] (the blocks of r with an arc r -> v), and off tournaments
+    # each end's block in the other's near (the blocks of its neighbours);
+    # on one, v's near is every block but its own, made per node
     ins = [0] * n
     tails = [0] * n
     near = [0] * n
+    every = (1 << n * size) - 1
     for u in range(n):
         row = outs[u]
         bit = 1 << u
@@ -392,8 +428,9 @@ def _search_assignment(
             v = low.bit_length() - 1
             ins[v] |= bit
             tails[v] |= block
-            near[v] |= block
-            near[u] |= full << v * size
+            if not linear:
+                near[v] |= block
+                near[u] |= full << v * size
             row ^= low
     order = _vertex_order(D, ins)
     tri = _cyclic_triangles(outs, ins)
@@ -446,15 +483,23 @@ def _search_assignment(
         tops: int,
         first: bool,
         masks: int,
-        desc: list[int],
+        desc: list[int] | None,
+        tables: tuple | None,
         placed: int,
         rest: list[int],
         live: int,
     ) -> bool:
-        # masks: block r the vectors unplaced r may take; desc[u]: placed u
-        # and what it reaches in the flipped prefix; rest: unplaced but v,
-        # by order; live: the high bits of rest's blocks
+        # masks: block r the vectors unplaced r may take; by closure,
+        # desc[u]: placed u and what it reaches in the flipped prefix; by
+        # position, tables: (ups, downs, at, to_u, from_u), those of the
+        # prefix but its last vertex u, ups[i] to_at ORed over the first i
+        # vertices of its flipped order and downs[i] from_at over the
+        # others, then u's place in that order and its to_at and from_at;
+        # rest: unplaced but v, by order; live: the high bits of rest's blocks
         nonlocal nodes, keep
+        if linear:
+            ups, downs, at, to_u, from_u = tables
+            own_ups = own_downs = None  # the prefix's, built for its first child
         cand = memo.get(tops)
         if cand is None:
             cand = memo[tops] = _block_prefixes(tops) & start
@@ -465,7 +510,7 @@ def _search_assignment(
         av = adj[v] & placed
         ov = outs[v] & placed
         iv = ins[v] & placed
-        nv = near[v]
+        nv = every ^ full << v * size if linear else near[v]
         tv = tails[v]
         # the candidates inside mv and not banned at v, then an end bit
         todo = cand & mv & keep >> v * size | 1 << size
@@ -491,33 +536,45 @@ def _search_assignment(
             flip = 0
             for c in coords:
                 flip ^= cols[c]
-            swap = av & flip
-            heads = ov ^ swap  # arcs v -> u once flipped
-            back = iv ^ swap  # arcs u -> v once flipped
             to_v = odd[w] * rep & nv ^ tv
-            to_at[v] = to_v
-            from_at[v] = to_v ^ nv
             # r -> a for some a that reaches v, and b -> r for some b that
             # v reaches, close a cycle
-            below = bit
-            tmp = heads
-            while tmp:
-                low = tmp & -tmp
-                below |= desc[low.bit_length() - 1]
-                tmp ^= low
-            up = to_v
-            grown = desc[:]
-            grown[v] = below
-            for u in prefix:
-                if desc[u] & back:
-                    up |= to_at[u]
-                    grown[u] |= below
-            down = 0
-            tmp = below
-            while tmp:
-                low = tmp & -tmp
-                down |= from_at[low.bit_length() - 1]
-                tmp ^= low
+            if linear:
+                # flip holds only neighbours of v, so iv ^ flip is back,
+                # the p placed vertices before v in the flipped order
+                p = (iv ^ flip).bit_count()
+                from_v = to_v ^ nv
+                if p > at:  # u is before v
+                    up = to_v | to_u | ups[p - 1]
+                    down = from_v | downs[p - 1]
+                else:
+                    up = to_v | ups[p]
+                    down = from_v | from_u | downs[p]
+            else:
+                swap = av & flip
+                heads = ov ^ swap  # arcs v -> u once flipped
+                back = iv ^ swap  # arcs u -> v once flipped
+                to_at[v] = to_v
+                from_at[v] = to_v ^ nv
+                below = bit
+                tmp = heads
+                while tmp:
+                    low = tmp & -tmp
+                    below |= desc[low.bit_length() - 1]
+                    tmp ^= low
+                up = to_v
+                grown = desc[:]
+                grown[v] = below
+                for u in prefix:
+                    if desc[u] & back:
+                        up |= to_at[u]
+                        grown[u] |= below
+                down = 0
+                tmp = below
+                while tmp:
+                    low = tmp & -tmp
+                    down |= from_at[low.bit_length() - 1]
+                    tmp ^= low
             new = masks & ~(up & down)
             kept = new & keep if even_weight_only else new  # else masks hold the bans
             if ((kept & low_bits) + low_bits | kept) & live != live:
@@ -549,19 +606,31 @@ def _search_assignment(
                         nxt_v = r
             for c in coords:
                 cols[c] |= bit
-            prefix.append(v)
+            nxt_rest = rest[:]  # copy and remove: cheaper than a comprehension
+            nxt_rest.remove(nxt_v)
+            if linear:
+                if own_ups is None:  # u enters the order at at
+                    own_ups = ups[:at + 1] + [x | to_u for x in ups[at:]]
+                    own_downs = [x | from_u for x in downs[:at + 1]] + downs[at:]
+                grown = None
+                nxt_tables = (own_ups, own_downs, p, to_v, from_v)
+            else:
+                prefix.append(v)
+                nxt_tables = None
             if dfs(
                 nxt_v,
                 tops | ~w & w >> 1,
                 first and not w.bit_count() & 1,
                 new,
                 grown,
+                nxt_tables,
                 placed | bit,
-                [r for r in rest if r != nxt_v],
+                nxt_rest,
                 live ^ 1 << nxt_v * size + size - 1,
             ):
                 return True
-            prefix.pop()
+            if not linear:
+                prefix.pop()
             for c in coords:
                 cols[c] ^= bit
             # no family puts P's vectors and w's class at v, so none puts
@@ -589,7 +658,11 @@ def _search_assignment(
 
     root = order[0]
     live = high ^ 1 << root * size + size - 1
-    if not dfs(root, 1 << k >> 1, first, start * rep, [0] * n, 0, order[1:], live):
+    # by position nothing is placed: one empty table each, and at = -1 for
+    # no u, so the root's position 0 reads their one entry, ups[-1]
+    desc = None if linear else [0] * n
+    tables = ([0], [0], -1, 0, 0) if linear else None
+    if not dfs(root, 1 << k >> 1, first, start * rep, desc, tables, 0, order[1:], live):
         return None, nodes
     return InversionFamily(n, cols[::-1]), nodes  # coordinate c is set k-1-c
 

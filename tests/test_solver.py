@@ -616,21 +616,127 @@ class TestTriangleTies:
         assert counted == [(D.out_rows, D.in_rows())]
 
 
+def deep_search_inputs():
+    """The bench's deep_search inputs at seed 0: each graph relabelled by
+    the permutation the bench draws, vertex v renamed perm[v]."""
+    exprs = ["qn(11)", "qn(10)", "join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)"]
+    for i, expr in enumerate(exprs):
+        D = graph_from_expr(expr)
+        perm = list(range(D.n))
+        random.Random(f"deep_search:0:{i}").shuffle(perm)
+        yield helpers.relabel(D, perm)
+
+
 class TestDeepSearchInputs:
     @pytest.mark.usefixtures("triangle_reference")
     def test_seed_zero_nodes(self):
-        # the bench's deep_search inputs at seed 0: each graph relabelled
-        # by the permutation the bench draws, vertex v renamed perm[v]
-        exprs = ["qn(11)", "qn(10)", "join(c3,c3,c3,c3)", "blowup_uniform(c3;c3,3)"]
         triangle_order = [94_271, 3_861, 7_618, 8_603]
         plain_order = [210_581, 7_121, 14_061, 7_435]
-        for i, expr in enumerate(exprs):
-            D = graph_from_expr(expr)
-            perm = list(range(D.n))
-            random.Random(f"deep_search:0:{i}").shuffle(perm)
-            D = helpers.relabel(D, perm)
+        for i, D in enumerate(deep_search_inputs()):
             assert inv_exact(D).nodes_explored == triangle_order[i]
             assert helpers.reference_plain_order_inv_exact(D).nodes_explored == plain_order[i]
+
+    def test_seed_zero_nodes_of_the_shipped_search(self):
+        # the trees the bench's search_nodes sums: 57,642 in all
+        shipped = [inv_exact(D).nodes_explored for D in deep_search_inputs()]
+        assert shipped == [52_986, 2_453, 1_292, 911]
+        assert sum(shipped) == 57_642
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """Each level the assignment search walks, as (k, nodes, witness
+    dump or None), in order."""
+    searched = []
+    search = solver._search_assignment
+
+    def spy(D, k, *args, **kwargs):
+        found, nodes = search(D, k, *args, **kwargs)
+        searched.append((k, nodes, found and dump_family(found)))
+        return found, nodes
+
+    monkeypatch.setattr(solver, "_search_assignment", spy)
+    return searched
+
+
+def solve_levels(D, levels, even_weight_only):
+    """The levels of one solve: ``inv_exact``'s, or with even weights
+    ``exists_family``'s at each k from 1 up to D's value, the width the
+    tightness criterion asks about."""
+    levels.clear()
+    r = inv_exact(D)
+    if even_weight_only:
+        levels.clear()
+        for k in range(1, r.value + 1):
+            exists_family(D, k, even_weight_only=True)
+    return levels[:]
+
+
+def position_graphs():
+    """Every tournament class up to order 6 with its triangle dijoins on
+    both sides, 40 seeded tournaments of orders 7 to 11, qn(3) to qn(12)
+    and the two four-triangle graphs."""
+    for n in range(1, 7):
+        for T in nonisomorphic_tournaments(n):
+            yield from (T, dijoin(c3(), T), dijoin(T, c3()))
+    rng = random.Random(47)
+    for _ in range(40):
+        yield random_tournament(rng, rng.randint(7, 11))
+    for n in range(3, 13):
+        yield qn(n)
+    yield graph_from_expr("join(c3,c3,c3,c3)")
+    yield graph_from_expr("blowup_uniform(c3;c3,3)")
+
+
+# an oriented graph with 34 of its 45 pairs adjacent
+ORIENTED = "enc:10:e8.0.268.390.226.148.8a.112.55.1e1"
+
+
+class TestPositionPath:
+    """On a tournament the flipped prefix is a linear order, and the
+    search reads a candidate's cycles from its position there; it must
+    walk the very trees the closure walk does."""
+
+    @pytest.mark.parametrize("even_weight_only", [False, True], ids=["plain", "even"])
+    def test_the_closure_walk_searches_the_same_levels(
+        self, monkeypatch, levels, even_weight_only
+    ):
+        graphs = 0
+        for D in position_graphs():
+            assert D.is_tournament()
+            graphs += 1
+            by_position = solve_levels(D, levels, even_weight_only)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_by_position", lambda D: False)
+                by_closure = solve_levels(D, levels, even_weight_only)
+            assert by_position == by_closure, encode_digraph(D)
+        assert graphs == 3 * 76 + 40 + 10 + 2
+
+    def test_tournaments_go_by_position_and_oriented_graphs_by_closure(self, monkeypatch):
+        answers = []
+        by_position = solver._by_position
+
+        def spy(D):
+            answers.append(by_position(D))
+            return answers[-1]
+
+        monkeypatch.setattr(solver, "_by_position", spy)
+        for expr in ("qn(9)", "join(c3,c3,c3,c3)"):
+            answers.clear()
+            r = inv_exact(graph_from_expr(expr))
+            assert answers == [True] * r.value  # once per level searched
+        D = decode_digraph(ORIENTED)
+        assert not D.is_tournament()
+        answers.clear()
+        r = inv_exact(D)
+        assert (r.value, r.nodes_explored, answers) == (3, 994, [False] * 3)
+
+    def test_the_position_rule_is_not_exact_off_tournaments(self, monkeypatch):
+        # forced onto the oriented graph, it keeps a vector that closes a
+        # cycle through a non-adjacent pair, and the witness check refuses it
+        monkeypatch.setattr(solver, "_by_position", lambda D: True)
+        with pytest.raises(RuntimeError, match="failed its decycling check"):
+            inv_exact(decode_digraph(ORIENTED))
 
 
 def tie_break_graphs():
