@@ -733,14 +733,18 @@ def _result(
     )
 
 
+def _levels(opts: SearchOptions) -> tuple[int, int]:
+    """The first and the last level under ``opts``, unchecked: from the lower
+    bound's value, or 0, up to one below the upper family's width, or ``max_k``."""
+    low = 0 if opts.lower is None else opts.lower.result.value
+    return low, opts.max_k if opts.upper is None else min(opts.max_k, opts.upper.k - 1)
+
+
 def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
-    """The first and the last level ``inv_exact`` searches, after checking
-    ``opts``' certificates against D: from the lower bound's value, or 0,
-    up to one below the upper family's width, or ``max_k``.  Both are
-    checked on D's rows, with no graph built: the part's rows against D's
-    rows on the lower bound's vertices, read under its map, the family on
-    D's flipped rows."""
-    low, high = 0, opts.max_k
+    """``_levels(opts)``, the levels ``inv_exact`` searches, once ``opts``'
+    certificates pass their checks on D's rows, with no graph built: the
+    part's rows against D's rows on the lower bound's vertices, read under
+    its map, the family on D's flipped rows."""
     lower, upper = opts.lower, opts.upper
     if lower is not None:
         vertices = lower.vertices
@@ -765,7 +769,8 @@ def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
             raise ValueError(f"lower bound result must be an InvResult, got {lower.result!r}")
         if not lower.result.resolved:
             raise ValueError("lower bound result is unresolved")
-        low = check_int(lower.result.value, "lower bound value", 0, MAX_K)
+        check_int(lower.result.value, "lower bound value", 0, MAX_K)
+    low, high = _levels(opts)
     if upper is not None:
         if upper.n != D.n:
             raise ValueError(f"upper family is on {upper.n} vertices, not {D.n}")
@@ -773,15 +778,12 @@ def _bounds(D: Digraph, opts: SearchOptions) -> tuple[int, int]:
             raise ValueError("upper family does not decycle the graph")
         if low > upper.k:
             raise ValueError(f"lower bound {low} is above the upper family's {upper.k} sets")
-        high = min(high, upper.k - 1)
     return low, high
 
 
 def _searches(opts: SearchOptions) -> bool:
-    """Whether ``inv_exact`` under ``opts`` may search a level k >= 1:
-    the arithmetic of ``_bounds``, with none of its checks."""
-    low = 0 if opts.lower is None else opts.lower.result.value
-    high = opts.max_k if opts.upper is None else min(opts.max_k, opts.upper.k - 1)
+    """Whether ``inv_exact`` under ``opts`` may search a level k >= 1."""
+    low, high = _levels(opts)
     return max(low, 1) <= high
 
 

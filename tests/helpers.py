@@ -26,7 +26,7 @@ from invlab.digraph import (
     is_acyclic,
     residual_cycle,
 )
-from invlab import cli, solver
+from invlab import cli, solver, sweep
 from invlab.construct import blow_up
 from invlab.errors import BudgetExceededError, ResourceLimitError, VerificationError
 from invlab.f2 import _free_diag_bound
@@ -1017,13 +1017,13 @@ def use_unbounded_joins(monkeypatch) -> None:
     budget and max-k stdout pins record that route.  The parts are still
     answered first, but no checker that did not ask for them sees their
     answers."""
-    monkeypatch.setattr(cli, "_blowup_options", lambda ask, results, opts: opts)
+    monkeypatch.setattr(sweep.Sweep, "_blowup_options", lambda self, ask: self.opts)
 
 
 def _without_cores(monkeypatch) -> None:
     # no class walked for a core, so no blow-up by cores asked
-    monkeypatch.setattr(cli._Deletions, "below", lambda self, parts: [])
-    monkeypatch.setattr(cli._Deletions, "core_ask", lambda self, ask, results: None)
+    monkeypatch.setattr(sweep.Sweep, "_below", lambda self, parts: [])
+    monkeypatch.setattr(sweep.Sweep, "_core_ask", lambda self, ask: None)
 
 
 def use_largest_part_only(monkeypatch) -> None:
@@ -1032,34 +1032,35 @@ def use_largest_part_only(monkeypatch) -> None:
     plain solve, as before one-vertex deletions and cores gave bounds; the
     older sweep node pins record that route."""
 
-    def options(ask, results, deletions, opts):
-        return cli._blowup_options(ask, results, opts) if isinstance(ask, cli.BlowUp) else opts
+    def options(self, ask):
+        return self._blowup_options(ask) if isinstance(ask, sweep.BlowUp) else self.opts
 
     _without_cores(monkeypatch)
-    monkeypatch.setattr(cli, "_options", options)
-    monkeypatch.setattr(cli, "_by_order", lambda todo: [todo] if todo else [])
+    monkeypatch.setattr(sweep.Sweep, "_options", options)
+    monkeypatch.setattr(sweep, "_by_order", lambda todo: [todo] if todo else [])
 
 
-def one_vertex_deletion_lower(ask, results: dict, blown: dict, deletions) -> solver.Sub | None:
+def one_vertex_deletion_lower(ask, blown: dict, run) -> solver.Sub | None:
     """The sweep's lower bound from one-vertex deletions before cores:
-    the best the table holds, the first of largest value, or None.  A
-    tournament's deletion is read by its class representative's encoding
-    (``cli._Deletions``), and any other plain graph has none.  A blow-up's
-    deletion, of a vertex of one part, is the blow-up of the same host
-    with that part replaced by the representative of the part's deletion:
-    it is read in ``blown``, order -> (host, *parts) -> (graph key, graph)
-    of the blow-ups asked, so no graph is built to probe."""
+    the best the table of the sweep ``run`` holds, the first of largest
+    value, or None.  A tournament's deletion is read by its class
+    representative (``Sweep._by_class``), and any other plain graph has
+    none.  A blow-up's deletion, of a vertex of one part, is the blow-up
+    of the same host with that part replaced by the representative of the
+    part's deletion: it is read in ``blown``, order -> (host, *parts) ->
+    (graph key, graph) of the blow-ups asked, so no graph is built to
+    probe."""
     best = None
 
     def offer(vertices: tuple, part: Digraph, key) -> None:
         nonlocal best
-        found = results.get(key)
+        found = run.results.get(key)
         if found is not None and (best is None or found.value > best.result.value):
             best = solver.Sub(vertices, part, found)
 
-    if not isinstance(ask, cli.BlowUp):
-        for rep, at in deletions(ask):
-            offer(at, rep, cli._key(rep))
+    if not isinstance(ask, sweep.BlowUp):
+        for rep, at in run._by_class(ask):
+            offer(at, rep, sweep._key(rep))
         return best
     smaller = blown.get(ask.graph.n - 1)
     if smaller is None:
@@ -1068,7 +1069,7 @@ def one_vertex_deletion_lower(ask, results: dict, blown: dict, deletions) -> sol
     offsets = list(itertools.accumulate((p.n for p in parts), initial=0))
     for j, part in enumerate(parts):
         start, end = offsets[j], offsets[j + 1]
-        for rep, at in deletions(part):
+        for rep, at in run._by_class(part):
             known = smaller.get((ask.host, *parts[:j], rep, *parts[j + 1:]))
             if known is not None:
                 key, graph = known
@@ -1078,15 +1079,16 @@ def one_vertex_deletion_lower(ask, results: dict, blown: dict, deletions) -> sol
     return best
 
 
-def one_vertex_options(ask, results: dict, blown: dict, deletions, opts):
-    """``cli._options`` before cores: a blow-up's certificates from
-    ``cli._blowup_options``, then ``one_vertex_deletion_lower``'s bound
+def one_vertex_options(ask, blown: dict, run):
+    """``Sweep._options`` before cores: a blow-up's certificates from
+    ``Sweep._blowup_options``, then ``one_vertex_deletion_lower``'s bound
     when its value is larger; a ``(graph, k)`` ask takes none."""
+    opts = run.opts
     if isinstance(ask, tuple):
         return opts
-    if isinstance(ask, cli.BlowUp):
-        opts = cli._blowup_options(ask, results, opts)
-    lower = one_vertex_deletion_lower(ask, results, blown, deletions)
+    if isinstance(ask, sweep.BlowUp):
+        opts = run._blowup_options(ask)
+    lower = one_vertex_deletion_lower(ask, blown, run)
     if lower is None or opts.lower is not None and lower.result.value <= opts.lower.result.value:
         return opts
     return solver.SearchOptions(opts.max_k, opts.budget, lower, opts.upper)
@@ -1099,41 +1101,40 @@ def use_one_vertex_blowups(monkeypatch) -> None:
     run's ``blown`` for the blow-ups one vertex larger.  The older sweep
     pins of conj-direction record that route."""
 
-    class Deletions(cli._Deletions):
+    class Sweep(sweep.Sweep):
         __slots__ = ("blown",)
 
-        def __init__(self):
-            super().__init__()
+        def __init__(self, opts, jobs=1):
+            super().__init__(opts, jobs)
             self.blown: dict[int, dict[tuple, tuple]] = {}
 
-    def options(ask, results, deletions, opts):
-        if isinstance(ask, cli.BlowUp):
-            entry = (cli._key(ask), ask.graph)
-            deletions.blown.setdefault(ask.graph.n, {})[(ask.host, *ask.parts)] = entry
-        return one_vertex_options(ask, results, deletions.blown, deletions, opts)
+        def _options(self, ask):
+            if isinstance(ask, sweep.BlowUp):
+                entry = (sweep._key(ask), ask.graph)
+                self.blown.setdefault(ask.graph.n, {})[(ask.host, *ask.parts)] = entry
+            return one_vertex_options(ask, self.blown, self)
 
     _without_cores(monkeypatch)
-    monkeypatch.setattr(cli, "_Deletions", Deletions)
-    monkeypatch.setattr(cli, "_options", options)
+    monkeypatch.setattr(cli, "Sweep", Sweep)
 
 
 def use_no_deletion_upper(monkeypatch) -> None:
     """Make a sweep give no plain solve an upper family from its
-    deletions' witnesses (``cli._deletion_upper``), as before that rule,
+    deletions' witnesses (``Sweep._deletion_upper``), as before that rule,
     so each searches its witness level; the older sweep node and
     certificate pins record that route."""
-    monkeypatch.setattr(cli, "_deletion_upper", lambda *args: None)
+    monkeypatch.setattr(sweep.Sweep, "_deletion_upper", lambda self, *args: None)
 
 
 def deletion_upper_by_vectors(G: Digraph, candidates, value: int, results: dict):
-    """Reference for ``cli._deletion_upper``: for each candidate ``(R,
+    """Reference for ``Sweep._deletion_upper``: for each candidate ``(R,
     at)`` of ``value`` naming n - 1 vertices, in order, R's witness mapped
     through ``at`` and each vector x of the vertex ``at`` leaves out tried
     from 0 up, bit i putting it in set i, by one ``solver._decycles`` call
     each; the first family that decycles G, or None."""
     n = G.n
     for part, at in candidates:
-        found = results.get(cli._key(part))
+        found = results.get(sweep._key(part))
         if found is None or found.value != value or len(at) != n - 1:
             continue
         (v,) = set(range(n)) - set(at)

@@ -16,7 +16,7 @@ import invlab
 
 import helpers
 
-from invlab import cli, construct, digraph, solver
+from invlab import cli, construct, digraph, solver, sweep
 from invlab.construct import MAX_EXPR_DEPTH
 from invlab.construct import qn, qn_family
 from invlab.digraph import dump_digraph, dump_family
@@ -29,6 +29,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def engine(results=None, opts=None) -> sweep.Sweep:
+    """A sweep run under ``opts``, by default the default limits with no
+    certificates, whose table of resolved results is ``results`` itself,
+    not a copy, or empty."""
+    run = sweep.Sweep(SearchOptions() if opts is None else opts)
+    if results is not None:
+        run.results = results
+    return run
 
 
 @pytest.fixture
@@ -676,14 +686,14 @@ class TestExperiments:
     def test_real_pool_matches_serial(self, capsys, monkeypatch):
         # two workers even on a one-core machine, through the real pool
         opened = []
-        real_pool = cli.Pool
+        real_pool = sweep.Pool
 
         def counted_pool(processes):
             opened.append(processes)
             return real_pool(processes)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "Pool", counted_pool)
+        monkeypatch.setattr(sweep, "Pool", counted_pool)
         argv = ("experiment", "thm13", "--n-max", "5", "--deterministic")
         code, serial, _ = run(capsys, *argv)
         assert code == 0 and opened == []
@@ -858,7 +868,7 @@ class TestValueTable:
         assert code == 0 and "total=4 pass=4" in out
         t = construct.c3()
         joins = [t, construct.dijoin(t, t), construct.k_join([t, t, t])]
-        below = cli._Deletions().below(joins[:2])
+        below = engine()._below(joins[:2])
         assert sorted(G.n for G in below) == [3, 4, 4, 5, 5]
         assert all(digraph.is_acyclic(G) is None for G in below)
         assert len(solved) == len(set(solved)) == 3 + 5
@@ -1224,24 +1234,24 @@ class TestDeletionBounds:
 
 
 class TestDeletionLower:
-    """``cli._options``' bounds from one-vertex deletions on hand-made tables."""
+    """``Sweep._options``' bounds from one-vertex deletions on hand-made tables."""
 
     @staticmethod
     def table(graphs):
-        return {cli._key(G): solver.inv_exact(G) for G in graphs}
+        return {sweep._key(G): solver.inv_exact(G) for G in graphs}
 
     def test_a_blow_up_reads_the_smaller_blow_up(self, monkeypatch):
         T = digraph.nonisomorphic_tournaments(6)[-1]
-        deletions = cli._Deletions()
-        (R, at), *_ = deletions(T)
+        eng = engine()
+        (R, at), *_ = eng._by_class(T)
         small = cli.BlowUp(construct.transitive(2), [cli.C3, R])
-        key = cli._key(small.graph)
-        results = self.table([small.graph])
+        key = sweep._key(small.graph)
+        eng.results = results = self.table([small.graph])
         blown = {small.graph.n: {(small.host, *small.parts): (key, small.graph)}}
         ask = cli.BlowUp(construct.transitive(2), [cli.C3, T])
         built = []
         monkeypatch.setattr(construct, "blow_up", lambda *a: built.append(a))
-        lower = helpers.one_vertex_deletion_lower(ask, results, blown, deletions)
+        lower = helpers.one_vertex_deletion_lower(ask, blown, eng)
         assert built == []  # no graph is built to probe
         assert lower == solver.Sub((0, 1, 2, *(3 + a for a in at)), small.graph, results[key])
         rows = digraph._induced_rows(ask.graph.out_rows, lower.vertices)
@@ -1249,16 +1259,17 @@ class TestDeletionLower:
 
     def test_a_tournament_reads_its_deletions_classes(self):
         T = construct.qn(6)
-        deletions = cli._Deletions()
-        listed = deletions(T)
-        assert len(listed) == 6 and deletions(T) is listed  # found once
-        results = self.table(R for R, _ in listed)
-        lower = cli._options(T, results, deletions, SearchOptions()).lower
-        values = [results[cli._key(R)].value for R, _ in listed]
+        eng = engine()
+        listed = eng._by_class(T)
+        assert len(listed) == 6 and eng._by_class(T) is listed  # found once
+        eng.results = results = self.table(R for R, _ in listed)
+        lower = eng._options(T).lower
+        values = [results[sweep._key(R)].value for R, _ in listed]
         R, at = listed[values.index(max(values))]  # the first of largest value
-        assert lower == solver.Sub(at, R, results[cli._key(R)])
+        assert lower == solver.Sub(at, R, results[sweep._key(R)])
         assert solver.inv_exact(T, SearchOptions(lower=lower)).value == 2
-        assert cli._options(T, {}, deletions, SearchOptions()).lower is None
+        eng.results = {}
+        assert eng._options(T).lower is None
 
     @pytest.mark.parametrize(
         "graph",
@@ -1266,27 +1277,26 @@ class TestDeletionLower:
         ids=["one-vertex", "not-a-tournament", "past-the-canonical-form"],
     )
     def test_no_deletions_outside_the_canonical_form(self, graph):
-        assert cli._Deletions()(graph) == []
+        assert engine()._by_class(graph) == []
 
     def test_a_deletion_replaces_only_a_smaller_bound(self):
         # c3 => tt(4): c3's 1 below, and c3 => tt(3), of value 1 too, does
         # not replace it; c3 => qn(6): qn(6)'s 2 below, and c3 => qn(5),
         # of value 3, does
-        deletions = cli._Deletions()
-        opts = SearchOptions()
+        eng = engine()
         for parts, proof in (([cli.C3, construct.transitive(4)], (0, 1, 2)),
                              ([cli.C3, construct.qn(6)], None)):
             ask = cli.BlowUp(construct.transitive(2), parts)
-            results = self.table(parts)
+            eng.results = results = self.table(parts)
             blown = {}
-            for R, _ in deletions(parts[1]):
+            for R, _ in eng._by_class(parts[1]):
                 small = cli.BlowUp(construct.transitive(2), [cli.C3, R])
-                key = cli._key(small.graph)
+                key = sweep._key(small.graph)
                 results[key] = solver.inv_exact(small.graph)
                 blown.setdefault(small.graph.n, {})[(small.host, *small.parts)] = (
                     key, small.graph)
-            got = helpers.one_vertex_options(ask, results, blown, deletions, opts)
-            largest = cli._blowup_options(ask, results, opts)
+            got = helpers.one_vertex_options(ask, blown, eng)
+            largest = eng._blowup_options(ask)
             assert got.upper == largest.upper
             if proof is not None:
                 assert got == largest and got.lower.vertices == proof
@@ -1296,7 +1306,7 @@ class TestDeletionLower:
 
     def test_a_criterion_ask_takes_no_bound(self):
         opts = SearchOptions(max_k=3)
-        assert cli._options((cli.C3, 1), {}, cli._Deletions(), opts) is opts
+        assert engine(opts=opts)._options((cli.C3, 1)) is opts
 
 
 # the sweeps the core bound and the ladder cut, with their stdout sha256,
@@ -1363,7 +1373,7 @@ class TestCoreBounds:
 
     @staticmethod
     def table(graphs):
-        return {cli._key(G): solver.inv_exact(G) for G in graphs}
+        return {sweep._key(G): solver.inv_exact(G) for G in graphs}
 
     @pytest.mark.parametrize("argv, count, digest", CERTIFICATE_SWEEPS)
     @pytest.mark.usefixtures("triangle_reference")
@@ -1399,14 +1409,14 @@ class TestCoreBounds:
     def test_a_pool_gives_the_same_stdout_and_nodes(self, capsys, monkeypatch, nodes, argv):
         # the deletion classes and the blow-ups by cores go through its maps
         opened = []
-        real_pool = cli.Pool
+        real_pool = sweep.Pool
 
         def counted_pool(processes):
             opened.append(processes)
             return real_pool(processes)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "Pool", counted_pool)
+        monkeypatch.setattr(sweep, "Pool", counted_pool)
         serial = self.sweep(capsys, *argv), nodes.value
         nodes.value = 0
         assert (self.sweep(capsys, *argv, "--jobs", "2"), nodes.value) == serial
@@ -1427,28 +1437,30 @@ class TestCoreBounds:
 
     def test_acyclic_graphs_are_read_as_zero_and_never_solved(self):
         tt = construct.transitive
-        deletions = cli._Deletions()
+        eng = engine()
         # no acyclic class is listed to solve: an acyclic part's core, the
         # one vertex, is, since a blow-up by cores takes it as a part
-        assert deletions.below([cli.C3]) == []
-        assert deletions.below([tt(1)]) == []
-        assert deletions.below([tt(4), tt(3)]) == [cli.TT1]
+        assert eng._below([cli.C3]) == []
+        assert eng._below([tt(1)]) == []
+        assert eng._below([tt(4), tt(3)]) == [sweep.TT1]
         T = digraph.nonisomorphic_tournaments(4)[-1]
         assert digraph.is_acyclic(T) is None
-        assert [R.n for R in deletions.below([T])] == [3]  # c3, not tt(3)
+        assert [R.n for R in eng._below([T])] == [3]  # c3, not tt(3)
         # with an empty table, an acyclic part walks to one vertex, and
         # a blow-up of cyclic parts' cores reads no acyclic deletion
-        one, at = deletions.core(tt(4), {})
-        assert one == cli.TT1 and len(at) == 1
-        results = self.table([T, *deletions.below([T])])
-        C, _ = deletions.core(T, results)
-        assert C.n == 3 and cli._value(tt(2), {}) == 0
+        one, at = eng._core(tt(4))
+        assert one == sweep.TT1 and len(at) == 1
+        eng.results = results = self.table([T, *eng._below([T])])
+        C, _ = eng._core(T)
+        assert C.n == 3 and engine()._value(tt(2)) == 0
         # an acyclic blow-up by cores asks for nothing
-        results[cli._key(tt(1))] = solver.inv_exact(tt(1))
-        assert deletions.core_ask(cli.BlowUp(cli.TT2, [tt(4), tt(3)]), {}) is None
+        results[sweep._key(tt(1))] = solver.inv_exact(tt(1))
+        eng.results = {}
+        assert eng._core_ask(cli.BlowUp(cli.TT2, [tt(4), tt(3)])) is None
+        eng.results = results
         ask = cli.BlowUp(cli.TT2, [tt(4), T])
-        key, core, at = deletions.core_ask(ask, results)
-        assert core.parts == (cli.TT1, C) and len(at) == 4
+        key, core, at = eng._core_ask(ask)
+        assert core.parts == (sweep.TT1, C) and len(at) == 4
 
     @pytest.mark.parametrize(
         "graph", [digraph.Digraph(3, (0b010, 0, 0)), construct.transitive(9)],
@@ -1456,14 +1468,14 @@ class TestCoreBounds:
     )
     def test_other_graphs_take_their_own_deletions(self, graph):
         n = graph.n
-        listed = cli._Deletions().of(graph)
+        listed = engine()._deletions(graph)
         assert [at for _, at in listed] == [tuple(u for u in range(n) if u != v)
                                             for v in range(n)]
         for R, at in listed:
             assert R.out_rows == digraph._induced_rows(graph.out_rows, at)
         # a tournament the forms reach takes its deletions by class
-        deletions = cli._Deletions()
-        assert deletions.of(qn(6)) is deletions(qn(6))
+        eng = engine()
+        assert eng._deletions(qn(6)) is eng._by_class(qn(6))
 
     def test_qn_climbs_the_ladder(self, capsys, solves):
         self.sweep(capsys, *CORE_SWEEPS[3][0])
@@ -1477,17 +1489,17 @@ class TestCoreBounds:
 
     def test_each_distinct_graph_solved_once(self, capsys, solves):
         self.sweep(capsys, "conj-direction", "--left-n", "4", "--right-n", "4")
-        solved = [cli._key(D) for D, _, _ in solves]
+        solved = [sweep._key(D) for D, _, _ in solves]
         orders = [D.n for D, _, _ in solves]
         classes = digraph.nonisomorphic_tournaments(4)
-        deletions = cli._Deletions()
-        inputs = {cli._key(G): G for G in (*classes, *deletions.below(classes))}
-        results = self.table(inputs.values())
+        eng = engine()
+        inputs = {sweep._key(G): G for G in (*classes, *eng._below(classes))}
+        eng.results = self.table(inputs.values())
         asks, cored = set(), set()
         for A, B in ((L, R) for L in classes for R in classes):
             ask = cli.BlowUp(cli.TT2, [A, B])
-            asks.add(cli._key(ask.graph))
-            got = deletions.core_ask(ask, results)
+            asks.add(sweep._key(ask.graph))
+            got = eng._core_ask(ask)
             if got is not None:
                 cored.add(got[0])
         assert len(solved) == len(set(solved))
@@ -1499,67 +1511,69 @@ class TestCoreBounds:
         assert orders[cut:] == sorted(orders[cut:]) and cored - asks - set(inputs)
 
     def test_a_core_keeps_the_value_and_loses_it_at_every_deletion(self):
-        deletions = cli._Deletions()
+        eng = engine()
         classes = [T for n in range(1, 7) for T in digraph.nonisomorphic_tournaments(n)]
         results = self.table(classes)
-        value = {T.out_rows: results[cli._key(T)].value for T in classes}
+        value = {T.out_rows: results[sweep._key(T)].value for T in classes}
         sizes = {}
         for T in classes:
-            C, at = deletions.core(T, results)
-            assert deletions.core(T, {}) == (C, at)  # walked once
+            eng.results = results
+            C, at = eng._core(T)
+            eng.results = {}
+            assert eng._core(T) == (C, at)  # walked once
             assert C.out_rows == digraph._induced_rows(T.out_rows, at)
             assert value[C.out_rows] == value[T.out_rows]
-            assert all(value[R.out_rows] < value[C.out_rows] for R, _ in deletions(C))
+            assert all(value[R.out_rows] < value[C.out_rows] for R, _ in eng._by_class(C))
             sizes.setdefault(value[T.out_rows], set()).add(C.n)
         # value 0 shrinks to one vertex and value 1 to a triangle
         assert sizes == {0: {1}, 1: {3}, 2: {5, 6}}
 
     @classmethod
     def core_case(cls):
-        """c3 => qn(6) and a table of its parts and the classes below
-        them; qn(6) keeps its value 2 without its last vertex."""
+        """c3 => qn(6), a sweep run and its table of the parts and the
+        classes below them; qn(6) keeps its value 2 without its last vertex."""
         ask = cli.BlowUp(construct.transitive(2), [cli.C3, qn(6)])
-        deletions = cli._Deletions()
-        results = cls.table([*ask.parts, *deletions.below(ask.parts)])
-        return ask, deletions, results
+        eng = engine()
+        eng.results = results = cls.table([*ask.parts, *eng._below(ask.parts)])
+        return ask, eng, results
 
     def test_the_core_bound_is_the_blow_up_by_cores(self):
-        ask, deletions, results = self.core_case()
-        key, core, at = deletions.core_ask(ask, results)
-        cores = [deletions.core(p, results) for p in ask.parts]
+        ask, eng, results = self.core_case()
+        key, core, at = eng._core_ask(ask)
+        cores = [eng._core(p) for p in ask.parts]
         assert cores[0] == (cli.C3, (0, 1, 2)) and cores[1][0].n == 5
         assert core == cli.BlowUp(ask.host, [C for C, _ in cores])
-        assert deletions.core_ask(ask, results)[1] is core  # built once
+        assert eng._core_ask(ask)[1] is core  # built once
         assert at == (0, 1, 2, *(3 + v for v in cores[1][1]))
         results[key] = solver.inv_exact(core.graph)
-        lower = cli._options(ask, results, deletions, SearchOptions()).lower
+        lower = eng._options(ask).lower
         assert lower == solver.Sub(at, core.graph, results[key])
         # it replaces the largest part's 2: the blow-up by cores has 3
-        opts = cli._options(ask, results, deletions, SearchOptions())
+        opts = eng._options(ask)
         assert opts.lower == lower and lower.result.value == 3
-        assert opts.upper == cli._blowup_options(ask, results, SearchOptions()).upper
+        assert opts.upper == eng._blowup_options(ask).upper
         assert solver.inv_exact(ask.graph, opts).value == solver.inv_exact(ask.graph).value == 3
         # a blow-up whose parts are all their own cores asks for no other
-        assert deletions.core_ask(core, results) is None
+        assert eng._core_ask(core) is None
 
     def test_a_tie_keeps_the_bound_already_held(self):
         # c3 => tt(4): its blow-up by cores, c3 => tt(1), has c3's value 1,
         # so the largest part's bound stays
         ask = cli.BlowUp(construct.transitive(2), [cli.C3, construct.transitive(4)])
-        deletions = cli._Deletions()
-        results = self.table([*ask.parts, *deletions.below(ask.parts)])
-        key, core, at = deletions.core_ask(ask, results)
-        assert core.parts == (cli.C3, cli.TT1) and at[:3] == (0, 1, 2)
+        eng = engine()
+        eng.results = results = self.table([*ask.parts, *eng._below(ask.parts)])
+        key, core, at = eng._core_ask(ask)
+        assert core.parts == (cli.C3, sweep.TT1) and at[:3] == (0, 1, 2)
         results[key] = solver.inv_exact(core.graph)
-        opts = cli._options(ask, results, deletions, SearchOptions())
-        c3 = results[cli._key(cli.C3)]
+        opts = eng._options(ask)
+        c3 = results[sweep._key(cli.C3)]
         assert results[key].value == c3.value == 1
         assert opts.lower == solver.Sub((0, 1, 2), cli.C3, c3)
-        assert opts == cli._blowup_options(ask, results, SearchOptions())
+        assert opts == eng._blowup_options(ask)
 
     def test_a_forged_core_bound_is_refused_before_any_search(self, monkeypatch):
-        ask, deletions, results = self.core_case()
-        key, core, at = deletions.core_ask(ask, results)
+        ask, eng, results = self.core_case()
+        key, core, at = eng._core_ask(ask)
         found = results[key] = solver.inv_exact(core.graph)
         # a wrong embedding: the core's last vertex moved to a vertex it left
         moved = (*at[:-1], next(v for v in range(ask.graph.n) if v not in at))
@@ -1575,17 +1589,17 @@ class TestCoreBounds:
         assert searched == []
 
     def test_an_unresolved_solve_gives_no_bound(self):
-        ask, deletions, results = self.core_case()
+        ask, eng, results = self.core_case()
         # the blow-up by cores unresolved: no bound, the largest part's stays
-        assert deletions.core_ask(ask, results) is not None
-        opts = cli._options(ask, results, deletions, SearchOptions())
-        assert opts == cli._blowup_options(ask, results, SearchOptions())
+        assert eng._core_ask(ask) is not None
+        opts = eng._options(ask)
+        assert opts == eng._blowup_options(ask)
         # a deletion class unresolved: no core, so no blow-up by cores
-        deletions = cli._Deletions()
-        (R, _), *_ = deletions(qn(6))
-        del results[cli._key(R)]
-        assert deletions.core(qn(6), results) is None
-        assert deletions.core_ask(ask, results) is None
+        eng = engine(results)
+        (R, _), *_ = eng._by_class(qn(6))
+        del results[sweep._key(R)]
+        assert eng._core(qn(6)) is None
+        assert eng._core_ask(ask) is None
 
     def test_an_unresolved_core_solve_is_no_unknown_line(self, capsys, monkeypatch):
         # under a budget, a blow-up by cores or a deletion class that runs
@@ -1649,7 +1663,7 @@ class TestClassWalks:
 
 
 class TestTableKeys:
-    """A sweep keys its table by rows (``cli._key``), so it encodes a graph
+    """A sweep keys its table by rows (``sweep._key``), so it encodes a graph
     only to print it: here each listed class once, for its instance name."""
 
     sweep = TestJoinBounds.sweep
@@ -1963,7 +1977,7 @@ class TestDeepBans:
 
 
 # DEEP_BAN_SWEEPS and the order-7 sweeps with each plain solve given an
-# upper family from its deletions' witnesses (cli._deletion_upper): the
+# upper family from its deletions' witnesses (Sweep._deletion_upper): the
 # same stdout, in fewer nodes wherever a class keeps a deletion's value
 DELETION_UPPER_SWEEPS = [
     (*DEEP_BAN_SWEEPS[0][:2], 1_604),
@@ -2014,7 +2028,7 @@ DELETION_UPPER_LEVELS = [
 
 class TestDeletionUpper:
     """Each plain sweep solve takes an upper family from its deletions'
-    witnesses (``cli._deletion_upper``), so a class that keeps a
+    witnesses (``Sweep._deletion_upper``), so a class that keeps a
     deletion's value, with a witness that extends, searches no level.
     The route before, where each searches its witness level, is pinned
     in the classes above under ``no_deletion_upper``."""
@@ -2085,7 +2099,7 @@ class TestDeletionUpper:
 
     def test_each_class_is_peeled_once_per_run(self, capsys, monkeypatch):
         # bounds --n-max 7 extends witnesses of 72 classes, each flipped and
-        # peeled once in the run's _Deletions, not once per graph listing it
+        # peeled once in the run's Sweep, not once per graph listing it
         # (1,273 times), with the same stdout
         flipped = []
         flip = digraph._flipped_rows
@@ -2103,12 +2117,12 @@ class TestDeletionUpper:
         # qn(6) less vertex 0 is its first deletion of its value 2, and
         # that deletion's witness extends to vertex 0
         T = qn(6)
-        deletions = cli._Deletions()
-        listed = deletions(T)
-        results = self.table(R for R, _ in listed)
-        opts = cli._options(T, results, deletions, SearchOptions())
+        eng = engine()
+        listed = eng._by_class(T)
+        eng.results = results = self.table(R for R, _ in listed)
+        opts = eng._options(T)
         R, at = listed[0]
-        assert opts.lower == solver.Sub(at, R, results[cli._key(R)]) and 0 not in at
+        assert opts.lower == solver.Sub(at, R, results[sweep._key(R)]) and 0 not in at
         assert opts.upper == helpers.deletion_upper_by_vectors(T, listed, 2, results)
         assert solver.inv_exact(T).value == 2
         searched = []
@@ -2122,10 +2136,10 @@ class TestDeletionUpper:
         # vertex left out extends a witness of a deletion of value 2, so it
         # searches level 2 as with the lower bound alone
         T = digraph.decode_digraph("enc:6:22.8.3.5.f.1e")
-        deletions = cli._Deletions()
-        listed = deletions(T)
-        results = self.table(R for R, _ in listed)
-        opts = cli._options(T, results, deletions, SearchOptions())
+        eng = engine()
+        listed = eng._by_class(T)
+        eng.results = results = self.table(R for R, _ in listed)
+        opts = eng._options(T)
         assert opts.upper is None and opts.lower.result.value == 2
         assert helpers.deletion_upper_by_vectors(T, listed, 2, results) is None
         got = solver.inv_exact(T, opts)
@@ -2135,55 +2149,58 @@ class TestDeletionUpper:
         assert got.nodes_explored == alone.nodes_explored
 
     def test_a_blow_up_keeps_its_composed_family(self, monkeypatch):
-        ask, deletions, results = TestCoreBounds.core_case()
-        key, core, _ = deletions.core_ask(ask, results)
+        ask, eng, results = TestCoreBounds.core_case()
+        key, core, _ = eng._core_ask(ask)
         results[key] = solver.inv_exact(core.graph)
         asked = []
-        monkeypatch.setattr(cli, "_deletion_upper", lambda *args: asked.append(args))
-        opts = cli._options(ask, results, deletions, SearchOptions())
-        assert opts.upper == cli._blowup_options(ask, results, SearchOptions()).upper
+        monkeypatch.setattr(sweep.Sweep, "_deletion_upper", lambda self, *args: asked.append(args))
+        opts = eng._options(ask)
+        assert opts.upper == eng._blowup_options(ask).upper
         r = solver.inv_exact(ask.graph, opts)
         assert (r.value, r.source, r.witness) == (3, "composed", opts.upper)
         # nor does a blow-up whose inputs are unresolved take one, though
         # its blow-up by cores names all its vertices but one: c3's blow-up
         # by two vertices, whose results are not in the table, and qn(6)
-        assert cli._options(ask, {}, deletions, SearchOptions()).upper is None
-        ask = cli.BlowUp(cli.C3, [cli.TT1, cli.TT1, qn(6)])
-        key, core, at = deletions.core_ask(ask, results)
+        eng.results = {}
+        assert eng._options(ask).upper is None
+        eng.results = results
+        ask = cli.BlowUp(cli.C3, [sweep.TT1, sweep.TT1, qn(6)])
+        key, core, at = eng._core_ask(ask)
         results[key] = solver.inv_exact(core.graph)
-        opts = cli._options(ask, results, deletions, SearchOptions())
+        opts = eng._options(ask)
         assert len(at) == ask.graph.n - 1 and opts.lower.part == core.graph
         assert opts.upper is None and asked == []
 
     def test_an_unresolved_deletion_gives_nothing(self):
         T = qn(6)
-        deletions = cli._Deletions()
-        listed = deletions(T)
+        eng = engine()
+        listed = eng._by_class(T)
         results = self.table(R for R, _ in listed)
         R, at = listed[0]  # of value 2, whose witness extends
-        assert cli._deletion_upper(T, [(R, at)], 2, results, {}) is not None
-        assert cli._deletion_upper(T, [(R, at)], 2, {}, {}) is None
+        assert engine(results)._deletion_upper(T, [(R, at)], 2) is not None
+        assert engine()._deletion_upper(T, [(R, at)], 2) is None
         # with no deletion of value 2 resolved: a bound of 1 and no family
-        rest = {key: r for key, r in results.items() if r.value < 2}
-        opts = cli._options(T, rest, deletions, SearchOptions())
+        eng.results = {key: r for key, r in results.items() if r.value < 2}
+        opts = eng._options(T)
         assert opts.lower.result.value == 1 and opts.upper is None
-        assert cli._options(T, {}, deletions, SearchOptions()) == SearchOptions()
+        eng.results = {}
+        assert eng._options(T) == SearchOptions()
         # a candidate naming fewer than n - 1 vertices is skipped: vertices
         # 1 and 2 of this graph, where 3 would be read as the one left out,
         # and 3 extends their empty witness, though 0 -> 1 -> 2 -> 0 stays
         G = digraph.Digraph(4, (0b0010, 0b0100, 0b0001, 0b0111))
         S = G.induced(0b0110)
-        assert cli._deletion_upper(G, [(S, (1, 2))], 0, self.table([S]), {}) is None
+        assert engine(self.table([S]))._deletion_upper(G, [(S, (1, 2))], 0) is None
 
     @staticmethod
     def check_against_oracle(G, listed, results) -> tuple[int, int]:
         """Each candidate alone, and the whole list at each value, against
         ``helpers.deletion_upper_by_vectors``; (families, Nones) given."""
-        counts, peeled = [0, 0], {}  # one peel memo over the calls, as in a run
-        values = {results[cli._key(R)].value for R, _ in listed}
-        for candidates, value in [*(([c], results[cli._key(c[0])].value) for c in listed),
+        counts, eng = [0, 0], engine(results)  # one peel memo over the calls, as in a run
+        values = {results[sweep._key(R)].value for R, _ in listed}
+        for candidates, value in [*(([c], results[sweep._key(c[0])].value) for c in listed),
                                   *((listed, value) for value in values)]:
-            got = cli._deletion_upper(G, candidates, value, results, peeled)
+            got = eng._deletion_upper(G, candidates, value)
             assert got == helpers.deletion_upper_by_vectors(G, candidates, value, results)
             counts[got is None] += 1
             if got is not None:
@@ -2192,10 +2209,10 @@ class TestDeletionUpper:
 
     def test_matches_the_vector_oracle_on_every_class(self):
         # every deletion of every class of orders 2 to 6
-        deletions = cli._Deletions()
+        eng = engine()
         classes = [T for n in range(1, 7) for T in digraph.nonisomorphic_tournaments(n)]
         results = self.table(T for T in classes if T.n < 6)
-        counts = [self.check_against_oracle(T, deletions(T), results) for T in classes[1:]]
+        counts = [self.check_against_oracle(T, eng._by_class(T), results) for T in classes[1:]]
         assert [sum(c) for c in zip(*counts)] == [236, 321]
 
     def test_matches_the_vector_oracle_on_oriented_graphs(self):
@@ -2203,7 +2220,7 @@ class TestDeletionUpper:
         counts = []
         for _ in range(80):
             G = helpers.random_oriented(rng, rng.randint(2, 7))
-            listed = cli._Deletions().of(G)
+            listed = engine()._deletions(G)
             results = self.table(R for R, _ in listed)
             counts.append(self.check_against_oracle(G, listed, results))
         assert [sum(c) for c in zip(*counts)] == [340, 130]
@@ -2230,12 +2247,12 @@ class TestBlowupTheorem:
 
     @pytest.mark.parametrize("base, reference, shipped", ORDER_FOUR_BLOWUPS)
     def test_order_four_blowup_has_value_five(self, monkeypatch, base, reference, shipped):
-        # between cli._blowup_options' certificates: a triangle's 1 below,
+        # between Sweep._blowup_options' certificates: a triangle's 1 below,
         # the host's set blown up and the parts' sets above, 1 + 4 = 5, so
         # level 4 alone is searched and exhausted
         ask = cli.BlowUp(digraph.decode_digraph(base), [cli.C3] * 4)
-        results = {cli._key(g): solver.inv_exact(g) for g in ask.inputs()}
-        opts = cli._blowup_options(ask, results, SearchOptions())
+        results = {sweep._key(g): solver.inv_exact(g) for g in ask.inputs()}
+        opts = engine(results)._blowup_options(ask)
         assert opts.upper.k == 5
         r = solver.inv_exact(ask.graph, opts)
         assert (r.value, r.proof, r.source, r.nodes_explored) == (
@@ -2526,14 +2543,14 @@ class TestKjoinCriterion:
     def test_same_stdout_through_a_real_pool(self, capsys, monkeypatch, joins):
         joins(*TIGHTNESS_JOINS)
         opened = []
-        real_pool = cli.Pool
+        real_pool = sweep.Pool
 
         def counted_pool(processes):
             opened.append(processes)
             return real_pool(processes)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "Pool", counted_pool)
+        monkeypatch.setattr(sweep, "Pool", counted_pool)
         argv = ("experiment", "kjoin", "--deterministic")
         code, serial, _ = run(capsys, *argv)
         assert code == 0 and "total=2 pass=2" in serial
@@ -2629,7 +2646,7 @@ class TestJobs:
             def map(self, fn, tasks):
                 return [fn(t) for t in tasks]
 
-        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(sweep, "Pool", RecordingPool)
         return sizes
 
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch, pools):
@@ -2683,14 +2700,14 @@ class TestJobs:
             solved.append(task)
             return run_one(task)
 
-        class RecordingPool(cli.Pool):
+        class RecordingPool(sweep.Pool):
             def map(self, fn, tasks):
                 assert len(tasks) > 1
                 sent.extend(tasks)
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr(cli, "_run_one", spy)
-        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(sweep, "Pool", RecordingPool)
         argv = ("experiment", "conj-direction", "--left-n", "5", "--right-n", "5",
                 "--deterministic")
         code, parallel, _ = run(capsys, *argv, "--jobs", "2")
@@ -2716,13 +2733,13 @@ class TestJobs:
 
         sizes = []
 
-        class CountedPool(cli.Pool):
+        class CountedPool(sweep.Pool):
             def map(self, fn, tasks):
                 sizes.append(len(tasks))
                 return super().map(fn, tasks)
 
         monkeypatch.setattr(cli.os, "fork", counted_fork)
-        monkeypatch.setattr(cli, "Pool", CountedPool)
+        monkeypatch.setattr(sweep, "Pool", CountedPool)
         serial = TestJoinBounds.sweep(None, capsys, *argv), nodes.value
         assert forks == sizes == []
         nodes.value = 0
@@ -2746,11 +2763,11 @@ def no_child_left() -> bool:
 
 
 class TestForkPool:
-    """``cli.Pool`` forks its children for each map and leaves none behind."""
+    """``sweep.Pool`` forks its children for each map and leaves none behind."""
 
     def test_results_come_back_in_task_order(self):
         parent = os.getpid()
-        with cli.Pool(3) as pool:
+        with sweep.Pool(3) as pool:
             got = pool.map(lambda t: (t, os.getpid() == parent), list(range(8)))
         assert [t for t, _ in got] == list(range(8))
         assert [here for _, here in got] == [t % 3 == 0 for t in range(8)]
@@ -2766,7 +2783,7 @@ class TestForkPool:
             return t
 
         with pytest.raises(ValueError, match=r"^task 1 failed$"):
-            cli.Pool(2).map(fail_in_child, [0, 1, 2, 3])
+            sweep.Pool(2).map(fail_in_child, [0, 1, 2, 3])
         assert no_child_left()
 
     def test_a_child_that_dies_raises_child_process_error(self):
@@ -2778,7 +2795,7 @@ class TestForkPool:
             return t
 
         with pytest.raises(ChildProcessError, match="status 9"):
-            cli.Pool(2).map(die_in_child, [0, 1])
+            sweep.Pool(2).map(die_in_child, [0, 1])
         assert no_child_left()
 
     def test_a_failure_kills_the_children_still_running(self):
@@ -2800,10 +2817,10 @@ class TestForkPool:
 
         start = time.perf_counter()
         with pytest.raises(ChildProcessError):
-            cli.Pool(3).map(die_or_hang, [0, 1, 2])
+            sweep.Pool(3).map(die_or_hang, [0, 1, 2])
         assert no_child_left()
         with pytest.raises(KeyError):
-            cli.Pool(3).map(hang_or_fail, [0, 1, 2])
+            sweep.Pool(3).map(hang_or_fail, [0, 1, 2])
         assert no_child_left()
         assert time.perf_counter() - start < 30
 
@@ -2823,6 +2840,31 @@ class TestForkPool:
         assert (code, out) == (1, "")
         assert err == "error: a --jobs worker exited with status 9 and no results\n"
         assert no_child_left()
+
+
+class TestBenchWrappedNames:
+    """The benchmark traces a sweep by wrapping, by name, every
+    ``EXPERIMENTS`` builder and checker and ``cli._run_one``: a sweep
+    reaches each through those names."""
+
+    def test_a_sweep_calls_every_wrapped_name(self, capsys, monkeypatch):
+        calls = {"build": 0, "check": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for key, (build, check, flags, doc) in list(cli.EXPERIMENTS.items()):
+            entry = (counted("build", build), counted("check", check), flags, doc)
+            monkeypatch.setitem(cli.EXPERIMENTS, key, entry)
+        monkeypatch.setattr(cli, "_run_one", counted("solve", cli._run_one))
+        argv, digest, _, _ = CORE_SWEEPS[0]
+        code, out, _ = run(capsys, "experiment", *argv, "--jobs", "1", "--deterministic")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert calls == {"build": 1, "check": 144, "solve": 176}
 
 
 class TestSweepDigests:

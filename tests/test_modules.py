@@ -1,8 +1,11 @@
 """Module-level invariants that hold across the whole package."""
 
 import ast
+import contextlib
+import copy
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -13,7 +16,7 @@ import sys
 import pytest
 
 import invlab
-from invlab import construct, f2, solver
+from invlab import cli, construct, f2, solver
 from invlab.construct import c3, transitive
 from invlab.digraph import (
     MAX_VERTICES,
@@ -40,6 +43,45 @@ def test_no_module_global_caches():
             if hasattr(value, "cache_info") or hasattr(value, "cache_clear"):
                 found.append(f"{info.name}.{name}")
     assert found == []
+
+
+# the package's only module-level containers: tables that runs read
+MODULE_CONTAINERS = {"cli.FLAGS", "cli._SWEEP", "cli.EXPERIMENTS", "construct._GRAMMAR"}
+
+# bench's tournament_sweep: direction, then thm13, to order 6, with the
+# stdout digests bench pins for them
+TOURNAMENT_SWEEP = [
+    (("direction", "--n-max", "6"),
+     "aeeb38deff21a9cbabd8275f205aa36d5c8f1570cd16cf62aaccf4c035b74b69"),
+    (("thm13", "--n-max", "6"),
+     "d4e069f587a3ea1372f2aaeddaa614a505dda4d77086ddeeb950eaa3ad2d5d94"),
+]
+
+
+def module_containers() -> dict:
+    found = {}
+    for info in pkgutil.iter_modules(invlab.__path__):
+        module = importlib.import_module(f"invlab.{info.name}")
+        for name, value in vars(module).items():
+            if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray)):
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+def test_no_module_state_survives_a_sweep():
+    # a sweep's table and memos live in its run, so the same sweeps run
+    # twice over in one interpreter print the same, and leave every
+    # module-level table as it was
+    before = copy.deepcopy(module_containers())
+    assert set(before) == MODULE_CONTAINERS
+    for _ in range(2):
+        for argv, digest in TOURNAMENT_SWEEP:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["experiment", *argv, "--jobs", "1", "--deterministic"])
+            assert code == 0
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert module_containers() == before
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -100,7 +142,8 @@ TEST_ONLY = {
 # _options alone picks a sweep solve's lower bound, by one rule: the first of
 # strictly larger value among the induced subgraphs the table has solved;
 # the free-diagonal bound is a private step of the order backend, whose
-# blocks are valid by construction, so it has no public name and no row cap
+# blocks are valid by construction, so it has no public name and no row cap;
+# a sweep's deletion memos are the state of its one run object, sweep.Sweep
 REMOVED = {
     "Expr",
     "C3Expr",
@@ -142,6 +185,7 @@ REMOVED = {
     "_core_lower",
     "free_diag_bound",
     "FREE_DIAG_LIMIT",
+    "_Deletions",
 }
 
 

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from invlab import cli, f2, solver
+from invlab import cli, f2, solver, sweep
 from invlab.construct import (
     c3,
     dijoin,
@@ -258,13 +258,44 @@ class TestLevelZeroByPeel:
         assert len(built) == 1
 
 
+def blowup_options(ask, results: dict, opts: SearchOptions) -> SearchOptions:
+    """``Sweep._blowup_options`` of ``ask`` in a sweep run under ``opts``
+    whose table of resolved results is ``results``."""
+    run = sweep.Sweep(opts)
+    run.results = results
+    return run._blowup_options(ask)
+
+
 def bounded(D, parts, **limits) -> SearchOptions:
     """The certificates a sweep gives D, the k-join of ``parts``: the first
     part of largest value below, the parts' witnesses composed above."""
-    results = {cli._key(p): inv_exact(p) for p in parts}
+    results = {sweep._key(p): inv_exact(p) for p in parts}
     assert D == k_join(parts)
     ask = cli.BlowUp(transitive(len(parts)), parts)
-    return cli._blowup_options(ask, results, SearchOptions(**limits))
+    return blowup_options(ask, results, SearchOptions(**limits))
+
+
+def test_searches_reads_the_levels_bounds_checks():
+    # _searches is _bounds' level range with none of its checks: on every
+    # combination _bounds accepts, it says whether a level k >= 1 is in it;
+    # _bounds checks the part's rows, not its claimed value
+    one, accepted, searched = transitive(1), 0, 0
+    for value, width, max_k in itertools.product([None, 0, 1, 2, 3], [None, 1, 2, 3, 4],
+                                                 range(5)):
+        claim = solver.InvResult(value, None, "assign", 0, 0.0, 0)
+        lower = None if value is None else solver.Sub((0,), one, claim)
+        # {0, 1} reversed decycles c3, and empty sets pad it to the width
+        upper = None if width is None else InversionFamily(3, [0b011] + [0] * (width - 1))
+        opts = SearchOptions(max_k, lower=lower, upper=upper)
+        if None not in (value, width) and value > width:
+            with pytest.raises(ValueError, match="above the upper family"):
+                solver._bounds(c3(), opts)
+            continue
+        low, high = solver._bounds(c3(), opts)
+        assert solver._searches(opts) == (max(low, 1) <= high)
+        accepted += 1
+        searched += solver._searches(opts)
+    assert (accepted, searched) == (110, 61)
 
 
 def forged_value(opts: SearchOptions, value) -> solver.Sub:
@@ -817,16 +848,16 @@ class TestJoinOptions:
     def reference_upper(parts, results):
         m = len(parts)
         return helpers.compose_family(transitive(m), InversionFamily(m, ()), list(parts),
-                                      [results[cli._key(p)].witness for p in parts])
+                                      [results[sweep._key(p)].witness for p in parts])
 
     def test_two_part_joins_of_classes_up_to_order_5(self):
         classes = [T for n in range(1, 6) for T in nonisomorphic_tournaments(n)]
-        results = {cli._key(T): inv_exact(T) for T in classes}
+        results = {sweep._key(T): inv_exact(T) for T in classes}
         pairs = [[L, R] for L in classes for R in classes]
         assert len(pairs) == 400
         for parts in pairs:
             ask = cli.BlowUp(transitive(len(parts)), parts)
-            opts = cli._blowup_options(ask, results, SearchOptions())
+            opts = blowup_options(ask, results, SearchOptions())
             assert opts.upper == self.reference_upper(parts, results)
 
     def test_three_part_joins_of_kjoin_and_abnormal(self):
@@ -835,10 +866,10 @@ class TestJoinOptions:
         # join(c3, c3, c3), then [c3, c3, D] for D = tt(1), tt(3), c3
         triples = [parts for parts in joins if len(parts) == 3]
         assert len(triples) == 4
-        results = {cli._key(p): inv_exact(p) for parts in triples for p in parts}
+        results = {sweep._key(p): inv_exact(p) for parts in triples for p in parts}
         for parts in triples:
             ask = cli.BlowUp(transitive(len(parts)), parts)
-            opts = cli._blowup_options(ask, results, SearchOptions())
+            opts = blowup_options(ask, results, SearchOptions())
             assert opts.upper == self.reference_upper(parts, results)
 
     def test_builds_no_graph(self, monkeypatch):
@@ -846,7 +877,7 @@ class TestJoinOptions:
         join = cli.BlowUp(transitive(3), parts)
         # a cyclic host's witness set is blown up too, with no graph built
         blowup = cli.BlowUp(c3(), parts)
-        results = {cli._key(p): inv_exact(p) for p in parts}
+        results = {sweep._key(p): inv_exact(p) for p in parts}
         built = []
         init = Digraph.__init__
 
@@ -855,8 +886,8 @@ class TestJoinOptions:
             init(self, *args)
 
         monkeypatch.setattr(Digraph, "__init__", spy)
-        opts = cli._blowup_options(join, results, SearchOptions())
-        cyclic = cli._blowup_options(blowup, results, SearchOptions())
+        opts = blowup_options(join, results, SearchOptions())
+        cyclic = blowup_options(blowup, results, SearchOptions())
         assert built == []
         assert opts.lower.vertices == (3, 4, 5, 6, 7) and opts.upper.k == 1 + 2 + 0
         assert cyclic.lower == opts.lower and cyclic.upper.k == 1 + 1 + 2 + 0
@@ -875,16 +906,16 @@ class TestBlowUpOptions:
     @staticmethod
     def check(host, parts, results):
         ask = cli.BlowUp(host, parts)
-        opts = cli._blowup_options(ask, results, SearchOptions())
-        values = [results[cli._key(p)].value for p in parts]
+        opts = blowup_options(ask, results, SearchOptions())
+        values = [results[sweep._key(p)].value for p in parts]
         best = values.index(max(values))  # the first part of largest value
         start = sum(p.n for p in parts[:best])
         vertices = tuple(range(start, start + parts[best].n))
-        found = results[cli._key(parts[best])]
+        found = results[sweep._key(parts[best])]
         assert opts.lower == solver.Sub(vertices, parts[best], found)
         assert ask.graph.induced(sum(1 << v for v in vertices)) == parts[best]
         host_witness = inv_exact(host).witness
-        part_witnesses = [results[cli._key(p)].witness for p in parts]
+        part_witnesses = [results[sweep._key(p)].witness for p in parts]
         assert opts.upper == helpers.compose_family(host, host_witness, list(parts),
                                                     part_witnesses)
         assert opts.upper.k == inv_exact(host).value + sum(values)
@@ -892,7 +923,7 @@ class TestBlowUpOptions:
     def test_every_host_up_to_order_4_and_parts_up_to_order_3(self):
         hosts = [T for n in range(1, 5) for T in nonisomorphic_tournaments(n)]
         assert len(hosts) == 8 and len(self.PARTS) == 4
-        results = {cli._key(T): inv_exact(T) for T in hosts + self.PARTS}
+        results = {sweep._key(T): inv_exact(T) for T in hosts + self.PARTS}
         count = 0
         for host in hosts:
             for parts in itertools.product(self.PARTS, repeat=host.n):
@@ -902,8 +933,8 @@ class TestBlowUpOptions:
 
     def test_thm15_base(self):
         host = decode_digraph("enc:3:4.1.2")
-        results = {cli._key(G): inv_exact(G) for G in (host, c3())}
-        assert results[cli._key(host)].value == 1
+        results = {sweep._key(G): inv_exact(G) for G in (host, c3())}
+        assert results[sweep._key(host)].value == 1
         self.check(host, [c3()] * 3, results)
 
     def test_acyclic_host_is_not_an_input(self):
@@ -914,15 +945,15 @@ class TestBlowUpOptions:
             inputs = cli.BlowUp(host, parts).inputs()
             acyclic = is_acyclic(host) is not None
             assert inputs == parts + ([] if acyclic else [host])
-        results = {cli._key(c3()): inv_exact(c3())}
-        opts = cli._blowup_options(cli.BlowUp(transitive(4), [c3()] * 4), results,
-                                   SearchOptions())
-        assert opts.upper.k == 4 and cli._key(transitive(4)) not in results
+        results = {sweep._key(c3()): inv_exact(c3())}
+        opts = blowup_options(cli.BlowUp(transitive(4), [c3()] * 4), results,
+                              SearchOptions())
+        assert opts.upper.k == 4 and sweep._key(transitive(4)) not in results
 
     def test_unresolved_host_gives_no_certificate(self):
-        results = {cli._key(c3()): inv_exact(c3())}
+        results = {sweep._key(c3()): inv_exact(c3())}
         ask = cli.BlowUp(qn(4), [c3()] * 4)
-        assert cli._blowup_options(ask, results, SearchOptions()) == SearchOptions()
+        assert blowup_options(ask, results, SearchOptions()) == SearchOptions()
 
 
 @pytest.mark.parametrize(
